@@ -476,23 +476,15 @@ def dk(r, k, fixture, fixture_file, max_arity, fmt):
 def pipeline_cinf(max_arity, dim):
     """End-to-end: stand-in operad, commutative toy algebra, induced
     operations, homotopy checks.  Exit 1 if any verification fails."""
-    from fractions import Fraction
-    from .operads import GradedSpace
-    from .qlinalg import SparseMatrix
+    from .hoalg import truncated_polynomial_family
     from .filtration import (moduli_chain_standin, commutative_toy_algebra,
                              check_filtered_algebra, induce_cinf,
                              FiltrationError)
     _require_desk_scale(dim=(dim, 1, 4),
                         **{"max-arity": (max_arity, 2, 6)})
     F = moduli_chain_standin(max_arity)
-    V = GradedSpace(tuple(f"x{k}" for k in range(dim)), (0,) * dim)
-    q = SparseMatrix.zero(dim, dim)
-    m2 = {}
-    for a in range(dim):
-        for b in range(dim):
-            if a + b < dim:
-                m2[(a + b, (a, b))] = Fraction(1)
-    A = commutative_toy_algebra(F, V, q, m2)
+    poly = truncated_polynomial_family(dim)
+    A = commutative_toy_algebra(F, poly.space, poly.q, poly.maps[2])
     report = check_filtered_algebra(F, A, max_arity=min(max_arity, 3))
     click.echo(f"filtration predicate: {'ok' if report.filtration_ok else 'FAILED'}")
     click.echo(f"operad morphism:      {'ok' if report.morphism_ok else 'FAILED'}")

@@ -19,9 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qlinalg import SparseMatrix, ChainComplex, span_rank
-from .operads import (GradedOperad, GradedSpace, OperadError, Vector,
-                      koszul_sign, perm_inverse, _addmul)
-from .treegraph import Tree, enumerate_trees
+from .operads import (GradedOperad, GradedSpace, Vector, addmul, koszul_sign,
+                      perm_inverse)
+from .treegraph import (encode_tree, enumerate_trees, expand_vertex, graft,
+                        relabel_tree)
 
 
 class CobarError(ValueError):
@@ -90,10 +91,6 @@ class Cooperad:
                     rows.setdefault(out, {})[c] = v
             self._act_rows[key] = rows
         return self._act_rows[key].get(a0, {})
-
-
-def dual_cooperad(O: GradedOperad, max_arity: int) -> Cooperad:
-    return Cooperad(O, max_arity)
 
 
 @lru_cache(maxsize=None)
@@ -191,28 +188,6 @@ def liec_component_dim(n: int) -> int:
 # Cobar complex on decorated trees
 
 
-def _internal_vertices(t: Tree):
-    """(key, child keys or leaf labels, arity) per internal vertex, in
-    preorder; a vertex's key is the frozenset of leaves below it."""
-    out = []
-
-    def leaves_below(shape):
-        if isinstance(shape, int):
-            return frozenset((shape,))
-        return frozenset().union(*(leaves_below(c) for c in shape))
-
-    def walk(shape):
-        if isinstance(shape, int):
-            return
-        key = leaves_below(shape)
-        out.append((key, tuple(leaves_below(c) for c in shape), len(shape)))
-        for c in shape:
-            walk(c)
-
-    walk(t.shape)
-    return out
-
-
 def _block_insertion_perm(m: int, positions: tuple[int, ...]) -> tuple[int, ...]:
     """Permutation aligning standard composition slots with a child
     subset.  Slots 1..i*-1 stay put (i* = min position), the inner block
@@ -224,17 +199,6 @@ def _block_insertion_perm(m: int, positions: tuple[int, ...]) -> tuple[int, ...]
     sigma.extend(positions)
     sigma.extend(rest)
     return tuple(sigma)
-
-
-def _perm_parity(word: list[int]) -> int:
-    """+1 or -1: parity of the permutation given as a list of distinct
-    ranks."""
-    sign = 1
-    for x in range(len(word)):
-        for y in range(x + 1, len(word)):
-            if word[x] > word[y]:
-                sign = -sign
-    return sign
 
 
 class CobarComplex:
@@ -256,8 +220,7 @@ class CobarComplex:
         for e in range(n - 1):
             items = []
             for t in enumerate_trees(n, e):
-                arities = [m for _, _, m in _internal_vertices(t)]
-                ranges = [range(cooperad.dim(m)) for m in arities]
+                ranges = [range(cooperad.dim(m)) for m in t.vertex_arities()]
                 for decor in itertools.product(*ranges):
                     items.append((t, decor))
             self.basis[e] = items
@@ -291,89 +254,64 @@ class CobarComplex:
         degree e + 1)."""
         entries = []
         tgt_index = self.index.get(e + 1, {})
-        for col, (t, decor) in enumerate(self.basis[e]):
-            verts = _internal_vertices(t)
-            src_edges = t.edge_list()
-            for vi, (vkey, childkeys, m) in enumerate(verts):
-                if m < 3:
-                    continue
+        col = 0
+        for t, group in itertools.groupby(self.basis[e], key=lambda item: item[0]):
+            # every expansion of t, shared by all decorations of t
+            verts = t.vertices()
+            src_keys = [key for key, _, _ in verts]
+            src_slot = {key: j for j, key in enumerate(src_keys)}
+            expansions = []
+            for vi, (vkey, kids, m) in enumerate(verts):
                 for k in range(2, m):
                     for subset in itertools.combinations(range(1, m + 1), k):
-                        new_shape, new_key = _expand_vertex(
-                            t.shape, vkey, childkeys, subset)
-                        new_tree = Tree(new_shape)
+                        new_tree, new_key = expand_vertex(t, vkey, subset)
+                        tgt_keys = [key for key, _, _ in new_tree.vertices()]
+                        sign = 1
                         if self.sign_mode == "standard":
                             # orientation transport: sign of the shuffle
                             # taking (source edges, new edge) to the
-                            # target's canonical edge order
-                            tgt_pos = {ek: j for j, ek in
-                                       enumerate(new_tree.edge_list())}
-                            word = [tgt_pos[ek] for ek in src_edges]
+                            # target's canonical edge order; the root
+                            # heads tgt_keys, so edge ranks start at 1
+                            tgt_pos = {key: j for j, key in enumerate(tgt_keys)}
+                            word = [tgt_pos[key] for key in src_keys[1:]]
                             word.append(tgt_pos[new_key])
-                            sign = _perm_parity(word)
-                        else:
-                            sign = 1
-                        table = self._delta_table(m, subset)
-                        for (a, b), c in table.get(decor[vi], {}).items():
-                            new_decor = _expanded_decoration(
-                                new_tree, verts, decor, vkey, new_key, a, b)
-                            row = tgt_index[(new_tree.shape, new_decor)]
-                            entries.append((row, col, sign * c))
+                            sign = koszul_sign(tuple(word), (1,) * len(word))
+                        # target decoration = (source decoration, a, b)
+                        # read off in the target's preorder
+                        slot = {**src_slot, vkey: len(verts),
+                                new_key: len(verts) + 1}
+                        gather = [slot[key] for key in tgt_keys]
+                        expansions.append((vi, self._delta_table(m, subset),
+                                           new_tree.shape, gather, sign))
+            for _, decor in group:
+                for vi, table, shape, gather, sign in expansions:
+                    for (a, b), c in table.get(decor[vi], {}).items():
+                        ext = decor + (a, b)
+                        row = tgt_index[(shape, tuple(ext[j] for j in gather))]
+                        entries.append((row, col, sign * c))
+                col += 1
         return entries
+
+    def boundary_matrix(self, e: int) -> SparseMatrix:
+        """Matrix of d from edge degree e to e + 1, duplicates summed."""
+        acc: dict[tuple[int, int], Fraction] = {}
+        for r, c, v in self.boundary_from(e):
+            addmul(acc, (r, c), v)
+        return SparseMatrix.from_dict(len(self.basis[e + 1]),
+                                      len(self.basis[e]), acc)
 
     def chain_complex(self) -> ChainComplex:
         """Regrade by operadic degree p = n - 2 - e so the differential
         lowers degree; construction validates d . d = 0."""
         n = self.n
         spaces = [len(self.basis[n - 2 - p]) for p in range(n - 1)]
-        boundaries = []
-        for p in range(n - 2):
-            e = n - 2 - p - 1  # source of d in edge grading
-            rows, cols = spaces[p], spaces[p + 1]
-            acc: dict[tuple[int, int], Fraction] = {}
-            for r, c, v in self.boundary_from(e):
-                key = (r, c)
-                acc[key] = acc.get(key, Fraction(0)) + v
-            boundaries.append(SparseMatrix.from_dict(
-                rows, cols, {k: v for k, v in acc.items() if v}))
-        return ChainComplex(spaces, boundaries)
+        return ChainComplex(spaces, [self.boundary_matrix(n - 3 - p)
+                                     for p in range(n - 2)])
 
     def homology(self) -> dict[int, int]:
         """Betti numbers keyed by edge count."""
         betti = self.chain_complex().homology()
         return {self.n - 2 - p: b for p, b in enumerate(betti)}
-
-
-def _leaves_below(shape) -> frozenset:
-    if isinstance(shape, int):
-        return frozenset((shape,))
-    return frozenset().union(*(_leaves_below(c) for c in shape))
-
-
-def _expand_vertex(shape, vkey, childkeys, positions):
-    """Group the children at the given 1-based positions of the vertex
-    with leaf set vkey under a new vertex; returns (shape, new key)."""
-    grouped = frozenset().union(*(childkeys[p - 1] for p in positions))
-
-    def walk(s):
-        if isinstance(s, int):
-            return s
-        if _leaves_below(s) == vkey:
-            taken = [c for p, c in enumerate(s, start=1) if p in positions]
-            kept = [c for p, c in enumerate(s, start=1) if p not in positions]
-            kept.append(tuple(sorted(taken, key=lambda x: min(_leaves_below(x)))))
-            return tuple(sorted(kept, key=lambda x: min(_leaves_below(x))))
-        return tuple(walk(c) for c in s)
-
-    return walk(shape), grouped
-
-
-def _expanded_decoration(new_tree, old_verts, decor, vkey, new_key, a, b):
-    """Decoration tuple of the expanded tree in its own preorder."""
-    values = {key: decor[i] for i, (key, _, _) in enumerate(old_verts)}
-    values[vkey] = a
-    values[new_key] = b
-    return tuple(values[key] for key, _, _ in _internal_vertices(new_tree))
 
 
 def cobar_dims(cooperad: Cooperad, n: int) -> dict[int, int]:
@@ -426,10 +364,8 @@ class CobarOperad(GradedOperad):
             names = []
             degrees = []
             for t, decor in basis:
-                sp_names = [cooperad.space(m).names[decor[i]]
-                            for i, (_, _, m) in
-                            enumerate(_internal_vertices(t))]
-                from .treegraph import encode_tree
+                sp_names = [cooperad.space(m).names[d]
+                            for d, m in zip(decor, t.vertex_arities())]
                 names.append(f"{encode_tree(t)}[{';'.join(sp_names)}]")
                 degrees.append(n - 2 - t.internal_edges)
             components[n] = GradedSpace(tuple(names), tuple(degrees))
@@ -446,15 +382,12 @@ class CobarOperad(GradedOperad):
         for e in sorted(cx.basis):
             offsets[e] = pos
             pos += len(cx.basis[e])
-        acc: dict[tuple[int, int], Fraction] = {}
+        entries = []
         for e in sorted(cx.basis):
-            if e + 1 not in cx.basis:
-                continue
-            for r, c, v in cx.boundary_from(e):
-                key = (offsets[e + 1] + r, offsets[e] + c)
-                acc[key] = acc.get(key, Fraction(0)) + v
-        acc = {k: v for k, v in acc.items() if v}
-        return SparseMatrix.from_dict(pos, pos, acc)
+            if e + 1 in cx.basis:
+                entries.extend((offsets[e + 1] + r, offsets[e] + c, v)
+                               for r, c, v in cx.boundary_matrix(e).entries())
+        return SparseMatrix(pos, pos, entries)
 
     def basis_element(self, n: int, a: int):
         return self._basis[n][a]
@@ -464,14 +397,11 @@ class CobarOperad(GradedOperad):
             return {a: Fraction(1)}
         if n == 1:
             return {b: Fraction(1)}
-        from .treegraph import graft
         t, dt = self._basis[n][a]
         s, ds = self._basis[m][b]
         grafted = graft(t, i, s)
-        # vertex keys after operadic relabeling
-        tv = _internal_vertices(t)
-        sv = _internal_vertices(s)
 
+        # vertex keys after operadic relabeling
         def shift_outer(key):
             out = set()
             for x in key:
@@ -486,70 +416,50 @@ class CobarOperad(GradedOperad):
         def shift_inner(key):
             return frozenset(x + i - 1 for x in key)
 
-        values = {}
-        gen_word = []  # (key, generator degree) in source order: t then s
-        for idx, (key, _, mv) in enumerate(tv):
-            values[shift_outer(key)] = dt[idx]
-            gen_word.append((shift_outer(key), mv - 2))
-        for idx, (key, _, mv) in enumerate(sv):
-            values[shift_inner(key)] = ds[idx]
-            gen_word.append((shift_inner(key), mv - 2))
-        target_order = [key for key, _, _ in _internal_vertices(grafted)]
-        rankof = {key: j for j, key in enumerate(target_order)}
-        perm = sorted(range(len(gen_word)),
-                      key=lambda j: rankof[gen_word[j][0]])
-        # Koszul sign of reordering the generator word into tree preorder
-        sign = 1
-        for x in range(len(perm)):
-            for y in range(x + 1, len(perm)):
-                if perm[x] > perm[y]:
-                    if gen_word[perm[x]][1] % 2 and gen_word[perm[y]][1] % 2:
-                        sign = -sign
-        decor = tuple(values[key] for key in target_order)
+        tv, sv = t.vertices(), s.vertices()
+        keys = ([shift_outer(key) for key, _, _ in tv]
+                + [shift_inner(key) for key, _, _ in sv])
+        values = dict(zip(keys, dt + ds))
+        target = [key for key, _, _ in grafted.vertices()]
+        rankof = {key: j for j, key in enumerate(target)}
+        # Koszul sign of reordering the generator word (t's vertices, then
+        # s's) into tree preorder; a vertex of arity m has degree m - 2
+        perm = sorted(range(1, len(keys) + 1), key=lambda j: rankof[keys[j - 1]])
+        sign = koszul_sign(tuple(perm), tuple(mv - 2 for _, _, mv in tv + sv))
+        decor = tuple(values[key] for key in target)
         return {self._bindex[n + m - 1][(grafted.shape, decor)]: Fraction(sign)}
 
     def act_basis(self, n, sigma, a) -> Vector:
         if n == 1:
             return {a: Fraction(1)}
-        from .treegraph import relabel_tree
         t, dt = self._basis[n][a]
         mapping = {j: sigma[j - 1] for j in range(1, n + 1)}
         new_tree = relabel_tree(t, mapping)
-        old_verts = _internal_vertices(t)
-        new_verts = _internal_vertices(new_tree)
-        keymap = {key: frozenset(mapping[x] for x in key)
-                  for key, _, _ in old_verts}
-        rankof = {key: j for j, (key, _, _) in enumerate(new_verts)}
-        perm = sorted(range(len(old_verts)),
-                      key=lambda j: rankof[keymap[old_verts[j][0]]])
-        sign = 1
-        for x in range(len(perm)):
-            for y in range(x + 1, len(perm)):
-                if perm[x] > perm[y]:
-                    dx = old_verts[perm[x]][2] - 2
-                    dy = old_verts[perm[y]][2] - 2
-                    if dx % 2 and dy % 2:
-                        sign = -sign
+
+        def image(key):
+            return frozenset(mapping[x] for x in key)
+
+        old_verts = t.vertices()
+        new_verts = {key: (j, kids)
+                     for j, (key, kids, _) in enumerate(new_tree.vertices())}
+        new_pos = [new_verts[image(key)][0] for key, _, _ in old_verts]
+        perm = sorted(range(1, len(old_verts) + 1), key=lambda j: new_pos[j - 1])
+        sign = koszul_sign(tuple(perm), tuple(mv - 2 for _, _, mv in old_verts))
         # per-vertex child reordering acts on the decoration
-        factors = []  # aligned with new_verts order
-        newpos = {key: idx for idx, (key, _, _) in enumerate(new_verts)}
-        slots = [None] * len(new_verts)
-        for j, (key, childkeys, mv) in enumerate(old_verts):
-            nk = keymap[key]
-            new_childkeys = dict(zip(
-                (frozenset(mapping[x] for x in ck) for ck in childkeys),
-                range(1, mv + 1)))
+        slots = [None] * len(old_verts)  # aligned with new_tree's preorder
+        for j, (key, kids, mv) in enumerate(old_verts):
+            pos, new_kids = new_verts[image(key)]
+            old_slot = {image(ck): p for p, ck in enumerate(kids, start=1)}
             # tau maps new child slot -> old child slot
-            target = next(ck for k2, ck, m2 in new_verts if k2 == nk)
-            tau = tuple(new_childkeys[ck] for ck in target)
-            slots[newpos[nk]] = self.cooperad.act(mv, tau, dt[j])
+            tau = tuple(old_slot[ck] for ck in new_kids)
+            slots[pos] = self.cooperad.act(mv, tau, dt[j])
         out: Vector = {}
         for combo in itertools.product(*(f.items() for f in slots)):
             decor = tuple(c for c, _ in combo)
             coeff = Fraction(sign)
             for _, v in combo:
                 coeff *= v
-            _addmul(out, self._bindex[n][(new_tree.shape, decor)], coeff)
+            addmul(out, self._bindex[n][(new_tree.shape, decor)], coeff)
         return out
 
 

@@ -483,54 +483,20 @@ def commutative_toy_algebra(F: FilteredOperad,
             continue
         for a in range(base.dim(n)):
             t, decor = base.basis_element(n, a)
-            from .cobar import _internal_vertices
-            verts = _internal_vertices(t)
-            if any(m != 2 for _, _, m in verts):
+            if any(m != 2 for m in t.vertex_arities()):
                 continue
-            mu[(n, a)] = _binary_tree_tensor(t.shape, m2, space)
+            mu[(n, a)] = _binary_tree_tensor(t, m2, space)
     return FilteredAlgebraData(space, q, mu)
 
 
-def _binary_tree_tensor(shape, m2: dict, space: GradedSpace) -> dict:
-    """Iterated product along a binary tree, as a multilinear tensor."""
-    if isinstance(shape, int):
-        return {"leaf": shape}
-    left = _binary_tree_tensor(shape[0], m2, space)
-    right = _binary_tree_tensor(shape[1], m2, space)
-
-    def as_maps(sub):
-        if "leaf" in sub:
-            return sub["leaf"], None
-        return None, sub
-
-    lleaf, lmap = as_maps(left)
-    rleaf, rmap = as_maps(right)
-    dim = space.dim
+def _binary_tree_tensor(t, m2: dict, space: GradedSpace) -> dict:
+    """Iterated product along a binary tree, as a multilinear tensor with
+    slots ordered by leaf label."""
     out: dict = {}
-    if lmap is None and rmap is None:
-        for (j, ins), c in m2.items():
-            # slots ordered by leaf label
-            pair = {lleaf: ins[0], rleaf: ins[1]}
-            key = (j, tuple(pair[x] for x in sorted(pair)))
-            out[key] = out.get(key, Fraction(0)) + c
-        return {k: v for k, v in out.items() if v}
-    # general case: evaluate by brute force over basis tuples
-    leaves = sorted(_shape_leaves(shape))
-    for ins in itertools.product(range(dim), repeat=len(leaves)):
-        assign = dict(zip(leaves, ins))
-        vec = _eval_binary(shape, assign, m2)
-        for j, c in vec.items():
-            key = (j, ins)
-            out[key] = out.get(key, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def _shape_leaves(shape):
-    if isinstance(shape, int):
-        return [shape]
-    out = []
-    for c in shape:
-        out.extend(_shape_leaves(c))
+    for ins in itertools.product(range(space.dim), repeat=t.arity):
+        assign = dict(enumerate(ins, start=1))
+        for j, c in _eval_binary(t.shape, assign, m2).items():
+            out[(j, ins)] = c
     return out
 
 
@@ -568,7 +534,7 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
                 max_arity: int) -> PipelineResult:
     """Restrict the induced first-page algebra to the q = 0 slice, read
     off m_n from identity-word corollas, and verify the relations."""
-    from .cobar import CobarOperad, _internal_vertices
+    from .cobar import CobarOperad
     base = F.base
     if not isinstance(base, CobarOperad):
         raise FiltrationError(

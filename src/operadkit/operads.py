@@ -155,7 +155,8 @@ def class_representative(lam: tuple[int, ...]) -> tuple[int, ...]:
 # Operad base class
 
 
-def _addmul(acc: Vector, idx, coeff) -> None:
+def addmul(acc: Vector, idx, coeff) -> None:
+    """acc[idx] += coeff, dropping the entry when it becomes zero."""
     s = acc.get(idx, 0) + coeff
     if s:
         acc[idx] = s
@@ -218,14 +219,14 @@ class GradedOperad:
         for a, ca in x.items():
             for b, cb in y.items():
                 for out, c in self.compose_basis(n, i, m, a, b).items():
-                    _addmul(acc, out, ca * cb * c)
+                    addmul(acc, out, ca * cb * c)
         return acc
 
     def act(self, n: int, sigma: tuple[int, ...], x: Vector) -> Vector:
         acc: Vector = {}
         for a, ca in x.items():
             for out, c in self.act_basis(n, sigma, a).items():
-                _addmul(acc, out, ca * c)
+                addmul(acc, out, ca * c)
         return acc
 
     def action_matrix(self, n: int, sigma: tuple[int, ...]) -> SparseMatrix:
@@ -241,12 +242,6 @@ class GradedOperad:
         for a in range(self.dim(n)):
             total += self.act_basis(n, sigma, a).get(a, 0)
         return total
-
-    def element_degree(self, n: int, x: Vector) -> int | None:
-        degs = {self.degree(n, a) for a in x}
-        if len(degs) > 1:
-            raise OperadError("inhomogeneous element")
-        return degs.pop() if degs else None
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +329,7 @@ class CommOperad(GradedOperad):
         return Fraction(1)
 
 
-class WordOperadMixin:
-    """Shared indexing for operads with word bases."""
-
-    def word(self, n: int, a: int) -> tuple[int, ...]:
-        return self._words[n][a]
-
-    def word_index(self, n: int, w: tuple[int, ...]) -> int:
-        return self._index[n][w]
-
-
-class AssocOperad(GradedOperad, WordOperadMixin):
+class AssocOperad(GradedOperad):
     """Components k[S_n] in degree 0; composition substitutes words."""
 
     def __init__(self, max_arity: int):
@@ -374,7 +359,7 @@ class AssocOperad(GradedOperad, WordOperadMixin):
         return Fraction(0)
 
 
-class LieOperad(GradedOperad, WordOperadMixin):
+class LieOperad(GradedOperad):
     """Multilinear free Lie components in the left-normed word basis.
 
     A basis label w (a word starting with 1) stands for the left-normed
@@ -546,19 +531,6 @@ class EndOperad(GradedOperad):
         for r, c, v in self.q.entries():
             if r == target:
                 yield c, v
-
-    def degrees_of(self, n: int, a: int) -> int:
-        return self.space(n).degrees[a]
-
-    def evaluate(self, n: int, x: Vector,
-                 ins: tuple[int, ...]) -> Vector:
-        """Apply an element of End(n) to a basis input tuple."""
-        out: Vector = {}
-        for a, c in x.items():
-            j, a_ins = self._basis[n][a]
-            if a_ins == ins:
-                _addmul(out, j, c)
-        return out
 
 
 def endomorphism_operad(V: GradedSpace, max_arity: int,

@@ -9,6 +9,7 @@ functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -134,20 +135,6 @@ class SparseMatrix:
                     del out[r]
         return out
 
-    def scale_row_swap_variant(self, scalings: Mapping[int, Fraction],
-                               swaps: Iterable[tuple[int, int]]) -> "SparseMatrix":
-        """Return a copy with rows rescaled and then swapped (test helper)."""
-        perm = list(range(self.rows))
-        for a, b in swaps:
-            perm[a], perm[b] = perm[b], perm[a]
-        entries = []
-        for (r, c), v in self._data.items():
-            s = scalings.get(r, Fraction(1))
-            if s == 0:
-                raise ValueError("row scaling must be nonzero")
-            entries.append((perm[r], c, v * s))
-        return SparseMatrix(self.rows, self.cols, entries)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseMatrix)
                 and self.rows == other.rows and self.cols == other.cols
@@ -186,36 +173,42 @@ def rank(m: SparseMatrix) -> int:
     """Exact rank over the rationals.
 
     Gaussian elimination on integer-normalized sparse rows; the pivot
-    row is chosen by sparsity to limit fill-in.  Deterministic.
+    row is chosen by sparsity to limit fill-in: the sparsest live row,
+    ties broken by lowest leading column, then by age.  A heap keyed on
+    that order picks each pivot without re-sorting the rows.
+    Deterministic.
     """
-    rows = _int_rows(m)
+    live = dict(enumerate(_int_rows(m)))
+    heap = [(len(row), min(row), i) for i, row in live.items()]
+    heapify(heap)
+    fresh = len(live)
     rk = 0
-    while rows:
-        # sparsest row first, ties broken by lowest column index
-        rows.sort(key=lambda row: (len(row), min(row)))
-        pivot_row = rows.pop(0)
-        pc = min(pivot_row)
+    while heap:
+        _, pc, i = heappop(heap)
+        pivot_row = live.pop(i, None)
+        if pivot_row is None:  # replaced by an elimination since pushed
+            continue
         pv = pivot_row[pc]
         rk += 1
-        new_rows = []
-        for row in rows:
-            a = row.get(pc)
-            if a is None:
-                new_rows.append(row)
-                continue
-            new = {}
-            for c in row.keys() | pivot_row.keys():
-                w = row.get(c, 0) * pv - pivot_row.get(c, 0) * a
+        for j in [j for j, row in live.items() if pc in row]:
+            row = live.pop(j)
+            a = row[pc]
+            new = {c: v * pv for c, v in row.items()}
+            for c, v in pivot_row.items():
+                w = new.get(c, 0) - v * a
                 if w:
                     new[c] = w
+                else:
+                    del new[c]
             if new:
                 g = 0
                 for v in new.values():
                     g = gcd(g, v)
                 if g > 1:
                     new = {c: v // g for c, v in new.items()}
-                new_rows.append(new)
-        rows = new_rows
+                live[fresh] = new
+                heappush(heap, (len(new), min(new), fresh))
+                fresh += 1
     return rk
 
 
@@ -381,8 +374,3 @@ class ChainComplex:
             in_rank = ranks[i] if i < n - 1 else 0        # d_{i+1}: C_{i+1} -> C_i
             betti.append(self.spaces[i] - out_rank - in_rank)
         return betti
-
-
-def homology(c: ChainComplex) -> list[int]:
-    """Betti numbers of a chain complex (one per degree)."""
-    return c.homology()

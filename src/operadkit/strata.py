@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .treegraph import (Tree, enumerate_trees, enumerate_stable_graphs,
+from .treegraph import (enumerate_trees, enumerate_stable_graphs,
                         automorphism_group, StableGraph)
 
 
@@ -166,14 +166,6 @@ class DualE1Table:
         }, indent=1)
 
 
-def _tree_vertex_punctures(t: Tree) -> tuple[int, ...]:
-    """n(v) per internal vertex of the rooted tree viewed as a genus-0
-    stable graph (the root carries one extra leg)."""
-    return tuple(m + 1 for _, s in t.vertices()
-                 if not isinstance(s, int)
-                 for m in (len(s),))
-
-
 def genus0_valence_census(n: int) -> dict[int, dict[tuple[int, ...], int]]:
     """For n punctures: count of trees per (edge count, sorted vertex
     puncture multiset).  Rooted trees on n - 1 leaves model the unrooted
@@ -184,7 +176,7 @@ def genus0_valence_census(n: int) -> dict[int, dict[tuple[int, ...], int]]:
     for e in range(n - 2):
         counts: dict[tuple[int, ...], int] = {}
         for t in enumerate_trees(n - 1, e):
-            key = tuple(sorted(_tree_vertex_punctures(t)))
+            key = tuple(sorted(m + 1 for m in t.vertex_arities()))
             counts[key] = counts.get(key, 0) + 1
         census[e] = counts
     return census
@@ -250,15 +242,15 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
 def verify_vanishing(g: int, n: int, table: E1Table) -> bool:
     """Bounds -p <= q <= p <= 3g - 3 + n on every entry, plus the
     per-graph identity sum_v (n(v) - 3) = 2 ed(G) + n - 3 v(G) that
-    forces q >= 0 in genus 0."""
+    forces q >= 0 in genus 0, checked once per census entry since it
+    depends on a tree only through its edge count and punctures."""
     top = 3 * g - 3 + n
     for (p, q), d in table.entries.items():
         if d and not (-p <= q <= p <= top):
             return False
     if g == 0:
-        for e in range(n - 2):
-            for t in enumerate_trees(n - 1, e):
-                punctures = _tree_vertex_punctures(t)
+        for e, counts in genus0_valence_census(n).items():
+            for punctures in counts:
                 v = len(punctures)
                 lhs = sum(nv - 3 for nv in punctures)
                 if lhs != 2 * e + n - 3 * v:
@@ -335,10 +327,9 @@ def dual_e1_table(g: int, n: int,
         return out[:-1] if out else [1]
 
     table = DualE1Table(g, n)
-    for e in range(n - 2):
+    for e, counts in genus0_valence_census(n).items():
         p = -e
-        for t in enumerate_trees(n - 1, e):
-            punctures = _tree_vertex_punctures(t)
+        for punctures, count in counts.items():
             poly = [1]
             for nv in punctures:
                 poly = _poly_mul(poly, cbetti(nv))
@@ -346,7 +337,8 @@ def dual_e1_table(g: int, n: int,
                 if dim:
                     q = total_k - 2 * p
                     key = (p, q)
-                    table.entries[key] = table.entries.get(key, 0) + dim
+                    table.entries[key] = table.entries.get(key, 0) \
+                        + count * dim
     return table
 
 
@@ -379,8 +371,8 @@ def strata_euler_characteristic(n: int) -> int:
     for e in range(n - 2):
         for t in enumerate_trees(n - 1, e):
             prod = 1
-            for nv in _tree_vertex_punctures(t):
-                prod *= chi[nv]
+            for m in t.vertex_arities():
+                prod *= chi[m + 1]
             total += prod
     return total
 

@@ -88,43 +88,45 @@ class Tree:
     def is_corolla(self) -> bool:
         return self.internal_edges == 0
 
-    def vertices(self) -> list[tuple[tuple[int, ...], tuple]]:
-        """Internal vertices in preorder as (path, shape) pairs.
+    def vertices(self) -> list[tuple[frozenset[int],
+                                     tuple[frozenset[int], ...], int]]:
+        """Internal vertices in preorder as (leaf set, child leaf sets, arity).
 
-        The path is the sequence of child indices from the root; the
-        shape's children appear in canonical (min-leaf) order.
-        """
-        out = []
-
-        def walk(shape, path):
-            out.append((path, shape))
-            for i, c in enumerate(shape):
-                if not isinstance(c, int):
-                    walk(c, path + (i,))
-
-        walk(self.shape, ())
-        return out
-
-    def vertex_arities(self) -> list[int]:
-        """Number of children of each internal vertex, preorder."""
-        return [len(s) for _, s in self.vertices()]
-
-    def edge_list(self) -> list[frozenset[int]]:
-        """Internal edges in canonical (preorder of lower vertex) order.
-
-        Each edge is identified by the set of leaves below it; leaf sets
-        determine edges uniquely since all vertices have >= 2 children.
+        A vertex is named by the set of leaves below it, which determines
+        it uniquely since all vertices have >= 2 children.  Child leaf
+        sets follow the canonical (min-leaf) order; a leaf child is {label}.
         """
         out = []
 
         def walk(shape):
+            slot = len(out)
+            out.append(None)
+            kids = tuple(frozenset((c,)) if isinstance(c, int) else walk(c)
+                         for c in shape)
+            key = frozenset().union(*kids)
+            out[slot] = (key, kids, len(shape))
+            return key
+
+        walk(self.shape)
+        return out
+
+    def vertex_arities(self) -> list[int]:
+        """Number of children of each internal vertex, preorder."""
+        out = []
+
+        def walk(shape):
+            out.append(len(shape))
             for c in shape:
                 if not isinstance(c, int):
-                    out.append(frozenset(_leaves(c)))
                     walk(c)
 
         walk(self.shape)
         return out
+
+    def edge_list(self) -> list[frozenset[int]]:
+        """Internal edges in canonical (preorder of lower vertex) order,
+        each named by the leaf set of its lower vertex."""
+        return [key for key, _, _ in self.vertices()[1:]]
 
 
 def corolla(n: int) -> Tree:
@@ -240,24 +242,59 @@ def graft(t: Tree, i: int, s: Tree) -> Tree:
     return Tree(substitute(t.shape))
 
 
-def contract_edge(t: Tree, edge: frozenset[int]) -> Tree:
-    """Contract the internal edge identified by the leaf set below it."""
-    edge = frozenset(edge)
-    if edge not in set(t.edge_list()):
-        raise TreeError(f"no internal edge with leaf set {sorted(edge)}")
+def _regroup(t: Tree, verts, key, rebuild) -> Tree:
+    """t with the children of its vertex named key replaced by
+    rebuild(children, child leaf sets); verts is t.vertices()."""
+    order = iter(verts)
 
     def walk(shape):
         if isinstance(shape, int):
             return shape
-        new_children = []
-        for c in shape:
-            if not isinstance(c, int) and frozenset(_leaves(c)) == edge:
-                new_children.extend(walk(g) for g in c)
-            else:
-                new_children.append(walk(c))
-        return tuple(new_children)
+        here, kids, _ = next(order)
+        children = tuple(walk(c) for c in shape)
+        return rebuild(children, kids) if here == key else children
 
     return Tree(walk(t.shape))
+
+
+def contract_edge(t: Tree, edge: frozenset[int]) -> Tree:
+    """Contract the internal edge identified by the leaf set below it."""
+    edge = frozenset(edge)
+    verts = t.vertices()
+    parent = next((key for key, kids, _ in verts
+                   if edge in kids and len(edge) > 1), None)
+    if parent is None:
+        raise TreeError(f"no internal edge with leaf set {sorted(edge)}")
+
+    def splice(children, kids):
+        j = kids.index(edge)
+        return children[:j] + children[j] + children[j + 1:]
+
+    return _regroup(t, verts, parent, splice)
+
+
+def expand_vertex(t: Tree, vertex: frozenset[int],
+                  positions: tuple[int, ...]) -> tuple[Tree, frozenset[int]]:
+    """Inverse of contract_edge: group the children of the vertex with
+    leaf set ``vertex`` at the given 1-based positions (at least two,
+    not all) under a new vertex.  Returns the tree and the leaf set of
+    the new edge."""
+    verts = t.vertices()
+    kids = next((kids for key, kids, _ in verts if key == vertex), None)
+    if kids is None:
+        raise TreeError(f"no internal vertex with leaf set {sorted(vertex)}")
+    if not (2 <= len(positions) < len(kids)
+            and all(1 <= p <= len(kids) for p in positions)):
+        raise TreeError(f"cannot group positions {positions} of a "
+                        f"vertex of arity {len(kids)}")
+
+    def split(children, _):
+        taken = tuple(children[p - 1] for p in positions)
+        return tuple(c for p, c in enumerate(children, start=1)
+                     if p not in positions) + (taken,)
+
+    new_edge = frozenset().union(*(kids[p - 1] for p in positions))
+    return _regroup(t, verts, vertex, split), new_edge
 
 
 def encode_tree(t: Tree) -> str:

@@ -22,7 +22,6 @@ from operadkit.cobar import (
     cobar_homology,
     cobar_operad,
     commc_cooperad,
-    dual_cooperad,
     liec_component_dim,
     liec_cooperad,
     multilinear_shuffle_relations,
@@ -60,7 +59,7 @@ class TestCooperad:
         from operadkit.operads import EndOperad, GradedSpace
         V = GradedSpace(("x", "y"), (0, 1))
         with pytest.raises(CobarError):
-            dual_cooperad(EndOperad(V, 2), 2)
+            Cooperad(EndOperad(V, 2), 2)
 
     @pytest.mark.parametrize("factory,cofactory", [
         (lie_operad, liec_cooperad),

@@ -212,6 +212,33 @@ class TestDualTable:
         d = dual_e1_table(0, 4, compact_betti=cb)
         assert dual_euler_check(d, 4)
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_matches_per_tree_sum(self, n):
+        # every n-leg tree contributes the product of its vertices'
+        # compactified Betti polynomials, shifted to column -e
+        cbetti = {}
+        for m in range(3, n + 1):
+            row = []
+            for h in predict_compactified_betti(m):
+                row.extend([h, 0])
+            cbetti[m] = row[:-1]
+        expected = {}
+        for e in range(n - 2):
+            for t in enumerate_trees(n - 1, e):
+                poly = [1]
+                for arity in t.vertex_arities():
+                    factor = cbetti[arity + 1]
+                    prod = [0] * (len(poly) + len(factor) - 1)
+                    for i, x in enumerate(poly):
+                        for j, y in enumerate(factor):
+                            prod[i + j] += x * y
+                    poly = prod
+                for k, d in enumerate(poly):
+                    if d:
+                        key = (-e, k + 2 * e)
+                        expected[key] = expected.get(key, 0) + d
+        assert dual_e1_table(0, n).entries == expected
+
     def test_higher_genus_unsupported(self):
         with pytest.raises(StrataError):
             dual_e1_table(1, 2)

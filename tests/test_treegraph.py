@@ -28,6 +28,7 @@ from operadkit.treegraph import (
     enumerate_stable_graphs,
     enumerate_trees,
     enumerate_trees_all,
+    expand_vertex,
     genus_invariant,
     graft,
     relabel_tree,
@@ -154,6 +155,23 @@ class TestTreeOperations:
         with pytest.raises(TreeError):
             contract_edge(t, frozenset({1, 3}))
 
+    def test_expand_vertex_inverts_contract(self):
+        t = decode_tree("((1,2),(3,4,5))")
+        s, edge = expand_vertex(t, frozenset({3, 4, 5}), (2, 3))
+        assert s == decode_tree("((1,2),(3,(4,5)))")
+        assert edge == frozenset({4, 5})
+        assert contract_edge(s, edge) == t
+
+    @pytest.mark.parametrize("vertex,positions", [
+        (frozenset({1, 2, 3}), (1, 2, 3)),  # all children
+        (frozenset({1, 2, 3}), (2,)),       # one child
+        (frozenset({1, 2, 3}), (0, 1)),     # position out of range
+        (frozenset({1, 2}), (1, 2)),        # not a vertex
+    ])
+    def test_expand_vertex_rejects_bad_input(self, vertex, positions):
+        with pytest.raises(TreeError):
+            expand_vertex(corolla(3), vertex, positions)
+
     def test_relabel(self):
         t = decode_tree("((1,2),3)")
         assert relabel_tree(t, {1: 3, 2: 1, 3: 2}) == decode_tree("((1,3),2)")
@@ -181,6 +199,46 @@ class TestTreeOperations:
             c = contract_edge(t, edge)
             assert c.arity == n
             assert c.internal_edges == t.internal_edges - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_vertices_are_subtree_leaf_sets(self, n, data):
+        trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
+        t = data.draw(st.sampled_from(trees))
+        expected = []
+
+        def leaves(shape):
+            if isinstance(shape, int):
+                return frozenset({shape})
+            return frozenset(x for c in shape for x in leaves(c))
+
+        def walk(shape):
+            if isinstance(shape, int):
+                return
+            expected.append((leaves(shape),
+                             tuple(leaves(c) for c in shape), len(shape)))
+            for c in shape:
+                walk(c)
+
+        walk(t.shape)
+        assert t.vertices() == expected
+        assert t.edge_list() == [key for key, _, _ in expected[1:]]
+        assert t.vertex_arities() == [m for _, _, m in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 6), st.data())
+    def test_expand_vertex_adds_one_edge_that_contracts_back(self, n, data):
+        trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
+        t = data.draw(st.sampled_from(trees))
+        for key, kids, m in t.vertices():
+            for k in range(2, m):
+                for subset in itertools.combinations(range(1, m + 1), k):
+                    s, edge = expand_vertex(t, key, subset)
+                    assert edge == frozenset().union(
+                        *(kids[p - 1] for p in subset))
+                    assert s.internal_edges == t.internal_edges + 1
+                    assert set(s.edge_list()) == set(t.edge_list()) | {edge}
+                    assert contract_edge(s, edge) == t
 
     def test_encode_decode_round_trip(self):
         for e, ts in enumerate_trees_all(5).items():
@@ -337,6 +395,46 @@ class TestStableGraphs:
         G = StableGraph([1], [], [0])
         with pytest.raises(GraphError):
             contract_graph_edge(G, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_vertices_are_subtree_leaf_sets(self, n, data):
+        trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
+        t = data.draw(st.sampled_from(trees))
+        expected = []
+
+        def leaves(shape):
+            if isinstance(shape, int):
+                return frozenset({shape})
+            return frozenset(x for c in shape for x in leaves(c))
+
+        def walk(shape):
+            if isinstance(shape, int):
+                return
+            expected.append((leaves(shape),
+                             tuple(leaves(c) for c in shape), len(shape)))
+            for c in shape:
+                walk(c)
+
+        walk(t.shape)
+        assert t.vertices() == expected
+        assert t.edge_list() == [key for key, _, _ in expected[1:]]
+        assert t.vertex_arities() == [m for _, _, m in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 6), st.data())
+    def test_expand_vertex_adds_one_edge_that_contracts_back(self, n, data):
+        trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
+        t = data.draw(st.sampled_from(trees))
+        for key, kids, m in t.vertices():
+            for k in range(2, m):
+                for subset in itertools.combinations(range(1, m + 1), k):
+                    s, edge = expand_vertex(t, key, subset)
+                    assert edge == frozenset().union(
+                        *(kids[p - 1] for p in subset))
+                    assert s.internal_edges == t.internal_edges + 1
+                    assert set(s.edge_list()) == set(t.edge_list()) | {edge}
+                    assert contract_edge(s, edge) == t
 
     def test_encode_decode_round_trip(self):
         for G in enumerate_stable_graphs(1, 2, 2):
