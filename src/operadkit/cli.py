@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -34,16 +35,46 @@ def _cache_lookup(op: str, params: dict) -> tuple[Path, str | None]:
                      sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()
     path = _cache_dir() / f"{digest}.json"
-    if path.exists():
+    try:
         return path, path.read_text()
-    return path, None
+    except (OSError, UnicodeDecodeError):  # missing or unreadable: a miss
+        return path, None
 
 
 def _cache_store(path: Path, text: str) -> None:
+    """Write through a temp file of this process's own, so a concurrent
+    writer never moves a partly written entry into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
+def _cached_betti(text: str | None, name: str, arity: int) -> dict | None:
+    """The cached cobar-homology payload for (name, arity), or None when
+    the entry is missing or is not a well-formed answer to it."""
+    if text is None:
+        return None
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if not (isinstance(payload, dict)
+            and set(payload) == {"cooperad", "arity", "betti", "total"}
+            and isinstance(payload["betti"], dict)):
+        return None
+    betti = payload["betti"]
+    counts = [*betti.values(), payload["arity"], payload["total"]]
+    ok = (payload["cooperad"] == name and payload["arity"] == arity
+          # one Betti number per edge count 0..arity-2
+          and set(betti) == {str(e) for e in range(arity - 1)}
+          and all(type(x) is int and x >= 0 for x in counts)
+          and payload["total"] == sum(betti.values()))
+    return payload if ok else None
 
 
 def _operad_by_name(name: str, max_arity: int):
@@ -244,9 +275,8 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
     path, cached = (None, None)
     if not no_cache:
         path, cached = _cache_lookup("cobar-homology", params)
-    if cached is not None:
-        payload = json.loads(cached)
-    else:
+    payload = _cached_betti(cached, name, arity)
+    if payload is None:
         try:
             C = _cooperad_by_name(name, arity)
             betti = cobar_homology(C, arity)

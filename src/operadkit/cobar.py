@@ -18,8 +18,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .qlinalg import SparseMatrix, ChainComplex, span_rank
-from .operads import (GradedOperad, GradedSpace, Vector, addmul, koszul_sign,
+from .qlinalg import SparseMatrix, ChainComplex, addmul, span_rank
+from .operads import (GradedOperad, GradedSpace, Vector, koszul_sign,
                       perm_inverse)
 from .treegraph import (encode_tree, enumerate_trees, expand_vertex, graft,
                         relabel_tree)
@@ -146,8 +146,8 @@ def shuffle_sum(u: tuple[int, ...], v: tuple[int, ...],
         sign = 1
         if degrees is not None:
             sign = koszul_sign(sh, degrees)
-        acc[word] = acc.get(word, 0) + sign
-    return {w: c for w, c in acc.items() if c}
+        addmul(acc, word, sign)
+    return acc
 
 
 def multilinear_shuffle_relations(n: int) -> list[dict]:

@@ -23,11 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .qlinalg import (SparseMatrix, ChainComplex, nullspace, span_rank,
-                      solve_in_span)
+from .qlinalg import (SparseMatrix, ChainComplex, add_scaled, addmul,
+                      nullspace, span_rank, solve_in_span)
 from .operads import GradedOperad, GradedSpace, Vector, identity_perm
-from .hoalg import MapFamily, check_ainf, check_cinf, extract_mn, CinfReport
+from .hoalg import MapFamily, check_cinf, extract_mn, CinfReport
 
 
 class FiltrationError(ValueError):
@@ -127,7 +128,7 @@ class ErPiece:
     z_basis: list
     b_basis: list
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.z_basis) - span_rank(self.b_basis)
 
@@ -157,38 +158,16 @@ def _z_space(F: FilteredOperad, n: int, r: int, p: int, q: int) -> list:
         return [{a: Fraction(1)} for a in cols]
     forbidden = {a for a in range(F.base.dim(n))
                  if F.levels[n][a] > p - r}
-    rows = []
-    dcols: dict[int, dict[int, Fraction]] = {}
-    for rr, cc, v in d.entries():
-        dcols.setdefault(cc, {})[rr] = v
     entries = []
     forbidden_index = {a: k for k, a in enumerate(sorted(forbidden))}
     for j, a in enumerate(cols):
-        for rr, v in dcols.get(a, {}).items():
+        for rr, v in d.col(a).items():
             if rr in forbidden_index:
                 entries.append((forbidden_index[rr], j, v))
     m = SparseMatrix(len(forbidden_index), len(cols), entries)
     out = []
     for vec in nullspace(m):
         out.append({cols[j]: v for j, v in vec.items()})
-    return out
-
-
-def _apply_differential(F: FilteredOperad, n: int, vec: dict) -> dict:
-    d = F.base.differentials.get(n)
-    out: dict[int, Fraction] = {}
-    if d is None:
-        return out
-    dcols: dict[int, dict[int, Fraction]] = {}
-    for rr, cc, v in d.entries():
-        dcols.setdefault(cc, {})[rr] = v
-    for a, c in vec.items():
-        for rr, v in dcols.get(a, {}).items():
-            s = out.get(rr, Fraction(0)) + c * v
-            if s:
-                out[rr] = s
-            elif rr in out:
-                del out[rr]
     return out
 
 
@@ -202,6 +181,7 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
         if sp.dim == 0:
             term.pieces[n] = {}
             continue
+        d = F.base.differentials.get(n)
         lo, hi = F.level_range(n)
         degrees = sorted(set(sp.degrees))
         pieces = {}
@@ -213,10 +193,11 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
                     continue
                 b = []
                 if r >= 1:
-                    for vec in _z_space(F, n, r - 1, p + r - 1, q - r + 2):
-                        dv = _apply_differential(F, n, vec)
-                        if dv:
-                            b.append(dv)
+                    if d is not None:
+                        for vec in _z_space(F, n, r - 1, p + r - 1, q - r + 2):
+                            dv = d.apply(vec)
+                            if dv:
+                                b.append(dv)
                     b.extend(_z_space(F, n, r - 1, p - 1, q + 1))
                 piece = ErPiece(p, q, z, b)
                 if piece.dim:
@@ -329,9 +310,10 @@ def component_homology(O: GradedOperad, n: int) -> dict[int, int]:
         cols = {a: k for k, a in enumerate(by_deg[g + 1])}
         entries = []
         if d is not None:
-            for r, c, v in d.entries():
-                if c in cols and r in rows:
-                    entries.append((rows[r], cols[c], v))
+            for c, k in cols.items():
+                for r, v in d.col(c).items():
+                    if r in rows:
+                        entries.append((rows[r], k, v))
         boundaries.append(SparseMatrix(len(rows), len(cols), entries))
     betti = ChainComplex(spaces, boundaries).homology()
     return {lo + k: b for k, b in enumerate(betti) if b}
@@ -373,12 +355,7 @@ def _end_compose(f: dict, n: int, i: int, g: dict, m: int,
                 continue
             slide = sum(degrees[t] for t in ins[: i - 1])
             sign = -1 if (gdeg is not None and gdeg % 2 and slide % 2) else 1
-            key = (j, ins[: i - 1] + bins + ins[i:])
-            s = out.get(key, Fraction(0)) + sign * cf * cg
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            addmul(out, (j, ins[: i - 1] + bins + ins[i:]), sign * cf * cg)
     return out
 
 
@@ -426,12 +403,7 @@ def check_filtered_algebra(F: FilteredOperad, A: FilteredAlgebraData,
                     for b in range(F.base.dim(m)):
                         lhs: dict = {}
                         for o, c in F.base.compose_basis(n, i, m, a, b).items():
-                            for t, v in A.tensor(n + m - 1, o).items():
-                                s = lhs.get(t, Fraction(0)) + c * v
-                                if s:
-                                    lhs[t] = s
-                                elif t in lhs:
-                                    del lhs[t]
+                            add_scaled(lhs, A.tensor(n + m - 1, o), c)
                         rhs = _end_compose(fa, n, i, A.tensor(m, b), m, degrees)
                         if lhs != rhs:
                             morphism_ok = False
@@ -440,9 +412,8 @@ def check_filtered_algebra(F: FilteredOperad, A: FilteredAlgebraData,
         ident = {(j, (j,)): Fraction(1) for j in range(A.space.dim)}
         img: dict = {}
         for a, c in F.base.unit_vector.items():
-            for t, v in A.tensor(1, a).items():
-                img[t] = img.get(t, Fraction(0)) + c * v
-        if {t: v for t, v in img.items() if v} != ident:
+            add_scaled(img, A.tensor(1, a), c)
+        if img != ident:
             morphism_ok = False
             witnesses.append(("unit",))
     return FilteredAlgebraReport(filtration_ok, morphism_ok, witnesses)
@@ -511,11 +482,7 @@ def _eval_binary(shape, assign, m2) -> dict:
         for y, cy in rvec.items():
             for (j, ins), c in m2.items():
                 if ins == (x, y):
-                    s = out.get(j, Fraction(0)) + cx * cy * c
-                    if s:
-                        out[j] = s
-                    elif j in out:
-                        del out[j]
+                    addmul(out, j, cx * cy * c)
     return out
 
 
@@ -560,6 +527,5 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
         if tensor:
             maps[n] = tensor
     family = MapFamily(A.space, A.q, maps)
-    residuals = check_ainf(family, max_arity)
     cinf = check_cinf(family, max_arity)
-    return PipelineResult(family, residuals, cinf)
+    return PipelineResult(family, cinf.ainf_residuals, cinf)

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qlinalg import SparseMatrix
+from .qlinalg import SparseMatrix, add_scaled
 from .operads import GradedSpace, koszul_sign
 from .cobar import shuffles
 
@@ -53,6 +53,9 @@ class MapFamily:
                     raise HoalgError(f"m_{n} entry with {len(ins)} inputs")
                 if not coeff:
                     continue
+                if not all(0 <= i < space.dim for i in (out, *ins)):
+                    raise HoalgError(
+                        f"m_{n} entry {out, ins} indexes outside V")
                 deg = space.degrees[out] - sum(space.degrees[i] for i in ins)
                 if deg != n - 2:
                     raise HoalgError(
@@ -62,31 +65,22 @@ class MapFamily:
         self.q = q
         self.maps = {n: {k: Fraction(v) for k, v in t.items() if v}
                      for n, t in maps.items()}
+        # m_n by input tuple, outputs ascending: {n: {ins: {out: coeff}}}
+        self._by_input = {}
+        for n, t in self.maps.items():
+            by_input = self._by_input[n] = {}
+            for (out, ins), c in sorted(t.items()):
+                by_input.setdefault(ins, {})[out] = c
 
     def arity_bound(self) -> int:
         return max(self.maps, default=1)
 
     def apply(self, n: int, ins: tuple[int, ...]) -> dict[int, Fraction]:
-        """m_n on a tuple of basis vectors."""
-        tensor = self.maps.get(n, {})
-        out: dict[int, Fraction] = {}
-        for j in range(self.space.dim):
-            c = tensor.get((j, ins))
-            if c:
-                out[j] = c
-        return out
+        """m_n on a tuple of basis vectors, by ascending output index."""
+        return dict(self._by_input.get(n, {}).get(ins, {}))
 
     def apply_q(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, c in vec.items():
-            for r, cc, v in self.q.entries():
-                if cc == i:
-                    s = out.get(r, Fraction(0)) + c * v
-                    if s:
-                        out[r] = s
-                    elif r in out:
-                        del out[r]
-        return out
+        return self.q.apply(vec)
 
 
 @dataclass
@@ -112,15 +106,6 @@ class CinfReport:
         return not self.ainf_residuals and not self.shuffle_violations
 
 
-def _add_scaled(acc, vec, coeff):
-    for k, v in vec.items():
-        s = acc.get(k, Fraction(0)) + coeff * v
-        if s:
-            acc[k] = s
-        elif k in acc:
-            del acc[k]
-
-
 def _inner_composite(f: MapFamily, r: int, s: int, k: int,
                      ins: tuple[int, ...]) -> dict[int, Fraction]:
     """(m_r o_k m_s)(basis tuple), with the sliding sign of m_s."""
@@ -131,7 +116,7 @@ def _inner_composite(f: MapFamily, r: int, s: int, k: int,
     out: dict[int, Fraction] = {}
     for mid, c in inner.items():
         outer_ins = ins[: k - 1] + (mid,) + ins[k - 1 + s:]
-        _add_scaled(out, f.apply(r, outer_ins), sign * c)
+        add_scaled(out, f.apply(r, outer_ins), sign * c)
     return out
 
 
@@ -139,22 +124,21 @@ def ainf_defect(f: MapFamily, n: int,
                 ins: tuple[int, ...]) -> dict[int, Fraction]:
     """LHS minus RHS of the arity-n relation on one basis tuple."""
     degs = f.space.degrees
-    lhs: dict[int, Fraction] = {}
-    _add_scaled(lhs, f.apply_q(f.apply(n, ins)), Fraction(1))
+    lhs = f.apply_q(f.apply(n, ins))
     outer = (-1) ** n
     for k in range(1, n + 1):
         eps = sum(degs[i] for i in ins[: k - 1])
         sign = outer * (-1 if eps % 2 else 1)
-        for b, qc in [(r, v) for r, c, v in f.q.entries() if c == ins[k - 1]]:
+        for b, qc in f.q.col(ins[k - 1]).items():
             new_ins = ins[: k - 1] + (b,) + ins[k:]
-            _add_scaled(lhs, f.apply(n, new_ins), -sign * qc)
+            add_scaled(lhs, f.apply(n, new_ins), -sign * qc)
     rhs: dict[int, Fraction] = {}
     for r in range(2, n):
         s = n + 1 - r
         for k in range(1, r + 1):
             sign = (-1) ** (k * (s - 1) + s * n)
-            _add_scaled(rhs, _inner_composite(f, r, s, k, ins), sign)
-    _add_scaled(lhs, rhs, Fraction(-1))
+            add_scaled(rhs, _inner_composite(f, r, s, k, ins), sign)
+    add_scaled(lhs, rhs, Fraction(-1))
     return lhs
 
 
@@ -188,7 +172,7 @@ def shuffle_defects(f: MapFamily, n: int) -> list:
             for sh in shs:
                 word = tuple(ins[sh[k] - 1] for k in range(n))
                 sign = koszul_sign(sh, shifted)
-                _add_scaled(acc, f.apply(n, word), Fraction(sign))
+                add_scaled(acc, f.apply(n, word), sign)
             if acc:
                 out.append((n, p, q, ins, acc))
     return out

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .qlinalg import SparseMatrix
+from .qlinalg import SparseMatrix, add_scaled, addmul
 
 Vector = dict  # basis index -> Fraction
 
@@ -155,15 +155,6 @@ def class_representative(lam: tuple[int, ...]) -> tuple[int, ...]:
 # Operad base class
 
 
-def addmul(acc: Vector, idx, coeff) -> None:
-    """acc[idx] += coeff, dropping the entry when it becomes zero."""
-    s = acc.get(idx, 0) + coeff
-    if s:
-        acc[idx] = s
-    elif idx in acc:
-        del acc[idx]
-
-
 class GradedOperad:
     """Base class: finite-type graded operad with partial compositions.
 
@@ -218,15 +209,13 @@ class GradedOperad:
         acc: Vector = {}
         for a, ca in x.items():
             for b, cb in y.items():
-                for out, c in self.compose_basis(n, i, m, a, b).items():
-                    addmul(acc, out, ca * cb * c)
+                add_scaled(acc, self.compose_basis(n, i, m, a, b), ca * cb)
         return acc
 
     def act(self, n: int, sigma: tuple[int, ...], x: Vector) -> Vector:
         acc: Vector = {}
         for a, ca in x.items():
-            for out, c in self.act_basis(n, sigma, a).items():
-                addmul(acc, out, ca * c)
+            add_scaled(acc, self.act_basis(n, sigma, a), ca)
         return acc
 
     def action_matrix(self, n: int, sigma: tuple[int, ...]) -> SparseMatrix:
@@ -279,11 +268,9 @@ def lie_expand(w: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     last = w[-1]
     acc: dict[tuple[int, ...], int] = {}
     for word, c in inner:
-        k = word + (last,)
-        acc[k] = acc.get(k, 0) + c
-        k = (last,) + word
-        acc[k] = acc.get(k, 0) - c
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+        addmul(acc, word + (last,), c)
+        addmul(acc, (last,) + word, -c)
+    return tuple(sorted(acc.items()))
 
 
 def rho_coeff(u: tuple[int, ...], w: tuple[int, ...]) -> int:
@@ -384,7 +371,7 @@ class LieOperad(GradedOperad):
         out: Vector = {}
         index = self._index[n]
         for word, c in terms.items():
-            if c and word[0] == 1:
+            if word[0] == 1:
                 out[index[word]] = Fraction(c)
         return out
 
@@ -392,8 +379,7 @@ class LieOperad(GradedOperad):
         acc: dict[tuple[int, ...], int] = {}
         for wa, ca in lie_expand(self._words[n][a]):
             for wb, cb in lie_expand(self._words[m][b]):
-                w = substitute_word(wa, i, wb)
-                acc[w] = acc.get(w, 0) + ca * cb
+                addmul(acc, substitute_word(wa, i, wb), ca * cb)
         return self._from_expansion(n + m - 1, acc)
 
     def act_basis(self, n, sigma, a):
@@ -507,30 +493,19 @@ class EndOperad(GradedOperad):
     def _hom_differential(self, n: int, degrees: tuple[int, ...]) -> SparseMatrix:
         dim = len(self._basis[n])
         acc: dict[tuple[int, int], Fraction] = {}
-        qrows: dict[int, list[tuple[int, Fraction]]] = {}
-        for r, c, v in self.q.entries():
-            qrows.setdefault(c, []).append((r, v))
         for col, (j, ins) in enumerate(self._basis[n]):
             fdeg = degrees[col]
-            for r, v in qrows.get(j, ()):
-                key = (self._bindex[n][(r, ins)], col)
-                acc[key] = acc.get(key, Fraction(0)) + v
+            for r, v in self.q.col(j).items():
+                addmul(acc, (self._bindex[n][(r, ins)], col), v)
             lead = -1 if fdeg % 2 else 1
             for k in range(n):
-                for cnew, v in self._q_preimages(ins[k]):
+                # cnew with Q e_cnew having a component on e_{ins[k]}
+                for cnew, v in self.q.row(ins[k]).items():
                     new_ins = ins[:k] + (cnew,) + ins[k + 1:]
                     slide = sum(self.V.degrees[x] for x in new_ins[:k])
                     s = -lead * (-1 if slide % 2 else 1)
-                    key = (self._bindex[n][(j, new_ins)], col)
-                    acc[key] = acc.get(key, Fraction(0)) + s * v
-        acc = {k: v for k, v in acc.items() if v}
+                    addmul(acc, (self._bindex[n][(j, new_ins)], col), s * v)
         return SparseMatrix.from_dict(dim, dim, acc)
-
-    def _q_preimages(self, target: int):
-        # basis vectors c with Q e_c having a component on e_target
-        for r, c, v in self.q.entries():
-            if r == target:
-                yield c, v
 
 
 def endomorphism_operad(V: GradedSpace, max_arity: int,
@@ -899,8 +874,6 @@ def symmetrization_projector_rank(O: GradedOperad, d: int, n: int) -> int:
                     tt[sigma[k - 1] - 1] = t[k - 1]
                 trow = tindex[tuple(tt)]
                 for out, c in mats[a].items():
-                    row = out * len(tuples) + trow
-                    key = (row, col)
-                    acc[key] = acc.get(key, Fraction(0)) + c
-    acc = {k: v / factorial(n) for k, v in acc.items() if v}
+                    addmul(acc, (out * len(tuples) + trow, col), c)
+    acc = {k: v / factorial(n) for k, v in acc.items()}
     return rank(SparseMatrix.from_dict(dim, dim, acc))

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -26,14 +27,39 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def addmul(acc: dict, key, coeff) -> None:
+    """acc[key] += coeff, dropping the entry when it becomes zero.
+
+    With ``add_scaled`` this is the one sparse accumulator of the
+    package: sparse vectors never hold an explicit zero.
+    """
+    s = acc.get(key, 0) + coeff
+    if s:
+        acc[key] = s
+    elif key in acc:
+        del acc[key]
+
+
+def add_scaled(acc: dict, vec: Mapping, coeff) -> None:
+    """acc += coeff * vec on sparse vectors, dropping entries that
+    become zero."""
+    for key, v in vec.items():
+        addmul(acc, key, coeff * v)
+
+
+_EMPTY: Mapping = MappingProxyType({})
+
+
 class SparseMatrix:
     """An immutable sparse matrix over the rationals.
 
     Entries are stored as a dict ``(row, col) -> Fraction`` with zeros
-    dropped.  Duplicate (row, col) keys in the input are rejected.
+    dropped.  Duplicate (row, col) keys in the input are rejected.  Row
+    and column views are built once, on first use; the matrix never
+    changes, so they never go stale.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_row_views", "_col_views")
 
     def __init__(self, rows: int, cols: int,
                  entries: Iterable[tuple[int, int, object]] = ()):
@@ -51,6 +77,8 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self._data = data
+        self._row_views = None
+        self._col_views = None
 
     @classmethod
     def from_rows(cls, rowdata: Iterable[Iterable[object]],
@@ -97,42 +125,43 @@ class SparseMatrix:
         return SparseMatrix(self.cols, self.rows,
                             [(c, r, v) for (r, c), v in self._data.items()])
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self._data.items():
-            out[r][c] = v
-        return out
+    def _views(self, axis: int) -> dict[int, Mapping[int, Fraction]]:
+        """Read-only {index: {other index: value}} along ``axis`` (0 for
+        rows, 1 for columns), ascending in both indices."""
+        views: dict[int, dict[int, Fraction]] = {}
+        for key, v in sorted(self._data.items()):
+            views.setdefault(key[axis], {})[key[1 - axis]] = v
+        return {i: MappingProxyType(line) for i, line in views.items()}
+
+    def row(self, r: int) -> Mapping[int, Fraction]:
+        """Row r as a read-only sparse vector {col: value}."""
+        if self._row_views is None:
+            self._row_views = self._views(0)
+        return self._row_views.get(r, _EMPTY)
+
+    def col(self, c: int) -> Mapping[int, Fraction]:
+        """Column c as a read-only sparse vector {row: value}."""
+        if self._col_views is None:
+            self._col_views = self._views(1)
+        return self._col_views.get(c, _EMPTY)
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        other_rows = other.row_dicts()
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (r, k), v in self._data.items():
-            for c, w in other_rows[k].items():
-                key = (r, c)
-                s = acc.get(key, Fraction(0)) + v * w
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
-        return SparseMatrix.from_dict(self.rows, other.cols, acc)
+        entries = []
+        for r in range(self.rows):
+            acc: dict[int, Fraction] = {}
+            for k, v in self.row(r).items():
+                add_scaled(acc, other.row(k), v)
+            entries.extend((r, c, w) for c, w in acc.items())
+        return SparseMatrix(self.rows, other.cols, entries)
 
     def apply(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """Matrix times sparse column vector (dict col -> value)."""
         out: dict[int, Fraction] = {}
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in self._data.items():
-            by_col.setdefault(c, []).append((r, v))
         for c, x in vec.items():
-            if x == 0:
-                continue
-            for r, v in by_col.get(c, ()):
-                s = out.get(r, Fraction(0)) + v * x
-                if s:
-                    out[r] = s
-                elif r in out:
-                    del out[r]
+            if x:
+                add_scaled(out, self.col(c), x)
         return out
 
     def __eq__(self, other) -> bool:
@@ -149,11 +178,9 @@ class SparseMatrix:
 
 def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
     """Rows cleared to integers (rank is invariant under row scaling)."""
-    rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
-    for (r, c), v in m._data.items():
-        rows[r][c] = v
     out = []
-    for row in rows:
+    for r in range(m.rows):
+        row = m.row(r)
         if not row:
             continue
         denom = 1
@@ -194,12 +221,7 @@ def rank(m: SparseMatrix) -> int:
             row = live.pop(j)
             a = row[pc]
             new = {c: v * pv for c, v in row.items()}
-            for c, v in pivot_row.items():
-                w = new.get(c, 0) - v * a
-                if w:
-                    new[c] = w
-                else:
-                    del new[c]
+            add_scaled(new, pivot_row, -a)
             if new:
                 g = 0
                 for v in new.values():
@@ -223,20 +245,14 @@ def rref(m: SparseMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
     Returns (rows, pivot_cols); rows are sparse dicts with leading 1 in
     the pivot column.  Used where explicit bases are needed.
     """
-    rows = [row for row in m.row_dicts() if row]
     reduced: list[dict[int, Fraction]] = []
     pivots: list[int] = []
-    for row in rows:
-        row = dict(row)
+    for r in range(m.rows):
+        row = dict(m.row(r))
         for prow, pc in zip(reduced, pivots):
             a = row.get(pc)
             if a:
-                for c, v in prow.items():
-                    w = row.get(c, Fraction(0)) - a * v
-                    if w:
-                        row[c] = w
-                    elif c in row:
-                        del row[c]
+                add_scaled(row, prow, -a)
         if not row:
             continue
         pc = min(row)
@@ -247,12 +263,7 @@ def rref(m: SparseMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
             a = prow.get(pc)
             if a:
                 new = dict(prow)
-                for c, v in row.items():
-                    w = new.get(c, Fraction(0)) - a * v
-                    if w:
-                        new[c] = w
-                    elif c in new:
-                        del new[c]
+                add_scaled(new, row, -a)
                 reduced[i] = new
         reduced.append(row)
         pivots.append(pc)
@@ -288,20 +299,10 @@ def solve_in_span(span: list[dict[int, Fraction]],
         return [] if not any(target.values()) else None
     idx = sorted({i for v in span for i in v} | set(target))
     pos = {i: k for k, i in enumerate(idx)}
-    rows = []
-    for v in span:
-        rows.append({pos[i]: x for i, x in v.items() if x})
-    aug_col = len(idx)
     # solve A^T c = t by eliminating on the augmented transpose
-    mat: dict[tuple[int, int], Fraction] = {}
-    for j, row in enumerate(rows):
-        for i, x in row.items():
-            mat[(i, j)] = x
-    for i, x in target.items():
-        if x:
-            mat[(pos[i], n)] = _as_fraction(x)
-    sm = SparseMatrix.from_dict(len(idx), n + 1, mat)
-    rrows, pivots = rref(sm)
+    entries = [(pos[i], j, x) for j, v in enumerate(span) for i, x in v.items()]
+    entries += [(pos[i], n, x) for i, x in target.items()]
+    rrows, pivots = rref(SparseMatrix(len(idx), n + 1, entries))
     if n in pivots:
         return None
     coeffs = [Fraction(0)] * n
@@ -311,12 +312,7 @@ def solve_in_span(span: list[dict[int, Fraction]],
     check: dict[int, Fraction] = {}
     for c, v in zip(coeffs, span):
         if c:
-            for i, x in v.items():
-                s = check.get(i, Fraction(0)) + c * x
-                if s:
-                    check[i] = s
-                elif i in check:
-                    del check[i]
+            add_scaled(check, v, c)
     tgt = {i: _as_fraction(x) for i, x in target.items() if x}
     if check != tgt:
         return None

@@ -99,6 +99,26 @@ class TestCobarCommands:
         doc = json.loads(first.output)
         assert doc["total"] == 1 and doc["betti"]["2"] == 1
 
+    @pytest.mark.parametrize("entry", [
+        '{"betti": ',
+        '{"arity": 4, "betti": {"0": 0, "1": 0, "2": 99}, '
+        '"cooperad": "liec", "total": 1}',
+        '{"arity": 3, "betti": {"0": 0, "1": 2}, '
+        '"cooperad": "asc", "total": 2}',
+    ], ids=["corrupt", "total-mismatch", "other-request"])
+    def test_bad_cache_entry_is_recomputed(self, runner, tmp_path, entry):
+        args = ("cobar-homology", "--cooperad", "liec", "--arity", "4",
+                "--format", "json")
+        first = run(runner, *args)
+        [path] = (tmp_path / "cache").glob("*.json")
+        good = path.read_text()
+        path.write_text(entry)
+        again = run(runner, *args)
+        assert again.exit_code == 0
+        assert again.output == first.output
+        assert path.read_text() == good
+        assert not list((tmp_path / "cache").glob("*.tmp"))
+
     def test_homology_no_cache_same_answer(self, runner):
         base = ("cobar-homology", "--cooperad", "asc", "--arity", "3",
                 "--format", "json")

@@ -59,6 +59,21 @@ class TestMapFamilyValidation:
         with pytest.raises(HoalgError):
             MapFamily(space, q, {1: {}})
 
+    @pytest.mark.parametrize("key", [(-2, (0, 0)), (5, (0, 0)), (0, (0, 7))])
+    def test_indices_must_lie_in_v(self, key):
+        space, q = two_term_complex()
+        with pytest.raises(HoalgError):
+            MapFamily(space, q, {2: {key: Fraction(1)}})
+
+    def test_apply_lists_outputs_in_ascending_order(self):
+        space = GradedSpace(("a", "b", "c"), (0, 0, 0))
+        m2 = {(2, (0, 1)): Fraction(3), (0, (0, 1)): Fraction(1),
+              (1, (1, 1)): Fraction(2), (1, (0, 1)): Fraction(-1)}
+        f = MapFamily(space, SparseMatrix.zero(3, 3), {2: m2})
+        assert list(f.apply(2, (0, 1)).items()) == [
+            (0, Fraction(1)), (1, Fraction(-1)), (2, Fraction(3))]
+        assert f.apply(2, (1, 0)) == {} and f.apply(3, (0, 0, 0)) == {}
+
 
 class TestArityTwoIsLeibniz:
     def independent_leibniz(self, f, a, b):

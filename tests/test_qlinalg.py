@@ -14,6 +14,8 @@ from operadkit.qlinalg import (
     ChainComplex,
     ComplexError,
     SparseMatrix,
+    add_scaled,
+    addmul,
     kernel_dim,
     nullspace,
     rank,
@@ -86,6 +88,58 @@ small_matrix = st.integers(min_value=0, max_value=6).flatmap(
 )
 
 
+# mostly zeros, so that products and sums cancel often
+sparse_entries = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+sparse_vectors = st.dictionaries(st.integers(0, 5), sparse_entries,
+                                 max_size=6).map(
+    lambda v: {k: Fraction(x) for k, x in v.items() if x})
+
+
+def sparse_matrix(rows: int, cols: int):
+    return st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: SparseMatrix.from_rows(data, cols=cols))
+
+
+def dense_matmul(a: list[list[Fraction]], b: list[list[Fraction]],
+                 inner: int) -> list[list[Fraction]]:
+    """Reference product of dense row lists; ``inner`` = cols of a."""
+    ncols = len(b[0]) if b else 0
+    return [[sum((row[k] * b[k][c] for k in range(inner)), Fraction(0))
+             for c in range(ncols)] for row in a]
+
+
+def as_dict(dense_vec: list[Fraction]) -> dict[int, Fraction]:
+    return {i: x for i, x in enumerate(dense_vec) if x}
+
+
+class TestAccumulator:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_vectors, sparse_vectors, sparse_entries)
+    def test_add_scaled_matches_dense(self, acc, vec, coeff):
+        ref = [acc.get(i, 0) + coeff * vec.get(i, 0) for i in range(6)]
+        add_scaled(acc, vec, coeff)
+        assert acc == as_dict(ref)
+        assert all(acc.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), sparse_entries), max_size=12),
+           st.data())
+    def test_addmul_matches_dense_and_never_holds_zero(self, ops, data):
+        # replay some terms negated so that entries cancel and come back
+        undo = data.draw(st.lists(st.sampled_from(ops), max_size=len(ops))
+                         if ops else st.just([]))
+        ops = ops + [(k, -c) for k, c in undo] + undo
+        acc: dict = {}
+        ref = [Fraction(0)] * 4
+        for key, coeff in ops:
+            addmul(acc, key, coeff)
+            ref[key] += coeff
+            assert all(acc.values())
+        assert acc == as_dict(ref)
+
+
 class TestSparseMatrix:
     def test_construction_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -117,6 +171,63 @@ class TestSparseMatrix:
         m = SparseMatrix.from_rows([[1, 2], [3, 4]])
         out = m.apply({0: Fraction(1), 1: Fraction(-1)})
         assert out == {0: Fraction(-1), 1: Fraction(-1)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrix, st.data())
+    def test_row_and_column_views_agree_with_entries(self, m, data):
+        # views are sorted whatever order the entries were given in
+        shuffled = data.draw(st.permutations(list(m.entries())))
+        for m in (m, SparseMatrix(m.rows, m.cols, shuffled)):
+            entries = list(m.entries())
+            for r in range(m.rows):
+                row = m.row(r)
+                assert list(row.items()) == [(c, v) for rr, c, v in entries
+                                             if rr == r]
+                assert m.row(r) is row
+            for c in range(m.cols):
+                col = m.col(c)
+                assert list(col.items()) == [(r, v) for r, cc, v in entries
+                                             if cc == c]
+                assert m.col(c) is col
+            if entries:
+                r, c, _ = entries[0]
+                with pytest.raises(TypeError):
+                    m.row(r)[c] = Fraction(0)
+                with pytest.raises(TypeError):
+                    m.col(c)[r] = Fraction(0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 5),
+           sparse_entries, st.data())
+    def test_matmul_matches_dense_with_cancelling_rows(self, k, r, c, s,
+                                                       data):
+        # b's last row is s times its first, and a's last row is
+        # (s, 0, .., 0, -1), so that row of the product cancels to zero
+        b = data.draw(sparse_matrix(k, c))
+        b_rows = to_dense(b) + [[s * x for x in to_dense(b)[0]]]
+        b = SparseMatrix.from_rows(b_rows, cols=c)
+        a_rows = to_dense(data.draw(sparse_matrix(r, k + 1)))
+        a_rows.append([s] + [0] * (k - 1) + [-1])
+        a = SparseMatrix.from_rows(a_rows, cols=k + 1)
+        prod = a.matmul(b)
+        assert to_dense(prod) == dense_matmul(a_rows, b_rows, k + 1)
+        assert not prod.row(len(a_rows) - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), sparse_entries, st.data())
+    def test_apply_matches_dense_with_cancellation(self, rows, k, s, data):
+        # the last column is s times the first, so (s, 0, .., 0, -1) is
+        # killed by cancellation
+        m = data.draw(sparse_matrix(rows, k + 1))
+        dense = [row[:-1] + [s * row[0]] for row in to_dense(m)]
+        m = SparseMatrix.from_rows(dense, cols=k + 1)
+        for vec in (data.draw(sparse_vectors.map(
+                        lambda v: {i: x for i, x in v.items() if i <= k})),
+                    {0: Fraction(s), k: Fraction(-1)}):
+            ref = dense_matmul(dense, [[vec.get(i, Fraction(0))]
+                                       for i in range(k + 1)], k + 1)
+            assert m.apply(vec) == as_dict([x for x, in ref])
+        assert not m.apply({0: Fraction(s), k: Fraction(-1)})
 
 
 class TestRank:

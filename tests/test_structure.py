@@ -1,7 +1,12 @@
-"""Structure guard: modules of the package use each other's public names.
+"""Structure guards.
 
-An underscore name is private to the module that defines it; a module
-that needs another module's helper should get it made public there.
+Modules of the package use each other's public names: an underscore
+name is private to the module that defines it, and a module that needs
+another module's helper should get it made public there.
+
+Sparse vectors are accumulated in one place, ``qlinalg.addmul``; a
+hand-rolled "add, then drop the zero" loop elsewhere shows up as a
+``del acc[key]`` statement.
 """
 
 import ast
@@ -29,3 +34,21 @@ def test_no_module_imports_a_private_name_from_another():
                     offenders.append(f"{path.name}:{node.lineno} imports "
                                      f"{node.module}.{alias.name}")
     assert offenders == []
+
+
+def test_one_sparse_accumulator():
+    package = Path(operadkit.__file__).parent
+    deletes = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Delete):
+                deletes += [(path.name, node.lineno) for t in node.targets
+                            if isinstance(t, ast.Subscript)
+                            and isinstance(t.value, ast.Name)]
+    assert len(deletes) == 1, deletes
+    name, line = deletes[0]
+    qlinalg = ast.parse((package / "qlinalg.py").read_text())
+    addmul = next(node for node in qlinalg.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "addmul")
+    assert name == "qlinalg.py" and addmul.lineno < line <= addmul.end_lineno
