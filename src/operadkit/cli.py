@@ -3,8 +3,9 @@
 Every computation in the library is reachable here; outputs are JSON
 (canonical machine format), CSV, or aligned text.  Expensive homology
 runs are cached content-addressed under the cache directory (override
-with OPERADKIT_CACHE_DIR, disable with --no-cache).  Exit codes: 0 on
-success, 1 when a verification fails, 2 on usage errors.
+with OPERADKIT_CACHE_DIR, disable with --no-cache); a cache that cannot
+be written gives a warning, not an error.  Exit codes: 0 on success, 1
+when a verification fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -107,18 +108,16 @@ def _load_betti(path: str | None):
     return BettiTable.from_csv(Path(path).read_text())
 
 
-def _emit_table(entries: dict, fmt: str, meta: dict) -> str:
+def _emit_table(table, fmt: str) -> None:
     if fmt == "json":
-        return json.dumps(
-            {**meta,
-             "entries": [[p, q, d] for (p, q), d in sorted(entries.items())]},
-            indent=1) + "\n"
-    if fmt == "csv":
-        lines = ["p,q,dim"]
-        lines += [f"{p},{q},{d}" for (p, q), d in sorted(entries.items())]
-        return "\n".join(lines) + "\n"
-    from .strata import table_to_text
-    return table_to_text(entries)
+        text = table.to_json() + "\n"
+    elif fmt == "csv":
+        text = "p,q,dim\n" + "".join(
+            f"{p},{q},{d}\n" for (p, q), d in sorted(table.entries.items()))
+    else:
+        from .strata import table_to_text
+        text = table_to_text(table.entries)
+    click.echo(text, nl=False)
 
 
 format_option = click.option(
@@ -163,8 +162,7 @@ def trees(n, edges, count, fmt):
             {"n": n, "edges": edges, "count": len(items),
              "trees": [encode_tree(t) for t in items]}, indent=1))
     else:
-        for t in items:
-            click.echo(encode_tree(t))
+        click.echo("".join(encode_tree(t) + "\n" for t in items), nl=False)
 
 
 @main.command()
@@ -286,7 +284,10 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
                    "betti": {str(e): b for e, b in betti.items()},
                    "total": sum(betti.values())}
         if path is not None:
-            _cache_store(path, json.dumps(payload, sort_keys=True))
+            try:
+                _cache_store(path, json.dumps(payload, sort_keys=True))
+            except OSError as ex:  # the answer stands; only caching failed
+                click.echo(f"warning: result not cached: {ex}", err=True)
     if fmt == "json":
         click.echo(json.dumps(payload, indent=1, sort_keys=True))
     else:
@@ -313,9 +314,7 @@ def e1(g, n, betti_path, aut_mode, fmt):
         table = e1_table(g, n, _load_betti(betti_path), aut_mode=aut_mode)
     except StrataError as ex:
         raise click.UsageError(str(ex))
-    click.echo(_emit_table(table.entries, fmt,
-                           {"format": "operadkit-e1", "g": g, "n": n}),
-               nl=False)
+    _emit_table(table, fmt)
 
 
 @main.command("betti-predict")
@@ -377,9 +376,7 @@ def dual_e1(g, n, fmt):
         table = dual_e1_table(g, n)
     except StrataError as ex:
         raise click.UsageError(str(ex))
-    click.echo(_emit_table(table.entries, fmt,
-                           {"format": "operadkit-dual-e1", "g": g, "n": n}),
-               nl=False)
+    _emit_table(table, fmt)
     if not dual_euler_check(table, n):
         click.echo("Euler-characteristic consistency FAILED", err=True)
         sys.exit(1)
@@ -508,26 +505,23 @@ def pipeline_cinf(max_arity, dim):
     operations, homotopy checks.  Exit 1 if any verification fails."""
     from .hoalg import truncated_polynomial_family
     from .filtration import (moduli_chain_standin, commutative_toy_algebra,
-                             check_filtered_algebra, induce_cinf,
-                             FiltrationError)
+                             induce_cinf)
     _require_desk_scale(dim=(dim, 1, 4),
                         **{"max-arity": (max_arity, 2, 6)})
     F = moduli_chain_standin(max_arity)
     poly = truncated_polynomial_family(dim)
     A = commutative_toy_algebra(F, poly.space, poly.q, poly.maps[2])
-    report = check_filtered_algebra(F, A, max_arity=min(max_arity, 3))
+    # the stand-in's levels are its degrees, so the filtration predicate
+    # holds and induce_cinf does not raise on it
+    result = induce_cinf(F, A, max_arity)
+    report = result.report
     click.echo(f"filtration predicate: {'ok' if report.filtration_ok else 'FAILED'}")
     click.echo(f"operad morphism:      {'ok' if report.morphism_ok else 'FAILED'}")
-    try:
-        result = induce_cinf(F, A, max_arity)
-    except FiltrationError as ex:
-        click.echo(str(ex), err=True)
-        sys.exit(1)
     click.echo(f"induced operations at arities: {sorted(result.family.maps)}")
     click.echo(f"relation residuals:   {len(result.ainf_residuals)}")
     click.echo(f"shuffle violations:   "
                f"{len(result.cinf_report.shuffle_violations)}")
-    if not (report.ok and result.ok):
+    if not result.ok:
         sys.exit(1)
     click.echo("pipeline verified")
 

@@ -488,19 +488,25 @@ def _eval_binary(shape, assign, m2) -> dict:
 
 @dataclass
 class PipelineResult:
+    report: FilteredAlgebraReport
     family: MapFamily
     ainf_residuals: list
     cinf_report: CinfReport
 
     @property
     def ok(self) -> bool:
-        return not self.ainf_residuals and self.cinf_report.ok
+        return (self.report.ok and not self.ainf_residuals
+                and self.cinf_report.ok)
 
 
 def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
                 max_arity: int) -> PipelineResult:
-    """Restrict the induced first-page algebra to the q = 0 slice, read
-    off m_n from identity-word corollas, and verify the relations."""
+    """Check mu (filtration predicate and operad morphism, to arity at
+    most 3), restrict the induced first-page algebra to the q = 0 slice,
+    read off m_n from identity-word corollas, and verify the relations.
+
+    A filtration violation raises FiltrationError; a failed morphism
+    check or relation makes the result not ok."""
     from .cobar import CobarOperad
     base = F.base
     if not isinstance(base, CobarOperad):
@@ -528,4 +534,4 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
             maps[n] = tensor
     family = MapFamily(A.space, A.q, maps)
     cinf = check_cinf(family, max_arity)
-    return PipelineResult(family, cinf.ainf_residuals, cinf)
+    return PipelineResult(report, family, cinf.ainf_residuals, cinf)

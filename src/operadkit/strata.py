@@ -127,10 +127,13 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 @dataclass
 class E1Table:
+    """A (p, q) -> dim page; ``format`` names it in the JSON document
+    ("operadkit-e1" for the first page, "operadkit-dual-e1" for the dual)."""
+
     g: int
     n: int
+    format: str = "operadkit-e1"
     entries: dict = field(default_factory=dict)  # (p, q) -> dim
-    ingested: bool = False
 
     def dim(self, p: int, q: int) -> int:
         return self.entries.get((p, q), 0)
@@ -143,24 +146,7 @@ class E1Table:
 
     def to_json(self) -> str:
         return json.dumps({
-            "format": "operadkit-e1",
-            "g": self.g, "n": self.n,
-            "entries": [[p, q, d] for (p, q), d in sorted(self.entries.items())],
-        }, indent=1)
-
-
-@dataclass
-class DualE1Table:
-    g: int
-    n: int
-    entries: dict = field(default_factory=dict)
-
-    def dim(self, p: int, q: int) -> int:
-        return self.entries.get((p, q), 0)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "format": "operadkit-dual-e1",
+            "format": self.format,
             "g": self.g, "n": self.n,
             "entries": [[p, q, d] for (p, q), d in sorted(self.entries.items())],
         }, indent=1)
@@ -196,7 +182,7 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
         raise StrataError(f"unknown aut_mode {aut_mode!r}")
     if betti is None:
         betti = BettiTable()
-    table = E1Table(g, n, ingested=g > 0)
+    table = E1Table(g, n)
     top = 3 * g - 3 + n
     if g == 0:
         for e, counts in genus0_valence_census(n).items():
@@ -305,7 +291,7 @@ def middle_row(arity: int) -> MiddleRowReport:
 
 
 def dual_e1_table(g: int, n: int,
-                  compact_betti: dict | None = None) -> DualE1Table:
+                  compact_betti: dict | None = None) -> E1Table:
     """First page of the dual (logarithmic) sequence.
 
     ``compact_betti`` maps (g, n) to the full Betti list of the
@@ -326,7 +312,7 @@ def dual_e1_table(g: int, n: int,
             out.extend([h, 0])
         return out[:-1] if out else [1]
 
-    table = DualE1Table(g, n)
+    table = E1Table(g, n, "operadkit-dual-e1")
     for e, counts in genus0_valence_census(n).items():
         p = -e
         for punctures, count in counts.items():
@@ -342,7 +328,7 @@ def dual_e1_table(g: int, n: int,
     return table
 
 
-def dual_euler_check(table: DualE1Table, n: int) -> bool:
+def dual_euler_check(table: E1Table, n: int) -> bool:
     """Column Euler characteristics of the dual page against the open
     Betti numbers: sum_p (-1)^p dim at column q equals (-1)^(q/2) times
     the open Betti number in degree q/2 (odd columns vanish)."""

@@ -6,6 +6,19 @@ so each tree is stored in a canonical form: children sorted by the
 minimal leaf label of their subtree.  A tree of arity n corresponds to
 an (n+1)-leg genus-0 stable graph with the root as leg n+1.
 
+Enumeration builds each canonical shape exactly once.  The shapes on a
+label set are the set partitions of it into at least two blocks, one
+child per block (a leaf, or recursively a shape on the block).
+Partitions grown by restricted growth list their blocks in order of
+least label, so every product of child shapes is already canonical and
+no two partitions give the same shape.  A shape's internal edge count
+is the sum over its children (a subtree child adds one plus its own), so
+shapes are grouped by edge count as they are built.  Within a group the
+order is by children in turn: a leaf before a subtree, leaves by label,
+subtrees recursively by their children, and a vertex whose children run
+out first before one with more.  The generator is memoised per label
+set; `enumerate_trees` and `enumerate_trees_all` look into it.
+
 Stable graphs carry genus labels, edges (loops allowed) and enumerated
 legs; isomorphism classes are canonicalized by minimizing the encoding
 over all vertex orderings (desk scale).
@@ -14,8 +27,10 @@ over all vertex orderings (desk scale).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 
 class TreeError(ValueError):
@@ -29,52 +44,42 @@ class GraphError(ValueError):
 # A tree shape is a leaf label (int) or a tuple of >= 2 child shapes.
 
 
-def _min_leaf(shape) -> int:
-    while not isinstance(shape, int):
-        shape = shape[0]
-    return shape
-
-
-def _canonical(shape):
-    if isinstance(shape, int):
-        return shape
-    children = tuple(sorted((_canonical(c) for c in shape), key=_min_leaf))
-    if len(children) < 2:
-        raise TreeError("internal vertices need at least two inputs")
-    return children
-
-
-def _leaves(shape) -> list[int]:
-    if isinstance(shape, int):
-        return [shape]
-    out = []
-    for c in shape:
-        out.extend(_leaves(c))
-    return out
-
-
-def _edge_count(shape) -> int:
-    if isinstance(shape, int):
-        return 0
-    return sum(0 if isinstance(c, int) else 1 + _edge_count(c) for c in shape)
-
-
 class Tree:
     """A rooted tree with numbered leaves, canonical under input reordering."""
 
     __slots__ = ("shape", "arity", "internal_edges")
 
     def __init__(self, shape):
-        shape = _canonical(shape)
+        """Validate outside input in one walk: sort children by least
+        leaf, reject unary vertices, collect leaves, count vertices."""
         if isinstance(shape, int):
             raise TreeError("a tree must have at least one internal vertex")
-        leaves = sorted(_leaves(shape))
+        leaves: list[int] = []
+
+        def walk(s):  # -> (canonical shape, least leaf, internal vertices)
+            if isinstance(s, int):
+                leaves.append(s)
+                return s, s, 0
+            kids = sorted(map(walk, s), key=itemgetter(1))
+            if len(kids) < 2:
+                raise TreeError("internal vertices need at least two inputs")
+            return (tuple(k[0] for k in kids), kids[0][1],
+                    1 + sum(k[2] for k in kids))
+
+        shape, _, vertices = walk(shape)
         n = len(leaves)
+        leaves.sort()
         if leaves != list(range(1, n + 1)):
             raise TreeError(f"leaves must be exactly 1..{n}, got {leaves}")
-        self.shape = shape
-        self.arity = n
-        self.internal_edges = _edge_count(shape)
+        self.shape, self.arity, self.internal_edges = shape, n, vertices - 1
+
+    @classmethod
+    def _from_canonical(cls, shape, arity: int, internal_edges: int) -> Tree:
+        """Wrap a shape the generator built canonical, with its known
+        arity and edge count, without checking them again."""
+        t = object.__new__(cls)
+        t.shape, t.arity, t.internal_edges = shape, arity, internal_edges
+        return t
 
     def __eq__(self, other):
         return isinstance(other, Tree) and self.shape == other.shape
@@ -133,80 +138,71 @@ def corolla(n: int) -> Tree:
     """The one-vertex tree with n leaves."""
     if n < 2:
         raise TreeError("a corolla needs arity >= 2")
-    return Tree(tuple(range(1, n + 1)))
+    return Tree._from_canonical(tuple(range(1, n + 1)), n, 0)
+
+
+# Order tokens: a leaf is (label,), a subtree is _OPEN, its children's
+# tokens, _CLOSE.  As _CLOSE < every label < _OPEN and no shape's tokens
+# are a proper prefix of another's, comparing token tuples compares
+# shapes in enumeration order.
+_OPEN, _CLOSE = sys.maxsize, 0
+
+
+def _set_partitions(labels: tuple[int, ...]) -> list[tuple]:
+    """Partitions of the labels into at least two blocks, each block
+    ascending and the blocks in order of least label."""
+    parts = [((labels[0],),)]
+    for x in labels[1:]:
+        parts = ([p[:i] + (p[i] + (x,),) + p[i + 1:]
+                  for p in parts for i in range(len(p))]
+                 + [p + ((x,),) for p in parts])
+    return [p for p in parts if len(p) >= 2]
 
 
 @lru_cache(maxsize=None)
-def _all_shapes(labels: frozenset[int]) -> tuple:
-    """All canonical tree shapes on the given leaf label set (|labels| >= 2)."""
-    items = sorted(labels)
-    if len(items) < 2:
-        raise TreeError("need at least two labels")
-    shapes = []
-    first, rest = items[0], items[1:]
-    # set partitions into >= 2 blocks: distribute by which block holds `first`
-    for blocks in _partitions(rest):
-        # attach `first` either as its own block or into one of the blocks
-        candidates = [tuple([(first,)] + [tuple(b) for b in blocks])]
-        for i in range(len(blocks)):
-            if len(blocks) >= 2:
-                merged = [tuple(b) for b in blocks]
-                merged[i] = tuple(sorted((first,) + merged[i]))
-                candidates.append(tuple(merged))
-        for part in candidates:
-            if len(part) < 2:
-                continue
-            choices = []
-            for block in part:
-                if len(block) == 1:
-                    choices.append((block[0],))
-                else:
-                    choices.append(_all_shapes(frozenset(block)))
-            for combo in itertools.product(*choices):
-                shapes.append(_canonical(tuple(combo)))
-    # dedupe (different partitions cannot collide, but keep it safe)
-    return tuple(sorted(set(shapes), key=_shape_key))
+def _shapes(labels: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
+    """Canonical shapes on the ascending labels (at least two): entry e
+    is (tokens, shapes), parallel tuples of the shapes with e internal
+    edges in enumeration order."""
+    by_edges: list[list] = [[] for _ in range(len(labels) - 1)]
+    for blocks in _set_partitions(labels):
+        # per block and edge count: (edges added, tokens, child shapes)
+        options = [((0, ((b[0],),), b),) if len(b) == 1 else
+                   tuple((e + 1, toks, kids)
+                         for e, (toks, kids) in enumerate(_shapes(b)))
+                   for b in blocks]
+        for choice in itertools.product(*options):
+            bucket = by_edges[sum(c[0] for c in choice)]
+            for toks, kids in zip(itertools.product(*(c[1] for c in choice)),
+                                  itertools.product(*(c[2] for c in choice))):
+                bucket.append((sum(toks, (_OPEN,)) + (_CLOSE,), kids))
+    # tokens are distinct, so sorting never compares the shapes
+    return tuple(tuple(zip(*sorted(bucket))) for bucket in by_edges)
 
 
-def _partitions(items: list[int]):
-    """All set partitions of a list (any number of blocks >= 1)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _partitions(rest):
-        yield [[first]] + [list(b) for b in sub]
-        for i in range(len(sub)):
-            out = [list(b) for b in sub]
-            out[i] = [first] + out[i]
-            yield out
-
-
-def _shape_key(shape):
-    if isinstance(shape, int):
-        return (0, shape)
-    return (1, tuple(_shape_key(c) for c in shape))
+def _generated(n: int) -> tuple[tuple[tuple, tuple], ...]:
+    if n < 2:
+        raise TreeError("arity must be >= 2")
+    return _shapes(tuple(range(1, n + 1)))
 
 
 def enumerate_trees(n: int, e: int) -> list[Tree]:
     """All isomorphism classes of n-trees with exactly e internal edges.
 
-    Deterministic order; out-of-range e gives an empty list.
+    Each is built once, canonical, by the memoised generator (see the
+    module docstring for how, and for the order).  Out-of-range e gives
+    an empty list.
     """
-    if n < 2:
-        raise TreeError("arity must be >= 2")
-    if e < 0 or e > n - 2:
+    groups = _generated(n)
+    if not 0 <= e < len(groups):
         return []
-    return [Tree(s) for s in _all_shapes(frozenset(range(1, n + 1)))
-            if _edge_count(s) == e]
+    return [Tree._from_canonical(s, n, e) for s in groups[e][1]]
 
 
 def enumerate_trees_all(n: int) -> dict[int, list[Tree]]:
     """Trees of arity n grouped by internal edge count."""
-    out: dict[int, list[Tree]] = {e: [] for e in range(n - 1)}
-    for s in _all_shapes(frozenset(range(1, n + 1))):
-        out[_edge_count(s)].append(Tree(s))
-    return out
+    return {e: [Tree._from_canonical(s, n, e) for s in shapes]
+            for e, (_, shapes) in enumerate(_generated(n))}
 
 
 def _relabel(shape, mapping):
@@ -298,14 +294,10 @@ def expand_vertex(t: Tree, vertex: frozenset[int],
 
 
 def encode_tree(t: Tree) -> str:
-    """Canonical text encoding: nested parenthesized leaf lists."""
-
-    def render(shape):
-        if isinstance(shape, int):
-            return str(shape)
-        return "(" + ",".join(render(c) for c in shape) + ")"
-
-    return render(t.shape)
+    """Canonical text encoding: nested parenthesized leaf lists, which is
+    the shape's tuple repr without spaces (no vertex has one child, so
+    no repr has a trailing comma)."""
+    return repr(t.shape).replace(" ", "")
 
 
 def decode_tree(text: str) -> Tree:

@@ -119,6 +119,18 @@ class TestCobarCommands:
         assert path.read_text() == good
         assert not list((tmp_path / "cache").glob("*.tmp"))
 
+    def test_unwritable_cache_warns_and_prints(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("OPERADKIT_CACHE_DIR", str(blocker / "cache"))
+        res = CliRunner().invoke(main, ["cobar-homology", "--cooperad", "liec",
+                                        "--arity", "3"],
+                                 catch_exceptions=False)
+        assert res.exit_code == 0
+        assert res.stdout == "e=0: 0\ne=1: 1\ntotal: 1\n"
+        assert res.stderr.startswith("warning: ")
+        assert res.stderr.count("\n") == 1
+
     def test_homology_no_cache_same_answer(self, runner):
         base = ("cobar-homology", "--cooperad", "asc", "--arity", "3",
                 "--format", "json")

@@ -232,6 +232,19 @@ class TestPipeline:
         assert result.ok
         assert set(result.family.maps) == {2}
 
+    def test_morphism_fault_fails_pipeline(self):
+        F = moduli_chain_standin(3)
+        poly = truncated_polynomial_family(3)
+        A = commutative_toy_algebra(F, poly.space, poly.q, poly.maps[2])
+        # double one arity-3 binary-tree tensor: m_2 is unchanged, but mu
+        # is no longer an operad morphism
+        key = next(k for k in A.mu if k[0] == 3)
+        A.mu[key] = {k: 2 * v for k, v in A.mu[key].items()}
+        result = induce_cinf(F, A, 3)
+        assert not result.ok
+        assert result.report.filtration_ok and not result.report.morphism_ok
+        assert not result.ainf_residuals and result.cinf_report.ok
+
     def test_filtration_violation_aborts_pipeline(self):
         F = moduli_chain_standin(3)
         poly = truncated_polynomial_family(2)

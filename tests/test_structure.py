@@ -7,12 +7,17 @@ another module's helper should get it made public there.
 Sparse vectors are accumulated in one place, ``qlinalg.addmul``; a
 hand-rolled "add, then drop the zero" loop elsewhere shows up as a
 ``del acc[key]`` statement.
+
+``Tree._from_canonical`` wraps a shape without validating it, which is
+sound only for shapes the tree generator built; only ``treegraph`` may
+use it, so input from outside always goes through ``Tree(...)``.
 """
 
 import ast
 from pathlib import Path
 
 import operadkit
+from operadkit.treegraph import Tree
 
 
 def _private(name: str) -> bool:
@@ -52,3 +57,15 @@ def test_one_sparse_accumulator():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "addmul")
     assert name == "qlinalg.py" and addmul.lineno < line <= addmul.end_lineno
+
+
+def test_unchecked_tree_constructor_stays_in_treegraph():
+    name = "_from_canonical"
+    assert callable(getattr(Tree, name))
+    users = []
+    for path in sorted(Path(operadkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if name in (getattr(node, "attr", None), getattr(node, "id", None),
+                        getattr(node, "value", None)):
+                users.append(f"{path.name}:{node.lineno}")
+    assert users and all(u.startswith("treegraph.py:") for u in users), users

@@ -1,17 +1,22 @@
 """Tests for trees and stable graphs.
 
 Tree counts are checked against an independent leaf-insertion
-recurrence; stable-graph class counts against an independent exhaustive
-enumeration deduplicated by pairwise isomorphism testing.  Neither
-oracle shares code with the library.
+recurrence and the trees themselves against leaf insertion on unordered
+trees; stable-graph class counts against an independent exhaustive
+enumeration deduplicated by pairwise isomorphism testing.  No oracle
+shares code with the library.  The enumeration order is pinned by
+literal values recorded before the generator built shapes in order.
 """
 
+import hashlib
 import itertools
 from functools import lru_cache
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from operadkit.cli import main
 from operadkit.treegraph import (
     GraphError,
     StableGraph,
@@ -52,6 +57,42 @@ def tree_count(n: int, k: int) -> int:
     if k < 1 or k > n - 1:
         return 0
     return k * tree_count(n - 1, k) + (n + k - 2) * tree_count(n - 1, k - 1)
+
+
+# Oracle 2: the trees themselves by leaf insertion, as nested frozensets
+# (children unordered), so no canonical form is shared with the library.
+
+
+def as_unordered(shape):
+    if isinstance(shape, int):
+        return shape
+    return frozenset(as_unordered(c) for c in shape)
+
+
+def internal_vertices(s) -> int:
+    if isinstance(s, int):
+        return 0
+    return 1 + sum(internal_vertices(c) for c in s)
+
+
+@lru_cache(maxsize=None)
+def inserted_trees(n: int) -> frozenset:
+    """Every tree on leaves 1..n: put leaf n on each tree on n - 1
+    leaves, as a new child of a vertex or on a new vertex that
+    subdivides an edge (the root edge included)."""
+    if n == 2:
+        return frozenset({frozenset({1, 2})})
+
+    def insert(s):
+        yield frozenset({s, n})  # the edge above s
+        if isinstance(s, int):
+            return
+        yield s | {n}
+        for c in s:
+            for d in insert(c):
+                yield (s - {c}) | {d}
+
+    return frozenset(t for s in inserted_trees(n - 1) for t in insert(s))
 
 
 def double_factorial(m: int) -> int:
@@ -126,6 +167,46 @@ class TestTreeEnumeration:
 
     def test_deterministic_order(self):
         assert enumerate_trees(5, 2) == enumerate_trees(5, 2)
+
+    def test_order_pinned_at_arity_4(self):
+        groups = enumerate_trees_all(4)
+        assert [encode_tree(t) for e in sorted(groups) for t in groups[e]] == [
+            "(1,2,3,4)",
+            "(1,2,(3,4))", "(1,(2,3),4)", "(1,(2,3,4))", "(1,(2,4),3)",
+            "((1,2),3,4)", "((1,2,3),4)", "((1,2,4),3)", "((1,3),2,4)",
+            "((1,3,4),2)", "((1,4),2,3)",
+            "(1,(2,(3,4)))", "(1,((2,3),4))", "(1,((2,4),3))",
+            "((1,2),(3,4))", "((1,3),(2,4))", "((1,4),(2,3))",
+            "((1,(2,3)),4)", "((1,(2,4)),3)", "((1,(3,4)),2)",
+            "(((1,2),3),4)", "(((1,2),4),3)", "(((1,3),2),4)",
+            "(((1,3),4),2)", "(((1,4),2),3)", "(((1,4),3),2)",
+        ]
+
+    def test_order_pinned_at_arity_7(self):
+        # SHA-256 of `operadkit trees --n 7` before shapes were generated
+        # in order (they were canonicalised, deduplicated and sorted)
+        res = CliRunner().invoke(main, ["trees", "--n", "7"])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+            "425aa808fa8029ca2ebadee16b8e1da83b944ebacbb5c7cb3fb444f58dc9a39d")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_generated_trees_pass_validation_unchanged(self, n, data):
+        trees = enumerate_trees(n, data.draw(st.integers(0, n - 2)))
+        t = data.draw(st.sampled_from(trees))
+        checked = Tree(t.shape)
+        assert checked == t and checked.shape == t.shape
+        assert (checked.arity, checked.internal_edges) == (
+            t.arity, t.internal_edges)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sets_match_leaf_insertion(self, n):
+        for e, trees in enumerate_trees_all(n).items():
+            ours = [as_unordered(t.shape) for t in trees]
+            assert len(set(ours)) == len(ours)
+            assert set(ours) == {s for s in inserted_trees(n)
+                                 if internal_vertices(s) == e + 1}
 
 
 class TestTreeOperations:
@@ -252,7 +333,7 @@ class TestTreeOperations:
 
 
 # --------------------------------------------------------------------------
-# Oracle 2: exhaustive stable-graph enumeration with pairwise
+# Oracle 3: exhaustive stable-graph enumeration with pairwise
 # isomorphism dedup, written independently of the library.
 
 
