@@ -27,7 +27,8 @@ from functools import cached_property
 
 from .qlinalg import (SparseMatrix, ChainComplex, add_scaled, addmul,
                       nullspace, span_rank, solve_in_span)
-from .operads import GradedOperad, GradedSpace, Vector, identity_perm
+from .operads import (GradedOperad, GradedSpace, Vector,
+                      adjacent_transpositions)
 from .hoalg import MapFamily, check_cinf, extract_mn, CinfReport
 
 
@@ -92,11 +93,9 @@ class FilteredOperad:
                                         "composition raises filtration at "
                                         f"arities ({n},{m}) slot {i}")
         for n in arities:
-            for t in range(1, n):
-                sigma = list(identity_perm(n))
-                sigma[t - 1], sigma[t] = sigma[t], sigma[t - 1]
+            for sigma in adjacent_transpositions(n):
                 for a in range(self.base.dim(n)):
-                    for o, v in self.base.act_basis(n, tuple(sigma), a).items():
+                    for o, v in self.base.act_basis(n, sigma, a).items():
                         if v and self.levels[n][o] != self.levels[n][a]:
                             raise FiltrationError(
                                 f"action changes filtration at arity {n}")
@@ -341,20 +340,19 @@ class FilteredAlgebraData:
         return self.mu.get((n, a), {})
 
 
-def _end_compose(f: dict, n: int, i: int, g: dict, m: int,
-                 degrees: tuple[int, ...]) -> dict:
-    """Partial composition of multilinear tensors with the sliding sign."""
+def _end_compose(f: dict, i: int, g: dict, degrees: tuple[int, ...]) -> dict:
+    """Partial composition of multilinear tensors with the sliding sign.
+
+    g is taken to be homogeneous: its degree is read off its first entry.
+    """
     out: dict = {}
-    gdeg = None
-    for (j, ins), c in g.items():
-        d = degrees[j] - sum(degrees[x] for x in ins)
-        gdeg = d if gdeg is None else gdeg
+    gdeg = next((degrees[j] - sum(degrees[x] for x in ins) for j, ins in g), 0)
     for (j, ins), cf in f.items():
         for (kk, bins), cg in g.items():
             if ins[i - 1] != kk:
                 continue
             slide = sum(degrees[t] for t in ins[: i - 1])
-            sign = -1 if (gdeg is not None and gdeg % 2 and slide % 2) else 1
+            sign = -1 if (gdeg % 2 and slide % 2) else 1
             addmul(out, (j, ins[: i - 1] + bins + ins[i:]), sign * cf * cg)
     return out
 
@@ -404,7 +402,7 @@ def check_filtered_algebra(F: FilteredOperad, A: FilteredAlgebraData,
                         lhs: dict = {}
                         for o, c in F.base.compose_basis(n, i, m, a, b).items():
                             add_scaled(lhs, A.tensor(n + m - 1, o), c)
-                        rhs = _end_compose(fa, n, i, A.tensor(m, b), m, degrees)
+                        rhs = _end_compose(fa, i, A.tensor(m, b), degrees)
                         if lhs != rhs:
                             morphism_ok = False
                             witnesses.append(("morphism", n, i, m, a, b))

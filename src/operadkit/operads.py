@@ -101,6 +101,16 @@ def embed_block_perm(tau: tuple[int, ...], i: int, total: int) -> tuple[int, ...
     return tuple(out)
 
 
+def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
+    """The Coxeter generators s_1..s_{n-1} of S_n; s_t swaps t and t+1."""
+    out = []
+    for t in range(1, n):
+        p = list(range(1, n + 1))
+        p[t - 1], p[t] = p[t], p[t - 1]
+        out.append(tuple(p))
+    return out
+
+
 def koszul_sign(perm: tuple[int, ...], degrees: tuple[int, ...]) -> int:
     """Sign of rearranging graded letters: (v_1..v_n) -> (v_{perm(1)}..).
 
@@ -462,9 +472,6 @@ class EndOperad(GradedOperad):
                 diffs[n] = self._hom_differential(n, components[n].degrees)
         super().__init__(components, unit, diffs)
 
-    def basis_map(self, n: int, a: int) -> tuple[int, tuple[int, ...]]:
-        return self._basis[n][a]
-
     def map_index(self, n: int, out: int, ins: tuple[int, ...]) -> int:
         return self._bindex[n][(out, ins)]
 
@@ -664,156 +671,103 @@ def check_axioms(O: GradedOperad, max_arity: int,
                  max_violations: int = 100) -> AxiomReport:
     """Exhaustively verify the operad axioms on basis elements.
 
-    Checks, for all arities whose composites stay within max_arity:
-    disjoint-slot commutation with the Koszul sign, nested-slot
-    associativity, both equivariance identities and the unit laws.
-    Violations are report entries, not exceptions.
+    Checks, for all arities whose composites stay within max_arity, the
+    two associativity axioms of partial composition, both equivariance
+    identities and the unit laws.  Violations are report entries, not
+    exceptions.
+
+    The associativity axioms are one walk.  For each f o_i f' (arities
+    n, n') the element f'' goes into every slot k = i..n+n'-1 of the
+    composite.  A slot k < i+n' lies in f' (axiom "2", nested):
+    (f o_i f') o_k f'' = f o_i (f' o_j f'') with j = k-i+1.  A later slot
+    came from slot j = k-n'+1 > i of f (axiom "1", disjoint):
+    (f o_i f') o_k f'' = (-1)^{|f'||f''|} (f o_j f'') o_i f'.
     """
     arities = [n for n in O.arities() if n <= max_arity]
+    dims = {n: O.dim(n) for n in arities}
+    one = Fraction(1)
     violations: list[AxiomViolation] = []
     checked = 0
 
-    def record(axiom, ar, witness, lhs, rhs):
-        if len(violations) < max_violations:
+    def check(axiom, ar, witness, lhs, rhs):
+        nonlocal checked
+        checked += 1
+        if lhs != rhs and len(violations) < max_violations:
             violations.append(AxiomViolation(axiom, ar, witness, lhs, rhs))
 
-    def vec_eq(x, y):
-        return {k: v for k, v in x.items() if v} == {k: v for k, v in y.items() if v}
-
-    dims = {n: O.dim(n) for n in arities}
-
-    # (1) disjoint slots: (f o_i f') o_{j+n'-1} f'' = +- (f o_j f'') o_i f'
-    for n in arities:
-        if n < 2:
+    # (1) disjoint and (2) nested slots, one walk per f o_i f'
+    for n, np in itertools.product(arities, arities):
+        npps = [p for p in arities if n + np + p - 2 <= max_arity]
+        if not npps:
             continue
-        for np in arities:
-            for npp in arities:
-                if n + np + npp - 2 > max_arity:
-                    continue
-                for i in range(1, n + 1):
-                    for j in range(i + 1, n + 1):
-                        for a in range(dims[n]):
-                            for b in range(dims[np]):
-                                fb = O.compose_basis(n, i, np, a, b)
-                                for c in range(dims[npp]):
-                                    checked += 1
-                                    lhs = O.compose(
-                                        n + np - 1, j + np - 1, npp, fb,
-                                        {c: Fraction(1)})
-                                    fc = O.compose_basis(n, j, npp, a, c)
-                                    rhs = O.compose(
-                                        n + npp - 1, i, np, fc,
-                                        {b: Fraction(1)})
-                                    s = (-1) ** (O.degree(np, b)
-                                                 * O.degree(npp, c))
-                                    rhs = {k: s * v for k, v in rhs.items()}
-                                    if not vec_eq(lhs, rhs):
-                                        record("1", (n, np, npp), (i, j, a, b, c),
-                                               lhs, rhs)
-
-    # (2) nested slots: (f o_i f') o_{i+j-1} f'' = f o_i (f' o_j f'')
-    for n in arities:
-        for np in arities:
-            for npp in arities:
-                if n + np + npp - 2 > max_arity:
-                    continue
-                for i in range(1, n + 1):
-                    for j in range(1, np + 1):
-                        for a in range(dims[n]):
-                            for b in range(dims[np]):
-                                fb = O.compose_basis(n, i, np, a, b)
-                                for c in range(dims[npp]):
-                                    checked += 1
-                                    lhs = O.compose(
-                                        n + np - 1, i + j - 1, npp, fb,
-                                        {c: Fraction(1)})
-                                    inner = O.compose_basis(np, j, npp, b, c)
-                                    rhs = O.compose(
-                                        n, i, np + npp - 1,
-                                        {a: Fraction(1)}, inner)
-                                    if not vec_eq(lhs, rhs):
-                                        record("2", (n, np, npp), (i, j, a, b, c),
-                                               lhs, rhs)
+        for i, a, b in itertools.product(range(1, n + 1), range(dims[n]),
+                                         range(dims[np])):
+            fb = O.compose_basis(n, i, np, a, b)
+            for npp, k in itertools.product(npps, range(i, n + np)):
+                for c in range(dims[npp]):
+                    lhs = O.compose(n + np - 1, k, npp, fb, {c: one})
+                    if k < i + np:
+                        axiom, j = "2", k - i + 1
+                        rhs = O.compose(n, i, np + npp - 1, {a: one},
+                                        O.compose_basis(np, j, npp, b, c))
+                    else:
+                        axiom, j = "1", k - np + 1
+                        odd = O.degree(np, b) * O.degree(npp, c) % 2
+                        rhs = O.compose(n + npp - 1, i, np,
+                                        O.compose_basis(n, j, npp, a, c),
+                                        {b: -one if odd else one})
+                    check(axiom, (n, np, npp), (i, j, a, b, c), lhs, rhs)
 
     # (3) group action: adjacent transpositions satisfy the Coxeter
     # relations on each component, so checking both equivariance
     # identities on those generators certifies them for all of S_n.
-    def transpositions(n):
-        out = []
-        for t in range(1, n):
-            p = list(range(1, n + 1))
-            p[t - 1], p[t] = p[t], p[t - 1]
-            out.append(tuple(p))
-        return out
-
     for n in arities:
-        gens = [O.action_matrix(n, s) for s in transpositions(n)]
+        gens = [O.action_matrix(n, s) for s in adjacent_transpositions(n)]
         ident = SparseMatrix.identity(dims[n])
-        for t, g in enumerate(gens):
-            checked += 1
-            if g.matmul(g) != ident:
-                record("3-group", (n,), ("s%d^2" % (t + 1),), {}, {})
-            if t + 1 < len(gens):
-                checked += 1
-                h = gens[t + 1]
-                gh = g.matmul(h)
-                if gh.matmul(gh).matmul(gh) != ident:
-                    record("3-group", (n,), ("braid", t + 1), {}, {})
-            for u in range(t + 2, len(gens)):
-                checked += 1
-                if g.matmul(gens[u]) != gens[u].matmul(g):
-                    record("3-group", (n,), ("commute", t + 1, u + 1), {}, {})
+        for t, g in enumerate(gens, 1):
+            check("3-group", (n,), ("s%d^2" % t,), g.matmul(g), ident)
+            if t < len(gens):
+                gh = g.matmul(gens[t])
+                check("3-group", (n,), ("braid", t), gh.matmul(gh).matmul(gh),
+                      ident)
+            for u in range(t + 1, len(gens)):
+                check("3-group", (n,), ("commute", t, u + 1),
+                      g.matmul(gens[u]), gens[u].matmul(g))
 
-    # (3a) outer equivariance; (3b) inner equivariance
-    for n in arities:
-        for s in arities:
-            if n + s - 1 > max_arity:
-                continue
-            for sigma in transpositions(n):
-                sig = tuple(sigma)
-                inv = perm_inverse(sig)
-                for i in range(1, n + 1):
-                    k = inv[i - 1]
-                    big = expand_perm(sig, k, s)
-                    for a in range(dims[n]):
-                        fa = O.act_basis(n, sig, a)
-                        for b in range(dims[s]):
-                            checked += 1
-                            lhs = O.compose(n, i, s, fa, {b: Fraction(1)})
-                            base = O.compose_basis(n, k, s, a, b)
-                            rhs = O.act(n + s - 1, big, base)
-                            if not vec_eq(lhs, rhs):
-                                record("3a", (n, s), (tuple(sig), i, a, b),
-                                       lhs, rhs)
-            for tau in transpositions(s):
-                ta = tuple(tau)
-                for i in range(1, n + 1):
-                    big = embed_block_perm(ta, i, n + s - 1)
-                    for a in range(dims[n]):
-                        for b in range(dims[s]):
-                            checked += 1
-                            gb = O.act_basis(s, ta, b)
-                            lhs = O.compose(n, i, s, {a: Fraction(1)}, gb)
-                            base = O.compose_basis(n, i, s, a, b)
-                            rhs = O.act(n + s - 1, big, base)
-                            if not vec_eq(lhs, rhs):
-                                record("3b", (n, s), (tuple(ta), i, a, b),
-                                       lhs, rhs)
+    # (3a) outer: (f.sigma) o_i g = (f o_k g).sigma' with k = sigma^-1(i);
+    # (3b) inner: f o_i (g.tau) = (f o_i g).tau'
+    for n, s in itertools.product(arities, arities):
+        if n + s - 1 > max_arity:
+            continue
+        pairs = list(itertools.product(range(dims[n]), range(dims[s])))
+        for sig in adjacent_transpositions(n):
+            fas = [O.act_basis(n, sig, a) for a in range(dims[n])]
+            for i in range(1, n + 1):
+                k = perm_inverse(sig)[i - 1]
+                big = expand_perm(sig, k, s)
+                for a, b in pairs:
+                    rhs = O.act(n + s - 1, big, O.compose_basis(n, k, s, a, b))
+                    check("3a", (n, s), (sig, i, a, b),
+                          O.compose(n, i, s, fas[a], {b: one}), rhs)
+        for tau in adjacent_transpositions(s):
+            gbs = [O.act_basis(s, tau, b) for b in range(dims[s])]
+            for i in range(1, n + 1):
+                big = embed_block_perm(tau, i, n + s - 1)
+                for a, b in pairs:
+                    rhs = O.act(n + s - 1, big, O.compose_basis(n, i, s, a, b))
+                    check("3b", (n, s), (tau, i, a, b),
+                          O.compose(n, i, s, {a: one}, gbs[b]), rhs)
 
     # (4) unit laws
     if 1 in dims:
         for n in arities:
             for a in range(dims[n]):
-                checked += 1
-                lhs = O.compose(1, 1, n, O.unit_vector, {a: Fraction(1)})
-                if not vec_eq(lhs, {a: Fraction(1)}):
-                    record("4", (n,), ("I o f", a), lhs, {a: Fraction(1)})
+                ea = {a: one}
+                check("4", (n,), ("I o f", a),
+                      O.compose(1, 1, n, O.unit_vector, ea), ea)
                 for i in range(1, n + 1):
-                    checked += 1
-                    lhs = O.compose(n, i, 1, {a: Fraction(1)}, O.unit_vector)
-                    if not vec_eq(lhs, {a: Fraction(1)}):
-                        record("4", (n,), ("f o_i I", a, i), lhs,
-                               {a: Fraction(1)})
+                    check("4", (n,), ("f o_i I", a, i),
+                          O.compose(n, i, 1, ea, O.unit_vector), ea)
 
     return AxiomReport(max_arity, checked, violations)
 

@@ -543,25 +543,16 @@ def automorphism_group(G: StableGraph) -> list[GraphAutomorphism]:
             edge_map = {}
             for pairs in combo:
                 edge_map.update(dict(pairs))
-            # orientation choices: a loop mapped to a loop can be flipped
+            # orientation choices: a loop mapped to a loop can be flipped;
+            # a non-loop edge lands in its sorted endpoint group, so exactly
+            # one orientation matches its image
             flip_candidates = []
             forced = {}
-            consistent = True
             for j, (a, b) in enumerate(G.edges):
-                k = edge_map[j]
-                ta, tb = G.edges[k]
-                if a == b:  # loop -> loop (endpoints matched already)
+                if a == b:
                     flip_candidates.append(j)
                 else:
-                    if (p[a], p[b]) == (ta, tb):
-                        forced[j] = False
-                    elif (p[a], p[b]) == (tb, ta):
-                        forced[j] = True
-                    else:
-                        consistent = False
-                        break
-            if not consistent:
-                continue
+                    forced[j] = (p[a], p[b]) != G.edges[edge_map[j]]
             for flips in itertools.product([False, True],
                                            repeat=len(flip_candidates)):
                 flip = dict(forced)

@@ -195,6 +195,12 @@ class TestCobarOperad:
         report = check_axioms(B, 4)
         assert report.ok, report.violations[:3]
 
+    @pytest.mark.parametrize("max_arity, checked", [(3, 143), (4, 1814)])
+    def test_liec_checked_counts_pinned(self, max_arity, checked):
+        B = cobar_operad(liec_cooperad(max_arity), max_arity)
+        report = check_axioms(B, max_arity)
+        assert report.ok and report.checked == checked
+
     def test_component_dims_match_complex(self):
         B = cobar_operad(liec_cooperad(4), 4)
         for n in range(2, 5):

@@ -22,6 +22,7 @@ from operadkit.operads import (
     LieOperad,
     OperadError,
     TableOperad,
+    adjacent_transpositions,
     assoc_operad,
     check_axioms,
     comm_operad,
@@ -101,8 +102,85 @@ class TestPermHelpers:
         big = embed_block_perm((2, 1), 2, 4)
         assert big == (1, 3, 2, 4)
 
+    def test_adjacent_transpositions(self):
+        assert adjacent_transpositions(1) == []
+        assert adjacent_transpositions(3) == [(2, 1, 3), (1, 3, 2)]
+
+
+# Violations of check_axioms on assoc at arity 4 with one composition entry
+# negated, sorted, as (axiom, arities, witness, lhs, rhs).
+ARITY4_FAULTS = {
+    (2, 1, 2, 0, 0): [
+        ("1", (2, 2, 2), (1, 2, 0, 0, 0), {0: -1}, {0: 1}),
+        ("1", (2, 2, 2), (1, 2, 0, 0, 1), {1: -1}, {1: 1}),
+        ("2", (2, 2, 2), (1, 1, 0, 0, 1), {6: -1}, {6: 1}),
+        ("2", (2, 2, 2), (1, 1, 1, 0, 0), {18: 1}, {18: -1}),
+        ("2", (2, 2, 2), (1, 2, 0, 0, 0), {0: -1}, {0: 1}),
+        ("2", (2, 2, 2), (1, 2, 0, 0, 1), {2: -1}, {2: 1}),
+        ("2", (2, 2, 2), (2, 1, 0, 0, 0), {0: 1}, {0: -1}),
+        ("2", (2, 2, 2), (2, 1, 1, 0, 0), {9: 1}, {9: -1}),
+        ("3a", (2, 2), ((2, 1), 1, 1, 0), {0: -1}, {0: 1}),
+        ("3a", (2, 2), ((2, 1), 2, 0, 0), {3: 1}, {3: -1}),
+        ("3b", (2, 2), ((2, 1), 1, 0, 0), {2: 1}, {2: -1}),
+        ("3b", (2, 2), ((2, 1), 1, 0, 1), {0: -1}, {0: 1}),
+    ],
+    (3, 1, 2, 0, 0): [
+        ("1", (2, 2, 2), (1, 2, 0, 0, 0), {0: 1}, {0: -1}),
+        ("2", (2, 2, 2), (1, 1, 0, 0, 0), {0: -1}, {0: 1}),
+        ("3a", (3, 2), ((1, 3, 2), 1, 0, 0), {1: 1}, {1: -1}),
+        ("3a", (3, 2), ((1, 3, 2), 1, 1, 0), {0: -1}, {0: 1}),
+        ("3a", (3, 2), ((2, 1, 3), 1, 2, 0), {0: -1}, {0: 1}),
+        ("3a", (3, 2), ((2, 1, 3), 2, 0, 0), {8: 1}, {8: -1}),
+        ("3b", (3, 2), ((2, 1), 1, 0, 0), {6: 1}, {6: -1}),
+        ("3b", (3, 2), ((2, 1), 1, 0, 1), {0: -1}, {0: 1}),
+    ],
+    (2, 2, 3, 0, 0): [
+        ("2", (2, 2, 2), (2, 1, 0, 0, 0), {0: 1}, {0: -1}),
+        ("2", (2, 2, 2), (2, 2, 0, 0, 0), {0: 1}, {0: -1}),
+        ("3a", (2, 3), ((2, 1), 1, 0, 0), {18: 1}, {18: -1}),
+        ("3a", (2, 3), ((2, 1), 2, 1, 0), {0: -1}, {0: 1}),
+        ("3b", (2, 3), ((1, 3, 2), 2, 0, 0), {1: 1}, {1: -1}),
+        ("3b", (2, 3), ((1, 3, 2), 2, 0, 1), {0: -1}, {0: 1}),
+        ("3b", (2, 3), ((2, 1, 3), 2, 0, 0), {2: 1}, {2: -1}),
+        ("3b", (2, 3), ((2, 1, 3), 2, 0, 2), {0: -1}, {0: 1}),
+    ],
+}
+
 
 class TestAxioms:
+    @pytest.mark.parametrize("factory, max_arity, checked", [
+        (comm_operad, 3, 55), (comm_operad, 4, 146), (comm_operad, 5, 327),
+        (comm_operad, 6, 650), (assoc_operad, 3, 219), (assoc_operad, 4, 1645),
+        (assoc_operad, 5, 12635), (lie_operad, 3, 77), (lie_operad, 4, 388),
+        (lie_operad, 5, 2192),
+    ])
+    def test_checked_counts_pinned(self, factory, max_arity, checked):
+        report = check_axioms(factory(max_arity), max_arity)
+        assert report.ok and report.checked == checked
+
+    @pytest.mark.parametrize("entry", sorted(ARITY4_FAULTS))
+    def test_arity_four_faults_reach_associativity(self, entry):
+        table = TableOperad.from_operad(assoc_operad(4), 4)
+        bad = table.with_corrupted_composition(*entry)
+        report = check_axioms(bad, 4, max_violations=10 ** 6)
+        assert report.checked == 1645
+        found = sorted(((v.axiom, v.arities, v.witness, v.lhs, v.rhs)
+                        for v in report.violations), key=lambda v: v[:3])
+        assert found == ARITY4_FAULTS[entry]
+
+    def test_action_fault_breaks_group_relations(self):
+        doc = json.loads(operad_to_json(assoc_operad(3), 3))
+        for rec in doc["actions"]:
+            if rec["n"] == 2 and rec["sigma"] == [2, 1]:
+                for entry in rec["entries"]:
+                    entry[2] = str(2 * Fraction(entry[2]))
+        report = check_axioms(operad_from_json(json.dumps(doc)), 3,
+                              max_violations=10 ** 6)
+        group = [v for v in report.violations if v.axiom == "3-group"]
+        assert [(v.arities, v.witness) for v in group] == [((2,), ("s1^2",))]
+        assert group[0].lhs == SparseMatrix(2, 2, [(0, 0, 4), (1, 1, 4)])
+        assert group[0].rhs == SparseMatrix.identity(2)
+
     @pytest.mark.parametrize("factory", [comm_operad, assoc_operad, lie_operad])
     def test_axioms_hold_arity_four(self, factory):
         report = check_axioms(factory(4), 4)
@@ -113,6 +191,7 @@ class TestAxioms:
         V = GradedSpace(("x", "y"), (0, 1))
         report = check_axioms(EndOperad(V, 3), 3)
         assert report.ok, report.violations[:3]
+        assert report.checked == 6916
 
     def test_corrupted_composition_is_detected(self):
         table = TableOperad.from_operad(assoc_operad(3), 3)
