@@ -21,11 +21,15 @@ set; `enumerate_trees` and `enumerate_trees_all` look into it.
 
 Stable graphs carry genus labels, edges (loops allowed) and enumerated
 legs; isomorphism classes are canonicalized by minimizing the encoding
-over all vertex orderings (desk scale).
+over all vertex orderings (desk scale).  They are grown by edge count
+from the smooth graph by uncontraction (a loop at a vertex that gives up
+one genus, or a vertex split in two along a new edge), which reaches
+all of them: contracting any edge of a stable graph keeps it stable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 from dataclasses import dataclass
@@ -359,7 +363,7 @@ class StableGraph:
 
     __slots__ = ("genera", "edges", "legs")
 
-    def __init__(self, genera, edges, legs, _canonical=False):
+    def __init__(self, genera, edges, legs):
         genera = tuple(int(g) for g in genera)
         edges = tuple(tuple(sorted((int(a), int(b)))) for a, b in edges)
         legs = tuple(int(v) for v in legs)
@@ -382,11 +386,8 @@ class StableGraph:
                 raise GraphError(f"genus-0 vertex {v} has valence {val} < 3")
             if genera[v] == 1 and val < 1:
                 raise GraphError(f"genus-1 vertex {v} has valence {val} < 1")
-        if _canonical:
-            self.genera, self.edges, self.legs = genera, tuple(sorted(edges)), legs
-        else:
-            self.genera, self.edges, self.legs = _canonical_graph(
-                genera, edges, legs)
+        self.genera, self.edges, self.legs = _canonical_graph(
+            genera, edges, legs)
 
     @property
     def num_vertices(self) -> int:
@@ -466,40 +467,46 @@ def genus_invariant(g: StableGraph) -> int:
 def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> list[StableGraph]:
     """All isomorphism classes with total genus g, n legs, <= max_edges edges.
 
-    Raises GraphError for unstable (g, n), i.e. 2g - 2 + n <= 0.
+    The graphs with e + 1 edges are the stable `_uncontractions` of those
+    with e, starting from the smooth graph; none is missed, since each
+    contracts along any edge to a stable graph with e edges.  Sorted by
+    vertex count, edge count, genera, edges, then legs.  Raises GraphError
+    for unstable (g, n), i.e. 2g - 2 + n <= 0, and for negative g.
     """
     if 2 * g - 2 + n <= 0:
         raise GraphError(f"(g, n) = ({g}, {n}) violates 2g-2+n > 0")
-    found: set[StableGraph] = set()
-    for nv in range(1, max_edges + 2):
-        min_e = nv - 1
-        for ne in range(min_e, max_edges + 1):
-            b1 = ne - nv + 1
-            if b1 < 0 or b1 > g:
-                continue
-            genus_sum = g - b1
-            pairs = list(itertools.combinations_with_replacement(range(nv), 2))
-            for edge_combo in itertools.combinations_with_replacement(pairs, ne):
-                if not _is_connected(nv, edge_combo):
-                    continue
-                for genera in _compositions(genus_sum, nv):
-                    for legs in itertools.product(range(nv), repeat=n):
-                        try:
-                            graph = StableGraph(genera, edge_combo, legs)
-                        except GraphError:
-                            continue
-                        found.add(graph)
-    return sorted(found, key=lambda G: (len(G.genera), len(G.edges),
-                                        G.genera, G.edges, G.legs))
+    levels = [{StableGraph([g], [], [0] * n)}]
+    while len(levels) <= max_edges and levels[-1]:
+        level = set()
+        for G in levels[-1]:
+            for data in _uncontractions(G):
+                with contextlib.suppress(GraphError):
+                    level.add(StableGraph(*data))
+        levels.append(level)
+    return sorted(set().union(*levels[:max_edges + 1]),
+                  key=lambda G: (len(G.genera), len(G.edges),
+                                 G.genera, G.edges, G.legs))
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _uncontractions(G: StableGraph):
+    """Candidates (genera, edges, legs), stable or not, with one more
+    edge that contract back to G: a loop at a vertex of positive genus,
+    which loses one, or a vertex v split into v and a new w along a new
+    edge, v's genus shared out and each half-edge at v kept or moved."""
+    n, w = G.num_legs, G.num_vertices
+    ends = G.legs + sum(G.edges, ())  # legs' vertices, then edge ends
+    for v, gv in enumerate(G.genera):
+        head, tail = G.genera[:v], G.genera[v + 1:]
+        if gv:
+            yield head + (gv - 1,) + tail, G.edges + ((v, v),), G.legs
+        at_v = [i for i, u in enumerate(ends) if u == v]
+        for moved in itertools.product((v, w), repeat=len(at_v)):
+            new = list(ends)
+            for i, u in zip(at_v, moved):
+                new[i] = u
+            edges = list(zip(new[n::2], new[n + 1::2])) + [(v, w)]
+            for g1 in range(gv + 1):
+                yield head + (g1,) + tail + (gv - g1,), edges, new[:n]
 
 
 def automorphism_group(G: StableGraph) -> list[GraphAutomorphism]:
@@ -507,67 +514,34 @@ def automorphism_group(G: StableGraph) -> list[GraphAutomorphism]:
 
     Automorphisms fix every leg, permute vertices preserving genus
     labels, and permute half-edges preserving incidence; a loop may have
-    its two half-edges swapped.
+    its two half-edges swapped.  Listed by vertex permutation, then edge
+    bijection (permutations of each endpoint group in turn), then flips.
     """
-    nv = G.num_vertices
+    # edges are sorted, so the groups of equal endpoints are consecutive
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, ends in enumerate(G.edges):
+        groups.setdefault(ends, []).append(j)
+    legs = tuple((("leg", i), ("leg", i)) for i in range(1, G.num_legs + 1))
     autos = []
-    for p in itertools.permutations(range(nv)):
-        if any(G.genera[p[v]] != G.genera[v] for v in range(nv)):
+    for p in itertools.permutations(range(G.num_vertices)):
+        targets = [groups.get(tuple(sorted((p[a], p[b]))), [])
+                   for a, b in groups]
+        if (any(G.genera[q] != G.genera[v] for v, q in enumerate(p))
+                or any(p[v] != v for v in G.legs)
+                or any(len(ks) != len(js)
+                       for ks, js in zip(targets, groups.values()))):
             continue
-        if any(p[v] != v for v in G.legs):
-            continue
-        # group edges by endpoint pair; p must map groups bijectively
-        groups: dict[tuple[int, int], list[int]] = {}
-        for j, (a, b) in enumerate(G.edges):
-            groups.setdefault((a, b), []).append(j)
-        image_ok = True
-        for (a, b), js in groups.items():
-            target = tuple(sorted((p[a], p[b])))
-            if len(groups.get(target, ())) != len(js):
-                image_ok = False
-                break
-        if not image_ok:
-            continue
-        # enumerate edge bijections within matched groups, with loop flips
-        group_list = sorted(groups)
-        per_group = []
-        for (a, b) in group_list:
-            js = groups[(a, b)]
-            target = tuple(sorted((p[a], p[b])))
-            ks = groups[target]
-            assignments = []
-            for kperm in itertools.permutations(ks):
-                assignments.append(list(zip(js, kperm)))
-            per_group.append(((a, b), assignments))
-        for combo in itertools.product(*(a for _, a in per_group)):
-            edge_map = {}
-            for pairs in combo:
-                edge_map.update(dict(pairs))
-            # orientation choices: a loop mapped to a loop can be flipped;
-            # a non-loop edge lands in its sorted endpoint group, so exactly
-            # one orientation matches its image
-            flip_candidates = []
-            forced = {}
-            for j, (a, b) in enumerate(G.edges):
-                if a == b:
-                    flip_candidates.append(j)
-                else:
-                    forced[j] = (p[a], p[b]) != G.edges[edge_map[j]]
-            for flips in itertools.product([False, True],
-                                           repeat=len(flip_candidates)):
-                flip = dict(forced)
-                flip.update(dict(zip(flip_candidates, flips)))
-                hmap = [((('leg', i + 1), ('leg', i + 1)))
-                        for i in range(G.num_legs)]
-                for j in range(len(G.edges)):
-                    k = edge_map[j]
-                    if flip[j]:
-                        hmap.append((('e', j, 0), ('e', k, 1)))
-                        hmap.append((('e', j, 1), ('e', k, 0)))
-                    else:
-                        hmap.append((('e', j, 0), ('e', k, 0)))
-                        hmap.append((('e', j, 1), ('e', k, 1)))
-                autos.append(GraphAutomorphism(p, tuple(hmap)))
+        for perms in itertools.product(*map(itertools.permutations, targets)):
+            image = list(itertools.chain(*perms))
+            # a loop may be flipped; a non-loop edge lands in its sorted
+            # endpoint group, so exactly one orientation matches its image
+            sides = [(0, 1) if a == b else (int((p[a], p[b]) != G.edges[k]),)
+                     for (a, b), k in zip(G.edges, image)]
+            for flip in itertools.product(*sides):
+                half = [h for j, (k, f) in enumerate(zip(image, flip))
+                        for h in ((("e", j, 0), ("e", k, f)),
+                                  (("e", j, 1), ("e", k, 1 - f)))]
+                autos.append(GraphAutomorphism(p, legs + tuple(half)))
     return autos
 
 

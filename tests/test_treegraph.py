@@ -3,13 +3,16 @@
 Tree counts are checked against an independent leaf-insertion
 recurrence and the trees themselves against leaf insertion on unordered
 trees; stable-graph class counts against an independent exhaustive
-enumeration deduplicated by pairwise isomorphism testing.  No oracle
+enumeration deduplicated by pairwise isomorphism testing, and
+automorphism orders against orbifold Euler characteristics.  No oracle
 shares code with the library.  The enumeration order is pinned by
 literal values recorded before the generator built shapes in order.
 """
 
 import hashlib
 import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -17,6 +20,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from operadkit.cli import main
+from operadkit.strata import strata_euler_characteristic
 from operadkit.treegraph import (
     GraphError,
     StableGraph,
@@ -407,6 +411,38 @@ def oracle_stable_graphs(g, n, max_edges):
     return classes
 
 
+# Oracle 4: orbifold Euler characteristics.  chi of the compactified
+# moduli space is the sum over stable graphs G of prod_v chi(M_{g_v,n_v})
+# / |Aut G| (n_v the valence), with chi of the open spaces from
+# Harer-Zagier: chi(M_{g,1}) = -B_{2g}/(2g), chi(M_{g,n+1}) =
+# (2-2g-n) chi(M_{g,n}), chi(M_{g,0}) = chi(M_{g,1})/(2-2g), and in genus 0
+# chi(M_{0,n}) = (-1)^(n-3) (n-3)!.
+
+
+@lru_cache(maxsize=None)
+def bernoulli(m: int) -> Fraction:
+    """B_m with B_1 = -1/2, from sum_{k<=m} C(m+1, k) B_k = 0."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(math.comb(m + 1, k) * bernoulli(k)
+                for k in range(m)) / (m + 1)
+
+
+def open_chi(g: int, n: int) -> Fraction:
+    if g == 0:
+        return Fraction((-1) ** (n - 3) * math.factorial(n - 3))
+    chi = -bernoulli(2 * g) / (2 * g)  # n = 1
+    if n == 0:
+        return chi / (2 - 2 * g)
+    for m in range(1, n):
+        chi *= 2 - 2 * g - m
+    return chi
+
+
+# the stable (g, n) within the `graphs` command's cap 3g - 3 + n <= 3
+DESK_PAIRS = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0)]
+
+
 class TestStableGraphs:
     def test_validation(self):
         with pytest.raises(GraphError):
@@ -427,6 +463,7 @@ class TestStableGraphs:
 
     @pytest.mark.parametrize("g,n,max_edges", [
         (1, 1, 1), (1, 1, 2), (1, 2, 2), (0, 4, 2), (0, 5, 2),
+        (1, 2, -1), (1, 2, 0), (0, 4, 4), (1, 1, 3),
     ])
     def test_counts_match_exhaustive_oracle(self, g, n, max_edges):
         ours = enumerate_stable_graphs(g, n, max_edges)
@@ -439,9 +476,11 @@ class TestStableGraphs:
         assert len(enumerate_stable_graphs(0, 5, 1)) == 11
 
     def test_unstable_pairs_rejected(self):
-        for g, n in [(0, 0), (0, 1), (0, 2), (1, 0)]:
+        for g, n, max_edges in [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1),
+                                (0, 2, -1), (1, 0, 0), (0, 1, 5),
+                                (-1, 5, 2)]:  # the last: negative genus
             with pytest.raises(GraphError):
-                enumerate_stable_graphs(g, n, 1)
+                enumerate_stable_graphs(g, n, max_edges)
 
     def test_loop_graph_has_automorphism_of_order_two(self):
         G = StableGraph([0], [(0, 0)], [0])
@@ -460,17 +499,49 @@ class TestStableGraphs:
         G = StableGraph([1, 1], [(0, 1), (0, 1)], [])
         assert len(automorphism_group(G)) >= 2
 
+    # orders: (graphs per edge count, graphs per |Aut|); the last three
+    # are past the CLI cap and were recorded with the generator that
+    # tried every edge multiset, genus composition and leg assignment
     @pytest.mark.parametrize("g, n, orders", [
-        (1, 2, {1: 2, 2: 3}),
-        (1, 3, {1: 9, 2: 14}),
-        (2, 0, {1: 1, 2: 3, 8: 2, 12: 1}),
+        (1, 2, ({0: 1, 1: 2, 2: 2}, {1: 2, 2: 3})),
+        (1, 3, ({0: 1, 1: 5, 2: 10, 3: 7}, {1: 9, 2: 14})),
+        (2, 0, ({0: 1, 1: 2, 2: 2, 3: 2}, {1: 1, 2: 3, 8: 2, 12: 1})),
+        (2, 1, ({0: 1, 1: 2, 2: 5, 3: 5, 4: 3},
+                {1: 2, 2: 7, 4: 4, 6: 1, 8: 2})),
+        (1, 4, ({0: 1, 1: 12, 2: 43, 3: 68, 4: 39}, {1: 67, 2: 96})),
+        (3, 0, ({0: 1, 1: 2, 2: 5, 3: 9, 4: 12, 5: 8, 6: 5},
+                {1: 2, 2: 6, 4: 12, 6: 3, 8: 8, 12: 2, 16: 5, 24: 1, 48: 3})),
     ])
     def test_automorphism_order_histograms(self, g, n, orders):
+        by_edges: dict[int, int] = {}
         hist: dict[int, int] = {}
         for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
+            by_edges[len(G.edges)] = by_edges.get(len(G.edges), 0) + 1
             k = len(automorphism_group(G))
             hist[k] = hist.get(k, 0) + 1
-        assert hist == orders
+        assert (by_edges, hist) == orders
+
+    @pytest.mark.parametrize("g, n", DESK_PAIRS)
+    def test_contractions_land_one_level_down(self, g, n):
+        census = enumerate_stable_graphs(g, n, 3 * g - 3 + n)
+        for G in census:
+            below = {H for H in census if len(H.edges) == len(G.edges) - 1}
+            for j in range(len(G.edges)):
+                assert contract_graph_edge(G, j) in below
+
+    @pytest.mark.parametrize("g, n, chi", [
+        (0, 3, 1), (0, 4, 2), (0, 5, 7), (0, 6, 34),
+        (1, 1, Fraction(5, 12)), (1, 2, Fraction(1, 2)),
+        (1, 3, Fraction(17, 12)), (2, 0, Fraction(119, 1440)),
+    ])
+    def test_orbifold_euler_characteristic(self, g, n, chi):
+        total = sum(Fraction(math.prod(open_chi(G.genera[v], G.valence(v))
+                                       for v in range(G.num_vertices)),
+                             len(automorphism_group(G)))
+                    for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n))
+        assert total == chi
+        if g == 0:
+            assert total == strata_euler_characteristic(n)
 
     def test_contract_nonloop_merges_genera(self):
         G = StableGraph([1, 2], [(0, 1)], [0])
