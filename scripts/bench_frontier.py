@@ -1,0 +1,148 @@
+"""Frontier benchmark: cobar homology past perfbench's desk scale.
+
+Runs the Lie-dual cobar complex at arity 7 and the associative-dual at
+arity 6, each cold in a fresh process, and appends one entry to
+``BENCH_frontier.json`` at the repository root: per-stage seconds
+(basis, boundary assembly, the d.d = 0 check, rank), the shape and nnz
+of each boundary matrix, its rank, and the Betti numbers.  The ranks
+are checked against pinned values, so a wrong answer exits 1 instead
+of being recorded as fast.
+
+    python3 scripts/bench_frontier.py --label "after: <what changed>"
+    python3 scripts/bench_frontier.py --src ../old/src --label before
+
+``--src`` points at the ``src`` directory of the tree to measure
+(default: this checkout's), so a before/after pair uses one copy of
+this script.  Times are raw ``time.perf_counter`` seconds on whatever
+machine runs it; the entry records Python version and CPU count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import multiprocessing
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from datetime import datetime, timezone
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_frontier.json"
+
+# (cooperad, arity) -> rank of d from edge degree e to e + 1, e = 0, 1, ...
+# and the Betti numbers by edge degree (the Koszul answer: one class at
+# the top degree, of dimension 1 for Lie and n! for the associative dual)
+PINNED = {
+    ("liec", 7): ([720, 6588, 19844, 24256, 10394],
+                  {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 1}),
+    ("asc", 6): ([720, 9360, 30960, 29520],
+                 {0: 0, 1: 0, 2: 0, 3: 0, 4: 720}),
+}
+
+
+def run_job(src: str, name: str, n: int) -> dict:
+    """One cold cobar homology computation, timed by stage."""
+    sys.path.insert(0, src)
+    from operadkit import cobar
+    from operadkit.qlinalg import ChainComplex, rank
+
+    t0 = time.perf_counter()
+    coop = {"liec": cobar.liec_cooperad, "asc": cobar.asc_cooperad}[name](n)
+    cx = cobar.CobarComplex(coop, n)
+    t1 = time.perf_counter()
+    mats = [cx.boundary_matrix(e) for e in range(n - 2)]
+    t2 = time.perf_counter()
+    # ChainComplex wants differentials that lower degree p = n - 2 - e
+    spaces = [len(cx.basis[n - 2 - p]) for p in range(n - 1)]
+    ChainComplex(spaces, mats[::-1])  # raises ComplexError unless d.d = 0
+    t3 = time.perf_counter()
+    ranks = [rank(m) for m in mats]
+    t4 = time.perf_counter()
+    stages = {"basis_s": t1 - t0, "boundaries_s": t2 - t1, "dd_s": t3 - t2,
+              "rank_s": t4 - t3, "total_s": t4 - t0}
+    dims = cx.dims()
+    betti = {e: dims[e] - (ranks[e] if e < n - 2 else 0)
+             - (ranks[e - 1] if e > 0 else 0) for e in range(n - 1)}
+    return {
+        "cooperad": name, "arity": n,
+        "stages": {k: round(v, 3) for k, v in stages.items()},
+        "matrices": [{"edges": f"{e}->{e + 1}", "rows": m.rows,
+                      "cols": m.cols, "nnz": m.nnz(), "rank": r}
+                     for e, (m, r) in enumerate(zip(mats, ranks))],
+        "betti": betti,
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def _git(src: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def _commit(src: Path) -> str:
+    try:
+        head = _git(src, "rev-parse", "HEAD")
+        dirty = _git(src, "status", "--porcelain", ".")
+    except (OSError, subprocess.CalledProcessError):
+        return "not a git checkout"
+    return head + (" with uncommitted changes to src" if dirty else "")
+
+
+def _source_digest(src: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted((src / "operadkit").glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="src directory of the tree to measure")
+    ap.add_argument("--label", required=True,
+                    help="what this entry measures, e.g. 'before' or 'after'")
+    args = ap.parse_args()
+    src = Path(args.src).resolve()
+    ctx = multiprocessing.get_context("spawn")
+    jobs, ok = [], True
+    for name, n in PINNED:
+        with ctx.Pool(1) as pool:  # a fresh process: every job runs cold
+            job = pool.apply(run_job, (str(src), name, n))
+        want_ranks, want_betti = PINNED[(name, n)]
+        got = [m["rank"] for m in job["matrices"]]
+        job["oracle_ok"] = got == want_ranks and job["betti"] == want_betti
+        ok &= job["oracle_ok"]
+        jobs.append(job)
+        s = job["stages"]
+        print(f"{name} {n}: basis {s['basis_s']} s, boundaries "
+              f"{s['boundaries_s']} s, d.d {s['dd_s']} s, rank "
+              f"{s['rank_s']} s, total {s['total_s']} s, "
+              f"peak RSS {job['peak_rss_mb']} MB, "
+              f"ranks {got} {'ok' if job['oracle_ok'] else 'WRONG'}")
+    entry = {
+        "label": args.label,
+        "commit": _commit(src),
+        "src_sha256": _source_digest(src),
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "jobs": jobs,
+    }
+    doc = (json.loads(OUT.read_text()) if OUT.exists()
+           else {"about": "scripts/bench_frontier.py; times in raw seconds",
+                 "entries": []})
+    doc["entries"].append(entry)
+    OUT.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
-from .qlinalg import SparseMatrix, ChainComplex, addmul, span_rank
+from .qlinalg import SparseMatrix, ChainComplex, addmul, as_exact, span_rank
 from .operads import (GradedOperad, GradedSpace, Vector, koszul_sign,
                       perm_inverse)
-from .treegraph import (encode_tree, enumerate_trees, expand_vertex, graft,
-                        relabel_tree)
+from .treegraph import (encode_tree, enumerate_trees, graft, relabel_tree,
+                        vertex_expansions)
 
 
 class CobarError(ValueError):
@@ -232,7 +233,8 @@ class CobarComplex:
 
     def _delta_table(self, m: int, positions: tuple[int, ...]):
         """{a0: {(a, b): coeff}} for splitting the children at the given
-        positions off a vertex of arity m."""
+        positions off a vertex of arity m; integral coefficients are
+        ints."""
         key = (m, positions)
         if key in self._delta_cache:
             return self._delta_cache[key]
@@ -245,56 +247,49 @@ class CobarComplex:
             for b in range(O.dim(k)):
                 composed = O.compose_basis(m - k + 1, i_star, k, a, b)
                 for out, c in O.act(m, sigma, composed).items():
-                    table.setdefault(out, {})[(a, b)] = c
+                    table.setdefault(out, {})[(a, b)] = as_exact(c)
         self._delta_cache[key] = table
         return table
 
-    def boundary_from(self, e: int) -> list[tuple[int, int, Fraction]]:
+    def boundary_from(self, e: int) -> list[tuple[int, int, int]]:
         """Sparse entries of d restricted to edge degree e (rows live in
         degree e + 1)."""
         entries = []
         tgt_index = self.index.get(e + 1, {})
         col = 0
-        for t, group in itertools.groupby(self.basis[e], key=lambda item: item[0]):
+        for t, group in itertools.groupby(self.basis[e], key=itemgetter(0)):
             # every expansion of t, shared by all decorations of t
-            verts = t.vertices()
-            src_keys = [key for key, _, _ in verts]
-            src_slot = {key: j for j, key in enumerate(src_keys)}
+            arities = t.vertex_arities()
+            nv = len(arities)  # t's vertices; the new one is number nv
             expansions = []
-            for vi, (vkey, kids, m) in enumerate(verts):
-                for k in range(2, m):
-                    for subset in itertools.combinations(range(1, m + 1), k):
-                        new_tree, new_key = expand_vertex(t, vkey, subset)
-                        tgt_keys = [key for key, _, _ in new_tree.vertices()]
-                        sign = 1
-                        if self.sign_mode == "standard":
-                            # orientation transport: sign of the shuffle
-                            # taking (source edges, new edge) to the
-                            # target's canonical edge order; the root
-                            # heads tgt_keys, so edge ranks start at 1
-                            tgt_pos = {key: j for j, key in enumerate(tgt_keys)}
-                            word = [tgt_pos[key] for key in src_keys[1:]]
-                            word.append(tgt_pos[new_key])
-                            sign = koszul_sign(tuple(word), (1,) * len(word))
-                        # target decoration = (source decoration, a, b)
-                        # read off in the target's preorder
-                        slot = {**src_slot, vkey: len(verts),
-                                new_key: len(verts) + 1}
-                        gather = [slot[key] for key in tgt_keys]
-                        expansions.append((vi, self._delta_table(m, subset),
-                                           new_tree.shape, gather, sign))
+            for vi, subset, new_tree, order in vertex_expansions(t):
+                sign = 1
+                if self.sign_mode == "standard":
+                    # orientation transport: sign of the shuffle taking
+                    # (source edges, new edge) to the target's canonical
+                    # edge order; the root heads the target's preorder,
+                    # so edge ranks start at 1
+                    pos = [0] * (nv + 1)
+                    for p, j in enumerate(order):
+                        pos[j] = p
+                    sign = koszul_sign(tuple(pos[1:]), (1,) * nv)
+                # target decoration = (source decoration, a, b) read off
+                # in the target's preorder: a at vertex vi, b at the new
+                gather = itemgetter(*(nv if j == vi else nv + 1 if j == nv
+                                      else j for j in order))
+                expansions.append((vi, self._delta_table(arities[vi], subset),
+                                   new_tree.shape, gather, sign))
             for _, decor in group:
                 for vi, table, shape, gather, sign in expansions:
                     for (a, b), c in table.get(decor[vi], {}).items():
-                        ext = decor + (a, b)
-                        row = tgt_index[(shape, tuple(ext[j] for j in gather))]
+                        row = tgt_index[(shape, gather(decor + (a, b)))]
                         entries.append((row, col, sign * c))
                 col += 1
         return entries
 
     def boundary_matrix(self, e: int) -> SparseMatrix:
         """Matrix of d from edge degree e to e + 1, duplicates summed."""
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], int] = {}
         for r, c, v in self.boundary_from(e):
             addmul(acc, (r, c), v)
         return SparseMatrix.from_dict(len(self.basis[e + 1]),

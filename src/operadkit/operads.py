@@ -362,7 +362,8 @@ class LieOperad(GradedOperad):
     A basis label w (a word starting with 1) stands for the left-normed
     bracket rho(w).  Composition and the action are computed in the
     associative expansion; coordinates are read off the words starting
-    with the letter 1, which recovers the basis coefficients exactly.
+    with the letter 1, which recovers the basis coefficients exactly,
+    and only the terms that give such words are expanded.
     """
 
     def __init__(self, max_arity: int):
@@ -377,26 +378,24 @@ class LieOperad(GradedOperad):
             for n, ws in self._words.items()}
         super().__init__(components, {0: Fraction(1)})
 
-    def _from_expansion(self, n: int, terms: dict[tuple[int, ...], int]) -> Vector:
-        out: Vector = {}
-        index = self._index[n]
-        for word, c in terms.items():
-            if word[0] == 1:
-                out[index[word]] = Fraction(c)
-        return out
-
     def compose_basis(self, n, i, m, a, b):
-        acc: dict[tuple[int, ...], int] = {}
-        for wa, ca in lie_expand(self._words[n][a]):
-            for wb, cb in lie_expand(self._words[m][b]):
-                addmul(acc, substitute_word(wa, i, wb), ca * cb)
-        return self._from_expansion(n + m - 1, acc)
+        # Only words starting with 1 are read off.  In the expansion of
+        # rho(w), w itself (coefficient 1) is the one word starting with
+        # 1.  Substitution keeps letters below i and is injective, so the
+        # words read off are wa o_i (each word of rho(wb)) for i > 1, and
+        # wa o_1 wb alone for i = 1.
+        wa, wb = self._words[n][a], self._words[m][b]
+        index = self._index[n + m - 1]
+        if i == 1:
+            return {index[substitute_word(wa, 1, wb)]: Fraction(1)}
+        return {index[substitute_word(wa, i, w)]: Fraction(c)
+                for w, c in lie_expand(wb)}
 
     def act_basis(self, n, sigma, a):
-        acc: dict[tuple[int, ...], int] = {}
-        for w, c in lie_expand(self._words[n][a]):
-            acc[relabel_word(w, sigma)] = c
-        return self._from_expansion(n, acc)
+        index = self._index[n]
+        return {index[relabel_word(w, sigma)]: Fraction(c)
+                for w, c in lie_expand(self._words[n][a])
+                if sigma[w[0] - 1] == 1}
 
     def action_trace(self, n, sigma):
         inv = perm_inverse(sigma)
@@ -829,5 +828,5 @@ def symmetrization_projector_rank(O: GradedOperad, d: int, n: int) -> int:
                 trow = tindex[tuple(tt)]
                 for out, c in mats[a].items():
                     addmul(acc, (out * len(tuples) + trow, col), c)
-    acc = {k: v / factorial(n) for k, v in acc.items()}
+    acc = {k: Fraction(v, factorial(n)) for k, v in acc.items()}
     return rank(SparseMatrix.from_dict(dim, dim, acc))

@@ -1,16 +1,35 @@
 """Exact rational sparse linear algebra and chain-complex homology.
 
-Everything here works over the rationals (``fractions.Fraction``); no
-floating point anywhere.  Matrices are immutable after construction, so
-they are safe to share between threads; rank and homology are pure
-functions.
+Everything here works over the rationals, with no floating point
+anywhere.  A value is stored as an ``int`` when it is integral and as a
+``fractions.Fraction`` otherwise (``as_exact`` is the one normaliser),
+so the integer matrices of the cobar complexes are multiplied and
+reduced at machine-integer speed by the same code that handles
+fractions.  A true division goes through ``Fraction``, never ``/`` on
+two ints, which would give a float.
+
+``rank`` is the one rank engine.  It clears denominators row by row and
+eliminates over the integers without fractions: the pivot column is the
+one with the fewest live rows (a lazy heap over a column -> live rows
+index, so singleton columns go first), the pivot row is the shortest
+row in that column, and each other row r in the column becomes
+pv * r - a * p (p the pivot row, pv its pivot, a = r's entry).  With a
+unit pivot that is r - a * pv * p, one pass over p; only a non-unit
+pivot divides the new row by the gcd of its entries.  Every step is
+exact integer arithmetic on rows scaled by nonzero integers, which
+keeps the row space over the rationals, so no step is trusted without
+proof: the rank is exact for any input, and the pivot rule only decides
+how fast it comes.
+
+Matrices are immutable after construction, so they are safe to share
+between threads; rank and homology are pure functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -19,11 +38,15 @@ class ComplexError(ValueError):
     """Raised when a chain complex fails d.d = 0."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def as_exact(x) -> int | Fraction:
+    """x as an int when integral, else as a Fraction; anything but an
+    int or a Fraction (a float, say) is rejected."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -53,10 +76,11 @@ _EMPTY: Mapping = MappingProxyType({})
 class SparseMatrix:
     """An immutable sparse matrix over the rationals.
 
-    Entries are stored as a dict ``(row, col) -> Fraction`` with zeros
-    dropped.  Duplicate (row, col) keys in the input are rejected.  Row
-    and column views are built once, on first use; the matrix never
-    changes, so they never go stale.
+    Entries are stored as a dict ``(row, col) -> value`` with zeros
+    dropped, each value normalised by ``as_exact`` (an int when
+    integral, else a Fraction).  Duplicate (row, col) keys in the input
+    are rejected.  Row and column views are built once, on first use;
+    the matrix never changes, so they never go stale.
     """
 
     __slots__ = ("rows", "cols", "_data", "_row_views", "_col_views")
@@ -65,14 +89,14 @@ class SparseMatrix:
                  entries: Iterable[tuple[int, int, object]] = ()):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        data: dict[tuple[int, int], Fraction] = {}
+        data: dict[tuple[int, int], int | Fraction] = {}
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) out of range {rows}x{cols}")
             if (r, c) in data:
                 raise ValueError(f"duplicate entry at ({r},{c})")
-            v = _as_fraction(v)
-            if v != 0:
+            v = as_exact(v)
+            if v:
                 data[(r, c)] = v
         self.rows = rows
         self.cols = cols
@@ -112,8 +136,8 @@ class SparseMatrix:
         for (r, c) in sorted(self._data):
             yield r, c, self._data[(r, c)]
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self._data.get(key, Fraction(0))
+    def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
+        return self._data.get(key, 0)
 
     def nnz(self) -> int:
         return len(self._data)
@@ -177,7 +201,9 @@ class SparseMatrix:
 
 
 def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """Rows cleared to integers (rank is invariant under row scaling)."""
+    """The nonzero rows of m as {col: int} dicts, each row with a
+    Fraction scaled by the lcm of its denominators (rank is invariant
+    under row scaling)."""
     out = []
     for r in range(m.rows):
         row = m.row(r)
@@ -185,52 +211,68 @@ def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
             continue
         denom = 1
         for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        irow = {c: int(v * denom) for c, v in row.items()}
-        g = 0
-        for v in irow.values():
-            g = gcd(g, v)
-        if g > 1:
-            irow = {c: v // g for c, v in irow.items()}
-        out.append(irow)
+            if type(v) is not int:
+                denom = lcm(denom, v.denominator)
+        out.append({c: int(v * denom) for c, v in row.items()}
+                   if denom > 1 else dict(row))
     return out
 
 
 def rank(m: SparseMatrix) -> int:
-    """Exact rank over the rationals.
-
-    Gaussian elimination on integer-normalized sparse rows; the pivot
-    row is chosen by sparsity to limit fill-in: the sparsest live row,
-    ties broken by lowest leading column, then by age.  A heap keyed on
-    that order picks each pivot without re-sorting the rows.
-    Deterministic.
+    """Exact rank over the rationals: fraction-free elimination over the
+    integers, pivoting on the column with the fewest live rows and, in
+    it, on the shortest row (see the module docstring).  Deterministic.
     """
-    live = dict(enumerate(_int_rows(m)))
-    heap = [(len(row), min(row), i) for i, row in live.items()]
+    rows = _int_rows(m)
+    # column -> {live row holding it: None}; a dict of a few keys takes
+    # half the memory of a set
+    cols: dict[int, dict[int, None]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            cols.setdefault(c, {})[i] = None
+    # Only the pivot row's columns change count in a step, and each is
+    # pushed again after it, so every live column keeps an entry
+    # (count, column) with its exact count; an entry whose count is
+    # stale is skipped, and the first exact one has the fewest rows.
+    heap = [(len(held), c) for c, held in cols.items()]
     heapify(heap)
-    fresh = len(live)
     rk = 0
     while heap:
-        _, pc, i = heappop(heap)
-        pivot_row = live.pop(i, None)
-        if pivot_row is None:  # replaced by an elimination since pushed
+        count, pc = heappop(heap)
+        held = cols[pc]
+        if len(held) != count:
             continue
+        i = min(held, key=lambda j: len(rows[j]))
+        pivot_row = rows[i]
+        for c in pivot_row:
+            cols[c].pop(i, None)
         pv = pivot_row[pc]
+        unit = pv == 1 or pv == -1
         rk += 1
-        for j in [j for j, row in live.items() if pc in row]:
-            row = live.pop(j)
+        for j in list(held):
+            row = rows[j]
             a = row[pc]
-            new = {c: v * pv for c, v in row.items()}
-            add_scaled(new, pivot_row, -a)
-            if new:
+            if unit:
+                add_scaled(row, pivot_row, -a * pv)
+            else:
+                g = gcd(pv, a)
+                row = {c: v * (pv // g) for c, v in row.items()}
+                add_scaled(row, pivot_row, -(a // g))
                 g = 0
-                for v in new.values():
+                for v in row.values():
                     g = gcd(g, v)
                 if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                live[fresh] = new
-                heappush(heap, (len(new), min(new), fresh))
-                fresh += 1
+                    row = {c: v // g for c, v in row.items()}
+                rows[j] = row
+            for c in pivot_row:  # the only columns the update touched
+                if c in row:
+                    cols[c][j] = None
+                else:
+                    cols[c].pop(j, None)
+        for c in pivot_row:
+            if cols[c]:
+                heappush(heap, (len(cols[c]), c))
+        rows[i] = None
     return rk
 
 
@@ -256,8 +298,8 @@ def rref(m: SparseMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
         if not row:
             continue
         pc = min(row)
-        pv = row[pc]
-        row = {c: v / pv for c, v in row.items()}
+        inv = 1 / Fraction(row[pc])  # exact: never int / int
+        row = {c: v * inv for c, v in row.items()}
         # back-substitute into existing rows
         for i, prow in enumerate(reduced):
             a = prow.get(pc)
@@ -313,7 +355,7 @@ def solve_in_span(span: list[dict[int, Fraction]],
     for c, v in zip(coeffs, span):
         if c:
             add_scaled(check, v, c)
-    tgt = {i: _as_fraction(x) for i, x in target.items() if x}
+    tgt = {i: as_exact(x) for i, x in target.items() if x}
     if check != tgt:
         return None
     return coeffs

@@ -17,7 +17,11 @@ shapes are grouped by edge count as they are built.  Within a group the
 order is by children in turn: a leaf before a subtree, leaves by label,
 subtrees recursively by their children, and a vertex whose children run
 out first before one with more.  The generator is memoised per label
-set; `enumerate_trees` and `enumerate_trees_all` look into it.
+set and keeps the shapes alone (a group's order tokens live only while
+it is sorted); `enumerate_trees` and `enumerate_trees_all` look into
+it.  `vertex_expansions` builds every one-edge expansion of a tree
+canonical from one walk: the new vertex takes the place of its least
+child, and no other vertex's leaf set, so no other order, changes.
 
 Stable graphs carry genus labels, edges (loops allowed) and enumerated
 legs; isomorphism classes are canonicalized by minimizing the encoding
@@ -145,11 +149,22 @@ def corolla(n: int) -> Tree:
     return Tree._from_canonical(tuple(range(1, n + 1)), n, 0)
 
 
-# Order tokens: a leaf is (label,), a subtree is _OPEN, its children's
-# tokens, _CLOSE.  As _CLOSE < every label < _OPEN and no shape's tokens
-# are a proper prefix of another's, comparing token tuples compares
-# shapes in enumeration order.
+# Order tokens: a subtree is _OPEN, its children's tokens, _CLOSE, and
+# a leaf is its label.  As _CLOSE < every label < _OPEN and no shape's
+# tokens are a proper prefix of another's, comparing token lists
+# compares shapes in enumeration order.
 _OPEN, _CLOSE = sys.maxsize, 0
+
+
+def _tokens(shape, out: list) -> list:
+    out.append(_OPEN)
+    for c in shape:
+        if type(c) is int:
+            out.append(c)
+        else:
+            _tokens(c, out)
+    out.append(_CLOSE)
+    return out
 
 
 def _set_partitions(labels: tuple[int, ...]) -> list[tuple]:
@@ -164,27 +179,25 @@ def _set_partitions(labels: tuple[int, ...]) -> list[tuple]:
 
 
 @lru_cache(maxsize=None)
-def _shapes(labels: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
+def _shapes(labels: tuple[int, ...]) -> tuple[tuple, ...]:
     """Canonical shapes on the ascending labels (at least two): entry e
-    is (tokens, shapes), parallel tuples of the shapes with e internal
-    edges in enumeration order."""
+    holds the shapes with e internal edges in enumeration order.  Their
+    order tokens live only while a group is sorted, so the memo holds
+    shapes alone."""
     by_edges: list[list] = [[] for _ in range(len(labels) - 1)]
     for blocks in _set_partitions(labels):
-        # per block and edge count: (edges added, tokens, child shapes)
-        options = [((0, ((b[0],),), b),) if len(b) == 1 else
-                   tuple((e + 1, toks, kids)
-                         for e, (toks, kids) in enumerate(_shapes(b)))
+        # per block and edge count: (edges added, child shapes)
+        options = [((0, b),) if len(b) == 1 else
+                   tuple((e + 1, kids) for e, kids in enumerate(_shapes(b)))
                    for b in blocks]
         for choice in itertools.product(*options):
-            bucket = by_edges[sum(c[0] for c in choice)]
-            for toks, kids in zip(itertools.product(*(c[1] for c in choice)),
-                                  itertools.product(*(c[2] for c in choice))):
-                bucket.append((sum(toks, (_OPEN,)) + (_CLOSE,), kids))
-    # tokens are distinct, so sorting never compares the shapes
-    return tuple(tuple(zip(*sorted(bucket))) for bucket in by_edges)
+            by_edges[sum(c[0] for c in choice)].extend(
+                itertools.product(*(c[1] for c in choice)))
+    return tuple(tuple(sorted(bucket, key=lambda s: _tokens(s, [])))
+                 for bucket in by_edges)
 
 
-def _generated(n: int) -> tuple[tuple[tuple, tuple], ...]:
+def _generated(n: int) -> tuple[tuple, ...]:
     if n < 2:
         raise TreeError("arity must be >= 2")
     return _shapes(tuple(range(1, n + 1)))
@@ -200,13 +213,13 @@ def enumerate_trees(n: int, e: int) -> list[Tree]:
     groups = _generated(n)
     if not 0 <= e < len(groups):
         return []
-    return [Tree._from_canonical(s, n, e) for s in groups[e][1]]
+    return [Tree._from_canonical(s, n, e) for s in groups[e]]
 
 
 def enumerate_trees_all(n: int) -> dict[int, list[Tree]]:
     """Trees of arity n grouped by internal edge count."""
     return {e: [Tree._from_canonical(s, n, e) for s in shapes]
-            for e, (_, shapes) in enumerate(_generated(n))}
+            for e, shapes in enumerate(_generated(n))}
 
 
 def _relabel(shape, mapping):
@@ -273,6 +286,70 @@ def contract_edge(t: Tree, edge: frozenset[int]) -> Tree:
     return _regroup(t, verts, parent, splice)
 
 
+def _frame(t: Tree) -> list[tuple]:
+    """Per internal vertex in preorder: (shape, parent's index or -1,
+    position among the parent's children, and per child the preorder
+    index range of its subtree's vertices)."""
+    frame: list = []
+
+    def walk(shape, parent, slot):
+        j = len(frame)
+        frame.append(None)
+        spans = []
+        for p, c in enumerate(shape):
+            start = len(frame)
+            if type(c) is not int:
+                walk(c, j, p)
+            spans.append((start, len(frame)))
+        frame[j] = (shape, parent, slot, spans)
+
+    walk(t.shape, -1, 0)
+    return frame
+
+
+def _expand(frame, j: int, positions: tuple[int, ...]):
+    """The canonical shape with the children of vertex j at the
+    ascending 1-based positions grouped under a new vertex, and its
+    vertices in preorder as indices into frame (the new one is
+    len(frame))."""
+    shape, parent, slot, spans = frame[j]
+    chosen = [p - 1 for p in positions]
+    later = [p for p in range(chosen[0] + 1, len(shape)) if p not in chosen]
+    # the new child's least leaf is its first child's, so it takes that
+    # child's place; no vertex's leaf set changes, so no other order does
+    new = (shape[:chosen[0]] + (tuple(shape[p] for p in chosen),)
+           + tuple(shape[p] for p in later))
+    while parent >= 0:
+        up, parent, slot_up, _ = frame[parent]
+        new = up[:slot] + (new,) + up[slot + 1:]
+        slot = slot_up
+    order = [*range(spans[chosen[0]][0]), len(frame)]
+    for p in chosen + later:
+        order.extend(range(*spans[p]))
+    order.extend(range(spans[-1][1], len(frame)))
+    return new, order
+
+
+def vertex_expansions(t: Tree):
+    """Every tree that contracts to t along one edge, each built
+    canonical once from one walk of t.
+
+    Yields (vertex, positions, tree, order) for each internal vertex
+    (its index in t.vertices()) and each ascending tuple of at least
+    two, not all, of its 1-based child positions.  ``order`` lists the
+    expanded tree's vertices in preorder by their index in t.vertices();
+    the new vertex is len(t.vertices()).
+    """
+    frame = _frame(t)
+    for j, (shape, _, _, _) in enumerate(frame):
+        m = len(shape)
+        for k in range(2, m):
+            for positions in itertools.combinations(range(1, m + 1), k):
+                new, order = _expand(frame, j, positions)
+                yield (j, positions, Tree._from_canonical(
+                    new, t.arity, t.internal_edges + 1), order)
+
+
 def expand_vertex(t: Tree, vertex: frozenset[int],
                   positions: tuple[int, ...]) -> tuple[Tree, frozenset[int]]:
     """Inverse of contract_edge: group the children of the vertex with
@@ -280,21 +357,20 @@ def expand_vertex(t: Tree, vertex: frozenset[int],
     not all) under a new vertex.  Returns the tree and the leaf set of
     the new edge."""
     verts = t.vertices()
-    kids = next((kids for key, kids, _ in verts if key == vertex), None)
-    if kids is None:
+    j = next((j for j, (key, _, _) in enumerate(verts) if key == vertex),
+             None)
+    if j is None:
         raise TreeError(f"no internal vertex with leaf set {sorted(vertex)}")
-    if not (2 <= len(positions) < len(kids)
-            and all(1 <= p <= len(kids) for p in positions)):
+    kids = verts[j][1]
+    ordered = tuple(sorted(set(positions)))
+    if not (2 <= len(ordered) == len(positions) < len(kids)
+            and all(1 <= p <= len(kids) for p in ordered)):
         raise TreeError(f"cannot group positions {positions} of a "
                         f"vertex of arity {len(kids)}")
-
-    def split(children, _):
-        taken = tuple(children[p - 1] for p in positions)
-        return tuple(c for p, c in enumerate(children, start=1)
-                     if p not in positions) + (taken,)
-
-    new_edge = frozenset().union(*(kids[p - 1] for p in positions))
-    return _regroup(t, verts, vertex, split), new_edge
+    new, _ = _expand(_frame(t), j, ordered)
+    new_edge = frozenset().union(*(kids[p - 1] for p in ordered))
+    return (Tree._from_canonical(new, t.arity, t.internal_edges + 1),
+            new_edge)
 
 
 def encode_tree(t: Tree) -> str:
@@ -492,7 +568,8 @@ def _uncontractions(G: StableGraph):
     """Candidates (genera, edges, legs), stable or not, with one more
     edge that contract back to G: a loop at a vertex of positive genus,
     which loses one, or a vertex v split into v and a new w along a new
-    edge, v's genus shared out and each half-edge at v kept or moved."""
+    edge, v's genus shared out and each half-edge at v kept or moved.
+    Each split is yielded once, not once per side."""
     n, w = G.num_legs, G.num_vertices
     ends = G.legs + sum(G.edges, ())  # legs' vertices, then edge ends
     for v, gv in enumerate(G.genera):
@@ -500,12 +577,14 @@ def _uncontractions(G: StableGraph):
         if gv:
             yield head + (gv - 1,) + tail, G.edges + ((v, v),), G.legs
         at_v = [i for i, u in enumerate(ends) if u == v]
-        for moved in itertools.product((v, w), repeat=len(at_v)):
+        # a split and its complement with the genera swapped are one
+        # graph: keep the first half-edge at v, or with none, g1 <= gv - g1
+        for moved in itertools.product((v, w), repeat=max(len(at_v) - 1, 0)):
             new = list(ends)
-            for i, u in zip(at_v, moved):
+            for i, u in zip(at_v[1:], moved):
                 new[i] = u
             edges = list(zip(new[n::2], new[n + 1::2])) + [(v, w)]
-            for g1 in range(gv + 1):
+            for g1 in range(gv + 1 if at_v else gv // 2 + 1):
                 yield head + (g1,) + tail + (gv - g1,), edges, new[:n]
 
 

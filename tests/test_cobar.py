@@ -35,7 +35,7 @@ from operadkit.operads import (
     lie_operad,
     perm_inverse,
 )
-from operadkit.qlinalg import ComplexError
+from operadkit.qlinalg import ComplexError, rank
 from operadkit.treegraph import enumerate_trees_all
 
 
@@ -156,6 +156,17 @@ class TestCobarComplex:
         hom = cobar_homology(commc_cooperad(n), n)
         assert hom[n - 2] == factorial(n - 1)
         assert all(b == 0 for e, b in hom.items() if e != n - 2)
+
+    @pytest.mark.parametrize("cofactory, n, ranks", [
+        (liec_cooperad, 6, [944, 1576, 804, 120]),
+        (asc_cooperad, 5, [1560, 960, 120]),
+    ])
+    def test_boundary_ranks_pinned(self, cofactory, n, ranks):
+        # in operadic degree order: boundaries[p] maps degree p + 1 to p
+        cc = CobarComplex(cofactory(n), n).chain_complex()
+        assert [rank(b) for b in cc.boundaries] == ranks
+        assert all(type(v) is int for b in cc.boundaries
+                   for _, _, v in b.entries())
 
     def test_differential_squares_to_zero_explicitly(self):
         cc = CobarComplex(liec_cooperad(5), 5).chain_complex()

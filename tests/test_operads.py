@@ -38,7 +38,9 @@ from operadkit.operads import (
     operad_to_json,
     perm_compose,
     perm_inverse,
+    relabel_word,
     rho_coeff,
+    substitute_word,
     symmetrization_projector_rank,
 )
 from operadkit.qlinalg import SparseMatrix
@@ -245,6 +247,41 @@ class TestComponentSizes:
             # rho_coeff(u, w) is the coefficient of u in the left-normed
             # expansion of [[w1,w2],w3]
             assert total == 0
+
+
+class TestLieReadOff:
+    """compose_basis and act_basis expand only the terms that give words
+    starting with 1; expanding everything must give the same vectors."""
+
+    @staticmethod
+    def read_off(n, terms):
+        index = {w: k for k, w in enumerate(lie_basis_words(n))}
+        return {index[w]: Fraction(c) for w, c in terms.items()
+                if w[0] == 1 and c}
+
+    def test_compose_matches_full_expansion(self):
+        L = lie_operad(5)
+        for n, m in itertools.product(range(1, 5), repeat=2):
+            if n + m - 1 > 5:
+                continue
+            for i, a, b in itertools.product(range(1, n + 1), range(L.dim(n)),
+                                             range(L.dim(m))):
+                terms = {}
+                for wa, ca in lie_expand(lie_basis_words(n)[a]):
+                    for wb, cb in lie_expand(lie_basis_words(m)[b]):
+                        w = substitute_word(wa, i, wb)
+                        terms[w] = terms.get(w, 0) + ca * cb
+                assert L.compose_basis(n, i, m, a, b) == \
+                    self.read_off(n + m - 1, terms)
+
+    def test_act_matches_full_expansion(self):
+        L = lie_operad(5)
+        for n in range(1, 6):
+            for sigma in itertools.permutations(range(1, n + 1)):
+                for a in range(L.dim(n)):
+                    terms = {relabel_word(w, sigma): c
+                             for w, c in lie_expand(lie_basis_words(n)[a])}
+                    assert L.act_basis(n, sigma, a) == self.read_off(n, terms)
 
 
 class TestEndOperad:

@@ -16,6 +16,7 @@ from operadkit.qlinalg import (
     SparseMatrix,
     add_scaled,
     addmul,
+    as_exact,
     kernel_dim,
     nullspace,
     rank,
@@ -27,7 +28,7 @@ from operadkit.qlinalg import (
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
     """Reference rank: plain dense elimination over Fraction."""
-    rows = [list(r) for r in rows]
+    rows = [[Fraction(x) for x in r] for r in rows]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -100,6 +101,32 @@ def sparse_matrix(rows: int, cols: int):
     return st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(
         lambda data: SparseMatrix.from_rows(data, cols=cols))
+
+
+# ints and fractions, with non-unit values so that pivots are not +-1
+mixed_entries = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, -3, 4, 6, Fraction(1, 2), Fraction(-2, 3),
+     Fraction(4, 2)])
+
+
+@st.composite
+def rank_test_matrix(draw):
+    """Rows from a few random base rows: copies, integer combinations
+    of two (which cancel to zero in elimination), zero rows, shuffled.
+    Shapes include 0 x c and r x 0."""
+    cols = draw(st.integers(0, 6))
+    base = draw(st.lists(st.lists(mixed_entries, min_size=cols,
+                                  max_size=cols), max_size=5))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 4)) if base else 0):
+        i = draw(st.integers(0, len(base) - 1))
+        j = draw(st.integers(0, len(base) - 1))
+        s = draw(st.sampled_from([1, -1, 2, -3]))
+        t = draw(st.sampled_from([0, 1, -2]))
+        rows.append([s * x + t * y for x, y in zip(base[i], base[j])])
+    rows += [[0] * cols] * draw(st.integers(0, 2))
+    rows = draw(st.permutations(rows))
+    return SparseMatrix.from_rows(rows, cols=cols)
 
 
 def dense_matmul(a: list[list[Fraction]], b: list[list[Fraction]],
@@ -230,6 +257,36 @@ class TestSparseMatrix:
         assert not m.apply({0: Fraction(s), k: Fraction(-1)})
 
 
+class TestExactStorage:
+    @settings(max_examples=100, deadline=None)
+    @given(rank_test_matrix())
+    def test_integral_values_stored_as_int(self, m):
+        for _, _, v in m.entries():
+            assert type(v) is (int if v.denominator == 1 else Fraction)
+        as_fractions = SparseMatrix(m.rows, m.cols, [
+            (r, c, Fraction(v)) for r, c, v in m.entries()])
+        assert as_fractions == m and hash(as_fractions) == hash(m)
+        for _, _, v in as_fractions.entries():
+            assert type(v) is (int if v.denominator == 1 else Fraction)
+
+    def test_products_of_int_matrices_stay_int(self):
+        m = SparseMatrix.from_rows([[Fraction(2), -1], [Fraction(6, 3), 0]])
+        assert all(type(v) is int for _, _, v in m.matmul(m).entries())
+        assert all(type(v) is int for v in m.apply({0: 1, 1: 3}).values())
+        assert type(m[(1, 1)]) is int and m[(1, 1)] == 0
+
+    def test_normaliser(self):
+        assert type(as_exact(Fraction(4, 2))) is int
+        assert as_exact(Fraction(4, 2)) == 2
+        assert type(as_exact(True)) is int
+        assert as_exact(Fraction(1, 3)) == Fraction(1, 3)
+        for bad in (0.5, 1.0, "1", None):
+            with pytest.raises(TypeError):
+                as_exact(bad)
+            with pytest.raises(TypeError):
+                SparseMatrix(1, 1, [(0, 0, bad)])
+
+
 class TestRank:
     def test_zero_matrix(self):
         assert rank(SparseMatrix.zero(3, 4)) == 0
@@ -269,6 +326,14 @@ class TestRank:
     @given(small_matrix)
     def test_matches_dense_reference(self, m):
         assert rank(m) == dense_rank(to_dense(m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_test_matrix())
+    def test_matches_dense_reference_on_cancelling_rows(self, m):
+        # int and Fraction entries, non-unit pivots, duplicate and
+        # dependent rows, zero rows, empty shapes
+        assert rank(m) == dense_rank(to_dense(m))
+        assert rank(m.transpose()) == rank(m)
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrix)
@@ -314,6 +379,24 @@ class TestRrefAndNullspace:
         assert span_rank(basis) == len(basis)
         for vec in basis:
             assert not m.apply(vec)
+
+
+class TestNoFloats:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 5), st.data())
+    def test_integer_input_gives_no_float(self, r, c, data):
+        ints = st.sampled_from([0, 0, 1, -1, 2, 3, -4])
+        rows = data.draw(st.lists(st.lists(ints, min_size=c, max_size=c),
+                                  min_size=r, max_size=r))
+        m = SparseMatrix.from_rows(rows, cols=c)
+        reduced, _ = rref(m)
+        values = [v for row in reduced for v in row.values()]
+        values += [v for vec in nullspace(m) for v in vec.values()]
+        span = [{k: v for k, v in enumerate(row) if v} for row in rows]
+        if span:
+            target = {k: 3 * v for k, v in span[0].items()}
+            values += solve_in_span(span, target)
+        assert all(type(v) in (int, Fraction) for v in values)
 
 
 class TestSolveInSpan:

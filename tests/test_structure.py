@@ -11,6 +11,9 @@ hand-rolled "add, then drop the zero" loop elsewhere shows up as a
 ``Tree._from_canonical`` wraps a shape without validating it, which is
 sound only for shapes the tree generator built; only ``treegraph`` may
 use it, so input from outside always goes through ``Tree(...)``.
+
+``qlinalg.rank`` is the one rank engine: every other rank or kernel
+dimension in ``qlinalg`` is computed by calling it.
 """
 
 import ast
@@ -69,3 +72,21 @@ def test_unchecked_tree_constructor_stays_in_treegraph():
                         getattr(node, "value", None)):
                 users.append(f"{path.name}:{node.lineno}")
     assert users and all(u.startswith("treegraph.py:") for u in users), users
+
+
+def test_one_rank_engine():
+    source = (Path(operadkit.__file__).parent / "qlinalg.py").read_text()
+    funcs = {node.name: node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef)}
+    assert sorted(name for name in funcs if "rank" in name) == [
+        "rank", "span_rank"]
+    for name in ("span_rank", "kernel_dim", "homology"):
+        called = {node.func.id for node in ast.walk(funcs[name])
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)}
+        assert "rank" in called, name
+    # pivot selection lives in rank alone
+    heap_users = {name for name, node in funcs.items()
+                  for sub in ast.walk(node)
+                  if isinstance(sub, ast.Name) and sub.id == "heappop"}
+    assert heap_users == {"rank"}

@@ -41,6 +41,7 @@ from operadkit.treegraph import (
     genus_invariant,
     graft,
     relabel_tree,
+    vertex_expansions,
 )
 
 
@@ -324,6 +325,26 @@ class TestTreeOperations:
                     assert s.internal_edges == t.internal_edges + 1
                     assert set(s.edge_list()) == set(t.edge_list()) | {edge}
                     assert contract_edge(s, edge) == t
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_vertex_expansions_are_canonical_and_ordered(self, n, data):
+        trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
+        t = data.draw(st.sampled_from(trees))
+        verts = t.vertices()
+        seen = []
+        for vi, positions, s, order in vertex_expansions(t):
+            key, kids, m = verts[vi]
+            assert s == expand_vertex(t, key, positions)[0]
+            assert Tree(s.shape).shape == s.shape
+            assert (s.arity, s.internal_edges) == (n, t.internal_edges + 1)
+            new_key = frozenset().union(*(kids[p - 1] for p in positions))
+            keys = [k for k, _, _ in verts] + [new_key]
+            assert [keys[j] for j in order] == [k for k, _, _ in s.vertices()]
+            seen.append((vi, positions))
+        assert seen == [(vi, p) for vi, (_, _, m) in enumerate(verts)
+                        for k in range(2, m)
+                        for p in itertools.combinations(range(1, m + 1), k)]
 
     def test_encode_decode_round_trip(self):
         for e, ts in enumerate_trees_all(5).items():
