@@ -3,9 +3,10 @@
 Every computation in the library is reachable here; outputs are JSON
 (canonical machine format), CSV, or aligned text.  Expensive homology
 runs are cached content-addressed under the cache directory (override
-with OPERADKIT_CACHE_DIR, disable with --no-cache); a cache that cannot
-be written gives a warning, not an error.  Exit codes: 0 on success, 1
-when a verification fails, 2 on usage errors.
+with OPERADKIT_CACHE_DIR, disable with --no-cache); the key holds a
+digest of the package's source, so an answer cached by other code is a
+miss.  A cache that cannot be written gives a warning, not an error.
+Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import click
@@ -31,9 +33,19 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "operadkit"
 
 
+@lru_cache(maxsize=None)
+def _source_fingerprint() -> str:
+    """sha256 of the package's *.py files, names and bytes in name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def _cache_lookup(op: str, params: dict) -> tuple[Path, str | None]:
-    key = json.dumps({"op": op, "params": params, "version": __version__},
-                     sort_keys=True)
+    key = json.dumps({"op": op, "params": params, "version": __version__,
+                      "source": _source_fingerprint()}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()
     path = _cache_dir() / f"{digest}.json"
     try:

@@ -7,6 +7,9 @@ differential expands one vertex at a time and is graded by internal
 edge count, which it raises by one; equivalently it lowers the operadic
 degree (arity - 2 - edges) by one.
 
+``Cooperad.cocompose`` is the one cocomposition; ``boundary_from`` reads
+it, and its entries go straight into one ``SparseMatrix`` per boundary.
+
 The decorated trees also assemble into a graded operad under grafting,
 with Koszul signs from reordering the vertex generators (a vertex of
 arity m is a generator of degree m - 2).
@@ -34,6 +37,18 @@ class CobarError(ValueError):
 # Cooperads as duals of operads
 
 
+def _block_insertion_perm(m: int, positions: tuple[int, ...]) -> tuple[int, ...]:
+    """Permutation aligning standard composition slots with a child
+    subset.  Slots 1..i*-1 stay put (i* = min position), the inner block
+    goes to the chosen positions, remaining slots fill the complement."""
+    i_star = positions[0]
+    rest = [p for p in range(1, m + 1) if p not in positions and p > i_star]
+    sigma = list(range(1, i_star))
+    sigma.extend(positions)
+    sigma.extend(rest)
+    return tuple(sigma)
+
+
 class Cooperad:
     """Linear dual of a degree-zero finite-type operad.
 
@@ -54,31 +69,32 @@ class Cooperad:
         self._cotables: dict = {}
         self._act_rows: dict = {}
 
-    def arities(self):
-        return sorted(self.components)
-
     def dim(self, n: int) -> int:
         return self.components[n].dim
 
     def space(self, n: int) -> GradedSpace:
         return self.components[n]
 
-    def cocompose(self, n: int, i: int, s: int, a0: int) -> dict:
-        """Component of the (i, s) cocomposition on basis functional a0.
-
-        Returns {(a, b): coeff} with a of arity n - s + 1 and b of arity
-        s, the transpose of the operad composition at slot i.
-        """
-        key = (n, i, s)
-        if key not in self._cotables:
-            m, O = n - s + 1, self.operad
-            table: dict[int, dict] = {}
-            for a in range(O.dim(m)):
-                for b in range(O.dim(s)):
-                    for out, c in O.compose_basis(m, i, s, a, b).items():
-                        table.setdefault(out, {})[(a, b)] = c
+    def cocompose(self, m: int, positions: tuple[int, ...]) -> dict:
+        """{a0: {(a, b): coeff}} splitting the children at ``positions``
+        (k ascending slots) off a vertex of arity m: the transpose of
+        composing b (arity k) into a at slot min(positions), then moving
+        the block's inputs to ``positions``.  Integral coefficients are
+        ints."""
+        key = (m, positions)
+        table = self._cotables.get(key)
+        if table is None:
+            k = len(positions)
+            sigma = _block_insertion_perm(m, positions)
+            O = self.operad
+            table = {}
+            for a in range(O.dim(m - k + 1)):
+                for b in range(O.dim(k)):
+                    composed = O.compose_basis(m - k + 1, positions[0], k, a, b)
+                    for out, c in O.act(m, sigma, composed).items():
+                        table.setdefault(out, {})[(a, b)] = as_exact(c)
             self._cotables[key] = table
-        return self._cotables[key].get(a0, {})
+        return table
 
     def act(self, n: int, sigma: tuple[int, ...], a0: int) -> dict:
         """Right action on functionals: inverse transpose of the operad
@@ -189,19 +205,6 @@ def liec_component_dim(n: int) -> int:
 # Cobar complex on decorated trees
 
 
-def _block_insertion_perm(m: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation aligning standard composition slots with a child
-    subset.  Slots 1..i*-1 stay put (i* = min position), the inner block
-    goes to the chosen positions, remaining slots fill the complement."""
-    k = len(positions)
-    i_star = positions[0]
-    rest = [p for p in range(1, m + 1) if p not in positions and p > i_star]
-    sigma = list(range(1, i_star))
-    sigma.extend(positions)
-    sigma.extend(rest)
-    return tuple(sigma)
-
-
 class CobarComplex:
     """The arity-n cobar complex of a cooperad, graded by edge count."""
 
@@ -226,30 +229,9 @@ class CobarComplex:
                     items.append((t, decor))
             self.basis[e] = items
             self.index[e] = {(t.shape, d): k for k, (t, d) in enumerate(items)}
-        self._delta_cache: dict = {}
 
     def dims(self) -> dict[int, int]:
         return {e: len(b) for e, b in self.basis.items()}
-
-    def _delta_table(self, m: int, positions: tuple[int, ...]):
-        """{a0: {(a, b): coeff}} for splitting the children at the given
-        positions off a vertex of arity m; integral coefficients are
-        ints."""
-        key = (m, positions)
-        if key in self._delta_cache:
-            return self._delta_cache[key]
-        k = len(positions)
-        i_star = positions[0]
-        sigma = _block_insertion_perm(m, positions)
-        O = self.cooperad.operad
-        table: dict[int, dict] = {}
-        for a in range(O.dim(m - k + 1)):
-            for b in range(O.dim(k)):
-                composed = O.compose_basis(m - k + 1, i_star, k, a, b)
-                for out, c in O.act(m, sigma, composed).items():
-                    table.setdefault(out, {})[(a, b)] = as_exact(c)
-        self._delta_cache[key] = table
-        return table
 
     def boundary_from(self, e: int) -> list[tuple[int, int, int]]:
         """Sparse entries of d restricted to edge degree e (rows live in
@@ -277,8 +259,8 @@ class CobarComplex:
                 # in the target's preorder: a at vertex vi, b at the new
                 gather = itemgetter(*(nv if j == vi else nv + 1 if j == nv
                                       else j for j in order))
-                expansions.append((vi, self._delta_table(arities[vi], subset),
-                                   new_tree.shape, gather, sign))
+                table = self.cooperad.cocompose(arities[vi], subset)
+                expansions.append((vi, table, new_tree.shape, gather, sign))
             for _, decor in group:
                 for vi, table, shape, gather, sign in expansions:
                     for (a, b), c in table.get(decor[vi], {}).items():
@@ -288,12 +270,12 @@ class CobarComplex:
         return entries
 
     def boundary_matrix(self, e: int) -> SparseMatrix:
-        """Matrix of d from edge degree e to e + 1, duplicates summed."""
-        acc: dict[tuple[int, int], int] = {}
-        for r, c, v in self.boundary_from(e):
-            addmul(acc, (r, c), v)
-        return SparseMatrix.from_dict(len(self.basis[e + 1]),
-                                      len(self.basis[e]), acc)
+        """Matrix of d from edge degree e to e + 1.  Each (row, col)
+        arises once: distinct expansions of a tree give distinct target
+        trees, and the (a, b) keys of a cocomposition are distinct; the
+        constructor rejects a duplicate, so this is checked."""
+        return SparseMatrix(len(self.basis[e + 1]), len(self.basis[e]),
+                            self.boundary_from(e))
 
     def chain_complex(self) -> ChainComplex:
         """Regrade by operadic degree p = n - 2 - e so the differential
@@ -343,17 +325,18 @@ class CobarOperad(GradedOperad):
         if max_arity > cooperad.max_arity:
             raise CobarError("max_arity exceeds the cooperad's range")
         self.cooperad = cooperad
-        self._complexes = {n: CobarComplex(cooperad, n)
-                           for n in range(2, max_arity + 1)}
         components = {}
         self._basis = {}
         self._bindex = {}
         diffs = {}
         for n in range(2, max_arity + 1):
-            cx = self._complexes[n]
-            basis = []
-            for e in sorted(cx.basis):
+            cx = CobarComplex(cooperad, n)
+            # the basis in edge-count order; the block of edge count e
+            # starts at offsets[e]
+            basis, offsets = [], [0]
+            for e in range(n - 1):
                 basis.extend(cx.basis[e])
+                offsets.append(len(basis))
             self._basis[n] = basis
             self._bindex[n] = {(t.shape, d): k for k, (t, d) in enumerate(basis)}
             names = []
@@ -364,25 +347,15 @@ class CobarOperad(GradedOperad):
                 names.append(f"{encode_tree(t)}[{';'.join(sp_names)}]")
                 degrees.append(n - 2 - t.internal_edges)
             components[n] = GradedSpace(tuple(names), tuple(degrees))
-            diffs[n] = self._assemble_differential(n)
+            entries = []
+            for e in range(n - 2):
+                entries.extend((offsets[e + 1] + r, offsets[e] + c, v)
+                               for r, c, v in cx.boundary_from(e))
+            diffs[n] = SparseMatrix(len(basis), len(basis), entries)
         # arity 1: the bare leaf, in degree 0
         components[1] = GradedSpace(("|",), (0,))
         self._basis[1] = [(None, ())]
         super().__init__(components, {0: Fraction(1)}, diffs)
-
-    def _assemble_differential(self, n: int) -> SparseMatrix:
-        cx = self._complexes[n]
-        offsets = {}
-        pos = 0
-        for e in sorted(cx.basis):
-            offsets[e] = pos
-            pos += len(cx.basis[e])
-        entries = []
-        for e in sorted(cx.basis):
-            if e + 1 in cx.basis:
-                entries.extend((offsets[e + 1] + r, offsets[e] + c, v)
-                               for r, c, v in cx.boundary_matrix(e).entries())
-        return SparseMatrix(pos, pos, entries)
 
     def basis_element(self, n: int, a: int):
         return self._basis[n][a]

@@ -21,6 +21,10 @@ keeps the row space over the rationals, so no step is trusted without
 proof: the rank is exact for any input, and the pivot rule only decides
 how fast it comes.
 
+A ``SparseMatrix`` stores each entry once, row-major, and ``row`` hands
+out the stored row; ``rank`` copies the rows it eliminates, the only
+other copy of the entries.
+
 Matrices are immutable after construction, so they are safe to share
 between threads; rank and homology are pure functions.
 """
@@ -76,32 +80,39 @@ _EMPTY: Mapping = MappingProxyType({})
 class SparseMatrix:
     """An immutable sparse matrix over the rationals.
 
-    Entries are stored as a dict ``(row, col) -> value`` with zeros
-    dropped, each value normalised by ``as_exact`` (an int when
-    integral, else a Fraction).  Duplicate (row, col) keys in the input
-    are rejected.  Row and column views are built once, on first use;
-    the matrix never changes, so they never go stale.
+    The one store is row-major, ``{row: read-only {col: value}}`` with
+    each row ascending in its columns, zeros and empty rows dropped and
+    values normalised by ``as_exact``; ``row`` returns a stored row, and
+    everything else reads them.  Out-of-range and duplicate (row, col)
+    entries are rejected.  Column views, the rows of the transpose, are
+    built on first use; the matrix never changes, so they never go stale.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_row_views", "_col_views")
+    __slots__ = ("rows", "cols", "_rows", "_col_views")
 
     def __init__(self, rows: int, cols: int,
                  entries: Iterable[tuple[int, int, object]] = ()):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        data: dict[tuple[int, int], int | Fraction] = {}
+        data: dict[int, dict[int, int | Fraction]] = {}
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) out of range {rows}x{cols}")
-            if (r, c) in data:
+            line = data.get(r)
+            if line is None:
+                line = data[r] = {}
+            elif c in line:
                 raise ValueError(f"duplicate entry at ({r},{c})")
-            v = as_exact(v)
+            if type(v) is not int:
+                v = as_exact(v)
             if v:
-                data[(r, c)] = v
+                line[c] = v
         self.rows = rows
         self.cols = cols
-        self._data = data
-        self._row_views = None
+        # most callers give each row's columns in ascending order already
+        self._rows = {r: MappingProxyType(line if list(line) == sorted(line)
+                                          else dict(sorted(line.items())))
+                      for r, line in data.items() if line}
         self._col_views = None
 
     @classmethod
@@ -133,40 +144,32 @@ class SparseMatrix:
 
     def entries(self):
         """Iterate (row, col, value) over nonzero entries, sorted."""
-        for (r, c) in sorted(self._data):
-            yield r, c, self._data[(r, c)]
+        for r in sorted(self._rows):
+            for c, v in self._rows[r].items():
+                yield r, c, v
 
     def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
-        return self._data.get(key, 0)
+        r, c = key
+        return self._rows.get(r, _EMPTY).get(c, 0)
 
     def nnz(self) -> int:
-        return len(self._data)
+        return sum(map(len, self._rows.values()))
 
     def is_zero(self) -> bool:
-        return not self._data
+        return not self._rows
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.cols, self.rows,
-                            [(c, r, v) for (r, c), v in self._data.items()])
-
-    def _views(self, axis: int) -> dict[int, Mapping[int, Fraction]]:
-        """Read-only {index: {other index: value}} along ``axis`` (0 for
-        rows, 1 for columns), ascending in both indices."""
-        views: dict[int, dict[int, Fraction]] = {}
-        for key, v in sorted(self._data.items()):
-            views.setdefault(key[axis], {})[key[1 - axis]] = v
-        return {i: MappingProxyType(line) for i, line in views.items()}
+                            ((c, r, v) for r, c, v in self.entries()))
 
     def row(self, r: int) -> Mapping[int, Fraction]:
         """Row r as a read-only sparse vector {col: value}."""
-        if self._row_views is None:
-            self._row_views = self._views(0)
-        return self._row_views.get(r, _EMPTY)
+        return self._rows.get(r, _EMPTY)
 
     def col(self, c: int) -> Mapping[int, Fraction]:
-        """Column c as a read-only sparse vector {row: value}."""
+        """Column c as a read-only sparse vector {row: value}, ascending."""
         if self._col_views is None:
-            self._col_views = self._views(1)
+            self._col_views = self.transpose()._rows
         return self._col_views.get(c, _EMPTY)
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -191,10 +194,10 @@ class SparseMatrix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self._data == other._data)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._data.items())))
+        return hash((self.rows, self.cols, frozenset(self.entries())))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"

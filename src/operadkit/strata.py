@@ -168,6 +168,28 @@ def genus0_valence_census(n: int) -> dict[int, dict[tuple[int, ...], int]]:
     return census
 
 
+def _fold_genus0_census(n: int, betti_of, bigrade) -> dict:
+    """(p, q) -> dim over the genus-0 trees with n punctures: each adds
+    the product of its vertices' Betti lists ``betti_of(valence)``, one
+    call per valence, with degree k of a tree with e edges at
+    ``bigrade(e, k)``."""
+    census = genus0_valence_census(n)
+    valences = {nv for counts in census.values() for key in counts
+                for nv in key}
+    lists = {nv: betti_of(nv) for nv in sorted(valences)}
+    entries: dict[tuple[int, int], int] = {}
+    for e, counts in census.items():
+        for punctures, count in counts.items():
+            poly = [1]
+            for nv in punctures:
+                poly = _poly_mul(poly, lists[nv])
+            for total_k, dim in enumerate(poly):
+                if dim:
+                    key = bigrade(e, total_k)
+                    entries[key] = entries.get(key, 0) + count * dim
+    return entries
+
+
 def e1_table(g: int, n: int, betti: BettiTable | None = None,
              aut_mode: str = "degree0") -> E1Table:
     """First-page dimension table of the stratification sequence.
@@ -185,18 +207,9 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
     table = E1Table(g, n)
     top = 3 * g - 3 + n
     if g == 0:
-        for e, counts in genus0_valence_census(n).items():
-            p = top - e
-            for punctures, count in counts.items():
-                poly = [1]
-                for nv in punctures:
-                    poly = _poly_mul(poly, list(betti.get(0, nv)))
-                for total_k, dim in enumerate(poly):
-                    if dim:
-                        q = p - total_k
-                        key = (p, q)
-                        table.entries[key] = table.entries.get(key, 0) \
-                            + count * dim
+        table.entries = _fold_genus0_census(
+            n, lambda nv: betti.get(0, nv),
+            lambda e, k: (top - e, top - e - k))
         return table
     if 2 * g - 2 + n <= 0:
         raise StrataError("unstable (g, n)")
@@ -312,20 +325,9 @@ def dual_e1_table(g: int, n: int,
             out.extend([h, 0])
         return out[:-1] if out else [1]
 
-    table = E1Table(g, n, "operadkit-dual-e1")
-    for e, counts in genus0_valence_census(n).items():
-        p = -e
-        for punctures, count in counts.items():
-            poly = [1]
-            for nv in punctures:
-                poly = _poly_mul(poly, cbetti(nv))
-            for total_k, dim in enumerate(poly):
-                if dim:
-                    q = total_k - 2 * p
-                    key = (p, q)
-                    table.entries[key] = table.entries.get(key, 0) \
-                        + count * dim
-    return table
+    # edge count e sits at p = -e, and degree k at q = k - 2p
+    entries = _fold_genus0_census(n, cbetti, lambda e, k: (-e, k + 2 * e))
+    return E1Table(g, n, "operadkit-dual-e1", entries)
 
 
 def dual_euler_check(table: E1Table, n: int) -> bool:

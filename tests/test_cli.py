@@ -119,6 +119,24 @@ class TestCobarCommands:
         assert path.read_text() == good
         assert not list((tmp_path / "cache").glob("*.tmp"))
 
+    def test_changed_source_misses_the_cache(self, runner, tmp_path,
+                                             monkeypatch):
+        from operadkit import cli
+        args = ("cobar-homology", "--cooperad", "liec", "--arity", "4",
+                "--format", "json")
+        first = run(runner, *args)
+        [path] = (tmp_path / "cache").glob("*.json")
+        # a well-formed but wrong answer, as if cached by other code
+        stale = ('{"arity": 4, "betti": {"0": 0, "1": 0, "2": 2}, '
+                 '"cooperad": "liec", "total": 2}')
+        path.write_text(stale)
+        assert json.loads(run(runner, *args).output)["total"] == 2
+        monkeypatch.setattr(cli, "_source_fingerprint", lambda: "other")
+        again = run(runner, *args)
+        assert again.exit_code == 0 and again.output == first.output
+        assert path.read_text() == stale
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
     def test_unwritable_cache_warns_and_prints(self, tmp_path, monkeypatch):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

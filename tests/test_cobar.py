@@ -67,20 +67,51 @@ class TestCooperad:
         (comm_operad, commc_cooperad),
     ])
     def test_cocompose_is_transpose_of_compose(self, factory, cofactory):
+        # a contiguous block needs no reordering of inputs, so splitting
+        # it off is the plain transpose of composing at its first slot
         O, C = factory(4), cofactory(4)
         for s in (2, 3):
             n = 4
             m = n - s + 1
             for i in range(1, m + 1):
-                for a0 in range(C.dim(n)):
-                    co = C.cocompose(n, i, s, a0)
+                table = C.cocompose(n, tuple(range(i, i + s)))
+                for a0, co in table.items():
                     for (a, b), coeff in co.items():
                         assert O.compose_basis(m, i, s, a, b)[a0] == coeff
                 # completeness: every operad structure constant appears
                 for a in range(O.dim(m)):
                     for b in range(O.dim(s)):
                         for out, c in O.compose_basis(m, i, s, a, b).items():
-                            assert C.cocompose(n, i, s, out)[(a, b)] == c
+                            assert table[out][(a, b)] == c
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_asc_cocompose_splits_off_consecutive_letters(self, m):
+        # oracle read off the word basis alone: the functional of a word w
+        # splits off the letters of S iff they stand next to each other
+        # in w, into (w with the block collapsed to the letter min S, the
+        # block's own order), with coefficient 1
+        C = asc_cooperad(m)
+
+        def words(n):
+            return [tuple(map(int, name)) for name in C.space(n).names]
+
+        for k in range(2, m):
+            outer = {w: a for a, w in enumerate(words(m - k + 1))}
+            inner = {w: b for b, w in enumerate(words(k))}
+            for S in itertools.combinations(range(1, m + 1), k):
+                table = C.cocompose(m, S)
+                kept = [x for x in range(1, m + 1) if x not in S[1:]]
+                rename = {x: j for j, x in enumerate(kept, start=1)}
+                for a0, w in enumerate(words(m)):
+                    at = [p for p, x in enumerate(w) if x in S]
+                    start = at[0]
+                    if at != list(range(start, start + k)):
+                        assert a0 not in table, (S, w)
+                        continue
+                    collapsed = w[:start] + (S[0],) + w[start + k:]
+                    a = outer[tuple(rename[x] for x in collapsed)]
+                    b = inner[tuple(S.index(x) + 1 for x in w[start:start + k])]
+                    assert table[a0] == {(a, b): 1}, (S, w)
 
     def test_dual_action_preserves_pairing(self):
         O, C = lie_operad(4), liec_cooperad(4)
@@ -167,6 +198,17 @@ class TestCobarComplex:
         assert [rank(b) for b in cc.boundaries] == ranks
         assert all(type(v) is int for b in cc.boundaries
                    for _, _, v in b.entries())
+
+    @pytest.mark.parametrize("sign_mode", ["standard", "unsigned"])
+    @pytest.mark.parametrize("cofactory", [
+        liec_cooperad, asc_cooperad, commc_cooperad])
+    def test_each_boundary_entry_arises_once(self, cofactory, sign_mode):
+        # boundary_matrix stores boundary_from's entries as they come, so
+        # none of them may share a (row, col) or be zero
+        for n in range(2, 6):
+            cx = CobarComplex(cofactory(n), n, sign_mode=sign_mode)
+            for e in range(n - 2):
+                assert cx.boundary_matrix(e).nnz() == len(cx.boundary_from(e))
 
     def test_differential_squares_to_zero_explicitly(self):
         cc = CobarComplex(liec_cooperad(5), 5).chain_complex()

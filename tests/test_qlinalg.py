@@ -79,14 +79,18 @@ fraction_entries = st.builds(
     st.integers(min_value=1, max_value=7),
 )
 
-small_matrix = st.integers(min_value=0, max_value=6).flatmap(
+# (cols, dense rows), so that a shape with no rows keeps its columns
+small_dense = st.integers(min_value=0, max_value=6).flatmap(
     lambda r: st.integers(min_value=0, max_value=6).flatmap(
-        lambda c: st.lists(
+        lambda c: st.tuples(st.just(c), st.lists(
             st.lists(fraction_entries, min_size=c, max_size=c),
             min_size=r, max_size=r,
-        ).map(lambda rows: SparseMatrix.from_rows(rows, cols=c))
+        ))
     )
 )
+
+small_matrix = small_dense.map(
+    lambda dense: SparseMatrix.from_rows(dense[1], cols=dense[0]))
 
 
 # mostly zeros, so that products and sums cancel often
@@ -200,12 +204,21 @@ class TestSparseMatrix:
         assert out == {0: Fraction(-1), 1: Fraction(-1)}
 
     @settings(max_examples=100, deadline=None)
-    @given(small_matrix, st.data())
-    def test_row_and_column_views_agree_with_entries(self, m, data):
+    @given(small_dense, st.data())
+    def test_row_and_column_views_agree_with_entries(self, dense, data):
+        cols, rows = dense
+        m = SparseMatrix.from_rows(rows, cols=cols)
+        nonzero = [(r, c, v) for r, row in enumerate(rows)
+                   for c, v in enumerate(row) if v]
         # views are sorted whatever order the entries were given in
-        shuffled = data.draw(st.permutations(list(m.entries())))
+        shuffled = data.draw(st.permutations(nonzero))
         for m in (m, SparseMatrix(m.rows, m.cols, shuffled)):
             entries = list(m.entries())
+            assert entries == nonzero
+            assert m.nnz() == len(nonzero)
+            for r in range(m.rows):
+                for c in range(m.cols):
+                    assert m[(r, c)] == rows[r][c]
             for r in range(m.rows):
                 row = m.row(r)
                 assert list(row.items()) == [(c, v) for rr, c, v in entries

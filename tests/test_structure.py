@@ -14,6 +14,10 @@ use it, so input from outside always goes through ``Tree(...)``.
 
 ``qlinalg.rank`` is the one rank engine: every other rank or kernel
 dimension in ``qlinalg`` is computed by calling it.
+
+``cobar.Cooperad`` owns its cocomposition and action: only its own
+methods read the operad it is the dual of, so the cobar complex cannot
+grow a second cocomposition beside ``Cooperad.cocompose``.
 """
 
 import ast
@@ -90,3 +94,15 @@ def test_one_rank_engine():
                   for sub in ast.walk(node)
                   if isinstance(sub, ast.Name) and sub.id == "heappop"}
     assert heap_users == {"rank"}
+
+
+def test_only_the_cooperad_reads_its_operad():
+    tree = ast.parse((Path(operadkit.__file__).parent / "cobar.py").read_text())
+    cooperad = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == "Cooperad")
+    inside = {id(node) for node in ast.walk(cooperad)}
+    readers = [node for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "operad"]
+    assert any(id(node) in inside for node in readers)
+    assert [node.lineno for node in readers if id(node) not in inside] == []
