@@ -355,16 +355,16 @@ class CobarOperad(GradedOperad):
         # arity 1: the bare leaf, in degree 0
         components[1] = GradedSpace(("|",), (0,))
         self._basis[1] = [(None, ())]
-        super().__init__(components, {0: Fraction(1)}, diffs)
+        super().__init__(components, {0: 1}, diffs)
 
     def basis_element(self, n: int, a: int):
         return self._basis[n][a]
 
     def compose_basis(self, n, i, m, a, b) -> Vector:
         if m == 1:
-            return {a: Fraction(1)}
+            return {a: 1}
         if n == 1:
-            return {b: Fraction(1)}
+            return {b: 1}
         t, dt = self._basis[n][a]
         s, ds = self._basis[m][b]
         grafted = graft(t, i, s)
@@ -395,11 +395,11 @@ class CobarOperad(GradedOperad):
         perm = sorted(range(1, len(keys) + 1), key=lambda j: rankof[keys[j - 1]])
         sign = koszul_sign(tuple(perm), tuple(mv - 2 for _, _, mv in tv + sv))
         decor = tuple(values[key] for key in target)
-        return {self._bindex[n + m - 1][(grafted.shape, decor)]: Fraction(sign)}
+        return {self._bindex[n + m - 1][(grafted.shape, decor)]: sign}
 
     def act_basis(self, n, sigma, a) -> Vector:
         if n == 1:
-            return {a: Fraction(1)}
+            return {a: 1}
         t, dt = self._basis[n][a]
         mapping = {j: sigma[j - 1] for j in range(1, n + 1)}
         new_tree = relabel_tree(t, mapping)
@@ -424,7 +424,7 @@ class CobarOperad(GradedOperad):
         out: Vector = {}
         for combo in itertools.product(*(f.items() for f in slots)):
             decor = tuple(c for c, _ in combo)
-            coeff = Fraction(sign)
+            coeff = sign
             for _, v in combo:
                 coeff *= v
             addmul(out, self._bindex[n][(new_tree.shape, decor)], coeff)

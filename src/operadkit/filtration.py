@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .qlinalg import (SparseMatrix, ChainComplex, add_scaled, addmul,
-                      nullspace, span_rank, solve_in_span)
+                      as_exact, nullspace, rref, span_rank)
 from .operads import (GradedOperad, GradedSpace, Vector,
                       adjacent_transpositions)
 from .hoalg import MapFamily, check_cinf, extract_mn, CinfReport
@@ -154,7 +153,7 @@ def _z_space(F: FilteredOperad, n: int, r: int, p: int, q: int) -> list:
         return []
     d = F.base.differentials.get(n)
     if d is None:
-        return [{a: Fraction(1)} for a in cols]
+        return [{a: 1} for a in cols]
     forbidden = {a for a in range(F.base.dim(n))
                  if F.levels[n][a] > p - r}
     entries = []
@@ -205,34 +204,68 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
     return term
 
 
+def _echelon(vectors: list, dim: int) -> dict:
+    """The span of sparse vectors in reduced row echelon form, as
+    {pivot column: row}."""
+    rows, pivots = rref(SparseMatrix(len(vectors), dim,
+                                     [(r, c, v) for r, vec in enumerate(vectors)
+                                      for c, v in vec.items()]))
+    return dict(zip(pivots, rows))
+
+
+def _in_span(echelon: dict, vec: dict) -> bool:
+    """Whether vec lies in the row space of a reduced echelon form.
+
+    Each pivot row has 1 at its pivot and 0 at every other pivot, so
+    subtracting a pivot row leaves the other pivot entries alone: taking
+    off vec's own pivot entries times their rows clears every pivot
+    column, and what is left is zero iff vec is in the span.
+    """
+    rest = dict(vec)
+    for c, a in vec.items():
+        row = echelon.get(c)
+        if row is not None:
+            add_scaled(rest, row, -a)
+    return not rest
+
+
 def er_closure_certificate(term: ErTerm, max_arity: int) -> tuple[bool, list]:
     """Verify the numerators compose into numerators and denominators
     absorb into denominators, the exactness content of the page being an
-    operad.  Returns (ok, witnesses)."""
+    operad.  Each target span is put in echelon form once.  Returns
+    (ok, witnesses)."""
     F = term.filtered
     witnesses = []
     arities = [n for n in F.arities() if n <= max_arity]
+    spans = {}  # (arity, p, q) -> echelon forms of (z + b, b)
+
+    def target_spans(arity, p, q):
+        key = (arity, p, q)
+        if key not in spans:
+            tgt = term.pieces[arity].get((p, q))
+            z, b = (tgt.z_basis, tgt.b_basis) if tgt else ([], [])
+            dim = F.base.dim(arity)
+            spans[key] = (_echelon(z + b, dim), _echelon(b, dim))
+        return spans[key]
+
     for n in arities:
         for m in arities:
             if n + m - 1 > max_arity or n + m - 1 not in term.pieces:
                 continue
             for (p, q), piece in term.pieces[n].items():
                 for (pp, qq), piece2 in term.pieces[m].items():
-                    tgt = term.pieces[n + m - 1].get((p + pp, q + qq))
-                    tgt_z = tgt.z_basis if tgt else []
-                    tgt_b = tgt.b_basis if tgt else []
+                    tgt_zb, tgt_b = target_spans(n + m - 1, p + pp, q + qq)
                     for i in range(1, n + 1):
                         for x in piece.z_basis:
                             for y in piece2.z_basis:
                                 out = F.base.compose(n, i, m, x, y)
-                                if out and solve_in_span(
-                                        tgt_z + tgt_b, out) is None:
+                                if not _in_span(tgt_zb, out):
                                     witnesses.append(
                                         ("numerator", n, m, i, (p, q), (pp, qq)))
                         for x in piece.b_basis:
                             for y in piece2.z_basis + piece2.b_basis:
                                 out = F.base.compose(n, i, m, x, y)
-                                if out and solve_in_span(tgt_b, out) is None:
+                                if not _in_span(tgt_b, out):
                                     witnesses.append(
                                         ("denominator", n, m, i, (p, q), (pp, qq)))
     return (not witnesses, witnesses)
@@ -333,7 +366,7 @@ class FilteredAlgebraData:
     def __init__(self, space: GradedSpace, q: SparseMatrix, mu: dict):
         self.space = space
         self.q = q
-        self.mu = {key: {t: Fraction(c) for t, c in tensor.items() if c}
+        self.mu = {key: {t: as_exact(c) for t, c in tensor.items() if c}
                    for key, tensor in mu.items()}
 
     def tensor(self, n: int, a: int) -> dict:
@@ -407,7 +440,7 @@ def check_filtered_algebra(F: FilteredOperad, A: FilteredAlgebraData,
                             morphism_ok = False
                             witnesses.append(("morphism", n, i, m, a, b))
     if 1 in F.levels:
-        ident = {(j, (j,)): Fraction(1) for j in range(A.space.dim)}
+        ident = {(j, (j,)): 1 for j in range(A.space.dim)}
         img: dict = {}
         for a, c in F.base.unit_vector.items():
             add_scaled(img, A.tensor(1, a), c)
@@ -446,7 +479,7 @@ def commutative_toy_algebra(F: FilteredOperad,
         raise FiltrationError("toy algebra expects the decorated-tree base")
     mu: dict = {}
     if 1 in base.components:
-        mu[(1, 0)] = {(j, (j,)): Fraction(1) for j in range(space.dim)}
+        mu[(1, 0)] = {(j, (j,)): 1 for j in range(space.dim)}
     for n in base.arities():
         if n == 1:
             continue
@@ -471,7 +504,7 @@ def _binary_tree_tensor(t, m2: dict, space: GradedSpace) -> dict:
 
 def _eval_binary(shape, assign, m2) -> dict:
     if isinstance(shape, int):
-        return {assign[shape]: Fraction(1)}
+        return {assign[shape]: 1}
     # children are stored in min-leaf order; product in that order
     lvec = _eval_binary(shape[0], assign, m2)
     rvec = _eval_binary(shape[1], assign, m2)
@@ -499,9 +532,10 @@ class PipelineResult:
 
 def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
                 max_arity: int) -> PipelineResult:
-    """Check mu (filtration predicate and operad morphism, to arity at
-    most 3), restrict the induced first-page algebra to the q = 0 slice,
-    read off m_n from identity-word corollas, and verify the relations.
+    """Check mu (filtration predicate and operad morphism, through
+    max_arity), restrict the induced first-page algebra to the q = 0
+    slice, read off m_n from identity-word corollas, and verify the
+    relations.
 
     A filtration violation raises FiltrationError; a failed morphism
     check or relation makes the result not ok."""
@@ -511,7 +545,7 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
         raise FiltrationError(
             "the pipeline needs the decorated-tree stand-in (middle-row "
             "identification unavailable otherwise)")
-    report = check_filtered_algebra(F, A, max_arity=min(max_arity, 3))
+    report = check_filtered_algebra(F, A, max_arity=max_arity)
     if not report.filtration_ok:
         raise FiltrationError(
             f"mu violates the filtration: {report.witnesses[:3]}")

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qlinalg import SparseMatrix, add_scaled
+from .qlinalg import SparseMatrix, add_scaled, as_exact, format_vector
 from .operads import GradedSpace, koszul_sign
 from .cobar import shuffles
 
@@ -29,7 +29,7 @@ class HoalgError(ValueError):
     pass
 
 
-Tensor = dict  # (out, in_tuple) -> Fraction
+Tensor = dict  # (out, in_tuple) -> int | Fraction (int when integral)
 
 
 class MapFamily:
@@ -63,7 +63,7 @@ class MapFamily:
                         f"expected {n - 2}")
         self.space = space
         self.q = q
-        self.maps = {n: {k: Fraction(v) for k, v in t.items() if v}
+        self.maps = {n: {k: as_exact(v) for k, v in t.items() if v}
                      for n, t in maps.items()}
         # m_n by input tuple, outputs ascending: {n: {ins: {out: coeff}}}
         self._by_input = {}
@@ -92,8 +92,8 @@ class AinfResidual:
     defect: dict[int, Fraction]
 
     def __str__(self):
-        names = self.inputs
-        return f"arity {self.n} relation fails on {names}: defect {self.defect}"
+        return (f"arity {self.n} relation fails on {self.inputs}: "
+                f"defect {format_vector(self.defect)}")
 
 
 @dataclass
@@ -138,7 +138,7 @@ def ainf_defect(f: MapFamily, n: int,
         for k in range(1, r + 1):
             sign = (-1) ** (k * (s - 1) + s * n)
             add_scaled(rhs, _inner_composite(f, r, s, k, ins), sign)
-    add_scaled(lhs, rhs, Fraction(-1))
+    add_scaled(lhs, rhs, -1)
     return lhs
 
 
@@ -249,5 +249,5 @@ def truncated_polynomial_family(dim: int = 3) -> MapFamily:
     for a in range(dim):
         for b in range(dim):
             if a + b < dim:
-                m2[(a + b, (a, b))] = Fraction(1)
+                m2[(a + b, (a, b))] = 1
     return MapFamily(space, q, {2: m2})

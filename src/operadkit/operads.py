@@ -5,6 +5,12 @@ left-normed Lyndon-word basis), endomorphism operads of small graded
 spaces, table-backed operads for fixtures, the axiom verifier and
 free-algebra dimension counts.
 
+Structure constants are exact rationals stored as in ``qlinalg``: an
+``int`` when integral, a ``Fraction`` otherwise (``as_exact`` is the
+one normaliser).  The shipped operads are all integral, so composing
+and acting run on ``int``; ``Fraction`` enters only where a division
+happens (the symmetrization projector and ``action_trace``).
+
 Conventions.  Degrees are homological (differentials lower degree by
 one).  Permutations are tuples ``sigma`` of length n with 1-based
 values, ``sigma[i-1]`` the image of i.  The symmetric action is the
@@ -21,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .qlinalg import SparseMatrix, add_scaled, addmul
+from .qlinalg import SparseMatrix, add_scaled, addmul, as_exact, format_vector
 
-Vector = dict  # basis index -> Fraction
+Vector = dict  # basis index -> int | Fraction (int when integral)
 
 
 class OperadError(ValueError):
@@ -314,13 +320,13 @@ class CommOperad(GradedOperad):
             raise OperadError("max_arity must be >= 1")
         components = {n: GradedSpace((f"c{n}",), (0,))
                       for n in range(1, max_arity + 1)}
-        super().__init__(components, {0: Fraction(1)})
+        super().__init__(components, {0: 1})
 
     def compose_basis(self, n, i, m, a, b):
-        return {0: Fraction(1)}
+        return {0: 1}
 
     def act_basis(self, n, sigma, a):
-        return {a: Fraction(1)}
+        return {a: 1}
 
     def action_trace(self, n, sigma):
         return Fraction(1)
@@ -339,15 +345,15 @@ class AssocOperad(GradedOperad):
             n: GradedSpace(tuple("".join(map(str, w)) for w in ws),
                            (0,) * len(ws))
             for n, ws in self._words.items()}
-        super().__init__(components, {0: Fraction(1)})
+        super().__init__(components, {0: 1})
 
     def compose_basis(self, n, i, m, a, b):
         w = substitute_word(self._words[n][a], i, self._words[m][b])
-        return {self._index[n + m - 1][w]: Fraction(1)}
+        return {self._index[n + m - 1][w]: 1}
 
     def act_basis(self, n, sigma, a):
         w = relabel_word(self._words[n][a], sigma)
-        return {self._index[n][w]: Fraction(1)}
+        return {self._index[n][w]: 1}
 
     def action_trace(self, n, sigma):
         # relabeling fixes a word iff sigma is the identity
@@ -376,7 +382,7 @@ class LieOperad(GradedOperad):
             n: GradedSpace(tuple("".join(map(str, w)) for w in ws),
                            (0,) * len(ws))
             for n, ws in self._words.items()}
-        super().__init__(components, {0: Fraction(1)})
+        super().__init__(components, {0: 1})
 
     def compose_basis(self, n, i, m, a, b):
         # Only words starting with 1 are read off.  In the expansion of
@@ -387,13 +393,13 @@ class LieOperad(GradedOperad):
         wa, wb = self._words[n][a], self._words[m][b]
         index = self._index[n + m - 1]
         if i == 1:
-            return {index[substitute_word(wa, 1, wb)]: Fraction(1)}
-        return {index[substitute_word(wa, i, w)]: Fraction(c)
+            return {index[substitute_word(wa, 1, wb)]: 1}
+        return {index[substitute_word(wa, i, w)]: c
                 for w, c in lie_expand(wb)}
 
     def act_basis(self, n, sigma, a):
         index = self._index[n]
-        return {index[relabel_word(w, sigma)]: Fraction(c)
+        return {index[relabel_word(w, sigma)]: c
                 for w, c in lie_expand(self._words[n][a])
                 if sigma[w[0] - 1] == 1}
 
@@ -464,7 +470,7 @@ class EndOperad(GradedOperad):
                 V.degrees[j] - sum(V.degrees[i] for i in ins)
                 for j, ins in basis)
             components[n] = GradedSpace(names, degrees)
-        unit = {self._bindex[1][(j, (j,))]: Fraction(1) for j in range(d)}
+        unit = {self._bindex[1][(j, (j,))]: 1 for j in range(d)}
         diffs = {}
         if q is not None:
             for n in components:
@@ -483,7 +489,7 @@ class EndOperad(GradedOperad):
         slide = sum(self.V.degrees[t] for t in ins[: i - 1])
         sign = -1 if (gdeg % 2 and slide % 2) else 1
         new_ins = ins[: i - 1] + bins + ins[i:]
-        return {self._bindex[n + m - 1][(j, new_ins)]: Fraction(sign)}
+        return {self._bindex[n + m - 1][(j, new_ins)]: sign}
 
     def act_basis(self, n, sigma, a):
         j, ins = self._basis[n][a]
@@ -494,11 +500,11 @@ class EndOperad(GradedOperad):
         c = tuple(c)
         degs = tuple(self.V.degrees[x] for x in c)
         sign = koszul_sign(sigma, degs)
-        return {self._bindex[n][(j, c)]: Fraction(sign)}
+        return {self._bindex[n][(j, c)]: sign}
 
     def _hom_differential(self, n: int, degrees: tuple[int, ...]) -> SparseMatrix:
         dim = len(self._basis[n])
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], int | Fraction] = {}
         for col, (j, ins) in enumerate(self._basis[n]):
             fdeg = degrees[col]
             for r, v in self.q.col(j).items():
@@ -565,7 +571,7 @@ class TableOperad(GradedOperad):
         return self._act[(n, sigma)].get(a, {})
 
     def with_corrupted_composition(self, n, i, m, a, b,
-                                   scale=Fraction(-1)) -> "TableOperad":
+                                   scale=-1) -> "TableOperad":
         """Return a copy with one composition entry rescaled (fault
         injection for axiom-checker tests)."""
         comp = {key: {k: dict(v) for k, v in tab.items()}
@@ -616,18 +622,18 @@ def operad_from_json(text: str) -> TableOperad:
     components = {
         int(n): GradedSpace(tuple(sp["names"]), tuple(sp["degrees"]))
         for n, sp in doc["components"].items()}
-    unit = {int(k): Fraction(v) for k, v in doc["unit"].items()}
+    unit = {int(k): as_exact(Fraction(v)) for k, v in doc["unit"].items()}
     comp = {}
     for rec in doc["compositions"]:
         tab = {}
         for a, b, out, c in rec["entries"]:
-            tab.setdefault((a, b), {})[out] = Fraction(c)
+            tab.setdefault((a, b), {})[out] = as_exact(Fraction(c))
         comp[(rec["n"], rec["i"], rec["m"])] = tab
     act = {}
     for rec in doc["actions"]:
         tab = {}
         for a, out, c in rec["entries"]:
-            tab.setdefault(a, {})[out] = Fraction(c)
+            tab.setdefault(a, {})[out] = as_exact(Fraction(c))
         act[(rec["n"], tuple(rec["sigma"]))] = tab
     diffs = {}
     for n, entries in doc.get("differentials", {}).items():
@@ -651,8 +657,10 @@ class AxiomViolation:
     rhs: dict
 
     def __str__(self):
+        lhs, rhs = (format_vector(x) if isinstance(x, dict) else str(x)
+                    for x in (self.lhs, self.rhs))
         return (f"axiom {self.axiom} fails at arities {self.arities}, "
-                f"witness {self.witness}: {self.lhs} != {self.rhs}")
+                f"witness {self.witness}: {lhs} != {rhs}")
 
 
 @dataclass
@@ -684,7 +692,7 @@ def check_axioms(O: GradedOperad, max_arity: int,
     """
     arities = [n for n in O.arities() if n <= max_arity]
     dims = {n: O.dim(n) for n in arities}
-    one = Fraction(1)
+    one = 1
     violations: list[AxiomViolation] = []
     checked = 0
 

@@ -74,6 +74,12 @@ def add_scaled(acc: dict, vec: Mapping, coeff) -> None:
         addmul(acc, key, coeff * v)
 
 
+def format_vector(vec: Mapping) -> str:
+    """A sparse vector as ``{key: value}``, keys ascending, each value
+    printed exactly whatever its type: ``{0: -1, 2: 1/2}``."""
+    return "{" + ", ".join(f"{k!r}: {v}" for k, v in sorted(vec.items())) + "}"
+
+
 _EMPTY: Mapping = MappingProxyType({})
 
 
@@ -285,10 +291,13 @@ def kernel_dim(m: SparseMatrix) -> int:
 
 
 def rref(m: SparseMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction.
+    """Reduced row echelon form over the rationals.
 
     Returns (rows, pivot_cols); rows are sparse dicts with leading 1 in
-    the pivot column.  Used where explicit bases are needed.
+    the pivot column.  Each row is divided by its pivot through
+    ``Fraction`` and its values kept as ``as_exact`` gives them, so the
+    row operations after an integral division run on ``int``.  Used
+    where explicit bases are needed.
     """
     reduced: list[dict[int, Fraction]] = []
     pivots: list[int] = []
@@ -302,7 +311,7 @@ def rref(m: SparseMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
             continue
         pc = min(row)
         inv = 1 / Fraction(row[pc])  # exact: never int / int
-        row = {c: v * inv for c, v in row.items()}
+        row = {c: as_exact(v * inv) for c, v in row.items()}
         # back-substitute into existing rows
         for i, prow in enumerate(reduced):
             a = prow.get(pc)
@@ -323,7 +332,7 @@ def nullspace(m: SparseMatrix) -> list[dict[int, Fraction]]:
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = {f: Fraction(1)}
+        vec = {f: 1}
         for row, pc in zip(rows, pivots):
             a = row.get(f)
             if a:

@@ -238,7 +238,12 @@ class TestHomotopyCommands:
                   self.family_file(tmp_path, associative=False),
                   "--max-arity", "3")
         assert res.exit_code == 1
-        assert "relation fails" in res.output
+        # exact coefficients, keys ascending, whatever the value type
+        assert res.output.splitlines() == [
+            "arity 3 relation fails on (0, 0, 1): defect {1: -2}",
+            "arity 3 relation fails on (0, 1, 1): defect {2: -2}",
+            "arity 3 relation fails on (1, 0, 1): defect {2: 2}",
+            "3 failing instances"]
 
     def test_check_cinf(self, runner, tmp_path):
         res = run(runner, "check-cinf", self.family_file(tmp_path),

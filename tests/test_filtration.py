@@ -22,6 +22,7 @@ from operadkit.filtration import (
     component_homology,
     degree_filtration,
     dk_index_identity,
+    ErPiece,
     er_closure_certificate,
     er_term,
     filtered_operad_from_json,
@@ -33,7 +34,7 @@ from operadkit.filtration import (
 )
 from operadkit.hoalg import truncated_polynomial_family
 from operadkit.operads import EndOperad, GradedSpace
-from operadkit.qlinalg import SparseMatrix
+from operadkit.qlinalg import SparseMatrix, solve_in_span
 
 
 def end_with_homology() -> EndOperad:
@@ -140,6 +141,63 @@ class TestPages:
             assert ok, witnesses[:3]
 
 
+def reference_certificate(term, max_arity):
+    """The closure certificate with membership decided by solve_in_span
+    on the whole target span, one composite at a time."""
+    F = term.filtered
+    witnesses = []
+    arities = [n for n in F.arities() if n <= max_arity]
+    for n in arities:
+        for m in arities:
+            if n + m - 1 > max_arity or n + m - 1 not in term.pieces:
+                continue
+            for (p, q), piece in term.pieces[n].items():
+                for (pp, qq), piece2 in term.pieces[m].items():
+                    tgt = term.pieces[n + m - 1].get((p + pp, q + qq))
+                    tgt_z = tgt.z_basis if tgt else []
+                    tgt_b = tgt.b_basis if tgt else []
+                    for i in range(1, n + 1):
+                        for x in piece.z_basis:
+                            for y in piece2.z_basis:
+                                out = F.base.compose(n, i, m, x, y)
+                                if out and solve_in_span(
+                                        tgt_z + tgt_b, out) is None:
+                                    witnesses.append(
+                                        ("numerator", n, m, i, (p, q), (pp, qq)))
+                        for x in piece.b_basis:
+                            for y in piece2.z_basis + piece2.b_basis:
+                                out = F.base.compose(n, i, m, x, y)
+                                if out and solve_in_span(tgt_b, out) is None:
+                                    witnesses.append(
+                                        ("denominator", n, m, i, (p, q), (pp, qq)))
+    return (not witnesses, witnesses)
+
+
+class TestClosureCertificateReference:
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_agrees_on_endomorphism_pages(self, r):
+        term = er_term(degree_filtration(end_with_homology()), r)
+        assert er_closure_certificate(term, 3) == \
+            reference_certificate(term, 3)
+
+    @pytest.mark.parametrize("r, drop, kind", [
+        (1, "z", "numerator"), (2, "b", "denominator")])
+    def test_agrees_when_a_target_span_is_cut(self, r, drop, kind):
+        # cut every arity-3 piece (its first numerator vector, or all its
+        # denominator vectors), so some composites land outside the spans
+        term = er_term(degree_filtration(end_with_homology()), r)
+        for pq, piece in term.pieces[3].items():
+            z, b = piece.z_basis, piece.b_basis
+            if drop == "z":
+                z = z[1:]
+            else:
+                b = []
+            term.pieces[3][pq] = ErPiece(piece.p, piece.q, z, b)
+        ok, witnesses = er_closure_certificate(term, 3)
+        assert not ok and {w[0] for w in witnesses} == {kind}
+        assert (ok, witnesses) == reference_certificate(term, 3)
+
+
 class TestDkSlices:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 5), st.integers(-4, 4), st.integers(2, 6),
@@ -216,6 +274,16 @@ class TestFilteredAlgebra:
         assert not report.morphism_ok
         assert any(w[0] == "morphism" for w in report.witnesses)
 
+    def test_mu_coefficients_normalised_exactly(self):
+        F, A = self.standin_with_toy()
+        values = [c for tensor in A.mu.values() for c in tensor.values()]
+        assert values and {type(c) for c in values} == {int}
+        half = FilteredAlgebraData(A.space, A.q,
+                                   {(2, 0): {(0, (0, 0)): Fraction(2, 4)}})
+        assert half.tensor(2, 0) == {(0, (0, 0)): Fraction(1, 2)}
+        with pytest.raises(TypeError):
+            FilteredAlgebraData(A.space, A.q, {(2, 0): {(0, (0, 0)): 0.5}})
+
     def test_unit_fault(self):
         F, A = self.standin_with_toy()
         del A.mu[(1, 0)]
@@ -243,6 +311,20 @@ class TestPipeline:
         result = induce_cinf(F, A, 3)
         assert not result.ok
         assert result.report.filtration_ok and not result.report.morphism_ok
+        assert not result.ainf_residuals and result.cinf_report.ok
+
+    def test_arity_four_morphism_fault_fails_pipeline(self):
+        F = moduli_chain_standin(4)
+        poly = truncated_polynomial_family(3)
+        A = commutative_toy_algebra(F, poly.space, poly.q, poly.maps[2])
+        # double one arity-4 binary-tree tensor: a check capped at arity 3
+        # cannot see it, the pipeline's check through arity 4 must
+        key = next(k for k in A.mu if k[0] == 4)
+        A.mu[key] = {k: 2 * v for k, v in A.mu[key].items()}
+        assert check_filtered_algebra(F, A, max_arity=3).ok
+        result = induce_cinf(F, A, 4)
+        assert result.report.filtration_ok and not result.report.morphism_ok
+        assert not result.ok
         assert not result.ainf_residuals and result.cinf_report.ok
 
     def test_filtration_violation_aborts_pipeline(self):

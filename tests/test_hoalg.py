@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from operadkit.hoalg import (
+    AinfResidual,
     HoalgError,
     MapFamily,
     ainf_defect,
@@ -73,6 +74,16 @@ class TestMapFamilyValidation:
         assert list(f.apply(2, (0, 1)).items()) == [
             (0, Fraction(1)), (1, Fraction(-1)), (2, Fraction(3))]
         assert f.apply(2, (1, 0)) == {} and f.apply(3, (0, 0, 0)) == {}
+
+    def test_coefficients_normalised_exactly(self):
+        space = GradedSpace(("a", "b"), (0, 0))
+        m2 = {(0, (0, 0)): Fraction(4, 2), (1, (0, 1)): Fraction(1, 3),
+              (1, (1, 0)): 5}
+        f = MapFamily(space, SparseMatrix.zero(2, 2), {2: m2})
+        assert [type(c) for c in f.apply(2, (0, 0)).values()] == [int]
+        assert f.apply(2, (0, 1)) == {1: Fraction(1, 3)}
+        with pytest.raises(TypeError):
+            MapFamily(space, SparseMatrix.zero(2, 2), {2: {(0, (0, 0)): 0.5}})
 
 
 class TestArityTwoIsLeibniz:
@@ -161,6 +172,11 @@ class TestAssociativityFaults:
         associator = {k: v for k, v in associator.items() if v}
         assert associator in (r.defect,
                               {k: -v for k, v in r.defect.items()})
+
+    def test_residual_message_prints_exact_values(self):
+        r = AinfResidual(3, (0, 1, 1), {2: Fraction(1, 2), 0: Fraction(-1)})
+        assert str(r) == ("arity 3 relation fails on (0, 1, 1): "
+                          "defect {0: -1, 2: 1/2}")
 
     def test_sign_fault_is_detected(self):
         f = truncated_polynomial_family(3)

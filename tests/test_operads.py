@@ -14,8 +14,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from operadkit.cobar import cobar_operad, liec_cooperad
 from operadkit.operads import (
     AssocOperad,
+    AxiomViolation,
     CommOperad,
     EndOperad,
     GradedSpace,
@@ -218,6 +220,79 @@ class TestAxioms:
         report = check_axioms(bad, 3, max_violations=2)
         assert len(report.violations) == 2
 
+    def test_violation_message_prints_exact_values(self):
+        table = TableOperad.from_operad(assoc_operad(3), 3)
+        bad = table.with_corrupted_composition(2, 1, 2, 0, 0)
+        v = check_axioms(bad, 3).violations[0]
+        assert str(v) == ("axiom 3a fails at arities (2, 2), witness "
+                          "((2, 1), 1, 1, 0): {0: -1} != {0: 1}")
+        half = AxiomViolation("2", (2, 2, 2), (1, 1, 0, 0, 0),
+                              {3: Fraction(1, 2), 0: Fraction(-1)}, {0: 1})
+        assert str(half) == ("axiom 2 fails at arities (2, 2, 2), witness "
+                             "(1, 1, 0, 0, 0): {0: -1, 3: 1/2} != {0: 1}")
+
+
+def fraction_table(O, max_arity: int) -> TableOperad:
+    """O as a table with every structure constant a Fraction: the
+    reference path the integer structure constants must agree with."""
+    T = TableOperad.from_operad(O, max_arity)
+
+    def frac(vec):
+        return {k: Fraction(c) for k, c in vec.items()}
+
+    comp = {key: {ab: frac(v) for ab, v in tab.items()}
+            for key, tab in T._comp.items()}
+    act = {key: {a: frac(v) for a, v in tab.items()}
+           for key, tab in T._act.items()}
+    return TableOperad(T.components, frac(T.unit_vector), comp, act,
+                       T.differentials)
+
+
+class TestIntegerStructureConstants:
+    @pytest.mark.parametrize("make, max_arity", [
+        (comm_operad, 4), (assoc_operad, 4), (lie_operad, 4),
+        (lambda k: cobar_operad(liec_cooperad(k), k), 3),
+        (lambda k: EndOperad(GradedSpace(("x", "y"), (0, 1)), k), 3),
+    ], ids=["comm", "assoc", "lie", "cobar-liec", "end"])
+    def test_every_structure_constant_is_int(self, make, max_arity):
+        O = make(max_arity)
+        values = list(O.unit_vector.values())
+        arities = O.arities()
+        for n, m in itertools.product(arities, arities):
+            if n + m - 1 > max_arity:
+                continue
+            for i, a, b in itertools.product(range(1, n + 1), range(O.dim(n)),
+                                             range(O.dim(m))):
+                values += O.compose_basis(n, i, m, a, b).values()
+        for n in arities:
+            for sigma in itertools.permutations(range(1, n + 1)):
+                for a in range(O.dim(n)):
+                    values += O.act_basis(n, sigma, a).values()
+        assert values and {type(v) for v in values} == {int}
+
+    @pytest.mark.parametrize("factory", [comm_operad, assoc_operad,
+                                         lie_operad])
+    def test_axioms_agree_with_the_fraction_reference(self, factory):
+        O = factory(4)
+        reference = check_axioms(fraction_table(O, 4), 4)
+        report = check_axioms(O, 4)
+        assert report.ok and reference.ok
+        assert report.checked == reference.checked
+
+    @pytest.mark.parametrize("entry", sorted(ARITY4_FAULTS))
+    def test_faults_agree_with_the_fraction_reference(self, entry):
+        def found(T):
+            report = check_axioms(T.with_corrupted_composition(*entry), 4,
+                                  max_violations=10 ** 6)
+            return report.checked, [(v.axiom, v.arities, v.witness)
+                                    for v in report.violations]
+
+        O = assoc_operad(4)
+        fast = found(TableOperad.from_operad(O, 4))
+        assert fast == found(fraction_table(O, 4))
+        assert fast[0] == 1645 and sorted(fast[1]) == sorted(
+            v[:3] for v in ARITY4_FAULTS[entry])
+
 
 class TestComponentSizes:
     def test_dims(self):
@@ -403,6 +478,16 @@ class TestJsonRoundTrip:
     def test_rejects_wrong_format(self):
         with pytest.raises((OperadError, ValueError, KeyError)):
             operad_from_json(json.dumps({"format": "something-else"}))
+
+    def test_round_trip_yields_int_and_keeps_fractions(self):
+        doc = json.loads(operad_to_json(lie_operad(3), 3))
+        doc["unit"] = {"0": "1/2"}
+        back = operad_from_json(json.dumps(doc))
+        assert back.unit_vector == {0: Fraction(1, 2)}
+        values = [c for (n, i, m) in [(2, 1, 2), (2, 2, 2)]
+                  for a in range(back.dim(n)) for b in range(back.dim(m))
+                  for c in back.compose_basis(n, i, m, a, b).values()]
+        assert values and {type(c) for c in values} == {int}
 
     def test_coefficients_stay_exact(self):
         O = lie_operad(3)

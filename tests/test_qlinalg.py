@@ -17,6 +17,7 @@ from operadkit.qlinalg import (
     add_scaled,
     addmul,
     as_exact,
+    format_vector,
     kernel_dim,
     nullspace,
     rank,
@@ -288,6 +289,13 @@ class TestExactStorage:
         assert all(type(v) is int for v in m.apply({0: 1, 1: 3}).values())
         assert type(m[(1, 1)]) is int and m[(1, 1)] == 0
 
+    def test_format_vector_prints_exact_values(self):
+        assert format_vector({2: Fraction(1, 2), 0: Fraction(-1), 1: 3}) \
+            == "{0: -1, 1: 3, 2: 1/2}"
+        assert format_vector({(1, 0): 2, (0, 1): -1}) == \
+            "{(0, 1): -1, (1, 0): 2}"
+        assert format_vector({}) == "{}"
+
     def test_normaliser(self):
         assert type(as_exact(Fraction(4, 2))) is int
         assert as_exact(Fraction(4, 2)) == 2
@@ -376,6 +384,16 @@ class TestRrefAndNullspace:
         assert pivots == [0, 1]
         for row, pc in zip(rows, pivots):
             assert row[pc] == 1
+
+    def test_integral_results_are_int(self):
+        rows, pivots = rref(SparseMatrix.from_rows([[2, 4, 6], [1, 3, 5]]))
+        assert rows == [{0: 1, 2: -1}, {1: 1, 2: 2}] and pivots == [0, 1]
+        basis = nullspace(SparseMatrix.from_rows([[1, 2, 3]]))
+        assert basis == [{1: 1, 0: -2}, {2: 1, 0: -3}]
+        values = [v for vec in rows + basis for v in vec.values()]
+        assert {type(v) for v in values} == {int}
+        (half,), _ = rref(SparseMatrix.from_rows([[2, 1]]))
+        assert half == {0: 1, 1: Fraction(1, 2)} and type(half[0]) is int
 
     def test_nullspace_vectors_are_killed(self):
         m = SparseMatrix.from_rows([[1, 2, 3], [4, 5, 6]])

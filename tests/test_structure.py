@@ -18,6 +18,10 @@ dimension in ``qlinalg`` is computed by calling it.
 ``cobar.Cooperad`` owns its cocomposition and action: only its own
 methods read the operad it is the dual of, so the cobar complex cannot
 grow a second cocomposition beside ``Cooperad.cocompose``.
+
+Operad structure constants are ``int`` when integral: no
+``compose_basis`` or ``act_basis`` in ``operads`` or ``cobar`` wraps a
+coefficient in ``Fraction``.
 """
 
 import ast
@@ -106,3 +110,18 @@ def test_only_the_cooperad_reads_its_operad():
                if isinstance(node, ast.Attribute) and node.attr == "operad"]
     assert any(id(node) in inside for node in readers)
     assert [node.lineno for node in readers if id(node) not in inside] == []
+
+
+def test_structure_constants_are_not_wrapped_in_fraction():
+    package = Path(operadkit.__file__).parent
+    bodies, offenders = [], []
+    for name in ("operads.py", "cobar.py"):
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in ("compose_basis", "act_basis")):
+                bodies.append(f"{name}:{node.lineno}")
+                offenders += [f"{name}:{sub.lineno}" for sub in ast.walk(node)
+                              if isinstance(sub, ast.Call)
+                              and isinstance(sub.func, ast.Name)
+                              and sub.func.id == "Fraction"]
+    assert bodies and offenders == [], offenders
