@@ -93,15 +93,11 @@ def _cached_betti(text: str | None, name: str, arity: int) -> dict | None:
 def _operad_by_name(name: str, max_arity: int):
     from .operads import comm_operad, assoc_operad, lie_operad
     from .cobar import liec_cooperad, cobar_operad
-    if name == "comm":
-        return comm_operad(max_arity)
-    if name == "assoc":
-        return assoc_operad(max_arity)
-    if name == "lie":
-        return lie_operad(max_arity)
-    if name == "cobar-liec":
-        return cobar_operad(liec_cooperad(max_arity), max_arity)
-    raise click.UsageError(f"unknown operad {name!r}")
+    table = {"comm": comm_operad, "assoc": assoc_operad, "lie": lie_operad,
+             "cobar-liec": lambda n: cobar_operad(liec_cooperad(n), n)}
+    if name not in table:
+        raise click.UsageError(f"unknown operad {name!r}")
+    return table[name](max_arity)
 
 
 def _cooperad_by_name(name: str, max_arity: int):
@@ -394,16 +390,21 @@ def dual_e1(g, n, fmt):
         sys.exit(1)
 
 
+def _map_family(path):
+    from .hoalg import map_family_from_json
+    try:
+        return map_family_from_json(Path(path).read_text())
+    except ValueError as ex:
+        raise click.UsageError(str(ex))
+
+
 @main.command("check-ainf")
 @click.argument("family_file", type=click.Path(exists=True))
 @click.option("--max-arity", type=int, default=None)
 def check_ainf_cmd(family_file, max_arity):
     """Check the homotopy-associativity relations of a map family."""
-    from .hoalg import map_family_from_json, check_ainf, HoalgError
-    try:
-        fam = map_family_from_json(Path(family_file).read_text())
-    except (HoalgError, json.JSONDecodeError, ValueError) as ex:
-        raise click.UsageError(str(ex))
+    from .hoalg import check_ainf
+    fam = _map_family(family_file)
     residuals = check_ainf(fam, max_arity)
     if not residuals:
         click.echo("all relations hold")
@@ -419,11 +420,8 @@ def check_ainf_cmd(family_file, max_arity):
 @click.option("--max-arity", type=int, default=None)
 def check_cinf_cmd(family_file, max_arity):
     """Check homotopy associativity plus shuffle vanishing."""
-    from .hoalg import map_family_from_json, check_cinf, HoalgError
-    try:
-        fam = map_family_from_json(Path(family_file).read_text())
-    except (HoalgError, json.JSONDecodeError, ValueError) as ex:
-        raise click.UsageError(str(ex))
+    from .hoalg import check_cinf
+    fam = _map_family(family_file)
     report = check_cinf(fam, max_arity)
     if report.ok:
         click.echo("all relations and shuffle vanishing hold")
@@ -434,20 +432,28 @@ def check_cinf_cmd(family_file, max_arity):
 
 
 def _filtered_fixture(fixture, fixture_file, max_arity):
-    from .filtration import (filtered_operad_from_json, degree_filtration,
-                             moduli_chain_standin, FiltrationError)
+    """The filtered operad to page; one read from a file may hold no
+    arity above max_arity and must pass ``FilteredOperad.validate``."""
+    from .filtration import (FiltrationError, filtered_operad_from_json,
+                             degree_filtration, moduli_chain_standin)
     if fixture_file is not None:
         try:
-            return filtered_operad_from_json(Path(fixture_file).read_text())
-        except (FiltrationError, ValueError) as ex:
+            F = filtered_operad_from_json(Path(fixture_file).read_text())
+            top = max(F.arities(), default=0)
+            if top > max_arity:
+                raise FiltrationError(f"the document has an arity-{top} "
+                                      f"component, above --max-arity "
+                                      f"{max_arity}")
+            F.validate()
+        except ValueError as ex:
             raise click.UsageError(str(ex))
+        return F
     if fixture == "end":
-        from fractions import Fraction
-        from .operads import GradedSpace, endomorphism_operad
+        from .operads import GradedSpace, EndOperad
         from .qlinalg import SparseMatrix
         V = GradedSpace(("e0", "e1"), (0, 1))
-        q = SparseMatrix.from_dict(2, 2, {(0, 1): Fraction(1)})
-        return degree_filtration(endomorphism_operad(V, max_arity, q=q))
+        q = SparseMatrix.from_dict(2, 2, {(0, 1): 1})
+        return degree_filtration(EndOperad(V, max_arity, q=q))
     if fixture == "standin":
         return moduli_chain_standin(max_arity)
     raise click.UsageError(f"unknown fixture {fixture!r}")
@@ -505,6 +511,10 @@ def dk(r, k, fixture, fixture_file, max_arity, fmt):
         click.echo("closure certificate: "
                    + ("ok" if slices.certificate else "FAILED"))
     if not slices.certificate:
+        for kind, n, m, i, pq, pq2 in slices.witnesses[:10]:
+            click.echo(f"{kind} of bigrade {pq} o_{i} {pq2} at arities "
+                       f"({n},{m}) leaves its target span", err=True)
+        click.echo(f"{len(slices.witnesses)} closure failures", err=True)
         sys.exit(1)
 
 
@@ -530,9 +540,9 @@ def pipeline_cinf(max_arity, dim):
     click.echo(f"filtration predicate: {'ok' if report.filtration_ok else 'FAILED'}")
     click.echo(f"operad morphism:      {'ok' if report.morphism_ok else 'FAILED'}")
     click.echo(f"induced operations at arities: {sorted(result.family.maps)}")
-    click.echo(f"relation residuals:   {len(result.ainf_residuals)}")
-    click.echo(f"shuffle violations:   "
-               f"{len(result.cinf_report.shuffle_violations)}")
+    cinf = result.cinf_report
+    click.echo(f"relation residuals:   {len(cinf.ainf_residuals)}")
+    click.echo(f"shuffle violations:   {len(cinf.shuffle_violations)}")
     if not result.ok:
         sys.exit(1)
     click.echo("pipeline verified")

@@ -10,7 +10,8 @@ page at bigrade (p, q) is
   Z^r_{p,q} = {x in F_p, deg p+q : dx in F_{p-r}},
 
 computed by exact linear algebra on the flags.  The slices with
-(r-1)p + rq = k(n-1) close under composition and form suboperads.
+(r-1)p + rq = k(n-1) should close under composition and form
+suboperads; the page's closure certificate, run on a slice, checks it.
 
 The pipeline at the end feeds a filtered algebra over the decorated-tree
 operad of the Lie cooperad through the q = 0 slice of the first page,
@@ -20,14 +21,15 @@ the homotopy-commutative relations on the result.
 
 from __future__ import annotations
 
-import itertools
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .qlinalg import (SparseMatrix, ChainComplex, add_scaled, addmul,
+from .qlinalg import (SparseMatrix, ChainComplex, add_scaled,
                       as_exact, nullspace, rref, span_rank)
 from .operads import (GradedOperad, GradedSpace, Vector,
-                      adjacent_transpositions)
+                      adjacent_transpositions, end_compose, operad_from_doc,
+                      operad_to_json, perm_inverse, read_document)
 from .hoalg import MapFamily, check_cinf, extract_mn, CinfReport
 
 
@@ -48,9 +50,6 @@ class FilteredOperad:
     def arities(self):
         return self.base.arities()
 
-    def level(self, n: int, a: int) -> int:
-        return self.levels[n][a]
-
     def level_range(self, n: int) -> tuple[int, int]:
         lv = self.levels[n]
         return min(lv), max(lv)
@@ -62,12 +61,18 @@ class FilteredOperad:
                 if self.levels[n][a] <= p
                 and (degree is None or sp.degrees[a] == degree)]
 
-    def validate(self, max_arity: int | None = None) -> None:
-        """Differential, composition and action compatibility with the
-        flags, checked exhaustively on basis elements."""
+    def composable(self, max_arity: int | None = None) -> list:
+        """The arity pairs (n, m) whose composite arity n + m - 1 is a
+        component, all three at most max_arity."""
         arities = [n for n in self.arities()
                    if max_arity is None or n <= max_arity]
-        for n in arities:
+        return [(n, m) for n in arities for m in arities
+                if n + m - 1 in arities]
+
+    def validate(self) -> None:
+        """Differential, composition and action compatibility with the
+        flags, checked exhaustively on basis elements."""
+        for n in self.arities():
             d = self.base.differentials.get(n)
             if d is not None:
                 for r, c, v in d.entries():
@@ -75,23 +80,18 @@ class FilteredOperad:
                         raise FiltrationError(
                             f"differential raises filtration at arity {n}: "
                             f"{c} -> {r}")
-        for n in arities:
-            for m in arities:
-                if n + m - 1 not in self.levels:
-                    continue
-                if max_arity is not None and n + m - 1 > max_arity:
-                    continue
-                for i in range(1, n + 1):
-                    for a in range(self.base.dim(n)):
-                        for b in range(self.base.dim(m)):
-                            out = self.base.compose_basis(n, i, m, a, b)
-                            bound = self.levels[n][a] + self.levels[m][b]
-                            for o, v in out.items():
-                                if v and self.levels[n + m - 1][o] > bound:
-                                    raise FiltrationError(
-                                        "composition raises filtration at "
-                                        f"arities ({n},{m}) slot {i}")
-        for n in arities:
+        for n, m in self.composable():
+            for i in range(1, n + 1):
+                for a in range(self.base.dim(n)):
+                    for b in range(self.base.dim(m)):
+                        out = self.base.compose_basis(n, i, m, a, b)
+                        bound = self.levels[n][a] + self.levels[m][b]
+                        for o, v in out.items():
+                            if v and self.levels[n + m - 1][o] > bound:
+                                raise FiltrationError(
+                                    "composition raises filtration at "
+                                    f"arities ({n},{m}) slot {i}")
+        for n in self.arities():
             for sigma in adjacent_transpositions(n):
                 for a in range(self.base.dim(n)):
                     for o, v in self.base.act_basis(n, sigma, a).items():
@@ -230,13 +230,12 @@ def _in_span(echelon: dict, vec: dict) -> bool:
 
 
 def er_closure_certificate(term: ErTerm, max_arity: int) -> tuple[bool, list]:
-    """Verify the numerators compose into numerators and denominators
-    absorb into denominators, the exactness content of the page being an
-    operad.  Each target span is put in echelon form once.  Returns
-    (ok, witnesses)."""
+    """Verify the numerators compose into numerators and a denominator
+    on either side of a composite absorbs it into the denominators, the
+    exactness content of the page being an operad.  Each target span is
+    put in echelon form once.  Returns (ok, witnesses)."""
     F = term.filtered
     witnesses = []
-    arities = [n for n in F.arities() if n <= max_arity]
     spans = {}  # (arity, p, q) -> echelon forms of (z + b, b)
 
     def target_spans(arity, p, q):
@@ -248,34 +247,29 @@ def er_closure_certificate(term: ErTerm, max_arity: int) -> tuple[bool, list]:
             spans[key] = (_echelon(z + b, dim), _echelon(b, dim))
         return spans[key]
 
-    for n in arities:
-        for m in arities:
-            if n + m - 1 > max_arity or n + m - 1 not in term.pieces:
-                continue
-            for (p, q), piece in term.pieces[n].items():
-                for (pp, qq), piece2 in term.pieces[m].items():
-                    tgt_zb, tgt_b = target_spans(n + m - 1, p + pp, q + qq)
-                    for i in range(1, n + 1):
-                        for x in piece.z_basis:
-                            for y in piece2.z_basis:
-                                out = F.base.compose(n, i, m, x, y)
-                                if not _in_span(tgt_zb, out):
-                                    witnesses.append(
-                                        ("numerator", n, m, i, (p, q), (pp, qq)))
-                        for x in piece.b_basis:
-                            for y in piece2.z_basis + piece2.b_basis:
-                                out = F.base.compose(n, i, m, x, y)
-                                if not _in_span(tgt_b, out):
-                                    witnesses.append(
-                                        ("denominator", n, m, i, (p, q), (pp, qq)))
+    for n, m in F.composable(max_arity):
+        for (p, q), piece in term.pieces[n].items():
+            for (pp, qq), piece2 in term.pieces[m].items():
+                tgt_zb, tgt_b = target_spans(n + m - 1, p + pp, q + qq)
+                for i in range(1, n + 1):
+                    for x in piece.z_basis:
+                        for y in piece2.z_basis:
+                            out = F.base.compose(n, i, m, x, y)
+                            if not _in_span(tgt_zb, out):
+                                witnesses.append(
+                                    ("numerator", n, m, i, (p, q), (pp, qq)))
+                        for y in piece2.b_basis:
+                            out = F.base.compose(n, i, m, x, y)
+                            if not _in_span(tgt_b, out):
+                                witnesses.append(
+                                    ("denominator", n, m, i, (p, q), (pp, qq)))
+                    for x in piece.b_basis:
+                        for y in piece2.z_basis + piece2.b_basis:
+                            out = F.base.compose(n, i, m, x, y)
+                            if not _in_span(tgt_b, out):
+                                witnesses.append(
+                                    ("denominator", n, m, i, (p, q), (pp, qq)))
     return (not witnesses, witnesses)
-
-
-def dk_index_identity(r: int, k: int, p: int, q: int, pp: int, qq: int,
-                      n: int, m: int) -> bool:
-    """(r-1)p + rq = k(n-1) is additive under composition."""
-    lhs = (r - 1) * (p + pp) + r * (q + qq)
-    return lhs == k * ((n + m - 1) - 1)
 
 
 @dataclass
@@ -283,32 +277,31 @@ class DkSlices:
     r: int
     k: int
     slices: dict  # n -> {(p, q): dim}
-    certificate: bool
+    witnesses: list  # er_closure_certificate witnesses on the slices
+
+    @property
+    def certificate(self) -> bool:
+        return not self.witnesses
 
 
 def suboperad_dk(term: ErTerm, k: int) -> DkSlices:
     """The bigraded slices with (r-1)p + rq = k(arity - 1), with the
-    closure certificate that composition preserves the condition."""
+    closure certificate of ``er_closure_certificate`` run on the slices'
+    pieces alone: compositions of slice elements must land in the slice
+    spans."""
     r = term.r
-    slices = {}
-    for n, pieces in term.pieces.items():
-        sel = {(p, q): piece.dim for (p, q), piece in pieces.items()
-               if (r - 1) * p + r * q == k * (n - 1) and piece.dim}
-        slices[n] = sel
-    cert = True
-    for n, sel in slices.items():
-        for m, sel2 in slices.items():
-            for (p, q) in sel:
-                for (pp, qq) in sel2:
-                    if not dk_index_identity(r, k, p, q, pp, qq, n, m):
-                        cert = False
-    return DkSlices(r, k, slices, cert)
+    pieces = {n: {(p, q): piece for (p, q), piece in by_pq.items()
+                  if (r - 1) * p + r * q == k * (n - 1)}
+              for n, by_pq in term.pieces.items()}
+    _, witnesses = er_closure_certificate(
+        ErTerm(r, term.filtered, pieces), max(pieces, default=0))
+    slices = {n: {pq: piece.dim for pq, piece in sel.items()}
+              for n, sel in pieces.items()}
+    return DkSlices(r, k, slices, witnesses)
 
 
 def filtered_operad_to_json(F: FilteredOperad, max_arity: int) -> str:
     """Operad JSON document extended with a filtration_level table."""
-    import json
-    from .operads import operad_to_json
     doc = json.loads(operad_to_json(F.base, max_arity))
     doc["filtration_level"] = {str(n): list(F.levels[n])
                                for n in F.arities() if n <= max_arity}
@@ -316,23 +309,22 @@ def filtered_operad_to_json(F: FilteredOperad, max_arity: int) -> str:
 
 
 def filtered_operad_from_json(text: str) -> FilteredOperad:
-    import json
-    from .operads import operad_from_json
-    doc = json.loads(text)
-    base = operad_from_json(text)
-    raw = doc.get("filtration_level")
-    if raw is None:
-        raise FiltrationError("document lacks a filtration_level table")
-    levels = {int(n): tuple(lv) for n, lv in raw.items()}
-    return FilteredOperad(base, levels)
+    def parse(doc):
+        raw = doc.get("filtration_level")
+        if raw is None:
+            raise FiltrationError("document lacks a filtration_level table")
+        levels = {int(n): tuple(lv) for n, lv in raw.items()}
+        if not all(type(x) is int for lv in levels.values() for x in lv):
+            raise FiltrationError("filtration levels must be integers")
+        return FilteredOperad(operad_from_doc(doc), levels)
+    return read_document(text, "operadkit-operad", FiltrationError, parse)
 
 
 def component_homology(O: GradedOperad, n: int) -> dict[int, int]:
     """Betti numbers of one operad component split by degree."""
     sp = O.space(n)
     d = O.differentials.get(n)
-    degrees = sorted(set(sp.degrees))
-    lo, hi = degrees[0], degrees[-1]
+    lo, hi = min(sp.degrees), max(sp.degrees)
     by_deg = {g: [a for a in range(sp.dim) if sp.degrees[a] == g]
               for g in range(lo, hi + 1)}
     spaces = [len(by_deg[g]) for g in range(lo, hi + 1)]
@@ -373,23 +365,6 @@ class FilteredAlgebraData:
         return self.mu.get((n, a), {})
 
 
-def _end_compose(f: dict, i: int, g: dict, degrees: tuple[int, ...]) -> dict:
-    """Partial composition of multilinear tensors with the sliding sign.
-
-    g is taken to be homogeneous: its degree is read off its first entry.
-    """
-    out: dict = {}
-    gdeg = next((degrees[j] - sum(degrees[x] for x in ins) for j, ins in g), 0)
-    for (j, ins), cf in f.items():
-        for (kk, bins), cg in g.items():
-            if ins[i - 1] != kk:
-                continue
-            slide = sum(degrees[t] for t in ins[: i - 1])
-            sign = -1 if (gdeg % 2 and slide % 2) else 1
-            addmul(out, (j, ins[: i - 1] + bins + ins[i:]), sign * cf * cg)
-    return out
-
-
 @dataclass
 class FilteredAlgebraReport:
     filtration_ok: bool
@@ -410,43 +385,35 @@ def check_filtered_algebra(F: FilteredOperad, A: FilteredAlgebraData,
     filtered by degree).  Morphism failures are reported separately.
     """
     witnesses = []
-    filtration_ok = True
     arities = [n for n in F.arities()
                if max_arity is None or n <= max_arity]
     for n in arities:
         sp = F.base.space(n)
         for a in range(sp.dim):
             if sp.degrees[a] > F.levels[n][a] and A.tensor(n, a):
-                filtration_ok = False
                 witnesses.append(("filtration", n, a, sp.degrees[a],
                                   F.levels[n][a]))
-    morphism_ok = True
+    filtration_ok = not witnesses
     degrees = A.space.degrees
-    for n in arities:
-        for m in arities:
-            if n + m - 1 not in F.levels:
-                continue
-            if max_arity is not None and n + m - 1 > max_arity:
-                continue
-            for i in range(1, n + 1):
-                for a in range(F.base.dim(n)):
-                    fa = A.tensor(n, a)
-                    for b in range(F.base.dim(m)):
-                        lhs: dict = {}
-                        for o, c in F.base.compose_basis(n, i, m, a, b).items():
-                            add_scaled(lhs, A.tensor(n + m - 1, o), c)
-                        rhs = _end_compose(fa, i, A.tensor(m, b), degrees)
-                        if lhs != rhs:
-                            morphism_ok = False
-                            witnesses.append(("morphism", n, i, m, a, b))
+    for n, m in F.composable(max_arity):
+        for i in range(1, n + 1):
+            for a in range(F.base.dim(n)):
+                fa = A.tensor(n, a)
+                for b in range(F.base.dim(m)):
+                    lhs: dict = {}
+                    for o, c in F.base.compose_basis(n, i, m, a, b).items():
+                        add_scaled(lhs, A.tensor(n + m - 1, o), c)
+                    rhs = end_compose(fa, i, A.tensor(m, b), degrees)
+                    if lhs != rhs:
+                        witnesses.append(("morphism", n, i, m, a, b))
     if 1 in F.levels:
         ident = {(j, (j,)): 1 for j in range(A.space.dim)}
         img: dict = {}
         for a, c in F.base.unit_vector.items():
             add_scaled(img, A.tensor(1, a), c)
         if img != ident:
-            morphism_ok = False
             witnesses.append(("unit",))
+    morphism_ok = all(w[0] == "filtration" for w in witnesses)
     return FilteredAlgebraReport(filtration_ok, morphism_ok, witnesses)
 
 
@@ -477,9 +444,10 @@ def commutative_toy_algebra(F: FilteredOperad,
     base = F.base
     if not isinstance(base, CobarOperad):
         raise FiltrationError("toy algebra expects the decorated-tree base")
+    ident = {(j, (j,)): 1 for j in range(space.dim)}
     mu: dict = {}
     if 1 in base.components:
-        mu[(1, 0)] = {(j, (j,)): 1 for j in range(space.dim)}
+        mu[(1, 0)] = ident
     for n in base.arities():
         if n == 1:
             continue
@@ -487,47 +455,34 @@ def commutative_toy_algebra(F: FilteredOperad,
             t, decor = base.basis_element(n, a)
             if any(m != 2 for m in t.vertex_arities()):
                 continue
-            mu[(n, a)] = _binary_tree_tensor(t, m2, space)
+            planar, leaves = _planar_product(t.shape, m2, ident, space.degrees)
+            order = perm_inverse(leaves)  # slots by leaf label
+            mu[(n, a)] = {(j, tuple(ins[p - 1] for p in order)): c
+                          for (j, ins), c in planar.items()}
     return FilteredAlgebraData(space, q, mu)
 
 
-def _binary_tree_tensor(t, m2: dict, space: GradedSpace) -> dict:
-    """Iterated product along a binary tree, as a multilinear tensor with
-    slots ordered by leaf label."""
-    out: dict = {}
-    for ins in itertools.product(range(space.dim), repeat=t.arity):
-        assign = dict(enumerate(ins, start=1))
-        for j, c in _eval_binary(t.shape, assign, m2).items():
-            out[(j, ins)] = c
-    return out
-
-
-def _eval_binary(shape, assign, m2) -> dict:
+def _planar_product(shape, m2: dict, ident: dict, degrees) -> tuple:
+    """The iterated product m2 along a binary tree shape, children in
+    their stored (min-leaf) order: its tensor, with slots in planar leaf
+    order, and those leaves."""
     if isinstance(shape, int):
-        return {assign[shape]: 1}
-    # children are stored in min-leaf order; product in that order
-    lvec = _eval_binary(shape[0], assign, m2)
-    rvec = _eval_binary(shape[1], assign, m2)
-    out: dict = {}
-    for x, cx in lvec.items():
-        for y, cy in rvec.items():
-            for (j, ins), c in m2.items():
-                if ins == (x, y):
-                    addmul(out, j, cx * cy * c)
-    return out
+        return ident, (shape,)
+    (left, ll), (right, rl) = (_planar_product(c, m2, ident, degrees)
+                               for c in shape)
+    return (end_compose(end_compose(m2, 2, right, degrees), 1, left, degrees),
+            ll + rl)
 
 
 @dataclass
 class PipelineResult:
     report: FilteredAlgebraReport
     family: MapFamily
-    ainf_residuals: list
     cinf_report: CinfReport
 
     @property
     def ok(self) -> bool:
-        return (self.report.ok and not self.ainf_residuals
-                and self.cinf_report.ok)
+        return self.report.ok and self.cinf_report.ok
 
 
 def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
@@ -549,7 +504,7 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
     if not report.filtration_ok:
         raise FiltrationError(
             f"mu violates the filtration: {report.witnesses[:3]}")
-    structure: dict = {}
+    maps = {}
     for n in range(2, max_arity + 1):
         words = base.cooperad.space(n).names
         per_word = {}
@@ -558,12 +513,8 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
             if t.internal_edges == 0:
                 word = tuple(int(ch) for ch in words[decor[0]])
                 per_word[word] = A.tensor(n, a)
-        structure[n] = per_word
-    maps = {}
-    for n in range(2, max_arity + 1):
-        tensor = extract_mn(structure, n)
+        tensor = extract_mn({n: per_word}, n)
         if tensor:
             maps[n] = tensor
     family = MapFamily(A.space, A.q, maps)
-    cinf = check_cinf(family, max_arity)
-    return PipelineResult(report, family, cinf.ainf_residuals, cinf)
+    return PipelineResult(report, family, check_cinf(family, max_arity))

@@ -48,6 +48,8 @@ class GradedSpace:
             raise ValueError("names and degrees must have equal length")
         if len(set(self.names)) != len(self.names):
             raise ValueError("basis names must be unique")
+        if not all(type(d) is int for d in self.degrees):
+            raise ValueError("degrees must be integers")
 
     @property
     def dim(self) -> int:
@@ -426,37 +428,78 @@ def lie_operad(max_arity: int) -> LieOperad:
 # ---------------------------------------------------------------------------
 # Endomorphism operads
 
+# A multilinear map V^n -> V on the basis of a graded V is a tensor
+# {(out, in_tuple): coeff}.  These routines hold the one convention for
+# composing such maps and for the differential on them.
+
+
+def check_differential(V: GradedSpace, q: SparseMatrix,
+                       error: type[ValueError]) -> None:
+    """Raise ``error`` unless q is a differential on V: square of size
+    dim V, of degree -1, squaring to zero."""
+    if q.rows != V.dim or q.cols != V.dim:
+        raise error("Q must be square of size dim V")
+    for r, c, _ in q.entries():
+        if V.degrees[r] != V.degrees[c] - 1:
+            raise error(f"Q entry ({r},{c}) violates degree -1")
+    if not q.matmul(q).is_zero():
+        raise error("Q squared is nonzero")
+
+
+def end_compose(f: dict, i: int, g: dict, degrees: tuple[int, ...]) -> dict:
+    """f o_i g: g fills input slot i of f.
+
+    Each entry of g slides past the inputs before slot i with the sign
+    (-1)^{|g|(|v_1| + .. + |v_{i-1}|)}, |g| that entry's degree.
+    """
+    out: dict = {}
+    for (k, bins), cg in g.items():
+        g_odd = (degrees[k] - sum(degrees[x] for x in bins)) % 2
+        for (j, ins), cf in f.items():
+            if ins[i - 1] != k:
+                continue
+            if g_odd and sum(degrees[x] for x in ins[: i - 1]) % 2:
+                cf = -cf
+            addmul(out, (j, ins[: i - 1] + bins + ins[i:]), cf * cg)
+    return out
+
+
+def end_differential(f: dict, q: SparseMatrix,
+                     degrees: tuple[int, ...]) -> dict:
+    """The Hom differential Q o f - (-1)^{|f|} sum_k f o_k Q, for a
+    differential q on V."""
+    qt = {(r, (c,)): v for r, c, v in q.entries()}
+    out = end_compose(qt, 1, f, degrees)
+    for (j, ins), c in f.items():
+        sign = 1 if (degrees[j] - sum(degrees[x] for x in ins)) % 2 else -1
+        for k in range(1, len(ins) + 1):
+            add_scaled(out, end_compose({(j, ins): c}, k, qt, degrees), sign)
+    return out
+
 
 class EndOperad(GradedOperad):
     """End_V(n) = Hom(V^n, V) for a small graded space V.
 
-    Basis elements are (output, input tuple) pairs; composition uses the
-    sign obtained by sliding the inner map past the earlier inputs, and
-    the action permutes inputs with Koszul signs.  When a differential Q
-    on V is supplied, each component carries the Hom-complex
-    differential.
+    Basis elements are (output, input tuple) pairs, composed by
+    ``end_compose``; the action permutes inputs with Koszul signs.  When
+    a differential Q on V is supplied, each component carries
+    ``end_differential``.  Components hold at most 20,000 basis elements.
     """
 
     def __init__(self, V: GradedSpace, max_arity: int,
-                 q: SparseMatrix | None = None, dim_cap: int = 20000):
+                 q: SparseMatrix | None = None):
         if V.dim > 4:
             raise OperadError("endomorphism operads are desk scale: dim V <= 4")
         self.V = V
         self.q = q
         if q is not None:
-            if q.rows != V.dim or q.cols != V.dim:
-                raise OperadError("differential shape mismatch")
-            for r, c, _ in q.entries():
-                if V.degrees[r] != V.degrees[c] - 1:
-                    raise OperadError("differential must have degree -1")
-            if not q.matmul(q).is_zero():
-                raise OperadError("Q squared is nonzero")
+            check_differential(V, q, OperadError)
         self._basis = {}
         self._bindex = {}
         components = {}
         d = V.dim
         for n in range(1, max_arity + 1):
-            if d ** (n + 1) > dim_cap:
+            if d ** (n + 1) > 20000:
                 raise OperadError(
                     f"End component at arity {n} exceeds dimension cap")
             basis = [(j, ins) for j in range(d)
@@ -473,23 +516,22 @@ class EndOperad(GradedOperad):
         unit = {self._bindex[1][(j, (j,))]: 1 for j in range(d)}
         diffs = {}
         if q is not None:
-            for n in components:
-                diffs[n] = self._hom_differential(n, components[n].degrees)
+            for n, basis in self._basis.items():
+                index = self._bindex[n]
+                diffs[n] = SparseMatrix(len(basis), len(basis), [
+                    (index[key], col, c) for col, b in enumerate(basis)
+                    for key, c in end_differential({b: 1}, q,
+                                                   V.degrees).items()])
         super().__init__(components, unit, diffs)
 
     def map_index(self, n: int, out: int, ins: tuple[int, ...]) -> int:
         return self._bindex[n][(out, ins)]
 
     def compose_basis(self, n, i, m, a, b):
-        j, ins = self._basis[n][a]
-        k, bins = self._basis[m][b]
-        if ins[i - 1] != k:
-            return {}
-        gdeg = self.degree(m, b)
-        slide = sum(self.V.degrees[t] for t in ins[: i - 1])
-        sign = -1 if (gdeg % 2 and slide % 2) else 1
-        new_ins = ins[: i - 1] + bins + ins[i:]
-        return {self._bindex[n + m - 1][(j, new_ins)]: sign}
+        index = self._bindex[n + m - 1]
+        return {index[key]: c for key, c in end_compose(
+            {self._basis[n][a]: 1}, i, {self._basis[m][b]: 1},
+            self.V.degrees).items()}
 
     def act_basis(self, n, sigma, a):
         j, ins = self._basis[n][a]
@@ -501,29 +543,6 @@ class EndOperad(GradedOperad):
         degs = tuple(self.V.degrees[x] for x in c)
         sign = koszul_sign(sigma, degs)
         return {self._bindex[n][(j, c)]: sign}
-
-    def _hom_differential(self, n: int, degrees: tuple[int, ...]) -> SparseMatrix:
-        dim = len(self._basis[n])
-        acc: dict[tuple[int, int], int | Fraction] = {}
-        for col, (j, ins) in enumerate(self._basis[n]):
-            fdeg = degrees[col]
-            for r, v in self.q.col(j).items():
-                addmul(acc, (self._bindex[n][(r, ins)], col), v)
-            lead = -1 if fdeg % 2 else 1
-            for k in range(n):
-                # cnew with Q e_cnew having a component on e_{ins[k]}
-                for cnew, v in self.q.row(ins[k]).items():
-                    new_ins = ins[:k] + (cnew,) + ins[k + 1:]
-                    slide = sum(self.V.degrees[x] for x in new_ins[:k])
-                    s = -lead * (-1 if slide % 2 else 1)
-                    addmul(acc, (self._bindex[n][(j, new_ins)], col), s * v)
-        return SparseMatrix.from_dict(dim, dim, acc)
-
-
-def endomorphism_operad(V: GradedSpace, max_arity: int,
-                        q: SparseMatrix | None = None,
-                        dim_cap: int = 20000) -> EndOperad:
-    return EndOperad(V, max_arity, q=q, dim_cap=dim_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -615,33 +634,87 @@ def operad_to_json(O: GradedOperad, max_arity: int) -> str:
     return json.dumps(doc, indent=1)
 
 
-def operad_from_json(text: str) -> TableOperad:
-    doc = json.loads(text)
-    if doc.get("format") != "operadkit-operad":
-        raise OperadError("not an operadkit operad document")
+def parse_coefficient(c) -> int | Fraction:
+    """A coefficient read from JSON: an int, or a string such as "-3/2"."""
+    if type(c) is int or isinstance(c, str):
+        return as_exact(Fraction(c))
+    raise ValueError(f"coefficient {c!r} is neither an int nor a string")
+
+
+def read_document(text: str, fmt: str, error: type[ValueError], parse):
+    """parse(doc) for the JSON object in text whose "format" is fmt.
+
+    Text that is not JSON, a document of another format, and one that
+    parse cannot read (a missing key, a value of the wrong type or out
+    of range) all raise ``error``.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as ex:
+        raise error(str(ex)) from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise error(f"not an {fmt} document")
+    try:
+        return parse(doc)
+    except error:
+        raise
+    except KeyError as ex:
+        raise error(f"{fmt} document lacks the key {ex}") from None
+    except (TypeError, ValueError, AttributeError) as ex:
+        raise error(f"malformed {fmt} document: {ex}") from None
+
+
+def operad_from_doc(doc: dict) -> TableOperad:
+    """The table operad of a parsed operad document; every table index
+    must lie in its component, every arity needs the action of each
+    adjacent transposition, and a missing table entry is zero."""
     components = {
         int(n): GradedSpace(tuple(sp["names"]), tuple(sp["degrees"]))
         for n, sp in doc["components"].items()}
-    unit = {int(k): as_exact(Fraction(v)) for k, v in doc["unit"].items()}
+    dims = {n: sp.dim for n, sp in components.items()}
+
+    def index(n, x):
+        if type(x) is not int or not 0 <= x < dims.get(n, 0):
+            raise OperadError(f"index {x!r} outside the arity-{n} component")
+        return x
+
+    unit = {index(1, int(k)): parse_coefficient(v)
+            for k, v in doc["unit"].items()}
     comp = {}
     for rec in doc["compositions"]:
+        n, i, m = rec["n"], rec["i"], rec["m"]
         tab = {}
         for a, b, out, c in rec["entries"]:
-            tab.setdefault((a, b), {})[out] = as_exact(Fraction(c))
-        comp[(rec["n"], rec["i"], rec["m"])] = tab
+            tab.setdefault((index(n, a), index(m, b)), {})[
+                index(n + m - 1, out)] = parse_coefficient(c)
+        comp[(n, i, m)] = tab
     act = {}
     for rec in doc["actions"]:
+        n = rec["n"]
+        if sorted(rec["sigma"]) != list(range(1, n + 1)):
+            raise OperadError(f"sigma {rec['sigma']!r} is not a permutation "
+                              f"of 1..{n}")
         tab = {}
         for a, out, c in rec["entries"]:
-            tab.setdefault(a, {})[out] = as_exact(Fraction(c))
-        act[(rec["n"], tuple(rec["sigma"]))] = tab
+            tab.setdefault(index(n, a), {})[index(n, out)] = \
+                parse_coefficient(c)
+        act[(n, tuple(rec["sigma"]))] = tab
+    for n in components:
+        for sigma in adjacent_transpositions(n):
+            if (n, sigma) not in act:
+                raise OperadError(f"no action table for {list(sigma)} "
+                                  f"at arity {n}")
     diffs = {}
     for n, entries in doc.get("differentials", {}).items():
-        n = int(n)
-        dim = components[n].dim
-        diffs[n] = SparseMatrix(
-            dim, dim, [(r, c, Fraction(v)) for r, c, v in entries])
+        size = dims[int(n)]
+        diffs[int(n)] = SparseMatrix(
+            size, size, [(r, c, parse_coefficient(v)) for r, c, v in entries])
     return TableOperad(components, unit, comp, act, diffs)
+
+
+def operad_from_json(text: str) -> TableOperad:
+    return read_document(text, "operadkit-operad", OperadError,
+                         operad_from_doc)
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_criterion_8_homotopy_checkers():
                         elif kk in leib:
                             del leib[kk]
 
-                add(fam.apply_q(fam.apply(2, (a, b))), Fraction(1))
+                add(fam.q.apply(fam.apply(2, (a, b))), Fraction(1))
                 for qa, v in [(r, val) for r, c, val in Q.entries() if c == a]:
                     add(fam.apply(2, (qa, b)), -v)
                 sgn = Fraction(-1 if V.degrees[a] % 2 else 1)

@@ -298,6 +298,126 @@ class TestFiltrationCommands:
         assert run(runner, "pipeline-cinf", "--max-arity", "9").exit_code == 2
 
 
+def _family_doc():
+    from operadkit.hoalg import map_family_to_json, truncated_polynomial_family
+    return json.loads(map_family_to_json(truncated_polynomial_family(3)))
+
+
+def _end_doc(max_arity=3):
+    """The degree-filtered End_V of V = <e0, e1>, Q e1 = e0."""
+    from operadkit.filtration import degree_filtration, filtered_operad_to_json
+    from operadkit.operads import EndOperad, GradedSpace
+    from operadkit.qlinalg import SparseMatrix
+    V = GradedSpace(("e0", "e1"), (0, 1))
+    q = SparseMatrix.from_dict(2, 2, {(0, 1): 1})
+    return json.loads(filtered_operad_to_json(
+        degree_filtration(EndOperad(V, max_arity, q=q)), max_arity))
+
+
+class TestMalformedInput:
+    """Bad documents exit 2 with a message, never with a traceback."""
+
+    @pytest.mark.parametrize("command", ["check-ainf", "check-cinf"])
+    @pytest.mark.parametrize("fault, message", [
+        ("coefficient", "coefficient [1] is neither an int nor a string"),
+        ("missing key", "lacks the key 'names'"),
+        ("ins not a list", "malformed operadkit-mapfamily document"),
+    ])
+    def test_family(self, runner, tmp_path, command, fault, message):
+        doc = _family_doc()
+        if fault == "coefficient":
+            doc["maps"]["2"][0][2] = [1]
+        elif fault == "missing key":
+            del doc["names"]
+        else:
+            doc["maps"]["2"][0][1] = 0
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        res = run(runner, command, str(path))
+        assert res.exit_code == 2
+        assert message in res.output
+
+    @pytest.mark.parametrize("command", ["er", "dk"])
+    @pytest.mark.parametrize("fault, message", [
+        ("coefficient", "coefficient [1] is neither an int nor a string"),
+        ("missing key", "lacks the key 'components'"),
+        ("level 99", "differential raises filtration at arity 2: 4 -> 0"),
+        ("output index", "index 1000000 outside the arity-3 component"),
+    ])
+    def test_filtered_operad(self, runner, tmp_path, command, fault, message):
+        doc = _end_doc()
+        if fault == "coefficient":
+            doc["compositions"][0]["entries"][0][3] = [1]
+        elif fault == "missing key":
+            del doc["components"]
+        elif fault == "level 99":
+            doc["filtration_level"]["2"][0] = 99
+        else:
+            rec = next(r for r in doc["compositions"]
+                       if (r["n"], r["m"]) == (2, 2))
+            rec["entries"][0][2] = 10 ** 6
+        path = tmp_path / "filtered.json"
+        path.write_text(json.dumps(doc))
+        args = ["--r", "1", "--file", str(path)]
+        if command == "dk":
+            args += ["--k", "0"]
+        res = run(runner, command, *args)
+        assert res.exit_code == 2
+        assert message in res.output
+
+    @pytest.mark.parametrize("command", ["er", "dk"])
+    def test_every_arity_of_the_document_is_checked(self, runner, tmp_path,
+                                                    command):
+        # a level fault at arity 4: refused at the default --max-arity 3,
+        # named by validate at --max-arity 4
+        doc = _end_doc(4)
+        row, col, _ = doc["differentials"]["4"][0]
+        doc["filtration_level"]["4"][row] = 99
+        path = tmp_path / "filtered.json"
+        path.write_text(json.dumps(doc))
+        args = ["--r", "1", "--file", str(path)]
+        if command == "dk":
+            args += ["--k", "0"]
+        res = run(runner, command, *args)
+        assert res.exit_code == 2
+        assert "arity-4 component, above --max-arity 3" in res.output
+        res = run(runner, command, *args, "--max-arity", "4")
+        assert res.exit_code == 2
+        assert (f"differential raises filtration at arity 4: {col} -> {row}"
+                in res.output)
+
+
+class TestDkCertificate:
+    def test_fault_injected_composition_fails_with_witness(self, runner,
+                                                           tmp_path):
+        # send one arity (2, 2) composite to a basis element of lower
+        # filtration level: the flags stay compatible, so the document
+        # validates and pages, but the composite leaves its bigrade
+        doc = _end_doc()
+        levels = doc["filtration_level"]["3"]
+        rec = next(r for r in doc["compositions"]
+                   if (r["n"], r["i"], r["m"]) == (2, 1, 2))
+        entry = next(e for e in rec["entries"] if levels[e[2]] == 1)
+        entry[2] = levels.index(0)
+        path = tmp_path / "faulty.json"
+        path.write_text(json.dumps(doc))
+        assert run(runner, "er", "--r", "1", "--file", str(path)).exit_code == 0
+        res = run(runner, "dk", "--r", "1", "--k", "0", "--file", str(path))
+        assert res.exit_code == 1
+        assert "closure certificate: FAILED" in res.stdout
+        assert res.stderr.splitlines() == [
+            "numerator of bigrade (1, 0) o_1 (0, 0) at arities (2,2) "
+            "leaves its target span",
+            "1 closure failures"]
+
+    def test_unaltered_document_passes(self, runner, tmp_path):
+        path = tmp_path / "end.json"
+        path.write_text(json.dumps(_end_doc()))
+        res = run(runner, "dk", "--r", "1", "--k", "0", "--file", str(path))
+        assert res.exit_code == 0
+        assert res.stdout.endswith("closure certificate: ok\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ("trees", "--n", "4", "--format", "json"),

@@ -10,6 +10,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operadkit.hoalg import (
     AinfResidual,
@@ -24,7 +25,7 @@ from operadkit.hoalg import (
     shuffle_defects,
     truncated_polynomial_family,
 )
-from operadkit.operads import GradedSpace
+from operadkit.operads import GradedSpace, end_compose, end_differential
 from operadkit.qlinalg import SparseMatrix
 
 
@@ -101,7 +102,7 @@ class TestArityTwoIsLeibniz:
                 elif k in out:
                     del out[k]
 
-        add(f.apply_q(f.apply(2, (a, b))), Fraction(1))
+        add(f.q.apply(f.apply(2, (a, b))), Fraction(1))
         for qa, v in [(r, val) for r, c, val in f.q.entries() if c == a]:
             add(f.apply(2, (qa, b)), -v)
         sign = Fraction(-1 if degs[a] % 2 else 1)
@@ -238,3 +239,141 @@ class TestExtractAndJson:
     def test_json_rejects_other_documents(self):
         with pytest.raises(HoalgError):
             map_family_from_json('{"format": "something"}')
+        with pytest.raises(HoalgError):
+            map_family_from_json("{not json")
+
+
+# ---------------------------------------------------------------------------
+# End_V tensor routines against a per-tuple reference
+
+
+def _at(tensor, ins):
+    """A multilinear map tensor evaluated on one basis tuple."""
+    return {out: c for (out, key), c in tensor.items() if key == ins}
+
+
+def _tensor_degree(tensor, degs):
+    (out, ins), _ = next(iter(tensor.items()))
+    return degs[out] - sum(degs[x] for x in ins)
+
+
+def reference_compose(f, n, i, g, m, degs):
+    """f o_i g on every basis tuple: g fills slot i of f, and the sign
+    is (-1)^{|g| (|v_1| + .. + |v_{i-1}|)}."""
+    out = {}
+    if not f or not g:
+        return out
+    gdeg = _tensor_degree(g, degs)
+    for ins in itertools.product(range(len(degs)), repeat=n + m - 1):
+        sign = (-1) ** (gdeg * sum(degs[x] for x in ins[: i - 1]))
+        for mid, cg in _at(g, ins[i - 1: i - 1 + m]).items():
+            outer = ins[: i - 1] + (mid,) + ins[i - 1 + m:]
+            for o, cf in _at(f, outer).items():
+                out[(o, ins)] = out.get((o, ins), 0) + sign * cf * cg
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_differential(f, n, q, degs):
+    """Q(f(v)) - (-1)^{|f|} sum_k (-1)^{|v_1|+..+|v_{k-1}|}
+    f(v_1, .., Q v_k, .., v_n) on every basis tuple."""
+    out = {}
+    if not f:
+        return out
+    fdeg = _tensor_degree(f, degs)
+    for ins in itertools.product(range(len(degs)), repeat=n):
+        for mid, c in _at(f, ins).items():
+            for r, v in q.col(mid).items():
+                out[(r, ins)] = out.get((r, ins), 0) + v * c
+        for k in range(n):
+            sign = -(-1) ** (fdeg + sum(degs[x] for x in ins[:k]))
+            for b, v in q.col(ins[k]).items():
+                moved = ins[:k] + (b,) + ins[k + 1:]
+                for o, c in _at(f, moved).items():
+                    out[(o, ins)] = out.get((o, ins), 0) + sign * v * c
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_ainf(f, N):
+    """The relation of the module docstring evaluated tuple by tuple:
+    [(n, inputs, {out: defect})] for every failing basis tuple."""
+    degs = f.space.degrees
+    lhs = {n: reference_differential(f.maps.get(n, {}), n, f.q, degs)
+           for n in range(2, N + 1)}
+    out = []
+    for n in range(2, N + 1):
+        total = dict(lhs[n])
+        for r in range(2, n):
+            s = n + 1 - r
+            for k in range(1, r + 1):
+                sign = (-1) ** (k * (s - 1) + s * n)
+                comp = reference_compose(f.maps.get(r, {}), r, k,
+                                         f.maps.get(s, {}), s, degs)
+                for key, c in comp.items():
+                    total[key] = total.get(key, 0) - sign * c
+        for ins in itertools.product(range(len(degs)), repeat=n):
+            defect = {o: c for o, c in _at(total, ins).items() if c}
+            if defect:
+                out.append((n, ins, defect))
+    return out
+
+
+coefficients = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                         st.integers(1, 3))
+
+
+@st.composite
+def graded_families(draw):
+    """A random graded V with a differential Q and homogeneous m2
+    (degree 0) and m3 (degree 1) with Fraction coefficients."""
+    dim = draw(st.integers(2, 3))
+    degs = tuple(draw(st.lists(st.integers(0, 2), min_size=dim,
+                               max_size=dim)))
+    space = GradedSpace(tuple(f"v{k}" for k in range(dim)), degs)
+
+    def entries(keys, max_size):
+        if not keys:
+            return {}
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True,
+                               max_size=max_size))
+        return {key: draw(coefficients) for key in chosen}
+
+    q_keys = [(r, c) for r in range(dim) for c in range(dim)
+              if degs[r] == degs[c] - 1]
+    q = SparseMatrix.from_dict(dim, dim, entries(q_keys, 3))
+    if not q.matmul(q).is_zero():
+        # keep the degree 1 -> 0 part, which squares to zero
+        q = SparseMatrix(dim, dim, [(r, c, v) for r, c, v in q.entries()
+                                    if degs[c] == 1])
+    maps = {}
+    for n in (2, 3):
+        keys = [(out, ins) for ins in itertools.product(range(dim), repeat=n)
+                for out in range(dim)
+                if degs[out] - sum(degs[x] for x in ins) == n - 2]
+        maps[n] = entries(keys, 6)
+    return MapFamily(space, q, maps)
+
+
+class TestTensorRoutinesAgreeWithReference:
+    @settings(max_examples=60, deadline=None)
+    @given(graded_families(), st.data())
+    def test_end_compose(self, f, data):
+        n, m = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+        i = data.draw(st.integers(1, n))
+        degs = f.space.degrees
+        assert end_compose(f.maps[n], i, f.maps[m], degs) == \
+            reference_compose(f.maps[n], n, i, f.maps[m], m, degs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_families())
+    def test_end_differential(self, f):
+        for n in (2, 3):
+            assert end_differential(f.maps[n], f.q, f.space.degrees) == \
+                reference_differential(f.maps[n], n, f.q, f.space.degrees)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graded_families())
+    def test_check_ainf(self, f):
+        got = [(r.n, r.inputs, r.defect) for r in check_ainf(f, 4)]
+        assert got == reference_ainf(f, 4)
+        for n, ins, defect in got[:5]:
+            assert ainf_defect(f, n, ins) == defect

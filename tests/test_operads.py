@@ -7,6 +7,7 @@ for the other two) and against an explicit symmetrization projector.
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -38,6 +39,7 @@ from operadkit.operads import (
     lie_operad,
     operad_from_json,
     operad_to_json,
+    parse_coefficient,
     perm_compose,
     perm_inverse,
     relabel_word,
@@ -393,9 +395,10 @@ class TestEndOperad:
             EndOperad(V, 2, q=q)
 
     def test_dimension_cap(self):
+        # 4^8 = 65,536 basis elements at arity 7, above the 20,000 cap
         V = GradedSpace(("a", "b", "c", "d"), (0, 0, 0, 0))
         with pytest.raises(OperadError):
-            EndOperad(V, 7, dim_cap=1000)
+            EndOperad(V, 7)
 
 
 class TestFreeAlgebraDims:
@@ -488,6 +491,43 @@ class TestJsonRoundTrip:
                   for a in range(back.dim(n)) for b in range(back.dim(m))
                   for c in back.compose_basis(n, i, m, a, b).values()]
         assert values and {type(c) for c in values} == {int}
+
+    def test_coefficient_is_an_int_or_a_string(self):
+        assert parse_coefficient(-3) == -3
+        assert parse_coefficient("-3/2") == Fraction(-3, 2)
+        assert type(parse_coefficient("4/2")) is int
+        for bad in ([1], 0.5, True, None, "x"):
+            with pytest.raises(ValueError):
+                parse_coefficient(bad)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("unit index", "index 5 outside the arity-1 component"),
+        ("action index", "index -1 outside the arity-2 component"),
+        ("coefficient", "coefficient [1] is neither an int nor a string"),
+        ("missing key", "lacks the key 'compositions'"),
+        ("no action tables", "no action table for [2, 1] at arity 2"),
+        ("sigma", "sigma [1, 1, 3] is not a permutation of 1..3"),
+    ])
+    def test_malformed_documents_raise_operad_error(self, fault, message):
+        doc = json.loads(operad_to_json(lie_operad(3), 3))
+        if fault == "unit index":
+            doc["unit"] = {"5": "1"}
+        elif fault == "action index":
+            next(r for r in doc["actions"] if r["n"] == 2)["entries"][0][0] = -1
+        elif fault == "coefficient":
+            doc["actions"][0]["entries"][0][2] = [1]
+        elif fault == "no action tables":
+            doc["actions"] = []
+        elif fault == "sigma":
+            next(r for r in doc["actions"] if r["n"] == 3)["sigma"] = [1, 1, 3]
+        else:
+            del doc["compositions"]
+        with pytest.raises(OperadError, match=re.escape(message)):
+            operad_from_json(json.dumps(doc))
+
+    def test_not_json_is_an_operad_error(self):
+        with pytest.raises(OperadError):
+            operad_from_json("{not json")
 
     def test_coefficients_stay_exact(self):
         O = lie_operad(3)

@@ -19,6 +19,12 @@ dimension in ``qlinalg`` is computed by calling it.
 methods read the operad it is the dual of, so the cobar complex cannot
 grow a second cocomposition beside ``Cooperad.cocompose``.
 
+End_V has one convention: ``operads.end_compose`` and
+``operads.end_differential`` hold the sliding sign and the Hom
+differential, so ``hoalg`` and ``filtration`` write no ``% 2`` sign of
+their own, and no second composition or differential routine is
+defined beside them.
+
 Operad structure constants are ``int`` when integral: no
 ``compose_basis`` or ``act_basis`` in ``operads`` or ``cobar`` wraps a
 coefficient in ``Fraction``.
@@ -125,3 +131,29 @@ def test_structure_constants_are_not_wrapped_in_fraction():
                               and isinstance(sub.func, ast.Name)
                               and sub.func.id == "Fraction"]
     assert bodies and offenders == [], offenders
+
+
+def test_end_v_signs_live_in_operads():
+    package = Path(operadkit.__file__).parent
+    parities = []
+    for name in ("hoalg.py", "filtration.py"):
+        parities += [f"{name}:{node.lineno}"
+                     for node in ast.walk(ast.parse((package / name).read_text()))
+                     if isinstance(node, ast.BinOp)
+                     and isinstance(node.op, ast.Mod)
+                     and isinstance(node.right, ast.Constant)
+                     and node.right.value == 2]
+    assert parities == []
+    defined = {node.name for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert {"end_compose", "end_differential"} <= defined
+    assert defined.isdisjoint(
+        {"_end_compose", "_inner_composite", "_hom_differential"})
+    # EndOperad composes and differentiates through the same two routines
+    tree = ast.parse((package / "operads.py").read_text())
+    end = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "EndOperad")
+    called = {node.func.id for node in ast.walk(end)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"end_compose", "end_differential"} <= called
