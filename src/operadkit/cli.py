@@ -91,10 +91,11 @@ def _cached_betti(text: str | None, name: str, arity: int) -> dict | None:
 
 
 def _operad_by_name(name: str, max_arity: int):
+    if name == "cobar-liec":
+        from .cobar import liec_cooperad, cobar_operad
+        return cobar_operad(liec_cooperad(max_arity), max_arity)
     from .operads import comm_operad, assoc_operad, lie_operad
-    from .cobar import liec_cooperad, cobar_operad
-    table = {"comm": comm_operad, "assoc": assoc_operad, "lie": lie_operad,
-             "cobar-liec": lambda n: cobar_operad(liec_cooperad(n), n)}
+    table = {"comm": comm_operad, "assoc": assoc_operad, "lie": lie_operad}
     if name not in table:
         raise click.UsageError(f"unknown operad {name!r}")
     return table[name](max_arity)
@@ -135,7 +136,9 @@ format_option = click.option(
 
 def _require_desk_scale(**bounds):
     """Validate parameter ranges before dispatch; everything here is
-    exact arithmetic, so the guards are what keeps runtimes sane."""
+    exact arithmetic, so the guards are what keeps runtimes sane.  Each
+    command runs its guards before it imports a library module, so that
+    a usage error costs no import."""
     for label, (value, lo, hi) in bounds.items():
         if not (lo <= value <= hi):
             raise click.UsageError(
@@ -155,8 +158,8 @@ def main():
 @format_option
 def trees(n, edges, count, fmt):
     """Enumerate leaf-labeled rooted trees."""
-    from .treegraph import enumerate_trees, enumerate_trees_all, encode_tree
     _require_desk_scale(n=(n, 2, 8))
+    from .treegraph import enumerate_trees, enumerate_trees_all, encode_tree
     if edges is None:
         groups = enumerate_trees_all(n)
         items = [t for e in sorted(groups) for t in groups[e]]
@@ -181,12 +184,12 @@ def trees(n, edges, count, fmt):
 @format_option
 def graphs(g, n, max_edges, count, fmt):
     """Enumerate stable graphs of genus g with n legs."""
-    from .treegraph import (enumerate_stable_graphs, automorphism_group,
-                            encode_graph, GraphError)
     _require_desk_scale(g=(g, 0, 2), n=(n, 0, 6))
     if 3 * g - 3 + n > 3:
         raise click.UsageError(
             "graph censuses are desk scale: need 3g - 3 + n <= 3")
+    from .treegraph import (enumerate_stable_graphs, automorphism_group,
+                            encode_graph, GraphError)
     if max_edges is None:
         max_edges = 3 * g - 3 + n
     try:
@@ -215,9 +218,9 @@ def graphs(g, n, max_edges, count, fmt):
 @click.option("--max-arity", type=int, default=4, show_default=True)
 def axioms(name, max_arity):
     """Verify the operad axioms; exit 1 on any violation."""
-    from .operads import check_axioms
     _require_desk_scale(**{"max-arity": (max_arity, 1,
                                          4 if name == "cobar-liec" else 6)})
+    from .operads import check_axioms
     O = _operad_by_name(name, max_arity)
     report = check_axioms(O, max_arity)
     click.echo(f"checked {report.checked} instances up to arity {max_arity}")
@@ -237,8 +240,8 @@ def axioms(name, max_arity):
 @click.option("--max-arity", type=int, default=6, show_default=True)
 def free_dims(name, d, max_arity):
     """Multilinear-part dimensions of the free algebra on d generators."""
-    from .operads import free_algebra_dims
     _require_desk_scale(d=(d, 0, 6), **{"max-arity": (max_arity, 1, 8)})
+    from .operads import free_algebra_dims
     O = _operad_by_name(name, max_arity)
     dims = free_algebra_dims(O, d, max_arity)
     click.echo(",".join(str(x) for x in dims))
@@ -251,8 +254,8 @@ def free_dims(name, d, max_arity):
 @format_option
 def cobar(name, arity, fmt):
     """Dimensions of the cobar complex by internal edge count."""
-    from .cobar import cobar_dims, CobarError
     _require_desk_scale(arity=(arity, 2, 7 if name != "asc" else 5))
+    from .cobar import cobar_dims, CobarError
     try:
         C = _cooperad_by_name(name, arity)
         dims = cobar_dims(C, arity)
@@ -275,7 +278,6 @@ def cobar(name, arity, fmt):
 @format_option
 def cobar_homology_cmd(name, arity, no_cache, fmt):
     """Betti numbers of the cobar complex (cached)."""
-    from .cobar import cobar_homology, CobarError
     _require_desk_scale(arity=(arity, 2, 6 if name != "asc" else 5))
     params = {"cooperad": name, "arity": arity}
     path, cached = (None, None)
@@ -283,6 +285,7 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
         path, cached = _cache_lookup("cobar-homology", params)
     payload = _cached_betti(cached, name, arity)
     if payload is None:
+        from .cobar import cobar_homology, CobarError
         try:
             C = _cooperad_by_name(name, arity)
             betti = cobar_homology(C, arity)
@@ -314,10 +317,10 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
 @format_option
 def e1(g, n, betti_path, aut_mode, fmt):
     """First-page dimension table of the stratification sequence."""
-    from .strata import e1_table, StrataError
     _require_desk_scale(g=(g, 0, 2), n=(n, 1, 8))
     if 3 * g - 3 + n > 5:
         raise click.UsageError("need 3g - 3 + n <= 5 at genus >= 1")
+    from .strata import e1_table, StrataError
     try:
         table = e1_table(g, n, _load_betti(betti_path), aut_mode=aut_mode)
     except StrataError as ex:
@@ -330,8 +333,8 @@ def e1(g, n, betti_path, aut_mode, fmt):
 @format_option
 def betti_predict(n, fmt):
     """Predicted even Betti numbers of the genus-0 compactification."""
-    from .strata import predict_compactified_betti, StrataError
     _require_desk_scale(n=(n, 3, 8))
+    from .strata import predict_compactified_betti, StrataError
     try:
         pred = predict_compactified_betti(n)
     except StrataError as ex:
@@ -349,8 +352,8 @@ def betti_predict(n, fmt):
 def middle_row_cmd(arity, fmt):
     """Compare the q=0 strata row with the cobar dimensions; exit 1 on
     mismatch."""
-    from .strata import middle_row, StrataError
     _require_desk_scale(arity=(arity, 2, 7))
+    from .strata import middle_row, StrataError
     try:
         rep = middle_row(arity)
     except StrataError as ex:
@@ -378,8 +381,8 @@ def middle_row_cmd(arity, fmt):
 def dual_e1(g, n, fmt):
     """Dual (logarithmic) first page; exit 1 if the column Euler check
     against the open Betti numbers fails."""
-    from .strata import dual_e1_table, dual_euler_check, StrataError
     _require_desk_scale(g=(g, 0, 0), n=(n, 3, 8))
+    from .strata import dual_e1_table, dual_euler_check, StrataError
     try:
         table = dual_e1_table(g, n)
     except StrataError as ex:
@@ -469,8 +472,8 @@ def _filtered_fixture(fixture, fixture_file, max_arity):
 @format_option
 def er(r, fixture, fixture_file, max_arity, fmt):
     """Dimensions of a spectral-sequence page per arity and bigrade."""
-    from .filtration import er_term
     _require_desk_scale(r=(r, 0, 20), **{"max-arity": (max_arity, 1, 4)})
+    from .filtration import er_term
     F = _filtered_fixture(fixture, fixture_file, max_arity)
     term = er_term(F, r)
     data = {n: {f"{p},{q}": d for (p, q), d in sorted(term.dims(n).items())}
@@ -494,9 +497,9 @@ def er(r, fixture, fixture_file, max_arity, fmt):
 @format_option
 def dk(r, k, fixture, fixture_file, max_arity, fmt):
     """Bigraded suboperad slice of a page, with closure certificate."""
-    from .filtration import er_term, suboperad_dk
     _require_desk_scale(r=(r, 0, 20), k=(k, -20, 20),
                         **{"max-arity": (max_arity, 1, 4)})
+    from .filtration import er_term, suboperad_dk
     F = _filtered_fixture(fixture, fixture_file, max_arity)
     slices = suboperad_dk(er_term(F, r), k)
     data = {n: {f"{p},{q}": d for (p, q), d in sorted(sel.items())}
@@ -525,11 +528,11 @@ def dk(r, k, fixture, fixture_file, max_arity, fmt):
 def pipeline_cinf(max_arity, dim):
     """End-to-end: stand-in operad, commutative toy algebra, induced
     operations, homotopy checks.  Exit 1 if any verification fails."""
+    _require_desk_scale(dim=(dim, 1, 4),
+                        **{"max-arity": (max_arity, 2, 6)})
     from .hoalg import truncated_polynomial_family
     from .filtration import (moduli_chain_standin, commutative_toy_algebra,
                              induce_cinf)
-    _require_desk_scale(dim=(dim, 1, 4),
-                        **{"max-arity": (max_arity, 2, 6)})
     F = moduli_chain_standin(max_arity)
     poly = truncated_polynomial_family(dim)
     A = commutative_toy_algebra(F, poly.space, poly.q, poly.maps[2])

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .qlinalg import SparseMatrix, ChainComplex, addmul, as_exact, span_rank
 from .operads import (GradedOperad, GradedSpace, Vector, koszul_sign,
-                      perm_inverse)
+                      perm_inverse, shuffles)
 from .treegraph import (encode_tree, enumerate_trees, graft, relabel_tree,
                         vertex_expansions)
 
@@ -130,18 +130,6 @@ def commc_cooperad(max_arity: int) -> Cooperad:
 
 # ---------------------------------------------------------------------------
 # Shuffles and the quotient model of the Lie cooperad
-
-
-def shuffles(p: int, q: int):
-    """(p, q)-shuffles as permutations of 1..p+q in one-line notation."""
-    for positions in itertools.combinations(range(p + q), p):
-        out = [0] * (p + q)
-        rest = [k for k in range(p + q) if k not in positions]
-        for j, pos in enumerate(positions):
-            out[pos] = j + 1
-        for j, pos in enumerate(rest):
-            out[pos] = p + 1 + j
-        yield tuple(out)
 
 
 def shuffle_sum(u: tuple[int, ...], v: tuple[int, ...],

@@ -25,8 +25,7 @@ from .qlinalg import (SparseMatrix, add_scaled, addmul, as_exact,
                       format_vector)
 from .operads import (GradedSpace, check_differential, end_compose,
                       end_differential, koszul_sign, parse_coefficient,
-                      perm_inverse, read_document)
-from .cobar import shuffles
+                      perm_inverse, read_document, shuffles)
 
 
 class HoalgError(ValueError):

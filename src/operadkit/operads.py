@@ -2,8 +2,9 @@
 
 Ships the word operads Comm, Assoc and Lie (the latter in the
 left-normed Lyndon-word basis), endomorphism operads of small graded
-spaces, table-backed operads for fixtures, the axiom verifier and
-free-algebra dimension counts.
+spaces, table-backed operads for fixtures and free-algebra dimension
+counts.  The axiom verifier lives in ``axioms`` and is exported from
+here too, loaded on first use.
 
 Structure constants are exact rationals stored as in ``qlinalg``: an
 ``int`` when integral, a ``Fraction`` otherwise (``as_exact`` is the
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .qlinalg import SparseMatrix, add_scaled, addmul, as_exact, format_vector
+from .qlinalg import SparseMatrix, add_scaled, addmul, as_exact
 
 Vector = dict  # basis index -> int | Fraction (int when integral)
 
@@ -117,6 +118,18 @@ def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
         p[t - 1], p[t] = p[t], p[t - 1]
         out.append(tuple(p))
     return out
+
+
+def shuffles(p: int, q: int):
+    """(p, q)-shuffles as permutations of 1..p+q in one-line notation."""
+    for positions in itertools.combinations(range(p + q), p):
+        out = [0] * (p + q)
+        rest = [k for k in range(p + q) if k not in positions]
+        for j, pos in enumerate(positions):
+            out[pos] = j + 1
+        for j, pos in enumerate(rest):
+            out[pos] = p + 1 + j
+        yield tuple(out)
 
 
 def koszul_sign(perm: tuple[int, ...], degrees: tuple[int, ...]) -> int:
@@ -236,14 +249,6 @@ class GradedOperad:
             add_scaled(acc, self.act_basis(n, sigma, a), ca)
         return acc
 
-    def action_matrix(self, n: int, sigma: tuple[int, ...]) -> SparseMatrix:
-        dim = self.dim(n)
-        entries = []
-        for a in range(dim):
-            for out, c in self.act_basis(n, sigma, a).items():
-                entries.append((out, a, c))
-        return SparseMatrix(dim, dim, entries)
-
     def action_trace(self, n: int, sigma: tuple[int, ...]) -> Fraction:
         total = Fraction(0)
         for a in range(self.dim(n)):
@@ -289,20 +294,6 @@ def lie_expand(w: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
         addmul(acc, word + (last,), c)
         addmul(acc, (last,) + word, -c)
     return tuple(sorted(acc.items()))
-
-
-def rho_coeff(u: tuple[int, ...], w: tuple[int, ...]) -> int:
-    """Coefficient of the word u in the expansion of the left-normed
-    bracket of w (both multilinear of the same length)."""
-    if len(w) == 1:
-        return 1 if u == w else 0
-    last = w[-1]
-    total = 0
-    if u[-1] == last:
-        total += rho_coeff(u[:-1], w[:-1])
-    if u[0] == last:
-        total -= rho_coeff(u[1:], w[:-1])
-    return total
 
 
 def multilinear_words(n: int) -> list[tuple[int, ...]]:
@@ -406,10 +397,26 @@ class LieOperad(GradedOperad):
                 if sigma[w[0] - 1] == 1}
 
     def action_trace(self, n, sigma):
-        inv = perm_inverse(sigma)
+        # The diagonal entry at w is the coefficient of u = w.sigma^-1 in
+        # rho(w).  It is nonzero iff w's letters, read from the last, can
+        # each be peeled off an end of what is left of u; then it is -1
+        # to the number peeled from the left.  Letters are distinct, so
+        # at most one end matches, and u[p] equals a letter x exactly
+        # when w[p] = sigma(x).
         total = 0
         for w in self._words[n]:
-            total += rho_coeff(relabel_word(w, inv), w)
+            lo, hi, sign = 0, n - 1, 1
+            for p in range(n - 1, 0, -1):
+                x = sigma[w[p] - 1]
+                if w[hi] == x:
+                    hi -= 1
+                elif w[lo] == x:
+                    lo += 1
+                    sign = -sign
+                else:
+                    break
+            else:
+                total += sign
         return Fraction(total)
 
 
@@ -718,138 +725,17 @@ def operad_from_json(text: str) -> TableOperad:
 
 
 # ---------------------------------------------------------------------------
-# Axiom verification
+# Axiom verification, in ``axioms``
 
 
-@dataclass
-class AxiomViolation:
-    axiom: str
-    arities: tuple
-    witness: tuple
-    lhs: dict
-    rhs: dict
-
-    def __str__(self):
-        lhs, rhs = (format_vector(x) if isinstance(x, dict) else str(x)
-                    for x in (self.lhs, self.rhs))
-        return (f"axiom {self.axiom} fails at arities {self.arities}, "
-                f"witness {self.witness}: {lhs} != {rhs}")
-
-
-@dataclass
-class AxiomReport:
-    max_arity: int
-    checked: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_axioms(O: GradedOperad, max_arity: int,
-                 max_violations: int = 100) -> AxiomReport:
-    """Exhaustively verify the operad axioms on basis elements.
-
-    Checks, for all arities whose composites stay within max_arity, the
-    two associativity axioms of partial composition, both equivariance
-    identities and the unit laws.  Violations are report entries, not
-    exceptions.
-
-    The associativity axioms are one walk.  For each f o_i f' (arities
-    n, n') the element f'' goes into every slot k = i..n+n'-1 of the
-    composite.  A slot k < i+n' lies in f' (axiom "2", nested):
-    (f o_i f') o_k f'' = f o_i (f' o_j f'') with j = k-i+1.  A later slot
-    came from slot j = k-n'+1 > i of f (axiom "1", disjoint):
-    (f o_i f') o_k f'' = (-1)^{|f'||f''|} (f o_j f'') o_i f'.
-    """
-    arities = [n for n in O.arities() if n <= max_arity]
-    dims = {n: O.dim(n) for n in arities}
-    one = 1
-    violations: list[AxiomViolation] = []
-    checked = 0
-
-    def check(axiom, ar, witness, lhs, rhs):
-        nonlocal checked
-        checked += 1
-        if lhs != rhs and len(violations) < max_violations:
-            violations.append(AxiomViolation(axiom, ar, witness, lhs, rhs))
-
-    # (1) disjoint and (2) nested slots, one walk per f o_i f'
-    for n, np in itertools.product(arities, arities):
-        npps = [p for p in arities if n + np + p - 2 <= max_arity]
-        if not npps:
-            continue
-        for i, a, b in itertools.product(range(1, n + 1), range(dims[n]),
-                                         range(dims[np])):
-            fb = O.compose_basis(n, i, np, a, b)
-            for npp, k in itertools.product(npps, range(i, n + np)):
-                for c in range(dims[npp]):
-                    lhs = O.compose(n + np - 1, k, npp, fb, {c: one})
-                    if k < i + np:
-                        axiom, j = "2", k - i + 1
-                        rhs = O.compose(n, i, np + npp - 1, {a: one},
-                                        O.compose_basis(np, j, npp, b, c))
-                    else:
-                        axiom, j = "1", k - np + 1
-                        odd = O.degree(np, b) * O.degree(npp, c) % 2
-                        rhs = O.compose(n + npp - 1, i, np,
-                                        O.compose_basis(n, j, npp, a, c),
-                                        {b: -one if odd else one})
-                    check(axiom, (n, np, npp), (i, j, a, b, c), lhs, rhs)
-
-    # (3) group action: adjacent transpositions satisfy the Coxeter
-    # relations on each component, so checking both equivariance
-    # identities on those generators certifies them for all of S_n.
-    for n in arities:
-        gens = [O.action_matrix(n, s) for s in adjacent_transpositions(n)]
-        ident = SparseMatrix.identity(dims[n])
-        for t, g in enumerate(gens, 1):
-            check("3-group", (n,), ("s%d^2" % t,), g.matmul(g), ident)
-            if t < len(gens):
-                gh = g.matmul(gens[t])
-                check("3-group", (n,), ("braid", t), gh.matmul(gh).matmul(gh),
-                      ident)
-            for u in range(t + 1, len(gens)):
-                check("3-group", (n,), ("commute", t, u + 1),
-                      g.matmul(gens[u]), gens[u].matmul(g))
-
-    # (3a) outer: (f.sigma) o_i g = (f o_k g).sigma' with k = sigma^-1(i);
-    # (3b) inner: f o_i (g.tau) = (f o_i g).tau'
-    for n, s in itertools.product(arities, arities):
-        if n + s - 1 > max_arity:
-            continue
-        pairs = list(itertools.product(range(dims[n]), range(dims[s])))
-        for sig in adjacent_transpositions(n):
-            fas = [O.act_basis(n, sig, a) for a in range(dims[n])]
-            for i in range(1, n + 1):
-                k = perm_inverse(sig)[i - 1]
-                big = expand_perm(sig, k, s)
-                for a, b in pairs:
-                    rhs = O.act(n + s - 1, big, O.compose_basis(n, k, s, a, b))
-                    check("3a", (n, s), (sig, i, a, b),
-                          O.compose(n, i, s, fas[a], {b: one}), rhs)
-        for tau in adjacent_transpositions(s):
-            gbs = [O.act_basis(s, tau, b) for b in range(dims[s])]
-            for i in range(1, n + 1):
-                big = embed_block_perm(tau, i, n + s - 1)
-                for a, b in pairs:
-                    rhs = O.act(n + s - 1, big, O.compose_basis(n, i, s, a, b))
-                    check("3b", (n, s), (tau, i, a, b),
-                          O.compose(n, i, s, {a: one}, gbs[b]), rhs)
-
-    # (4) unit laws
-    if 1 in dims:
-        for n in arities:
-            for a in range(dims[n]):
-                ea = {a: one}
-                check("4", (n,), ("I o f", a),
-                      O.compose(1, 1, n, O.unit_vector, ea), ea)
-                for i in range(1, n + 1):
-                    check("4", (n,), ("f o_i I", a, i),
-                          O.compose(n, i, 1, ea, O.unit_vector), ea)
-
-    return AxiomReport(max_arity, checked, violations)
+def __getattr__(name):
+    # loaded on first use: with no usable byte-code cache, every module a
+    # command imports is compiled from source, and most commands check
+    # no axioms
+    if name in ("AxiomReport", "AxiomViolation", "check_axioms"):
+        from . import axioms
+        return getattr(axioms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -880,34 +766,3 @@ def free_algebra_dims(O: GradedOperad, d: int, max_arity: int) -> list[int]:
                 f"{total}")
         out.append(int(total))
     return out
-
-
-def symmetrization_projector_rank(O: GradedOperad, d: int, n: int) -> int:
-    """Explicit projector rank on O(n) (x) V^n (tiny cases only).
-
-    Independent of the trace shortcut in free_algebra_dims; used to
-    cross-check it.
-    """
-    dim_o = O.dim(n)
-    dim = dim_o * d ** n
-    if dim > 600:
-        raise OperadError("explicit projector only at desk scale")
-    from .qlinalg import rank
-
-    acc: dict[tuple[int, int], Fraction] = {}
-    tuples = list(itertools.product(range(d), repeat=n))
-    tindex = {t: k for k, t in enumerate(tuples)}
-    for sigma in itertools.permutations(range(1, n + 1)):
-        mats = {a: O.act_basis(n, sigma, a) for a in range(dim_o)}
-        for a in range(dim_o):
-            for t in tuples:
-                col = a * len(tuples) + tindex[t]
-                # diagonal action: sigma on O(n) tensor permutation on V^n
-                tt = [0] * n
-                for k in range(1, n + 1):
-                    tt[sigma[k - 1] - 1] = t[k - 1]
-                trow = tindex[tuple(tt)]
-                for out, c in mats[a].items():
-                    addmul(acc, (out * len(tuples) + trow, col), c)
-    acc = {k: Fraction(v, factorial(n)) for k, v in acc.items()}
-    return rank(SparseMatrix.from_dict(dim, dim, acc))

@@ -6,10 +6,15 @@ cacheable output, JSON re-ingestion, and the exit-code contract:
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import operadkit
 from operadkit.cli import main
 
 
@@ -427,3 +432,47 @@ class TestDeterminism:
     ])
     def test_byte_identical_reruns(self, runner, args):
         assert run(runner, *args).output == run(runner, *args).output
+
+
+class TestLazyImports:
+    """A command imports only the library modules it runs, and a cache
+    hit imports none: where no byte-code cache is usable, every module
+    imported is compiled from source on each run."""
+
+    @staticmethod
+    def loaded_after(code: str, cache_dir: Path | None = None) -> list[str]:
+        """The operadkit modules a fresh interpreter holds after code."""
+        env = dict(os.environ)
+        src = str(Path(operadkit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        if cache_dir is not None:
+            env["OPERADKIT_CACHE_DIR"] = str(cache_dir)
+        probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
+                        "m for m in sys.modules if m.startswith('operadkit'))))")
+        res = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        return json.loads(res.stdout.splitlines()[-1])
+
+    def test_hoalg_leaves_cobar_and_treegraph_unloaded(self):
+        loaded = self.loaded_after("import operadkit.hoalg")
+        assert "operadkit.hoalg" in loaded
+        assert "operadkit.cobar" not in loaded
+        assert "operadkit.treegraph" not in loaded
+
+    def test_axiom_checker_loads_on_first_use(self):
+        assert self.loaded_after("import operadkit.operads") == [
+            "operadkit", "operadkit.operads", "operadkit.qlinalg"]
+        loaded = self.loaded_after("from operadkit.operads import check_axioms")
+        assert "operadkit.axioms" in loaded
+
+    def test_cache_hit_imports_no_library_module(self, tmp_path, monkeypatch):
+        args = ["cobar-homology", "--cooperad", "liec", "--arity", "4"]
+        monkeypatch.setenv("OPERADKIT_CACHE_DIR", str(tmp_path / "cache"))
+        seeded = run(CliRunner(), *args)
+        assert seeded.exit_code == 0
+        assert list((tmp_path / "cache").glob("*.json"))
+        loaded = self.loaded_after(
+            f"from operadkit.cli import main\n"
+            f"main({args!r}, standalone_mode=False)", tmp_path / "cache")
+        assert loaded == ["operadkit", "operadkit.cli"]

@@ -26,7 +26,6 @@ from operadkit.cobar import (
     liec_cooperad,
     multilinear_shuffle_relations,
     shuffle_sum,
-    shuffles,
 )
 from operadkit.operads import (
     assoc_operad,
@@ -34,6 +33,7 @@ from operadkit.operads import (
     comm_operad,
     lie_operad,
     perm_inverse,
+    shuffles,
 )
 from operadkit.qlinalg import ComplexError, rank
 from operadkit.treegraph import enumerate_trees_all

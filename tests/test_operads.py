@@ -21,6 +21,7 @@ from operadkit.operads import (
     AxiomViolation,
     CommOperad,
     EndOperad,
+    GradedOperad,
     GradedSpace,
     LieOperad,
     OperadError,
@@ -28,7 +29,9 @@ from operadkit.operads import (
     adjacent_transpositions,
     assoc_operad,
     check_axioms,
+    class_representative,
     comm_operad,
+    cycle_types,
     embed_block_perm,
     expand_perm,
     free_algebra_dims,
@@ -43,11 +46,9 @@ from operadkit.operads import (
     perm_compose,
     perm_inverse,
     relabel_word,
-    rho_coeff,
     substitute_word,
-    symmetrization_projector_rank,
 )
-from operadkit.qlinalg import SparseMatrix
+from operadkit.qlinalg import SparseMatrix, addmul, rank
 
 
 # --------------------------------------------------------------------------
@@ -74,6 +75,56 @@ def witt_dim(d: int, n: int) -> int:
     """Dimension of the degree-n piece of a free bracket algebra."""
     return sum(mobius(k) * d ** (n // k) for k in range(1, n + 1)
                if n % k == 0) // n
+
+
+def symmetrization_projector_rank(O, d: int, n: int) -> int:
+    """Explicit projector rank on O(n) (x) V^n (tiny cases only).
+
+    Independent of the trace shortcut in free_algebra_dims; used to
+    cross-check it.
+    """
+    dim_o = O.dim(n)
+    dim = dim_o * d ** n
+    if dim > 600:
+        raise OperadError("explicit projector only at desk scale")
+    acc: dict[tuple[int, int], Fraction] = {}
+    tuples = list(itertools.product(range(d), repeat=n))
+    tindex = {t: k for k, t in enumerate(tuples)}
+    for sigma in itertools.permutations(range(1, n + 1)):
+        mats = {a: O.act_basis(n, sigma, a) for a in range(dim_o)}
+        for a in range(dim_o):
+            for t in tuples:
+                col = a * len(tuples) + tindex[t]
+                # diagonal action: sigma on O(n) tensor permutation on V^n
+                tt = [0] * n
+                for k in range(1, n + 1):
+                    tt[sigma[k - 1] - 1] = t[k - 1]
+                trow = tindex[tuple(tt)]
+                for out, c in mats[a].items():
+                    addmul(acc, (out * len(tuples) + trow, col), c)
+    acc = {k: Fraction(v, factorial(n)) for k, v in acc.items()}
+    return rank(SparseMatrix.from_dict(dim, dim, acc))
+
+
+def action_matrix(O, n: int, sigma: tuple[int, ...]) -> SparseMatrix:
+    """The matrix of sigma on O(n): column a is act_basis(n, sigma, a)."""
+    dim = O.dim(n)
+    return SparseMatrix(dim, dim, [(out, a, c) for a in range(dim)
+                                   for out, c in O.act_basis(n, sigma, a).items()])
+
+
+def rho_coeff(u: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """Coefficient of the word u in the expansion of the left-normed
+    bracket of w (both multilinear of the same length)."""
+    if len(w) == 1:
+        return 1 if u == w else 0
+    last = w[-1]
+    total = 0
+    if u[-1] == last:
+        total += rho_coeff(u[:-1], w[:-1])
+    if u[0] == last:
+        total -= rho_coeff(u[1:], w[:-1])
+    return total
 
 
 class TestPermHelpers:
@@ -152,6 +203,63 @@ ARITY4_FAULTS = {
     ],
 }
 
+# Violations of check_axioms, in report order, with one composition entry
+# rescaled by -1: (operad, arity, entry, max_violations) -> (checked,
+# violations).  max_violations keeps a prefix of this order, so the order
+# is pinned and not only the set; the last case is such a prefix.
+ORDERED_FAULTS = {
+    ("assoc", 5, (3, 1, 3, 0, 0), None): (12635, [
+        ("2", (2, 2, 3), (1, 1, 0, 0, 0), {0: -1}, {0: 1}),
+        ("1", (2, 3, 2), (1, 2, 0, 0, 0), {0: 1}, {0: -1}),
+        ("2", (3, 2, 2), (1, 1, 0, 0, 0), {0: 1}, {0: -1}),
+        ("2", (3, 2, 2), (1, 2, 0, 0, 0), {0: 1}, {0: -1}),
+        ("3a", (3, 3), ((2, 1, 3), 1, 2, 0), {0: -1}, {0: 1}),
+        ("3a", (3, 3), ((2, 1, 3), 2, 0, 0), {32: 1}, {32: -1}),
+        ("3a", (3, 3), ((1, 3, 2), 1, 0, 0), {1: 1}, {1: -1}),
+        ("3a", (3, 3), ((1, 3, 2), 1, 1, 0), {0: -1}, {0: 1}),
+        ("3b", (3, 3), ((2, 1, 3), 1, 0, 0), {24: 1}, {24: -1}),
+        ("3b", (3, 3), ((2, 1, 3), 1, 0, 2), {0: -1}, {0: 1}),
+        ("3b", (3, 3), ((1, 3, 2), 1, 0, 0), {6: 1}, {6: -1}),
+        ("3b", (3, 3), ((1, 3, 2), 1, 0, 1), {0: -1}, {0: 1}),
+    ]),
+    ("lie", 5, (4, 3, 2, 0, 0), None): (2192, [
+        ("2", (2, 3, 2), (1, 3, 0, 0, 0), {0: -1, 2: 1}, {0: 1, 2: -1}),
+        ("2", (2, 3, 2), (2, 2, 0, 0, 0),
+         {0: -1, 2: 1, 8: -1, 14: 1, 18: -1, 19: 1, 21: 1, 23: -1},
+         {0: 1, 2: -1, 8: -1, 14: 1, 18: -1, 19: 1, 21: 1, 23: -1}),
+        ("1", (3, 2, 2), (1, 2, 0, 0, 0), {0: -1, 2: 1}, {0: 1, 2: -1}),
+        ("2", (3, 2, 2), (2, 2, 0, 0, 0),
+         {0: -1, 2: 1, 8: -1, 14: 1}, {0: 1, 2: -1, 8: -1, 14: 1}),
+        ("2", (3, 2, 2), (3, 1, 0, 0, 0),
+         {0: -1, 2: 1, 4: -1, 5: 1}, {0: 1, 2: -1, 4: -1, 5: 1}),
+        ("3a", (4, 2), ((2, 1, 3, 4), 3, 2, 0),
+         {0: 1, 2: -1, 8: 1, 14: -1}, {0: -1, 2: 1, 8: 1, 14: -1}),
+        ("3a", (4, 2), ((2, 1, 3, 4), 3, 3, 0),
+         {0: 1, 2: -1, 8: 1, 14: -1, 18: 1, 19: -1, 21: -1, 23: 1},
+         {0: -1, 2: 1, 8: 1, 14: -1, 18: 1, 19: -1, 21: -1, 23: 1}),
+        ("3a", (4, 2), ((1, 3, 2, 4), 2, 0, 0), {12: 1, 14: -1},
+         {12: -1, 14: 1}),
+        ("3a", (4, 2), ((1, 3, 2, 4), 3, 2, 0), {0: -1, 2: 1}, {0: 1, 2: -1}),
+        ("3a", (4, 2), ((1, 2, 4, 3), 3, 1, 0), {0: -1, 2: 1}, {0: 1, 2: -1}),
+        ("3a", (4, 2), ((1, 2, 4, 3), 4, 0, 0), {3: 1, 5: -1}, {3: -1, 5: 1}),
+    ]),
+    ("cobar-liec", 4, (2, 1, 3, 0, 0), None): (1814, [
+        ("3a", (2, 3), ((2, 1), 1, 0, 0), {16: 1}, {16: -1}),
+        ("3a", (2, 3), ((2, 1), 2, 0, 0), {10: -1}, {10: 1}),
+        ("3b", (2, 3), ((2, 1, 3), 1, 0, 0), {16: 1, 17: -1}, {16: 1, 17: 1}),
+        ("3b", (2, 3), ((1, 3, 2), 1, 0, 0), {17: 1}, {17: -1}),
+        ("3b", (2, 3), ((1, 3, 2), 1, 0, 1), {16: -1}, {16: 1}),
+    ]),
+    ("assoc", 5, (2, 1, 2, 0, 0), 3): (12635, [
+        ("2", (2, 2, 2), (1, 1, 0, 0, 1), {6: -1}, {6: 1}),
+        ("2", (2, 2, 2), (1, 2, 0, 0, 0), {0: -1}, {0: 1}),
+        ("2", (2, 2, 2), (1, 2, 0, 0, 1), {2: -1}, {2: 1}),
+    ]),
+}
+
+FAULT_OPERADS = {"assoc": assoc_operad, "lie": lie_operad,
+                 "cobar-liec": lambda k: cobar_operad(liec_cooperad(k), k)}
+
 
 class TestAxioms:
     @pytest.mark.parametrize("factory, max_arity, checked", [
@@ -173,6 +281,17 @@ class TestAxioms:
         found = sorted(((v.axiom, v.arities, v.witness, v.lhs, v.rhs)
                         for v in report.violations), key=lambda v: v[:3])
         assert found == ARITY4_FAULTS[entry]
+
+    @pytest.mark.parametrize("case", list(ORDERED_FAULTS),
+                             ids=lambda c: f"{c[0]}-{c[1]}-cap{c[3]}")
+    def test_fault_violations_keep_their_order(self, case):
+        name, arity, entry, cap = case
+        table = TableOperad.from_operad(FAULT_OPERADS[name](arity), arity)
+        report = check_axioms(table.with_corrupted_composition(*entry), arity,
+                              max_violations=cap or 10 ** 6)
+        found = [(v.axiom, v.arities, v.witness, v.lhs, v.rhs)
+                 for v in report.violations]
+        assert (report.checked, found) == ORDERED_FAULTS[case]
 
     def test_action_fault_breaks_group_relations(self):
         doc = json.loads(operad_to_json(assoc_operad(3), 3))
@@ -410,6 +529,14 @@ class TestFreeAlgebraDims:
     def test_bracket_d2_frozen(self):
         assert free_algebra_dims(lie_operad(6), 2, 6) == [2, 1, 2, 3, 6, 9]
 
+    def test_bracket_operad_frozen_to_arity_eight(self):
+        dims = [free_algebra_dims(lie_operad(8), d, 8) for d in (1, 2, 3)]
+        assert dims == [[1, 0, 0, 0, 0, 0, 0, 0],
+                        [2, 1, 2, 3, 6, 9, 18, 30],
+                        [3, 3, 8, 18, 48, 116, 312, 810]]
+        assert dims == [[witt_dim(d, n) for n in range(1, 9)]
+                        for d in (1, 2, 3)]
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_associative_matches_powers(self, d):
         assert free_algebra_dims(assoc_operad(5), d, 5) == \
@@ -439,16 +566,30 @@ class TestActionMatrices:
     def test_trace_matches_matrix_trace(self, factory):
         O = factory(4)
         for sigma in itertools.permutations(range(1, 5)):
-            m = O.action_matrix(4, sigma)
+            m = action_matrix(O, 4, sigma)
             tr = sum(m[(k, k)] for k in range(O.dim(4)))
             assert O.action_trace(4, sigma) == tr
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lie_trace_is_the_diagonal_on_every_cycle_type(self, n):
+        O = lie_operad(n)
+        for lam in cycle_types(n):
+            sigma = class_representative(lam)
+            assert O.action_trace(n, sigma) == \
+                GradedOperad.action_trace(O, n, sigma)
+
+    def test_lie_trace_is_the_diagonal_on_all_of_s5(self):
+        O = lie_operad(5)
+        for sigma in itertools.permutations(range(1, 6)):
+            assert O.action_trace(5, sigma) == \
+                GradedOperad.action_trace(O, 5, sigma)
 
     def test_action_matrices_form_a_homomorphism(self):
         O = lie_operad(4)
         for a, b in itertools.product(
                 itertools.permutations(range(1, 4)), repeat=2):
-            lhs = O.action_matrix(3, perm_compose(a, b))
-            rhs = O.action_matrix(3, a).matmul(O.action_matrix(3, b))
+            lhs = action_matrix(O, 3, perm_compose(a, b))
+            rhs = action_matrix(O, 3, a).matmul(action_matrix(O, 3, b))
             assert lhs == rhs
 
 
