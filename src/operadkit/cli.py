@@ -7,23 +7,29 @@ with OPERADKIT_CACHE_DIR, disable with --no-cache); the key holds a
 digest of the package's source, so an answer cached by other code is a
 miss.  A cache that cannot be written gives a warning, not an error.
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
+
+The commands are one table, ``main.commands``; a run builds the
+argument parser of the one command it invokes.  Modules that only some
+commands need (``hashlib`` for the cache key, the library itself) are
+imported where they are used, as start-up is most of a short command.
 """
 
 from __future__ import annotations
 
-import hashlib
+import argparse
 import json
 import os
 import sys
-import tempfile
 from functools import lru_cache
 from pathlib import Path
-
-import click
 
 from . import __version__
 
 CACHE_ENV = "OPERADKIT_CACHE_DIR"
+
+
+class UsageError(Exception):
+    """Bad command-line input: reported as ``Error: <message>``, exit 2."""
 
 
 def _cache_dir() -> Path:
@@ -36,6 +42,7 @@ def _cache_dir() -> Path:
 @lru_cache(maxsize=None)
 def _source_fingerprint() -> str:
     """sha256 of the package's *.py files, names and bytes in name order."""
+    import hashlib
     h = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode())
@@ -44,6 +51,7 @@ def _source_fingerprint() -> str:
 
 
 def _cache_lookup(op: str, params: dict) -> tuple[Path, str | None]:
+    import hashlib
     key = json.dumps({"op": op, "params": params, "version": __version__,
                       "source": _source_fingerprint()}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()
@@ -57,6 +65,7 @@ def _cache_lookup(op: str, params: dict) -> tuple[Path, str | None]:
 def _cache_store(path: Path, text: str) -> None:
     """Write through a temp file of this process's own, so a concurrent
     writer never moves a partly written entry into place."""
+    import tempfile
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -97,7 +106,7 @@ def _operad_by_name(name: str, max_arity: int):
     from .operads import comm_operad, assoc_operad, lie_operad
     table = {"comm": comm_operad, "assoc": assoc_operad, "lie": lie_operad}
     if name not in table:
-        raise click.UsageError(f"unknown operad {name!r}")
+        raise UsageError(f"unknown operad {name!r}")
     return table[name](max_arity)
 
 
@@ -106,7 +115,7 @@ def _cooperad_by_name(name: str, max_arity: int):
     table = {"liec": liec_cooperad, "asc": asc_cooperad,
              "commc": commc_cooperad}
     if name not in table:
-        raise click.UsageError(f"unknown cooperad {name!r}")
+        raise UsageError(f"unknown cooperad {name!r}")
     return table[name](max_arity)
 
 
@@ -126,12 +135,7 @@ def _emit_table(table, fmt: str) -> None:
     else:
         from .strata import table_to_text
         text = table_to_text(table.entries)
-    click.echo(text, nl=False)
-
-
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-    default="text", show_default=True)
+    sys.stdout.write(text)
 
 
 def _require_desk_scale(**bounds):
@@ -141,21 +145,10 @@ def _require_desk_scale(**bounds):
     a usage error costs no import."""
     for label, (value, lo, hi) in bounds.items():
         if not (lo <= value <= hi):
-            raise click.UsageError(
+            raise UsageError(
                 f"--{label} must be between {lo} and {hi} (got {value})")
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Exact-arithmetic operad, cobar and moduli-strata computations."""
-
-
-@main.command()
-@click.option("--n", type=int, required=True, help="number of leaves")
-@click.option("--edges", type=int, default=None, help="internal edge count")
-@click.option("--count", is_flag=True, help="print the count only")
-@format_option
 def trees(n, edges, count, fmt):
     """Enumerate leaf-labeled rooted trees."""
     _require_desk_scale(n=(n, 2, 8))
@@ -166,27 +159,21 @@ def trees(n, edges, count, fmt):
     else:
         items = enumerate_trees(n, edges)
     if count:
-        click.echo(str(len(items)))
+        print(len(items))
         return
     if fmt == "json":
-        click.echo(json.dumps(
+        print(json.dumps(
             {"n": n, "edges": edges, "count": len(items),
              "trees": [encode_tree(t) for t in items]}, indent=1))
     else:
-        click.echo("".join(encode_tree(t) + "\n" for t in items), nl=False)
+        sys.stdout.write("".join(encode_tree(t) + "\n" for t in items))
 
 
-@main.command()
-@click.option("--g", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--max-edges", type=int, default=None)
-@click.option("--count", is_flag=True)
-@format_option
 def graphs(g, n, max_edges, count, fmt):
     """Enumerate stable graphs of genus g with n legs."""
     _require_desk_scale(g=(g, 0, 2), n=(n, 0, 6))
     if 3 * g - 3 + n > 3:
-        raise click.UsageError(
+        raise UsageError(
             "graph censuses are desk scale: need 3g - 3 + n <= 3")
     from .treegraph import (enumerate_stable_graphs, automorphism_group,
                             encode_graph, GraphError)
@@ -195,27 +182,22 @@ def graphs(g, n, max_edges, count, fmt):
     try:
         items = enumerate_stable_graphs(g, n, max_edges)
     except GraphError as ex:
-        raise click.UsageError(str(ex))
+        raise UsageError(str(ex))
     if count:
-        click.echo(str(len(items)))
+        print(len(items))
         return
     rows = [(encode_graph(G), len(G.edges), len(automorphism_group(G)))
             for G in items]
     if fmt == "json":
-        click.echo(json.dumps(
+        print(json.dumps(
             {"g": g, "n": n, "count": len(rows),
              "graphs": [{"graph": enc, "edges": e, "aut_order": a}
                         for enc, e, a in rows]}, indent=1))
     else:
         for enc, e, a in rows:
-            click.echo(f"{enc}  edges={e} aut={a}")
+            print(f"{enc}  edges={e} aut={a}")
 
 
-@main.command()
-@click.option("--operad", "name",
-              type=click.Choice(["comm", "assoc", "lie", "cobar-liec"]),
-              required=True)
-@click.option("--max-arity", type=int, default=4, show_default=True)
 def axioms(name, max_arity):
     """Verify the operad axioms; exit 1 on any violation."""
     _require_desk_scale(**{"max-arity": (max_arity, 1,
@@ -223,35 +205,25 @@ def axioms(name, max_arity):
     from .operads import check_axioms
     O = _operad_by_name(name, max_arity)
     report = check_axioms(O, max_arity)
-    click.echo(f"checked {report.checked} instances up to arity {max_arity}")
+    print(f"checked {report.checked} instances up to arity {max_arity}")
     if report.ok:
-        click.echo("all axioms hold")
+        print("all axioms hold")
         return
     for v in report.violations[:10]:
-        click.echo(str(v))
-    click.echo(f"{len(report.violations)} violations")
+        print(v)
+    print(f"{len(report.violations)} violations")
     sys.exit(1)
 
 
-@main.command("free-dims")
-@click.option("--operad", "name", type=click.Choice(["comm", "assoc", "lie"]),
-              required=True)
-@click.option("--d", type=int, required=True, help="generator dimension")
-@click.option("--max-arity", type=int, default=6, show_default=True)
 def free_dims(name, d, max_arity):
     """Multilinear-part dimensions of the free algebra on d generators."""
     _require_desk_scale(d=(d, 0, 6), **{"max-arity": (max_arity, 1, 8)})
     from .operads import free_algebra_dims
     O = _operad_by_name(name, max_arity)
     dims = free_algebra_dims(O, d, max_arity)
-    click.echo(",".join(str(x) for x in dims))
+    print(",".join(str(x) for x in dims))
 
 
-@main.command()
-@click.option("--cooperad", "name",
-              type=click.Choice(["liec", "asc", "commc"]), required=True)
-@click.option("--arity", type=int, required=True)
-@format_option
 def cobar(name, arity, fmt):
     """Dimensions of the cobar complex by internal edge count."""
     _require_desk_scale(arity=(arity, 2, 7 if name != "asc" else 5))
@@ -260,22 +232,16 @@ def cobar(name, arity, fmt):
         C = _cooperad_by_name(name, arity)
         dims = cobar_dims(C, arity)
     except CobarError as ex:
-        raise click.UsageError(str(ex))
+        raise UsageError(str(ex))
     if fmt == "json":
-        click.echo(json.dumps({"cooperad": name, "arity": arity,
-                               "dims": {str(e): d for e, d in dims.items()}},
-                              indent=1))
+        print(json.dumps({"cooperad": name, "arity": arity,
+                          "dims": {str(e): d for e, d in dims.items()}},
+                         indent=1))
     else:
         for e in sorted(dims):
-            click.echo(f"e={e}: {dims[e]}")
+            print(f"e={e}: {dims[e]}")
 
 
-@main.command("cobar-homology")
-@click.option("--cooperad", "name",
-              type=click.Choice(["liec", "asc", "commc"]), required=True)
-@click.option("--arity", type=int, required=True)
-@click.option("--no-cache", is_flag=True)
-@format_option
 def cobar_homology_cmd(name, arity, no_cache, fmt):
     """Betti numbers of the cobar complex (cached)."""
     _require_desk_scale(arity=(arity, 2, 6 if name != "asc" else 5))
@@ -290,7 +256,7 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
             C = _cooperad_by_name(name, arity)
             betti = cobar_homology(C, arity)
         except CobarError as ex:
-            raise click.UsageError(str(ex))
+            raise UsageError(str(ex))
         payload = {"cooperad": name, "arity": arity,
                    "betti": {str(e): b for e, b in betti.items()},
                    "total": sum(betti.values())}
@@ -298,39 +264,28 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
             try:
                 _cache_store(path, json.dumps(payload, sort_keys=True))
             except OSError as ex:  # the answer stands; only caching failed
-                click.echo(f"warning: result not cached: {ex}", err=True)
+                print(f"warning: result not cached: {ex}", file=sys.stderr)
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=1, sort_keys=True))
+        print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         for e in sorted(payload["betti"], key=int):
-            click.echo(f"e={e}: {payload['betti'][e]}")
-        click.echo(f"total: {payload['total']}")
+            print(f"e={e}: {payload['betti'][e]}")
+        print(f"total: {payload['total']}")
 
 
-@main.command()
-@click.option("--g", type=int, default=0, show_default=True)
-@click.option("--n", type=int, required=True)
-@click.option("--betti", "betti_path", type=click.Path(exists=True),
-              default=None, help="CSV of open Betti numbers (g,n,k,dim)")
-@click.option("--aut-mode", type=click.Choice(["degree0", "ignore"]),
-              default="degree0", show_default=True)
-@format_option
 def e1(g, n, betti_path, aut_mode, fmt):
     """First-page dimension table of the stratification sequence."""
     _require_desk_scale(g=(g, 0, 2), n=(n, 1, 8))
     if 3 * g - 3 + n > 5:
-        raise click.UsageError("need 3g - 3 + n <= 5 at genus >= 1")
+        raise UsageError("need 3g - 3 + n <= 5 at genus >= 1")
     from .strata import e1_table, StrataError
     try:
         table = e1_table(g, n, _load_betti(betti_path), aut_mode=aut_mode)
     except StrataError as ex:
-        raise click.UsageError(str(ex))
+        raise UsageError(str(ex))
     _emit_table(table, fmt)
 
 
-@main.command("betti-predict")
-@click.option("--n", type=int, required=True)
-@format_option
 def betti_predict(n, fmt):
     """Predicted even Betti numbers of the genus-0 compactification."""
     _require_desk_scale(n=(n, 3, 8))
@@ -338,58 +293,54 @@ def betti_predict(n, fmt):
     try:
         pred = predict_compactified_betti(n)
     except StrataError as ex:
-        click.echo(str(ex), err=True)
+        print(ex, file=sys.stderr)
         sys.exit(1)
     if fmt == "json":
-        click.echo(json.dumps({"n": n, "even_betti": list(pred)}))
+        print(json.dumps({"n": n, "even_betti": list(pred)}))
     else:
-        click.echo(",".join(str(h) for h in pred))
+        print(",".join(str(h) for h in pred))
 
 
-@main.command("middle-row")
-@click.option("--arity", type=int, required=True)
-@format_option
 def middle_row_cmd(arity, fmt):
-    """Compare the q=0 strata row with the cobar dimensions; exit 1 on
-    mismatch."""
+    """Compare the q=0 strata row with the cobar dimensions.
+
+    Exit 1 on mismatch."""
     _require_desk_scale(arity=(arity, 2, 7))
     from .strata import middle_row, StrataError
     try:
         rep = middle_row(arity)
     except StrataError as ex:
-        raise click.UsageError(str(ex))
+        raise UsageError(str(ex))
     if fmt == "json":
-        click.echo(json.dumps({
+        print(json.dumps({
             "arity": arity,
             "e1_row": {str(p): d for p, d in sorted(rep.e1_dims.items())},
             "cobar": {str(p): d for p, d in sorted(rep.cobar_dims.items())},
             "equal": rep.equal}, indent=1))
     else:
         ps = sorted(set(rep.e1_dims) | set(rep.cobar_dims), reverse=True)
-        click.echo("p:     " + " ".join(f"{p:>6}" for p in ps))
-        click.echo("e1:    " + " ".join(f"{rep.e1_dims.get(p, 0):>6}" for p in ps))
-        click.echo("cobar: " + " ".join(f"{rep.cobar_dims.get(p, 0):>6}" for p in ps))
-        click.echo("equal" if rep.equal else "MISMATCH")
+        print("p:     " + " ".join(f"{p:>6}" for p in ps))
+        print("e1:    " + " ".join(f"{rep.e1_dims.get(p, 0):>6}" for p in ps))
+        print("cobar: " + " ".join(f"{rep.cobar_dims.get(p, 0):>6}" for p in ps))
+        print("equal" if rep.equal else "MISMATCH")
     if not rep.equal:
         sys.exit(1)
 
 
-@main.command("dual-e1")
-@click.option("--g", type=int, default=0, show_default=True)
-@click.option("--n", type=int, required=True)
-@format_option
 def dual_e1(g, n, fmt):
-    """Dual (logarithmic) first page; exit 1 if the column Euler check
-    against the open Betti numbers fails."""
+    """Dual (logarithmic) first page of the stratification sequence.
+
+    Exit 1 if the column Euler check against the open Betti numbers
+    fails."""
     _require_desk_scale(g=(g, 0, 0), n=(n, 3, 8))
     from .strata import dual_e1_table, dual_euler_check, StrataError
     try:
         table = dual_e1_table(g, n)
     except StrataError as ex:
-        raise click.UsageError(str(ex))
+        raise UsageError(str(ex))
     _emit_table(table, fmt)
     if not dual_euler_check(table, n):
-        click.echo("Euler-characteristic consistency FAILED", err=True)
+        print("Euler-characteristic consistency FAILED", file=sys.stderr)
         sys.exit(1)
 
 
@@ -398,39 +349,33 @@ def _map_family(path):
     try:
         return map_family_from_json(Path(path).read_text())
     except ValueError as ex:
-        raise click.UsageError(str(ex))
+        raise UsageError(str(ex))
 
 
-@main.command("check-ainf")
-@click.argument("family_file", type=click.Path(exists=True))
-@click.option("--max-arity", type=int, default=None)
 def check_ainf_cmd(family_file, max_arity):
     """Check the homotopy-associativity relations of a map family."""
     from .hoalg import check_ainf
     fam = _map_family(family_file)
     residuals = check_ainf(fam, max_arity)
     if not residuals:
-        click.echo("all relations hold")
+        print("all relations hold")
         return
     for r in residuals[:10]:
-        click.echo(str(r))
-    click.echo(f"{len(residuals)} failing instances")
+        print(r)
+    print(f"{len(residuals)} failing instances")
     sys.exit(1)
 
 
-@main.command("check-cinf")
-@click.argument("family_file", type=click.Path(exists=True))
-@click.option("--max-arity", type=int, default=None)
 def check_cinf_cmd(family_file, max_arity):
     """Check homotopy associativity plus shuffle vanishing."""
     from .hoalg import check_cinf
     fam = _map_family(family_file)
     report = check_cinf(fam, max_arity)
     if report.ok:
-        click.echo("all relations and shuffle vanishing hold")
+        print("all relations and shuffle vanishing hold")
         return
-    click.echo(f"{len(report.ainf_residuals)} relation failures, "
-               f"{len(report.shuffle_violations)} shuffle violations")
+    print(f"{len(report.ainf_residuals)} relation failures, "
+          f"{len(report.shuffle_violations)} shuffle violations")
     sys.exit(1)
 
 
@@ -449,7 +394,7 @@ def _filtered_fixture(fixture, fixture_file, max_arity):
                                       f"{max_arity}")
             F.validate()
         except ValueError as ex:
-            raise click.UsageError(str(ex))
+            raise UsageError(str(ex))
         return F
     if fixture == "end":
         from .operads import GradedSpace, EndOperad
@@ -459,17 +404,9 @@ def _filtered_fixture(fixture, fixture_file, max_arity):
         return degree_filtration(EndOperad(V, max_arity, q=q))
     if fixture == "standin":
         return moduli_chain_standin(max_arity)
-    raise click.UsageError(f"unknown fixture {fixture!r}")
+    raise UsageError(f"unknown fixture {fixture!r}")
 
 
-@main.command()
-@click.option("--r", type=int, required=True, help="page index")
-@click.option("--fixture", type=click.Choice(["end", "standin"]),
-              default="end", show_default=True)
-@click.option("--file", "fixture_file", type=click.Path(exists=True),
-              default=None, help="filtered operad JSON")
-@click.option("--max-arity", type=int, default=3, show_default=True)
-@format_option
 def er(r, fixture, fixture_file, max_arity, fmt):
     """Dimensions of a spectral-sequence page per arity and bigrade."""
     _require_desk_scale(r=(r, 0, 20), **{"max-arity": (max_arity, 1, 4)})
@@ -479,22 +416,13 @@ def er(r, fixture, fixture_file, max_arity, fmt):
     data = {n: {f"{p},{q}": d for (p, q), d in sorted(term.dims(n).items())}
             for n in F.arities()}
     if fmt == "json":
-        click.echo(json.dumps({"r": r, "dims": data}, indent=1))
+        print(json.dumps({"r": r, "dims": data}, indent=1))
     else:
         for n, dims in data.items():
-            click.echo(f"arity {n}: " + (", ".join(
+            print(f"arity {n}: " + (", ".join(
                 f"E[{pq}]={d}" for pq, d in dims.items()) or "0"))
 
 
-@main.command()
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--fixture", type=click.Choice(["end", "standin"]),
-              default="standin", show_default=True)
-@click.option("--file", "fixture_file", type=click.Path(exists=True),
-              default=None)
-@click.option("--max-arity", type=int, default=3, show_default=True)
-@format_option
 def dk(r, k, fixture, fixture_file, max_arity, fmt):
     """Bigraded suboperad slice of a page, with closure certificate."""
     _require_desk_scale(r=(r, 0, 20), k=(k, -20, 20),
@@ -505,29 +433,27 @@ def dk(r, k, fixture, fixture_file, max_arity, fmt):
     data = {n: {f"{p},{q}": d for (p, q), d in sorted(sel.items())}
             for n, sel in slices.slices.items()}
     if fmt == "json":
-        click.echo(json.dumps({"r": r, "k": k, "slices": data,
-                               "certificate": slices.certificate}, indent=1))
+        print(json.dumps({"r": r, "k": k, "slices": data,
+                          "certificate": slices.certificate}, indent=1))
     else:
         for n, sel in data.items():
-            click.echo(f"arity {n}: " + (", ".join(
+            print(f"arity {n}: " + (", ".join(
                 f"D[{pq}]={d}" for pq, d in sel.items()) or "0"))
-        click.echo("closure certificate: "
+        print("closure certificate: "
                    + ("ok" if slices.certificate else "FAILED"))
     if not slices.certificate:
         for kind, n, m, i, pq, pq2 in slices.witnesses[:10]:
-            click.echo(f"{kind} of bigrade {pq} o_{i} {pq2} at arities "
-                       f"({n},{m}) leaves its target span", err=True)
-        click.echo(f"{len(slices.witnesses)} closure failures", err=True)
+            print(f"{kind} of bigrade {pq} o_{i} {pq2} at arities "
+                  f"({n},{m}) leaves its target span", file=sys.stderr)
+        print(f"{len(slices.witnesses)} closure failures", file=sys.stderr)
         sys.exit(1)
 
 
-@main.command("pipeline-cinf")
-@click.option("--max-arity", type=int, default=4, show_default=True)
-@click.option("--dim", type=int, default=3, show_default=True,
-              help="dimension of the truncated polynomial algebra")
 def pipeline_cinf(max_arity, dim):
-    """End-to-end: stand-in operad, commutative toy algebra, induced
-    operations, homotopy checks.  Exit 1 if any verification fails."""
+    """End-to-end C-infinity pipeline on the moduli stand-in.
+
+    Stand-in operad, commutative toy algebra, induced operations,
+    homotopy checks.  Exit 1 if any verification fails."""
     _require_desk_scale(dim=(dim, 1, 4),
                         **{"max-arity": (max_arity, 2, 6)})
     from .hoalg import truncated_polynomial_family
@@ -540,16 +466,220 @@ def pipeline_cinf(max_arity, dim):
     # holds and induce_cinf does not raise on it
     result = induce_cinf(F, A, max_arity)
     report = result.report
-    click.echo(f"filtration predicate: {'ok' if report.filtration_ok else 'FAILED'}")
-    click.echo(f"operad morphism:      {'ok' if report.morphism_ok else 'FAILED'}")
-    click.echo(f"induced operations at arities: {sorted(result.family.maps)}")
+    print(f"filtration predicate: {'ok' if report.filtration_ok else 'FAILED'}")
+    print(f"operad morphism:      {'ok' if report.morphism_ok else 'FAILED'}")
+    print(f"induced operations at arities: {sorted(result.family.maps)}")
     cinf = result.cinf_report
-    click.echo(f"relation residuals:   {len(cinf.ainf_residuals)}")
-    click.echo(f"shuffle violations:   {len(cinf.shuffle_violations)}")
+    print(f"relation residuals:   {len(cinf.ainf_residuals)}")
+    print(f"shuffle violations:   {len(cinf.shuffle_violations)}")
     if not result.ok:
         sys.exit(1)
-    click.echo("pipeline verified")
+    print("pipeline verified")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _existing_path(text: str) -> str:
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"Path {text!r} does not exist.")
+    return text
+
+
+class Command:
+    """One subcommand: the function that runs it, its docstring, and its
+    options, each a flag (or a positional's metavar) with the keywords
+    of ``ArgumentParser.add_argument``; ``dest`` names the callback's
+    parameter where the flag does not."""
+
+    def __init__(self, callback, *options):
+        self.callback = callback
+        self.doc = callback.__doc__
+        self.options = options
+
+    def parse(self, prog: str, args: list[str]) -> dict:
+        """The callback's keyword arguments for args; --help prints this
+        command's help and exits 0."""
+        known = {"--help", *(flag for flag, _ in self.options)}
+        for arg in args:  # an unknown option is named before a missing one
+            if arg == "--":
+                break
+            flag = arg.partition("=")[0]
+            if flag.startswith("--") and flag not in known:
+                raise UsageError(f"No such option '{flag}'.")
+        parser = _Parser(prog=prog, description=self.doc, add_help=False,
+                         allow_abbrev=False)
+        parser.add_argument("--help", action="help",
+                            help="show this message and exit")
+        for flag, kwargs in self.options:
+            if kwargs.get("default") is not None:
+                kwargs = {**kwargs, "help": (kwargs.get("help", "")
+                                             + " (default: %(default)s)")}
+            parser.add_argument(flag, **kwargs)
+        return vars(parser.parse_args(args))
+
+
+class Main:
+    """The ``operadkit`` entry point.  ``commands`` maps each command name
+    to its Command; ``main`` runs one command line."""
+
+    summary = "Exact-arithmetic operad, cobar and moduli-strata computations."
+
+    def __init__(self, commands: dict[str, Command]):
+        self.commands = commands
+
+    def __call__(self, args: list[str] | None = None) -> int:
+        """Run one command line and return its exit code."""
+        try:
+            self.main(args)
+        except SystemExit as ex:
+            return ex.code
+
+    def main(self, args: list[str] | None = None,
+             prog_name: str | None = None):
+        """Run one command line (default ``sys.argv[1:]``) and exit with
+        its code: a usage error prints ``Error: <message>`` on stderr and
+        exits 2, and a reader that closes the pipe early exits 1."""
+        args = sys.argv[1:] if args is None else list(args)
+        try:
+            try:
+                self._run(args, prog_name or "operadkit")
+            finally:
+                sys.stdout.flush()
+        except UsageError as ex:
+            print(f"Error: {ex}", file=sys.stderr)
+            sys.exit(2)
+        except BrokenPipeError:
+            # send what is still buffered nowhere, so exiting cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        sys.exit(0)
+
+    def _run(self, args: list[str], prog: str) -> None:
+        if not args:
+            raise UsageError(f"missing command (see '{prog} --help')")
+        name, rest = args[0], args[1:]
+        if name == "--version":
+            print(f"{prog}, version {__version__}")
+        elif name == "--help":
+            width = max(map(len, self.commands))
+            print(f"usage: {prog} [--version] [--help] COMMAND [ARGS]...\n\n"
+                  f"{self.summary}\n\ncommands:")
+            for key, command in self.commands.items():
+                print(f"  {key:<{width}}  {command.doc.splitlines()[0]}")
+            print(f"\nRun '{prog} COMMAND --help' for a command's options.")
+        elif name.startswith("-"):
+            raise UsageError(f"No such option '{name}'.")
+        elif name not in self.commands:
+            raise UsageError(f"No such command '{name}'.")
+        else:
+            command = self.commands[name]
+            command.callback(**command.parse(f"{prog} {name}", rest))
+
+
+def _int(flag, default=None, **kwargs):
+    return flag, {"type": int, "default": default, **kwargs}
+
+
+def _flag(flag, **kwargs):
+    return flag, {"action": "store_true", **kwargs}
+
+
+def _choice(flag, choices, **kwargs):
+    return flag, {"choices": choices, **kwargs}
+
+
+FORMAT = _choice("--format", ("json", "csv", "text"), dest="fmt",
+                 default="text")
+FAMILY_FILE = ("family_file", {"metavar": "FAMILY_FILE",
+                               "type": _existing_path})
+FIXTURE_FILE = ("--file", {"dest": "fixture_file", "type": _existing_path,
+                           "help": "filtered operad JSON"})
+COOPERAD = _choice("--cooperad", ("liec", "asc", "commc"), dest="name",
+                   required=True)
+
+main = Main({
+    "trees": Command(
+        trees,
+        _int("--n", required=True, help="number of leaves"),
+        _int("--edges", help="internal edge count"),
+        _flag("--count", help="print the count only"),
+        FORMAT),
+    "graphs": Command(
+        graphs,
+        _int("--g", required=True),
+        _int("--n", required=True),
+        _int("--max-edges"),
+        _flag("--count"),
+        FORMAT),
+    "axioms": Command(
+        axioms,
+        _choice("--operad", ("comm", "assoc", "lie", "cobar-liec"),
+                dest="name", required=True),
+        _int("--max-arity", 4)),
+    "free-dims": Command(
+        free_dims,
+        _choice("--operad", ("comm", "assoc", "lie"), dest="name",
+                required=True),
+        _int("--d", required=True, help="generator dimension"),
+        _int("--max-arity", 6)),
+    "cobar": Command(
+        cobar,
+        COOPERAD,
+        _int("--arity", required=True),
+        FORMAT),
+    "cobar-homology": Command(
+        cobar_homology_cmd,
+        COOPERAD,
+        _int("--arity", required=True),
+        _flag("--no-cache"),
+        FORMAT),
+    "e1": Command(
+        e1,
+        _int("--g", 0),
+        _int("--n", required=True),
+        ("--betti", {"dest": "betti_path", "type": _existing_path,
+                     "help": "CSV of open Betti numbers (g,n,k,dim)"}),
+        _choice("--aut-mode", ("degree0", "ignore"), default="degree0"),
+        FORMAT),
+    "betti-predict": Command(
+        betti_predict,
+        _int("--n", required=True),
+        FORMAT),
+    "middle-row": Command(
+        middle_row_cmd,
+        _int("--arity", required=True),
+        FORMAT),
+    "dual-e1": Command(
+        dual_e1,
+        _int("--g", 0),
+        _int("--n", required=True),
+        FORMAT),
+    "check-ainf": Command(check_ainf_cmd, FAMILY_FILE, _int("--max-arity")),
+    "check-cinf": Command(check_cinf_cmd, FAMILY_FILE, _int("--max-arity")),
+    "er": Command(
+        er,
+        _int("--r", required=True, help="page index"),
+        _choice("--fixture", ("end", "standin"), default="end"),
+        FIXTURE_FILE,
+        _int("--max-arity", 3),
+        FORMAT),
+    "dk": Command(
+        dk,
+        _int("--r", required=True),
+        _int("--k", required=True),
+        _choice("--fixture", ("end", "standin"), default="standin"),
+        FIXTURE_FILE,
+        _int("--max-arity", 3),
+        FORMAT),
+    "pipeline-cinf": Command(
+        pipeline_cinf,
+        _int("--max-arity", 4),
+        _int("--dim", 3, help="dimension of the truncated polynomial algebra")),
+})
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,25 +7,25 @@ cacheable output, JSON re-ingestion, and the exit-code contract:
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import operadkit
 from operadkit.cli import main
 
 
 @pytest.fixture()
-def runner(tmp_path, monkeypatch):
+def runner(cli, tmp_path, monkeypatch):
     monkeypatch.setenv("OPERADKIT_CACHE_DIR", str(tmp_path / "cache"))
-    return CliRunner()
+    return cli
 
 
 def run(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+    return runner(args)
 
 
 class TestTreesAndGraphs:
@@ -142,13 +142,12 @@ class TestCobarCommands:
         assert path.read_text() == stale
         assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
-    def test_unwritable_cache_warns_and_prints(self, tmp_path, monkeypatch):
+    def test_unwritable_cache_warns_and_prints(self, cli, tmp_path,
+                                               monkeypatch):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         monkeypatch.setenv("OPERADKIT_CACHE_DIR", str(blocker / "cache"))
-        res = CliRunner().invoke(main, ["cobar-homology", "--cooperad", "liec",
-                                        "--arity", "3"],
-                                 catch_exceptions=False)
+        res = cli(["cobar-homology", "--cooperad", "liec", "--arity", "3"])
         assert res.exit_code == 0
         assert res.stdout == "e=0: 0\ne=1: 1\ntotal: 1\n"
         assert res.stderr.startswith("warning: ")
@@ -220,7 +219,8 @@ class TestStrataCommands:
 
 
 class TestHomotopyCommands:
-    def family_file(self, tmp_path, associative=True):
+    @staticmethod
+    def family_file(tmp_path, associative=True):
         from operadkit.hoalg import (map_family_to_json,
                                      truncated_polynomial_family, MapFamily)
         fam = truncated_polynomial_family(3)
@@ -434,14 +434,116 @@ class TestDeterminism:
         assert run(runner, *args).output == run(runner, *args).output
 
 
+COMMAND_OPTIONS = {
+    "trees": ["--n", "--edges", "--count", "--format"],
+    "graphs": ["--g", "--n", "--max-edges", "--count", "--format"],
+    "axioms": ["--operad", "--max-arity"],
+    "free-dims": ["--operad", "--d", "--max-arity"],
+    "cobar": ["--cooperad", "--arity", "--format"],
+    "cobar-homology": ["--cooperad", "--arity", "--no-cache", "--format"],
+    "e1": ["--g", "--n", "--betti", "--aut-mode", "--format"],
+    "betti-predict": ["--n", "--format"],
+    "middle-row": ["--arity", "--format"],
+    "dual-e1": ["--g", "--n", "--format"],
+    "check-ainf": ["FAMILY_FILE", "--max-arity"],
+    "check-cinf": ["FAMILY_FILE", "--max-arity"],
+    "er": ["--r", "--fixture", "--file", "--max-arity", "--format"],
+    "dk": ["--r", "--k", "--fixture", "--file", "--max-arity", "--format"],
+    "pipeline-cinf": ["--max-arity", "--dim"],
+}
+
+
+class TestContract:
+    """Version, help and usage errors, as the console script shows them."""
+
+    def test_version(self, cli):
+        res = cli(["--version"])
+        assert res.exit_code == 0
+        assert res.stdout == f"operadkit, version {operadkit.__version__}\n"
+
+    def test_help_names_every_command(self, cli):
+        res = cli(["--help"])
+        assert res.exit_code == 0
+        for name in COMMAND_OPTIONS:
+            assert re.search(rf"^\s+{name}\s", res.stdout, re.M), name
+
+    @pytest.mark.parametrize("command", COMMAND_OPTIONS)
+    def test_command_help_names_every_option(self, cli, command):
+        res = cli([command, "--help"])
+        assert res.exit_code == 0
+        for option in COMMAND_OPTIONS[command]:
+            assert re.search(rf"{option}\b", res.stdout), option
+
+    # each bad input of the benchmark's cli-session, run where its
+    # input file does not exist, then three parser errors
+    @pytest.mark.parametrize("argv, named", [
+        ("trees --n 9 --count", "--n"),
+        ("cobar --cooperad asc --arity 6", "--arity"),
+        ("cobar-homology --cooperad liec --arity 7", "--arity"),
+        ("axioms --operad lie --max-arity 7", "--max-arity"),
+        ("graphs --g 2 --n 1", "3g - 3 + n <= 3"),
+        ("e1 --g 1 --n 6", "3g - 3 + n <= 5"),
+        ("free-dims --operad comm --d 7", "--d"),
+        ("betti-predict --n 2", "--n"),
+        ("middle-row --arity 8", "--arity"),
+        ("check-ainf garbage.json", "garbage.json"),
+        ("trees --bogus", "--bogus"),
+        ("frobnicate", "frobnicate"),
+        ("trees --count", "--n"),
+        ("trees --n x", "--n"),
+        ("trees --n 3 --format xml", "--format"),
+    ])
+    def test_usage_error(self, runner, tmp_path, monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)
+        res = run(runner, *argv.split())
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        [error] = [line for line in res.stderr.splitlines()
+                   if line.startswith("Error: ")]
+        assert named in error
+
+
+class TestTracerContract:
+    """The benchmark's tracer wraps ``main.commands[name].callback`` and
+    calls ``main.main(args=..., prog_name="operadkit")``."""
+
+    def test_dispatch_goes_through_the_callback_entry(self, cli, monkeypatch):
+        command = main.commands["betti-predict"]
+        seen = []
+        original = command.callback
+
+        def recording(**params):
+            seen.append(params)
+            return original(**params)
+        monkeypatch.setattr(command, "callback", recording)
+        res = cli(["betti-predict", "--n", "4"])
+        assert res.exit_code == 0 and res.stdout == "1,1\n"
+        assert seen == [{"n": 4, "fmt": "text"}]
+
+    @pytest.mark.parametrize("args, code", [
+        (["betti-predict", "--n", "4"], 0),
+        (["check-ainf", "NONASSOC", "--max-arity", "3"], 1),
+        (["trees", "--n", "9"], 2),
+    ])
+    def test_main_exits_with_the_command_code(self, tmp_path, args, code):
+        nonassoc = TestHomotopyCommands.family_file(tmp_path,
+                                                    associative=False)
+        args = [nonassoc if a == "NONASSOC" else a for a in args]
+        with pytest.raises(SystemExit) as info:
+            main.main(args=args, prog_name="operadkit")
+        assert info.value.code == code
+
+
 class TestLazyImports:
     """A command imports only the library modules it runs, and a cache
     hit imports none: where no byte-code cache is usable, every module
     imported is compiled from source on each run."""
 
     @staticmethod
-    def loaded_after(code: str, cache_dir: Path | None = None) -> list[str]:
-        """The operadkit modules a fresh interpreter holds after code."""
+    def loaded_after(code: str, cache_dir: Path | None = None,
+                     prefix: str = "operadkit") -> list[str]:
+        """The modules named prefix... a fresh interpreter holds after
+        code."""
         env = dict(os.environ)
         src = str(Path(operadkit.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
@@ -449,7 +551,7 @@ class TestLazyImports:
         if cache_dir is not None:
             env["OPERADKIT_CACHE_DIR"] = str(cache_dir)
         probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
-                        "m for m in sys.modules if m.startswith('operadkit'))))")
+                        f"m for m in sys.modules if m.startswith({prefix!r}))))")
         res = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         return json.loads(res.stdout.splitlines()[-1])
@@ -466,13 +568,25 @@ class TestLazyImports:
         loaded = self.loaded_after("from operadkit.operads import check_axioms")
         assert "operadkit.axioms" in loaded
 
-    def test_cache_hit_imports_no_library_module(self, tmp_path, monkeypatch):
+    def test_cache_hit_imports_no_library_module(self, cli, tmp_path,
+                                                 monkeypatch):
         args = ["cobar-homology", "--cooperad", "liec", "--arity", "4"]
         monkeypatch.setenv("OPERADKIT_CACHE_DIR", str(tmp_path / "cache"))
-        seeded = run(CliRunner(), *args)
+        seeded = run(cli, *args)
         assert seeded.exit_code == 0
         assert list((tmp_path / "cache").glob("*.json"))
         loaded = self.loaded_after(
             f"from operadkit.cli import main\n"
-            f"main({args!r}, standalone_mode=False)", tmp_path / "cache")
+            f"main({args!r})", tmp_path / "cache")
         assert loaded == ["operadkit", "operadkit.cli"]
+
+    @pytest.mark.parametrize("args", [["middle-row", "--arity", "4"],
+                                      ["trees", "--n", "3", "--count"]])
+    def test_no_click_and_no_hashlib_outside_the_cache(self, tmp_path, args):
+        # only the cobar-homology cache key needs hashlib
+        loaded = self.loaded_after(
+            f"from operadkit.cli import main\nassert main({args!r}) == 0",
+            tmp_path / "cache", prefix="")
+        assert "operadkit.cli" in loaded
+        assert "click" not in loaded
+        assert "hashlib" not in loaded

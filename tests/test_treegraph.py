@@ -16,10 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from operadkit.cli import main
 from operadkit.strata import strata_euler_characteristic
 from operadkit.treegraph import (
     GraphError,
@@ -187,10 +185,10 @@ class TestTreeEnumeration:
             "(((1,3),4),2)", "(((1,4),2),3)", "(((1,4),3),2)",
         ]
 
-    def test_order_pinned_at_arity_7(self):
+    def test_order_pinned_at_arity_7(self, cli):
         # SHA-256 of `operadkit trees --n 7` before shapes were generated
         # in order (they were canonicalised, deduplicated and sorted)
-        res = CliRunner().invoke(main, ["trees", "--n", "7"])
+        res = cli(["trees", "--n", "7"])
         assert res.exit_code == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
             "425aa808fa8029ca2ebadee16b8e1da83b944ebacbb5c7cb3fb444f58dc9a39d")
