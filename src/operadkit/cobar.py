@@ -12,7 +12,8 @@ it, and its entries go straight into one ``SparseMatrix`` per boundary.
 
 The decorated trees also assemble into a graded operad under grafting,
 with Koszul signs from reordering the vertex generators (a vertex of
-arity m is a generator of degree m - 2).
+arity m is a generator of degree m - 2); ``graft`` and ``relabel_tree``
+say where each vertex went, so no vertex is matched here.
 """
 
 from __future__ import annotations
@@ -355,60 +356,23 @@ class CobarOperad(GradedOperad):
             return {b: 1}
         t, dt = self._basis[n][a]
         s, ds = self._basis[m][b]
-        grafted = graft(t, i, s)
-
-        # vertex keys after operadic relabeling
-        def shift_outer(key):
-            out = set()
-            for x in key:
-                if x < i:
-                    out.add(x)
-                elif x == i:
-                    out.update(range(i, i + m))
-                else:
-                    out.add(x + m - 1)
-            return frozenset(out)
-
-        def shift_inner(key):
-            return frozenset(x + i - 1 for x in key)
-
-        tv, sv = t.vertices(), s.vertices()
-        keys = ([shift_outer(key) for key, _, _ in tv]
-                + [shift_inner(key) for key, _, _ in sv])
-        values = dict(zip(keys, dt + ds))
-        target = [key for key, _, _ in grafted.vertices()]
-        rankof = {key: j for j, key in enumerate(target)}
-        # Koszul sign of reordering the generator word (t's vertices, then
-        # s's) into tree preorder; a vertex of arity m has degree m - 2
-        perm = sorted(range(1, len(keys) + 1), key=lambda j: rankof[keys[j - 1]])
-        sign = koszul_sign(tuple(perm), tuple(mv - 2 for _, _, mv in tv + sv))
-        decor = tuple(values[key] for key in target)
+        grafted, verts = graft(t, i, s)
+        sign = _reorder_sign(verts, t.vertex_arities() + s.vertex_arities())
+        decor = dt + ds
+        decor = tuple(decor[src] for src, _ in verts)
         return {self._bindex[n + m - 1][(grafted.shape, decor)]: sign}
 
     def act_basis(self, n, sigma, a) -> Vector:
         if n == 1:
             return {a: 1}
         t, dt = self._basis[n][a]
-        mapping = {j: sigma[j - 1] for j in range(1, n + 1)}
-        new_tree = relabel_tree(t, mapping)
-
-        def image(key):
-            return frozenset(mapping[x] for x in key)
-
-        old_verts = t.vertices()
-        new_verts = {key: (j, kids)
-                     for j, (key, kids, _) in enumerate(new_tree.vertices())}
-        new_pos = [new_verts[image(key)][0] for key, _, _ in old_verts]
-        perm = sorted(range(1, len(old_verts) + 1), key=lambda j: new_pos[j - 1])
-        sign = koszul_sign(tuple(perm), tuple(mv - 2 for _, _, mv in old_verts))
-        # per-vertex child reordering acts on the decoration
-        slots = [None] * len(old_verts)  # aligned with new_tree's preorder
-        for j, (key, kids, mv) in enumerate(old_verts):
-            pos, new_kids = new_verts[image(key)]
-            old_slot = {image(ck): p for p, ck in enumerate(kids, start=1)}
-            # tau maps new child slot -> old child slot
-            tau = tuple(old_slot[ck] for ck in new_kids)
-            slots[pos] = self.cooperad.act(mv, tau, dt[j])
+        new_tree, verts = relabel_tree(
+            t, {j: sigma[j - 1] for j in range(1, n + 1)})
+        sign = _reorder_sign(verts, t.vertex_arities())
+        # each vertex's decoration is acted on by tau, which maps its
+        # new child slots to its old ones
+        slots = [self.cooperad.act(len(tau), tau, dt[src])
+                 for src, tau in verts]
         out: Vector = {}
         for combo in itertools.product(*(f.items() for f in slots)):
             decor = tuple(c for c, _ in combo)
@@ -417,6 +381,14 @@ class CobarOperad(GradedOperad):
                 coeff *= v
             addmul(out, self._bindex[n][(new_tree.shape, decor)], coeff)
         return out
+
+
+def _reorder_sign(verts, arities) -> int:
+    """Koszul sign of reordering the vertex generators (a vertex of
+    arity m has degree m - 2), listed in source order with the given
+    arities, into the rebuilt tree's preorder ``verts``."""
+    return koszul_sign(tuple(src + 1 for src, _ in verts),
+                       tuple(m - 2 for m in arities))
 
 
 def cobar_operad(cooperad: Cooperad, max_arity: int) -> CobarOperad:

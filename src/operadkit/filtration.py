@@ -190,13 +190,12 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
                 if not z:
                     continue
                 b = []
-                if r >= 1:
-                    if d is not None:
-                        for vec in _z_space(F, n, r - 1, p + r - 1, q - r + 2):
-                            dv = d.apply(vec)
-                            if dv:
-                                b.append(dv)
-                    b.extend(_z_space(F, n, r - 1, p - 1, q + 1))
+                if d is not None:
+                    for vec in _z_space(F, n, r - 1, p + r - 1, q - r + 2):
+                        dv = d.apply(vec)
+                        if dv:
+                            b.append(dv)
+                b.extend(_z_space(F, n, r - 1, p - 1, q + 1))
                 piece = ErPiece(p, q, z, b)
                 if piece.dim:
                     pieces[(p, q)] = piece

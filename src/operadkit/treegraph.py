@@ -19,9 +19,13 @@ subtrees recursively by their children, and a vertex whose children run
 out first before one with more.  The generator is memoised per label
 set and keeps the shapes alone (a group's order tokens live only while
 it is sorted); `enumerate_trees` and `enumerate_trees_all` look into
-it.  `vertex_expansions` builds every one-edge expansion of a tree
-canonical from one walk: the new vertex takes the place of its least
-child, and no other vertex's leaf set, so no other order, changes.
+it.  Trees are rebuilt by one walk, `_rebuild`: `graft`, `relabel_tree`
+and `contract_edge` tag each vertex with its preorder index, and the
+walk sorts children back into canonical order, reporting where each
+vertex and its children came from.  `vertex_expansions`, the boundary's
+fast path, splices instead of sorting: the new vertex takes the place of
+its least child, and no other vertex's leaf set, so no other order,
+changes.
 
 Stable graphs carry genus labels, edges (loops allowed) and enumerated
 legs; isomorphism classes are canonicalized by minimizing the encoding
@@ -222,68 +226,85 @@ def enumerate_trees_all(n: int) -> dict[int, list[Tree]]:
             for e, shapes in enumerate(_generated(n))}
 
 
-def _relabel(shape, mapping):
-    if isinstance(shape, int):
-        return mapping[shape]
-    return tuple(_relabel(c, mapping) for c in shape)
+def _rebuild(tagged, arity: int) -> tuple[Tree, list]:
+    """Canonicalize a tagged shape (leaves are labels, a vertex is (tag,
+    children)) whose leaves the caller vouches are 1..arity.  Returns
+    the tree and per vertex in preorder (tag, positions): the 1-based
+    input positions of its children in canonical order."""
+
+    def walk(s):  # -> (canonical shape, least leaf, vertices in preorder)
+        if type(s) is int:
+            return s, s, ()
+        tag, children = s
+        kids = sorted(((p, *walk(c)) for p, c in enumerate(children, 1)),
+                      key=itemgetter(2))
+        verts = [(tag, tuple(k[0] for k in kids))]
+        for k in kids:
+            verts.extend(k[3])
+        return tuple(k[1] for k in kids), kids[0][2], verts
+
+    shape, _, verts = walk(tagged)
+    return Tree._from_canonical(shape, arity, len(verts) - 1), verts
 
 
-def relabel_tree(t: Tree, mapping: dict[int, int]) -> Tree:
-    """Relabel leaves through a bijection and recanonicalize."""
-    return Tree(_relabel(t.shape, mapping))
+def _tagged(shape, leaf, tags):
+    """shape with each vertex as (next preorder tag, children) and each
+    leaf label x as leaf(x)."""
+    if type(shape) is int:
+        return leaf(shape)
+    return next(tags), tuple(_tagged(c, leaf, tags) for c in shape)
 
 
-def graft(t: Tree, i: int, s: Tree) -> Tree:
+def relabel_tree(t: Tree, mapping: dict[int, int]) -> tuple[Tree, list]:
+    """Relabel leaves through a bijection of 1..n and recanonicalize.
+
+    Returns the tree and its vertices in preorder as (index in
+    t.vertices(), positions): positions[p - 1] is the old child slot of
+    the vertex's new child p.
+    """
+    leaves = set(range(1, t.arity + 1))
+    if set(mapping) != leaves or set(mapping.values()) != leaves:
+        raise TreeError(f"relabelling must be a bijection of 1..{t.arity}")
+    return _rebuild(_tagged(t.shape, mapping.__getitem__, itertools.count()),
+                    t.arity)
+
+
+def graft(t: Tree, i: int, s: Tree) -> tuple[Tree, list]:
     """Operadic grafting: plug s into leaf i of t.
 
     Leaves follow the usual composition convention: t's leaves below i
     keep their labels, s's leaves shift to i..i+arity(s)-1, and t's
-    leaves above i shift up by arity(s)-1.
+    leaves above i shift up by arity(s)-1.  Returns the tree and its
+    vertices in preorder as (source, positions), as for relabel_tree: a
+    source below t's vertex count indexes t.vertices(), and t's vertex
+    count plus j is s's vertex j.
     """
     n, m = t.arity, s.arity
     if not (1 <= i <= n):
         raise TreeError(f"graft index {i} out of range 1..{n}")
-    t_map = {j: (j if j < i else j + m - 1) for j in range(1, n + 1)}
-    s_map = {j: j + i - 1 for j in range(1, m + 1)}
-    s_shape = _relabel(s.shape, s_map)
-
-    def substitute(shape):
-        if isinstance(shape, int):
-            return s_shape if shape == i else t_map[shape]
-        return tuple(substitute(c) for c in shape)
-
-    return Tree(substitute(t.shape))
-
-
-def _regroup(t: Tree, verts, key, rebuild) -> Tree:
-    """t with the children of its vertex named key replaced by
-    rebuild(children, child leaf sets); verts is t.vertices()."""
-    order = iter(verts)
-
-    def walk(shape):
-        if isinstance(shape, int):
-            return shape
-        here, kids, _ = next(order)
-        children = tuple(walk(c) for c in shape)
-        return rebuild(children, kids) if here == key else children
-
-    return Tree(walk(t.shape))
+    inner = _tagged(s.shape, lambda j: j + i - 1,
+                    itertools.count(t.internal_edges + 1))
+    outer = _tagged(t.shape, lambda j: inner if j == i
+                    else j if j < i else j + m - 1, itertools.count())
+    return _rebuild(outer, n + m - 1)
 
 
 def contract_edge(t: Tree, edge: frozenset[int]) -> Tree:
     """Contract the internal edge identified by the leaf set below it."""
+    keys = [key for key, _, _ in t.vertices()]
     edge = frozenset(edge)
-    verts = t.vertices()
-    parent = next((key for key, kids, _ in verts
-                   if edge in kids and len(edge) > 1), None)
-    if parent is None:
+    if edge not in keys[1:]:
         raise TreeError(f"no internal edge with leaf set {sorted(edge)}")
+    lower, tags = keys.index(edge), itertools.count()
 
-    def splice(children, kids):
-        j = kids.index(edge)
-        return children[:j] + children[j] + children[j + 1:]
+    def walk(shape):  # what shape adds to its parent's children
+        if type(shape) is int:
+            return (shape,)
+        tag = next(tags)
+        kids = tuple(x for c in shape for x in walk(c))
+        return kids if tag == lower else ((tag, kids),)
 
-    return _regroup(t, verts, parent, splice)
+    return _rebuild(walk(t.shape)[0], t.arity)[0]
 
 
 def _frame(t: Tree) -> list[tuple]:

@@ -290,6 +290,20 @@ class TestFiltrationCommands:
         assert doc["certificate"] is True
         assert sum(doc["slices"]["4"].values()) == 41
 
+    def test_dk_on_the_zeroth_page(self, runner):
+        # E0 = F_p / F_{p-1}: the end fixture's page sits in q = 0, and
+        # its k = -1 slice closes under composition
+        res = run(runner, "er", "--r", "0", "--fixture", "end",
+                  "--format", "json")
+        assert res.exit_code == 0
+        dims = json.loads(res.output)["dims"]
+        assert dims and all(pq.endswith(",0") for d in dims.values()
+                            for pq in d)
+        res = run(runner, "dk", "--r", "0", "--k", "-1", "--fixture", "end",
+                  "--max-arity", "3")
+        assert res.exit_code == 0
+        assert res.stdout.endswith("closure certificate: ok\n")
+
     def test_er_guard(self, runner):
         res = run(runner, "er", "--r", "1", "--max-arity", "9")
         assert res.exit_code == 2

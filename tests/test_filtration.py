@@ -34,7 +34,7 @@ from operadkit.filtration import (
 )
 from operadkit.hoalg import truncated_polynomial_family
 from operadkit.operads import EndOperad, GradedSpace, assoc_operad
-from operadkit.qlinalg import SparseMatrix, solve_in_span
+from operadkit.qlinalg import SparseMatrix, addmul, solve_in_span
 
 
 def end_with_homology() -> EndOperad:
@@ -124,6 +124,26 @@ class TestPages:
         two = er_term(F, 2)
         # H(V) = 0, so H(End V) = 0
         assert two.total_dim(1) == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: degree_filtration(end_with_homology()),
+        lambda: degree_filtration(EndOperad(
+            GradedSpace(("e0", "e1"), (0, 1)), 3,
+            q=SparseMatrix.from_dict(2, 2, {(0, 1): 1}))),
+        lambda: moduli_chain_standin(4),
+    ], ids=["end-with-homology", "end", "standin"])
+    def test_zeroth_page_is_the_associated_graded(self, make):
+        # E0_{p,q} = F_p / F_{p-1} in degree p + q: one class per basis
+        # element of level p and degree p + q, so the page sums to O(n)
+        F = make()
+        term = er_term(F, 0)
+        for n in F.arities():
+            expected = {}
+            for level, degree in zip(F.levels[n], F.base.space(n).degrees):
+                pq = (level, degree - level)
+                expected[pq] = expected.get(pq, 0) + 1
+            assert term.dims(n) == expected
+            assert term.total_dim(n) == F.base.dim(n)
 
     def test_negative_page_rejected(self):
         with pytest.raises(FiltrationError):
@@ -239,6 +259,38 @@ class TestDkSlices:
         F = moduli_chain_standin(3)
         slices = suboperad_dk(er_term(F, 1), 1)
         assert all(not sel for n, sel in slices.slices.items() if n > 1)
+
+
+class TestLeibniz:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: CobarOperad.compose_basis signs come from "
+        "reordering vertex generators, CobarComplex.boundary_from signs "
+        "from edge orientations; an arity-3 corolla o_i the arity-2 "
+        "corolla breaks the Leibniz rule"))
+    def test_differential_is_a_derivation_of_composition(self):
+        # d(x o_i y) = dx o_i y + (-1)^|x| x o_i dy on every basis pair
+        O = moduli_chain_standin(4).base
+
+        def d(n, x):
+            D = O.differentials.get(n)
+            return D.apply(x) if D is not None else {}
+
+        instances, failures = 0, []
+        for n, m in itertools.product(O.arities(), repeat=2):
+            if n + m - 1 > 4:
+                continue
+            for i, a, b in itertools.product(range(1, n + 1),
+                                             range(O.dim(n)), range(O.dim(m))):
+                x, y = {a: 1}, {b: 1}
+                lhs = d(n + m - 1, O.compose(n, i, m, x, y))
+                rhs = O.compose(n, i, m, d(n, x), y)
+                sign = (-1) ** O.degree(n, a)
+                for k, v in O.compose(n, i, m, x, d(m, y)).items():
+                    addmul(rhs, k, sign * v)
+                instances += 1
+                if lhs != rhs:
+                    failures.append((n, i, m, a, b))
+        assert (instances, failures) == (256, [])
 
 
 class TestJsonRoundTrip:

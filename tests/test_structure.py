@@ -25,6 +25,10 @@ differential, so ``hoalg`` and ``filtration`` write no ``% 2`` sign of
 their own, and no second composition or differential routine is
 defined beside them.
 
+Vertex correspondence lives in ``treegraph``: ``graft`` and
+``relabel_tree`` report where each vertex went, so ``cobar`` never
+names a vertex by its leaf set (no ``frozenset``, no ``.vertices()``).
+
 Operad structure constants are ``int`` when integral: no
 ``compose_basis`` or ``act_basis`` in ``operads`` or ``cobar`` wraps a
 coefficient in ``Fraction``.
@@ -116,6 +120,17 @@ def test_only_the_cooperad_reads_its_operad():
                if isinstance(node, ast.Attribute) and node.attr == "operad"]
     assert any(id(node) in inside for node in readers)
     assert [node.lineno for node in readers if id(node) not in inside] == []
+
+
+def test_cobar_matches_no_leaf_sets():
+    tree = ast.parse((Path(operadkit.__file__).parent / "cobar.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    offenders = [f"cobar.py:{node.lineno}" for node in calls
+                 if (isinstance(node.func, ast.Name)
+                     and node.func.id == "frozenset")
+                 or (isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "vertices")]
+    assert calls and offenders == [], offenders
 
 
 def test_structure_constants_are_not_wrapped_in_fraction():

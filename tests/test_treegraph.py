@@ -216,15 +216,17 @@ class TestTreeOperations:
     def test_graft_labels(self):
         t = corolla(3)
         s = corolla(2)
-        g = graft(t, 2, s)
+        g, verts = graft(t, 2, s)
         assert g == decode_tree("(1,(2,3),4)")
         assert g.arity == 4 and g.internal_edges == 1
+        assert verts == [(0, (1, 2, 3)), (1, (1, 2))]
 
     def test_graft_arity_and_edges_add(self):
         t = decode_tree("((1,2),3)")
         s = decode_tree("(1,(2,3))")
-        g = graft(t, 1, s)
+        g, verts = graft(t, 1, s)
         assert g.arity == t.arity + s.arity - 1
+        assert len(verts) == g.internal_edges + 1
         assert g.internal_edges == t.internal_edges + s.internal_edges + 1
 
     def test_graft_index_range(self):
@@ -258,7 +260,21 @@ class TestTreeOperations:
 
     def test_relabel(self):
         t = decode_tree("((1,2),3)")
-        assert relabel_tree(t, {1: 3, 2: 1, 3: 2}) == decode_tree("((1,3),2)")
+        s, verts = relabel_tree(t, {1: 3, 2: 1, 3: 2})
+        assert s == decode_tree("((1,3),2)")
+        # the root keeps its child order; the cherry's children, now
+        # leaves 3 and 1, swap
+        assert verts == [(0, (1, 2)), (1, (2, 1))]
+
+    @pytest.mark.parametrize("mapping", [
+        {1: 1, 2: 1, 3: 2},        # not injective
+        {1: 2, 2: 3, 3: 4},        # image is not 1..3
+        {1: 2, 2: 1},              # leaf 3 unmapped
+        {1: 1, 2: 2, 3: 3, 4: 4},  # a label that is not a leaf
+    ])
+    def test_relabel_rejects_a_non_bijection(self, mapping):
+        with pytest.raises(TreeError):
+            relabel_tree(decode_tree("((1,2),3)"), mapping)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6), st.data())
@@ -267,10 +283,69 @@ class TestTreeOperations:
         t = data.draw(st.sampled_from(trees))
         perm = data.draw(st.permutations(list(range(1, n + 1))))
         mapping = {i + 1: perm[i] for i in range(n)}
-        s = relabel_tree(t, mapping)
+        s, _ = relabel_tree(t, mapping)
         assert s.arity == n
         assert s.internal_edges == t.internal_edges
         assert sorted(s.vertex_arities()) == sorted(t.vertex_arities())
+
+    # The vertex correspondence against leaf sets: a vertex is named by
+    # the leaves below it, so where each one went can be read off by
+    # moving leaf sets (the bookkeeping the cobar operad once did).
+
+    @staticmethod
+    def _matches(target, source, move):
+        """Each target vertex (key, kids) against its (source vertex,
+        positions): the moved source key is the key, and the moved
+        source child at positions[p - 1] is target child p."""
+        (key, kids, _), ((skey, skids, _), positions) = target, source
+        return (move(skey) == key
+                and [move(skids[q - 1]) for q in positions] == list(kids))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_graft_reports_where_each_vertex_went(self, n, data):
+        t = data.draw(st.sampled_from(
+            [t for ts in enumerate_trees_all(n).values() for t in ts]))
+        m = data.draw(st.integers(2, 6))
+        s = data.draw(st.sampled_from(
+            [s for ss in enumerate_trees_all(m).values() for s in ss]))
+        i = data.draw(st.integers(1, n))
+        g, verts = graft(t, i, s)
+        assert g == Tree(g.shape)
+        assert (g.arity, g.internal_edges) == (
+            n + m - 1, t.internal_edges + s.internal_edges + 1)
+
+        def outer(key):
+            return frozenset(y for x in key for y in (
+                range(i, i + m) if x == i else (x if x < i else x + m - 1,)))
+
+        def inner(key):
+            return frozenset(x + i - 1 for x in key)
+
+        sources = ([(v, outer) for v in t.vertices()]
+                   + [(v, inner) for v in s.vertices()])
+        assert sorted(src for src, _ in verts) == list(range(len(sources)))
+        for target, (src, positions) in zip(g.vertices(), verts, strict=True):
+            vertex, move = sources[src]
+            assert self._matches(target, (vertex, positions), move)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_relabel_reports_where_each_vertex_went(self, n, data):
+        t = data.draw(st.sampled_from(
+            [t for ts in enumerate_trees_all(n).values() for t in ts]))
+        perm = data.draw(st.permutations(list(range(1, n + 1))))
+        mapping = {j: perm[j - 1] for j in range(1, n + 1)}
+        s, verts = relabel_tree(t, mapping)
+        assert s == Tree(s.shape)
+
+        def move(key):
+            return frozenset(mapping[x] for x in key)
+
+        old = t.vertices()
+        assert sorted(src for src, _ in verts) == list(range(len(old)))
+        for target, (src, positions) in zip(s.vertices(), verts, strict=True):
+            assert self._matches(target, (old[src], positions), move)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 6), st.data())
