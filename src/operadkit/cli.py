@@ -275,8 +275,8 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
 
 def e1(g, n, betti_path, aut_mode, fmt):
     """First-page dimension table of the stratification sequence."""
-    _require_desk_scale(g=(g, 0, 2), n=(n, 1, 8))
-    if 3 * g - 3 + n > 5:
+    _require_desk_scale(g=(g, 0, 2), n=(n, 1, 12))
+    if g >= 1 and 3 * g - 3 + n > 5:
         raise UsageError("need 3g - 3 + n <= 5 at genus >= 1")
     from .strata import e1_table, StrataError
     try:
@@ -288,7 +288,7 @@ def e1(g, n, betti_path, aut_mode, fmt):
 
 def betti_predict(n, fmt):
     """Predicted even Betti numbers of the genus-0 compactification."""
-    _require_desk_scale(n=(n, 3, 8))
+    _require_desk_scale(n=(n, 3, 12))
     from .strata import predict_compactified_betti, StrataError
     try:
         pred = predict_compactified_betti(n)
@@ -332,7 +332,7 @@ def dual_e1(g, n, fmt):
 
     Exit 1 if the column Euler check against the open Betti numbers
     fails."""
-    _require_desk_scale(g=(g, 0, 0), n=(n, 3, 8))
+    _require_desk_scale(g=(g, 0, 0), n=(n, 3, 12))
     from .strata import dual_e1_table, dual_euler_check, StrataError
     try:
         table = dual_e1_table(g, n)

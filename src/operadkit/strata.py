@@ -12,6 +12,19 @@ The dual (logarithmic) first page uses compactified Betti numbers, edge
 count -p and vertex degrees summing to 2p + q.  For genus 0 the
 compactified numbers are predicted from the first table by alternating
 row sums, which is the degeneration statement being exercised.
+
+A genus-0 page depends on a tree only through its edge count and the
+multiset of its vertex valences, so genus-0 pages read a census of
+those multisets, which ``genus0_valence_census`` counts without
+building a tree.  An n-leg tree is a rooted tree on n - 1 labelled
+leaves, and the rooted trees T satisfy the exponential formula
+T = x + sum_{k>=2} y_{k+1} T^k / k!: a tree is its root, with k >= 2
+children and k + 1 punctures, over the unordered set of its subtrees,
+one per block of a set partition of the leaves.  Counting the block
+that holds the least label first visits each partition once, so the
+recursion stays in integers.  Only higher-genus pages, the cobar side
+of ``middle_row`` and the stratum-by-stratum Euler characteristic,
+kept enumerated as an independent oracle, load ``treegraph``.
 """
 
 from __future__ import annotations
@@ -19,10 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-
-from .treegraph import (enumerate_trees, enumerate_stable_graphs,
-                        automorphism_group, StableGraph)
+from math import comb
 
 
 class StrataError(ValueError):
@@ -152,19 +162,54 @@ class E1Table:
         }, indent=1)
 
 
+def _add_tensor(out: dict, a: dict, b: dict, scale: int = 1) -> None:
+    """Add to ``out`` scale times the census of the disjoint unions of
+    an ``a`` forest and a ``b`` forest: puncture tuples merged, counts
+    multiplied."""
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(sorted(ka + kb))
+            out[key] = out.get(key, 0) + scale * ca * cb
+
+
 def genus0_valence_census(n: int) -> dict[int, dict[tuple[int, ...], int]]:
     """For n punctures: count of trees per (edge count, sorted vertex
     puncture multiset).  Rooted trees on n - 1 leaves model the unrooted
-    n-leg trees with the root as the n-th leg."""
+    n-leg trees with the root as the n-th leg.
+
+    Counted, not enumerated.  With F_L the census of rooted trees on L
+    labelled leaves and G(L, k) that of forests of k such trees over a
+    set partition of the L leaves:
+
+    - F_1 = {(): 1}, the bare leaf, and G(L, 1) = F_L;
+    - G(L, k) = sum_s C(L - 1, s - 1) F_s (x) G(L - s, k - 1), where s
+      is the size of the block holding the least label;
+    - F_L = sum_{k>=2} G(L, k) (x) (k + 1): the root has k children and
+      k + 1 punctures,
+
+    where (x) merges puncture tuples and multiplies counts.  A rooted
+    tree is its root over the unordered set of its subtrees, and taking
+    the least label's block first counts each set partition once, so
+    every tree is counted exactly once and no division happens.
+    """
     if n < 3:
         raise StrataError("need at least 3 punctures")
-    census: dict[int, dict[tuple[int, ...], int]] = {}
-    for e in range(n - 2):
-        counts: dict[tuple[int, ...], int] = {}
-        for t in enumerate_trees(n - 1, e):
-            key = tuple(sorted(m + 1 for m in t.vertex_arities()))
-            counts[key] = counts.get(key, 0) + 1
-        census[e] = counts
+    leaves = n - 1
+    forests: dict[tuple[int, int], dict] = {(1, 1): {(): 1}}
+    for total in range(2, leaves + 1):
+        trees: dict[tuple[int, ...], int] = {}
+        for k in range(2, total + 1):
+            grown: dict[tuple[int, ...], int] = {}
+            for s in range(1, total - k + 2):
+                _add_tensor(grown, forests[(s, 1)],
+                            forests[(total - s, k - 1)], comb(total - 1, s - 1))
+            forests[(total, k)] = grown
+            _add_tensor(trees, grown, {(k + 1,): 1})
+        forests[(total, 1)] = trees
+    census: dict[int, dict[tuple[int, ...], int]] = {
+        e: {} for e in range(n - 2)}
+    for key, count in forests[(leaves, 1)].items():
+        census[len(key) - 1][key] = count
     return census
 
 
@@ -213,6 +258,7 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
         return table
     if 2 * g - 2 + n <= 0:
         raise StrataError("unstable (g, n)")
+    from .treegraph import enumerate_stable_graphs, automorphism_group
     for G in enumerate_stable_graphs(g, n, top):
         e = len(G.edges)
         p = top - e
@@ -260,11 +306,10 @@ def verify_vanishing(g: int, n: int, table: E1Table) -> bool:
     return True
 
 
-def predict_compactified_betti(n: int,
-                               betti: BettiTable | None = None) -> tuple[int, ...]:
+def predict_compactified_betti(n: int) -> tuple[int, ...]:
     """Even Betti numbers of the genus-0 compactification by alternating
     row sums of the first page (diagonal degeneration)."""
-    table = e1_table(0, n, betti)
+    table = e1_table(0, n)
     out = []
     for q in range(0, n - 2):
         h = (-1) ** q * sum((-1) ** p * d for (p, qq), d in
@@ -351,7 +396,9 @@ def dual_euler_check(table: E1Table, n: int) -> bool:
 
 def strata_euler_characteristic(n: int) -> int:
     """Euler characteristic of the genus-0 compactification summed
-    stratum by stratum: sum over trees of prod_v chi(open M at v)."""
+    stratum by stratum: sum over trees of prod_v chi(open M at v).
+    Enumerates the trees, so it is independent of the counted census."""
+    from .treegraph import enumerate_trees
     ob = {m: open_betti(m) for m in range(3, n + 1)}
     chi = {m: sum((-1) ** k * b for k, b in enumerate(row))
            for m, row in ob.items()}

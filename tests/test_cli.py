@@ -203,6 +203,17 @@ class TestStrataCommands:
         assert res.exit_code == 0
         assert res.output.strip() == "1,16,16,1"
 
+    def test_betti_predict_at_the_cap(self, runner):
+        res = run(runner, "betti-predict", "--n", "12")
+        assert res.exit_code == 0
+        row = [int(h) for h in res.output.strip().split(",")]
+        assert row == [1, 1981, 173570, 2567940, 9300303,
+                       9300303, 2567940, 173570, 1981, 1]
+        assert sum(row) == 24087590  # chi of the compactification
+        over = run(runner, "betti-predict", "--n", "13")
+        assert over.exit_code == 2
+        assert "--n" in over.stderr
+
     def test_middle_row(self, runner):
         res = run(runner, "middle-row", "--arity", "4", "--format", "json")
         assert res.exit_code == 0
@@ -216,6 +227,11 @@ class TestStrataCommands:
 
     def test_dual_e1_guard(self, runner):
         assert run(runner, "dual-e1", "--n", "2").exit_code == 2
+
+    def test_genus_zero_pages_at_the_cap(self, runner):
+        assert run(runner, "dual-e1", "--n", "12").exit_code == 0
+        assert run(runner, "e1", "--n", "12", "--format", "csv").exit_code == 0
+        assert run(runner, "e1", "--n", "13").exit_code == 2
 
 
 class TestHomotopyCommands:

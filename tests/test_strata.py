@@ -111,6 +111,26 @@ class TestCensus:
                     assert sum(nv - 2 for nv in punctures) == n - 2
                     assert len(punctures) == e + 1
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_counted_census_equals_enumerated_census(self, n):
+        enumerated = {}
+        for e in range(n - 2):
+            counts = enumerated.setdefault(e, {})
+            for t in enumerate_trees(n - 1, e):
+                key = tuple(sorted(m + 1 for m in t.vertex_arities()))
+                counts[key] = counts.get(key, 0) + 1
+        assert genus0_valence_census(n) == enumerated
+
+    def test_totals_are_the_tree_counts_of_oeis_a000311(self):
+        # rooted trees on 2..11 labelled leaves, every vertex with
+        # at least two children
+        a000311 = [1, 4, 26, 236, 2752, 39208, 660032, 12818912,
+                   282137824, 6939897856]
+        totals = [sum(sum(c.values()) for c in
+                      genus0_valence_census(leaves + 1).values())
+                  for leaves in range(2, 12)]
+        assert totals == a000311
+
 
 class TestE1Table:
     def test_five_puncture_table_frozen(self):
@@ -133,7 +153,7 @@ class TestE1Table:
         with pytest.raises(StrataError):
             e1_table(0, 5, aut_mode="whatever")
 
-    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("n", range(4, 13))
     def test_vanishing_bounds(self, n):
         assert verify_vanishing(0, n, e1_table(0, n))
 
@@ -163,6 +183,34 @@ class TestPredictions:
     @pytest.mark.parametrize("n", range(5, 9))
     def test_degree_two_matches_intersection_ring_rank(self, n):
         assert predict_compactified_betti(n)[1] == keel_h2_rank(n)
+
+    def test_keel_recursion_through_fifteen_punctures(self):
+        # Keel's recursion for the Poincare polynomials in q = t^2:
+        # P_{n+1} = (1 + q) P_n
+        #           + (q/2) sum_{j=2}^{n-2} C(n, j) P_{j+1} P_{n-j+1}
+        def mul(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        def add(a, b):
+            width = max(len(a), len(b))
+            return [x + y for x, y in zip(a + [0] * (width - len(a)),
+                                          b + [0] * (width - len(b)))]
+
+        poly = {3: [1]}
+        for n in range(3, 15):
+            pairs = [0]
+            for j in range(2, n - 1):
+                pairs = add(pairs, [comb(n, j) * c for c in
+                                    mul(poly[j + 1], poly[n - j + 1])])
+            assert all(c % 2 == 0 for c in pairs)
+            poly[n + 1] = add(mul([1, 1], poly[n]),
+                              [0] + [c // 2 for c in pairs])
+        for n in range(3, 16):
+            assert list(predict_compactified_betti(n)) == poly[n], n
 
     def test_keel_values(self):
         assert [keel_h2_rank(n) for n in range(4, 9)] == [1, 5, 16, 42, 99]
@@ -198,7 +246,7 @@ class TestDualTable:
             (0, 0): 1, (0, 2): 5, (0, 4): 1,
         }
 
-    @pytest.mark.parametrize("n", range(4, 8))
+    @pytest.mark.parametrize("n", range(4, 13))
     def test_column_euler_matches_open_betti(self, n):
         assert dual_euler_check(dual_e1_table(0, n), n)
 

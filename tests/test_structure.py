@@ -32,9 +32,16 @@ names a vertex by its leaf set (no ``frozenset``, no ``.vertices()``).
 Operad structure constants are ``int`` when integral: no
 ``compose_basis`` or ``act_basis`` in ``operads`` or ``cobar`` wraps a
 coefficient in ``Fraction``.
+
+Genus-0 strata are counted, not enumerated: Betti predictions, first
+pages, vanishing checks and dual pages read ``genus0_valence_census``,
+which builds no tree, so they never load ``treegraph``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import operadkit
@@ -172,3 +179,21 @@ def test_end_v_signs_live_in_operads():
     called = {node.func.id for node in ast.walk(end)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert {"end_compose", "end_differential"} <= called
+
+
+def test_genus_zero_strata_load_no_tree_code():
+    probe = (
+        "import sys\n"
+        "from operadkit.strata import (dual_e1_table, e1_table,\n"
+        "    predict_compactified_betti, verify_vanishing)\n"
+        "predict_compactified_betti(8)\n"
+        "assert verify_vanishing(0, 8, e1_table(0, 8))\n"
+        "dual_e1_table(0, 8)\n"
+        "print('operadkit.treegraph' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(operadkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
