@@ -1,12 +1,17 @@
-"""Frontier benchmark: cobar homology past perfbench's desk scale.
+"""Frontier benchmark: cobar homology and stable-graph censuses past
+perfbench's desk scale.
 
 Runs the Lie-dual cobar complex at arity 7 and the associative-dual at
-arity 6, each cold in a fresh process, and appends one entry to
-``BENCH_frontier.json`` at the repository root: per-stage seconds
-(basis, boundary assembly, the d.d = 0 check, rank), the shape and nnz
-of each boundary matrix, its rank, and the Betti numbers.  The ranks
-are checked against pinned values, so a wrong answer exits 1 instead
-of being recorded as fast.
+arity 6, and the full stable-graph censuses of (g, n) = (1, 5) and
+(2, 2), each cold in a fresh process, and appends one entry to
+``BENCH_frontier.json`` at the repository root.  A cobar job records
+per-stage seconds (basis, boundary assembly, the d.d = 0 check, rank),
+the shape and nnz of each boundary matrix, its rank, and the Betti
+numbers; a census job records its seconds (enumeration, automorphism
+groups), the graph count per edge count and the number of graphs per
+automorphism-group order.  Ranks, Betti numbers and census counts are
+checked against pinned values, so a wrong answer exits 1 instead of
+being recorded as fast.
 
     python3 scripts/bench_frontier.py --label "after: <what changed>"
     python3 scripts/bench_frontier.py --src ../old/src --label before
@@ -45,6 +50,14 @@ PINNED = {
                  {0: 0, 1: 0, 2: 0, 3: 0, 4: 720}),
 }
 
+# (g, n) -> graphs per edge count and graphs per |Aut| of the full census
+PINNED_GRAPHS = {
+    (1, 5): ({0: 1, 1: 27, 2: 171, 3: 470, 4: 610, 5: 297},
+             {1: 684, 2: 892}),
+    (2, 2): ({0: 1, 1: 4, 2: 13, 3: 24, 4: 23, 5: 10},
+             {1: 10, 2: 36, 4: 22, 6: 3, 8: 4}),
+}
+
 
 def run_job(src: str, name: str, n: int) -> dict:
     """One cold cobar homology computation, timed by stage."""
@@ -58,15 +71,15 @@ def run_job(src: str, name: str, n: int) -> dict:
     t1 = time.perf_counter()
     mats = [cx.boundary_matrix(e) for e in range(n - 2)]
     t2 = time.perf_counter()
+    dims = cx.dims()
     # ChainComplex wants differentials that lower degree p = n - 2 - e
-    spaces = [len(cx.basis[n - 2 - p]) for p in range(n - 1)]
+    spaces = [dims[n - 2 - p] for p in range(n - 1)]
     ChainComplex(spaces, mats[::-1])  # raises ComplexError unless d.d = 0
     t3 = time.perf_counter()
     ranks = [rank(m) for m in mats]
     t4 = time.perf_counter()
     stages = {"basis_s": t1 - t0, "boundaries_s": t2 - t1, "dd_s": t3 - t2,
               "rank_s": t4 - t3, "total_s": t4 - t0}
-    dims = cx.dims()
     betti = {e: dims[e] - (ranks[e] if e < n - 2 else 0)
              - (ranks[e - 1] if e > 0 else 0) for e in range(n - 1)}
     return {
@@ -76,6 +89,33 @@ def run_job(src: str, name: str, n: int) -> dict:
                       "cols": m.cols, "nnz": m.nnz(), "rank": r}
                      for e, (m, r) in enumerate(zip(mats, ranks))],
         "betti": betti,
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def run_census(src: str, g: int, n: int) -> dict:
+    """One cold census of every stable graph of (g, n), timed by stage."""
+    sys.path.insert(0, src)
+    from operadkit.treegraph import automorphism_group, enumerate_stable_graphs
+
+    t0 = time.perf_counter()
+    graphs = enumerate_stable_graphs(g, n, 3 * g - 3 + n)
+    t1 = time.perf_counter()
+    orders = [len(automorphism_group(G)) for G in graphs]
+    t2 = time.perf_counter()
+    edges: dict[int, int] = {}
+    auts: dict[int, int] = {}
+    for G, k in zip(graphs, orders):
+        edges[len(G.edges)] = edges.get(len(G.edges), 0) + 1
+        auts[k] = auts.get(k, 0) + 1
+    return {
+        "census": "stable graphs", "g": g, "n": n,
+        "stages": {"enumerate_s": round(t1 - t0, 3),
+                   "automorphisms_s": round(t2 - t1, 3),
+                   "total_s": round(t2 - t0, 3)},
+        "edges": dict(sorted(edges.items())),
+        "aut_orders": dict(sorted(auts.items())),
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
@@ -113,9 +153,13 @@ def main() -> int:
     src = Path(args.src).resolve()
     ctx = multiprocessing.get_context("spawn")
     jobs, ok = [], True
+
+    def cold(fn, *args):  # a fresh process: every job runs cold
+        with ctx.Pool(1) as pool:
+            return pool.apply(fn, (str(src), *args))
+
     for name, n in PINNED:
-        with ctx.Pool(1) as pool:  # a fresh process: every job runs cold
-            job = pool.apply(run_job, (str(src), name, n))
+        job = cold(run_job, name, n)
         want_ranks, want_betti = PINNED[(name, n)]
         got = [m["rank"] for m in job["matrices"]]
         job["oracle_ok"] = got == want_ranks and job["betti"] == want_betti
@@ -127,6 +171,18 @@ def main() -> int:
               f"{s['rank_s']} s, total {s['total_s']} s, "
               f"peak RSS {job['peak_rss_mb']} MB, "
               f"ranks {got} {'ok' if job['oracle_ok'] else 'WRONG'}")
+    for (g, n), (want_edges, want_auts) in PINNED_GRAPHS.items():
+        job = cold(run_census, g, n)
+        job["oracle_ok"] = (job["edges"] == want_edges
+                            and job["aut_orders"] == want_auts)
+        ok &= job["oracle_ok"]
+        jobs.append(job)
+        s = job["stages"]
+        print(f"graphs ({g}, {n}): enumerate {s['enumerate_s']} s, "
+              f"automorphisms {s['automorphisms_s']} s, "
+              f"peak RSS {job['peak_rss_mb']} MB, "
+              f"{sum(job['edges'].values())} graphs "
+              f"{'ok' if job['oracle_ok'] else 'WRONG'}")
     entry = {
         "label": args.label,
         "commit": _commit(src),

@@ -19,6 +19,7 @@ say where each vertex went, so no vertex is matched here.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -281,8 +282,20 @@ class CobarComplex:
 
 
 def cobar_dims(cooperad: Cooperad, n: int) -> dict[int, int]:
-    """Dimension of each edge-graded piece of the arity-n cobar complex."""
-    return CobarComplex(cooperad, n).dims()
+    """Dimension of each edge-graded piece of the arity-n cobar complex,
+    counted without its basis: a tree whose vertices have arities m_1,
+    m_2, ... carries prod dim C(m_i) decorations.  The trees are still
+    enumerated, so `strata.middle_row`, which compares these numbers
+    with the counted genus-0 census, checks a count against an
+    enumeration."""
+    if n < 2:
+        raise CobarError("cobar pieces start at arity 2")
+    if n > cooperad.max_arity:
+        raise CobarError(
+            f"cooperad only has components up to arity {cooperad.max_arity}")
+    return {e: sum(math.prod(map(cooperad.dim, t.vertex_arities()))
+                   for t in enumerate_trees(n, e))
+            for e in range(n - 1)}
 
 
 def cobar_homology(cooperad: Cooperad, n: int,

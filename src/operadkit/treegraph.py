@@ -28,16 +28,19 @@ its least child, and no other vertex's leaf set, so no other order,
 changes.
 
 Stable graphs carry genus labels, edges (loops allowed) and enumerated
-legs; isomorphism classes are canonicalized by minimizing the encoding
-over all vertex orderings (desk scale).  They are grown by edge count
-from the smooth graph by uncontraction (a loop at a vertex that gives up
-one genus, or a vertex split in two along a new edge), which reaches
-all of them: contracting any edge of a stable graph keeps it stable.
+legs.  An isomorphism class is stored as its lex-least (genera, edges,
+legs) over vertex relabellings; that triple lists the genera sorted, so
+only relabellings within each genus class are searched (desk scale).
+Graphs are grown by edge count from the smooth graph by uncontraction
+(a loop at a vertex that gives up one genus, or a vertex split in two
+along a new edge), which reaches all of them: contracting any edge of a
+stable graph keeps it stable.  Uncontraction keeps a graph connected,
+so its candidates are checked by the valence rule alone and
+canonicalized without the constructor's other checks.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import sys
 from dataclasses import dataclass
@@ -452,10 +455,11 @@ class GraphAutomorphism:
 class StableGraph:
     """A connected genus-labeled graph with legs, edges and loops.
 
-    Stability: every genus-0 vertex has valence >= 3 and every genus-1
-    vertex has valence >= 1; a loop contributes 2 to the valence of its
-    vertex.  Stored in canonical form (minimal encoding over vertex
-    orderings), so equal graphs compare equal.
+    Stability (`_is_stable`): every genus-0 vertex has valence >= 3 and
+    every genus-1 vertex has valence >= 1; a loop contributes 2 to the
+    valence of its vertex.  Stored in canonical form, the lex-least
+    (genera, edges, legs) over vertex relabellings, so equal graphs
+    compare equal.
     """
 
     __slots__ = ("genera", "edges", "legs")
@@ -477,14 +481,21 @@ class StableGraph:
                 raise GraphError(f"leg vertex {v} out of range")
         if not _is_connected(nv, edges):
             raise GraphError("graph must be connected")
-        for v in range(nv):
-            val = _valence(v, edges, legs)
-            if genera[v] == 0 and val < 3:
-                raise GraphError(f"genus-0 vertex {v} has valence {val} < 3")
-            if genera[v] == 1 and val < 1:
-                raise GraphError(f"genus-1 vertex {v} has valence {val} < 1")
+        if not _is_stable(genera, edges, legs):
+            v, val = next((v, val) for v, val in enumerate(
+                _valences(nv, edges, legs)) if 2 * genera[v] + val < 3)
+            raise GraphError(f"genus-{genera[v]} vertex {v} has valence "
+                             f"{val} < {3 - 2 * genera[v]}")
         self.genera, self.edges, self.legs = _canonical_graph(
             genera, edges, legs)
+
+    @classmethod
+    def _canonical(cls, genera, edges, legs) -> StableGraph:
+        """Canonicalize a candidate that uncontraction built connected
+        and stable, without checking it again."""
+        G = object.__new__(cls)
+        G.genera, G.edges, G.legs = _canonical_graph(genera, edges, legs)
+        return G
 
     @property
     def num_vertices(self) -> int:
@@ -495,7 +506,7 @@ class StableGraph:
         return len(self.legs)
 
     def valence(self, v: int) -> int:
-        return _valence(v, self.edges, self.legs)
+        return _valences(self.num_vertices, self.edges, self.legs)[v]
 
     def b1(self) -> int:
         return len(self.edges) - len(self.genera) + 1
@@ -513,11 +524,21 @@ class StableGraph:
         return f"StableGraph({encode_graph(self)!r})"
 
 
-def _valence(v, edges, legs):
-    val = sum(1 for w in legs if w == v)
+def _valences(nv, edges, legs):
+    val = [0] * nv
+    for v in legs:
+        val[v] += 1
     for a, b in edges:
-        val += (a == v) + (b == v)
+        val[a] += 1
+        val[b] += 1
     return val
+
+
+def _is_stable(genera, edges, legs):
+    """The valence rule, 2g - 2 + valence > 0 at every vertex: valence
+    >= 3 at genus 0 and >= 1 at genus 1 (a loop counts twice)."""
+    return all(2 * g + val >= 3 for g, val in
+               zip(genera, _valences(len(genera), edges, legs)))
 
 
 def _is_connected(nv, edges):
@@ -538,22 +559,30 @@ def _is_connected(nv, edges):
     return len(seen) == nv
 
 
-def _graph_code(genera, edges, legs, perm):
-    pg = tuple(genera[perm.index(v)] for v in range(len(genera)))
-    # perm maps old index -> new index
-    pe = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
-    pl = tuple(perm[v] for v in legs)
-    return (pg, pe, pl)
-
-
 def _canonical_graph(genera, edges, legs):
-    nv = len(genera)
+    """The lex-least (genera, edges, legs) over vertex relabellings.
+
+    Its genera are sorted, so a minimizing relabelling sends each genus
+    class onto its block of the sorted order, and only those are tried,
+    comparing (edges, legs)."""
+    order = sorted(range(len(genera)), key=genera.__getitem__)
+    blocks = [tuple(vs) for _, vs in
+              itertools.groupby(order, key=genera.__getitem__)]
+    new = [0] * len(genera)  # old vertex -> new index
     best = None
-    for p in itertools.permutations(range(nv)):
-        code = _graph_code(genera, edges, legs, p)
+    for arrangement in itertools.product(
+            *map(itertools.permutations, blocks)):
+        for i, v in enumerate(itertools.chain.from_iterable(arrangement)):
+            new[v] = i
+        pe = []
+        for a, b in edges:
+            a, b = new[a], new[b]
+            pe.append((a, b) if a <= b else (b, a))
+        pe.sort()
+        code = (tuple(pe), tuple([new[v] for v in legs]))
         if best is None or code < best:
             best = code
-    return best
+    return (tuple(sorted(genera)), *best)
 
 
 def genus_invariant(g: StableGraph) -> int:
@@ -564,9 +593,11 @@ def genus_invariant(g: StableGraph) -> int:
 def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> list[StableGraph]:
     """All isomorphism classes with total genus g, n legs, <= max_edges edges.
 
-    The graphs with e + 1 edges are the stable `_uncontractions` of those
-    with e, starting from the smooth graph; none is missed, since each
-    contracts along any edge to a stable graph with e edges.  Sorted by
+    The graphs with e + 1 edges are the `_uncontractions` of those with
+    e, starting from the smooth graph; none is missed, since each
+    contracts along any edge to a stable graph with e edges.  They are
+    connected and stable by construction, so `StableGraph._canonical`
+    canonicalizes them without the constructor's checks.  Sorted by
     vertex count, edge count, genera, edges, then legs.  Raises GraphError
     for unstable (g, n), i.e. 2g - 2 + n <= 0, and for negative g.
     """
@@ -577,8 +608,7 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> list[StableGraph]
         level = set()
         for G in levels[-1]:
             for data in _uncontractions(G):
-                with contextlib.suppress(GraphError):
-                    level.add(StableGraph(*data))
+                level.add(StableGraph._canonical(*data))
         levels.append(level)
     return sorted(set().union(*levels[:max_edges + 1]),
                   key=lambda G: (len(G.genera), len(G.edges),
@@ -586,16 +616,18 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> list[StableGraph]
 
 
 def _uncontractions(G: StableGraph):
-    """Candidates (genera, edges, legs), stable or not, with one more
-    edge that contract back to G: a loop at a vertex of positive genus,
-    which loses one, or a vertex v split into v and a new w along a new
-    edge, v's genus shared out and each half-edge at v kept or moved.
-    Each split is yielded once, not once per side."""
+    """The stable graphs (genera, edges, legs), not yet canonical, with
+    one more edge that contract back to G: a loop at a vertex of
+    positive genus, which loses one, or a vertex v split into v and a
+    new w along a new edge, v's genus shared out and each half-edge at v
+    kept or moved.  Both keep the graph connected.  Each split is
+    yielded once, not once per side."""
     n, w = G.num_legs, G.num_vertices
     ends = G.legs + sum(G.edges, ())  # legs' vertices, then edge ends
     for v, gv in enumerate(G.genera):
         head, tail = G.genera[:v], G.genera[v + 1:]
         if gv:
+            # stable as G is: 2(gv - 1) plus the loop's 2 is 2gv
             yield head + (gv - 1,) + tail, G.edges + ((v, v),), G.legs
         at_v = [i for i, u in enumerate(ends) if u == v]
         # a split and its complement with the genera swapped are one
@@ -605,8 +637,11 @@ def _uncontractions(G: StableGraph):
             for i, u in zip(at_v[1:], moved):
                 new[i] = u
             edges = list(zip(new[n::2], new[n + 1::2])) + [(v, w)]
+            legs = new[:n]
             for g1 in range(gv + 1 if at_v else gv // 2 + 1):
-                yield head + (g1,) + tail + (gv - g1,), edges, new[:n]
+                genera = head + (g1,) + tail + (gv - g1,)
+                if _is_stable(genera, edges, legs):
+                    yield genera, edges, legs
 
 
 def automorphism_group(G: StableGraph) -> list[GraphAutomorphism]:
@@ -622,14 +657,17 @@ def automorphism_group(G: StableGraph) -> list[GraphAutomorphism]:
     for j, ends in enumerate(G.edges):
         groups.setdefault(ends, []).append(j)
     legs = tuple((("leg", i), ("leg", i)) for i in range(1, G.num_legs + 1))
+    fixed = sorted(set(G.legs))
+    genera = G.genera
     autos = []
     for p in itertools.permutations(range(G.num_vertices)):
-        targets = [groups.get(tuple(sorted((p[a], p[b]))), [])
-                   for a, b in groups]
-        if (any(G.genera[q] != G.genera[v] for v, q in enumerate(p))
-                or any(p[v] != v for v in G.legs)
-                or any(len(ks) != len(js)
-                       for ks, js in zip(targets, groups.values()))):
+        # cheap rejections first: a moved leg vertex or a changed genus
+        if (any(p[v] != v for v in fixed)
+                or any(genera[q] != genera[v] for v, q in enumerate(p))):
+            continue
+        targets = [groups.get((a, b) if a <= b else (b, a), [])
+                   for a, b in ((p[a], p[b]) for a, b in groups)]
+        if any(len(ks) != len(js) for ks, js in zip(targets, groups.values())):
             continue
         for perms in itertools.product(*map(itertools.permutations, targets)):
             image = list(itertools.chain(*perms))

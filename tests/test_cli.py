@@ -453,6 +453,101 @@ class TestDkCertificate:
         assert res.stdout.endswith("closure certificate: ok\n")
 
 
+# stdout of each command, byte for byte, as recorded before stable graphs
+# were canonicalized within genus classes and cobar dimensions counted
+GRAPHS_1_2 = (
+    "V[1] E[] L[0,0]  edges=0 aut=1\n"
+    "V[0] E[0-0] L[0,0]  edges=1 aut=2\n"
+    "V[0,1] E[0-1] L[0,0]  edges=1 aut=1\n"
+    "V[0,0] E[0-0 0-1] L[1,1]  edges=2 aut=2\n"
+    "V[0,0] E[0-1 0-1] L[0,1]  edges=2 aut=2\n"
+)
+
+GRAPHS_0_5 = (
+    "V[0] E[] L[0,0,0,0,0]  edges=0 aut=1\n"
+    "V[0,0] E[0-1] L[0,0,0,1,1]  edges=1 aut=1\n"
+    "V[0,0] E[0-1] L[0,0,1,0,1]  edges=1 aut=1\n"
+    "V[0,0] E[0-1] L[0,0,1,1,0]  edges=1 aut=1\n"
+    "V[0,0] E[0-1] L[0,0,1,1,1]  edges=1 aut=1\n"
+    "V[0,0] E[0-1] L[0,1,0,0,1]  edges=1 aut=1\n"
+    "V[0,0] E[0-1] L[0,1,0,1,0]  edges=1 aut=1\n"
+    "V[0,0] E[0-1] L[0,1,0,1,1]  edges=1 aut=1\n"
+    "V[0,0] E[0-1] L[0,1,1,0,0]  edges=1 aut=1\n"
+    "V[0,0] E[0-1] L[0,1,1,0,1]  edges=1 aut=1\n"
+    "V[0,0] E[0-1] L[0,1,1,1,0]  edges=1 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[0,1,1,2,2]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[0,1,2,1,2]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[0,1,2,2,1]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,0,1,2,2]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,0,2,1,2]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,0,2,2,1]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,1,0,2,2]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,1,2,0,2]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,1,2,2,0]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,2,0,1,2]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,2,0,2,1]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,2,1,0,2]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,2,1,2,0]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,2,2,0,1]  edges=2 aut=1\n"
+    "V[0,0,0] E[0-1 0-2] L[1,2,2,1,0]  edges=2 aut=1\n"
+)
+
+COBAR_ASC_5 = "e=0: 120\ne=1: 1080\ne=2: 2520\ne=3: 1680\n"
+
+
+def _json_stdout(doc) -> str:
+    return json.dumps(doc, indent=1) + "\n"
+
+
+GRAPHS_2_0_JSON = _json_stdout({
+    "g": 2, "n": 0, "count": 7,
+    "graphs": [{"graph": graph, "edges": edges, "aut_order": aut}
+               for graph, edges, aut in [
+        ("V[2] E[] L[]", 0, 1),
+        ("V[1] E[0-0] L[]", 1, 2),
+        ("V[0] E[0-0 0-0] L[]", 2, 8),
+        ("V[1,1] E[0-1] L[]", 1, 2),
+        ("V[0,1] E[0-0 0-1] L[]", 2, 2),
+        ("V[0,0] E[0-0 0-1 1-1] L[]", 3, 8),
+        ("V[0,0] E[0-1 0-1 0-1] L[]", 3, 12),
+    ]]})
+
+MIDDLE_ROW_6_JSON = _json_stdout({
+    "arity": 6,
+    "e1_row": {"0": 945, "1": 2520, "2": 2380, "3": 924, "4": 120},
+    "cobar": {"0": 945, "1": 2520, "2": 2380, "3": 924, "4": 120},
+    "equal": True})
+
+E1_1_2_JSON = _json_stdout({
+    "format": "operadkit-e1", "g": 1, "n": 2,
+    "entries": [[0, 0, 2], [1, 0, 2], [1, 1, 2], [2, 1, 1], [2, 2, 1]]})
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("args, stdout", [
+        ("graphs --g 1 --n 2", GRAPHS_1_2),
+        ("graphs --g 0 --n 5", GRAPHS_0_5),
+        ("graphs --g 2 --n 0 --format json", GRAPHS_2_0_JSON),
+        ("middle-row --arity 6 --format json", MIDDLE_ROW_6_JSON),
+        ("cobar --cooperad asc --arity 5", COBAR_ASC_5),
+    ])
+    def test_stdout_is_pinned(self, runner, args, stdout):
+        res = run(runner, *args.split())
+        assert (res.exit_code, res.stdout) == (0, stdout)
+
+    def test_e1_at_genus_one(self, runner, tmp_path):
+        # without Betti data the page cannot be built: a usage error
+        res = run(runner, "e1", "--g", "1", "--n", "2", "--format", "json")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == ("Error: no Betti data for (g, n) = (1, 2); "
+                              "ingest a table\n")
+        csv = tmp_path / "betti.csv"
+        csv.write_text("g,n,k,dim\n1,1,0,1\n1,2,0,1\n1,2,1,1\n1,3,0,1\n")
+        res = run(runner, "e1", "--g", "1", "--n", "2", "--betti", str(csv),
+                  "--aut-mode", "ignore", "--format", "json")
+        assert (res.exit_code, res.stdout) == (0, E1_1_2_JSON)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ("trees", "--n", "4", "--format", "json"),

@@ -164,6 +164,18 @@ class TestCobarComplex:
         co = cofactory(n)
         assert cobar_dims(co, n) == expected_chain_dims(co, n)
 
+    @pytest.mark.parametrize("cofactory", [
+        liec_cooperad, asc_cooperad, commc_cooperad])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_counted_dims_match_the_decorated_basis(self, cofactory, n):
+        co = cofactory(n)
+        assert cobar_dims(co, n) == CobarComplex(co, n).dims()
+
+    def test_counted_dims_reject_what_the_complex_rejects(self):
+        for n in (1, 4):
+            with pytest.raises(CobarError):
+                cobar_dims(liec_cooperad(3), n)
+
     def test_frozen_chain_dims(self):
         assert cobar_dims(liec_cooperad(5), 5) == \
             {0: 24, 1: 130, 2: 210, 3: 105}

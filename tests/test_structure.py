@@ -10,7 +10,9 @@ hand-rolled "add, then drop the zero" loop elsewhere shows up as a
 
 ``Tree._from_canonical`` wraps a shape without validating it, which is
 sound only for shapes the tree generator built; only ``treegraph`` may
-use it, so input from outside always goes through ``Tree(...)``.
+use it, so input from outside always goes through ``Tree(...)``.  The
+same holds for ``StableGraph._canonical`` and the graphs uncontraction
+builds.
 
 ``qlinalg.rank`` is the one rank engine: every other rank or kernel
 dimension in ``qlinalg`` is computed by calling it.
@@ -35,7 +37,8 @@ coefficient in ``Fraction``.
 
 Genus-0 strata are counted, not enumerated: Betti predictions, first
 pages, vanishing checks and dual pages read ``genus0_valence_census``,
-which builds no tree, so they never load ``treegraph``.
+which builds no tree, so they never load ``treegraph``.  Cobar
+dimensions are counted too: ``middle_row`` builds no ``CobarComplex``.
 """
 
 import ast
@@ -45,7 +48,7 @@ import sys
 from pathlib import Path
 
 import operadkit
-from operadkit.treegraph import Tree
+from operadkit.treegraph import StableGraph, Tree
 
 
 def _private(name: str) -> bool:
@@ -87,15 +90,26 @@ def test_one_sparse_accumulator():
     assert name == "qlinalg.py" and addmul.lineno < line <= addmul.end_lineno
 
 
-def test_unchecked_tree_constructor_stays_in_treegraph():
-    name = "_from_canonical"
-    assert callable(getattr(Tree, name))
+def _users(name: str) -> list[str]:
+    """Where the package names ``name``, as file:line."""
     users = []
     for path in sorted(Path(operadkit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if name in (getattr(node, "attr", None), getattr(node, "id", None),
                         getattr(node, "value", None)):
                 users.append(f"{path.name}:{node.lineno}")
+    return users
+
+
+def test_unchecked_tree_constructor_stays_in_treegraph():
+    assert callable(Tree._from_canonical)
+    users = _users("_from_canonical")
+    assert users and all(u.startswith("treegraph.py:") for u in users), users
+
+
+def test_unchecked_graph_constructor_stays_in_treegraph():
+    assert callable(StableGraph._canonical)
+    users = _users("_canonical")
     assert users and all(u.startswith("treegraph.py:") for u in users), users
 
 
@@ -197,3 +211,15 @@ def test_genus_zero_strata_load_no_tree_code():
     res = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_middle_row_builds_no_decorated_basis(monkeypatch):
+    from operadkit import cobar
+    from operadkit.strata import middle_row
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("middle_row built a CobarComplex")
+
+    monkeypatch.setattr(cobar.CobarComplex, "__init__", refuse)
+    report = middle_row(6)
+    assert report.equal and sum(report.cobar_dims.values()) == 6889

@@ -4,14 +4,17 @@ Tree counts are checked against an independent leaf-insertion
 recurrence and the trees themselves against leaf insertion on unordered
 trees; stable-graph class counts against an independent exhaustive
 enumeration deduplicated by pairwise isomorphism testing, and
-automorphism orders against orbifold Euler characteristics.  No oracle
-shares code with the library.  The enumeration order is pinned by
+automorphism orders against orbifold Euler characteristics.  Canonical
+forms and automorphism lists are checked against brute force over all
+vertex orderings, and the stability rule against the valence
+conditions written out.  No oracle shares code with the library.  The enumeration order is pinned by
 literal values recorded before the generator built shapes in order.
 """
 
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from operadkit.strata import strata_euler_characteristic
 from operadkit.treegraph import (
+    GraphAutomorphism,
     GraphError,
     StableGraph,
     Tree,
@@ -41,6 +45,7 @@ from operadkit.treegraph import (
     relabel_tree,
     vertex_expansions,
 )
+from operadkit.treegraph import _is_stable
 
 
 # --------------------------------------------------------------------------
@@ -536,6 +541,83 @@ def open_chi(g: int, n: int) -> Fraction:
 # the stable (g, n) within the `graphs` command's cap 3g - 3 + n <= 3
 DESK_PAIRS = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0)]
 
+# every stable (g, n) with 3g - 3 + n <= 4, and (3, 0), which has graphs
+# whose vertices differ only in genus (V[1,2] E[0-1])
+ORACLE_PAIRS = DESK_PAIRS + [(0, 7), (1, 4), (2, 1), (3, 0)]
+
+
+# Oracle 5: the canonical form as the lex-least (genera, edges, legs)
+# over all nv! vertex orderings, and the automorphism group by trying
+# every vertex permutation in full, as the library did before it
+# searched within genus classes and rejected cheaply first.
+
+
+def _oracle_graph_code(genera, edges, legs, perm):
+    pg = tuple(genera[perm.index(v)] for v in range(len(genera)))
+    # perm maps old index -> new index
+    pe = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+    pl = tuple(perm[v] for v in legs)
+    return (pg, pe, pl)
+
+
+def oracle_canonical_graph(genera, edges, legs):
+    return min(_oracle_graph_code(genera, edges, legs, p)
+               for p in itertools.permutations(range(len(genera))))
+
+
+def oracle_automorphism_group(G):
+    groups = {}
+    for j, ends in enumerate(G.edges):
+        groups.setdefault(ends, []).append(j)
+    legs = tuple((("leg", i), ("leg", i)) for i in range(1, G.num_legs + 1))
+    autos = []
+    for p in itertools.permutations(range(G.num_vertices)):
+        targets = [groups.get(tuple(sorted((p[a], p[b]))), [])
+                   for a, b in groups]
+        if (any(G.genera[q] != G.genera[v] for v, q in enumerate(p))
+                or any(p[v] != v for v in G.legs)
+                or any(len(ks) != len(js)
+                       for ks, js in zip(targets, groups.values()))):
+            continue
+        for perms in itertools.product(*map(itertools.permutations, targets)):
+            image = list(itertools.chain(*perms))
+            sides = [(0, 1) if a == b else (int((p[a], p[b]) != G.edges[k]),)
+                     for (a, b), k in zip(G.edges, image)]
+            for flip in itertools.product(*sides):
+                half = [h for j, (k, f) in enumerate(zip(image, flip))
+                        for h in ((("e", j, 0), ("e", k, f)),
+                                  (("e", j, 1), ("e", k, 1 - f)))]
+                autos.append(GraphAutomorphism(p, legs + tuple(half)))
+    return autos
+
+
+def oracle_is_stable(genera, edges, legs):
+    return all(not (g == 0 and _oracle_valence(v, edges, legs) < 3)
+               and not (g == 1 and _oracle_valence(v, edges, legs) < 1)
+               for v, g in enumerate(genera))
+
+
+@lru_cache(maxsize=None)
+def census_with_oracle(g, n):
+    """Each graph of the full (g, n) census with the oracle's triple."""
+    return [(G, oracle_canonical_graph(G.genera, G.edges, G.legs))
+            for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n)]
+
+
+@st.composite
+def raw_connected_graphs(draw):
+    """A connected (genera, edges, legs) in no particular form: a random
+    spanning tree plus extra edges and loops, endpoints in either order."""
+    nv = draw(st.integers(1, 4))
+    genera = draw(st.lists(st.integers(0, 2), min_size=nv, max_size=nv))
+    vertex = st.integers(0, nv - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    edges = [e[::-1] if draw(st.booleans()) else e
+             for e in draw(st.permutations(edges))]
+    legs = draw(st.lists(vertex, max_size=5))
+    return genera, edges, legs
+
 
 class TestStableGraphs:
     def test_validation(self):
@@ -664,3 +746,45 @@ class TestStableGraphs:
         a = StableGraph([0, 1], [(0, 1), (0, 1)], [0])
         b = StableGraph([1, 0], [(1, 0), (0, 1)], [1])
         assert a == b and hash(a) == hash(b)
+
+
+class TestStableGraphOracles:
+    @pytest.mark.parametrize("g, n", ORACLE_PAIRS)
+    def test_canonical_form_is_the_brute_force_minimum(self, g, n):
+        for G, triple in census_with_oracle(g, n):
+            assert (G.genera, G.edges, G.legs) == triple
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("g, n", ORACLE_PAIRS)
+    def test_relabelled_graphs_canonicalize_to_the_oracle(self, g, n, seed):
+        # one seeded relabelling and edge shuffle per graph of the census
+        rng = random.Random(seed)
+        for G, triple in census_with_oracle(g, n):
+            new = list(range(G.num_vertices))  # old vertex -> new
+            rng.shuffle(new)
+            genera = [0] * len(new)
+            for v, gv in enumerate(G.genera):
+                genera[new[v]] = gv
+            edges = [(new[b], new[a]) if rng.random() < 0.5
+                     else (new[a], new[b]) for a, b in G.edges]
+            rng.shuffle(edges)
+            H = StableGraph(genera, edges, [new[v] for v in G.legs])
+            assert (H.genera, H.edges, H.legs) == triple
+
+    @pytest.mark.parametrize("g, n", ORACLE_PAIRS)
+    def test_automorphism_lists_match_brute_force(self, g, n):
+        for G, _ in census_with_oracle(g, n):
+            assert automorphism_group(G) == oracle_automorphism_group(G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=raw_connected_graphs())
+    def test_stability_rule_agrees_with_the_validating_constructor(self, raw):
+        genera, edges, legs = raw
+        try:
+            StableGraph(genera, edges, legs)
+            accepted = True
+        except GraphError:
+            accepted = False
+        assert _is_stable(genera, edges, legs) == accepted \
+            == oracle_is_stable(genera, edges, legs)
