@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Every computation in the library is reachable here; outputs are JSON
-(canonical machine format), CSV, or aligned text.  Expensive homology
-runs are cached content-addressed under the cache directory (override
-with OPERADKIT_CACHE_DIR, disable with --no-cache); the key holds a
-digest of the package's source, so an answer cached by other code is a
-miss.  A cache that cannot be written gives a warning, not an error.
+(canonical machine format), aligned text, or CSV for the page tables.
+Expensive homology runs are cached content-addressed under the cache
+directory (override with OPERADKIT_CACHE_DIR, disable with --no-cache);
+the key holds a digest of the package's source, so an answer cached by
+other code is a miss.  A cache that cannot be written gives a warning, not an error.
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
 
 The commands are one table, ``main.commands``; a run builds the
@@ -591,8 +591,9 @@ def _choice(flag, choices, **kwargs):
     return flag, {"choices": choices, **kwargs}
 
 
-FORMAT = _choice("--format", ("json", "csv", "text"), dest="fmt",
-                 default="text")
+FORMAT = _choice("--format", ("json", "text"), dest="fmt", default="text")
+TABLE_FORMAT = _choice("--format", ("json", "csv", "text"), dest="fmt",
+                       default="text")
 FAMILY_FILE = ("family_file", {"metavar": "FAMILY_FILE",
                                "type": _existing_path})
 FIXTURE_FILE = ("--file", {"dest": "fixture_file", "type": _existing_path,
@@ -643,7 +644,7 @@ main = Main({
         ("--betti", {"dest": "betti_path", "type": _existing_path,
                      "help": "CSV of open Betti numbers (g,n,k,dim)"}),
         _choice("--aut-mode", ("degree0", "ignore"), default="degree0"),
-        FORMAT),
+        TABLE_FORMAT),
     "betti-predict": Command(
         betti_predict,
         _int("--n", required=True),
@@ -656,7 +657,7 @@ main = Main({
         dual_e1,
         _int("--g", 0),
         _int("--n", required=True),
-        FORMAT),
+        TABLE_FORMAT),
     "check-ainf": Command(check_ainf_cmd, FAMILY_FILE, _int("--max-arity")),
     "check-cinf": Command(check_cinf_cmd, FAMILY_FILE, _int("--max-arity")),
     "er": Command(

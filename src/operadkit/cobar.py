@@ -298,14 +298,13 @@ def cobar_dims(cooperad: Cooperad, n: int) -> dict[int, int]:
             for e in range(n - 1)}
 
 
-def cobar_homology(cooperad: Cooperad, n: int,
-                   sign_mode: str = "standard") -> dict[int, int]:
+def cobar_homology(cooperad: Cooperad, n: int) -> dict[int, int]:
     """Betti numbers of the arity-n cobar complex, keyed by edge count.
 
     Raises ComplexError if the differential does not square to zero
     (which is how a wrong sign convention announces itself).
     """
-    return CobarComplex(cooperad, n, sign_mode=sign_mode).homology()
+    return CobarComplex(cooperad, n).homology()
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,13 @@ that holds the least label first visits each partition once, so the
 recursion stays in integers.  Only higher-genus pages, the cobar side
 of ``middle_row`` and the stratum-by-stratum Euler characteristic,
 kept enumerated as an independent oracle, load ``treegraph``.
+Every page is one fold of a census {edge count: {sorted vertex keys:
+count}}, keyed by valence in genus 0 and by (genus, valence) above.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass, field
 from math import comb
@@ -213,25 +215,24 @@ def genus0_valence_census(n: int) -> dict[int, dict[tuple[int, ...], int]]:
     return census
 
 
-def _fold_genus0_census(n: int, betti_of, bigrade) -> dict:
-    """(p, q) -> dim over the genus-0 trees with n punctures: each adds
-    the product of its vertices' Betti lists ``betti_of(valence)``, one
-    call per valence, with degree k of a tree with e edges at
-    ``bigrade(e, k)``."""
-    census = genus0_valence_census(n)
-    valences = {nv for counts in census.values() for key in counts
-                for nv in key}
-    lists = {nv: betti_of(nv) for nv in sorted(valences)}
+def _fold(census: dict, betti_of, bigrade) -> dict:
+    """(p, q) -> dim over a census {edge count: {sorted vertex keys:
+    graph count}}: each graph adds the product of its vertices' Betti
+    lists ``betti_of(key)``, one call per distinct key, with degree k of
+    a graph with e edges at ``bigrade(e, k)``."""
+    keys = {key for counts in census.values() for vertices in counts
+            for key in vertices}
+    lists = {key: betti_of(key) for key in sorted(keys)}
     entries: dict[tuple[int, int], int] = {}
     for e, counts in census.items():
-        for punctures, count in counts.items():
+        for vertices, count in counts.items():
             poly = [1]
-            for nv in punctures:
-                poly = _poly_mul(poly, lists[nv])
+            for key in vertices:
+                poly = _poly_mul(poly, lists[key])
             for total_k, dim in enumerate(poly):
                 if dim:
-                    key = bigrade(e, total_k)
-                    entries[key] = entries.get(key, 0) + count * dim
+                    at = bigrade(e, total_k)
+                    entries[at] = entries.get(at, 0) + count * dim
     return entries
 
 
@@ -249,39 +250,33 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
         raise StrataError(f"unknown aut_mode {aut_mode!r}")
     if betti is None:
         betti = BettiTable()
-    table = E1Table(g, n)
     top = 3 * g - 3 + n
     if g == 0:
-        table.entries = _fold_genus0_census(
-            n, lambda nv: betti.get(0, nv),
-            lambda e, k: (top - e, top - e - k))
-        return table
-    if 2 * g - 2 + n <= 0:
-        raise StrataError("unstable (g, n)")
-    from .treegraph import enumerate_stable_graphs, automorphism_group
-    for G in enumerate_stable_graphs(g, n, top):
-        e = len(G.edges)
-        p = top - e
-        auts = len(automorphism_group(G))
-        valences = [G.valence(v) for v in range(len(G.genera))]
-        ranges = []
-        for v in range(len(G.genera)):
-            row = betti.get(G.genera[v], valences[v])
-            ranges.append([(k, d) for k, d in enumerate(row) if d])
-        for combo in itertools.product(*ranges):
-            total_k = sum(k for k, _ in combo)
-            dim = 1
-            for _, d in combo:
-                dim *= d
-            q = p - total_k
-            if auts > 1 and total_k > 0 and aut_mode == "degree0":
+        census = genus0_valence_census(n)
+        betti_of = functools.partial(betti.get, 0)
+    else:
+        if 2 * g - 2 + n <= 0:
+            raise StrataError("unstable (g, n)")
+        from .treegraph import enumerate_stable_graphs, automorphism_group
+        census = {}
+        for G in enumerate_stable_graphs(g, n, top):
+            vertices = [(gv, G.valence(v)) for v, gv in enumerate(G.genera)]
+            rows = [betti.get(*key) for key in vertices]  # in vertex order
+            # Betti numbers are >= 0, so the product of the rows has a
+            # class above degree 0 iff no row is zero and one has such a class
+            if (aut_mode == "degree0" and all(map(any, rows))
+                    and any(any(r[1:]) for r in rows)
+                    and len(automorphism_group(G)) > 1):
                 raise StrataError(
                     "graph with nontrivial automorphisms carries classes "
                     f"above degree 0 at (g, n) = ({g}, {n}); the invariant "
                     "computation is unsupported")
-            key = (p, q)
-            table.entries[key] = table.entries.get(key, 0) + dim
-    return table
+            counts = census.setdefault(len(G.edges), {})
+            key = tuple(sorted(vertices))
+            counts[key] = counts.get(key, 0) + 1
+        betti_of = lambda key: betti.get(*key)
+    entries = _fold(census, betti_of, lambda e, k: (top - e, top - e - k))
+    return E1Table(g, n, entries=entries)
 
 
 def verify_vanishing(g: int, n: int, table: E1Table) -> bool:
@@ -371,7 +366,8 @@ def dual_e1_table(g: int, n: int,
         return out[:-1] if out else [1]
 
     # edge count e sits at p = -e, and degree k at q = k - 2p
-    entries = _fold_genus0_census(n, cbetti, lambda e, k: (-e, k + 2 * e))
+    entries = _fold(genus0_valence_census(n), cbetti,
+                    lambda e, k: (-e, k + 2 * e))
     return E1Table(g, n, "operadkit-dual-e1", entries)
 
 
@@ -412,17 +408,15 @@ def strata_euler_characteristic(n: int) -> int:
     return total
 
 
-def table_to_text(entries: dict, row_label: str = "q",
-                  col_label: str = "p") -> str:
-    """Aligned text grid of a (p, q) -> dim table."""
+def table_to_text(entries: dict) -> str:
+    """Aligned text grid of a (p, q) -> dim table, rows q by columns p."""
     if not entries:
         return "(empty table)\n"
     ps = sorted({p for (p, _) in entries})
     qs = sorted({q for (_, q) in entries}, reverse=True)
     width = max(len(str(d)) for d in entries.values())
-    width = max(width, *(len(str(p)) for p in ps), len(col_label)) + 1
-    corner = row_label + "/" + col_label
-    head = f"{corner:>{width + 2}}" + "".join(f"{p:>{width}}" for p in ps)
+    width = max(width, *(len(str(p)) for p in ps)) + 1
+    head = f"{'q/p':>{width + 2}}" + "".join(f"{p:>{width}}" for p in ps)
     lines = [head]
     for q in qs:
         cells = "".join(

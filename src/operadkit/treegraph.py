@@ -31,6 +31,8 @@ Stable graphs carry genus labels, edges (loops allowed) and enumerated
 legs.  An isomorphism class is stored as its lex-least (genera, edges,
 legs) over vertex relabellings; that triple lists the genera sorted, so
 only relabellings within each genus class are searched (desk scale).
+The same search yields the vertex permutations that keep the minimum,
+so `automorphism_group` only adds edge bijections and loop flips.
 Graphs are grown by edge count from the smooth graph by uncontraction
 (a loop at a vertex that gives up one genus, or a vertex split in two
 along a new edge), which reaches all of them: contracting any edge of a
@@ -462,7 +464,7 @@ class StableGraph:
     compare equal.
     """
 
-    __slots__ = ("genera", "edges", "legs")
+    __slots__ = ("genera", "edges", "legs", "_vertex_perms")
 
     def __init__(self, genera, edges, legs):
         genera = tuple(int(g) for g in genera)
@@ -486,15 +488,16 @@ class StableGraph:
                 _valences(nv, edges, legs)) if 2 * genera[v] + val < 3)
             raise GraphError(f"genus-{genera[v]} vertex {v} has valence "
                              f"{val} < {3 - 2 * genera[v]}")
-        self.genera, self.edges, self.legs = _canonical_graph(
-            genera, edges, legs)
+        (self.genera, self.edges, self.legs,
+         self._vertex_perms) = _canonical_graph(genera, edges, legs)
 
     @classmethod
     def _canonical(cls, genera, edges, legs) -> StableGraph:
         """Canonicalize a candidate that uncontraction built connected
         and stable, without checking it again."""
         G = object.__new__(cls)
-        G.genera, G.edges, G.legs = _canonical_graph(genera, edges, legs)
+        (G.genera, G.edges, G.legs,
+         G._vertex_perms) = _canonical_graph(genera, edges, legs)
         return G
 
     @property
@@ -560,16 +563,18 @@ def _is_connected(nv, edges):
 
 
 def _canonical_graph(genera, edges, legs):
-    """The lex-least (genera, edges, legs) over vertex relabellings.
+    """The lex-least (genera, edges, legs) over vertex relabellings, and
+    the sorted vertex permutations that keep it.
 
     Its genera are sorted, so a minimizing relabelling sends each genus
     class onto its block of the sorted order, and only those are tried,
-    comparing (edges, legs)."""
+    comparing (edges, legs).  Minimizing relabellings r0, r give each
+    such permutation once, as p = r r0^-1 (r = p r0 minimizes too)."""
     order = sorted(range(len(genera)), key=genera.__getitem__)
     blocks = [tuple(vs) for _, vs in
               itertools.groupby(order, key=genera.__getitem__)]
     new = [0] * len(genera)  # old vertex -> new index
-    best = None
+    best, ties = None, []
     for arrangement in itertools.product(
             *map(itertools.permutations, blocks)):
         for i, v in enumerate(itertools.chain.from_iterable(arrangement)):
@@ -580,9 +585,15 @@ def _canonical_graph(genera, edges, legs):
             pe.append((a, b) if a <= b else (b, a))
         pe.sort()
         code = (tuple(pe), tuple([new[v] for v in legs]))
-        if best is None or code < best:
-            best = code
-    return (tuple(sorted(genera)), *best)
+        if best is not None and code > best:
+            continue
+        if code == best:
+            ties.append(new[:])
+        else:
+            best, ties = code, [new[:]]
+    first = sorted(range(len(genera)), key=ties[0].__getitem__)  # r0^-1
+    perms = sorted(tuple(r[v] for v in first) for r in ties)
+    return (tuple(sorted(genera)), *best, tuple(perms))
 
 
 def genus_invariant(g: StableGraph) -> int:
@@ -649,26 +660,19 @@ def automorphism_group(G: StableGraph) -> list[GraphAutomorphism]:
 
     Automorphisms fix every leg, permute vertices preserving genus
     labels, and permute half-edges preserving incidence; a loop may have
-    its two half-edges swapped.  Listed by vertex permutation, then edge
-    bijection (permutations of each endpoint group in turn), then flips.
+    its two half-edges swapped.  Listed by vertex permutation (as the
+    canonical search found them), then edge bijection (permutations of
+    each endpoint group in turn), then flips.
     """
     # edges are sorted, so the groups of equal endpoints are consecutive
     groups: dict[tuple[int, int], list[int]] = {}
     for j, ends in enumerate(G.edges):
         groups.setdefault(ends, []).append(j)
     legs = tuple((("leg", i), ("leg", i)) for i in range(1, G.num_legs + 1))
-    fixed = sorted(set(G.legs))
-    genera = G.genera
     autos = []
-    for p in itertools.permutations(range(G.num_vertices)):
-        # cheap rejections first: a moved leg vertex or a changed genus
-        if (any(p[v] != v for v in fixed)
-                or any(genera[q] != genera[v] for v, q in enumerate(p))):
-            continue
-        targets = [groups.get((a, b) if a <= b else (b, a), [])
+    for p in G._vertex_perms:
+        targets = [groups[(a, b) if a <= b else (b, a)]
                    for a, b in ((p[a], p[b]) for a, b in groups)]
-        if any(len(ks) != len(js) for ks, js in zip(targets, groups.values())):
-            continue
         for perms in itertools.product(*map(itertools.permutations, targets)):
             image = list(itertools.chain(*perms))
             # a loop may be flipped; a non-loop edge lands in its sorted

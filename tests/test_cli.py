@@ -44,6 +44,11 @@ class TestTreesAndGraphs:
         res = run(runner, "trees", "--n", "50", "--count")
         assert res.exit_code == 2
 
+    def test_csv_only_for_page_tables(self, runner):
+        # trees print no CSV, so they do not offer it
+        res = run(runner, "trees", "--n", "4", "--format", "csv")
+        assert res.exit_code == 2
+
     def test_graph_census(self, runner):
         res = run(runner, "graphs", "--g", "1", "--n", "1", "--max-edges", "1",
                   "--count")

@@ -229,7 +229,7 @@ class TestCobarComplex:
 
     def test_unsigned_differential_is_rejected(self):
         with pytest.raises(ComplexError) as exc:
-            cobar_homology(liec_cooperad(4), 4, sign_mode="unsigned")
+            CobarComplex(liec_cooperad(4), 4, sign_mode="unsigned").homology()
         assert "d.d != 0" in str(exc.value)
 
     def test_bad_sign_mode(self):

@@ -149,6 +149,41 @@ class TestE1Table:
         t = e1_table(1, 1)
         assert t.entries == {(0, 0): 1, (1, 1): 1}
 
+    # Pinned higher-genus pages, computed by the per-graph product over
+    # Betti rows before the pages went through the census fold.  A
+    # missing row is reported for the first graph, in census order, that
+    # has a vertex without one; under "degree0" a graph with automorphisms
+    # whose rows carry a class above degree 0 raises first if it comes
+    # first.
+    ROWS = {(1, 2): (1, 0, 1), (1, 3): (1, 1, 2)}
+    AUT = ("graph with nontrivial automorphisms carries classes above "
+           "degree 0 at (g, n) = ({}, {}); the invariant computation is "
+           "unsupported")
+    MISSING = "no Betti data for (g, n) = ({}, {}); ingest a table"
+
+    @pytest.mark.parametrize("g, n, rows, degree0, ignore", [
+        (1, 1, ROWS, {(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (1, 1): 1}),
+        (1, 2, ROWS, AUT.format(1, 2),
+         {(0, 0): 2, (1, 0): 2, (1, 1): 2, (2, 0): 1, (2, 2): 1}),
+        (1, 3, ROWS, AUT.format(1, 3),
+         {(0, 0): 7, (1, 0): 14, (1, 1): 10, (2, 0): 9, (2, 1): 7,
+          (2, 2): 5, (3, 1): 2, (3, 2): 1, (3, 3): 1}),
+        (2, 0, ROWS, MISSING.format(2, 0), MISSING.format(2, 0)),
+        (1, 3, {(1, 3): (1, 1, 2)}, AUT.format(1, 3), MISSING.format(1, 2)),
+        (1, 3, {(1, 2): (1, 0, 0), (1, 3): (1, 0, 0)}, AUT.format(1, 3),
+         {(0, 0): 7, (1, 0): 14, (1, 1): 10, (2, 0): 6, (2, 1): 7,
+          (2, 2): 5, (3, 3): 1}),
+    ])
+    def test_higher_genus_pages_pinned(self, g, n, rows, degree0, ignore):
+        for mode, expected in (("degree0", degree0), ("ignore", ignore)):
+            if isinstance(expected, str):
+                with pytest.raises(StrataError) as exc:
+                    e1_table(g, n, BettiTable(rows), aut_mode=mode)
+                assert str(exc.value) == expected, mode
+            else:
+                table = e1_table(g, n, BettiTable(rows), aut_mode=mode)
+                assert table.entries == expected, mode
+
     def test_aut_mode_validation(self):
         with pytest.raises(StrataError):
             e1_table(0, 5, aut_mode="whatever")

@@ -12,7 +12,8 @@ hand-rolled "add, then drop the zero" loop elsewhere shows up as a
 sound only for shapes the tree generator built; only ``treegraph`` may
 use it, so input from outside always goes through ``Tree(...)``.  The
 same holds for ``StableGraph._canonical`` and the graphs uncontraction
-builds.
+builds.  ``automorphism_group`` takes its vertex permutations from the
+canonical search and permutes only the edges within endpoint groups.
 
 ``qlinalg.rank`` is the one rank engine: every other rank or kernel
 dimension in ``qlinalg`` is computed by calling it.
@@ -111,6 +112,26 @@ def test_unchecked_graph_constructor_stays_in_treegraph():
     assert callable(StableGraph._canonical)
     users = _users("_canonical")
     assert users and all(u.startswith("treegraph.py:") for u in users), users
+
+
+def test_automorphisms_permute_edge_groups_only():
+    # vertex permutations come from the canonical search, so
+    # automorphism_group permutes nothing but the endpoint groups
+    tree = ast.parse(
+        (Path(operadkit.__file__).parent / "treegraph.py").read_text())
+    autos = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "automorphism_group")
+    uses = [node for node in ast.walk(autos)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "permutations"]
+    edge_groups = [call for call in ast.walk(autos)
+                   if isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Name)
+                   and call.func.id == "map"
+                   and call.args[0] in uses
+                   and ast.unparse(call.args[1]) == "targets"]
+    assert uses and len(edge_groups) == len(uses), ast.unparse(autos)
 
 
 def test_one_rank_engine():

@@ -549,7 +549,8 @@ ORACLE_PAIRS = DESK_PAIRS + [(0, 7), (1, 4), (2, 1), (3, 0)]
 # Oracle 5: the canonical form as the lex-least (genera, edges, legs)
 # over all nv! vertex orderings, and the automorphism group by trying
 # every vertex permutation in full, as the library did before it
-# searched within genus classes and rejected cheaply first.
+# searched within genus classes and read the automorphisms' vertex
+# permutations off that search.
 
 
 def _oracle_graph_code(genera, edges, legs, perm):
@@ -771,6 +772,8 @@ class TestStableGraphOracles:
             rng.shuffle(edges)
             H = StableGraph(genera, edges, [new[v] for v in G.legs])
             assert (H.genera, H.edges, H.legs) == triple
+            # the vertex permutations are read off this input's search
+            assert automorphism_group(H) == oracle_automorphism_group(H)
 
     @pytest.mark.parametrize("g, n", ORACLE_PAIRS)
     def test_automorphism_lists_match_brute_force(self, g, n):
