@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .qlinalg import SparseMatrix, ChainComplex, addmul, as_exact, span_rank
+from .qlinalg import SparseMatrix, ChainComplex, addmul, as_exact
 from .operads import (GradedOperad, GradedSpace, Vector, koszul_sign,
-                      perm_inverse, shuffles)
+                      perm_inverse)
 from .treegraph import (encode_tree, enumerate_trees, graft, relabel_tree,
                         vertex_expansions)
 
@@ -128,67 +127,6 @@ def asc_cooperad(max_arity: int) -> Cooperad:
 def commc_cooperad(max_arity: int) -> Cooperad:
     from .operads import comm_operad
     return Cooperad(comm_operad(max_arity), max_arity)
-
-
-# ---------------------------------------------------------------------------
-# Shuffles and the quotient model of the Lie cooperad
-
-
-def shuffle_sum(u: tuple[int, ...], v: tuple[int, ...],
-                degrees: tuple[int, ...] | None = None) -> dict:
-    """Sum of all interleavings of the words u and v.
-
-    Letters must be disjoint.  With ``degrees`` (one per letter of the
-    concatenation u + v, in that order) each interleaving carries the
-    Koszul sign of the rearrangement.
-    """
-    if set(u) & set(v):
-        raise CobarError("shuffle factors must use disjoint letters")
-    cat = u + v
-    p, q = len(u), len(v)
-    acc: dict[tuple[int, ...], int] = {}
-    for sh in shuffles(p, q):
-        # interleaving: position k receives letter number sh[k] of cat
-        word = tuple(cat[sh[k] - 1] for k in range(p + q))
-        sign = 1
-        if degrees is not None:
-            sign = koszul_sign(sh, degrees)
-        addmul(acc, word, sign)
-    return acc
-
-
-def multilinear_shuffle_relations(n: int) -> list[dict]:
-    """Spanning set of multilinear shuffle products in n letters.
-
-    Each relation is a sparse vector over words (tuples) of length n:
-    the shuffle of an ordering of a proper nonempty subset with an
-    ordering of its complement.
-    """
-    letters = tuple(range(1, n + 1))
-    out = []
-    for k in range(1, n):
-        for subset in itertools.combinations(letters, k):
-            rest = tuple(x for x in letters if x not in subset)
-            if k > n - k:
-                continue  # (u, v) and (v, u) shuffle to the same sum
-            for u in itertools.permutations(subset):
-                for v in itertools.permutations(rest):
-                    out.append(shuffle_sum(u, v))
-    return out
-
-
-def liec_component_dim(n: int) -> int:
-    """Dimension of multilinear words modulo shuffles, by explicit rank.
-
-    Independent of the dual-operad model; the answer is (n-1)!.
-    """
-    if n == 1:
-        return 1
-    words = sorted(itertools.permutations(range(1, n + 1)))
-    index = {w: k for k, w in enumerate(words)}
-    rels = [{index[w]: Fraction(c) for w, c in r.items()}
-            for r in multilinear_shuffle_relations(n)]
-    return len(words) - span_rank(rels)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .qlinalg import (SparseMatrix, ChainComplex, add_scaled,
-                      as_exact, nullspace, rref, span_rank)
-from .operads import (GradedOperad, GradedSpace, Vector,
-                      adjacent_transpositions, end_compose, operad_from_doc,
-                      operad_to_json, perm_inverse, read_document)
+from .qlinalg import (SparseMatrix, add_scaled, as_exact, nullspace, rref,
+                      span_rank)
+from .operads import (GradedOperad, GradedSpace, adjacent_transpositions,
+                      end_compose, operad_from_doc, operad_to_json,
+                      perm_inverse, read_document)
 from .hoalg import MapFamily, check_cinf, extract_mn, CinfReport
 
 
@@ -98,12 +98,6 @@ class FilteredOperad:
                         if v and self.levels[n][o] != self.levels[n][a]:
                             raise FiltrationError(
                                 f"action changes filtration at arity {n}")
-
-
-def trivial_filtration(base: GradedOperad, level: int = 0) -> FilteredOperad:
-    """Single-jump filtration: everything at one level."""
-    return FilteredOperad(
-        base, {n: (level,) * base.dim(n) for n in base.arities()})
 
 
 def degree_filtration(base: GradedOperad) -> FilteredOperad:
@@ -317,29 +311,6 @@ def filtered_operad_from_json(text: str) -> FilteredOperad:
             raise FiltrationError("filtration levels must be integers")
         return FilteredOperad(operad_from_doc(doc), levels)
     return read_document(text, "operadkit-operad", FiltrationError, parse)
-
-
-def component_homology(O: GradedOperad, n: int) -> dict[int, int]:
-    """Betti numbers of one operad component split by degree."""
-    sp = O.space(n)
-    d = O.differentials.get(n)
-    lo, hi = min(sp.degrees), max(sp.degrees)
-    by_deg = {g: [a for a in range(sp.dim) if sp.degrees[a] == g]
-              for g in range(lo, hi + 1)}
-    spaces = [len(by_deg[g]) for g in range(lo, hi + 1)]
-    boundaries = []
-    for g in range(lo, hi):
-        rows = {a: k for k, a in enumerate(by_deg[g])}
-        cols = {a: k for k, a in enumerate(by_deg[g + 1])}
-        entries = []
-        if d is not None:
-            for c, k in cols.items():
-                for r, v in d.col(c).items():
-                    if r in rows:
-                        entries.append((rows[r], k, v))
-        boundaries.append(SparseMatrix(len(rows), len(cols), entries))
-    betti = ChainComplex(spaces, boundaries).homology()
-    return {lo + k: b for k, b in enumerate(betti) if b}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,13 @@ partial composition of End_V; ``operads.end_differential`` and
 left side minus right side, as one tensor per arity and reports its
 nonzero values grouped by input tuple.  The commutative refinement
 additionally requires each m_n to kill every (p, q)-shuffle sum, with
-shuffle signs computed from degrees shifted by one.
+shuffle signs computed from degrees shifted by one.  Those sums live on
+the suspension sV, so m_n is first suspended: its entry at the input
+word (a_1, ..., a_n) is weighted by the decalage sign
+(-1)^(sum_i (n - i)|a_i|) (``operads.decalage_sign``).  On a strict
+graded-commutative algebra, such as H*(S^1) = Lambda(x) with x odd, the
+suspended product kills the (1, 1)-shuffles exactly because
+m2(a, b) = (-1)^(|a||b|) m2(b, a).
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from fractions import Fraction
 
 from .qlinalg import (SparseMatrix, add_scaled, addmul, as_exact,
                       format_vector)
-from .operads import (GradedSpace, check_differential, end_compose,
-                      end_differential, koszul_sign, parse_coefficient,
-                      perm_inverse, read_document, shuffles)
+from .operads import (GradedSpace, check_differential, decalage_sign,
+                      end_compose, end_differential, koszul_sign,
+                      parse_coefficient, perm_inverse, read_document,
+                      shuffles)
 
 
 class HoalgError(ValueError):
@@ -61,10 +68,6 @@ class MapFamily:
         self.q = q
         self.maps = {n: {k: as_exact(v) for k, v in t.items() if v}
                      for n, t in maps.items()}
-
-    def apply(self, n: int, ins: tuple[int, ...]) -> dict[int, Fraction]:
-        """m_n on a tuple of basis vectors, by ascending output index."""
-        return _group_by_input(self.maps.get(n, {})).get(ins, {})
 
 
 @dataclass
@@ -110,12 +113,6 @@ def _group_by_input(tensor: Tensor) -> dict[tuple[int, ...], dict]:
     return out
 
 
-def ainf_defect(f: MapFamily, n: int,
-                ins: tuple[int, ...]) -> dict[int, Fraction]:
-    """LHS minus RHS of the arity-n relation on one basis tuple."""
-    return _group_by_input(_defect_tensor(f, n)).get(ins, {})
-
-
 def check_ainf(f: MapFamily, N: int | None = None) -> list[AinfResidual]:
     """All failing relation instances for 2 <= n <= N, by arity and then
     by input tuple; empty iff the family is homotopy associative through
@@ -127,16 +124,19 @@ def check_ainf(f: MapFamily, N: int | None = None) -> list[AinfResidual]:
 
 
 def shuffle_defects(f: MapFamily, n: int) -> list:
-    """m_n applied to every (p, q)-shuffle sum of basis tuples, with
-    shuffle signs from degrees shifted by one: (n, p, q, ins, {out:
-    coeff}) for each nonzero sum, by p and then by input tuple."""
+    """The suspended m_n applied to every (p, q)-shuffle sum of basis
+    tuples, with shuffle signs from degrees shifted by one: (n, p, q,
+    ins, {out: coeff}) for each nonzero sum, by p and then by input
+    tuple."""
     degs = f.space.degrees
+    suspended = {(o, word): decalage_sign(tuple(degs[x] for x in word)) * c
+                 for (o, word), c in f.maps.get(n, {}).items()}
     out = []
     for p in range(1, n):
         acc: Tensor = {}
         for sh in shuffles(p, n - p):
             inv = perm_inverse(sh)
-            for (o, word), c in f.maps.get(n, {}).items():
+            for (o, word), c in suspended.items():
                 # word is ins shuffled: word[k] = ins[sh[k] - 1]
                 ins = tuple(word[j - 1] for j in inv)
                 shifted = tuple(degs[x] + 1 for x in ins)

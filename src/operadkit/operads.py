@@ -61,11 +61,6 @@ class GradedSpace:
 # Permutation helpers
 
 
-def perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a o b)(i) = a(b(i))."""
-    return tuple(a[b[i] - 1] for i in range(len(a)))
-
-
 def perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(a)
     for i, v in enumerate(a):
@@ -146,6 +141,13 @@ def koszul_sign(perm: tuple[int, ...], degrees: tuple[int, ...]) -> int:
                 if degrees[perm[a] - 1] % 2 and degrees[perm[b] - 1] % 2:
                     sign = -sign
     return sign
+
+
+def decalage_sign(degrees: tuple[int, ...]) -> int:
+    """(-1)^(sum_i (n - i)|a_i|) for inputs a_1..a_n of these degrees: the
+    sign that moves the n suspensions of a multilinear map past them."""
+    n = len(degrees)
+    return -1 if sum((n - i) * d for i, d in enumerate(degrees, 1)) % 2 else 1
 
 
 def cycle_types(n: int):
@@ -530,9 +532,6 @@ class EndOperad(GradedOperad):
                     for key, c in end_differential({b: 1}, q,
                                                    V.degrees).items()])
         super().__init__(components, unit, diffs)
-
-    def map_index(self, n: int, out: int, ins: tuple[int, ...]) -> int:
-        return self._bindex[n][(out, ins)]
 
     def compose_basis(self, n, i, m, a, b):
         index = self._bindex[n + m - 1]

@@ -285,11 +285,6 @@ def rank(m: SparseMatrix) -> int:
     return rk
 
 
-def kernel_dim(m: SparseMatrix) -> int:
-    """Dimension of the kernel: cols - rank."""
-    return m.cols - rank(m)
-
-
 def rref(m: SparseMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form over the rationals.
 
@@ -410,9 +405,6 @@ class ChainComplex:
                     f"d.d != 0 at degree {i + 2}: entry ({r},{c}) = {v}")
         self.spaces = list(spaces)
         self.boundaries = list(boundaries)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * d for i, d in enumerate(self.spaces))
 
     def homology(self) -> list[int]:
         """Betti number per degree; zero maps off both ends."""

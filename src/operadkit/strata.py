@@ -22,9 +22,10 @@ T = x + sum_{k>=2} y_{k+1} T^k / k!: a tree is its root, with k >= 2
 children and k + 1 punctures, over the unordered set of its subtrees,
 one per block of a set partition of the leaves.  Counting the block
 that holds the least label first visits each partition once, so the
-recursion stays in integers.  Only higher-genus pages, the cobar side
-of ``middle_row`` and the stratum-by-stratum Euler characteristic,
-kept enumerated as an independent oracle, load ``treegraph``.
+recursion stays in integers.  Only higher-genus pages and the cobar
+side of ``middle_row`` load ``treegraph``; the tests keep an
+enumerated stratum-by-stratum Euler characteristic as an independent
+oracle for the census.
 Every page is one fold of a census {edge count: {sorted vertex keys:
 count}}, keyed by valence in genus 0 and by (genus, valence) above.
 """
@@ -92,10 +93,6 @@ class BettiTable:
                 f"no Betti data for (g, n) = ({g}, {n}); ingest a table"
             ) from None
 
-    def betti(self, g: int, n: int, k: int) -> int:
-        row = self.get(g, n)
-        return row[k] if 0 <= k < len(row) else 0
-
     @classmethod
     def from_csv(cls, text: str) -> "BettiTable":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -112,20 +109,15 @@ class BettiTable:
                 raise StrataError(f"non-integer field in row: {ln!r}") from None
             if dim < 0 or k < 0:
                 raise StrataError(f"negative value in row: {ln!r}")
-            rows.setdefault((g, n), {})[k] = dim
+            by_k = rows.setdefault((g, n), {})
+            if k in by_k:
+                raise StrataError(f"repeated (g, n, k) in row: {ln!r}")
+            by_k[k] = dim
         entries = {}
         for (g, n), by_k in rows.items():
             top = max(by_k)
             entries[(g, n)] = tuple(by_k.get(k, 0) for k in range(top + 1))
         return cls(entries)
-
-    def to_csv(self) -> str:
-        out = ["g,n,k,dim"]
-        for (g, n) in sorted(self.entries):
-            for k, dim in enumerate(self.entries[(g, n)]):
-                if dim:
-                    out.append(f"{g},{n},{k},{dim}")
-        return "\n".join(out) + "\n"
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -146,15 +138,6 @@ class E1Table:
     n: int
     format: str = "operadkit-e1"
     entries: dict = field(default_factory=dict)  # (p, q) -> dim
-
-    def dim(self, p: int, q: int) -> int:
-        return self.entries.get((p, q), 0)
-
-    def euler(self) -> int:
-        return sum((-1) ** (p + q) * d for (p, q), d in self.entries.items())
-
-    def row(self, q: int) -> dict[int, int]:
-        return {p: d for (p, qq), d in self.entries.items() if qq == q}
 
     def to_json(self) -> str:
         return json.dumps({
@@ -388,24 +371,6 @@ def dual_euler_check(table: E1Table, n: int) -> bool:
         if chi != expected:
             return False
     return True
-
-
-def strata_euler_characteristic(n: int) -> int:
-    """Euler characteristic of the genus-0 compactification summed
-    stratum by stratum: sum over trees of prod_v chi(open M at v).
-    Enumerates the trees, so it is independent of the counted census."""
-    from .treegraph import enumerate_trees
-    ob = {m: open_betti(m) for m in range(3, n + 1)}
-    chi = {m: sum((-1) ** k * b for k, b in enumerate(row))
-           for m, row in ob.items()}
-    total = 0
-    for e in range(n - 2):
-        for t in enumerate_trees(n - 1, e):
-            prod = 1
-            for m in t.vertex_arities():
-                prod *= chi[m + 1]
-            total += prod
-    return total
 
 
 def table_to_text(entries: dict) -> str:

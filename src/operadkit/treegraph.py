@@ -19,12 +19,13 @@ subtrees recursively by their children, and a vertex whose children run
 out first before one with more.  The generator is memoised per label
 set and keeps the shapes alone (a group's order tokens live only while
 it is sorted); `enumerate_trees` and `enumerate_trees_all` look into
-it.  Trees are rebuilt by one walk, `_rebuild`: `graft`, `relabel_tree`
-and `contract_edge` tag each vertex with its preorder index, and the
-walk sorts children back into canonical order, reporting where each
-vertex and its children came from.  `vertex_expansions`, the boundary's
-fast path, splices instead of sorting: the new vertex takes the place of
-its least child, and no other vertex's leaf set, so no other order,
+it.  A vertex is named by its preorder index, the one vertex naming
+here.  Trees are rebuilt by one walk, `_rebuild`: `graft` and
+`relabel_tree` tag each vertex with its preorder index, and the walk
+sorts children back into canonical order, reporting where each vertex
+and its children came from.  `vertex_expansions`, the boundary's fast
+path, splices instead of sorting: the new vertex takes the place of its
+least child, and no other vertex's leaf set, so no other order,
 changes.
 
 Stable graphs carry genus labels, edges (loops allowed) and enumerated
@@ -107,31 +108,6 @@ class Tree:
     def __repr__(self):
         return f"Tree({encode_tree(self)!r})"
 
-    def is_corolla(self) -> bool:
-        return self.internal_edges == 0
-
-    def vertices(self) -> list[tuple[frozenset[int],
-                                     tuple[frozenset[int], ...], int]]:
-        """Internal vertices in preorder as (leaf set, child leaf sets, arity).
-
-        A vertex is named by the set of leaves below it, which determines
-        it uniquely since all vertices have >= 2 children.  Child leaf
-        sets follow the canonical (min-leaf) order; a leaf child is {label}.
-        """
-        out = []
-
-        def walk(shape):
-            slot = len(out)
-            out.append(None)
-            kids = tuple(frozenset((c,)) if isinstance(c, int) else walk(c)
-                         for c in shape)
-            key = frozenset().union(*kids)
-            out[slot] = (key, kids, len(shape))
-            return key
-
-        walk(self.shape)
-        return out
-
     def vertex_arities(self) -> list[int]:
         """Number of children of each internal vertex, preorder."""
         out = []
@@ -144,18 +120,6 @@ class Tree:
 
         walk(self.shape)
         return out
-
-    def edge_list(self) -> list[frozenset[int]]:
-        """Internal edges in canonical (preorder of lower vertex) order,
-        each named by the leaf set of its lower vertex."""
-        return [key for key, _, _ in self.vertices()[1:]]
-
-
-def corolla(n: int) -> Tree:
-    """The one-vertex tree with n leaves."""
-    if n < 2:
-        raise TreeError("a corolla needs arity >= 2")
-    return Tree._from_canonical(tuple(range(1, n + 1)), n, 0)
 
 
 # Order tokens: a subtree is _OPEN, its children's tokens, _CLOSE, and
@@ -263,9 +227,9 @@ def _tagged(shape, leaf, tags):
 def relabel_tree(t: Tree, mapping: dict[int, int]) -> tuple[Tree, list]:
     """Relabel leaves through a bijection of 1..n and recanonicalize.
 
-    Returns the tree and its vertices in preorder as (index in
-    t.vertices(), positions): positions[p - 1] is the old child slot of
-    the vertex's new child p.
+    Returns the tree and its vertices in preorder as (t's vertex
+    preorder index, positions): positions[p - 1] is the old child slot
+    of the vertex's new child p.
     """
     leaves = set(range(1, t.arity + 1))
     if set(mapping) != leaves or set(mapping.values()) != leaves:
@@ -281,8 +245,8 @@ def graft(t: Tree, i: int, s: Tree) -> tuple[Tree, list]:
     keep their labels, s's leaves shift to i..i+arity(s)-1, and t's
     leaves above i shift up by arity(s)-1.  Returns the tree and its
     vertices in preorder as (source, positions), as for relabel_tree: a
-    source below t's vertex count indexes t.vertices(), and t's vertex
-    count plus j is s's vertex j.
+    source below t's vertex count is t's vertex preorder index, and t's
+    vertex count plus j is s's vertex j.
     """
     n, m = t.arity, s.arity
     if not (1 <= i <= n):
@@ -292,24 +256,6 @@ def graft(t: Tree, i: int, s: Tree) -> tuple[Tree, list]:
     outer = _tagged(t.shape, lambda j: inner if j == i
                     else j if j < i else j + m - 1, itertools.count())
     return _rebuild(outer, n + m - 1)
-
-
-def contract_edge(t: Tree, edge: frozenset[int]) -> Tree:
-    """Contract the internal edge identified by the leaf set below it."""
-    keys = [key for key, _, _ in t.vertices()]
-    edge = frozenset(edge)
-    if edge not in keys[1:]:
-        raise TreeError(f"no internal edge with leaf set {sorted(edge)}")
-    lower, tags = keys.index(edge), itertools.count()
-
-    def walk(shape):  # what shape adds to its parent's children
-        if type(shape) is int:
-            return (shape,)
-        tag = next(tags)
-        kids = tuple(x for c in shape for x in walk(c))
-        return kids if tag == lower else ((tag, kids),)
-
-    return _rebuild(walk(t.shape)[0], t.arity)[0]
 
 
 def _frame(t: Tree) -> list[tuple]:
@@ -361,10 +307,10 @@ def vertex_expansions(t: Tree):
     canonical once from one walk of t.
 
     Yields (vertex, positions, tree, order) for each internal vertex
-    (its index in t.vertices()) and each ascending tuple of at least
-    two, not all, of its 1-based child positions.  ``order`` lists the
-    expanded tree's vertices in preorder by their index in t.vertices();
-    the new vertex is len(t.vertices()).
+    (its preorder index in t) and each ascending tuple of at least two,
+    not all, of its 1-based child positions.  ``order`` lists the
+    expanded tree's vertices in preorder by their preorder index in t;
+    the new vertex is t.internal_edges + 1.
     """
     frame = _frame(t)
     for j, (shape, _, _, _) in enumerate(frame):
@@ -374,29 +320,6 @@ def vertex_expansions(t: Tree):
                 new, order = _expand(frame, j, positions)
                 yield (j, positions, Tree._from_canonical(
                     new, t.arity, t.internal_edges + 1), order)
-
-
-def expand_vertex(t: Tree, vertex: frozenset[int],
-                  positions: tuple[int, ...]) -> tuple[Tree, frozenset[int]]:
-    """Inverse of contract_edge: group the children of the vertex with
-    leaf set ``vertex`` at the given 1-based positions (at least two,
-    not all) under a new vertex.  Returns the tree and the leaf set of
-    the new edge."""
-    verts = t.vertices()
-    j = next((j for j, (key, _, _) in enumerate(verts) if key == vertex),
-             None)
-    if j is None:
-        raise TreeError(f"no internal vertex with leaf set {sorted(vertex)}")
-    kids = verts[j][1]
-    ordered = tuple(sorted(set(positions)))
-    if not (2 <= len(ordered) == len(positions) < len(kids)
-            and all(1 <= p <= len(kids) for p in ordered)):
-        raise TreeError(f"cannot group positions {positions} of a "
-                        f"vertex of arity {len(kids)}")
-    new, _ = _expand(_frame(t), j, ordered)
-    new_edge = frozenset().union(*(kids[p - 1] for p in ordered))
-    return (Tree._from_canonical(new, t.arity, t.internal_edges + 1),
-            new_edge)
 
 
 def encode_tree(t: Tree) -> str:
@@ -511,9 +434,6 @@ class StableGraph:
     def valence(self, v: int) -> int:
         return _valences(self.num_vertices, self.edges, self.legs)[v]
 
-    def b1(self) -> int:
-        return len(self.edges) - len(self.genera) + 1
-
     def __eq__(self, other):
         return (isinstance(other, StableGraph)
                 and self.genera == other.genera
@@ -594,11 +514,6 @@ def _canonical_graph(genera, edges, legs):
     first = sorted(range(len(genera)), key=ties[0].__getitem__)  # r0^-1
     perms = sorted(tuple(r[v] for v in first) for r in ties)
     return (tuple(sorted(genera)), *best, tuple(perms))
-
-
-def genus_invariant(g: StableGraph) -> int:
-    """g(G) = b_1(G) + sum of vertex genera."""
-    return g.b1() + sum(g.genera)
 
 
 def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> list[StableGraph]:
@@ -685,35 +600,6 @@ def automorphism_group(G: StableGraph) -> list[GraphAutomorphism]:
                                   (("e", j, 1), ("e", k, 1 - f)))]
                 autos.append(GraphAutomorphism(p, legs + tuple(half)))
     return autos
-
-
-def contract_graph_edge(G: StableGraph, edge_index: int) -> StableGraph:
-    """Contract an interior edge or loop.
-
-    Non-loop: merge the endpoints, adding their genera.  Loop: delete it
-    and increment the vertex genus.  The genus invariant is preserved;
-    legs are untouched (legs are not contractible).
-    """
-    if not (0 <= edge_index < len(G.edges)):
-        raise GraphError(
-            f"edge index {edge_index} out of range; legs cannot be contracted")
-    a, b = G.edges[edge_index]
-    rest = [e for j, e in enumerate(G.edges) if j != edge_index]
-    if a == b:
-        genera = list(G.genera)
-        genera[a] += 1
-        return StableGraph(genera, rest, G.legs)
-    # merge b into a, shift indices above b down
-    def remap(v):
-        if v == b:
-            v = a
-        return v - 1 if v > b else v
-
-    genera = [gv for v, gv in enumerate(G.genera) if v != b]
-    genera[remap(a)] = G.genera[a] + G.genera[b]
-    edges = [tuple(sorted((remap(x), remap(y)))) for x, y in rest]
-    legs = [remap(v) for v in G.legs]
-    return StableGraph(genera, edges, legs)
 
 
 def encode_graph(G: StableGraph) -> str:

@@ -1,0 +1,232 @@
+"""Reference computations the tests check the library against.
+
+Nothing in the package calls these; each one reaches a number or an
+object the library also produces, by a different road:
+
+- shuffles: the Lie cooperad's component dimension as multilinear
+  words modulo shuffle products, against the dual-operad model;
+- strata: the genus-0 Euler characteristic summed over enumerated
+  trees, against the counted valence census;
+- filtration: the homology of one operad component split by degree;
+- trees: vertices named by the set of leaves below them, and edge
+  contraction and vertex expansion on those names, each rebuilt through
+  the validating ``Tree(shape)`` constructor, against the library's
+  preorder indices and its spliced expansions;
+- stable graphs: edge contraction and the genus b_1(G) + sum of vertex
+  genera, through the validating ``StableGraph`` constructor.
+"""
+
+import itertools
+from fractions import Fraction
+
+from operadkit.operads import koszul_sign, shuffles
+from operadkit.qlinalg import ChainComplex, SparseMatrix, addmul, span_rank
+from operadkit.treegraph import GraphError, StableGraph, Tree, TreeError
+
+# ---------------------------------------------------------------------------
+# Shuffles and the quotient model of the Lie cooperad
+
+
+def shuffle_sum(u: tuple[int, ...], v: tuple[int, ...],
+                degrees: tuple[int, ...] | None = None) -> dict:
+    """Sum of all interleavings of the words u and v.
+
+    Letters must be disjoint.  With ``degrees`` (one per letter of the
+    concatenation u + v, in that order) each interleaving carries the
+    Koszul sign of the rearrangement.
+    """
+    if set(u) & set(v):
+        raise ValueError("shuffle factors must use disjoint letters")
+    cat = u + v
+    acc: dict[tuple[int, ...], int] = {}
+    for sh in shuffles(len(u), len(v)):
+        # interleaving: position k receives letter number sh[k] of cat
+        word = tuple(cat[j - 1] for j in sh)
+        addmul(acc, word, 1 if degrees is None else koszul_sign(sh, degrees))
+    return acc
+
+
+def multilinear_shuffle_relations(n: int) -> list[dict]:
+    """Spanning set of multilinear shuffle products in n letters: the
+    shuffle of an ordering of a proper nonempty subset with an ordering
+    of its complement, as a sparse vector over words."""
+    letters = tuple(range(1, n + 1))
+    out = []
+    for k in range(1, n // 2 + 1):  # (u, v) and (v, u) shuffle alike
+        for subset in itertools.combinations(letters, k):
+            rest = tuple(x for x in letters if x not in subset)
+            for u in itertools.permutations(subset):
+                for v in itertools.permutations(rest):
+                    out.append(shuffle_sum(u, v))
+    return out
+
+
+def liec_component_dim(n: int) -> int:
+    """Dimension of multilinear words modulo shuffles, by explicit rank;
+    the answer is (n-1)!."""
+    if n == 1:
+        return 1
+    words = sorted(itertools.permutations(range(1, n + 1)))
+    index = {w: k for k, w in enumerate(words)}
+    rels = [{index[w]: Fraction(c) for w, c in r.items()}
+            for r in multilinear_shuffle_relations(n)]
+    return len(words) - span_rank(rels)
+
+
+# ---------------------------------------------------------------------------
+# Strata
+
+
+def strata_euler_characteristic(n: int) -> int:
+    """Euler characteristic of the genus-0 compactification summed
+    stratum by stratum: sum over enumerated trees of prod_v chi(open M
+    at v)."""
+    from operadkit.strata import open_betti
+    from operadkit.treegraph import enumerate_trees
+    chi = {m: sum((-1) ** k * b for k, b in enumerate(open_betti(m)))
+           for m in range(3, n + 1)}
+    total = 0
+    for e in range(n - 2):
+        for t in enumerate_trees(n - 1, e):
+            prod = 1
+            for m in t.vertex_arities():
+                prod *= chi[m + 1]
+            total += prod
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Filtration
+
+
+def component_homology(O, n: int) -> dict[int, int]:
+    """Betti numbers of one operad component split by degree."""
+    sp = O.space(n)
+    d = O.differentials.get(n)
+    lo, hi = min(sp.degrees), max(sp.degrees)
+    by_deg = {g: [a for a in range(sp.dim) if sp.degrees[a] == g]
+              for g in range(lo, hi + 1)}
+    boundaries = []
+    for g in range(lo, hi):
+        rows = {a: k for k, a in enumerate(by_deg[g])}
+        entries = []
+        if d is not None:
+            for k, c in enumerate(by_deg[g + 1]):
+                for r, v in d.col(c).items():
+                    if r in rows:
+                        entries.append((rows[r], k, v))
+        boundaries.append(
+            SparseMatrix(len(rows), len(by_deg[g + 1]), entries))
+    spaces = [len(by_deg[g]) for g in range(lo, hi + 1)]
+    betti = ChainComplex(spaces, boundaries).homology()
+    return {lo + k: b for k, b in enumerate(betti) if b}
+
+
+# ---------------------------------------------------------------------------
+# Trees named by leaf sets
+
+
+def leaves(shape) -> frozenset[int]:
+    if isinstance(shape, int):
+        return frozenset((shape,))
+    return frozenset().union(*map(leaves, shape))
+
+
+def vertices(t: Tree) -> list[tuple[frozenset[int],
+                                    tuple[frozenset[int], ...], int]]:
+    """Internal vertices in preorder as (leaf set, child leaf sets, arity).
+
+    A vertex is named by the set of leaves below it, which determines it
+    since every vertex has at least two children; a leaf child is
+    {label}, and children follow the canonical order.
+    """
+    out = []
+
+    def walk(shape):
+        if isinstance(shape, int):
+            return
+        out.append((leaves(shape), tuple(map(leaves, shape)), len(shape)))
+        for c in shape:
+            walk(c)
+
+    walk(t.shape)
+    return out
+
+
+def edges(t: Tree) -> list[frozenset[int]]:
+    """Internal edges in preorder of their lower vertex, each named by
+    that vertex's leaf set."""
+    return [key for key, _, _ in vertices(t)[1:]]
+
+
+def contract_edge(t: Tree, edge: frozenset[int]) -> Tree:
+    """Contract the internal edge named by the leaf set below it: its
+    lower vertex's children move up to the vertex above."""
+    if edge not in edges(t):
+        raise TreeError(f"no internal edge with leaf set {sorted(edge)}")
+
+    def walk(shape):  # what shape adds to its parent's children
+        if isinstance(shape, int):
+            return (shape,)
+        kids = tuple(x for c in shape for x in walk(c))
+        return kids if leaves(shape) == edge else (kids,)
+
+    return Tree(walk(t.shape)[0])
+
+
+def expand_vertex(t: Tree, vertex: frozenset[int],
+                  positions: tuple[int, ...]) -> tuple[Tree, frozenset[int]]:
+    """Group the children of the vertex with leaf set ``vertex`` at the
+    1-based positions (canonical order) under a new vertex.  Returns the
+    tree and the leaf set of the new edge.  A grouping that leaves a
+    vertex one child, or repeats a child (position 0 reads the last
+    one), fails in ``Tree``."""
+    kids = next((kids for key, kids, _ in vertices(t) if key == vertex), None)
+    if kids is None:
+        raise TreeError(f"no internal vertex with leaf set {sorted(vertex)}")
+
+    def walk(shape):
+        if isinstance(shape, int):
+            return shape
+        below = [walk(c) for c in shape]
+        if leaves(shape) == vertex:
+            below = ([c for p, c in enumerate(below, 1) if p not in positions]
+                     + [tuple(below[p - 1] for p in positions)])
+        return tuple(below)
+
+    return (Tree(walk(t.shape)),
+            frozenset().union(*(kids[p - 1] for p in positions)))
+
+
+# ---------------------------------------------------------------------------
+# Stable graphs
+
+
+def genus_invariant(G: StableGraph) -> int:
+    """g(G) = b_1(G) + sum of vertex genera."""
+    return len(G.edges) - len(G.genera) + 1 + sum(G.genera)
+
+
+def contract_graph_edge(G: StableGraph, edge_index: int) -> StableGraph:
+    """Contract an interior edge or loop.
+
+    Non-loop: merge the endpoints, adding their genera.  Loop: delete it
+    and increment the vertex genus.  Legs are untouched.
+    """
+    if not 0 <= edge_index < len(G.edges):
+        raise GraphError(f"edge index {edge_index} out of range")
+    a, b = G.edges[edge_index]
+    rest = [e for j, e in enumerate(G.edges) if j != edge_index]
+    genera = list(G.genera)
+    if a == b:
+        genera[a] += 1
+        return StableGraph(genera, rest, G.legs)
+
+    def remap(v):  # merge b into a, shift indices above b down
+        if v == b:
+            v = a
+        return v - 1 if v > b else v
+
+    genera[a] += genera.pop(b)
+    return StableGraph(genera, [(remap(x), remap(y)) for x, y in rest],
+                       [remap(v) for v in G.legs])

@@ -203,6 +203,16 @@ class TestStrataCommands:
         assert res.exit_code == 2
         assert "conflicts" in res.output
 
+    def test_e1_repeated_betti_row_rejected(self, runner, tmp_path):
+        # two rows for (1, 2, 0): the last one used to win silently
+        csv = tmp_path / "betti.csv"
+        csv.write_text("g,n,k,dim\n1,2,0,1\n1,2,0,5\n1,2,2,1\n")
+        res = run(runner, "e1", "--g", "1", "--n", "2", "--betti", str(csv),
+                  "--aut-mode", "ignore", "--format", "csv")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == ("Error: repeated (g, n, k) in row: "
+                              "'1,2,0,5'\n")
+
     def test_betti_predict(self, runner):
         res = run(runner, "betti-predict", "--n", "6")
         assert res.exit_code == 0

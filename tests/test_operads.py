@@ -32,6 +32,7 @@ from operadkit.operads import (
     class_representative,
     comm_operad,
     cycle_types,
+    decalage_sign,
     embed_block_perm,
     expand_perm,
     free_algebra_dims,
@@ -43,12 +44,16 @@ from operadkit.operads import (
     operad_from_json,
     operad_to_json,
     parse_coefficient,
-    perm_compose,
     perm_inverse,
     relabel_word,
     substitute_word,
 )
 from operadkit.qlinalg import SparseMatrix, addmul, rank
+
+
+def perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """(a o b)(i) = a(b(i))."""
+    return tuple(a[j - 1] for j in b)
 
 
 # --------------------------------------------------------------------------
@@ -149,6 +154,14 @@ class TestPermHelpers:
     def test_koszul_sign_mixed(self):
         # swapping an even past an odd costs nothing
         assert koszul_sign((2, 1), (2, 1)) == 1
+
+    def test_decalage_sign_counts_the_suspensions_passed(self):
+        # input i is passed by the n - i suspensions after it
+        assert decalage_sign((-1, 0)) == -1 and decalage_sign((0, -1)) == 1
+        assert decalage_sign((1, 1, 1)) == -1 and decalage_sign((1, 0, 0)) == 1
+        assert decalage_sign((0, 1, 0)) == -1
+        assert all(type(decalage_sign(d)) is int
+                   for d in itertools.product((-2, -1, 0, 1), repeat=3))
 
     def test_expand_perm_is_a_permutation(self):
         sigma = (2, 1, 3)
@@ -485,19 +498,19 @@ class TestEndOperad:
         V = GradedSpace(("x", "y"), (0, 0))
         E = EndOperad(V, 3)
         # f(a,b) = x when (a,b) == (x,y); g(a) = y when a == x
-        f = {E.map_index(2, 0, (0, 1)): Fraction(1)}
-        g = {E.map_index(1, 1, (0,)): Fraction(1)}
+        f = {E.space(2).names.index("f[x|x,y]"): Fraction(1)}
+        g = {E.space(1).names.index("f[y|x]"): Fraction(1)}
         h = E.compose(2, 2, 1, f, g)   # h(a,b) = f(a, g(b))
-        assert h == {E.map_index(2, 0, (0, 0)): Fraction(1)}
+        assert h == {E.space(2).names.index("f[x|x,x]"): Fraction(1)}
 
     def test_composition_sign_from_sliding(self):
         V = GradedSpace(("x", "y"), (0, 1))
         E = EndOperad(V, 3)
         # g of odd total degree slides past the odd first input of f
-        f = {E.map_index(2, 0, (1, 0)): Fraction(1)}
-        g = {E.map_index(1, 0, (1,)): Fraction(1)}  # degree -1
+        f = {E.space(2).names.index("f[x|y,x]"): Fraction(1)}
+        g = {E.space(1).names.index("f[x|y]"): Fraction(1)}  # degree -1
         h = E.compose(2, 2, 1, f, g)
-        assert h == {E.map_index(2, 0, (1, 1)): Fraction(-1)}
+        assert h == {E.space(2).names.index("f[x|y,y]"): Fraction(-1)}
 
     def test_differential_squares_to_zero(self):
         V = GradedSpace(("x", "y"), (0, 1))

@@ -18,7 +18,6 @@ from operadkit.qlinalg import (
     addmul,
     as_exact,
     format_vector,
-    kernel_dim,
     nullspace,
     rank,
     rref,
@@ -311,7 +310,6 @@ class TestExactStorage:
 class TestRank:
     def test_zero_matrix(self):
         assert rank(SparseMatrix.zero(3, 4)) == 0
-        assert kernel_dim(SparseMatrix.zero(3, 4)) == 4
 
     def test_identity(self):
         assert rank(SparseMatrix.identity(5)) == 5
@@ -406,7 +404,7 @@ class TestRrefAndNullspace:
     @given(small_matrix)
     def test_nullspace_dimension_and_independence(self, m):
         basis = nullspace(m)
-        assert len(basis) == kernel_dim(m)
+        assert len(basis) == m.cols - rank(m)
         assert span_rank(basis) == len(basis)
         for vec in basis:
             assert not m.apply(vec)
@@ -458,7 +456,6 @@ class TestChainComplex:
     def test_triangle_homology(self):
         c = self.triangle()
         assert c.homology() == [1, 1]
-        assert c.euler_characteristic() == 0
 
     def test_two_simplex_homology(self):
         # Fill the triangle with one 2-cell: contractible.
@@ -466,7 +463,6 @@ class TestChainComplex:
         d2 = SparseMatrix.from_rows([[1], [-1], [1]])
         c = ChainComplex([3, 3, 1], [d1, d2])
         assert c.homology() == [1, 0, 0]
-        assert c.euler_characteristic() == 1
 
     def test_square_of_differential_is_checked(self):
         d1 = SparseMatrix.from_rows([[1, 0], [0, 1]])
@@ -489,4 +485,4 @@ class TestChainComplex:
         c = ChainComplex([m.rows, m.cols], [m])
         betti = c.homology()
         assert sum((-1) ** i * b for i, b in enumerate(betti)) == \
-            c.euler_characteristic()
+            m.rows - m.cols

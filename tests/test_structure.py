@@ -4,6 +4,14 @@ Modules of the package use each other's public names: an underscore
 name is private to the module that defines it, and a module that needs
 another module's helper should get it made public there.
 
+The package keeps only what runs: every public module-level function
+and class is named by the package, the benchmark or the scripts outside
+its own definition.  Oracles the tests alone use live in
+``tests/reference.py``.  The exceptions are the API the README's "File
+formats" section offers, the decoders of what ``trees`` and ``graphs``
+print, and ``qlinalg.solve_in_span``, which the benchmark's tracer
+wraps by name.
+
 Sparse vectors are accumulated in one place, ``qlinalg.addmul``; a
 hand-rolled "add, then drop the zero" loop elsewhere shows up as a
 ``del acc[key]`` statement.
@@ -29,8 +37,9 @@ their own, and no second composition or differential routine is
 defined beside them.
 
 Vertex correspondence lives in ``treegraph``: ``graft`` and
-``relabel_tree`` report where each vertex went, so ``cobar`` never
-names a vertex by its leaf set (no ``frozenset``, no ``.vertices()``).
+``relabel_tree`` report where each vertex went by preorder index, so
+``cobar`` never names a vertex by its leaf set (no ``frozenset``, no
+``.vertices()``).
 
 Operad structure constants are ``int`` when integral: no
 ``compose_basis`` or ``act_basis`` in ``operads`` or ``cobar`` wraps a
@@ -55,6 +64,48 @@ from operadkit.treegraph import StableGraph, Tree
 def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__")
                                          and name.endswith("__"))
+
+
+# public for users, not for the package: the README's file-format API
+# and the decoders of the `trees` and `graphs` encodings; the
+# benchmark's tracer wraps solve_in_span by its name as a string
+UNCALLED_BY_DESIGN = {
+    "operad_to_json", "operad_from_json", "filtered_operad_to_json",
+    "map_family_to_json", "decode_tree", "decode_graph", "solve_in_span"}
+
+
+def test_every_public_name_has_a_caller():
+    package = Path(operadkit.__file__).parent
+    root = package.parents[1]
+    defined = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = path
+    named = set()
+    for folder in ("src", "perfbench", "scripts"):
+        assert (root / folder).is_dir(), folder
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            inside = {id(node): top.name for top in tree.body
+                      if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                      for node in ast.walk(top)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rsplit(".", 1)[-1]
+                else:
+                    continue
+                if not (path == defined.get(name)
+                        and inside.get(id(node)) == name):
+                    named.add(name)
+    uncalled = sorted(f"{path.stem}.{name}" for name, path in defined.items()
+                      if name not in named | UNCALLED_BY_DESIGN)
+    assert uncalled == []
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -140,7 +191,7 @@ def test_one_rank_engine():
              if isinstance(node, ast.FunctionDef)}
     assert sorted(name for name in funcs if "rank" in name) == [
         "rank", "span_rank"]
-    for name in ("span_rank", "kernel_dim", "homology"):
+    for name in ("span_rank", "homology"):
         called = {node.func.id for node in ast.walk(funcs[name])
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Name)}

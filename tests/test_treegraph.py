@@ -21,7 +21,6 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operadkit.strata import strata_euler_characteristic
 from operadkit.treegraph import (
     GraphAutomorphism,
     GraphError,
@@ -29,9 +28,6 @@ from operadkit.treegraph import (
     Tree,
     TreeError,
     automorphism_group,
-    contract_edge,
-    contract_graph_edge,
-    corolla,
     decode_graph,
     decode_tree,
     encode_graph,
@@ -39,13 +35,14 @@ from operadkit.treegraph import (
     enumerate_stable_graphs,
     enumerate_trees,
     enumerate_trees_all,
-    expand_vertex,
-    genus_invariant,
     graft,
     relabel_tree,
     vertex_expansions,
 )
 from operadkit.treegraph import _is_stable
+from reference import (contract_edge, contract_graph_edge, edges,
+                       expand_vertex, genus_invariant,
+                       strata_euler_characteristic, vertices)
 
 
 # --------------------------------------------------------------------------
@@ -128,20 +125,6 @@ class TestTreeBasics:
         with pytest.raises(TreeError):
             Tree(((1,), 2))
 
-    def test_corolla(self):
-        t = corolla(4)
-        assert t.arity == 4 and t.internal_edges == 0 and t.is_corolla()
-        with pytest.raises(TreeError):
-            corolla(1)
-
-    def test_edge_list_keys_are_leaf_sets(self):
-        t = decode_tree("((1,2),(3,(4,5)))")
-        assert t.edge_list() == [
-            frozenset({1, 2}),
-            frozenset({3, 4, 5}),
-            frozenset({4, 5}),
-        ]
-
     def test_vertex_arities_preorder(self):
         t = decode_tree("((1,2),(3,(4,5)))")
         assert t.vertex_arities() == [2, 2, 2, 2]
@@ -219,9 +202,7 @@ class TestTreeEnumeration:
 
 class TestTreeOperations:
     def test_graft_labels(self):
-        t = corolla(3)
-        s = corolla(2)
-        g, verts = graft(t, 2, s)
+        g, verts = graft(Tree((1, 2, 3)), 2, Tree((1, 2)))
         assert g == decode_tree("(1,(2,3),4)")
         assert g.arity == 4 and g.internal_edges == 1
         assert verts == [(0, (1, 2, 3)), (1, (1, 2))]
@@ -236,7 +217,7 @@ class TestTreeOperations:
 
     def test_graft_index_range(self):
         with pytest.raises(TreeError):
-            graft(corolla(3), 4, corolla(2))
+            graft(Tree((1, 2, 3)), 4, Tree((1, 2)))
 
     def test_contract_inverts_graft_edge(self):
         t = decode_tree("((1,2),(3,(4,5)))")
@@ -261,7 +242,7 @@ class TestTreeOperations:
     ])
     def test_expand_vertex_rejects_bad_input(self, vertex, positions):
         with pytest.raises(TreeError):
-            expand_vertex(corolla(3), vertex, positions)
+            expand_vertex(Tree((1, 2, 3)), vertex, positions)
 
     def test_relabel(self):
         t = decode_tree("((1,2),3)")
@@ -327,10 +308,10 @@ class TestTreeOperations:
         def inner(key):
             return frozenset(x + i - 1 for x in key)
 
-        sources = ([(v, outer) for v in t.vertices()]
-                   + [(v, inner) for v in s.vertices()])
+        sources = ([(v, outer) for v in vertices(t)]
+                   + [(v, inner) for v in vertices(s)])
         assert sorted(src for src, _ in verts) == list(range(len(sources)))
-        for target, (src, positions) in zip(g.vertices(), verts, strict=True):
+        for target, (src, positions) in zip(vertices(g), verts, strict=True):
             vertex, move = sources[src]
             assert self._matches(target, (vertex, positions), move)
 
@@ -347,9 +328,9 @@ class TestTreeOperations:
         def move(key):
             return frozenset(mapping[x] for x in key)
 
-        old = t.vertices()
+        old = vertices(t)
         assert sorted(src for src, _ in verts) == list(range(len(old)))
-        for target, (src, positions) in zip(s.vertices(), verts, strict=True):
+        for target, (src, positions) in zip(vertices(s), verts, strict=True):
             assert self._matches(target, (old[src], positions), move)
 
     @settings(max_examples=60, deadline=None)
@@ -359,7 +340,7 @@ class TestTreeOperations:
         if not trees:
             return
         t = data.draw(st.sampled_from(trees))
-        for edge in t.edge_list():
+        for edge in edges(t):
             c = contract_edge(t, edge)
             assert c.arity == n
             assert c.internal_edges == t.internal_edges - 1
@@ -367,41 +348,34 @@ class TestTreeOperations:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6), st.data())
     def test_vertices_are_subtree_leaf_sets(self, n, data):
+        # the leaf-set names: one per vertex, each vertex's children
+        # partition its leaves, and preorder agrees with vertex_arities
         trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
         t = data.draw(st.sampled_from(trees))
-        expected = []
-
-        def leaves(shape):
-            if isinstance(shape, int):
-                return frozenset({shape})
-            return frozenset(x for c in shape for x in leaves(c))
-
-        def walk(shape):
-            if isinstance(shape, int):
-                return
-            expected.append((leaves(shape),
-                             tuple(leaves(c) for c in shape), len(shape)))
-            for c in shape:
-                walk(c)
-
-        walk(t.shape)
-        assert t.vertices() == expected
-        assert t.edge_list() == [key for key, _, _ in expected[1:]]
-        assert t.vertex_arities() == [m for _, _, m in expected]
+        verts = vertices(t)
+        assert verts[0][0] == frozenset(range(1, n + 1))
+        assert len({key for key, _, _ in verts}) == len(verts) == (
+            t.internal_edges + 1)
+        for key, kids, m in verts:
+            assert len(kids) == m and sum(map(len, kids)) == len(key)
+            assert frozenset().union(*kids) == key
+            assert [min(k) for k in kids] == sorted(min(k) for k in kids)
+        assert t.vertex_arities() == [m for _, _, m in verts]
+        assert edges(t) == [key for key, _, _ in verts[1:]]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 6), st.data())
     def test_expand_vertex_adds_one_edge_that_contracts_back(self, n, data):
         trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
         t = data.draw(st.sampled_from(trees))
-        for key, kids, m in t.vertices():
+        for key, kids, m in vertices(t):
             for k in range(2, m):
                 for subset in itertools.combinations(range(1, m + 1), k):
                     s, edge = expand_vertex(t, key, subset)
                     assert edge == frozenset().union(
                         *(kids[p - 1] for p in subset))
                     assert s.internal_edges == t.internal_edges + 1
-                    assert set(s.edge_list()) == set(t.edge_list()) | {edge}
+                    assert set(edges(s)) == set(edges(t)) | {edge}
                     assert contract_edge(s, edge) == t
 
     @settings(max_examples=60, deadline=None)
@@ -409,7 +383,7 @@ class TestTreeOperations:
     def test_vertex_expansions_are_canonical_and_ordered(self, n, data):
         trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
         t = data.draw(st.sampled_from(trees))
-        verts = t.vertices()
+        verts = vertices(t)
         seen = []
         for vi, positions, s, order in vertex_expansions(t):
             key, kids, m = verts[vi]
@@ -418,7 +392,7 @@ class TestTreeOperations:
             assert (s.arity, s.internal_edges) == (n, t.internal_edges + 1)
             new_key = frozenset().union(*(kids[p - 1] for p in positions))
             keys = [k for k, _, _ in verts] + [new_key]
-            assert [keys[j] for j in order] == [k for k, _, _ in s.vertices()]
+            assert [keys[j] for j in order] == [k for k, _, _ in vertices(s)]
             seen.append((vi, positions))
         assert seen == [(vi, p) for vi, (_, _, m) in enumerate(verts)
                         for k in range(2, m)
@@ -634,7 +608,7 @@ class TestStableGraphs:
 
     def test_genus_invariant(self):
         G = StableGraph([0], [(0, 0)], [0])
-        assert G.b1() == 1 and genus_invariant(G) == 1
+        assert genus_invariant(G) == 1
         H = StableGraph([1, 0], [(0, 1)], [1, 1])
         assert genus_invariant(H) == 1
 
