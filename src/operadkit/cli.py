@@ -6,12 +6,18 @@ Expensive homology runs are cached content-addressed under the cache
 directory (override with OPERADKIT_CACHE_DIR, disable with --no-cache);
 the key holds a digest of the package's source, so an answer cached by
 other code is a miss.  A cache that cannot be written gives a warning, not an error.
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a verification fails, 2 on bad input.
 
-The commands are one table, ``main.commands``; a run builds the
-argument parser of the one command it invokes.  Modules that only some
-commands need (``hashlib`` for the cache key, the library itself) are
-imported where they are used, as start-up is most of a short command.
+Bad input leaves by one door: ``Main.main`` reports every
+``operadkit.InputError`` (the base of each library module's error class
+and of ``UsageError``) as ``Error: <message>`` and exits 2.  The
+commands are one table, ``main.commands``; a run builds the argument
+parser of the one command it invokes.  The table holds each option's
+fixed range and reads each input file, so a number out of range or a
+missing, unreadable or non-UTF-8 file is refused while parsing, before
+any library import.  Modules that only some commands need (``hashlib``
+for the cache key, the library itself) are imported where they are used,
+as start-up is most of a short command.
 """
 
 from __future__ import annotations
@@ -23,12 +29,12 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from . import __version__
+from . import InputError, __version__
 
 CACHE_ENV = "OPERADKIT_CACHE_DIR"
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     """Bad command-line input: reported as ``Error: <message>``, exit 2."""
 
 
@@ -105,8 +111,6 @@ def _operad_by_name(name: str, max_arity: int):
         return cobar_operad(liec_cooperad(max_arity), max_arity)
     from .operads import comm_operad, assoc_operad, lie_operad
     table = {"comm": comm_operad, "assoc": assoc_operad, "lie": lie_operad}
-    if name not in table:
-        raise UsageError(f"unknown operad {name!r}")
     return table[name](max_arity)
 
 
@@ -114,16 +118,7 @@ def _cooperad_by_name(name: str, max_arity: int):
     from .cobar import liec_cooperad, asc_cooperad, commc_cooperad
     table = {"liec": liec_cooperad, "asc": asc_cooperad,
              "commc": commc_cooperad}
-    if name not in table:
-        raise UsageError(f"unknown cooperad {name!r}")
     return table[name](max_arity)
-
-
-def _load_betti(path: str | None):
-    from .strata import BettiTable
-    if path is None:
-        return BettiTable()
-    return BettiTable.from_csv(Path(path).read_text())
 
 
 def _emit_table(table, fmt: str) -> None:
@@ -138,20 +133,17 @@ def _emit_table(table, fmt: str) -> None:
     sys.stdout.write(text)
 
 
-def _require_desk_scale(**bounds):
-    """Validate parameter ranges before dispatch; everything here is
-    exact arithmetic, so the guards are what keeps runtimes sane.  Each
-    command runs its guards before it imports a library module, so that
-    a usage error costs no import."""
-    for label, (value, lo, hi) in bounds.items():
-        if not (lo <= value <= hi):
-            raise UsageError(
-                f"--{label} must be between {lo} and {hi} (got {value})")
+def _require_desk_scale(flag: str, value: int, lo: int, hi: int) -> None:
+    """Everything here is exact arithmetic, so parameter ranges are what
+    keeps runtimes sane: a value outside lo..hi is a usage error.  Each
+    range is checked before a library module is imported, so that a
+    usage error costs no import."""
+    if not lo <= value <= hi:
+        raise UsageError(f"{flag} must be between {lo} and {hi} (got {value})")
 
 
 def trees(n, edges, count, fmt):
     """Enumerate leaf-labeled rooted trees."""
-    _require_desk_scale(n=(n, 2, 8))
     from .treegraph import enumerate_trees, enumerate_trees_all, encode_tree
     if edges is None:
         groups = enumerate_trees_all(n)
@@ -171,18 +163,14 @@ def trees(n, edges, count, fmt):
 
 def graphs(g, n, max_edges, count, fmt):
     """Enumerate stable graphs of genus g with n legs."""
-    _require_desk_scale(g=(g, 0, 2), n=(n, 0, 6))
     if 3 * g - 3 + n > 3:
         raise UsageError(
             "graph censuses are desk scale: need 3g - 3 + n <= 3")
     from .treegraph import (enumerate_stable_graphs, automorphism_group,
-                            encode_graph, GraphError)
+                            encode_graph)
     if max_edges is None:
         max_edges = 3 * g - 3 + n
-    try:
-        items = enumerate_stable_graphs(g, n, max_edges)
-    except GraphError as ex:
-        raise UsageError(str(ex))
+    items = enumerate_stable_graphs(g, n, max_edges)
     if count:
         print(len(items))
         return
@@ -200,8 +188,8 @@ def graphs(g, n, max_edges, count, fmt):
 
 def axioms(name, max_arity):
     """Verify the operad axioms; exit 1 on any violation."""
-    _require_desk_scale(**{"max-arity": (max_arity, 1,
-                                         4 if name == "cobar-liec" else 6)})
+    _require_desk_scale("--max-arity", max_arity, 1,
+                        4 if name == "cobar-liec" else 6)
     from .operads import check_axioms
     O = _operad_by_name(name, max_arity)
     report = check_axioms(O, max_arity)
@@ -217,7 +205,6 @@ def axioms(name, max_arity):
 
 def free_dims(name, d, max_arity):
     """Multilinear-part dimensions of the free algebra on d generators."""
-    _require_desk_scale(d=(d, 0, 6), **{"max-arity": (max_arity, 1, 8)})
     from .operads import free_algebra_dims
     O = _operad_by_name(name, max_arity)
     dims = free_algebra_dims(O, d, max_arity)
@@ -226,13 +213,9 @@ def free_dims(name, d, max_arity):
 
 def cobar(name, arity, fmt):
     """Dimensions of the cobar complex by internal edge count."""
-    _require_desk_scale(arity=(arity, 2, 7 if name != "asc" else 5))
-    from .cobar import cobar_dims, CobarError
-    try:
-        C = _cooperad_by_name(name, arity)
-        dims = cobar_dims(C, arity)
-    except CobarError as ex:
-        raise UsageError(str(ex))
+    _require_desk_scale("--arity", arity, 2, 7 if name != "asc" else 5)
+    from .cobar import cobar_dims
+    dims = cobar_dims(_cooperad_by_name(name, arity), arity)
     if fmt == "json":
         print(json.dumps({"cooperad": name, "arity": arity,
                           "dims": {str(e): d for e, d in dims.items()}},
@@ -244,19 +227,15 @@ def cobar(name, arity, fmt):
 
 def cobar_homology_cmd(name, arity, no_cache, fmt):
     """Betti numbers of the cobar complex (cached)."""
-    _require_desk_scale(arity=(arity, 2, 6 if name != "asc" else 5))
+    _require_desk_scale("--arity", arity, 2, 6 if name != "asc" else 5)
     params = {"cooperad": name, "arity": arity}
     path, cached = (None, None)
     if not no_cache:
         path, cached = _cache_lookup("cobar-homology", params)
     payload = _cached_betti(cached, name, arity)
     if payload is None:
-        from .cobar import cobar_homology, CobarError
-        try:
-            C = _cooperad_by_name(name, arity)
-            betti = cobar_homology(C, arity)
-        except CobarError as ex:
-            raise UsageError(str(ex))
+        from .cobar import cobar_homology
+        betti = cobar_homology(_cooperad_by_name(name, arity), arity)
         payload = {"cooperad": name, "arity": arity,
                    "betti": {str(e): b for e, b in betti.items()},
                    "total": sum(betti.values())}
@@ -273,22 +252,18 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
         print(f"total: {payload['total']}")
 
 
-def e1(g, n, betti_path, aut_mode, fmt):
+def e1(g, n, betti_csv, aut_mode, fmt):
     """First-page dimension table of the stratification sequence."""
-    _require_desk_scale(g=(g, 0, 2), n=(n, 1, 12))
     if g >= 1 and 3 * g - 3 + n > 5:
         raise UsageError("need 3g - 3 + n <= 5 at genus >= 1")
-    from .strata import e1_table, StrataError
-    try:
-        table = e1_table(g, n, _load_betti(betti_path), aut_mode=aut_mode)
-    except StrataError as ex:
-        raise UsageError(str(ex))
-    _emit_table(table, fmt)
+    from .strata import BettiTable, e1_table
+    betti = (BettiTable() if betti_csv is None
+             else BettiTable.from_csv(betti_csv))
+    _emit_table(e1_table(g, n, betti, aut_mode=aut_mode), fmt)
 
 
 def betti_predict(n, fmt):
     """Predicted even Betti numbers of the genus-0 compactification."""
-    _require_desk_scale(n=(n, 3, 12))
     from .strata import predict_compactified_betti, StrataError
     try:
         pred = predict_compactified_betti(n)
@@ -305,12 +280,8 @@ def middle_row_cmd(arity, fmt):
     """Compare the q=0 strata row with the cobar dimensions.
 
     Exit 1 on mismatch."""
-    _require_desk_scale(arity=(arity, 2, 7))
-    from .strata import middle_row, StrataError
-    try:
-        rep = middle_row(arity)
-    except StrataError as ex:
-        raise UsageError(str(ex))
+    from .strata import middle_row
+    rep = middle_row(arity)
     if fmt == "json":
         print(json.dumps({
             "arity": arity,
@@ -332,31 +303,18 @@ def dual_e1(g, n, fmt):
 
     Exit 1 if the column Euler check against the open Betti numbers
     fails."""
-    _require_desk_scale(g=(g, 0, 0), n=(n, 3, 12))
-    from .strata import dual_e1_table, dual_euler_check, StrataError
-    try:
-        table = dual_e1_table(g, n)
-    except StrataError as ex:
-        raise UsageError(str(ex))
+    from .strata import dual_e1_table, dual_euler_check
+    table = dual_e1_table(g, n)
     _emit_table(table, fmt)
     if not dual_euler_check(table, n):
         print("Euler-characteristic consistency FAILED", file=sys.stderr)
         sys.exit(1)
 
 
-def _map_family(path):
-    from .hoalg import map_family_from_json
-    try:
-        return map_family_from_json(Path(path).read_text())
-    except ValueError as ex:
-        raise UsageError(str(ex))
-
-
-def check_ainf_cmd(family_file, max_arity):
+def check_ainf_cmd(family_json, max_arity):
     """Check the homotopy-associativity relations of a map family."""
-    from .hoalg import check_ainf
-    fam = _map_family(family_file)
-    residuals = check_ainf(fam, max_arity)
+    from .hoalg import check_ainf, map_family_from_json
+    residuals = check_ainf(map_family_from_json(family_json), max_arity)
     if not residuals:
         print("all relations hold")
         return
@@ -366,11 +324,10 @@ def check_ainf_cmd(family_file, max_arity):
     sys.exit(1)
 
 
-def check_cinf_cmd(family_file, max_arity):
+def check_cinf_cmd(family_json, max_arity):
     """Check homotopy associativity plus shuffle vanishing."""
-    from .hoalg import check_cinf
-    fam = _map_family(family_file)
-    report = check_cinf(fam, max_arity)
+    from .hoalg import check_cinf, map_family_from_json
+    report = check_cinf(map_family_from_json(family_json), max_arity)
     if report.ok:
         print("all relations and shuffle vanishing hold")
         return
@@ -379,22 +336,18 @@ def check_cinf_cmd(family_file, max_arity):
     sys.exit(1)
 
 
-def _filtered_fixture(fixture, fixture_file, max_arity):
+def _filtered_fixture(fixture, fixture_json, max_arity):
     """The filtered operad to page; one read from a file may hold no
     arity above max_arity and must pass ``FilteredOperad.validate``."""
-    from .filtration import (FiltrationError, filtered_operad_from_json,
-                             degree_filtration, moduli_chain_standin)
-    if fixture_file is not None:
-        try:
-            F = filtered_operad_from_json(Path(fixture_file).read_text())
-            top = max(F.arities(), default=0)
-            if top > max_arity:
-                raise FiltrationError(f"the document has an arity-{top} "
-                                      f"component, above --max-arity "
-                                      f"{max_arity}")
-            F.validate()
-        except ValueError as ex:
-            raise UsageError(str(ex))
+    from .filtration import (filtered_operad_from_json, degree_filtration,
+                             moduli_chain_standin)
+    if fixture_json is not None:
+        F = filtered_operad_from_json(fixture_json)
+        top = max(F.arities(), default=0)
+        if top > max_arity:
+            raise UsageError(f"the document has an arity-{top} component, "
+                             f"above --max-arity {max_arity}")
+        F.validate()
         return F
     if fixture == "end":
         from .operads import GradedSpace, EndOperad
@@ -402,16 +355,13 @@ def _filtered_fixture(fixture, fixture_file, max_arity):
         V = GradedSpace(("e0", "e1"), (0, 1))
         q = SparseMatrix.from_dict(2, 2, {(0, 1): 1})
         return degree_filtration(EndOperad(V, max_arity, q=q))
-    if fixture == "standin":
-        return moduli_chain_standin(max_arity)
-    raise UsageError(f"unknown fixture {fixture!r}")
+    return moduli_chain_standin(max_arity)
 
 
-def er(r, fixture, fixture_file, max_arity, fmt):
+def er(r, fixture, fixture_json, max_arity, fmt):
     """Dimensions of a spectral-sequence page per arity and bigrade."""
-    _require_desk_scale(r=(r, 0, 20), **{"max-arity": (max_arity, 1, 4)})
     from .filtration import er_term
-    F = _filtered_fixture(fixture, fixture_file, max_arity)
+    F = _filtered_fixture(fixture, fixture_json, max_arity)
     term = er_term(F, r)
     data = {n: {f"{p},{q}": d for (p, q), d in sorted(term.dims(n).items())}
             for n in F.arities()}
@@ -423,12 +373,10 @@ def er(r, fixture, fixture_file, max_arity, fmt):
                 f"E[{pq}]={d}" for pq, d in dims.items()) or "0"))
 
 
-def dk(r, k, fixture, fixture_file, max_arity, fmt):
+def dk(r, k, fixture, fixture_json, max_arity, fmt):
     """Bigraded suboperad slice of a page, with closure certificate."""
-    _require_desk_scale(r=(r, 0, 20), k=(k, -20, 20),
-                        **{"max-arity": (max_arity, 1, 4)})
     from .filtration import er_term, suboperad_dk
-    F = _filtered_fixture(fixture, fixture_file, max_arity)
+    F = _filtered_fixture(fixture, fixture_json, max_arity)
     slices = suboperad_dk(er_term(F, r), k)
     data = {n: {f"{p},{q}": d for (p, q), d in sorted(sel.items())}
             for n, sel in slices.slices.items()}
@@ -454,8 +402,6 @@ def pipeline_cinf(max_arity, dim):
 
     Stand-in operad, commutative toy algebra, induced operations,
     homotopy checks.  Exit 1 if any verification fails."""
-    _require_desk_scale(dim=(dim, 1, 4),
-                        **{"max-arity": (max_arity, 2, 6)})
     from .hoalg import truncated_polynomial_family
     from .filtration import (moduli_chain_standin, commutative_toy_algebra,
                              induce_cinf)
@@ -482,17 +428,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _existing_path(text: str) -> str:
-    if not os.path.exists(text):
-        raise argparse.ArgumentTypeError(f"Path {text!r} does not exist.")
-    return text
+def _input_text(path: str) -> str:
+    """The ``type`` of every input-file argument: the file's UTF-8 text.
+    A path that cannot be read so is a usage error naming the argument."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        message = f"Path {path!r} does not exist."
+    except OSError as ex:
+        message = f"cannot read {path!r}: {ex.strerror or ex}"
+    except UnicodeDecodeError:
+        message = f"{path!r} is not UTF-8 text"
+    raise argparse.ArgumentTypeError(message)
 
 
 class Command:
     """One subcommand: the function that runs it, its docstring, and its
-    options, each a flag (or a positional's metavar) with the keywords
-    of ``ArgumentParser.add_argument``; ``dest`` names the callback's
-    parameter where the flag does not."""
+    options, each a flag (or a positional's name) with the keywords of
+    ``ArgumentParser.add_argument``; ``dest`` names the callback's
+    parameter where the flag does not, and ``bounds`` = (lo, hi) is an
+    integer option's fixed range, checked in table order after parsing."""
 
     def __init__(self, callback, *options):
         self.callback = callback
@@ -513,12 +469,20 @@ class Command:
                          allow_abbrev=False)
         parser.add_argument("--help", action="help",
                             help="show this message and exit")
+        bounded = []
         for flag, kwargs in self.options:
+            kwargs = dict(kwargs)
+            bounds = kwargs.pop("bounds", None)
             if kwargs.get("default") is not None:
-                kwargs = {**kwargs, "help": (kwargs.get("help", "")
-                                             + " (default: %(default)s)")}
-            parser.add_argument(flag, **kwargs)
-        return vars(parser.parse_args(args))
+                kwargs["help"] = (kwargs.get("help", "")
+                                  + " (default: %(default)s)")
+            dest = parser.add_argument(flag, **kwargs).dest
+            if bounds is not None:
+                bounded.append((flag, dest, bounds))
+        values = vars(parser.parse_args(args))
+        for flag, dest, (lo, hi) in bounded:
+            _require_desk_scale(flag, values[dest], lo, hi)
+        return values
 
 
 class Main:
@@ -540,15 +504,16 @@ class Main:
     def main(self, args: list[str] | None = None,
              prog_name: str | None = None):
         """Run one command line (default ``sys.argv[1:]``) and exit with
-        its code: a usage error prints ``Error: <message>`` on stderr and
-        exits 2, and a reader that closes the pipe early exits 1."""
+        its code: bad input (an ``InputError``) prints ``Error: <message>``
+        on stderr and exits 2, and a reader that closes the pipe early
+        exits 1."""
         args = sys.argv[1:] if args is None else list(args)
         try:
             try:
                 self._run(args, prog_name or "operadkit")
             finally:
                 sys.stdout.flush()
-        except UsageError as ex:
+        except InputError as ex:
             print(f"Error: {ex}", file=sys.stderr)
             sys.exit(2)
         except BrokenPipeError:
@@ -594,9 +559,8 @@ def _choice(flag, choices, **kwargs):
 FORMAT = _choice("--format", ("json", "text"), dest="fmt", default="text")
 TABLE_FORMAT = _choice("--format", ("json", "csv", "text"), dest="fmt",
                        default="text")
-FAMILY_FILE = ("family_file", {"metavar": "FAMILY_FILE",
-                               "type": _existing_path})
-FIXTURE_FILE = ("--file", {"dest": "fixture_file", "type": _existing_path,
+FAMILY_FILE = ("family_json", {"metavar": "FAMILY_FILE", "type": _input_text})
+FIXTURE_FILE = ("--file", {"dest": "fixture_json", "type": _input_text,
                            "help": "filtered operad JSON"})
 COOPERAD = _choice("--cooperad", ("liec", "asc", "commc"), dest="name",
                    required=True)
@@ -604,14 +568,14 @@ COOPERAD = _choice("--cooperad", ("liec", "asc", "commc"), dest="name",
 main = Main({
     "trees": Command(
         trees,
-        _int("--n", required=True, help="number of leaves"),
+        _int("--n", required=True, bounds=(2, 8), help="number of leaves"),
         _int("--edges", help="internal edge count"),
         _flag("--count", help="print the count only"),
         FORMAT),
     "graphs": Command(
         graphs,
-        _int("--g", required=True),
-        _int("--n", required=True),
+        _int("--g", required=True, bounds=(0, 2)),
+        _int("--n", required=True, bounds=(0, 6)),
         _int("--max-edges"),
         _flag("--count"),
         FORMAT),
@@ -624,8 +588,8 @@ main = Main({
         free_dims,
         _choice("--operad", ("comm", "assoc", "lie"), dest="name",
                 required=True),
-        _int("--d", required=True, help="generator dimension"),
-        _int("--max-arity", 6)),
+        _int("--d", required=True, bounds=(0, 6), help="generator dimension"),
+        _int("--max-arity", 6, bounds=(1, 8))),
     "cobar": Command(
         cobar,
         COOPERAD,
@@ -639,46 +603,47 @@ main = Main({
         FORMAT),
     "e1": Command(
         e1,
-        _int("--g", 0),
-        _int("--n", required=True),
-        ("--betti", {"dest": "betti_path", "type": _existing_path,
+        _int("--g", 0, bounds=(0, 2)),
+        _int("--n", required=True, bounds=(1, 12)),
+        ("--betti", {"dest": "betti_csv", "type": _input_text,
                      "help": "CSV of open Betti numbers (g,n,k,dim)"}),
         _choice("--aut-mode", ("degree0", "ignore"), default="degree0"),
         TABLE_FORMAT),
     "betti-predict": Command(
         betti_predict,
-        _int("--n", required=True),
+        _int("--n", required=True, bounds=(3, 12)),
         FORMAT),
     "middle-row": Command(
         middle_row_cmd,
-        _int("--arity", required=True),
+        _int("--arity", required=True, bounds=(2, 7)),
         FORMAT),
     "dual-e1": Command(
         dual_e1,
-        _int("--g", 0),
-        _int("--n", required=True),
+        _int("--g", 0, bounds=(0, 0)),
+        _int("--n", required=True, bounds=(3, 12)),
         TABLE_FORMAT),
     "check-ainf": Command(check_ainf_cmd, FAMILY_FILE, _int("--max-arity")),
     "check-cinf": Command(check_cinf_cmd, FAMILY_FILE, _int("--max-arity")),
     "er": Command(
         er,
-        _int("--r", required=True, help="page index"),
+        _int("--r", required=True, bounds=(0, 20), help="page index"),
         _choice("--fixture", ("end", "standin"), default="end"),
         FIXTURE_FILE,
-        _int("--max-arity", 3),
+        _int("--max-arity", 3, bounds=(1, 4)),
         FORMAT),
     "dk": Command(
         dk,
-        _int("--r", required=True),
-        _int("--k", required=True),
+        _int("--r", required=True, bounds=(0, 20)),
+        _int("--k", required=True, bounds=(-20, 20)),
         _choice("--fixture", ("end", "standin"), default="standin"),
         FIXTURE_FILE,
-        _int("--max-arity", 3),
+        _int("--max-arity", 3, bounds=(1, 4)),
         FORMAT),
     "pipeline-cinf": Command(
         pipeline_cinf,
-        _int("--max-arity", 4),
-        _int("--dim", 3, help="dimension of the truncated polynomial algebra")),
+        _int("--dim", 3, bounds=(1, 4),
+             help="dimension of the truncated polynomial algebra"),
+        _int("--max-arity", 4, bounds=(2, 6))),
 })
 
 

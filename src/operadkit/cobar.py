@@ -23,6 +23,7 @@ import math
 from functools import lru_cache
 from operator import itemgetter
 
+from . import InputError
 from .qlinalg import SparseMatrix, ChainComplex, addmul, as_exact
 from .operads import (GradedOperad, GradedSpace, Vector, koszul_sign,
                       perm_inverse)
@@ -30,7 +31,7 @@ from .treegraph import (encode_tree, enumerate_trees, graft, relabel_tree,
                         vertex_expansions)
 
 
-class CobarError(ValueError):
+class CobarError(InputError):
     pass
 
 

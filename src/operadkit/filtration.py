@@ -25,15 +25,16 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import InputError
 from .qlinalg import (SparseMatrix, add_scaled, as_exact, nullspace, rref,
                       span_rank)
 from .operads import (GradedOperad, GradedSpace, adjacent_transpositions,
-                      end_compose, operad_from_doc, operad_to_json,
+                      end_compose, operad_document, operad_from_doc,
                       perm_inverse, read_document)
-from .hoalg import MapFamily, check_cinf, extract_mn, CinfReport
+from .hoalg import MapFamily, check_cinf, CinfReport
 
 
-class FiltrationError(ValueError):
+class FiltrationError(InputError):
     pass
 
 
@@ -295,7 +296,7 @@ def suboperad_dk(term: ErTerm, k: int) -> DkSlices:
 
 def filtered_operad_to_json(F: FilteredOperad, max_arity: int) -> str:
     """Operad JSON document extended with a filtration_level table."""
-    doc = json.loads(operad_to_json(F.base, max_arity))
+    doc = operad_document(F.base, max_arity)
     doc["filtration_level"] = {str(n): list(F.levels[n])
                                for n in F.arities() if n <= max_arity}
     return json.dumps(doc, indent=1)
@@ -476,14 +477,12 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
             f"mu violates the filtration: {report.witnesses[:3]}")
     maps = {}
     for n in range(2, max_arity + 1):
-        words = base.cooperad.space(n).names
-        per_word = {}
-        for a in range(base.dim(n)):
-            t, decor = base.basis_element(n, a)
-            if t.internal_edges == 0:
-                word = tuple(int(ch) for ch in words[decor[0]])
-                per_word[word] = A.tensor(n, a)
-        tensor = extract_mn({n: per_word}, n)
+        # the corolla decorated by the identity word x_1..x_n
+        ident = base.cooperad.space(n).names.index(
+            "".join(map(str, range(1, n + 1))))
+        a = next(a for a in range(base.dim(n))
+                 if base.basis_element(n, a)[1] == (ident,))
+        tensor = A.tensor(n, a)
         if tensor:
             maps[n] = tensor
     family = MapFamily(A.space, A.q, maps)

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import InputError
 from .qlinalg import (SparseMatrix, add_scaled, addmul, as_exact,
                       format_vector)
 from .operads import (GradedSpace, check_differential, decalage_sign,
@@ -35,7 +36,7 @@ from .operads import (GradedSpace, check_differential, decalage_sign,
                       shuffles)
 
 
-class HoalgError(ValueError):
+class HoalgError(InputError):
     pass
 
 
@@ -127,10 +128,14 @@ def shuffle_defects(f: MapFamily, n: int) -> list:
     """The suspended m_n applied to every (p, q)-shuffle sum of basis
     tuples, with shuffle signs from degrees shifted by one: (n, p, q,
     ins, {out: coeff}) for each nonzero sum, by p and then by input
-    tuple."""
+    tuple.  An arity with no operation has none: a sum of zero maps
+    is zero, so its shuffles are not walked."""
+    mn = f.maps.get(n)
+    if not mn:
+        return []
     degs = f.space.degrees
     suspended = {(o, word): decalage_sign(tuple(degs[x] for x in word)) * c
-                 for (o, word), c in f.maps.get(n, {}).items()}
+                 for (o, word), c in mn.items()}
     out = []
     for p in range(1, n):
         acc: Tensor = {}
@@ -152,25 +157,6 @@ def check_cinf(f: MapFamily, N: int | None = None) -> CinfReport:
         N = max(f.maps, default=1)
     return CinfReport(check_ainf(f, N), [v for n in range(2, N + 1)
                                          for v in shuffle_defects(f, n)])
-
-
-def extract_mn(structure: dict[int, dict[tuple[int, ...], Tensor]],
-               n: int) -> Tensor:
-    """Operation attached to the class of the identity word x_1..x_n.
-
-    ``structure`` maps arity to {basis word: multilinear map tensor} over
-    the shuffle-quotient section (words starting with the letter 1); the
-    representative of the identity word is the identity word itself.
-    """
-    ident = tuple(range(1, n + 1))
-    try:
-        per_word = structure[n]
-    except KeyError:
-        raise HoalgError(f"no arity-{n} data supplied") from None
-    if ident not in per_word:
-        raise HoalgError(
-            "identity-word representative missing from the section")
-    return per_word[ident]
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from . import InputError
 from .qlinalg import SparseMatrix, add_scaled, addmul, as_exact
 
 Vector = dict  # basis index -> int | Fraction (int when integral)
 
 
-class OperadError(ValueError):
+class OperadError(InputError):
     pass
 
 
@@ -607,14 +608,15 @@ class TableOperad(GradedOperad):
                            self.differentials)
 
 
-def operad_to_json(O: GradedOperad, max_arity: int) -> str:
-    """Serialize components, compositions and actions to JSON.
+def operad_document(O: GradedOperad, max_arity: int) -> dict:
+    """The JSON document of components, compositions and actions, as a
+    dict.
 
     Coefficients are encoded as "p/q" strings; compositions are sparse
     triples (a, b, out, coeff).
     """
     T = O if isinstance(O, TableOperad) else TableOperad.from_operad(O, max_arity)
-    doc = {
+    return {
         "format": "operadkit-operad",
         "version": 1,
         "components": {
@@ -637,7 +639,11 @@ def operad_to_json(O: GradedOperad, max_arity: int) -> str:
             str(n): [[r, c, str(v)] for r, c, v in d.entries()]
             for n, d in sorted(T.differentials.items())},
     }
-    return json.dumps(doc, indent=1)
+
+
+def operad_to_json(O: GradedOperad, max_arity: int) -> str:
+    """The operad's JSON document (``operad_document``) as text."""
+    return json.dumps(operad_document(O, max_arity), indent=1)
 
 
 def parse_coefficient(c) -> int | Fraction:

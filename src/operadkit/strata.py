@@ -37,8 +37,10 @@ import json
 from dataclasses import dataclass, field
 from math import comb
 
+from . import InputError
 
-class StrataError(ValueError):
+
+class StrataError(InputError):
     pass
 
 

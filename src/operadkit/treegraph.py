@@ -50,12 +50,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
+from . import InputError
 
-class TreeError(ValueError):
+
+class TreeError(InputError):
     pass
 
 
-class GraphError(ValueError):
+class GraphError(InputError):
     pass
 
 

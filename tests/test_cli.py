@@ -615,7 +615,9 @@ class TestContract:
             assert re.search(rf"{option}\b", res.stdout), option
 
     # each bad input of the benchmark's cli-session, run where its
-    # input file does not exist, then three parser errors
+    # input file does not exist, then three parser errors, then each
+    # input-file argument given a directory and --betti given a file
+    # that is not UTF-8
     @pytest.mark.parametrize("argv, named", [
         ("trees --n 9 --count", "--n"),
         ("cobar --cooperad asc --arity 6", "--arity"),
@@ -632,15 +634,22 @@ class TestContract:
         ("trees --count", "--n"),
         ("trees --n x", "--n"),
         ("trees --n 3 --format xml", "--format"),
+        ("check-ainf .", "argument FAMILY_FILE: cannot read '.'"),
+        ("check-cinf .", "argument FAMILY_FILE: cannot read '.'"),
+        ("e1 --n 5 --betti .", "argument --betti: cannot read '.'"),
+        ("er --r 1 --file .", "argument --file: cannot read '.'"),
+        ("dk --r 1 --k 0 --file .", "argument --file: cannot read '.'"),
+        ("e1 --n 5 --betti latin1.csv",
+         "argument --betti: 'latin1.csv' is not UTF-8 text"),
     ])
     def test_usage_error(self, runner, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.csv").write_bytes("g,n,k,dim\né\n".encode("latin-1"))
         res = run(runner, *argv.split())
         assert res.exit_code == 2
         assert res.stdout == ""
-        [error] = [line for line in res.stderr.splitlines()
-                   if line.startswith("Error: ")]
-        assert named in error
+        [error] = res.stderr.splitlines()
+        assert error.startswith("Error: ") and named in error
 
 
 class TestTracerContract:

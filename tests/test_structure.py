@@ -45,6 +45,16 @@ Operad structure constants are ``int`` when integral: no
 ``compose_basis`` or ``act_basis`` in ``operads`` or ``cobar`` wraps a
 coefficient in ``Fraction``.
 
+Bad input leaves by one door: every module's error class derives from
+``operadkit.InputError`` (``qlinalg.ComplexError`` alone does not, as
+d·d != 0 is a failed verification), and ``Main.main`` maps it to exit 2.
+So no command catches a library error to re-raise it as a usage error;
+the one handler left is ``betti_predict``'s, which exits 1 on a negative
+predicted Betti number.  Input files are opened by ``_input_text``
+alone, and fixed ranges live in the command table: only ``Command.parse``
+and the three caps that depend on ``--operad``/``--cooperad`` check a
+range.
+
 Genus-0 strata are counted, not enumerated: Betti predictions, first
 pages, vanishing checks and dual pages read ``genus0_valence_census``,
 which builds no tree, so they never load ``treegraph``.  Cobar
@@ -52,6 +62,7 @@ dimensions are counted too: ``middle_row`` builds no ``CobarComplex``.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -295,3 +306,65 @@ def test_middle_row_builds_no_decorated_basis(monkeypatch):
     monkeypatch.setattr(cobar.CobarComplex, "__init__", refuse)
     report = middle_row(6)
     assert report.equal and sum(report.cobar_dims.values()) == 6889
+
+
+def _enclosing_functions(tree: ast.Module) -> dict[int, str]:
+    """id(node) -> the name of the innermost function holding it."""
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                owner[id(node)] = func.name  # inner functions come later
+    return owner
+
+
+def test_bad_input_leaves_by_one_door():
+    package = Path(operadkit.__file__).parent
+    errors = {node.name for path in package.glob("*.py")
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.ClassDef) and node.name.endswith("Error")}
+    tree = ast.parse((package / "cli.py").read_text())
+    owner = _enclosing_functions(tree)
+    handlers = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = {sub.id for sub in ast.walk(node.type)
+                      if isinstance(sub, ast.Name)}
+            for name in sorted(caught & (errors | {"ValueError"})):
+                handlers.append((owner.get(id(node)), name,
+                                 ast.unparse(node.body[-1])))
+    assert sorted(handlers) == [("betti_predict", "StrataError", "sys.exit(1)"),
+                                ("main", "InputError", "sys.exit(2)")]
+
+    def callers(match):
+        return sorted({owner.get(id(node)) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call) and match(node.func)})
+    assert callers(lambda f: isinstance(f, ast.Attribute)
+                   and f.attr == "read_text") == ["_cache_lookup"]
+    assert callers(lambda f: isinstance(f, ast.Name)
+                   and f.id == "open") == ["_input_text"]
+    assert callers(lambda f: isinstance(f, ast.Name)
+                   and f.id == "_require_desk_scale") == [
+        "axioms", "cobar", "cobar_homology_cmd", "parse"]
+    # of the command bodies, only the two 3g - 3 + n rules raise a usage
+    # error (_filtered_fixture refuses a document above --max-arity)
+    assert callers(lambda f: isinstance(f, ast.Name)
+                   and f.id == "UsageError") == [
+        "_filtered_fixture", "_require_desk_scale", "_run", "e1", "error",
+        "graphs", "parse"]
+
+
+def test_input_errors_share_one_base():
+    from operadkit import InputError
+    package = Path(operadkit.__file__).parent
+    classes = {}
+    for path in sorted(package.glob("[!_]*.py")):
+        module = importlib.import_module(f"operadkit.{path.stem}")
+        classes.update({f"{path.stem}.{name}": obj
+                        for name, obj in vars(module).items()
+                        if name.endswith("Error") and isinstance(obj, type)
+                        and obj.__module__ == module.__name__})
+    assert "cli.UsageError" in classes and "hoalg.HoalgError" in classes
+    outside = sorted(name for name, cls in classes.items()
+                     if not issubclass(cls, InputError))
+    assert outside == ["qlinalg.ComplexError"]
