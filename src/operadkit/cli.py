@@ -5,19 +5,18 @@ Every computation in the library is reachable here; outputs are JSON
 Expensive homology runs are cached content-addressed under the cache
 directory (override with OPERADKIT_CACHE_DIR, disable with --no-cache);
 the key holds a digest of the package's source, so an answer cached by
-other code is a miss.  A cache that cannot be written gives a warning, not an error.
+other code is a miss, and a cache that cannot be written gives a warning.
 Exit codes: 0 on success, 1 when a verification fails, 2 on bad input.
 
-Bad input leaves by one door: ``Main.main`` reports every
-``operadkit.InputError`` (the base of each library module's error class
-and of ``UsageError``) as ``Error: <message>`` and exits 2.  The
-commands are one table, ``main.commands``; a run builds the argument
-parser of the one command it invokes.  The table holds each option's
-fixed range and reads each input file, so a number out of range or a
-missing, unreadable or non-UTF-8 file is refused while parsing, before
-any library import.  Modules that only some commands need (``hashlib``
-for the cache key, the library itself) are imported where they are used,
-as start-up is most of a short command.
+The commands are one table, ``main.commands``.  A run builds the parser
+of the one command it invokes, whose ``Command.parse`` refuses every bad
+number, broken rule and unreadable file before any library import, so
+command bodies only call and print.  Bad input leaves by one door:
+``Main.main`` reports every ``operadkit.InputError`` (the base of each
+library module's error class and of ``UsageError``) as ``Error:
+<message>`` and exits 2.  Modules only some commands need (``hashlib``
+for the cache key, the library itself) are imported where used, as
+start-up is most of a short command.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -36,13 +36,6 @@ CACHE_ENV = "OPERADKIT_CACHE_DIR"
 
 class UsageError(InputError):
     """Bad command-line input: reported as ``Error: <message>``, exit 2."""
-
-
-def _cache_dir() -> Path:
-    root = os.environ.get(CACHE_ENV)
-    if root:
-        return Path(root)
-    return Path.home() / ".cache" / "operadkit"
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +54,8 @@ def _cache_lookup(op: str, params: dict) -> tuple[Path, str | None]:
     key = json.dumps({"op": op, "params": params, "version": __version__,
                       "source": _source_fingerprint()}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()
-    path = _cache_dir() / f"{digest}.json"
+    root = os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "operadkit"
+    path = Path(root) / f"{digest}.json"
     try:
         return path, path.read_text()
     except (OSError, UnicodeDecodeError):  # missing or unreadable: a miss
@@ -121,27 +115,6 @@ def _cooperad_by_name(name: str, max_arity: int):
     return table[name](max_arity)
 
 
-def _emit_table(table, fmt: str) -> None:
-    if fmt == "json":
-        text = table.to_json() + "\n"
-    elif fmt == "csv":
-        text = "p,q,dim\n" + "".join(
-            f"{p},{q},{d}\n" for (p, q), d in sorted(table.entries.items()))
-    else:
-        from .strata import table_to_text
-        text = table_to_text(table.entries)
-    sys.stdout.write(text)
-
-
-def _require_desk_scale(flag: str, value: int, lo: int, hi: int) -> None:
-    """Everything here is exact arithmetic, so parameter ranges are what
-    keeps runtimes sane: a value outside lo..hi is a usage error.  Each
-    range is checked before a library module is imported, so that a
-    usage error costs no import."""
-    if not lo <= value <= hi:
-        raise UsageError(f"{flag} must be between {lo} and {hi} (got {value})")
-
-
 def trees(n, edges, count, fmt):
     """Enumerate leaf-labeled rooted trees."""
     from .treegraph import enumerate_trees, enumerate_trees_all, encode_tree
@@ -163,9 +136,6 @@ def trees(n, edges, count, fmt):
 
 def graphs(g, n, max_edges, count, fmt):
     """Enumerate stable graphs of genus g with n legs."""
-    if 3 * g - 3 + n > 3:
-        raise UsageError(
-            "graph censuses are desk scale: need 3g - 3 + n <= 3")
     from .treegraph import (enumerate_stable_graphs, automorphism_group,
                             encode_graph)
     if max_edges is None:
@@ -188,8 +158,6 @@ def graphs(g, n, max_edges, count, fmt):
 
 def axioms(name, max_arity):
     """Verify the operad axioms; exit 1 on any violation."""
-    _require_desk_scale("--max-arity", max_arity, 1,
-                        4 if name == "cobar-liec" else 6)
     from .operads import check_axioms
     O = _operad_by_name(name, max_arity)
     report = check_axioms(O, max_arity)
@@ -213,7 +181,6 @@ def free_dims(name, d, max_arity):
 
 def cobar(name, arity, fmt):
     """Dimensions of the cobar complex by internal edge count."""
-    _require_desk_scale("--arity", arity, 2, 7 if name != "asc" else 5)
     from .cobar import cobar_dims
     dims = cobar_dims(_cooperad_by_name(name, arity), arity)
     if fmt == "json":
@@ -227,7 +194,6 @@ def cobar(name, arity, fmt):
 
 def cobar_homology_cmd(name, arity, no_cache, fmt):
     """Betti numbers of the cobar complex (cached)."""
-    _require_desk_scale("--arity", arity, 2, 6 if name != "asc" else 5)
     params = {"cooperad": name, "arity": arity}
     path, cached = (None, None)
     if not no_cache:
@@ -254,12 +220,10 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
 
 def e1(g, n, betti_csv, aut_mode, fmt):
     """First-page dimension table of the stratification sequence."""
-    if g >= 1 and 3 * g - 3 + n > 5:
-        raise UsageError("need 3g - 3 + n <= 5 at genus >= 1")
     from .strata import BettiTable, e1_table
     betti = (BettiTable() if betti_csv is None
              else BettiTable.from_csv(betti_csv))
-    _emit_table(e1_table(g, n, betti, aut_mode=aut_mode), fmt)
+    sys.stdout.write(e1_table(g, n, betti, aut_mode=aut_mode).render(fmt))
 
 
 def betti_predict(n, fmt):
@@ -305,7 +269,7 @@ def dual_e1(g, n, fmt):
     fails."""
     from .strata import dual_e1_table, dual_euler_check
     table = dual_e1_table(g, n)
-    _emit_table(table, fmt)
+    sys.stdout.write(table.render(fmt))
     if not dual_euler_check(table, n):
         print("Euler-characteristic consistency FAILED", file=sys.stderr)
         sys.exit(1)
@@ -443,22 +407,32 @@ def _input_text(path: str) -> str:
     raise argparse.ArgumentTypeError(message)
 
 
-class Command:
-    """One subcommand: the function that runs it, its docstring, and its
-    options, each a flag (or a positional's name) with the keywords of
-    ``ArgumentParser.add_argument``; ``dest`` names the callback's
-    parameter where the flag does not, and ``bounds`` = (lo, hi) is an
-    integer option's fixed range, checked in table order after parsing."""
+# a test on the parsed values, and the usage error raised when it fails
+Rule = namedtuple("Rule", "message test")
 
-    def __init__(self, callback, *options):
+
+class Command:
+    """One subcommand: its callback, the callback's docstring, and table
+    entries.  An option is a flag (or a positional's name) with the
+    keywords of ``ArgumentParser.add_argument``; ``dest`` names the
+    callback's parameter where the flag does not.  An integer option's
+    ``bounds`` is (lo, hi), hi None for no cap, or a function of the
+    values parsed so far that returns one; a ``Rule`` follows the options
+    it reads.  Everything is exact arithmetic, so ranges are the runtime
+    guard: ``parse`` checks bounds and rules in table order after argparse
+    and before any library import, so that a usage error costs no
+    import.  An optional option left unset is not checked."""
+
+    def __init__(self, callback, *entries):
         self.callback = callback
         self.doc = callback.__doc__
-        self.options = options
+        self.entries = entries
 
     def parse(self, prog: str, args: list[str]) -> dict:
         """The callback's keyword arguments for args; --help prints this
         command's help and exits 0."""
-        known = {"--help", *(flag for flag, _ in self.options)}
+        known = {"--help", *(e[0] for e in self.entries
+                             if not isinstance(e, Rule))}
         for arg in args:  # an unknown option is named before a missing one
             if arg == "--":
                 break
@@ -469,8 +443,12 @@ class Command:
                          allow_abbrev=False)
         parser.add_argument("--help", action="help",
                             help="show this message and exit")
-        bounded = []
-        for flag, kwargs in self.options:
+        checks = []  # bounds and rules, in table order
+        for entry in self.entries:
+            if isinstance(entry, Rule):
+                checks.append(entry)
+                continue
+            flag, kwargs = entry
             kwargs = dict(kwargs)
             bounds = kwargs.pop("bounds", None)
             if kwargs.get("default") is not None:
@@ -478,10 +456,22 @@ class Command:
                                   + " (default: %(default)s)")
             dest = parser.add_argument(flag, **kwargs).dest
             if bounds is not None:
-                bounded.append((flag, dest, bounds))
+                checks.append((flag, dest, bounds))
         values = vars(parser.parse_args(args))
-        for flag, dest, (lo, hi) in bounded:
-            _require_desk_scale(flag, values[dest], lo, hi)
+        for check in checks:
+            if isinstance(check, Rule):
+                if not check.test(values):
+                    raise UsageError(check.message)
+                continue
+            flag, dest, bounds = check
+            value = values[dest]
+            if value is None:
+                continue
+            lo, hi = bounds(values) if callable(bounds) else bounds
+            if value < lo or hi is not None and value > hi:
+                span = (f"at least {lo}" if hi is None
+                        else f"between {lo} and {hi}")
+                raise UsageError(f"{flag} must be {span} (got {value})")
         return values
 
 
@@ -548,10 +538,6 @@ def _int(flag, default=None, **kwargs):
     return flag, {"type": int, "default": default, **kwargs}
 
 
-def _flag(flag, **kwargs):
-    return flag, {"action": "store_true", **kwargs}
-
-
 def _choice(flag, choices, **kwargs):
     return flag, {"choices": choices, **kwargs}
 
@@ -562,6 +548,8 @@ TABLE_FORMAT = _choice("--format", ("json", "csv", "text"), dest="fmt",
 FAMILY_FILE = ("family_json", {"metavar": "FAMILY_FILE", "type": _input_text})
 FIXTURE_FILE = ("--file", {"dest": "fixture_json", "type": _input_text,
                            "help": "filtered operad JSON"})
+# arities with no operation walk nothing, so there is no cap above
+RELATION_ARITY = _int("--max-arity", bounds=(2, None))
 COOPERAD = _choice("--cooperad", ("liec", "asc", "commc"), dest="name",
                    required=True)
 
@@ -569,21 +557,27 @@ main = Main({
     "trees": Command(
         trees,
         _int("--n", required=True, bounds=(2, 8), help="number of leaves"),
-        _int("--edges", help="internal edge count"),
-        _flag("--count", help="print the count only"),
+        _int("--edges", bounds=lambda v: (0, v["n"] - 2),
+             help="internal edge count"),
+        ("--count", {"action": "store_true", "help": "print the count only"}),
         FORMAT),
     "graphs": Command(
         graphs,
         _int("--g", required=True, bounds=(0, 2)),
         _int("--n", required=True, bounds=(0, 6)),
-        _int("--max-edges"),
-        _flag("--count"),
+        Rule("graph censuses are desk scale: need 3g - 3 + n <= 3",
+             lambda v: 3 * v["g"] - 3 + v["n"] <= 3),
+        # an unstable (g, n) is left to the library's error
+        _int("--max-edges",
+             bounds=lambda v: (0, max(0, 3 * v["g"] - 3 + v["n"]))),
+        ("--count", {"action": "store_true"}),
         FORMAT),
     "axioms": Command(
         axioms,
         _choice("--operad", ("comm", "assoc", "lie", "cobar-liec"),
                 dest="name", required=True),
-        _int("--max-arity", 4)),
+        _int("--max-arity", 4,
+             bounds=lambda v: (1, 4 if v["name"] == "cobar-liec" else 6))),
     "free-dims": Command(
         free_dims,
         _choice("--operad", ("comm", "assoc", "lie"), dest="name",
@@ -593,18 +587,22 @@ main = Main({
     "cobar": Command(
         cobar,
         COOPERAD,
-        _int("--arity", required=True),
+        _int("--arity", required=True,
+             bounds=lambda v: (2, 5 if v["name"] == "asc" else 7)),
         FORMAT),
     "cobar-homology": Command(
         cobar_homology_cmd,
         COOPERAD,
-        _int("--arity", required=True),
-        _flag("--no-cache"),
+        _int("--arity", required=True,
+             bounds=lambda v: (2, 5 if v["name"] == "asc" else 6)),
+        ("--no-cache", {"action": "store_true"}),
         FORMAT),
     "e1": Command(
         e1,
         _int("--g", 0, bounds=(0, 2)),
         _int("--n", required=True, bounds=(1, 12)),
+        Rule("need 3g - 3 + n <= 5 at genus >= 1",
+             lambda v: v["g"] == 0 or 3 * v["g"] - 3 + v["n"] <= 5),
         ("--betti", {"dest": "betti_csv", "type": _input_text,
                      "help": "CSV of open Betti numbers (g,n,k,dim)"}),
         _choice("--aut-mode", ("degree0", "ignore"), default="degree0"),
@@ -622,8 +620,8 @@ main = Main({
         _int("--g", 0, bounds=(0, 0)),
         _int("--n", required=True, bounds=(3, 12)),
         TABLE_FORMAT),
-    "check-ainf": Command(check_ainf_cmd, FAMILY_FILE, _int("--max-arity")),
-    "check-cinf": Command(check_cinf_cmd, FAMILY_FILE, _int("--max-arity")),
+    "check-ainf": Command(check_ainf_cmd, FAMILY_FILE, RELATION_ARITY),
+    "check-cinf": Command(check_cinf_cmd, FAMILY_FILE, RELATION_ARITY),
     "er": Command(
         er,
         _int("--r", required=True, bounds=(0, 20), help="page index"),

@@ -178,12 +178,11 @@ class CobarComplex:
                 if self.sign_mode == "standard":
                     # orientation transport: sign of the shuffle taking
                     # (source edges, new edge) to the target's canonical
-                    # edge order; the root heads the target's preorder,
-                    # so edge ranks start at 1
-                    pos = [0] * (nv + 1)
-                    for p, j in enumerate(order):
-                        pos[j] = p
-                    sign = koszul_sign(tuple(pos[1:]), (1,) * nv)
+                    # edge order.  A non-root vertex stands for the edge
+                    # above it and the root heads both preorders, so
+                    # order[1:] is that shuffle or its inverse, which
+                    # has the same sign
+                    sign = koszul_sign(tuple(order[1:]), (1,) * nv)
                 # target decoration = (source decoration, a, b) read off
                 # in the target's preorder: a at vertex vi, b at the new
                 gather = itemgetter(*(nv if j == vi else nv + 1 if j == nv

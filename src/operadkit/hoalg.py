@@ -117,9 +117,11 @@ def _group_by_input(tensor: Tensor) -> dict[tuple[int, ...], dict]:
 def check_ainf(f: MapFamily, N: int | None = None) -> list[AinfResidual]:
     """All failing relation instances for 2 <= n <= N, by arity and then
     by input tuple; empty iff the family is homotopy associative through
-    arity N."""
+    arity N.  N defaults to 2 top - 1, top the family's highest arity:
+    the terms m_r o m_s of the arity-n relation have r + s = n + 1, so
+    above that arity every term is zero."""
     if N is None:
-        N = max(f.maps, default=1)
+        N = 2 * max(f.maps, default=1) - 1
     return [AinfResidual(n, ins, defect) for n in range(2, N + 1)
             for ins, defect in _group_by_input(_defect_tensor(f, n)).items()]
 
@@ -152,9 +154,11 @@ def shuffle_defects(f: MapFamily, n: int) -> list:
 
 
 def check_cinf(f: MapFamily, N: int | None = None) -> CinfReport:
-    """Homotopy associativity plus vanishing on all shuffle sums."""
+    """Homotopy associativity plus vanishing on all shuffle sums, through
+    arity N (by default every arity where a relation can fail, as in
+    ``check_ainf``)."""
     if N is None:
-        N = max(f.maps, default=1)
+        N = 2 * max(f.maps, default=1) - 1
     return CinfReport(check_ainf(f, N), [v for n in range(2, N + 1)
                                          for v in shuffle_defects(f, n)])
 

@@ -324,9 +324,6 @@ class CommOperad(GradedOperad):
     def act_basis(self, n, sigma, a):
         return {a: 1}
 
-    def action_trace(self, n, sigma):
-        return Fraction(1)
-
 
 class AssocOperad(GradedOperad):
     """Components k[S_n] in degree 0; composition substitutes words."""

@@ -141,12 +141,32 @@ class E1Table:
     format: str = "operadkit-e1"
     entries: dict = field(default_factory=dict)  # (p, q) -> dim
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "format": self.format,
-            "g": self.g, "n": self.n,
-            "entries": [[p, q, d] for (p, q), d in sorted(self.entries.items())],
-        }, indent=1)
+    def render(self, fmt: str) -> str:
+        """The page as a JSON document, as p,q,dim CSV rows, or ("text")
+        as an aligned grid of rows q by columns p; newline-terminated."""
+        entries = self.entries
+        if fmt == "json":
+            return json.dumps({
+                "format": self.format,
+                "g": self.g, "n": self.n,
+                "entries": [[p, q, d] for (p, q), d in sorted(entries.items())],
+            }, indent=1) + "\n"
+        if fmt == "csv":
+            return "p,q,dim\n" + "".join(
+                f"{p},{q},{d}\n" for (p, q), d in sorted(entries.items()))
+        if not entries:
+            return "(empty table)\n"
+        ps = sorted({p for (p, _) in entries})
+        qs = sorted({q for (_, q) in entries}, reverse=True)
+        width = max(len(str(d)) for d in entries.values())
+        width = max(width, *(len(str(p)) for p in ps)) + 1
+        head = f"{'q/p':>{width + 2}}" + "".join(f"{p:>{width}}" for p in ps)
+        lines = [head]
+        for q in qs:
+            cells = "".join(
+                f"{entries.get((p, q), 0):>{width}}" for p in ps)
+            lines.append(f"{q:>{width + 2}}" + cells)
+        return "\n".join(lines) + "\n"
 
 
 def _add_tensor(out: dict, a: dict, b: dict, scale: int = 1) -> None:
@@ -328,13 +348,9 @@ def middle_row(arity: int) -> MiddleRowReport:
     return MiddleRowReport(arity, e1_row, cobar_by_p, e1_row == cobar_by_p)
 
 
-def dual_e1_table(g: int, n: int,
-                  compact_betti: dict | None = None) -> E1Table:
-    """First page of the dual (logarithmic) sequence.
-
-    ``compact_betti`` maps (g, n) to the full Betti list of the
-    compactified space; genus-0 inputs default to the predicted even
-    Betti numbers (odd ones vanish).
+def dual_e1_table(g: int, n: int) -> E1Table:
+    """First page of the dual (logarithmic) sequence, from the predicted
+    even Betti numbers of the genus-0 compactifications (odd ones vanish).
     """
     if g != 0:
         raise StrataError(
@@ -342,8 +358,6 @@ def dual_e1_table(g: int, n: int,
             "is supported internally")
 
     def cbetti(nv: int) -> list[int]:
-        if compact_betti and (0, nv) in compact_betti:
-            return list(compact_betti[(0, nv)])
         even = predict_compactified_betti(nv)
         out = []
         for h in even:
@@ -373,20 +387,3 @@ def dual_euler_check(table: E1Table, n: int) -> bool:
         if chi != expected:
             return False
     return True
-
-
-def table_to_text(entries: dict) -> str:
-    """Aligned text grid of a (p, q) -> dim table, rows q by columns p."""
-    if not entries:
-        return "(empty table)\n"
-    ps = sorted({p for (p, _) in entries})
-    qs = sorted({q for (_, q) in entries}, reverse=True)
-    width = max(len(str(d)) for d in entries.values())
-    width = max(width, *(len(str(p)) for p in ps)) + 1
-    head = f"{'q/p':>{width + 2}}" + "".join(f"{p:>{width}}" for p in ps)
-    lines = [head]
-    for q in qs:
-        cells = "".join(
-            f"{entries.get((p, q), 0):>{width}}" for p in ps)
-        lines.append(f"{q:>{width + 2}}" + cells)
-    return "\n".join(lines) + "\n"

@@ -286,6 +286,13 @@ class TestHomotopyCommands:
                   "--max-arity", "3")
         assert res.exit_code == 0
 
+    def test_default_arity_checks_associativity(self, runner, tmp_path):
+        path = product_file(tmp_path)
+        res = run(runner, "check-cinf", path)
+        assert (res.exit_code, res.stdout) == (
+            1, "2 relation failures, 0 shuffle violations\n")
+        assert run(runner, "check-ainf", path).exit_code == 1
+
     def test_malformed_family_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -346,6 +353,17 @@ class TestFiltrationCommands:
 
     def test_pipeline_guard(self, runner):
         assert run(runner, "pipeline-cinf", "--max-arity", "9").exit_code == 2
+
+
+def product_file(tmp_path) -> str:
+    """A commutative, non-associative product on x0, x1 in degree 0:
+    m(x0, x1) = m(x1, x0) = x1, so (x0 x0) x1 = 0 but x0 (x0 x1) = x1."""
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({
+        "format": "operadkit-mapfamily", "version": 1,
+        "names": ["x0", "x1"], "degrees": [0, 0], "q": [],
+        "maps": {"2": [[1, [0, 1], 1], [1, [1, 0], 1]]}}))
+    return str(path)
 
 
 def _family_doc():
@@ -641,10 +659,30 @@ class TestContract:
         ("dk --r 1 --k 0 --file .", "argument --file: cannot read '.'"),
         ("e1 --n 5 --betti latin1.csv",
          "argument --betti: 'latin1.csv' is not UTF-8 text"),
+        # each limit in full: both sides of the three caps that depend on
+        # --operad/--cooperad, and the ranges of --edges, --max-edges and
+        # the relation arity (an unstable (g, n) keeps the library's error)
+        ("axioms --operad cobar-liec --max-arity 5",
+         "--max-arity must be between 1 and 4 (got 5)"),
+        ("cobar --cooperad liec --arity 8",
+         "--arity must be between 2 and 7 (got 8)"),
+        ("cobar-homology --cooperad asc --arity 6",
+         "--arity must be between 2 and 5 (got 6)"),
+        ("trees --n 4 --edges 99", "--edges must be between 0 and 2 (got 99)"),
+        ("trees --n 4 --edges -1 --count",
+         "--edges must be between 0 and 2 (got -1)"),
+        ("graphs --g 0 --n 3 --max-edges -5",
+         "--max-edges must be between 0 and 0 (got -5)"),
+        ("graphs --g 0 --n 2 --max-edges 0", "violates 2g-2+n > 0"),
+        ("check-ainf product.json --max-arity 1",
+         "--max-arity must be at least 2 (got 1)"),
+        ("check-cinf product.json --max-arity 1",
+         "--max-arity must be at least 2 (got 1)"),
     ])
     def test_usage_error(self, runner, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "latin1.csv").write_bytes("g,n,k,dim\né\n".encode("latin-1"))
+        product_file(tmp_path)
         res = run(runner, *argv.split())
         assert res.exit_code == 2
         assert res.stdout == ""

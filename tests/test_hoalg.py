@@ -181,6 +181,17 @@ class TestAssociativityFaults:
         assert associator in (r.defect,
                               {k: -v for k, v in r.defect.items()})
 
+    def test_default_arity_reaches_every_relation(self):
+        # commutative, not associative: (uu)v = 0 but u(uv) = v.  Only
+        # the arity-3 relation holds m2 twice, so a default that stopped
+        # at the top arity 2 passed this product
+        f = self.degree_zero_family({(1, (0, 1)): 1, (1, (1, 0)): 1})
+        assert check_ainf(f) == check_ainf(f, 3) != []
+        # above 2 * 2 - 1 no relation has a nonzero term
+        assert {r.n for r in check_ainf(f, 6)} == {3}
+        report = check_cinf(f)
+        assert report.ainf_residuals and not report.shuffle_violations
+
     def test_residual_message_prints_exact_values(self):
         r = AinfResidual(3, (0, 1, 1), {2: Fraction(1, 2), 0: Fraction(-1)})
         assert str(r) == ("arity 3 relation fails on (0, 1, 1): "

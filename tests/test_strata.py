@@ -12,6 +12,7 @@ import pytest
 
 from operadkit.strata import (
     BettiTable,
+    E1Table,
     StrataError,
     dual_e1_table,
     dual_euler_check,
@@ -21,7 +22,6 @@ from operadkit.strata import (
     middle_row,
     open_betti,
     predict_compactified_betti,
-    table_to_text,
     verify_vanishing,
 )
 from operadkit.treegraph import enumerate_trees
@@ -202,7 +202,7 @@ class TestE1Table:
 
     def test_json_shape(self):
         import json
-        doc = json.loads(e1_table(0, 4).to_json())
+        doc = json.loads(e1_table(0, 4).render("json"))
         assert doc["format"] == "operadkit-e1"
         assert doc["g"] == 0 and doc["n"] == 4
 
@@ -293,11 +293,6 @@ class TestDualTable:
         d.entries[(0, 2)] += 1
         assert not dual_euler_check(d, 5)
 
-    def test_explicit_compact_betti_input(self):
-        cb = {(0, 4): [1, 0, 1], (0, 3): [1]}
-        d = dual_e1_table(0, 4, compact_betti=cb)
-        assert dual_euler_check(d, 4)
-
     @pytest.mark.parametrize("n", range(3, 8))
     def test_matches_per_tree_sum(self, n):
         # every n-leg tree contributes the product of its vertices'
@@ -333,10 +328,10 @@ class TestDualTable:
 class TestTextRendering:
     def test_grid_contains_all_dimensions(self):
         t = e1_table(0, 5)
-        text = table_to_text(t.entries)
+        text = t.render("text")
         for d in t.entries.values():
             assert str(d) in text
         assert "q/p" in text
 
     def test_empty_table(self):
-        assert "empty" in table_to_text({})
+        assert "empty" in E1Table(0, 3).render("text")

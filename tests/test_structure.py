@@ -51,9 +51,11 @@ d·d != 0 is a failed verification), and ``Main.main`` maps it to exit 2.
 So no command catches a library error to re-raise it as a usage error;
 the one handler left is ``betti_predict``'s, which exits 1 on a negative
 predicted Betti number.  Input files are opened by ``_input_text``
-alone, and fixed ranges live in the command table: only ``Command.parse``
-and the three caps that depend on ``--operad``/``--cooperad`` check a
-range.
+alone, and every range and rule lives in the command table, so
+``Command.parse`` alone decides whether a command line is acceptable:
+no command callback raises, and of the helpers they call only
+``_filtered_fixture`` raises a ``UsageError``, as its check (no
+component above ``--max-arity``) depends on the file's content.
 
 Genus-0 strata are counted, not enumerated: Betti predictions, first
 pages, vanishing checks and dual pages read ``genus0_valence_census``,
@@ -69,6 +71,7 @@ import sys
 from pathlib import Path
 
 import operadkit
+from operadkit.cli import main
 from operadkit.treegraph import StableGraph, Tree
 
 
@@ -344,14 +347,15 @@ def test_bad_input_leaves_by_one_door():
     assert callers(lambda f: isinstance(f, ast.Name)
                    and f.id == "open") == ["_input_text"]
     assert callers(lambda f: isinstance(f, ast.Name)
-                   and f.id == "_require_desk_scale") == [
-        "axioms", "cobar", "cobar_homology_cmd", "parse"]
-    # of the command bodies, only the two 3g - 3 + n rules raise a usage
-    # error (_filtered_fixture refuses a document above --max-arity)
-    assert callers(lambda f: isinstance(f, ast.Name)
                    and f.id == "UsageError") == [
-        "_filtered_fixture", "_require_desk_scale", "_run", "e1", "error",
-        "graphs", "parse"]
+        "_filtered_fixture", "_run", "error", "parse"]
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    assert "_require_desk_scale" not in functions
+    bodies = [functions[c.callback.__name__] for c in main.commands.values()]
+    assert [body.name for body in bodies
+            if any(isinstance(node, ast.Raise) for node in ast.walk(body))
+            ] == []
 
 
 def test_input_errors_share_one_base():
