@@ -9,20 +9,16 @@ compile it; ``operads`` still exports its names.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .operads import (GradedOperad, Vector, adjacent_transpositions,
                       embed_block_perm, expand_perm, perm_inverse)
 from .qlinalg import SparseMatrix, addmul, format_vector
 
 
-@dataclass
-class AxiomViolation:
-    axiom: str
-    arities: tuple
-    witness: tuple
-    lhs: dict
-    rhs: dict
+class AxiomViolation(namedtuple("AxiomViolation",
+                                "axiom arities witness lhs rhs")):
+    __slots__ = ()
 
     def __str__(self):
         lhs, rhs = (format_vector(x) if isinstance(x, dict) else str(x)
@@ -31,11 +27,8 @@ class AxiomViolation:
                 f"witness {self.witness}: {lhs} != {rhs}")
 
 
-@dataclass
-class AxiomReport:
-    max_arity: int
-    checked: int
-    violations: list
+class AxiomReport(namedtuple("AxiomReport", "max_arity checked violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

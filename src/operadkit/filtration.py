@@ -22,8 +22,7 @@ the homotopy-commutative relations on the result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
 
 from . import InputError
 from .qlinalg import (SparseMatrix, add_scaled, as_exact, nullspace, rref,
@@ -31,7 +30,7 @@ from .qlinalg import (SparseMatrix, add_scaled, as_exact, nullspace, rref,
 from .operads import (GradedOperad, GradedSpace, adjacent_transpositions,
                       end_compose, operad_document, operad_from_doc,
                       perm_inverse, read_document)
-from .hoalg import MapFamily, check_cinf, CinfReport
+from .hoalg import MapFamily, check_cinf
 
 
 class FiltrationError(InputError):
@@ -111,26 +110,17 @@ def degree_filtration(base: GradedOperad) -> FilteredOperad:
 # Spectral-sequence pages
 
 
-@dataclass
-class ErPiece:
-    """One bigraded slot: numerator and denominator spans (sparse
-    column vectors over the ambient component basis)."""
-
-    p: int
-    q: int
-    z_basis: list
-    b_basis: list
-
-    @cached_property
-    def dim(self) -> int:
-        return len(self.z_basis) - span_rank(self.b_basis)
+# One bigraded slot: numerator and denominator spans (sparse column
+# vectors over the ambient component basis) and the dimension of their
+# quotient.
+ErPiece = namedtuple("ErPiece", "p q z_basis b_basis dim")
 
 
-@dataclass
-class ErTerm:
-    r: int
-    filtered: FilteredOperad
-    pieces: dict = field(default_factory=dict)  # n -> {(p, q): ErPiece}
+class ErTerm(namedtuple("ErTerm", "r filtered pieces")):
+    """The r-th page of a filtered operad; ``pieces`` maps each arity n
+    to {(p, q): ErPiece}."""
+
+    __slots__ = ()
 
     def dims(self, n: int) -> dict[tuple[int, int], int]:
         return {pq: piece.dim for pq, piece in self.pieces.get(n, {}).items()
@@ -168,16 +158,15 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
     """The r-th page with numerator/denominator spans per bigrade."""
     if r < 0:
         raise FiltrationError("page index must be >= 0")
-    term = ErTerm(r, F)
+    pieces = {}
     for n in F.arities():
         sp = F.base.space(n)
+        by_pq = pieces[n] = {}
         if sp.dim == 0:
-            term.pieces[n] = {}
             continue
         d = F.base.differentials.get(n)
         lo, hi = F.level_range(n)
         degrees = sorted(set(sp.degrees))
-        pieces = {}
         for p in range(lo, hi + 1):
             for degree in degrees:
                 q = degree - p
@@ -191,11 +180,10 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
                         if dv:
                             b.append(dv)
                 b.extend(_z_space(F, n, r - 1, p - 1, q + 1))
-                piece = ErPiece(p, q, z, b)
-                if piece.dim:
-                    pieces[(p, q)] = piece
-        term.pieces[n] = pieces
-    return term
+                dim = len(z) - span_rank(b)
+                if dim:
+                    by_pq[(p, q)] = ErPiece(p, q, z, b, dim)
+    return ErTerm(r, F, pieces)
 
 
 def _echelon(vectors: list, dim: int) -> dict:
@@ -266,12 +254,11 @@ def er_closure_certificate(term: ErTerm, max_arity: int) -> tuple[bool, list]:
     return (not witnesses, witnesses)
 
 
-@dataclass
-class DkSlices:
-    r: int
-    k: int
-    slices: dict  # n -> {(p, q): dim}
-    witnesses: list  # er_closure_certificate witnesses on the slices
+class DkSlices(namedtuple("DkSlices", "r k slices witnesses")):
+    """``slices`` maps n to {(p, q): dim}; ``witnesses`` are those of
+    ``er_closure_certificate`` on the slices."""
+
+    __slots__ = ()
 
     @property
     def certificate(self) -> bool:
@@ -336,11 +323,9 @@ class FilteredAlgebraData:
         return self.mu.get((n, a), {})
 
 
-@dataclass
-class FilteredAlgebraReport:
-    filtration_ok: bool
-    morphism_ok: bool
-    witnesses: list
+class FilteredAlgebraReport(namedtuple(
+        "FilteredAlgebraReport", "filtration_ok morphism_ok witnesses")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -445,11 +430,9 @@ def _planar_product(shape, m2: dict, ident: dict, degrees) -> tuple:
             ll + rl)
 
 
-@dataclass
-class PipelineResult:
-    report: FilteredAlgebraReport
-    family: MapFamily
-    cinf_report: CinfReport
+class PipelineResult(namedtuple("PipelineResult",
+                                "report family cinf_report")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -461,7 +444,7 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
     """Check mu (filtration predicate and operad morphism, through
     max_arity), restrict the induced first-page algebra to the q = 0
     slice, read off m_n from identity-word corollas, and verify the
-    relations.
+    relations through max_arity and every arity where one can fail.
 
     A filtration violation raises FiltrationError; a failed morphism
     check or relation makes the result not ok."""
@@ -486,4 +469,5 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
         if tensor:
             maps[n] = tensor
     family = MapFamily(A.space, A.q, maps)
-    return PipelineResult(report, family, check_cinf(family, max_arity))
+    return PipelineResult(report, family, check_cinf(
+        family, max(max_arity, family.last_relation)))

@@ -24,8 +24,7 @@ m2(a, b) = (-1)^(|a||b|) m2(b, a).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 
 from . import InputError
 from .qlinalg import (SparseMatrix, add_scaled, addmul, as_exact,
@@ -70,24 +69,27 @@ class MapFamily:
         self.maps = {n: {k: as_exact(v) for k, v in t.items() if v}
                      for n, t in maps.items()}
 
+    @property
+    def last_relation(self) -> int:
+        """2 top - 1, top the highest arity of an operation: the terms
+        m_r o m_s of the arity-n relation have r + s = n + 1, so above
+        this arity every term is zero and no relation can fail."""
+        return 2 * max(self.maps, default=1) - 1
 
-@dataclass
-class AinfResidual:
-    """One failing instance of the homotopy-associativity relation."""
 
-    n: int
-    inputs: tuple[int, ...]
-    defect: dict[int, Fraction]
+class AinfResidual(namedtuple("AinfResidual", "n inputs defect")):
+    """One failing instance of the homotopy-associativity relation: the
+    arity, the input tuple and the defect {out: coeff}."""
+
+    __slots__ = ()
 
     def __str__(self):
         return (f"arity {self.n} relation fails on {self.inputs}: "
                 f"defect {format_vector(self.defect)}")
 
 
-@dataclass
-class CinfReport:
-    ainf_residuals: list = field(default_factory=list)
-    shuffle_violations: list = field(default_factory=list)
+class CinfReport(namedtuple("CinfReport", "ainf_residuals shuffle_violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -117,11 +119,9 @@ def _group_by_input(tensor: Tensor) -> dict[tuple[int, ...], dict]:
 def check_ainf(f: MapFamily, N: int | None = None) -> list[AinfResidual]:
     """All failing relation instances for 2 <= n <= N, by arity and then
     by input tuple; empty iff the family is homotopy associative through
-    arity N.  N defaults to 2 top - 1, top the family's highest arity:
-    the terms m_r o m_s of the arity-n relation have r + s = n + 1, so
-    above that arity every term is zero."""
+    arity N, by default ``f.last_relation``, the last that can fail."""
     if N is None:
-        N = 2 * max(f.maps, default=1) - 1
+        N = f.last_relation
     return [AinfResidual(n, ins, defect) for n in range(2, N + 1)
             for ins, defect in _group_by_input(_defect_tensor(f, n)).items()]
 
@@ -155,10 +155,9 @@ def shuffle_defects(f: MapFamily, n: int) -> list:
 
 def check_cinf(f: MapFamily, N: int | None = None) -> CinfReport:
     """Homotopy associativity plus vanishing on all shuffle sums, through
-    arity N (by default every arity where a relation can fail, as in
-    ``check_ainf``)."""
+    arity N, by default ``f.last_relation``."""
     if N is None:
-        N = 2 * max(f.maps, default=1) - 1
+        N = f.last_relation
     return CinfReport(check_ainf(f, N), [v for n in range(2, N + 1)
                                          for v in shuffle_defects(f, n)])
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -38,20 +38,19 @@ class OperadError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedSpace:
+class GradedSpace(namedtuple("GradedSpace", "names degrees")):
     """A finite-dimensional graded space with a named basis."""
 
-    names: tuple[str, ...]
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.names) != len(self.degrees):
+    def __new__(cls, names, degrees):
+        if len(names) != len(degrees):
             raise ValueError("names and degrees must have equal length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("basis names must be unique")
-        if not all(type(d) is int for d in self.degrees):
+        if not all(type(d) is int for d in degrees):
             raise ValueError("degrees must be integers")
+        return super().__new__(cls, names, degrees)
 
     @property
     def dim(self) -> int:

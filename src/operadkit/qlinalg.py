@@ -31,11 +31,11 @@ between threads; rank and homology are pure functions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 
 class ComplexError(ValueError):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 
 from . import InputError
@@ -131,15 +131,13 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-@dataclass
-class E1Table:
-    """A (p, q) -> dim page; ``format`` names it in the JSON document
-    ("operadkit-e1" for the first page, "operadkit-dual-e1" for the dual)."""
+class E1Table(namedtuple("E1Table", "g n entries format",
+                          defaults=("operadkit-e1",))):
+    """A page, ``entries`` mapping (p, q) -> dim; ``format`` names it in
+    the JSON document ("operadkit-e1" for the first page,
+    "operadkit-dual-e1" for the dual)."""
 
-    g: int
-    n: int
-    format: str = "operadkit-e1"
-    entries: dict = field(default_factory=dict)  # (p, q) -> dim
+    __slots__ = ()
 
     def render(self, fmt: str) -> str:
         """The page as a JSON document, as p,q,dim CSV rows, or ("text")
@@ -281,7 +279,7 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
             counts[key] = counts.get(key, 0) + 1
         betti_of = lambda key: betti.get(*key)
     entries = _fold(census, betti_of, lambda e, k: (top - e, top - e - k))
-    return E1Table(g, n, entries=entries)
+    return E1Table(g, n, entries)
 
 
 def verify_vanishing(g: int, n: int, table: E1Table) -> bool:
@@ -327,12 +325,10 @@ def keel_h2_rank(n: int) -> int:
     return 2 ** (n - 1) - n * (n - 1) // 2 - 1
 
 
-@dataclass
-class MiddleRowReport:
-    arity: int
-    e1_dims: dict  # p -> dim of E1_{p,0}
-    cobar_dims: dict  # p -> dim at edge count arity-2-p
-    equal: bool
+# e1_dims maps p to dim E1_{p,0}, cobar_dims p to the cobar dimension at
+# edge count arity - 2 - p
+MiddleRowReport = namedtuple("MiddleRowReport",
+                             "arity e1_dims cobar_dims equal")
 
 
 def middle_row(arity: int) -> MiddleRowReport:
@@ -367,7 +363,7 @@ def dual_e1_table(g: int, n: int) -> E1Table:
     # edge count e sits at p = -e, and degree k at q = k - 2p
     entries = _fold(genus0_valence_census(n), cbetti,
                     lambda e, k: (-e, k + 2 * e))
-    return E1Table(g, n, "operadkit-dual-e1", entries)
+    return E1Table(g, n, entries, "operadkit-dual-e1")
 
 
 def dual_euler_check(table: E1Table, n: int) -> bool:

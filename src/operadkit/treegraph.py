@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
@@ -367,16 +367,12 @@ def decode_tree(text: str) -> Tree:
 # Stable graphs
 
 
-@dataclass(frozen=True)
-class GraphAutomorphism:
-    """An automorphism: a vertex permutation plus a half-edge bijection.
-
-    Half-edges are ('leg', label) or ('e', edge_index, side); legs are
-    always fixed.  The map preserves incidence and genus labels.
-    """
-
-    vertex_perm: tuple[int, ...]
-    half_edge_map: tuple[tuple[tuple, tuple], ...]
+# An automorphism: a vertex permutation plus a half-edge bijection, as
+# (half-edge, image) pairs.  Half-edges are ('leg', label) or
+# ('e', edge_index, side); legs are always fixed.  The map preserves
+# incidence and genus labels.
+GraphAutomorphism = namedtuple("GraphAutomorphism",
+                               "vertex_perm half_edge_map")
 
 
 class StableGraph:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from operadkit import filtration
 from operadkit.cobar import cobar_dims, cobar_operad, liec_cooperad
 from operadkit.filtration import (
     FilteredAlgebraData,
@@ -30,9 +31,9 @@ from operadkit.filtration import (
     moduli_chain_standin,
     suboperad_dk,
 )
-from operadkit.hoalg import truncated_polynomial_family
+from operadkit.hoalg import check_cinf, truncated_polynomial_family
 from operadkit.operads import EndOperad, GradedSpace, assoc_operad
-from operadkit.qlinalg import SparseMatrix, addmul, solve_in_span
+from operadkit.qlinalg import SparseMatrix, addmul, solve_in_span, span_rank
 from reference import component_homology
 
 
@@ -213,7 +214,8 @@ class TestClosureCertificateReference:
                 z = z[1:]
             else:
                 b = []
-            term.pieces[3][pq] = ErPiece(piece.p, piece.q, z, b)
+            term.pieces[3][pq] = ErPiece(piece.p, piece.q, z, b,
+                                         len(z) - span_rank(b))
         ok, witnesses = er_closure_certificate(term, 3)
         assert not ok and {w[0] for w in witnesses} == {kind}
         assert (ok, witnesses) == reference_certificate(term, 3)
@@ -230,15 +232,44 @@ class TestClosureCertificateReference:
         cut = [F.base.compose(2, i, 2, op, mu) for i in (1, 2)]
         term = ErTerm(0, F, {
             1: {},
-            2: {(0, 0): ErPiece(0, 0, [mu], []),
-                (1, 0): ErPiece(1, 0, [], [op])},
-            3: {(0, 0): ErPiece(0, 0, every, []),
-                (1, 0): ErPiece(1, 0, cut, cut),
-                (2, 0): ErPiece(2, 0, every, every)}})
+            2: {(0, 0): ErPiece(0, 0, [mu], [], 1),
+                (1, 0): ErPiece(1, 0, [], [op], 0)},
+            3: {(0, 0): ErPiece(0, 0, every, [], 6),
+                (1, 0): ErPiece(1, 0, cut, cut, 0),
+                (2, 0): ErPiece(2, 0, every, every, 0)}})
         ok, witnesses = er_closure_certificate(term, 3)
         assert witnesses == [("denominator", 2, 2, i, (0, 0), (1, 0))
                              for i in (1, 2)]
         assert (ok, witnesses) == reference_certificate(term, 3)
+
+
+class TestPageDimensions:
+    @pytest.mark.parametrize("make, r", [
+        (lambda: moduli_chain_standin(4), 1),
+        (lambda: degree_filtration(end_with_homology()), 2)],
+        ids=["standin", "end"])
+    def test_span_rank_runs_once_per_candidate_piece(self, monkeypatch,
+                                                     make, r):
+        F = make()
+        seen = []
+
+        def counted(vectors):
+            seen.append(vectors)
+            return span_rank(vectors)
+        monkeypatch.setattr(filtration, "span_rank", counted)
+        term = er_term(F, r)
+        kept = [piece for by_pq in term.pieces.values()
+                for piece in by_pq.values()]
+        # each call ranks a fresh candidate's denominators, the kept
+        # pieces' among them
+        assert len({id(b) for b in seen}) == len(seen) >= len(kept) > 0
+        assert {id(piece.b_basis) for piece in kept} <= {id(b) for b in seen}
+        calls = len(seen)
+        for n in F.arities():
+            assert sum(term.dims(n).values()) == term.total_dim(n)
+        for k in (-1, 0, 1):
+            suboperad_dk(term, k)
+        assert len(seen) == calls
 
 
 class TestDkSlices:
@@ -406,6 +437,18 @@ class TestPipeline:
         result = induce_cinf(F, A, 4)
         assert result.ok
         assert set(result.family.maps) == {2}
+
+    def test_relations_are_checked_past_max_arity(self):
+        # m(x0, x1) = m(x1, x0) = x1 is commutative, not associative; its
+        # relation first fails at arity 3, above max_arity = 2
+        F = moduli_chain_standin(2)
+        space = GradedSpace(("x0", "x1"), (0, 0))
+        m2 = {(1, (0, 1)): 1, (1, (1, 0)): 1}
+        A = commutative_toy_algebra(F, space, SparseMatrix.zero(2, 2), m2)
+        result = induce_cinf(F, A, 2)
+        assert result.report.ok and not result.ok
+        assert len(result.cinf_report.ainf_residuals) == 2
+        assert result.cinf_report == check_cinf(result.family)
 
     def test_morphism_fault_fails_pipeline(self):
         F = moduli_chain_standin(3)

@@ -334,4 +334,4 @@ class TestTextRendering:
         assert "q/p" in text
 
     def test_empty_table(self):
-        assert "empty" in E1Table(0, 3).render("text")
+        assert "empty" in E1Table(0, 3, {}).render("text")

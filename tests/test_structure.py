@@ -4,13 +4,13 @@ Modules of the package use each other's public names: an underscore
 name is private to the module that defines it, and a module that needs
 another module's helper should get it made public there.
 
-The package keeps only what runs: every public module-level function
-and class is named by the package, the benchmark or the scripts outside
-its own definition.  Oracles the tests alone use live in
-``tests/reference.py``.  The exceptions are the API the README's "File
-formats" section offers, the decoders of what ``trees`` and ``graphs``
-print, and ``qlinalg.solve_in_span``, which the benchmark's tracer
-wraps by name.
+The package keeps only what runs: every public module-level function,
+class and namedtuple record is named by the package, the benchmark or
+the scripts outside its own definition.  Oracles the tests alone use
+live in ``tests/reference.py``.  The exceptions are the API the
+README's "File formats" section offers, the decoders of what ``trees``
+and ``graphs`` print, and ``qlinalg.solve_in_span``, which the
+benchmark's tracer wraps by name.
 
 Sparse vectors are accumulated in one place, ``qlinalg.addmul``; a
 hand-rolled "add, then drop the zero" loop elsewhere shows up as a
@@ -61,6 +61,12 @@ Genus-0 strata are counted, not enumerated: Betti predictions, first
 pages, vanishing checks and dual pages read ``genus0_valence_census``,
 which builds no tree, so they never load ``treegraph``.  Cobar
 dimensions are counted too: ``middle_row`` builds no ``CobarComplex``.
+
+Result records are ``collections.namedtuple``s: no module imports
+``dataclasses``, ``typing`` or ``functools.cached_property``, so loading
+the whole package under ``python -S`` leaves ``dataclasses`` and
+``inspect`` (which ``dataclasses`` pulls in) unloaded, and each command
+process starts without them.
 """
 
 import ast
@@ -88,23 +94,34 @@ UNCALLED_BY_DESIGN = {
     "map_family_to_json", "decode_tree", "decode_graph", "solve_in_span"}
 
 
+def _bound_name(node: ast.stmt) -> str | None:
+    """The name a module-level function, class or namedtuple record
+    statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "namedtuple"):
+        return node.targets[0].id
+    return None
+
+
 def test_every_public_name_has_a_caller():
     package = Path(operadkit.__file__).parent
     root = package.parents[1]
     defined = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[node.name] = path
+            name = _bound_name(node)
+            if name and not name.startswith("_"):
+                defined[name] = path
+    assert {"ErPiece", "MiddleRowReport", "Rule"} <= set(defined)
     named = set()
     for folder in ("src", "perfbench", "scripts"):
         assert (root / folder).is_dir(), folder
         for path in sorted((root / folder).rglob("*.py")):
             tree = ast.parse(path.read_text())
-            inside = {id(node): top.name for top in tree.body
-                      if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                      for node in ast.walk(top)}
+            inside = {id(node): _bound_name(top) for top in tree.body
+                      if _bound_name(top) for node in ast.walk(top)}
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -281,22 +298,55 @@ def test_end_v_signs_live_in_operads():
     assert {"end_compose", "end_differential"} <= called
 
 
+def _probe(code: str, *flags: str) -> str:
+    """What a fresh interpreter, given flags and the package's source on
+    its path, prints when it runs code."""
+    env = dict(os.environ)
+    src = str(Path(operadkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return res.stdout.strip()
+
+
 def test_genus_zero_strata_load_no_tree_code():
-    probe = (
+    assert _probe(
         "import sys\n"
         "from operadkit.strata import (dual_e1_table, e1_table,\n"
         "    predict_compactified_betti, verify_vanishing)\n"
         "predict_compactified_betti(8)\n"
         "assert verify_vanishing(0, 8, e1_table(0, 8))\n"
         "dual_e1_table(0, 8)\n"
-        "print('operadkit.treegraph' in sys.modules)\n")
-    env = dict(os.environ)
-    src = str(Path(operadkit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+        "print('operadkit.treegraph' in sys.modules)\n") == "False"
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    offenders = []
+    for path in sorted(Path(operadkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]]
+                names += [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} imports {name}"
+                          for name in names if name in
+                          ("dataclasses", "typing", "cached_property")]
+    assert offenders == []
+
+
+def test_package_loads_no_dataclasses():
+    modules = sorted(path.stem for path in
+                     Path(operadkit.__file__).parent.glob("[!_]*.py"))
+    assert {"cli", "filtration", "strata"} <= set(modules)
+    assert _probe(
+        "import sys\n"
+        f"import operadkit, {', '.join(f'operadkit.{m}' for m in modules)}\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n",
+        "-S") == "[]"
 
 
 def test_middle_row_builds_no_decorated_basis(monkeypatch):
