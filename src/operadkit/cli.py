@@ -8,25 +8,26 @@ the key holds a digest of the package's source, so an answer cached by
 other code is a miss, and a cache that cannot be written gives a warning.
 Exit codes: 0 on success, 1 when a verification fails, 2 on bad input.
 
-The commands are one table, ``main.commands``.  A run builds the parser
-of the one command it invokes, whose ``Command.parse`` refuses every bad
+The commands are one table, ``main.commands``, which holds each
+command's options, ranges and help text.  A run builds the parser of
+the one command it invokes, whose ``Command.parse`` refuses every bad
 number, broken rule and unreadable file before any library import, so
 command bodies only call and print.  Bad input leaves by one door:
 ``Main.main`` reports every ``operadkit.InputError`` (the base of each
 library module's error class and of ``UsageError``) as ``Error:
-<message>`` and exits 2.  Modules only some commands need (``hashlib``
-for the cache key, the library itself) are imported where used, as
-start-up is most of a short command.
+<message>`` and exits 2.  Start-up is most of a short command, so this
+module keeps the table, the cache and the ``cobar-homology`` body, and
+each other body is in a ``cli_*`` module imported on dispatch.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from importlib import import_module
 from pathlib import Path
 
 from . import InputError, __version__
@@ -38,11 +39,20 @@ class UsageError(InputError):
     """Bad command-line input: reported as ``Error: <message>``, exit 2."""
 
 
+def _sha256(data: bytes = b""):
+    """SHA-256 of data by CPython's built-in ``_sha2`` or ``_sha256``, or by
+    ``hashlib`` (which maps OpenSSL's libcrypto) only where neither exists."""
+    for name in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return import_module(name).sha256(data)
+        except ImportError:
+            pass
+
+
 @lru_cache(maxsize=None)
 def _source_fingerprint() -> str:
     """sha256 of the package's *.py files, names and bytes in name order."""
-    import hashlib
-    h = hashlib.sha256()
+    h = _sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode())
         h.update(path.read_bytes())
@@ -50,10 +60,10 @@ def _source_fingerprint() -> str:
 
 
 def _cache_lookup(op: str, params: dict) -> tuple[Path, str | None]:
-    import hashlib
+    import json
     key = json.dumps({"op": op, "params": params, "version": __version__,
                       "source": _source_fingerprint()}, sort_keys=True)
-    digest = hashlib.sha256(key.encode()).hexdigest()
+    digest = _sha256(key.encode()).hexdigest()
     root = os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "operadkit"
     path = Path(root) / f"{digest}.json"
     try:
@@ -81,6 +91,7 @@ def _cached_betti(text: str | None, name: str, arity: int) -> dict | None:
     the entry is missing or is not a well-formed answer to it."""
     if text is None:
         return None
+    import json
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
@@ -99,101 +110,8 @@ def _cached_betti(text: str | None, name: str, arity: int) -> dict | None:
     return payload if ok else None
 
 
-def _operad_by_name(name: str, max_arity: int):
-    if name == "cobar-liec":
-        from .cobar import liec_cooperad, cobar_operad
-        return cobar_operad(liec_cooperad(max_arity), max_arity)
-    from .operads import comm_operad, assoc_operad, lie_operad
-    table = {"comm": comm_operad, "assoc": assoc_operad, "lie": lie_operad}
-    return table[name](max_arity)
-
-
-def _cooperad_by_name(name: str, max_arity: int):
-    from .cobar import liec_cooperad, asc_cooperad, commc_cooperad
-    table = {"liec": liec_cooperad, "asc": asc_cooperad,
-             "commc": commc_cooperad}
-    return table[name](max_arity)
-
-
-def trees(n, edges, count, fmt):
-    """Enumerate leaf-labeled rooted trees."""
-    from .treegraph import enumerate_trees, enumerate_trees_all, encode_tree
-    if edges is None:
-        groups = enumerate_trees_all(n)
-        items = [t for e in sorted(groups) for t in groups[e]]
-    else:
-        items = enumerate_trees(n, edges)
-    if count:
-        print(len(items))
-        return
-    if fmt == "json":
-        print(json.dumps(
-            {"n": n, "edges": edges, "count": len(items),
-             "trees": [encode_tree(t) for t in items]}, indent=1))
-    else:
-        sys.stdout.write("".join(encode_tree(t) + "\n" for t in items))
-
-
-def graphs(g, n, max_edges, count, fmt):
-    """Enumerate stable graphs of genus g with n legs."""
-    from .treegraph import (enumerate_stable_graphs, automorphism_group,
-                            encode_graph)
-    if max_edges is None:
-        max_edges = 3 * g - 3 + n
-    items = enumerate_stable_graphs(g, n, max_edges)
-    if count:
-        print(len(items))
-        return
-    rows = [(encode_graph(G), len(G.edges), len(automorphism_group(G)))
-            for G in items]
-    if fmt == "json":
-        print(json.dumps(
-            {"g": g, "n": n, "count": len(rows),
-             "graphs": [{"graph": enc, "edges": e, "aut_order": a}
-                        for enc, e, a in rows]}, indent=1))
-    else:
-        for enc, e, a in rows:
-            print(f"{enc}  edges={e} aut={a}")
-
-
-def axioms(name, max_arity):
-    """Verify the operad axioms; exit 1 on any violation."""
-    from .operads import check_axioms
-    O = _operad_by_name(name, max_arity)
-    report = check_axioms(O, max_arity)
-    print(f"checked {report.checked} instances up to arity {max_arity}")
-    if report.ok:
-        print("all axioms hold")
-        return
-    for v in report.violations[:10]:
-        print(v)
-    print(f"{len(report.violations)} violations")
-    sys.exit(1)
-
-
-def free_dims(name, d, max_arity):
-    """Multilinear-part dimensions of the free algebra on d generators."""
-    from .operads import free_algebra_dims
-    O = _operad_by_name(name, max_arity)
-    dims = free_algebra_dims(O, d, max_arity)
-    print(",".join(str(x) for x in dims))
-
-
-def cobar(name, arity, fmt):
-    """Dimensions of the cobar complex by internal edge count."""
-    from .cobar import cobar_dims
-    dims = cobar_dims(_cooperad_by_name(name, arity), arity)
-    if fmt == "json":
-        print(json.dumps({"cooperad": name, "arity": arity,
-                          "dims": {str(e): d for e, d in dims.items()}},
-                         indent=1))
-    else:
-        for e in sorted(dims):
-            print(f"e={e}: {dims[e]}")
-
-
 def cobar_homology_cmd(name, arity, no_cache, fmt):
-    """Betti numbers of the cobar complex (cached)."""
+    import json
     params = {"cooperad": name, "arity": arity}
     path, cached = (None, None)
     if not no_cache:
@@ -201,7 +119,8 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
     payload = _cached_betti(cached, name, arity)
     if payload is None:
         from .cobar import cobar_homology
-        betti = cobar_homology(_cooperad_by_name(name, arity), arity)
+        from .cli_operads import cooperad_by_name
+        betti = cobar_homology(cooperad_by_name(name, arity), arity)
         payload = {"cooperad": name, "arity": arity,
                    "betti": {str(e): b for e, b in betti.items()},
                    "total": sum(betti.values())}
@@ -216,175 +135,6 @@ def cobar_homology_cmd(name, arity, no_cache, fmt):
         for e in sorted(payload["betti"], key=int):
             print(f"e={e}: {payload['betti'][e]}")
         print(f"total: {payload['total']}")
-
-
-def e1(g, n, betti_csv, aut_mode, fmt):
-    """First-page dimension table of the stratification sequence."""
-    from .strata import BettiTable, e1_table
-    betti = (BettiTable() if betti_csv is None
-             else BettiTable.from_csv(betti_csv))
-    sys.stdout.write(e1_table(g, n, betti, aut_mode=aut_mode).render(fmt))
-
-
-def betti_predict(n, fmt):
-    """Predicted even Betti numbers of the genus-0 compactification."""
-    from .strata import predict_compactified_betti, StrataError
-    try:
-        pred = predict_compactified_betti(n)
-    except StrataError as ex:
-        print(ex, file=sys.stderr)
-        sys.exit(1)
-    if fmt == "json":
-        print(json.dumps({"n": n, "even_betti": list(pred)}))
-    else:
-        print(",".join(str(h) for h in pred))
-
-
-def middle_row_cmd(arity, fmt):
-    """Compare the q=0 strata row with the cobar dimensions.
-
-    Exit 1 on mismatch."""
-    from .strata import middle_row
-    rep = middle_row(arity)
-    if fmt == "json":
-        print(json.dumps({
-            "arity": arity,
-            "e1_row": {str(p): d for p, d in sorted(rep.e1_dims.items())},
-            "cobar": {str(p): d for p, d in sorted(rep.cobar_dims.items())},
-            "equal": rep.equal}, indent=1))
-    else:
-        ps = sorted(set(rep.e1_dims) | set(rep.cobar_dims), reverse=True)
-        print("p:     " + " ".join(f"{p:>6}" for p in ps))
-        print("e1:    " + " ".join(f"{rep.e1_dims.get(p, 0):>6}" for p in ps))
-        print("cobar: " + " ".join(f"{rep.cobar_dims.get(p, 0):>6}" for p in ps))
-        print("equal" if rep.equal else "MISMATCH")
-    if not rep.equal:
-        sys.exit(1)
-
-
-def dual_e1(g, n, fmt):
-    """Dual (logarithmic) first page of the stratification sequence.
-
-    Exit 1 if the column Euler check against the open Betti numbers
-    fails."""
-    from .strata import dual_e1_table, dual_euler_check
-    table = dual_e1_table(g, n)
-    sys.stdout.write(table.render(fmt))
-    if not dual_euler_check(table, n):
-        print("Euler-characteristic consistency FAILED", file=sys.stderr)
-        sys.exit(1)
-
-
-def check_ainf_cmd(family_json, max_arity):
-    """Check the homotopy-associativity relations of a map family."""
-    from .hoalg import check_ainf, map_family_from_json
-    residuals = check_ainf(map_family_from_json(family_json), max_arity)
-    if not residuals:
-        print("all relations hold")
-        return
-    for r in residuals[:10]:
-        print(r)
-    print(f"{len(residuals)} failing instances")
-    sys.exit(1)
-
-
-def check_cinf_cmd(family_json, max_arity):
-    """Check homotopy associativity plus shuffle vanishing."""
-    from .hoalg import check_cinf, map_family_from_json
-    report = check_cinf(map_family_from_json(family_json), max_arity)
-    if report.ok:
-        print("all relations and shuffle vanishing hold")
-        return
-    print(f"{len(report.ainf_residuals)} relation failures, "
-          f"{len(report.shuffle_violations)} shuffle violations")
-    sys.exit(1)
-
-
-def _filtered_fixture(fixture, fixture_json, max_arity):
-    """The filtered operad to page; one read from a file may hold no
-    arity above max_arity and must pass ``FilteredOperad.validate``."""
-    from .filtration import (filtered_operad_from_json, degree_filtration,
-                             moduli_chain_standin)
-    if fixture_json is not None:
-        F = filtered_operad_from_json(fixture_json)
-        top = max(F.arities(), default=0)
-        if top > max_arity:
-            raise UsageError(f"the document has an arity-{top} component, "
-                             f"above --max-arity {max_arity}")
-        F.validate()
-        return F
-    if fixture == "end":
-        from .operads import GradedSpace, EndOperad
-        from .qlinalg import SparseMatrix
-        V = GradedSpace(("e0", "e1"), (0, 1))
-        q = SparseMatrix.from_dict(2, 2, {(0, 1): 1})
-        return degree_filtration(EndOperad(V, max_arity, q=q))
-    return moduli_chain_standin(max_arity)
-
-
-def er(r, fixture, fixture_json, max_arity, fmt):
-    """Dimensions of a spectral-sequence page per arity and bigrade."""
-    from .filtration import er_term
-    F = _filtered_fixture(fixture, fixture_json, max_arity)
-    term = er_term(F, r)
-    data = {n: {f"{p},{q}": d for (p, q), d in sorted(term.dims(n).items())}
-            for n in F.arities()}
-    if fmt == "json":
-        print(json.dumps({"r": r, "dims": data}, indent=1))
-    else:
-        for n, dims in data.items():
-            print(f"arity {n}: " + (", ".join(
-                f"E[{pq}]={d}" for pq, d in dims.items()) or "0"))
-
-
-def dk(r, k, fixture, fixture_json, max_arity, fmt):
-    """Bigraded suboperad slice of a page, with closure certificate."""
-    from .filtration import er_term, suboperad_dk
-    F = _filtered_fixture(fixture, fixture_json, max_arity)
-    slices = suboperad_dk(er_term(F, r), k)
-    data = {n: {f"{p},{q}": d for (p, q), d in sorted(sel.items())}
-            for n, sel in slices.slices.items()}
-    if fmt == "json":
-        print(json.dumps({"r": r, "k": k, "slices": data,
-                          "certificate": slices.certificate}, indent=1))
-    else:
-        for n, sel in data.items():
-            print(f"arity {n}: " + (", ".join(
-                f"D[{pq}]={d}" for pq, d in sel.items()) or "0"))
-        print("closure certificate: "
-                   + ("ok" if slices.certificate else "FAILED"))
-    if not slices.certificate:
-        for kind, n, m, i, pq, pq2 in slices.witnesses[:10]:
-            print(f"{kind} of bigrade {pq} o_{i} {pq2} at arities "
-                  f"({n},{m}) leaves its target span", file=sys.stderr)
-        print(f"{len(slices.witnesses)} closure failures", file=sys.stderr)
-        sys.exit(1)
-
-
-def pipeline_cinf(max_arity, dim):
-    """End-to-end C-infinity pipeline on the moduli stand-in.
-
-    Stand-in operad, commutative toy algebra, induced operations,
-    homotopy checks.  Exit 1 if any verification fails."""
-    from .hoalg import truncated_polynomial_family
-    from .filtration import (moduli_chain_standin, commutative_toy_algebra,
-                             induce_cinf)
-    F = moduli_chain_standin(max_arity)
-    poly = truncated_polynomial_family(dim)
-    A = commutative_toy_algebra(F, poly.space, poly.q, poly.maps[2])
-    # the stand-in's levels are its degrees, so the filtration predicate
-    # holds and induce_cinf does not raise on it
-    result = induce_cinf(F, A, max_arity)
-    report = result.report
-    print(f"filtration predicate: {'ok' if report.filtration_ok else 'FAILED'}")
-    print(f"operad morphism:      {'ok' if report.morphism_ok else 'FAILED'}")
-    print(f"induced operations at arities: {sorted(result.family.maps)}")
-    cinf = result.cinf_report
-    print(f"relation residuals:   {len(cinf.ainf_residuals)}")
-    print(f"shuffle violations:   {len(cinf.shuffle_violations)}")
-    if not result.ok:
-        sys.exit(1)
-    print("pipeline verified")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -411,21 +161,29 @@ def _input_text(path: str) -> str:
 Rule = namedtuple("Rule", "message test")
 
 
-class Command:
-    """One subcommand: its callback, the callback's docstring, and table
-    entries.  An option is a flag (or a positional's name) with the
-    keywords of ``ArgumentParser.add_argument``; ``dest`` names the
-    callback's parameter where the flag does not.  An integer option's
-    ``bounds`` is (lo, hi), hi None for no cap, or a function of the
-    values parsed so far that returns one; a ``Rule`` follows the options
-    it reads.  Everything is exact arithmetic, so ranges are the runtime
-    guard: ``parse`` checks bounds and rules in table order after argparse
-    and before any library import, so that a usage error costs no
-    import.  An optional option left unset is not checked."""
+def _later(module: str, name: str):
+    """The callback that imports ``operadkit.<module>`` and runs ``name``."""
+    def callback(**params):
+        return getattr(import_module(f"operadkit.{module}"), name)(**params)
+    callback.__module__, callback.__name__ = f"operadkit.{module}", name
+    return callback
 
-    def __init__(self, callback, *entries):
+
+class Command:
+    """One subcommand: its callback, its help text and table entries.
+    An option is a flag (or a positional's name) with the keywords of
+    ``ArgumentParser.add_argument``; ``dest`` names the callback's
+    parameter where the flag does not.  An integer option's ``bounds`` is
+    (lo, hi), hi None for no cap, or a function of the values parsed so
+    far that returns one; a ``Rule`` follows the options it reads.
+    Everything is exact arithmetic, so ranges are the runtime guard:
+    ``parse`` checks bounds and rules in table order after argparse and
+    before any library import, so that a usage error costs no import.
+    An optional option left unset is not checked."""
+
+    def __init__(self, callback, doc, *entries):
         self.callback = callback
-        self.doc = callback.__doc__
+        self.doc = doc
         self.entries = entries
 
     def parse(self, prog: str, args: list[str]) -> dict:
@@ -555,14 +313,16 @@ COOPERAD = _choice("--cooperad", ("liec", "asc", "commc"), dest="name",
 
 main = Main({
     "trees": Command(
-        trees,
+        _later("cli_trees", "trees"),
+        "Enumerate leaf-labeled rooted trees.",
         _int("--n", required=True, bounds=(2, 8), help="number of leaves"),
         _int("--edges", bounds=lambda v: (0, v["n"] - 2),
              help="internal edge count"),
         ("--count", {"action": "store_true", "help": "print the count only"}),
         FORMAT),
     "graphs": Command(
-        graphs,
+        _later("cli_trees", "graphs"),
+        "Enumerate stable graphs of genus g with n legs.",
         _int("--g", required=True, bounds=(0, 2)),
         _int("--n", required=True, bounds=(0, 6)),
         Rule("graph censuses are desk scale: need 3g - 3 + n <= 3",
@@ -573,34 +333,39 @@ main = Main({
         ("--count", {"action": "store_true"}),
         FORMAT),
     "axioms": Command(
-        axioms,
+        _later("cli_operads", "axioms"),
+        "Verify the operad axioms; exit 1 on any violation.",
         _choice("--operad", ("comm", "assoc", "lie", "cobar-liec"),
                 dest="name", required=True),
         _int("--max-arity", 4,
              bounds=lambda v: (1, 4 if v["name"] == "cobar-liec" else 6))),
     "free-dims": Command(
-        free_dims,
+        _later("cli_operads", "free_dims"),
+        "Multilinear-part dimensions of the free algebra on d generators.",
         _choice("--operad", ("comm", "assoc", "lie"), dest="name",
                 required=True),
         _int("--d", required=True, bounds=(0, 6), help="generator dimension"),
         _int("--max-arity", 6, bounds=(1, 8))),
     "cobar": Command(
-        cobar,
+        _later("cli_operads", "cobar"),
+        "Dimensions of the cobar complex by internal edge count.",
         COOPERAD,
         _int("--arity", required=True,
              bounds=lambda v: (2, 5 if v["name"] == "asc" else 7)),
         FORMAT),
     "cobar-homology": Command(
         cobar_homology_cmd,
+        "Betti numbers of the cobar complex (cached).",
         COOPERAD,
         _int("--arity", required=True,
              bounds=lambda v: (2, 5 if v["name"] == "asc" else 6)),
         ("--no-cache", {"action": "store_true"}),
         FORMAT),
     "e1": Command(
-        e1,
+        _later("cli_strata", "e1"),
+        "First-page dimension table of the stratification sequence.",
         _int("--g", 0, bounds=(0, 2)),
-        _int("--n", required=True, bounds=(1, 12)),
+        _int("--n", required=True, bounds=lambda v: (1 if v["g"] else 3, 12)),
         Rule("need 3g - 3 + n <= 5 at genus >= 1",
              lambda v: v["g"] == 0 or 3 * v["g"] - 3 + v["n"] <= 5),
         ("--betti", {"dest": "betti_csv", "type": _input_text,
@@ -608,29 +373,43 @@ main = Main({
         _choice("--aut-mode", ("degree0", "ignore"), default="degree0"),
         TABLE_FORMAT),
     "betti-predict": Command(
-        betti_predict,
+        _later("cli_strata", "betti_predict"),
+        "Predicted even Betti numbers of the genus-0 compactification.",
         _int("--n", required=True, bounds=(3, 12)),
         FORMAT),
     "middle-row": Command(
-        middle_row_cmd,
+        _later("cli_strata", "middle_row_cmd"),
+        "Compare the q=0 strata row with the cobar dimensions.\n\n"
+        "Exit 1 on mismatch.",
         _int("--arity", required=True, bounds=(2, 7)),
         FORMAT),
     "dual-e1": Command(
-        dual_e1,
+        _later("cli_strata", "dual_e1"),
+        "Dual (logarithmic) first page of the stratification sequence.\n\n"
+        "Exit 1 if the column Euler check against the open Betti numbers "
+        "fails.",
         _int("--g", 0, bounds=(0, 0)),
         _int("--n", required=True, bounds=(3, 12)),
         TABLE_FORMAT),
-    "check-ainf": Command(check_ainf_cmd, FAMILY_FILE, RELATION_ARITY),
-    "check-cinf": Command(check_cinf_cmd, FAMILY_FILE, RELATION_ARITY),
+    "check-ainf": Command(
+        _later("cli_algebra", "check_ainf_cmd"),
+        "Check the homotopy-associativity relations of a map family.",
+        FAMILY_FILE, RELATION_ARITY),
+    "check-cinf": Command(
+        _later("cli_algebra", "check_cinf_cmd"),
+        "Check homotopy associativity plus shuffle vanishing.",
+        FAMILY_FILE, RELATION_ARITY),
     "er": Command(
-        er,
+        _later("cli_algebra", "er"),
+        "Dimensions of a spectral-sequence page per arity and bigrade.",
         _int("--r", required=True, bounds=(0, 20), help="page index"),
         _choice("--fixture", ("end", "standin"), default="end"),
         FIXTURE_FILE,
         _int("--max-arity", 3, bounds=(1, 4)),
         FORMAT),
     "dk": Command(
-        dk,
+        _later("cli_algebra", "dk"),
+        "Bigraded suboperad slice of a page, with closure certificate.",
         _int("--r", required=True, bounds=(0, 20)),
         _int("--k", required=True, bounds=(-20, 20)),
         _choice("--fixture", ("end", "standin"), default="standin"),
@@ -638,7 +417,10 @@ main = Main({
         _int("--max-arity", 3, bounds=(1, 4)),
         FORMAT),
     "pipeline-cinf": Command(
-        pipeline_cinf,
+        _later("cli_algebra", "pipeline_cinf"),
+        "End-to-end C-infinity pipeline on the moduli stand-in.\n\n"
+        "Stand-in operad, commutative toy algebra, induced operations, "
+        "homotopy checks.  Exit 1 if any verification fails.",
         _int("--dim", 3, bounds=(1, 4),
              help="dimension of the truncated polynomial algebra"),
         _int("--max-arity", 4, bounds=(2, 6))),

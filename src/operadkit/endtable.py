@@ -1,0 +1,253 @@
+"""End_V operads, table operads and the operad JSON document, kept out
+of ``operads`` (which exports their names) so that only the commands
+that use them compile them."""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from .operads import (GradedOperad, GradedSpace, OperadError,
+                      adjacent_transpositions, check_differential,
+                      end_compose, end_differential, koszul_sign)
+from .qlinalg import SparseMatrix, as_exact
+
+
+class EndOperad(GradedOperad):
+    """End_V(n) = Hom(V^n, V) for a small graded space V.
+
+    Basis elements are (output, input tuple) pairs, composed by
+    ``end_compose``; the action permutes inputs with Koszul signs.  When
+    a differential Q on V is supplied, each component carries
+    ``end_differential``.  Components hold at most 20,000 basis elements.
+    """
+
+    def __init__(self, V: GradedSpace, max_arity: int,
+                 q: SparseMatrix | None = None):
+        if V.dim > 4:
+            raise OperadError("endomorphism operads are desk scale: dim V <= 4")
+        self.V = V
+        self.q = q
+        if q is not None:
+            check_differential(V, q, OperadError)
+        self._basis = {}
+        self._bindex = {}
+        components = {}
+        d = V.dim
+        for n in range(1, max_arity + 1):
+            if d ** (n + 1) > 20000:
+                raise OperadError(
+                    f"End component at arity {n} exceeds dimension cap")
+            basis = [(j, ins) for j in range(d)
+                     for ins in itertools.product(range(d), repeat=n)]
+            self._basis[n] = basis
+            self._bindex[n] = {b: k for k, b in enumerate(basis)}
+            names = tuple(
+                f"f[{V.names[j]}|{','.join(V.names[i] for i in ins)}]"
+                for j, ins in basis)
+            degrees = tuple(
+                V.degrees[j] - sum(V.degrees[i] for i in ins)
+                for j, ins in basis)
+            components[n] = GradedSpace(names, degrees)
+        unit = {self._bindex[1][(j, (j,))]: 1 for j in range(d)}
+        diffs = {}
+        if q is not None:
+            for n, basis in self._basis.items():
+                index = self._bindex[n]
+                diffs[n] = SparseMatrix(len(basis), len(basis), [
+                    (index[key], col, c) for col, b in enumerate(basis)
+                    for key, c in end_differential({b: 1}, q,
+                                                   V.degrees).items()])
+        super().__init__(components, unit, diffs)
+
+    def compose_basis(self, n, i, m, a, b):
+        index = self._bindex[n + m - 1]
+        return {index[key]: c for key, c in end_compose(
+            {self._basis[n][a]: 1}, i, {self._basis[m][b]: 1},
+            self.V.degrees).items()}
+
+    def act_basis(self, n, sigma, a):
+        j, ins = self._basis[n][a]
+        # (f.sigma) is supported on the tuple c with c_{sigma(t)} = ins_t
+        c = [0] * n
+        for t in range(1, n + 1):
+            c[sigma[t - 1] - 1] = ins[t - 1]
+        c = tuple(c)
+        degs = tuple(self.V.degrees[x] for x in c)
+        sign = koszul_sign(sigma, degs)
+        return {self._bindex[n][(j, c)]: sign}
+
+
+class TableOperad(GradedOperad):
+    """An operad given by explicit sparse composition/action tables."""
+
+    def __init__(self, components, unit_vector, compositions, actions,
+                 differentials=None):
+        super().__init__(components, unit_vector, differentials)
+        self._comp = compositions  # (n, i, m) -> {(a, b): {out: coeff}}
+        self._act = actions        # (n, sigma) -> {a: {out: coeff}}
+
+    @classmethod
+    def from_operad(cls, O: GradedOperad, max_arity: int) -> "TableOperad":
+        components = {n: O.space(n) for n in O.arities() if n <= max_arity}
+        comp = {}
+        for n in components:
+            for m in components:
+                if n + m - 1 > max_arity:
+                    continue
+                for i in range(1, n + 1):
+                    table = {}
+                    for a in range(O.dim(n)):
+                        for b in range(O.dim(m)):
+                            v = O.compose_basis(n, i, m, a, b)
+                            if v:
+                                table[(a, b)] = dict(v)
+                    comp[(n, i, m)] = table
+        act = {}
+        for n in components:
+            for sigma in itertools.permutations(range(1, n + 1)):
+                act[(n, sigma)] = {a: dict(O.act_basis(n, sigma, a))
+                                   for a in range(O.dim(n))}
+        diffs = {n: O.differentials[n] for n in O.differentials
+                 if n <= max_arity}
+        return cls(components, dict(O.unit_vector), comp, act, diffs)
+
+    def compose_basis(self, n, i, m, a, b):
+        return self._comp.get((n, i, m), {}).get((a, b), {})
+
+    def act_basis(self, n, sigma, a):
+        return self._act[(n, sigma)].get(a, {})
+
+    def with_corrupted_composition(self, n, i, m, a, b,
+                                   scale=-1) -> "TableOperad":
+        """Return a copy with one composition entry rescaled (fault
+        injection for axiom-checker tests)."""
+        comp = {key: {k: dict(v) for k, v in tab.items()}
+                for key, tab in self._comp.items()}
+        entry = comp[(n, i, m)][(a, b)]
+        comp[(n, i, m)][(a, b)] = {k: v * scale for k, v in entry.items()}
+        return TableOperad(self.components, self.unit_vector, comp, self._act,
+                           self.differentials)
+
+
+def operad_document(O: GradedOperad, max_arity: int) -> dict:
+    """The JSON document of components, compositions and actions, as a
+    dict.
+
+    Coefficients are encoded as "p/q" strings; compositions are sparse
+    triples (a, b, out, coeff).
+    """
+    T = O if isinstance(O, TableOperad) else TableOperad.from_operad(O, max_arity)
+    return {
+        "format": "operadkit-operad",
+        "version": 1,
+        "components": {
+            str(n): {"names": list(sp.names), "degrees": list(sp.degrees)}
+            for n, sp in T.components.items()},
+        "unit": {str(k): str(v) for k, v in T.unit_vector.items()},
+        "compositions": [
+            {"n": n, "i": i, "m": m,
+             "entries": [[a, b, out, str(c)]
+                         for (a, b), vec in sorted(tab.items())
+                         for out, c in sorted(vec.items())]}
+            for (n, i, m), tab in sorted(T._comp.items())],
+        "actions": [
+            {"n": n, "sigma": list(sigma),
+             "entries": [[a, out, str(c)]
+                         for a, vec in sorted(tab.items())
+                         for out, c in sorted(vec.items())]}
+            for (n, sigma), tab in sorted(T._act.items())],
+        "differentials": {
+            str(n): [[r, c, str(v)] for r, c, v in d.entries()]
+            for n, d in sorted(T.differentials.items())},
+    }
+
+
+def operad_to_json(O: GradedOperad, max_arity: int) -> str:
+    """The operad's JSON document (``operad_document``) as text."""
+    import json
+    return json.dumps(operad_document(O, max_arity), indent=1)
+
+
+def parse_coefficient(c) -> int | Fraction:
+    """A coefficient read from JSON: an int, or a string such as "-3/2"."""
+    if type(c) is int or isinstance(c, str):
+        return as_exact(Fraction(c))
+    raise ValueError(f"coefficient {c!r} is neither an int nor a string")
+
+
+def read_document(text: str, fmt: str, error: type[ValueError], parse):
+    """parse(doc) for the JSON object in text whose "format" is fmt.
+
+    Text that is not JSON, a document of another format, and one that
+    parse cannot read (a missing key, a value of the wrong type or out
+    of range) all raise ``error``.
+    """
+    import json
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as ex:
+        raise error(str(ex)) from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise error(f"not an {fmt} document")
+    try:
+        return parse(doc)
+    except error:
+        raise
+    except KeyError as ex:
+        raise error(f"{fmt} document lacks the key {ex}") from None
+    except (TypeError, ValueError, AttributeError) as ex:
+        raise error(f"malformed {fmt} document: {ex}") from None
+
+
+def operad_from_doc(doc: dict) -> TableOperad:
+    """The table operad of a parsed operad document; every table index
+    must lie in its component, every arity needs the action of each
+    adjacent transposition, and a missing table entry is zero."""
+    components = {
+        int(n): GradedSpace(tuple(sp["names"]), tuple(sp["degrees"]))
+        for n, sp in doc["components"].items()}
+    dims = {n: sp.dim for n, sp in components.items()}
+
+    def index(n, x):
+        if type(x) is not int or not 0 <= x < dims.get(n, 0):
+            raise OperadError(f"index {x!r} outside the arity-{n} component")
+        return x
+
+    unit = {index(1, int(k)): parse_coefficient(v)
+            for k, v in doc["unit"].items()}
+    comp = {}
+    for rec in doc["compositions"]:
+        n, i, m = rec["n"], rec["i"], rec["m"]
+        tab = {}
+        for a, b, out, c in rec["entries"]:
+            tab.setdefault((index(n, a), index(m, b)), {})[
+                index(n + m - 1, out)] = parse_coefficient(c)
+        comp[(n, i, m)] = tab
+    act = {}
+    for rec in doc["actions"]:
+        n = rec["n"]
+        if sorted(rec["sigma"]) != list(range(1, n + 1)):
+            raise OperadError(f"sigma {rec['sigma']!r} is not a permutation "
+                              f"of 1..{n}")
+        tab = {}
+        for a, out, c in rec["entries"]:
+            tab.setdefault(index(n, a), {})[index(n, out)] = \
+                parse_coefficient(c)
+        act[(n, tuple(rec["sigma"]))] = tab
+    for n in components:
+        for sigma in adjacent_transpositions(n):
+            if (n, sigma) not in act:
+                raise OperadError(f"no action table for {list(sigma)} "
+                                  f"at arity {n}")
+    diffs = {}
+    for n, entries in doc.get("differentials", {}).items():
+        size = dims[int(n)]
+        diffs[int(n)] = SparseMatrix(
+            size, size, [(r, c, parse_coefficient(v)) for r, c, v in entries])
+    return TableOperad(components, unit, comp, act, diffs)
+
+
+def operad_from_json(text: str) -> TableOperad:
+    return read_document(text, "operadkit-operad", OperadError,
+                         operad_from_doc)

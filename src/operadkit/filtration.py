@@ -21,15 +21,13 @@ the homotopy-commutative relations on the result.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from . import InputError
 from .qlinalg import (SparseMatrix, add_scaled, as_exact, nullspace, rref,
                       span_rank)
 from .operads import (GradedOperad, GradedSpace, adjacent_transpositions,
-                      end_compose, operad_document, operad_from_doc,
-                      perm_inverse, read_document)
+                      end_compose, perm_inverse)
 from .hoalg import MapFamily, check_cinf
 
 
@@ -283,6 +281,8 @@ def suboperad_dk(term: ErTerm, k: int) -> DkSlices:
 
 def filtered_operad_to_json(F: FilteredOperad, max_arity: int) -> str:
     """Operad JSON document extended with a filtration_level table."""
+    import json
+    from .endtable import operad_document
     doc = operad_document(F.base, max_arity)
     doc["filtration_level"] = {str(n): list(F.levels[n])
                                for n in F.arities() if n <= max_arity}
@@ -290,6 +290,8 @@ def filtered_operad_to_json(F: FilteredOperad, max_arity: int) -> str:
 
 
 def filtered_operad_from_json(text: str) -> FilteredOperad:
+    from .endtable import operad_from_doc, read_document
+
     def parse(doc):
         raw = doc.get("filtration_level")
         if raw is None:

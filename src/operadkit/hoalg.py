@@ -23,7 +23,6 @@ m2(a, b) = (-1)^(|a||b|) m2(b, a).
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from . import InputError
@@ -31,8 +30,7 @@ from .qlinalg import (SparseMatrix, add_scaled, addmul, as_exact,
                       format_vector)
 from .operads import (GradedSpace, check_differential, decalage_sign,
                       end_compose, end_differential, koszul_sign,
-                      parse_coefficient, perm_inverse, read_document,
-                      shuffles)
+                      perm_inverse, shuffles)
 
 
 class HoalgError(InputError):
@@ -167,6 +165,7 @@ def check_cinf(f: MapFamily, N: int | None = None) -> CinfReport:
 
 
 def map_family_to_json(f: MapFamily) -> str:
+    import json
     return json.dumps({
         "format": "operadkit-mapfamily",
         "version": 1,
@@ -180,6 +179,8 @@ def map_family_to_json(f: MapFamily) -> str:
 
 
 def map_family_from_json(text: str) -> MapFamily:
+    from .endtable import parse_coefficient, read_document
+
     def parse(doc):
         space = GradedSpace(tuple(doc["names"]), tuple(doc["degrees"]))
         q = SparseMatrix(space.dim, space.dim,

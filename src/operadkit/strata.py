@@ -22,10 +22,10 @@ T = x + sum_{k>=2} y_{k+1} T^k / k!: a tree is its root, with k >= 2
 children and k + 1 punctures, over the unordered set of its subtrees,
 one per block of a set partition of the leaves.  Counting the block
 that holds the least label first visits each partition once, so the
-recursion stays in integers.  Only higher-genus pages and the cobar
-side of ``middle_row`` load ``treegraph``; the tests keep an
-enumerated stratum-by-stratum Euler characteristic as an independent
-oracle for the census.
+recursion stays in integers.  Only higher-genus pages load
+``stablegraphs``, and only the cobar side of ``middle_row`` loads
+``treegraph``; the tests keep an enumerated stratum-by-stratum Euler
+characteristic as an independent oracle for the census.
 Every page is one fold of a census {edge count: {sorted vertex keys:
 count}}, keyed by valence in genus 0 and by (genus, valence) above.
 """
@@ -33,7 +33,6 @@ count}}, keyed by valence in genus 0 and by (genus, valence) above.
 from __future__ import annotations
 
 import functools
-import json
 from collections import namedtuple
 from math import comb
 
@@ -144,6 +143,7 @@ class E1Table(namedtuple("E1Table", "g n entries format",
         as an aligned grid of rows q by columns p; newline-terminated."""
         entries = self.entries
         if fmt == "json":
+            import json
             return json.dumps({
                 "format": self.format,
                 "g": self.g, "n": self.n,
@@ -260,7 +260,7 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
     else:
         if 2 * g - 2 + n <= 0:
             raise StrataError("unstable (g, n)")
-        from .treegraph import enumerate_stable_graphs, automorphism_group
+        from .stablegraphs import enumerate_stable_graphs, automorphism_group
         census = {}
         for G in enumerate_stable_graphs(g, n, top):
             vertices = [(gv, G.valence(v)) for v, gv in enumerate(G.genera)]

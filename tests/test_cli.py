@@ -678,6 +678,9 @@ class TestContract:
          "--max-arity must be at least 2 (got 1)"),
         ("check-cinf product.json --max-arity 1",
          "--max-arity must be at least 2 (got 1)"),
+        # genus 0 needs three punctures, so --n's floor depends on --g
+        ("e1 --n 1", "--n must be between 3 and 12 (got 1)"),
+        ("e1 --n 2", "--n must be between 3 and 12 (got 2)"),
     ])
     def test_usage_error(self, runner, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)
@@ -706,6 +709,34 @@ class TestTracerContract:
         res = cli(["betti-predict", "--n", "4"])
         assert res.exit_code == 0 and res.stdout == "1,1\n"
         assert seen == [{"n": 4, "fmt": "text"}]
+
+    def test_the_benchmark_tracer_fits_the_command_line(self, tmp_path):
+        # perfbench/clitrace.py runs a command with the tracer installed:
+        # it patches cli._cache_lookup, wraps each Command.callback and
+        # calls main.main(args=..., prog_name=...)
+        root = Path(operadkit.__file__).resolve().parents[2]
+        env = dict(os.environ, OPERADKIT_CACHE_DIR=str(tmp_path / "cache"))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        homology = "cobar-homology --cooperad liec --arity 3"
+        runs = [(homology, 0), (homology, 0), ("trees --n 4 --count", 0),
+                ("frobnicate", 2)]
+        counts, spans = {}, []
+        for i, (argv, code) in enumerate(runs):
+            dump = tmp_path / f"trace{i}.json"
+            res = subprocess.run(
+                [sys.executable, str(root / "perfbench" / "clitrace.py"),
+                 str(dump), *argv.split()], cwd=tmp_path, env=env,
+                capture_output=True, text=True)
+            assert res.returncode == code, (argv, res.stderr)
+            doc = json.loads(dump.read_text())
+            for key, value in doc["counts"].items():
+                counts[key] = counts.get(key, 0) + value
+            spans.append({span[0] for span in doc["spans"]})
+        assert counts.get("cli.cache_misses") == 1
+        assert counts.get("cli.cache_hits") == 1
+        assert ["cli.command" in names for names in spans] == [
+            True, True, True, False]
 
     @pytest.mark.parametrize("args, code", [
         (["betti-predict", "--n", "4"], 0),
@@ -767,13 +798,33 @@ class TestLazyImports:
             f"main({args!r})", tmp_path / "cache")
         assert loaded == ["operadkit", "operadkit.cli"]
 
-    @pytest.mark.parametrize("args", [["middle-row", "--arity", "4"],
-                                      ["trees", "--n", "3", "--count"]])
+    @pytest.mark.parametrize("args", [
+        ["middle-row", "--arity", "4"], ["trees", "--n", "3", "--count"],
+        ["cobar-homology", "--cooperad", "liec", "--arity", "3"]])
     def test_no_click_and_no_hashlib_outside_the_cache(self, tmp_path, args):
-        # only the cobar-homology cache key needs hashlib
-        loaded = self.loaded_after(
-            f"from operadkit.cli import main\nassert main({args!r}) == 0",
-            tmp_path / "cache", prefix="")
-        assert "operadkit.cli" in loaded
-        assert "click" not in loaded
-        assert "hashlib" not in loaded
+        # the cobar-homology cache key is hashed by the interpreter's
+        # built-in SHA-256, so no command, on a miss or on a hit, maps
+        # OpenSSL's libcrypto through hashlib
+        for _ in range(2):
+            loaded = self.loaded_after(
+                f"from operadkit.cli import main\nassert main({args!r}) == 0",
+                tmp_path / "cache", prefix="")
+            assert "operadkit.cli" in loaded
+            assert "click" not in loaded
+            assert "hashlib" not in loaded and "_hashlib" not in loaded
+        if args[0] != "cobar-homology":
+            return
+        # the entry is named by hashlib's SHA-256 of the key, whose
+        # source digest is hashlib's over the package's files
+        import hashlib
+        source = hashlib.sha256()
+        for path in sorted(Path(operadkit.__file__).parent.glob("*.py")):
+            source.update(path.name.encode())
+            source.update(path.read_bytes())
+        key = json.dumps({"op": "cobar-homology",
+                          "params": {"cooperad": "liec", "arity": 3},
+                          "version": operadkit.__version__,
+                          "source": source.hexdigest()}, sort_keys=True)
+        digest = hashlib.sha256(key.encode()).hexdigest()
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [
+            f"{digest}.json"]

@@ -19,9 +19,10 @@ hand-rolled "add, then drop the zero" loop elsewhere shows up as a
 ``Tree._from_canonical`` wraps a shape without validating it, which is
 sound only for shapes the tree generator built; only ``treegraph`` may
 use it, so input from outside always goes through ``Tree(...)``.  The
-same holds for ``StableGraph._canonical`` and the graphs uncontraction
-builds.  ``automorphism_group`` takes its vertex permutations from the
-canonical search and permutes only the edges within endpoint groups.
+same holds, in ``stablegraphs``, for ``StableGraph._canonical`` and the
+graphs uncontraction builds.  ``automorphism_group`` takes its vertex
+permutations from the canonical search and permutes only the edges
+within endpoint groups.
 
 ``qlinalg.rank`` is the one rank engine: every other rank or kernel
 dimension in ``qlinalg`` is computed by calling it.
@@ -33,8 +34,8 @@ grow a second cocomposition beside ``Cooperad.cocompose``.
 End_V has one convention: ``operads.end_compose`` and
 ``operads.end_differential`` hold the sliding sign and the Hom
 differential, so ``hoalg`` and ``filtration`` write no ``% 2`` sign of
-their own, and no second composition or differential routine is
-defined beside them.
+their own, no second composition or differential routine is defined
+beside them, and ``endtable.EndOperad`` goes through both.
 
 Vertex correspondence lives in ``treegraph``: ``graft`` and
 ``relabel_tree`` report where each vertex went by preorder index, so
@@ -53,14 +54,19 @@ the one handler left is ``betti_predict``'s, which exits 1 on a negative
 predicted Betti number.  Input files are opened by ``_input_text``
 alone, and every range and rule lives in the command table, so
 ``Command.parse`` alone decides whether a command line is acceptable:
-no command callback raises, and of the helpers they call only
-``_filtered_fixture`` raises a ``UsageError``, as its check (no
-component above ``--max-arity``) depends on the file's content.
+no command body (in ``cli`` or a ``cli_*`` module) raises, and of the
+helpers they call only ``_filtered_fixture`` raises, a
+``FiltrationError``, as its check (no component above ``--max-arity``)
+depends on the file's content.
 
 Genus-0 strata are counted, not enumerated: Betti predictions, first
 pages, vanishing checks and dual pages read ``genus0_valence_census``,
 which builds no tree, so they never load ``treegraph``.  Cobar
 dimensions are counted too: ``middle_row`` builds no ``CobarComplex``.
+
+Each command loads only what it runs: a usage error loads ``cli``
+alone, ``trees`` no operad, matrix or stable-graph code, ``cobar`` none
+of ``endtable``, and none of them ``json``.
 
 Result records are ``collections.namedtuple``s: no module imports
 ``dataclasses``, ``typing`` or ``functools.cached_property``, so loading
@@ -129,6 +135,9 @@ def test_every_public_name_has_a_caller():
                     name = node.attr
                 elif isinstance(node, ast.alias):
                     name = node.name.rsplit(".", 1)[-1]
+                elif (isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "_later"):
+                    name = node.args[1].value  # a command body, by name
                 else:
                     continue
                 if not (path == defined.get(name)
@@ -191,16 +200,17 @@ def test_unchecked_tree_constructor_stays_in_treegraph():
 
 
 def test_unchecked_graph_constructor_stays_in_treegraph():
+    # the stable-graph code of treegraph lives in stablegraphs
     assert callable(StableGraph._canonical)
     users = _users("_canonical")
-    assert users and all(u.startswith("treegraph.py:") for u in users), users
+    assert users and all(u.startswith("stablegraphs.py:") for u in users), users
 
 
 def test_automorphisms_permute_edge_groups_only():
     # vertex permutations come from the canonical search, so
     # automorphism_group permutes nothing but the endpoint groups
     tree = ast.parse(
-        (Path(operadkit.__file__).parent / "treegraph.py").read_text())
+        (Path(operadkit.__file__).parent / "stablegraphs.py").read_text())
     autos = next(node for node in tree.body
                  if isinstance(node, ast.FunctionDef)
                  and node.name == "automorphism_group")
@@ -290,7 +300,7 @@ def test_end_v_signs_live_in_operads():
     assert defined.isdisjoint(
         {"_end_compose", "_inner_composite", "_hom_differential"})
     # EndOperad composes and differentiates through the same two routines
-    tree = ast.parse((package / "operads.py").read_text())
+    tree = ast.parse((package / "endtable.py").read_text())
     end = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "EndOperad")
     called = {node.func.id for node in ast.walk(end)
@@ -319,6 +329,29 @@ def test_genus_zero_strata_load_no_tree_code():
         "assert verify_vanishing(0, 8, e1_table(0, 8))\n"
         "dual_e1_table(0, 8)\n"
         "print('operadkit.treegraph' in sys.modules)\n") == "False"
+
+
+def test_each_command_loads_only_what_it_runs():
+    def loaded(argv: str) -> set[str]:
+        out = _probe(
+            "import sys\n"
+            "from operadkit.cli import main\n"
+            f"main({argv.split()!r})\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m == 'json' or m.startswith('operadkit')))\n")
+        return set(out.splitlines()[-1].split())
+
+    # a usage error is refused before any body or library module loads
+    assert loaded("trees --n 9 --count") == {"operadkit", "operadkit.cli"}
+    # trees load no operad, matrix or stable-graph code
+    trees = loaded("trees --n 4 --count")
+    assert {"operadkit.cli_trees", "operadkit.treegraph"} <= trees
+    assert trees.isdisjoint({"operadkit.operads", "operadkit.qlinalg",
+                             "operadkit.stablegraphs", "json"})
+    # cobar dimensions compile no End_V, table or JSON-document code
+    cobar = loaded("cobar --cooperad asc --arity 3")
+    assert {"operadkit.cobar", "operadkit.operads"} <= cobar
+    assert cobar.isdisjoint({"operadkit.endtable", "json"})
 
 
 def test_no_module_imports_dataclasses_or_typing():
@@ -376,10 +409,16 @@ def test_bad_input_leaves_by_one_door():
     errors = {node.name for path in package.glob("*.py")
               for node in ast.parse(path.read_text()).body
               if isinstance(node, ast.ClassDef) and node.name.endswith("Error")}
-    tree = ast.parse((package / "cli.py").read_text())
-    owner = _enclosing_functions(tree)
+    # the command line: cli.py and the cli_* modules holding its bodies
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(package.glob("cli*.py"))}
+    assert {"cli", "cli_algebra", "cli_strata"} <= set(trees)
+    owner = {}
+    for tree in trees.values():
+        owner.update(_enclosing_functions(tree))
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     handlers = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ExceptHandler) and node.type is not None:
             caught = {sub.id for sub in ast.walk(node.type)
                       if isinstance(sub, ast.Name)}
@@ -390,19 +429,23 @@ def test_bad_input_leaves_by_one_door():
                                 ("main", "InputError", "sys.exit(2)")]
 
     def callers(match):
-        return sorted({owner.get(id(node)) for node in ast.walk(tree)
+        return sorted({owner.get(id(node)) for node in nodes
                        if isinstance(node, ast.Call) and match(node.func)})
     assert callers(lambda f: isinstance(f, ast.Attribute)
                    and f.attr == "read_text") == ["_cache_lookup"]
     assert callers(lambda f: isinstance(f, ast.Name)
                    and f.id == "open") == ["_input_text"]
     assert callers(lambda f: isinstance(f, ast.Name)
-                   and f.id == "UsageError") == [
-        "_filtered_fixture", "_run", "error", "parse"]
-    functions = {node.name: node for node in ast.walk(tree)
+                   and f.id == "UsageError") == ["_run", "error", "parse"]
+    assert callers(lambda f: isinstance(f, ast.Name)
+                   and f.id == "FiltrationError") == ["_filtered_fixture"]
+    functions = {(stem, node.name): node for stem, tree in trees.items()
+                 for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)}
-    assert "_require_desk_scale" not in functions
-    bodies = [functions[c.callback.__name__] for c in main.commands.values()]
+    assert "_require_desk_scale" not in {name for _, name in functions}
+    bodies = [functions[c.callback.__module__.rpartition(".")[2],
+                        c.callback.__name__] for c in main.commands.values()]
+    assert len(bodies) == len(main.commands) == 15
     assert [body.name for body in bodies
             if any(isinstance(node, ast.Raise) for node in ast.walk(body))
             ] == []

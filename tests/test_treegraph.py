@@ -39,7 +39,7 @@ from operadkit.treegraph import (
     relabel_tree,
     vertex_expansions,
 )
-from operadkit.treegraph import _is_stable
+from operadkit.stablegraphs import _is_stable
 from reference import (contract_edge, contract_graph_edge, edges,
                        expand_vertex, genus_invariant,
                        strata_euler_characteristic, vertices)
