@@ -135,7 +135,11 @@ def commc_cooperad(max_arity: int) -> Cooperad:
 
 
 class CobarComplex:
-    """The arity-n cobar complex of a cooperad, graded by edge count."""
+    """The arity-n cobar complex of a cooperad, graded by edge count.
+
+    ``basis`` lists the pairs (tree, decoration) by edge count, count e
+    from ``offsets[e]``; ``index`` maps (shape, decoration) to its place
+    within its edge count, its row or column in a boundary matrix."""
 
     def __init__(self, cooperad: Cooperad, n: int, sign_mode: str = "standard"):
         if n < 2:
@@ -148,32 +152,35 @@ class CobarComplex:
         self.cooperad = cooperad
         self.n = n
         self.sign_mode = sign_mode
-        self.basis: dict[int, list] = {}
-        self.index: dict[int, dict] = {}
+        self.basis: list = []
+        self.offsets = [0]
         for e in range(n - 1):
-            items = []
             for t in enumerate_trees(n, e):
                 ranges = [range(cooperad.dim(m)) for m in t.vertex_arities()]
-                for decor in itertools.product(*ranges):
-                    items.append((t, decor))
-            self.basis[e] = items
-            self.index[e] = {(t.shape, d): k for k, (t, d) in enumerate(items)}
+                self.basis.extend((t, d) for d in itertools.product(*ranges))
+            self.offsets.append(len(self.basis))
+        o = self.offsets
+        self.index = {(t.shape, d): k - o[t.internal_edges]
+                      for k, (t, d) in enumerate(self.basis)}
 
     def dims(self) -> dict[int, int]:
-        return {e: len(b) for e, b in self.basis.items()}
+        o = self.offsets
+        return {e: o[e + 1] - o[e] for e in range(self.n - 1)}
 
     def boundary_from(self, e: int) -> list[tuple[int, int, int]]:
         """Sparse entries of d restricted to edge degree e (rows live in
         degree e + 1)."""
         entries = []
-        tgt_index = self.index.get(e + 1, {})
+        index = self.index
+        start, stop = self.offsets[e:e + 2]
         col = 0
-        for t, group in itertools.groupby(self.basis[e], key=itemgetter(0)):
+        for t, group in itertools.groupby(self.basis[start:stop],
+                                          key=itemgetter(0)):
             # every expansion of t, shared by all decorations of t
             arities = t.vertex_arities()
             nv = len(arities)  # t's vertices; the new one is number nv
             expansions = []
-            for vi, subset, new_tree, order in vertex_expansions(t):
+            for vi, subset, shape, order in vertex_expansions(t):
                 sign = 1
                 if self.sign_mode == "standard":
                     # orientation transport: sign of the shuffle taking
@@ -188,11 +195,11 @@ class CobarComplex:
                 gather = itemgetter(*(nv if j == vi else nv + 1 if j == nv
                                       else j for j in order))
                 table = self.cooperad.cocompose(arities[vi], subset)
-                expansions.append((vi, table, new_tree.shape, gather, sign))
+                expansions.append((vi, table, shape, gather, sign))
             for _, decor in group:
                 for vi, table, shape, gather, sign in expansions:
                     for (a, b), c in table.get(decor[vi], {}).items():
-                        row = tgt_index[(shape, gather(decor + (a, b)))]
+                        row = index[(shape, gather(decor + (a, b)))]
                         entries.append((row, col, sign * c))
                 col += 1
         return entries
@@ -202,14 +209,14 @@ class CobarComplex:
         arises once: distinct expansions of a tree give distinct target
         trees, and the (a, b) keys of a cocomposition are distinct; the
         constructor rejects a duplicate, so this is checked."""
-        return SparseMatrix(len(self.basis[e + 1]), len(self.basis[e]),
-                            self.boundary_from(e))
+        dims = self.dims()
+        return SparseMatrix(dims[e + 1], dims[e], self.boundary_from(e))
 
     def chain_complex(self) -> ChainComplex:
         """Regrade by operadic degree p = n - 2 - e so the differential
         lowers degree; construction validates d . d = 0."""
-        n = self.n
-        spaces = [len(self.basis[n - 2 - p]) for p in range(n - 1)]
+        n, dims = self.n, self.dims()
+        spaces = [dims[n - 2 - p] for p in range(n - 1)]
         return ChainComplex(spaces, [self.boundary_matrix(n - 3 - p)
                                      for p in range(n - 2)])
 
@@ -264,61 +271,52 @@ class CobarOperad(GradedOperad):
         if max_arity > cooperad.max_arity:
             raise CobarError("max_arity exceeds the cooperad's range")
         self.cooperad = cooperad
+        # each arity's basis and index are its complex's (see there)
+        self.complexes = {}
         components = {}
-        self._basis = {}
-        self._bindex = {}
         diffs = {}
         for n in range(2, max_arity + 1):
-            cx = CobarComplex(cooperad, n)
-            # the basis in edge-count order; the block of edge count e
-            # starts at offsets[e]
-            basis, offsets = [], [0]
-            for e in range(n - 1):
-                basis.extend(cx.basis[e])
-                offsets.append(len(basis))
-            self._basis[n] = basis
-            self._bindex[n] = {(t.shape, d): k for k, (t, d) in enumerate(basis)}
+            cx = self.complexes[n] = CobarComplex(cooperad, n)
             names = []
             degrees = []
-            for t, decor in basis:
+            for t, decor in cx.basis:
                 sp_names = [cooperad.space(m).names[d]
                             for d, m in zip(decor, t.vertex_arities())]
                 names.append(f"{encode_tree(t)}[{';'.join(sp_names)}]")
                 degrees.append(n - 2 - t.internal_edges)
             components[n] = GradedSpace(tuple(names), tuple(degrees))
-            entries = []
-            for e in range(n - 2):
-                entries.extend((offsets[e + 1] + r, offsets[e] + c, v)
-                               for r, c, v in cx.boundary_from(e))
-            diffs[n] = SparseMatrix(len(basis), len(basis), entries)
+            o = cx.offsets
+            diffs[n] = SparseMatrix(o[-1], o[-1], [
+                (o[e + 1] + r, o[e] + c, v)
+                for e in range(n - 2) for r, c, v in cx.boundary_from(e)])
         # arity 1: the bare leaf, in degree 0
         components[1] = GradedSpace(("|",), (0,))
-        self._basis[1] = [(None, ())]
         super().__init__(components, {0: 1}, diffs)
-
-    def basis_element(self, n: int, a: int):
-        return self._basis[n][a]
 
     def compose_basis(self, n, i, m, a, b) -> Vector:
         if m == 1:
             return {a: 1}
         if n == 1:
             return {b: 1}
-        t, dt = self._basis[n][a]
-        s, ds = self._basis[m][b]
+        t, dt = self.complexes[n].basis[a]
+        s, ds = self.complexes[m].basis[b]
         grafted, verts = graft(t, i, s)
         sign = _reorder_sign(verts, t.vertex_arities() + s.vertex_arities())
         decor = dt + ds
         decor = tuple(decor[src] for src, _ in verts)
-        return {self._bindex[n + m - 1][(grafted.shape, decor)]: sign}
+        cx = self.complexes[n + m - 1]
+        return {cx.offsets[grafted.internal_edges]
+                + cx.index[(grafted.shape, decor)]: sign}
 
     def act_basis(self, n, sigma, a) -> Vector:
         if n == 1:
             return {a: 1}
-        t, dt = self._basis[n][a]
+        cx = self.complexes[n]
+        t, dt = cx.basis[a]
         new_tree, verts = relabel_tree(
             t, {j: sigma[j - 1] for j in range(1, n + 1)})
         sign = _reorder_sign(verts, t.vertex_arities())
+        start = cx.offsets[t.internal_edges]
         # each vertex's decoration is acted on by tau, which maps its
         # new child slots to its old ones
         slots = [self.cooperad.act(len(tau), tau, dt[src])
@@ -329,7 +327,7 @@ class CobarOperad(GradedOperad):
             coeff = sign
             for _, v in combo:
                 coeff *= v
-            addmul(out, self._bindex[n][(new_tree.shape, decor)], coeff)
+            addmul(out, start + cx.index[(new_tree.shape, decor)], coeff)
         return out
 
 

@@ -5,12 +5,12 @@ that use them compile them."""
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .operads import (GradedOperad, GradedSpace, OperadError,
                       adjacent_transpositions, check_differential,
-                      end_compose, end_differential, koszul_sign)
-from .qlinalg import SparseMatrix, as_exact
+                      end_compose, end_differential, koszul_sign,
+                      parse_coefficient, read_document)
+from .qlinalg import SparseMatrix
 
 
 class EndOperad(GradedOperad):
@@ -167,37 +167,6 @@ def operad_to_json(O: GradedOperad, max_arity: int) -> str:
     """The operad's JSON document (``operad_document``) as text."""
     import json
     return json.dumps(operad_document(O, max_arity), indent=1)
-
-
-def parse_coefficient(c) -> int | Fraction:
-    """A coefficient read from JSON: an int, or a string such as "-3/2"."""
-    if type(c) is int or isinstance(c, str):
-        return as_exact(Fraction(c))
-    raise ValueError(f"coefficient {c!r} is neither an int nor a string")
-
-
-def read_document(text: str, fmt: str, error: type[ValueError], parse):
-    """parse(doc) for the JSON object in text whose "format" is fmt.
-
-    Text that is not JSON, a document of another format, and one that
-    parse cannot read (a missing key, a value of the wrong type or out
-    of range) all raise ``error``.
-    """
-    import json
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as ex:
-        raise error(str(ex)) from None
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        raise error(f"not an {fmt} document")
-    try:
-        return parse(doc)
-    except error:
-        raise
-    except KeyError as ex:
-        raise error(f"{fmt} document lacks the key {ex}") from None
-    except (TypeError, ValueError, AttributeError) as ex:
-        raise error(f"malformed {fmt} document: {ex}") from None
 
 
 def operad_from_doc(doc: dict) -> TableOperad:

@@ -27,7 +27,8 @@ from . import InputError
 from .qlinalg import (SparseMatrix, add_scaled, as_exact, nullspace, rref,
                       span_rank)
 from .operads import (GradedOperad, GradedSpace, adjacent_transpositions,
-                      end_compose, perm_inverse)
+                      check_differential, end_compose, perm_inverse,
+                      read_document)
 from .hoalg import MapFamily, check_cinf
 
 
@@ -68,11 +69,14 @@ class FilteredOperad:
                 if n + m - 1 in arities]
 
     def validate(self) -> None:
-        """Differential, composition and action compatibility with the
-        flags, checked exhaustively on basis elements."""
+        """Each differential is one (degree -1, d.d = 0) and keeps the
+        flags, and so do composition and action, checked exhaustively on
+        basis elements."""
         for n in self.arities():
             d = self.base.differentials.get(n)
             if d is not None:
+                check_differential(self.base.space(n), d, FiltrationError,
+                                   f"the arity-{n} differential")
                 for r, c, v in d.entries():
                     if v and self.levels[n][r] > self.levels[n][c]:
                         raise FiltrationError(
@@ -290,7 +294,7 @@ def filtered_operad_to_json(F: FilteredOperad, max_arity: int) -> str:
 
 
 def filtered_operad_from_json(text: str) -> FilteredOperad:
-    from .endtable import operad_from_doc, read_document
+    from .endtable import operad_from_doc
 
     def parse(doc):
         raw = doc.get("filtration_level")
@@ -409,8 +413,7 @@ def commutative_toy_algebra(F: FilteredOperad,
     for n in base.arities():
         if n == 1:
             continue
-        for a in range(base.dim(n)):
-            t, decor = base.basis_element(n, a)
+        for a, (t, _) in enumerate(base.complexes[n].basis):
             if any(m != 2 for m in t.vertex_arities()):
                 continue
             planar, leaves = _planar_product(t.shape, m2, ident, space.degrees)
@@ -465,8 +468,8 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
         # the corolla decorated by the identity word x_1..x_n
         ident = base.cooperad.space(n).names.index(
             "".join(map(str, range(1, n + 1))))
-        a = next(a for a in range(base.dim(n))
-                 if base.basis_element(n, a)[1] == (ident,))
+        a = next(a for a, (_, d) in enumerate(base.complexes[n].basis)
+                 if d == (ident,))
         tensor = A.tensor(n, a)
         if tensor:
             maps[n] = tensor

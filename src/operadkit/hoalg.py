@@ -30,7 +30,8 @@ from .qlinalg import (SparseMatrix, add_scaled, addmul, as_exact,
                       format_vector)
 from .operads import (GradedSpace, check_differential, decalage_sign,
                       end_compose, end_differential, koszul_sign,
-                      perm_inverse, shuffles)
+                      parse_coefficient, perm_inverse, read_document,
+                      shuffles)
 
 
 class HoalgError(InputError):
@@ -179,8 +180,6 @@ def map_family_to_json(f: MapFamily) -> str:
 
 
 def map_family_from_json(text: str) -> MapFamily:
-    from .endtable import parse_coefficient, read_document
-
     def parse(doc):
         space = GradedSpace(tuple(doc["names"]), tuple(doc["degrees"]))
         q = SparseMatrix(space.dim, space.dim,

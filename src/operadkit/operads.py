@@ -2,10 +2,11 @@
 
 Ships the word operads Comm, Assoc and Lie (the latter in the
 left-normed Lyndon-word basis), the End_V composition and differential,
-and free-algebra dimension counts.  The axiom verifier lives in
-``axioms``; endomorphism operads of small graded spaces, table-backed
-operads and the JSON document live in ``endtable``.  Both are exported
-from here too, loaded on first use.
+free-algebra dimension counts and the one JSON document reader,
+``read_document``.  The axiom verifier lives in ``axioms``;
+endomorphism operads of small graded spaces, table-backed operads and
+the operad JSON document live in ``endtable``.  Both are exported from
+here too, loaded on first use.
 
 Structure constants are exact rationals stored as in ``qlinalg``: an
 ``int`` when integral, a ``Fraction`` otherwise (``as_exact`` is the
@@ -29,7 +30,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import InputError, load_on_first_use
-from .qlinalg import SparseMatrix, add_scaled, addmul
+from .qlinalg import SparseMatrix, add_scaled, addmul, as_exact
 
 Vector = dict  # basis index -> int | Fraction (int when integral)
 
@@ -440,16 +441,16 @@ def lie_operad(max_arity: int) -> LieOperad:
 
 
 def check_differential(V: GradedSpace, q: SparseMatrix,
-                       error: type[ValueError]) -> None:
-    """Raise ``error`` unless q is a differential on V: square of size
-    dim V, of degree -1, squaring to zero."""
+                       error: type[ValueError], name: str = "Q") -> None:
+    """Raise ``error``, naming q by ``name``, unless q is a differential
+    on V: square of size dim V, of degree -1, squaring to zero."""
     if q.rows != V.dim or q.cols != V.dim:
-        raise error("Q must be square of size dim V")
+        raise error(f"{name} must be square of size dim V")
     for r, c, _ in q.entries():
         if V.degrees[r] != V.degrees[c] - 1:
-            raise error(f"Q entry ({r},{c}) violates degree -1")
+            raise error(f"{name} entry ({r},{c}) violates degree -1")
     if not q.matmul(q).is_zero():
-        raise error("Q squared is nonzero")
+        raise error(f"{name} squared is nonzero")
 
 
 def end_compose(f: dict, i: int, g: dict, degrees: tuple[int, ...]) -> dict:
@@ -484,13 +485,47 @@ def end_differential(f: dict, q: SparseMatrix,
 
 
 # ---------------------------------------------------------------------------
+# JSON documents: the one reader of input files
+
+
+def parse_coefficient(c) -> int | Fraction:
+    """A coefficient read from JSON: an int, or a string such as "-3/2"."""
+    if type(c) is int or isinstance(c, str):
+        return as_exact(Fraction(c))
+    raise ValueError(f"coefficient {c!r} is neither an int nor a string")
+
+
+def read_document(text: str, fmt: str, error: type[ValueError], parse):
+    """parse(doc) for the JSON object in text whose "format" is fmt.
+
+    Text that is not JSON, a document of another format, and one that
+    parse cannot read (a missing key, a value of the wrong type or out
+    of range) all raise ``error``.
+    """
+    import json
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as ex:
+        raise error(str(ex)) from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise error(f"not an {fmt} document")
+    try:
+        return parse(doc)
+    except error:
+        raise
+    except KeyError as ex:
+        raise error(f"{fmt} document lacks the key {ex}") from None
+    except (TypeError, ValueError, AttributeError) as ex:
+        raise error(f"malformed {fmt} document: {ex}") from None
+
+
+# ---------------------------------------------------------------------------
 # Loaded on first use: most commands check no axioms and build no End_V
 
 __getattr__ = load_on_first_use(globals(), {
     "axioms": ("AxiomReport", "AxiomViolation", "check_axioms"),
     "endtable": ("EndOperad", "TableOperad", "operad_document",
-                 "operad_to_json", "parse_coefficient", "read_document",
-                 "operad_from_doc", "operad_from_json")})
+                 "operad_to_json", "operad_from_doc", "operad_from_json")})
 
 
 # ---------------------------------------------------------------------------

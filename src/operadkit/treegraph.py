@@ -291,20 +291,18 @@ def vertex_expansions(t: Tree):
     """Every tree that contracts to t along one edge, each built
     canonical once from one walk of t.
 
-    Yields (vertex, positions, tree, order) for each internal vertex
+    Yields (vertex, positions, shape, order) for each internal vertex
     (its preorder index in t) and each ascending tuple of at least two,
-    not all, of its 1-based child positions.  ``order`` lists the
-    expanded tree's vertices in preorder by their preorder index in t;
-    the new vertex is t.internal_edges + 1.
+    not all, of its 1-based child positions.  ``shape`` is the expanded
+    tree's canonical shape, and ``order`` lists its vertices in preorder
+    by their preorder index in t; the new vertex is t.internal_edges + 1.
     """
     frame = _frame(t)
     for j, (shape, _, _, _) in enumerate(frame):
         m = len(shape)
         for k in range(2, m):
             for positions in itertools.combinations(range(1, m + 1), k):
-                new, order = _expand(frame, j, positions)
-                yield (j, positions, Tree._from_canonical(
-                    new, t.arity, t.internal_edges + 1), order)
+                yield (j, positions, *_expand(frame, j, positions))
 
 
 def encode_tree(t: Tree) -> str:

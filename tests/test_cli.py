@@ -411,10 +411,22 @@ class TestMalformedInput:
         ("missing key", "lacks the key 'components'"),
         ("level 99", "differential raises filtration at arity 2: 4 -> 0"),
         ("output index", "index 1000000 outside the arity-3 component"),
+        # a map that keeps the levels but is no differential
+        ("degree 0", "the arity-2 differential entry (0,0) violates degree -1"),
+        ("d.d != 0", "the arity-2 differential squared is nonzero"),
     ])
     def test_filtered_operad(self, runner, tmp_path, command, fault, message):
         doc = _end_doc()
-        if fault == "coefficient":
+        names = doc["components"]["2"]["names"]
+        if fault == "degree 0":
+            assert names[0] == "f[e0|e0,e0]"
+            doc["differentials"]["2"] = [[0, 0, "1"]]
+        elif fault == "d.d != 0":
+            # degrees 1 -> 0 -> -1, so d.d sends a to c
+            a, b, c = (names.index(f"f[{x}]") for x in
+                       ("e1|e0,e0", "e0|e0,e0", "e0|e0,e1"))
+            doc["differentials"]["2"] = [[b, a, "1"], [c, b, "1"]]
+        elif fault == "coefficient":
             doc["compositions"][0]["entries"][0][3] = [1]
         elif fault == "missing key":
             del doc["components"]

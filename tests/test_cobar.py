@@ -274,7 +274,7 @@ class TestCobarOperad:
         B = cobar_operad(liec_cooperad(4), 4)
         for n in range(2, 5):
             for a in range(B.dim(n)):
-                t, _ = B.basis_element(n, a)
+                t, _ = B.complexes[n].basis[a]
                 assert B.degree(n, a) == n - 2 - t.internal_edges
 
     def test_assembled_differentials_square_to_zero(self):

@@ -383,7 +383,7 @@ class TestFilteredAlgebra:
         binary = 0
         for n in (2, 3, 4):
             for a in range(F.base.dim(n)):
-                t, _ = F.base.basis_element(n, a)
+                t, _ = F.base.complexes[n].basis[a]
                 if any(m != 2 for m in t.vertex_arities()):
                     assert A.tensor(n, a) == {}
                     continue

@@ -37,6 +37,11 @@ differential, so ``hoalg`` and ``filtration`` write no ``% 2`` sign of
 their own, no second composition or differential routine is defined
 beside them, and ``endtable.EndOperad`` goes through both.
 
+Each arity's decorated basis has one owner, its ``cobar.CobarComplex``:
+only that class builds a (shape, decoration) index, and
+``CobarOperad`` reads basis elements and positions from the complexes
+it keeps, holding no basis of its own.
+
 Vertex correspondence lives in ``treegraph``: ``graft`` and
 ``relabel_tree`` report where each vertex went by preorder index, so
 ``cobar`` never names a vertex by its leaf set (no ``frozenset``, no
@@ -66,7 +71,8 @@ dimensions are counted too: ``middle_row`` builds no ``CobarComplex``.
 
 Each command loads only what it runs: a usage error loads ``cli``
 alone, ``trees`` no operad, matrix or stable-graph code, ``cobar`` none
-of ``endtable``, and none of them ``json``.
+of ``endtable``, and none of them ``json``; ``check-ainf`` reads its
+file through ``operads.read_document`` and loads no ``endtable``.
 
 Result records are ``collections.namedtuple``s: no module imports
 ``dataclasses``, ``typing`` or ``functools.cached_property``, so loading
@@ -267,6 +273,24 @@ def test_cobar_matches_no_leaf_sets():
     assert calls and offenders == [], offenders
 
 
+def test_the_complex_owns_the_decorated_basis():
+    from operadkit.cobar import cobar_operad, liec_cooperad
+    tree = ast.parse((Path(operadkit.__file__).parent / "cobar.py").read_text())
+    owner = {id(node): cls.name for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+    # a decorated-tree index is keyed by (tree shape, decoration)
+    indexes = [owner.get(id(node)) for node in ast.walk(tree)
+               if isinstance(node, ast.DictComp)
+               and isinstance(node.key, ast.Tuple)
+               and any(isinstance(k, ast.Attribute) and k.attr == "shape"
+                       for k in node.key.elts)]
+    assert indexes == ["CobarComplex"]
+    # the operad keeps its complexes, and no basis or index beside them
+    B = cobar_operad(liec_cooperad(3), 3)
+    assert set(vars(B)) == {"cooperad", "complexes", "components",
+                            "unit_vector", "differentials"}
+
+
 def test_structure_constants_are_not_wrapped_in_fraction():
     package = Path(operadkit.__file__).parent
     bodies, offenders = [], []
@@ -331,7 +355,7 @@ def test_genus_zero_strata_load_no_tree_code():
         "print('operadkit.treegraph' in sys.modules)\n") == "False"
 
 
-def test_each_command_loads_only_what_it_runs():
+def test_each_command_loads_only_what_it_runs(tmp_path):
     def loaded(argv: str) -> set[str]:
         out = _probe(
             "import sys\n"
@@ -352,6 +376,15 @@ def test_each_command_loads_only_what_it_runs():
     cobar = loaded("cobar --cooperad asc --arity 3")
     assert {"operadkit.cobar", "operadkit.operads"} <= cobar
     assert cobar.isdisjoint({"operadkit.endtable", "json"})
+    # a map family is read by the one reader in operads, not endtable's
+    family = tmp_path / "circle.json"
+    family.write_text(
+        '{"format": "operadkit-mapfamily", "version": 1, "names": ["1", "x"],'
+        ' "degrees": [0, -1], "q": [], "maps": {"2": [[0, [0, 0], 1],'
+        ' [1, [0, 1], 1], [1, [1, 0], 1]]}}')
+    ainf = loaded(f"check-ainf {family}")
+    assert {"operadkit.hoalg", "operadkit.operads", "json"} <= ainf
+    assert "operadkit.endtable" not in ainf
 
 
 def test_no_module_imports_dataclasses_or_typing():

@@ -385,10 +385,11 @@ class TestTreeOperations:
         t = data.draw(st.sampled_from(trees))
         verts = vertices(t)
         seen = []
-        for vi, positions, s, order in vertex_expansions(t):
+        for vi, positions, shape, order in vertex_expansions(t):
             key, kids, m = verts[vi]
+            s = Tree(shape)
+            assert s.shape == shape
             assert s == expand_vertex(t, key, positions)[0]
-            assert Tree(s.shape).shape == s.shape
             assert (s.arity, s.internal_edges) == (n, t.internal_edges + 1)
             new_key = frozenset().union(*(kids[p - 1] for p in positions))
             keys = [k for k, _, _ in verts] + [new_key]
