@@ -3,8 +3,10 @@ perfbench's desk scale.
 
 Runs the Lie-dual cobar complex at arity 7 and the associative-dual at
 arity 6, and the full stable-graph censuses of (g, n) = (1, 5) and
-(2, 2), each cold in a fresh process, and appends one entry to
-``BENCH_frontier.json`` at the repository root.  A cobar job records
+(2, 2), each cold in a fresh process, and prints what each took.
+Given ``--label``, it also appends one entry to ``BENCH_frontier.json``
+at the repository root; without one it writes nothing, so checking the
+pinned values leaves the checkout clean.  A cobar job records
 per-stage seconds (basis, boundary assembly, the d.d = 0 check, rank),
 the shape and nnz of each boundary matrix, its rank, and the Betti
 numbers; a census job records its seconds (enumeration, automorphism
@@ -13,6 +15,7 @@ automorphism-group order.  Ranks, Betti numbers and census counts are
 checked against pinned values, so a wrong answer exits 1 instead of
 being recorded as fast.
 
+    python3 scripts/bench_frontier.py            # check and print only
     python3 scripts/bench_frontier.py --label "after: <what changed>"
     python3 scripts/bench_frontier.py --src ../old/src --label before
 
@@ -147,8 +150,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="src directory of the tree to measure")
-    ap.add_argument("--label", required=True,
-                    help="what this entry measures, e.g. 'before' or 'after'")
+    ap.add_argument("--label",
+                    help="record an entry saying what it measures, e.g. "
+                         "'before' or 'after'; without it nothing is written")
     args = ap.parse_args()
     src = Path(args.src).resolve()
     ctx = multiprocessing.get_context("spawn")
@@ -183,6 +187,8 @@ def main() -> int:
               f"peak RSS {job['peak_rss_mb']} MB, "
               f"{sum(job['edges'].values())} graphs "
               f"{'ok' if job['oracle_ok'] else 'WRONG'}")
+    if args.label is None:
+        return 0 if ok else 1
     entry = {
         "label": args.label,
         "commit": _commit(src),

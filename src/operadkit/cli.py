@@ -365,7 +365,9 @@ main = Main({
         _later("cli_strata", "e1"),
         "First-page dimension table of the stratification sequence.",
         _int("--g", 0, bounds=(0, 2)),
-        _int("--n", required=True, bounds=lambda v: (1 if v["g"] else 3, 12)),
+        # the floor is the least stable n, 2g - 2 + n > 0
+        _int("--n", required=True,
+             bounds=lambda v: (max(0, 3 - 2 * v["g"]), 12)),
         Rule("need 3g - 3 + n <= 5 at genus >= 1",
              lambda v: v["g"] == 0 or 3 * v["g"] - 3 + v["n"] <= 5),
         ("--betti", {"dest": "betti_csv", "type": _input_text,

@@ -9,7 +9,10 @@ page at bigrade (p, q) is
   E^r_{p,q} = Z^r_{p,q} / (dZ^{r-1}_{p+r-1, q-r+2} + Z^{r-1}_{p-1, q+1}),
   Z^r_{p,q} = {x in F_p, deg p+q : dx in F_{p-r}},
 
-computed by exact linear algebra on the flags.  The slices with
+computed by exact linear algebra on the flags.  Each kernel Z^r_{p,q}
+is a nullspace of d on the flag basis, taken in d's own row indices,
+and a page computes each one once per arity, for the levels the arity
+carries.  The slices with
 (r-1)p + rq = k(n-1) should close under composition and form
 suboperads; the page's closure certificate, run on a slice, checks it.
 
@@ -22,6 +25,7 @@ the homotopy-commutative relations on the result.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache, partial
 
 from . import InputError
 from .qlinalg import (SparseMatrix, add_scaled, as_exact, nullspace, rref,
@@ -48,10 +52,6 @@ class FilteredOperad:
 
     def arities(self):
         return self.base.arities()
-
-    def level_range(self, n: int) -> tuple[int, int]:
-        lv = self.levels[n]
-        return min(lv), max(lv)
 
     def flag_basis(self, n: int, p: int, degree: int | None = None) -> list[int]:
         """Basis indices in F_p, optionally of one total degree."""
@@ -133,31 +133,26 @@ class ErTerm(namedtuple("ErTerm", "r filtered pieces")):
 
 
 def _z_space(F: FilteredOperad, n: int, r: int, p: int, q: int) -> list:
-    """Basis of Z^r_{p,q}(n) as sparse coordinate vectors."""
-    degree = p + q
-    cols = F.flag_basis(n, p, degree)
+    """Basis of Z^r_{p,q}(n) as sparse coordinate vectors: the kernel of
+    d on the flag basis of F_p in degree p + q, taken in d's own row
+    indices, where only the rows of level > p - r hold entries."""
+    cols = F.flag_basis(n, p, p + q)
     if not cols:
         return []
     d = F.base.differentials.get(n)
     if d is None:
         return [{a: 1} for a in cols]
-    forbidden = {a for a in range(F.base.dim(n))
-                 if F.levels[n][a] > p - r}
-    entries = []
-    forbidden_index = {a: k for k, a in enumerate(sorted(forbidden))}
-    for j, a in enumerate(cols):
-        for rr, v in d.col(a).items():
-            if rr in forbidden_index:
-                entries.append((forbidden_index[rr], j, v))
-    m = SparseMatrix(len(forbidden_index), len(cols), entries)
-    out = []
-    for vec in nullspace(m):
-        out.append({cols[j]: v for j, v in vec.items()})
-    return out
+    lv = F.levels[n]
+    m = SparseMatrix(d.rows, len(cols),
+                     [(rr, j, v) for j, a in enumerate(cols)
+                      for rr, v in d.col(a).items() if lv[rr] > p - r])
+    return [{cols[j]: v for j, v in vec.items()} for vec in nullspace(m)]
 
 
 def er_term(F: FilteredOperad, r: int) -> ErTerm:
-    """The r-th page with numerator/denominator spans per bigrade."""
+    """The r-th page with numerator/denominator spans per bigrade.  Each
+    kernel Z^{r'}_{p,q} of an arity is computed once, whether it is a
+    numerator or part of a denominator."""
     if r < 0:
         raise FiltrationError("page index must be >= 0")
     pieces = {}
@@ -167,21 +162,21 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
         if sp.dim == 0:
             continue
         d = F.base.differentials.get(n)
-        lo, hi = F.level_range(n)
+        z_space = cache(partial(_z_space, F, n))
         degrees = sorted(set(sp.degrees))
-        for p in range(lo, hi + 1):
+        for p in range(min(F.levels[n]), max(F.levels[n]) + 1):
             for degree in degrees:
                 q = degree - p
-                z = _z_space(F, n, r, p, q)
+                z = z_space(r, p, q)
                 if not z:
                     continue
                 b = []
                 if d is not None:
-                    for vec in _z_space(F, n, r - 1, p + r - 1, q - r + 2):
+                    for vec in z_space(r - 1, p + r - 1, q - r + 2):
                         dv = d.apply(vec)
                         if dv:
                             b.append(dv)
-                b.extend(_z_space(F, n, r - 1, p - 1, q + 1))
+                b.extend(z_space(r - 1, p - 1, q + 1))
                 dim = len(z) - span_rank(b)
                 if dim:
                     by_pq[(p, q)] = ErPiece(p, q, z, b, dim)

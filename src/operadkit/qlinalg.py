@@ -23,7 +23,9 @@ how fast it comes.
 
 A ``SparseMatrix`` stores each entry once, row-major, and ``row`` hands
 out the stored row; ``rank`` copies the rows it eliminates, the only
-other copy of the entries.
+other copy of the entries.  ``rank`` and ``rref`` walk only the stored
+rows, ascending, so empty rows cost nothing: ``span_rank`` and
+``solve_in_span`` index their matrices by the vectors' own basis indices.
 
 Matrices are immutable after construction, so they are safe to share
 between threads; rank and homology are pure functions.
@@ -210,14 +212,12 @@ class SparseMatrix:
 
 
 def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """The nonzero rows of m as {col: int} dicts, each row with a
-    Fraction scaled by the lcm of its denominators (rank is invariant
-    under row scaling)."""
+    """The stored rows of m, ascending, as {col: int} dicts, each row
+    with a Fraction scaled by the lcm of its denominators (rank is
+    invariant under row scaling)."""
     out = []
-    for r in range(m.rows):
-        row = m.row(r)
-        if not row:
-            continue
+    for r in sorted(m._rows):
+        row = m._rows[r]
         denom = 1
         for v in row.values():
             if type(v) is not int:
@@ -289,15 +289,16 @@ def rref(m: SparseMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form over the rationals.
 
     Returns (rows, pivot_cols); rows are sparse dicts with leading 1 in
-    the pivot column.  Each row is divided by its pivot through
-    ``Fraction`` and its values kept as ``as_exact`` gives them, so the
-    row operations after an integral division run on ``int``.  Used
-    where explicit bases are needed.
+    the pivot column.  Only the stored rows are reduced, in ascending
+    order, so empty rows cost nothing.  Each row is divided by its pivot
+    through ``Fraction`` and its values kept as ``as_exact`` gives them,
+    so the row operations after an integral division run on ``int``.
+    Used where explicit bases are needed.
     """
     reduced: list[dict[int, Fraction]] = []
     pivots: list[int] = []
-    for r in range(m.rows):
-        row = dict(m.row(r))
+    for r in sorted(m._rows):
+        row = dict(m._rows[r])
         for prow, pc in zip(reduced, pivots):
             a = row.get(pc)
             if a:
@@ -341,17 +342,17 @@ def solve_in_span(span: list[dict[int, Fraction]],
     """Express ``target`` as a combination of ``span`` vectors.
 
     Returns coefficients or None when target is outside the span.
-    Vectors are sparse dicts index -> Fraction.
+    Vectors are sparse dicts index -> Fraction over nonnegative basis
+    indices, which serve as the matrix's own row indices.
     """
     n = len(span)
     if n == 0:
         return [] if not any(target.values()) else None
-    idx = sorted({i for v in span for i in v} | set(target))
-    pos = {i: k for k, i in enumerate(idx)}
     # solve A^T c = t by eliminating on the augmented transpose
-    entries = [(pos[i], j, x) for j, v in enumerate(span) for i, x in v.items()]
-    entries += [(pos[i], n, x) for i, x in target.items()]
-    rrows, pivots = rref(SparseMatrix(len(idx), n + 1, entries))
+    entries = [(i, j, x) for j, v in enumerate(span) for i, x in v.items()]
+    entries += [(i, n, x) for i, x in target.items()]
+    rows = 1 + max((i for i, _, _ in entries), default=-1)
+    rrows, pivots = rref(SparseMatrix(rows, n + 1, entries))
     if n in pivots:
         return None
     coeffs = [Fraction(0)] * n
@@ -369,16 +370,13 @@ def solve_in_span(span: list[dict[int, Fraction]],
 
 
 def span_rank(vectors: list[dict[int, Fraction]]) -> int:
-    """Rank of the span of sparse vectors."""
+    """Rank of the span of sparse vectors over nonnegative basis
+    indices, which serve as the matrix's own column indices."""
     if not vectors:
         return 0
-    idx = sorted({i for v in vectors for i in v})
-    pos = {i: k for k, i in enumerate(idx)}
-    entries = []
-    for r, v in enumerate(vectors):
-        for i, x in v.items():
-            entries.append((r, pos[i], x))
-    return rank(SparseMatrix(len(vectors), len(idx), entries))
+    entries = [(r, i, x) for r, v in enumerate(vectors) for i, x in v.items()]
+    cols = 1 + max((i for _, i, _ in entries), default=-1)
+    return rank(SparseMatrix(len(vectors), cols, entries))
 
 
 class ChainComplex:

@@ -247,7 +247,10 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
     automorphisms.  For g >= 1, graphs with automorphisms contribute
     their degree-0 classes only; any higher-degree class on such a graph
     is unsupported (aut_mode="degree0" raises) or counted without taking
-    invariants (aut_mode="ignore", for Euler-characteristic checks).
+    invariants (aut_mode="ignore").  Those counts can exceed the
+    invariant ones, so an "ignore" page is no Euler-characteristic
+    check: on M-bar_{1,2}, with the true open classes, its alternating
+    sum is 3, not chi = 4.
     """
     if aut_mode not in ("degree0", "ignore"):
         raise StrataError(f"unknown aut_mode {aut_mode!r}")

@@ -592,6 +592,16 @@ class TestGoldenOutput:
                   "--aut-mode", "ignore", "--format", "json")
         assert (res.exit_code, res.stdout) == (0, E1_1_2_JSON)
 
+    def test_e1_at_genus_two_without_legs(self, runner, tmp_path):
+        from operadkit.strata import BettiTable, e1_table
+        text = "g,n,k,dim\n2,0,0,1\n1,2,0,1\n"
+        csv = tmp_path / "betti.csv"
+        csv.write_text(text)
+        res = run(runner, "e1", "--g", "2", "--n", "0", "--betti", str(csv),
+                  "--aut-mode", "ignore", "--format", "csv")
+        page = e1_table(2, 0, BettiTable.from_csv(text), aut_mode="ignore")
+        assert (res.exit_code, res.stdout) == (0, page.render("csv"))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
@@ -693,6 +703,10 @@ class TestContract:
         # genus 0 needs three punctures, so --n's floor depends on --g
         ("e1 --n 1", "--n must be between 3 and 12 (got 1)"),
         ("e1 --n 2", "--n must be between 3 and 12 (got 2)"),
+        ("e1 --g 1 --n 0", "--n must be between 1 and 12 (got 0)"),
+        # (2, 0) is stable: it reaches the library, which needs Betti data
+        ("e1 --g 2 --n 0",
+         "no Betti data for (g, n) = (2, 0); ingest a table"),
     ])
     def test_usage_error(self, runner, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)

@@ -272,6 +272,27 @@ class TestPageDimensions:
         assert len(seen) == calls
 
 
+    @pytest.mark.parametrize("make, r", [
+        (lambda: moduli_chain_standin(4), 1),
+        (lambda: degree_filtration(end_with_homology()), 2)],
+        ids=["standin", "end"])
+    def test_each_page_kernel_is_computed_once(self, monkeypatch, make, r):
+        F = make()
+        calls = {}
+        z_space = filtration._z_space
+
+        def counted(F, n, rr, p, q):
+            key = (n, rr, p, p + q)
+            calls[key] = calls.get(key, 0) + 1
+            return z_space(F, n, rr, p, q)
+        monkeypatch.setattr(filtration, "_z_space", counted)
+        term = er_term(F, r)
+        assert any(term.dims(n) for n in F.arities())
+        # the numerators of page r and the lower kernels both ran
+        assert {rr for _, rr, _, _ in calls} == {r, r - 1}
+        assert set(calls.values()) == {1}
+
+
 class TestDkSlices:
     def test_middle_slice_of_the_standin(self):
         F = moduli_chain_standin(4)

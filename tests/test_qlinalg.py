@@ -443,6 +443,27 @@ class TestSolveInSpan:
         assert solve_in_span([], {0: Fraction(1)}) is None
 
 
+class TestStoredRowsOnly:
+    """Eliminations walk only the rows a matrix stores, ascending, so a
+    matrix costs what its entries cost however many rows it has."""
+
+    def test_a_billion_rows_with_three_entries(self):
+        m = SparseMatrix(10**9, 3, [(10**9 - 1, 0, 3), (5, 0, 1),
+                                    (10**8, 1, 2)])
+        assert rank(m) == 2
+        assert rref(m) == ([{0: 1}, {1: 1}], [0, 1])
+        assert nullspace(m) == [{2: 1}]
+
+    def test_span_helpers_take_large_coordinates(self):
+        big = 10**9
+        span = [{0: 1, big: 2}, {big: 1}]
+        assert span_rank(span) == 2
+        assert span_rank([{big: 2}, {big: Fraction(1, 2)}]) == 1
+        assert span_rank([{}, {}]) == span_rank([]) == 0
+        assert solve_in_span(span, {0: 1, big: 5}) == [1, 3]
+        assert solve_in_span(span, {1: 1}) is None
+
+
 class TestChainComplex:
     def triangle(self) -> ChainComplex:
         """Simplicial chains of a hollow triangle: 3 vertices, 3 edges."""
