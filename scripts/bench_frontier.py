@@ -7,7 +7,8 @@ arity 6, and the full stable-graph censuses of (g, n) = (1, 5) and
 Given ``--label``, it also appends one entry to ``BENCH_frontier.json``
 at the repository root; without one it writes nothing, so checking the
 pinned values leaves the checkout clean.  A cobar job records
-per-stage seconds (basis, boundary assembly, the d.d = 0 check, rank),
+per-stage seconds (basis, boundary assembly, the d.d = 0 check, rank
+by ``ChainComplex.ranks``, the cleared path ``cobar_homology`` runs),
 the shape and nnz of each boundary matrix, its rank, and the Betti
 numbers; a census job records its seconds (enumeration, automorphism
 groups), the graph count per edge count and the number of graphs per
@@ -66,7 +67,7 @@ def run_job(src: str, name: str, n: int) -> dict:
     """One cold cobar homology computation, timed by stage."""
     sys.path.insert(0, src)
     from operadkit import cobar
-    from operadkit.qlinalg import ChainComplex, rank
+    from operadkit.qlinalg import ChainComplex
 
     t0 = time.perf_counter()
     coop = {"liec": cobar.liec_cooperad, "asc": cobar.asc_cooperad}[name](n)
@@ -77,9 +78,9 @@ def run_job(src: str, name: str, n: int) -> dict:
     dims = cx.dims()
     # ChainComplex wants differentials that lower degree p = n - 2 - e
     spaces = [dims[n - 2 - p] for p in range(n - 1)]
-    ChainComplex(spaces, mats[::-1])  # raises ComplexError unless d.d = 0
+    cc = ChainComplex(spaces, mats[::-1])  # raises ComplexError unless d.d = 0
     t3 = time.perf_counter()
-    ranks = [rank(m) for m in mats]
+    ranks = cc.ranks()[::-1]  # as cobar_homology ranks them; in e order
     t4 = time.perf_counter()
     stages = {"basis_s": t1 - t0, "boundaries_s": t2 - t1, "dd_s": t3 - t2,
               "rank_s": t4 - t3, "total_s": t4 - t0}

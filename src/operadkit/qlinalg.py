@@ -21,6 +21,20 @@ keeps the row space over the rationals, so no step is trusted without
 proof: the rank is exact for any input, and the pivot rule only decides
 how fast it comes.
 
+``ChainComplex`` ranks its boundaries in order by clearing (Chen and
+Kerber, "Persistent homology computation with a twist", EuroCG 2011).
+Take B' = ``boundaries[i-1]`` and B = ``boundaries[i]``; construction
+checked B'.B = 0, so each row of B' is a linear relation among the rows
+of B.  If the elimination of B' pivots on the columns P (row indices of
+B), then B'[:, P] has full column rank: the pivot rows, as reduced, are
+triangular on P.  So each row of B in P is a combination of B's other
+rows, and rank(B) is the rank of B without the rows in P; ``rank``
+skips them and reports B's own pivots for the next boundary.  The
+argument holds for B' with rows of its own left out, since those rows
+of B' are still relations.  Where the complex is acyclic the rows that
+remain are independent, so no row is eliminated down to zero, which is
+where elimination makes most of its fill-in.
+
 A ``SparseMatrix`` stores each entry once, row-major, and ``row`` hands
 out the stored row; ``rank`` copies the rows it eliminates, the only
 other copy of the entries.  ``rank`` and ``rref`` walk only the stored
@@ -184,9 +198,9 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
         entries = []
-        for r in range(self.rows):
+        for r in sorted(self._rows):
             acc: dict[int, Fraction] = {}
-            for k, v in self.row(r).items():
+            for k, v in self._rows[r].items():
                 add_scaled(acc, other.row(k), v)
             entries.extend((r, c, w) for c, w in acc.items())
         return SparseMatrix(self.rows, other.cols, entries)
@@ -211,12 +225,13 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """The stored rows of m, ascending, as {col: int} dicts, each row
-    with a Fraction scaled by the lcm of its denominators (rank is
-    invariant under row scaling)."""
+def _int_rows(m: SparseMatrix,
+              skip: Iterable[int] = ()) -> list[dict[int, int]]:
+    """The stored rows of m whose indices are not in ``skip``, ascending,
+    as {col: int} dicts, each row with a Fraction scaled by the lcm of
+    its denominators (rank is invariant under row scaling)."""
     out = []
-    for r in sorted(m._rows):
+    for r in sorted(m._rows.keys() - skip):
         row = m._rows[r]
         denom = 1
         for v in row.values():
@@ -227,12 +242,18 @@ def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
     return out
 
 
-def rank(m: SparseMatrix) -> int:
+def rank(m: SparseMatrix, skip: Iterable[int] = (),
+         pivots: list[int] | None = None) -> int:
     """Exact rank over the rationals: fraction-free elimination over the
     integers, pivoting on the column with the fewest live rows and, in
     it, on the shortest row (see the module docstring).  Deterministic.
+
+    The rows whose indices are in ``skip`` are left out, so this is the
+    rank of m with those rows deleted.  Given a list ``pivots``, the
+    pivot columns are appended to it in the order they are taken; m
+    restricted to them has full column rank.
     """
-    rows = _int_rows(m)
+    rows = _int_rows(m, skip)
     # column -> {live row holding it: None}; a dict of a few keys takes
     # half the memory of a set
     cols: dict[int, dict[int, None]] = {}
@@ -258,6 +279,8 @@ def rank(m: SparseMatrix) -> int:
         pv = pivot_row[pc]
         unit = pv == 1 or pv == -1
         rk += 1
+        if pivots is not None:
+            pivots.append(pc)
         for j in list(held):
             row = rows[j]
             a = row[pc]
@@ -384,7 +407,9 @@ class ChainComplex:
 
     ``spaces[i]`` is the dimension in degree i and ``boundaries[i]``
     maps degree i+1 to degree i (differentials lower degree by one).
-    The composite of consecutive boundaries must vanish.
+    The composite of consecutive boundaries must vanish; construction
+    checks it, and both are kept as tuples so that nothing changes a
+    boundary after the check.
     """
 
     def __init__(self, spaces: list[int], boundaries: list[SparseMatrix]):
@@ -401,16 +426,25 @@ class ChainComplex:
                 r, c, v = next(prod.entries())
                 raise ComplexError(
                     f"d.d != 0 at degree {i + 2}: entry ({r},{c}) = {v}")
-        self.spaces = list(spaces)
-        self.boundaries = list(boundaries)
+        self.spaces = tuple(spaces)
+        self.boundaries = tuple(boundaries)
+
+    def ranks(self) -> list[int]:
+        """Rank of each boundary, by clearing: ``boundaries[i]`` is
+        ranked without the rows at the pivot columns of
+        ``boundaries[i - 1]``'s elimination (see the module docstring).
+        Exact only because construction checked d.d = 0."""
+        out, cleared = [], ()
+        for b in self.boundaries:
+            pivots: list[int] = []
+            out.append(rank(b, cleared, pivots))
+            cleared = pivots
+        return out
 
     def homology(self) -> list[int]:
-        """Betti number per degree; zero maps off both ends."""
-        n = len(self.spaces)
-        ranks = [rank(b) for b in self.boundaries]
-        betti = []
-        for i in range(n):
-            out_rank = ranks[i - 1] if i > 0 else 0       # d_i : C_i -> C_{i-1}
-            in_rank = ranks[i] if i < n - 1 else 0        # d_{i+1}: C_{i+1} -> C_i
-            betti.append(self.spaces[i] - out_rank - in_rank)
-        return betti
+        """Betti number per degree; zero maps off both ends.  The ranks
+        come from ``ranks``, so they rely on construction's d.d = 0
+        check."""
+        ranks = [0, *self.ranks(), 0]
+        return [dim - ranks[i] - ranks[i + 1]
+                for i, dim in enumerate(self.spaces)]

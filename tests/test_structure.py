@@ -237,12 +237,16 @@ def test_one_rank_engine():
     funcs = {node.name: node for node in ast.walk(ast.parse(source))
              if isinstance(node, ast.FunctionDef)}
     assert sorted(name for name in funcs if "rank" in name) == [
-        "rank", "span_rank"]
-    for name in ("span_rank", "homology"):
+        "rank", "ranks", "span_rank"]
+    for name in ("span_rank", "ranks"):
         called = {node.func.id for node in ast.walk(funcs[name])
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Name)}
         assert "rank" in called, name
+    # homology reads the cleared ranks and eliminates nothing itself
+    called = {ast.unparse(node.func) for node in ast.walk(funcs["homology"])
+              if isinstance(node, ast.Call)}
+    assert "self.ranks" in called and "rank" not in called
     # pivot selection lives in rank alone
     heap_users = {name for name, node in funcs.items()
                   for sub in ast.walk(node)
