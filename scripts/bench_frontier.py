@@ -8,13 +8,13 @@ Given ``--label``, it also appends one entry to ``BENCH_frontier.json``
 at the repository root; without one it writes nothing, so checking the
 pinned values leaves the checkout clean.  A cobar job records
 per-stage seconds (basis, boundary assembly, the d.d = 0 check, rank
-by ``ChainComplex.ranks``, the cleared path ``cobar_homology`` runs),
-the shape and nnz of each boundary matrix, its rank, and the Betti
-numbers; a census job records its seconds (enumeration, automorphism
-groups), the graph count per edge count and the number of graphs per
-automorphism-group order.  Ranks, Betti numbers and census counts are
-checked against pinned values, so a wrong answer exits 1 instead of
-being recorded as fast.
+by ``ChainComplex.ranks``), the shape and nnz of each boundary matrix,
+its rank, and the Betti numbers, all of the complex ``cobar_homology``
+ranks: the dual, graded by edge count.  A census job records its
+seconds (enumeration, automorphism groups), the graph count per edge
+count and the number of graphs per automorphism-group order.  Ranks,
+Betti numbers and census counts are checked against pinned values, so
+a wrong answer exits 1 instead of being recorded as fast.
 
     python3 scripts/bench_frontier.py            # check and print only
     python3 scripts/bench_frontier.py --label "after: <what changed>"
@@ -75,17 +75,15 @@ def run_job(src: str, name: str, n: int) -> dict:
     t1 = time.perf_counter()
     mats = [cx.boundary_matrix(e) for e in range(n - 2)]
     t2 = time.perf_counter()
-    dims = cx.dims()
-    # ChainComplex wants differentials that lower degree p = n - 2 - e
-    spaces = [dims[n - 2 - p] for p in range(n - 1)]
-    cc = ChainComplex(spaces, mats[::-1])  # raises ComplexError unless d.d = 0
+    # the dual in edge order, as chain_complex() builds it; raises
+    # ComplexError unless d.d = 0
+    cc = ChainComplex(list(cx.dims().values()), mats)
     t3 = time.perf_counter()
-    ranks = cc.ranks()[::-1]  # as cobar_homology ranks them; in e order
+    ranks = cc.ranks()
     t4 = time.perf_counter()
     stages = {"basis_s": t1 - t0, "boundaries_s": t2 - t1, "dd_s": t3 - t2,
               "rank_s": t4 - t3, "total_s": t4 - t0}
-    betti = {e: dims[e] - (ranks[e] if e < n - 2 else 0)
-             - (ranks[e - 1] if e > 0 else 0) for e in range(n - 1)}
+    betti = dict(enumerate(cc.homology()))
     return {
         "cooperad": name, "arity": n,
         "stages": {k: round(v, 3) for k, v in stages.items()},

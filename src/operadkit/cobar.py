@@ -168,12 +168,13 @@ class CobarComplex:
         return {e: o[e + 1] - o[e] for e in range(self.n - 1)}
 
     def boundary_from(self, e: int) -> list[tuple[int, int, int]]:
-        """Sparse entries of d restricted to edge degree e (rows live in
-        degree e + 1)."""
+        """Sparse entries (row, col, value) of d on edge degree e: one row
+        per basis element x of edge degree e, holding d(x), whose columns
+        live in degree e + 1."""
         entries = []
         index = self.index
         start, stop = self.offsets[e:e + 2]
-        col = 0
+        row = 0
         for t, group in itertools.groupby(self.basis[start:stop],
                                           key=itemgetter(0)):
             # every expansion of t, shared by all decorations of t
@@ -199,31 +200,33 @@ class CobarComplex:
             for _, decor in group:
                 for vi, table, shape, gather, sign in expansions:
                     for (a, b), c in table.get(decor[vi], {}).items():
-                        row = index[(shape, gather(decor + (a, b)))]
+                        col = index[(shape, gather(decor + (a, b)))]
                         entries.append((row, col, sign * c))
-                col += 1
+                row += 1
         return entries
 
     def boundary_matrix(self, e: int) -> SparseMatrix:
-        """Matrix of d from edge degree e to e + 1.  Each (row, col)
-        arises once: distinct expansions of a tree give distinct target
-        trees, and the (a, b) keys of a cocomposition are distinct; the
-        constructor rejects a duplicate, so this is checked."""
+        """Transposed matrix of d from edge degree e to e + 1, one row
+        per source.  Each (row, col) arises once: distinct expansions of
+        a tree give distinct target trees, and the (a, b) keys of a
+        cocomposition are distinct; the constructor rejects a duplicate,
+        so this is checked."""
         dims = self.dims()
-        return SparseMatrix(dims[e + 1], dims[e], self.boundary_from(e))
+        return SparseMatrix(dims[e], dims[e + 1], self.boundary_from(e))
 
     def chain_complex(self) -> ChainComplex:
-        """Regrade by operadic degree p = n - 2 - e so the differential
-        lowers degree; construction validates d . d = 0."""
-        n, dims = self.n, self.dims()
-        spaces = [dims[n - 2 - p] for p in range(n - 1)]
-        return ChainComplex(spaces, [self.boundary_matrix(n - 3 - p)
-                                     for p in range(n - 2)])
+        """The dual complex, graded by edge count: ``boundaries[e]`` is
+        ``boundary_matrix(e)``, mapping degree e + 1 to e, so the small
+        corolla end is ranked first and every larger boundary is cleared
+        (see ``qlinalg``).  Over the rationals it has the Betti numbers
+        of d; construction validates d . d = 0, transposed."""
+        return ChainComplex(list(self.dims().values()),
+                            [self.boundary_matrix(e)
+                             for e in range(self.n - 2)])
 
     def homology(self) -> dict[int, int]:
         """Betti numbers keyed by edge count."""
-        betti = self.chain_complex().homology()
-        return {self.n - 2 - p: b for p, b in enumerate(betti)}
+        return dict(enumerate(self.chain_complex().homology()))
 
 
 def cobar_dims(cooperad: Cooperad, n: int) -> dict[int, int]:
@@ -286,8 +289,9 @@ class CobarOperad(GradedOperad):
                 degrees.append(n - 2 - t.internal_edges)
             components[n] = GradedSpace(tuple(names), tuple(degrees))
             o = cx.offsets
+            # rows are targets: boundary_from's entries, transposed
             diffs[n] = SparseMatrix(o[-1], o[-1], [
-                (o[e + 1] + r, o[e] + c, v)
+                (o[e + 1] + c, o[e] + r, v)
                 for e in range(n - 2) for r, c, v in cx.boundary_from(e)])
         # arity 1: the bare leaf, in degree 0
         components[1] = GradedSpace(("|",), (0,))

@@ -93,7 +93,7 @@ class TableOperad(GradedOperad):
         comp = {}
         for n in components:
             for m in components:
-                if n + m - 1 > max_arity:
+                if n + m - 1 not in components:
                     continue
                 for i in range(1, n + 1):
                     table = {}
@@ -172,7 +172,9 @@ def operad_to_json(O: GradedOperad, max_arity: int) -> str:
 def operad_from_doc(doc: dict) -> TableOperad:
     """The table operad of a parsed operad document; every table index
     must lie in its component, every arity needs the action of each
-    adjacent transposition, and a missing table entry is zero."""
+    adjacent transposition, and a missing table entry is zero.  A
+    composition record must name components and a slot in 1..n, and no
+    composition or action record may repeat one read before it."""
     components = {
         int(n): GradedSpace(tuple(sp["names"]), tuple(sp["degrees"]))
         for n, sp in doc["components"].items()}
@@ -187,23 +189,35 @@ def operad_from_doc(doc: dict) -> TableOperad:
             for k, v in doc["unit"].items()}
     comp = {}
     for rec in doc["compositions"]:
-        n, i, m = rec["n"], rec["i"], rec["m"]
+        key = n, i, m = rec["n"], rec["i"], rec["m"]
+        name = f"composition record (n, i, m) = {key}"
+        for k in (n, m, n + m - 1):
+            if k not in dims:
+                raise OperadError(f"{name}: no arity-{k} component")
+        if not 1 <= i <= n:
+            raise OperadError(f"{name}: slot {i} outside 1..{n}")
+        if key in comp:
+            raise OperadError(f"{name} appears twice")
         tab = {}
         for a, b, out, c in rec["entries"]:
             tab.setdefault((index(n, a), index(m, b)), {})[
                 index(n + m - 1, out)] = parse_coefficient(c)
-        comp[(n, i, m)] = tab
+        comp[key] = tab
     act = {}
     for rec in doc["actions"]:
         n = rec["n"]
         if sorted(rec["sigma"]) != list(range(1, n + 1)):
             raise OperadError(f"sigma {rec['sigma']!r} is not a permutation "
                               f"of 1..{n}")
+        key = (n, tuple(rec["sigma"]))
+        if key in act:
+            raise OperadError(f"action record (n, sigma) = ({n}, "
+                              f"{rec['sigma']}) appears twice")
         tab = {}
         for a, out, c in rec["entries"]:
             tab.setdefault(index(n, a), {})[index(n, out)] = \
                 parse_coefficient(c)
-        act[(n, tuple(rec["sigma"]))] = tab
+        act[key] = tab
     for n in components:
         for sigma in adjacent_transpositions(n):
             if (n, sigma) not in act:

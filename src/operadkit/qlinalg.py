@@ -8,32 +8,38 @@ reduced at machine-integer speed by the same code that handles
 fractions.  A true division goes through ``Fraction``, never ``/`` on
 two ints, which would give a float.
 
-``rank`` is the one rank engine.  It clears denominators row by row and
-eliminates over the integers without fractions: the pivot column is the
-one with the fewest live rows (a lazy heap over a column -> live rows
-index, so singleton columns go first), the pivot row is the shortest
-row in that column, and each other row r in the column becomes
-pv * r - a * p (p the pivot row, pv its pivot, a = r's entry).  With a
-unit pivot that is r - a * pv * p, one pass over p; only a non-unit
-pivot divides the new row by the gcd of its entries.  Every step is
-exact integer arithmetic on rows scaled by nonzero integers, which
-keeps the row space over the rationals, so no step is trusted without
-proof: the rank is exact for any input, and the pivot rule only decides
-how fast it comes.
+``rank`` is the one rank engine: the standard reduction, fraction free.
+It clears denominators row by row and reads the rows in turn.  While a
+row is nonzero and a kept row already has the row's largest column pc
+as its pivot, the row r becomes pv * r - a * p (p that kept row, pv its
+entry at pc, a = r's); with a unit pivot that is r - a * pv * p, one
+pass over p, and only a non-unit pivot divides the new row by the gcd
+of its entries.  A row still nonzero is kept, with pc as its pivot.
+The kept rows, ordered by pivot, are triangular on their pivot columns,
+so their number is the rank.  Every step is exact integer arithmetic on
+rows scaled by nonzero integers, which keeps the row space over the
+rationals: the rank is exact for any input.
 
 ``ChainComplex`` ranks its boundaries in order by clearing (Chen and
 Kerber, "Persistent homology computation with a twist", EuroCG 2011).
 Take B' = ``boundaries[i-1]`` and B = ``boundaries[i]``; construction
 checked B'.B = 0, so each row of B' is a linear relation among the rows
-of B.  If the elimination of B' pivots on the columns P (row indices of
-B), then B'[:, P] has full column rank: the pivot rows, as reduced, are
+of B.  If the reduction of B' keeps rows with pivots P (row indices of
+B), then B'[:, P] has full column rank, since the kept rows are
 triangular on P.  So each row of B in P is a combination of B's other
 rows, and rank(B) is the rank of B without the rows in P; ``rank``
 skips them and reports B's own pivots for the next boundary.  The
 argument holds for B' with rows of its own left out, since those rows
 of B' are still relations.  Where the complex is acyclic the rows that
-remain are independent, so no row is eliminated down to zero, which is
-where elimination makes most of its fill-in.
+remain are independent, so no row is reduced down to zero, which is
+where elimination makes most of its fill-in, and the choice of pivot,
+which only decides how much fill-in there is, has little left to
+decide.  Clearing helps only from the second boundary on, so a complex
+should be ranked with its small end first: the cobar complex is ranked
+as its dual, graded by edge count, whose first boundary leaves the
+corolla (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
+persistent (co)homology", Inverse Problems 2011; Bauer, "Ripser",
+J. Appl. Comput. Topol. 2021).
 
 A ``SparseMatrix`` stores each entry once, row-major, and ``row`` hands
 out the stored row; ``rank`` copies the rows it eliminates, the only
@@ -49,7 +55,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -244,68 +249,35 @@ def _int_rows(m: SparseMatrix,
 
 def rank(m: SparseMatrix, skip: Iterable[int] = (),
          pivots: list[int] | None = None) -> int:
-    """Exact rank over the rationals: fraction-free elimination over the
-    integers, pivoting on the column with the fewest live rows and, in
-    it, on the shortest row (see the module docstring).  Deterministic.
+    """Exact rank over the rationals by the standard reduction, fraction
+    free over the integers (see the module docstring).  Deterministic.
 
     The rows whose indices are in ``skip`` are left out, so this is the
     rank of m with those rows deleted.  Given a list ``pivots``, the
-    pivot columns are appended to it in the order they are taken; m
+    pivot column of each kept row is appended to it, in row order; m
     restricted to them has full column rank.
     """
-    rows = _int_rows(m, skip)
-    # column -> {live row holding it: None}; a dict of a few keys takes
-    # half the memory of a set
-    cols: dict[int, dict[int, None]] = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            cols.setdefault(c, {})[i] = None
-    # Only the pivot row's columns change count in a step, and each is
-    # pushed again after it, so every live column keeps an entry
-    # (count, column) with its exact count; an entry whose count is
-    # stale is skipped, and the first exact one has the fewest rows.
-    heap = [(len(held), c) for c, held in cols.items()]
-    heapify(heap)
-    rk = 0
-    while heap:
-        count, pc = heappop(heap)
-        held = cols[pc]
-        if len(held) != count:
-            continue
-        i = min(held, key=lambda j: len(rows[j]))
-        pivot_row = rows[i]
-        for c in pivot_row:
-            cols[c].pop(i, None)
-        pv = pivot_row[pc]
-        unit = pv == 1 or pv == -1
-        rk += 1
-        if pivots is not None:
-            pivots.append(pc)
-        for j in list(held):
-            row = rows[j]
-            a = row[pc]
-            if unit:
-                add_scaled(row, pivot_row, -a * pv)
+    kept: dict[int, dict[int, int]] = {}  # pivot column -> kept row
+    for row in _int_rows(m, skip):
+        while row:
+            pc = max(row)
+            p = kept.get(pc)
+            if p is None:
+                kept[pc] = row
+                if pivots is not None:
+                    pivots.append(pc)
+                break
+            pv, a = p[pc], row[pc]
+            if pv == 1 or pv == -1:
+                add_scaled(row, p, -a * pv)
             else:
                 g = gcd(pv, a)
                 row = {c: v * (pv // g) for c, v in row.items()}
-                add_scaled(row, pivot_row, -(a // g))
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
+                add_scaled(row, p, -(a // g))
+                g = gcd(*row.values())
                 if g > 1:
                     row = {c: v // g for c, v in row.items()}
-                rows[j] = row
-            for c in pivot_row:  # the only columns the update touched
-                if c in row:
-                    cols[c][j] = None
-                else:
-                    cols[c].pop(j, None)
-        for c in pivot_row:
-            if cols[c]:
-                heappush(heap, (len(cols[c]), c))
-        rows[i] = None
-    return rk
+    return len(kept)
 
 
 def rref(m: SparseMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:

@@ -3,6 +3,8 @@
 Nothing in the package calls these; each one reaches a number or an
 object the library also produces, by a different road:
 
+- linear algebra: the rank of a dense matrix by plain Gaussian
+  elimination over Fraction, against the sparse integer reduction;
 - shuffles: the Lie cooperad's component dimension as multilinear
   words modulo shuffle products, against the dual-operad model;
 - strata: the genus-0 Euler characteristic summed over enumerated
@@ -22,6 +24,43 @@ from fractions import Fraction
 from operadkit.operads import koszul_sign, shuffles
 from operadkit.qlinalg import ChainComplex, SparseMatrix, addmul, span_rank
 from operadkit.treegraph import GraphError, StableGraph, Tree, TreeError
+
+# ---------------------------------------------------------------------------
+# Dense linear algebra
+
+
+def dense_rank(rows: list[list[Fraction]]) -> int:
+    """Reference rank: plain dense elimination over Fraction."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rk = 0
+    col = 0
+    r = 0
+    while r < len(rows) and col < ncols:
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col] / pv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        rk += 1
+        r += 1
+        col += 1
+    return rk
+
+
+def to_dense(m: SparseMatrix) -> list[list[Fraction]]:
+    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for r, c, v in m.entries():
+        out[r][c] = v
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Shuffles and the quotient model of the Lie cooperad

@@ -414,6 +414,16 @@ class TestMalformedInput:
         # a map that keeps the levels but is no differential
         ("degree 0", "the arity-2 differential entry (0,0) violates degree -1"),
         ("d.d != 0", "the arity-2 differential squared is nonzero"),
+        # composition and action records that would be read as another
+        # operad: each is named, not dropped or overwritten
+        ("slot 7", "composition record (n, i, m) = (2, 7, 2): slot 7 "
+                   "outside 1..2"),
+        ("no component", "composition record (n, i, m) = (3, 1, 2): no "
+                         "arity-4 component"),
+        ("second composition", "composition record (n, i, m) = (2, 1, 2) "
+                               "appears twice"),
+        ("second action", "action record (n, sigma) = (2, [2, 1]) appears "
+                          "twice"),
     ])
     def test_filtered_operad(self, runner, tmp_path, command, fault, message):
         doc = _end_doc()
@@ -432,6 +442,22 @@ class TestMalformedInput:
             del doc["components"]
         elif fault == "level 99":
             doc["filtration_level"]["2"][0] = 99
+        elif fault == "slot 7":
+            rec = next(r for r in doc["compositions"]
+                       if (r["n"], r["i"], r["m"]) == (2, 2, 2))
+            rec["i"] = 7
+        elif fault == "no component":
+            rec = next(r for r in doc["compositions"]
+                       if (r["n"], r["i"], r["m"]) == (2, 1, 2))
+            rec["n"] = 3
+        elif fault == "second composition":
+            rec = next(r for r in doc["compositions"]
+                       if (r["n"], r["i"], r["m"]) == (2, 1, 2))
+            doc["compositions"].append(dict(rec, entries=[]))
+        elif fault == "second action":
+            rec = next(r for r in doc["actions"]
+                       if (r["n"], r["sigma"]) == (2, [2, 1]))
+            doc["actions"].append(dict(rec, entries=[]))
         else:
             rec = next(r for r in doc["compositions"]
                        if (r["n"], r["m"]) == (2, 2))

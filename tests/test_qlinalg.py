@@ -1,8 +1,8 @@
 """Tests for exact sparse linear algebra and chain-complex homology.
 
 Ranks are cross-checked against an independent dense Gaussian
-elimination over Fraction, written here from scratch so the two
-implementations share no code.
+elimination over Fraction (``reference.dense_rank``), written from
+scratch so the two implementations share no code.
 """
 
 from fractions import Fraction
@@ -24,39 +24,7 @@ from operadkit.qlinalg import (
     solve_in_span,
     span_rank,
 )
-
-
-def dense_rank(rows: list[list[Fraction]]) -> int:
-    """Reference rank: plain dense elimination over Fraction."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rk += 1
-        r += 1
-        col += 1
-    return rk
-
-
-def to_dense(m: SparseMatrix) -> list[list[Fraction]]:
-    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
-    for r, c, v in m.entries():
-        out[r][c] = v
-    return out
+from reference import dense_rank, to_dense
 
 
 def scale_row_swap_variant(m: SparseMatrix, scalings, swaps) -> SparseMatrix:
@@ -362,6 +330,16 @@ class TestRank:
             [Fraction(3, 2), Fraction(1, 1)],
         ])
         assert rank(m) == dense_rank(to_dense(m)) == 1
+
+    def test_non_unit_pivot_divides_by_the_row_gcd(self):
+        # Row 0 is kept with pivot 4 at column 1.  Row 1 meets it there:
+        # 1 * (6, 4) - 1 * (2, 4) = (4, 0), divided by its gcd to (1, 0),
+        # kept at column 0.  Row 2: (8, 8) - 2 * (2, 4) = (4, 0), then
+        # (1, 0), which the unit pivot of row 1 reduces to zero.
+        m = SparseMatrix.from_rows([[2, 4], [6, 4], [8, 8]])
+        pivots: list[int] = []
+        assert rank(m, pivots=pivots) == dense_rank(to_dense(m)) == 2
+        assert pivots == [1, 0]
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrix)

@@ -25,7 +25,8 @@ permutations from the canonical search and permutes only the edges
 within endpoint groups.
 
 ``qlinalg.rank`` is the one rank engine: every other rank or kernel
-dimension in ``qlinalg`` is computed by calling it.
+dimension in ``qlinalg`` is computed by calling it.  It is the standard
+reduction, so no package module imports ``heapq``.
 
 ``cobar.Cooperad`` owns its cocomposition and action: only its own
 methods read the operad it is the dual of, so the cobar complex cannot
@@ -247,11 +248,19 @@ def test_one_rank_engine():
     called = {ast.unparse(node.func) for node in ast.walk(funcs["homology"])
               if isinstance(node, ast.Call)}
     assert "self.ranks" in called and "rank" not in called
-    # pivot selection lives in rank alone
-    heap_users = {name for name, node in funcs.items()
-                  for sub in ast.walk(node)
-                  if isinstance(sub, ast.Name) and sub.id == "heappop"}
-    assert heap_users == {"rank"}
+    # rank is the standard reduction: no module keeps a pivot heap
+    heap_importers = []
+    for path in sorted(Path(operadkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "heapq" in (name.split(".")[0] for name in names):
+                heap_importers.append(f"{path.name}:{node.lineno}")
+    assert heap_importers == []
 
 
 def test_only_the_cooperad_reads_its_operad():
