@@ -4,6 +4,9 @@ perfbench's desk scale.
 Runs the Lie-dual cobar complex at arity 7 and the associative-dual at
 arity 6, and the full stable-graph censuses of (g, n) = (1, 5) and
 (2, 2), each cold in a fresh process, and prints what each took.
+``--large`` adds the Lie-dual complex at arity 8 and the associative
+dual at arity 7, which take minutes each and peak at about 2.6 and
+3.4 GB.
 Given ``--label``, it also appends one entry to ``BENCH_frontier.json``
 at the repository root; without one it writes nothing, so checking the
 pinned values leaves the checkout clean.  A cobar job records
@@ -17,6 +20,7 @@ Betti numbers and census counts are checked against pinned values, so
 a wrong answer exits 1 instead of being recorded as fast.
 
     python3 scripts/bench_frontier.py            # check and print only
+    python3 scripts/bench_frontier.py --large    # with liec 8 and asc 7
     python3 scripts/bench_frontier.py --label "after: <what changed>"
     python3 scripts/bench_frontier.py --src ../old/src --label before
 
@@ -52,7 +56,12 @@ PINNED = {
                   {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 1}),
     ("asc", 6): ([720, 9360, 30960, 29520],
                  {0: 0, 1: 0, 2: 0, 3: 0, 4: 720}),
+    ("liec", 8): ([5040, 59184, 244476, 460844, 405406, 135134],
+                  {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1}),
+    ("asc", 7): ([5040, 95760, 509040, 1002960, 660240],
+                 {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 5040}),
 }
+LARGE = {("liec", 8), ("asc", 7)}  # run only with --large
 
 # (g, n) -> graphs per edge count and graphs per |Aut| of the full census
 PINNED_GRAPHS = {
@@ -83,7 +92,10 @@ def run_job(src: str, name: str, n: int) -> dict:
     t4 = time.perf_counter()
     stages = {"basis_s": t1 - t0, "boundaries_s": t2 - t1, "dd_s": t3 - t2,
               "rank_s": t4 - t3, "total_s": t4 - t0}
-    betti = dict(enumerate(cc.homology()))
+    # ChainComplex.homology from the ranks above, not a second elimination
+    padded = [0, *ranks, 0]
+    betti = {e: dim - padded[e] - padded[e + 1]
+             for e, dim in enumerate(cc.spaces)}
     return {
         "cooperad": name, "arity": n,
         "stages": {k: round(v, 3) for k, v in stages.items()},
@@ -152,6 +164,8 @@ def main() -> int:
     ap.add_argument("--label",
                     help="record an entry saying what it measures, e.g. "
                          "'before' or 'after'; without it nothing is written")
+    ap.add_argument("--large", action="store_true",
+                    help="also run liec 8 and asc 7 (minutes and GBs each)")
     args = ap.parse_args()
     src = Path(args.src).resolve()
     ctx = multiprocessing.get_context("spawn")
@@ -162,6 +176,8 @@ def main() -> int:
             return pool.apply(fn, (str(src), *args))
 
     for name, n in PINNED:
+        if (name, n) in LARGE and not args.large:
+            continue
         job = cold(run_job, name, n)
         want_ranks, want_betti = PINNED[(name, n)]
         got = [m["rank"] for m in job["matrices"]]

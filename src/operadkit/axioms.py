@@ -12,7 +12,7 @@ import itertools
 from collections import namedtuple
 
 from .operads import (GradedOperad, Vector, adjacent_transpositions,
-                      embed_block_perm, expand_perm, perm_inverse)
+                      expand_perm, perm_inverse)
 from .qlinalg import SparseMatrix, addmul, format_vector
 
 
@@ -56,10 +56,12 @@ def check_axioms(O: GradedOperad, max_arity: int,
     already reads every composite, so a table kept for less than the
     call would only compute them again.  The table holds one slot per
     (a, b) for each (n, i, m), and a composite as its (index, coeff)
-    pairs.  Basis actions are kept the same way while the equivariance
-    checks run one generator of one (n, s) block: the outer check's
-    relabelling is the same for most slots i, so their composites are
-    acted on by one permutation.
+    pairs.  Basis actions are kept the same way, one table for the
+    call, read by the group relations and by both sides of both
+    equivariance checks: each generator action is asked of the operad
+    once, and the outer check's relabelling is the same for most slots
+    i.  In the inner check, s_t of S_s acting on the block at slot i is
+    the generator s_{i-1+t} of the composite's arity.
     """
     arities = [n for n in O.arities() if n <= max_arity]
     dims = {n: O.dim(n) for n in arities}
@@ -67,8 +69,7 @@ def check_axioms(O: GradedOperad, max_arity: int,
     # e[a] is the basis element a as (index, coeff) pairs
     e = [((x, 1),) for x in range(max(dims.values(), default=0))]
     slabs: dict = {}    # (n, i, m) -> (dim O(m), slots), slot a*dim+b
-    actions: dict = {}  # sigma -> slots over the basis of O(len(sigma)),
-                        # kept for one equivariance generator
+    actions: dict = {}  # sigma -> slots over the basis of O(len(sigma))
 
     def composite(n, i, m, a, b):
         """O.compose_basis(n, i, m, a, b) as (index, coeff) pairs."""
@@ -91,16 +92,21 @@ def check_axioms(O: GradedOperad, max_arity: int,
                     addmul(acc, out, ca * cb * c)
         return acc
 
-    def act(n, sigma, xs):
+    def action(sigma, a):
+        """O.act_basis(len(sigma), sigma, a) as (index, coeff) pairs."""
+        slots = actions.get(sigma)
+        if slots is None:
+            slots = actions[sigma] = [None] * O.dim(len(sigma))
+        v = slots[a]
+        if v is None:
+            v = slots[a] = tuple(O.act_basis(len(sigma), sigma, a).items())
+        return v
+
+    def act(sigma, xs):
+        """x.sigma for x given as (basis index, coeff) pairs."""
         acc: Vector = {}
         for a, ca in xs:
-            slots = actions.get(sigma)
-            if slots is None:
-                slots = actions[sigma] = [None] * O.dim(n)
-            v = slots[a]
-            if v is None:
-                v = slots[a] = tuple(O.act_basis(n, sigma, a).items())
-            for out, c in v:
+            for out, c in action(sigma, a):
                 addmul(acc, out, ca * c)
         return acc
 
@@ -119,18 +125,13 @@ def check_axioms(O: GradedOperad, max_arity: int,
 
     def check_group(n):
         dim = dims[n]
-        gens = [[tuple(O.act_basis(n, s, a).items()) for a in range(dim)]
-                for s in adjacent_transpositions(n)]
+        gens = adjacent_transpositions(n)
 
         def image(word, a):
             """e_a times the product of the generators in word."""
             xs = e[a]
             for t in reversed(word):
-                acc: Vector = {}
-                for b, cb in xs:
-                    for out, c in gens[t][b]:
-                        addmul(acc, out, cb * c)
-                xs = acc.items()
+                xs = act(gens[t], xs).items()
             return dict(xs)
 
         def relation(witness, word, word2=()):
@@ -177,31 +178,28 @@ def check_axioms(O: GradedOperad, max_arity: int,
                           lhs, rhs)
 
     # (3a) outer: (f.sigma) o_i g = (f o_k g).sigma' with k = sigma^-1(i);
-    # (3b) inner: f o_i (g.tau) = (f o_i g).tau'
+    # (3b) inner: f o_i (g.tau) = (f o_i g).tau', tau' = s_{i-1+t} for
+    # tau = s_t
     equivariance: list[AxiomViolation] = []
     for n, s in itertools.product(arities, arities):
         if n + s - 1 > max_arity:
             continue
         pairs = list(itertools.product(range(dims[n]), range(dims[s])))
         for sig in adjacent_transpositions(n):
-            fas = [O.act_basis(n, sig, a).items() for a in range(dims[n])]
             for i in range(1, n + 1):
                 k = perm_inverse(sig)[i - 1]
                 big = expand_perm(sig, k, s)
                 for a, b in pairs:
-                    rhs = act(n + s - 1, big, composite(n, k, s, a, b))
+                    rhs = act(big, composite(n, k, s, a, b))
                     check(equivariance, "3a", (n, s), (sig, i, a, b),
-                          compose(n, i, s, fas[a], e[b]), rhs)
-            actions.clear()
-        for tau in adjacent_transpositions(s):
-            gbs = [O.act_basis(s, tau, b).items() for b in range(dims[s])]
+                          compose(n, i, s, action(sig, a), e[b]), rhs)
+        gens = adjacent_transpositions(n + s - 1)
+        for t, tau in enumerate(adjacent_transpositions(s), 1):
             for i in range(1, n + 1):
-                big = embed_block_perm(tau, i, n + s - 1)
                 for a, b in pairs:
-                    rhs = act(n + s - 1, big, composite(n, i, s, a, b))
+                    rhs = act(gens[i + t - 2], composite(n, i, s, a, b))
                     check(equivariance, "3b", (n, s), (tau, i, a, b),
-                          compose(n, i, s, e[a], gbs[b]), rhs)
-            actions.clear()
+                          compose(n, i, s, e[a], action(tau, b)), rhs)
 
     # (4) unit laws
     units: list[AxiomViolation] = []

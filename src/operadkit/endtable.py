@@ -174,7 +174,8 @@ def operad_from_doc(doc: dict) -> TableOperad:
     must lie in its component, every arity needs the action of each
     adjacent transposition, and a missing table entry is zero.  A
     composition record must name components and a slot in 1..n, and no
-    composition or action record may repeat one read before it."""
+    composition or action record may repeat one read before it.  An
+    action or differential record must name a component."""
     components = {
         int(n): GradedSpace(tuple(sp["names"]), tuple(sp["degrees"]))
         for n, sp in doc["components"].items()}
@@ -206,6 +207,9 @@ def operad_from_doc(doc: dict) -> TableOperad:
     act = {}
     for rec in doc["actions"]:
         n = rec["n"]
+        if n not in dims:
+            raise OperadError(f"action record (n, sigma) = ({n}, "
+                              f"{rec['sigma']}): no arity-{n} component")
         if sorted(rec["sigma"]) != list(range(1, n + 1)):
             raise OperadError(f"sigma {rec['sigma']!r} is not a permutation "
                               f"of 1..{n}")
@@ -225,6 +229,9 @@ def operad_from_doc(doc: dict) -> TableOperad:
                                   f"at arity {n}")
     diffs = {}
     for n, entries in doc.get("differentials", {}).items():
+        if int(n) not in dims:
+            raise OperadError(f"differential record n = {n}: no arity-{n} "
+                              "component")
         size = dims[int(n)]
         diffs[int(n)] = SparseMatrix(
             size, size, [(r, c, parse_coefficient(v)) for r, c, v in entries])

@@ -96,16 +96,6 @@ def expand_perm(sigma: tuple[int, ...], k: int, s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def embed_block_perm(tau: tuple[int, ...], i: int, total: int) -> tuple[int, ...]:
-    """Embed tau in S_s as a permutation of ``total`` slots acting on
-    the block i..i+s-1."""
-    s = len(tau)
-    out = list(range(1, total + 1))
-    for j in range(1, s + 1):
-        out[i - 1 + j - 1] = i - 1 + tau[j - 1]
-    return tuple(out)
-
-
 def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
     """The Coxeter generators s_1..s_{n-1} of S_n; s_t swaps t and t+1."""
     out = []

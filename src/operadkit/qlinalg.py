@@ -108,11 +108,13 @@ class SparseMatrix:
     """An immutable sparse matrix over the rationals.
 
     The one store is row-major, ``{row: read-only {col: value}}`` with
-    each row ascending in its columns, zeros and empty rows dropped and
-    values normalised by ``as_exact``; ``row`` returns a stored row, and
-    everything else reads them.  Out-of-range and duplicate (row, col)
-    entries are rejected.  Column views, the rows of the transpose, are
-    built on first use; the matrix never changes, so they never go stale.
+    each row's columns in the order given, zeros and empty rows dropped
+    and values normalised by ``as_exact``; ``row`` returns a stored row,
+    and everything else reads them.  ``entries`` lists each row's
+    columns ascending.  Out-of-range and duplicate (row, col) entries
+    are rejected.  Column views, the rows of the transpose, ascending,
+    are built on first use; the matrix never changes, so they never go
+    stale.
     """
 
     __slots__ = ("rows", "cols", "_rows", "_col_views")
@@ -136,9 +138,7 @@ class SparseMatrix:
                 line[c] = v
         self.rows = rows
         self.cols = cols
-        # most callers give each row's columns in ascending order already
-        self._rows = {r: MappingProxyType(line if list(line) == sorted(line)
-                                          else dict(sorted(line.items())))
+        self._rows = {r: MappingProxyType(line)
                       for r, line in data.items() if line}
         self._col_views = None
 
@@ -172,8 +172,9 @@ class SparseMatrix:
     def entries(self):
         """Iterate (row, col, value) over nonzero entries, sorted."""
         for r in sorted(self._rows):
-            for c, v in self._rows[r].items():
-                yield r, c, v
+            row = self._rows[r]
+            for c in sorted(row):
+                yield r, c, row[c]
 
     def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
         r, c = key

@@ -424,6 +424,10 @@ class TestMalformedInput:
                                "appears twice"),
         ("second action", "action record (n, sigma) = (2, [2, 1]) appears "
                           "twice"),
+        ("action arity 9", "action record (n, sigma) = (9, [1, 2, 3, 4, 5, "
+                           "6, 7, 8, 9]): no arity-9 component"),
+        ("differential arity 9", "differential record n = 9: no arity-9 "
+                                 "component"),
     ])
     def test_filtered_operad(self, runner, tmp_path, command, fault, message):
         doc = _end_doc()
@@ -458,6 +462,11 @@ class TestMalformedInput:
             rec = next(r for r in doc["actions"]
                        if (r["n"], r["sigma"]) == (2, [2, 1]))
             doc["actions"].append(dict(rec, entries=[]))
+        elif fault == "action arity 9":
+            doc["actions"].append({"n": 9, "sigma": list(range(1, 10)),
+                                   "entries": []})
+        elif fault == "differential arity 9":
+            doc["differentials"]["9"] = []
         else:
             rec = next(r for r in doc["compositions"]
                        if (r["n"], r["m"]) == (2, 2))

@@ -33,7 +33,6 @@ from operadkit.operads import (
     comm_operad,
     cycle_types,
     decalage_sign,
-    embed_block_perm,
     expand_perm,
     free_algebra_dims,
     identity_perm,
@@ -168,10 +167,6 @@ class TestPermHelpers:
         big = expand_perm(sigma, 1, 2)
         assert sorted(big) == list(range(1, 5))
 
-    def test_embed_block_perm_identity_outside_block(self):
-        big = embed_block_perm((2, 1), 2, 4)
-        assert big == (1, 3, 2, 4)
-
     def test_adjacent_transpositions(self):
         assert adjacent_transpositions(1) == []
         assert adjacent_transpositions(3) == [(2, 1, 3), (1, 3, 2)]
@@ -305,6 +300,22 @@ class TestAxioms:
         found = [(v.axiom, v.arities, v.witness, v.lhs, v.rhs)
                  for v in report.violations]
         assert (report.checked, found) == ORDERED_FAULTS[case]
+
+    @pytest.mark.parametrize("name, max_arity", [
+        ("comm", 5), ("assoc", 5), ("lie", 5), ("cobar-liec", 4)])
+    def test_each_basis_action_is_asked_once(self, name, max_arity,
+                                             monkeypatch):
+        O = dict(FAULT_OPERADS, comm=comm_operad)[name](max_arity)
+        asked = []
+        act_basis = type(O).act_basis
+
+        def counted(self, n, sigma, a):
+            asked.append((n, sigma, a))
+            return act_basis(self, n, sigma, a)
+
+        monkeypatch.setattr(type(O), "act_basis", counted)
+        assert check_axioms(O, max_arity).ok
+        assert asked and len(asked) == len(set(asked))
 
     def test_action_fault_breaks_group_relations(self):
         doc = json.loads(operad_to_json(assoc_operad(3), 3))

@@ -200,7 +200,8 @@ class TestSparseMatrix:
         m = SparseMatrix.from_rows(rows, cols=cols)
         nonzero = [(r, c, v) for r, row in enumerate(rows)
                    for c, v in enumerate(row) if v]
-        # views are sorted whatever order the entries were given in
+        # entries and column views are sorted whatever order the entries
+        # were given in; a row view keeps its row's order
         shuffled = data.draw(st.permutations(nonzero))
         for m in (m, SparseMatrix(m.rows, m.cols, shuffled)):
             entries = list(m.entries())
@@ -211,8 +212,7 @@ class TestSparseMatrix:
                     assert m[(r, c)] == rows[r][c]
             for r in range(m.rows):
                 row = m.row(r)
-                assert list(row.items()) == [(c, v) for rr, c, v in entries
-                                             if rr == r]
+                assert dict(row) == {c: v for rr, c, v in entries if rr == r}
                 assert m.row(r) is row
             for c in range(m.cols):
                 col = m.col(c)
