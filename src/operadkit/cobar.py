@@ -52,22 +52,17 @@ def _block_insertion_perm(m: int, positions: tuple[int, ...]) -> tuple[int, ...]
 
 
 class Cooperad:
-    """Linear dual of a degree-zero finite-type operad.
+    """Linear dual of a degree-zero finite-type operad, on its arities.
 
     Cocompositions and the right symmetric action are transposes of the
     operad structure maps; tables are built lazily and cached.
     """
 
-    def __init__(self, operad: GradedOperad, max_arity: int):
-        for n in operad.arities():
-            if n > max_arity:
-                continue
-            if any(d != 0 for d in operad.space(n).degrees):
-                raise CobarError("dual cooperads require degree-zero operads")
+    def __init__(self, operad: GradedOperad):
+        if any(d for n in operad.arities() for d in operad.space(n).degrees):
+            raise CobarError("dual cooperads require degree-zero operads")
         self.operad = operad
-        self.max_arity = min(max_arity, operad.max_arity)
-        self.components = {n: operad.space(n)
-                           for n in operad.arities() if n <= self.max_arity}
+        self.components = operad.components
         self._cotables: dict = {}
         self._act_rows: dict = {}
 
@@ -76,6 +71,14 @@ class Cooperad:
 
     def space(self, n: int) -> GradedSpace:
         return self.components[n]
+
+    def check_arity(self, n: int) -> None:
+        """Refuse an arity with no cobar piece."""
+        if n < 2:
+            raise CobarError("cobar pieces start at arity 2")
+        top = self.operad.max_arity
+        if n > top:
+            raise CobarError(f"cooperad only has components up to arity {top}")
 
     def cocompose(self, m: int, positions: tuple[int, ...]) -> dict:
         """{a0: {(a, b): coeff}} splitting the children at ``positions``
@@ -115,19 +118,19 @@ class Cooperad:
 @lru_cache(maxsize=None)
 def liec_cooperad(max_arity: int) -> Cooperad:
     from .operads import lie_operad
-    return Cooperad(lie_operad(max_arity), max_arity)
+    return Cooperad(lie_operad(max_arity))
 
 
 @lru_cache(maxsize=None)
 def asc_cooperad(max_arity: int) -> Cooperad:
     from .operads import assoc_operad
-    return Cooperad(assoc_operad(max_arity), max_arity)
+    return Cooperad(assoc_operad(max_arity))
 
 
 @lru_cache(maxsize=None)
 def commc_cooperad(max_arity: int) -> Cooperad:
     from .operads import comm_operad
-    return Cooperad(comm_operad(max_arity), max_arity)
+    return Cooperad(comm_operad(max_arity))
 
 
 # ---------------------------------------------------------------------------
@@ -137,34 +140,35 @@ def commc_cooperad(max_arity: int) -> Cooperad:
 class CobarComplex:
     """The arity-n cobar complex of a cooperad, graded by edge count.
 
-    ``basis`` lists the pairs (tree, decoration) by edge count, count e
-    from ``offsets[e]``; ``index`` maps (shape, decoration) to its place
-    within its edge count, its row or column in a boundary matrix."""
+    ``basis`` lists the pairs (tree, decoration) by edge count; its
+    layout is private, read through ``position`` and ``differential()``:
+    count e starts at ``_offsets[e]``, and ``_index`` maps (shape,
+    decoration) to its place within its count, its boundary row or column."""
 
     def __init__(self, cooperad: Cooperad, n: int, sign_mode: str = "standard"):
-        if n < 2:
-            raise CobarError("cobar pieces start at arity 2")
-        if n > cooperad.max_arity:
-            raise CobarError(
-                f"cooperad only has components up to arity {cooperad.max_arity}")
+        cooperad.check_arity(n)
         if sign_mode not in ("standard", "unsigned"):
             raise CobarError(f"unknown sign mode {sign_mode!r}")
         self.cooperad = cooperad
         self.n = n
         self.sign_mode = sign_mode
         self.basis: list = []
-        self.offsets = [0]
+        o = self._offsets = [0]
         for e in range(n - 1):
             for t in enumerate_trees(n, e):
                 ranges = [range(cooperad.dim(m)) for m in t.vertex_arities()]
                 self.basis.extend((t, d) for d in itertools.product(*ranges))
-            self.offsets.append(len(self.basis))
-        o = self.offsets
-        self.index = {(t.shape, d): k - o[t.internal_edges]
-                      for k, (t, d) in enumerate(self.basis)}
+            o.append(len(self.basis))
+        self._index = {(t.shape, d): k - o[t.internal_edges]
+                       for k, (t, d) in enumerate(self.basis)}
+
+    def position(self, tree, decor: tuple[int, ...]) -> int:
+        """The place of (tree, decor) in ``basis``."""
+        return (self._offsets[tree.internal_edges]
+                + self._index[(tree.shape, decor)])
 
     def dims(self) -> dict[int, int]:
-        o = self.offsets
+        o = self._offsets
         return {e: o[e + 1] - o[e] for e in range(self.n - 1)}
 
     def boundary_from(self, e: int) -> list[tuple[int, int, int]]:
@@ -172,8 +176,8 @@ class CobarComplex:
         per basis element x of edge degree e, holding d(x), whose columns
         live in degree e + 1."""
         entries = []
-        index = self.index
-        start, stop = self.offsets[e:e + 2]
+        index = self._index
+        start, stop = self._offsets[e:e + 2]
         row = 0
         for t, group in itertools.groupby(self.basis[start:stop],
                                           key=itemgetter(0)):
@@ -224,6 +228,14 @@ class CobarComplex:
                             [self.boundary_matrix(e)
                              for e in range(self.n - 2)])
 
+    def differential(self) -> SparseMatrix:
+        """d on the whole basis, rows as targets: ``boundary_from``'s
+        entries, transposed and placed at their edge counts."""
+        o = self._offsets
+        return SparseMatrix(o[-1], o[-1], [
+            (o[e + 1] + c, o[e] + r, v)
+            for e in range(self.n - 2) for r, c, v in self.boundary_from(e)])
+
     def homology(self) -> dict[int, int]:
         """Betti numbers keyed by edge count."""
         return dict(enumerate(self.chain_complex().homology()))
@@ -236,11 +248,7 @@ def cobar_dims(cooperad: Cooperad, n: int) -> dict[int, int]:
     enumerated, so `strata.middle_row`, which compares these numbers
     with the counted genus-0 census, checks a count against an
     enumeration."""
-    if n < 2:
-        raise CobarError("cobar pieces start at arity 2")
-    if n > cooperad.max_arity:
-        raise CobarError(
-            f"cooperad only has components up to arity {cooperad.max_arity}")
+    cooperad.check_arity(n)
     return {e: sum(math.prod(map(cooperad.dim, t.vertex_arities()))
                    for t in enumerate_trees(n, e))
             for e in range(n - 1)}
@@ -271,10 +279,8 @@ class CobarOperad(GradedOperad):
     """
 
     def __init__(self, cooperad: Cooperad, max_arity: int):
-        if max_arity > cooperad.max_arity:
-            raise CobarError("max_arity exceeds the cooperad's range")
         self.cooperad = cooperad
-        # each arity's basis and index are its complex's (see there)
+        # the complexes own each arity's basis and refuse a bad arity
         self.complexes = {}
         components = {}
         diffs = {}
@@ -288,11 +294,7 @@ class CobarOperad(GradedOperad):
                 names.append(f"{encode_tree(t)}[{';'.join(sp_names)}]")
                 degrees.append(n - 2 - t.internal_edges)
             components[n] = GradedSpace(tuple(names), tuple(degrees))
-            o = cx.offsets
-            # rows are targets: boundary_from's entries, transposed
-            diffs[n] = SparseMatrix(o[-1], o[-1], [
-                (o[e + 1] + c, o[e] + r, v)
-                for e in range(n - 2) for r, c, v in cx.boundary_from(e)])
+            diffs[n] = cx.differential()
         # arity 1: the bare leaf, in degree 0
         components[1] = GradedSpace(("|",), (0,))
         super().__init__(components, {0: 1}, diffs)
@@ -308,9 +310,7 @@ class CobarOperad(GradedOperad):
         sign = _reorder_sign(verts, t.vertex_arities() + s.vertex_arities())
         decor = dt + ds
         decor = tuple(decor[src] for src, _ in verts)
-        cx = self.complexes[n + m - 1]
-        return {cx.offsets[grafted.internal_edges]
-                + cx.index[(grafted.shape, decor)]: sign}
+        return {self.complexes[n + m - 1].position(grafted, decor): sign}
 
     def act_basis(self, n, sigma, a) -> Vector:
         if n == 1:
@@ -320,7 +320,6 @@ class CobarOperad(GradedOperad):
         new_tree, verts = relabel_tree(
             t, {j: sigma[j - 1] for j in range(1, n + 1)})
         sign = _reorder_sign(verts, t.vertex_arities())
-        start = cx.offsets[t.internal_edges]
         # each vertex's decoration is acted on by tau, which maps its
         # new child slots to its old ones
         slots = [self.cooperad.act(len(tau), tau, dt[src])
@@ -331,7 +330,7 @@ class CobarOperad(GradedOperad):
             coeff = sign
             for _, v in combo:
                 coeff *= v
-            addmul(out, start + cx.index[(new_tree.shape, decor)], coeff)
+            addmul(out, cx.position(new_tree, decor), coeff)
         return out
 
 

@@ -47,6 +47,10 @@ class FilteredOperad:
         for n in base.arities():
             if n not in levels or len(levels[n]) != base.dim(n):
                 raise FiltrationError(f"levels missing or wrong size at arity {n}")
+        stray = sorted(levels.keys() - base.components)
+        if stray:
+            raise FiltrationError(f"filtration levels at arity {stray[0]}: "
+                                  f"no arity-{stray[0]} component")
         self.base = base
         self.levels = {n: tuple(lv) for n, lv in levels.items()}
 
@@ -226,28 +230,25 @@ def er_closure_certificate(term: ErTerm, max_arity: int) -> tuple[bool, list]:
             spans[key] = (_echelon(z + b, dim), _echelon(b, dim))
         return spans[key]
 
+    def tagged(piece):  # (vector, is a numerator), numerators first
+        return ([(x, True) for x in piece.z_basis]
+                + [(x, False) for x in piece.b_basis])
+
     for n, m in F.composable(max_arity):
         for (p, q), piece in term.pieces[n].items():
+            xs = tagged(piece)
             for (pp, qq), piece2 in term.pieces[m].items():
                 tgt_zb, tgt_b = target_spans(n + m - 1, p + pp, q + qq)
+                ys = tagged(piece2)
                 for i in range(1, n + 1):
-                    for x in piece.z_basis:
-                        for y in piece2.z_basis:
+                    for x, x_num in xs:
+                        for y, y_num in ys:
+                            both = x_num and y_num
                             out = F.base.compose(n, i, m, x, y)
-                            if not _in_span(tgt_zb, out):
+                            if not _in_span(tgt_zb if both else tgt_b, out):
                                 witnesses.append(
-                                    ("numerator", n, m, i, (p, q), (pp, qq)))
-                        for y in piece2.b_basis:
-                            out = F.base.compose(n, i, m, x, y)
-                            if not _in_span(tgt_b, out):
-                                witnesses.append(
-                                    ("denominator", n, m, i, (p, q), (pp, qq)))
-                    for x in piece.b_basis:
-                        for y in piece2.z_basis + piece2.b_basis:
-                            out = F.base.compose(n, i, m, x, y)
-                            if not _in_span(tgt_b, out):
-                                witnesses.append(
-                                    ("denominator", n, m, i, (p, q), (pp, qq)))
+                                    ("numerator" if both else "denominator",
+                                     n, m, i, (p, q), (pp, qq)))
     return (not witnesses, witnesses)
 
 
@@ -449,6 +450,7 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
     A filtration violation raises FiltrationError; a failed morphism
     check or relation makes the result not ok."""
     from .cobar import CobarOperad
+    from .treegraph import Tree
     base = F.base
     if not isinstance(base, CobarOperad):
         raise FiltrationError(
@@ -461,11 +463,9 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
     maps = {}
     for n in range(2, max_arity + 1):
         # the corolla decorated by the identity word x_1..x_n
-        ident = base.cooperad.space(n).names.index(
-            "".join(map(str, range(1, n + 1))))
-        a = next(a for a, (_, d) in enumerate(base.complexes[n].basis)
-                 if d == (ident,))
-        tensor = A.tensor(n, a)
+        word = tuple(range(1, n + 1))
+        ident = base.cooperad.space(n).names.index("".join(map(str, word)))
+        tensor = A.tensor(n, base.complexes[n].position(Tree(word), (ident,)))
         if tensor:
             maps[n] = tensor
     family = MapFamily(A.space, A.q, maps)

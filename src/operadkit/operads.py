@@ -315,13 +315,15 @@ class CommOperad(GradedOperad):
         return {a: 1}
 
 
-class AssocOperad(GradedOperad):
-    """Components k[S_n] in degree 0; composition substitutes words."""
+class _WordOperad(GradedOperad):
+    """Degree-zero components spanned by the words ``basis_words(n)``,
+    each named by its letters; ``_words[n]`` lists them and ``_index[n]``
+    maps a word to its basis index."""
 
     def __init__(self, max_arity: int):
         if max_arity < 1:
             raise OperadError("max_arity must be >= 1")
-        self._words = {n: multilinear_words(n) for n in range(1, max_arity + 1)}
+        self._words = {n: self.basis_words(n) for n in range(1, max_arity + 1)}
         self._index = {n: {w: k for k, w in enumerate(ws)}
                        for n, ws in self._words.items()}
         components = {
@@ -329,6 +331,12 @@ class AssocOperad(GradedOperad):
                            (0,) * len(ws))
             for n, ws in self._words.items()}
         super().__init__(components, {0: 1})
+
+
+class AssocOperad(_WordOperad):
+    """Components k[S_n] in degree 0; composition substitutes words."""
+
+    basis_words = staticmethod(multilinear_words)
 
     def compose_basis(self, n, i, m, a, b):
         w = substitute_word(self._words[n][a], i, self._words[m][b])
@@ -345,7 +353,7 @@ class AssocOperad(GradedOperad):
         return Fraction(0)
 
 
-class LieOperad(GradedOperad):
+class LieOperad(_WordOperad):
     """Multilinear free Lie components in the left-normed word basis.
 
     A basis label w (a word starting with 1) stands for the left-normed
@@ -355,17 +363,7 @@ class LieOperad(GradedOperad):
     and only the terms that give such words are expanded.
     """
 
-    def __init__(self, max_arity: int):
-        if max_arity < 1:
-            raise OperadError("max_arity must be >= 1")
-        self._words = {n: lie_basis_words(n) for n in range(1, max_arity + 1)}
-        self._index = {n: {w: k for k, w in enumerate(ws)}
-                       for n, ws in self._words.items()}
-        components = {
-            n: GradedSpace(tuple("".join(map(str, w)) for w in ws),
-                           (0,) * len(ws))
-            for n, ws in self._words.items()}
-        super().__init__(components, {0: 1})
+    basis_words = staticmethod(lie_basis_words)
 
     def compose_basis(self, n, i, m, a, b):
         # Only words starting with 1 are read off.  In the expansion of

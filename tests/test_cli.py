@@ -428,6 +428,8 @@ class TestMalformedInput:
                            "6, 7, 8, 9]): no arity-9 component"),
         ("differential arity 9", "differential record n = 9: no arity-9 "
                                  "component"),
+        ("level arity 9", "filtration levels at arity 9: no arity-9 "
+                          "component"),
     ])
     def test_filtered_operad(self, runner, tmp_path, command, fault, message):
         doc = _end_doc()
@@ -467,6 +469,8 @@ class TestMalformedInput:
                                    "entries": []})
         elif fault == "differential arity 9":
             doc["differentials"]["9"] = []
+        elif fault == "level arity 9":
+            doc["filtration_level"]["9"] = [0]
         else:
             rec = next(r for r in doc["compositions"]
                        if (r["n"], r["m"]) == (2, 2))

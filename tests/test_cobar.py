@@ -58,7 +58,7 @@ class TestCooperad:
         from operadkit.operads import EndOperad, GradedSpace
         V = GradedSpace(("x", "y"), (0, 1))
         with pytest.raises(CobarError):
-            Cooperad(EndOperad(V, 2), 2)
+            Cooperad(EndOperad(V, 2))
 
     @pytest.mark.parametrize("factory,cofactory", [
         (lie_operad, liec_cooperad),
@@ -269,6 +269,31 @@ class TestCobarComplex:
             CobarComplex(liec_cooperad(3), 1)
         with pytest.raises(CobarError):
             CobarComplex(liec_cooperad(3), 4)
+
+    @pytest.mark.parametrize("cofactory, top", [
+        (liec_cooperad, 5), (asc_cooperad, 4), (commc_cooperad, 5)])
+    def test_position_inverts_the_basis(self, cofactory, top):
+        for n in range(2, top + 1):
+            cx = CobarComplex(cofactory(n), n)
+            assert [cx.position(t, d) for t, d in cx.basis] == \
+                list(range(len(cx.basis))), n
+
+    @pytest.mark.parametrize("cofactory, top", [
+        (liec_cooperad, 5), (asc_cooperad, 4), (commc_cooperad, 5)])
+    def test_differential_places_the_boundary_entries(self, cofactory, top):
+        # the basis runs by edge count, so degree e starts after the
+        # dimensions below it; rows are targets, in degree e + 1
+        for n in range(2, top + 1):
+            cx = CobarComplex(cofactory(n), n)
+            dims = cx.dims()
+            start = [sum(dims[k] for k in range(e)) for e in range(n)]
+            size = len(cx.basis)
+            want = SparseMatrix(size, size, [
+                (start[e + 1] + c, start[e] + r, v)
+                for e in range(n - 2) for r, c, v in cx.boundary_from(e)])
+            d = cx.differential()
+            assert d == want, n
+            assert d.matmul(d).is_zero(), n
 
     def test_euler_characteristic_consistency(self):
         # alternating sums of chain dims and of homology agree

@@ -302,6 +302,56 @@ def test_the_complex_owns_the_decorated_basis():
     B = cobar_operad(liec_cooperad(3), 3)
     assert set(vars(B)) == {"cooperad", "complexes", "components",
                             "unit_vector", "differentials"}
+    # the layout is the complex's own: it shows no offsets or index
+    assert not {"offsets", "index"} & set(vars(B.complexes[3]))
+    # outside its methods, no package code reads a complex's _offsets or
+    # _index (the word operads' self._index is their own)
+    package = Path(operadkit.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        module = ast.parse(path.read_text())
+        owner = {id(node): cls.name for cls in module.body
+                 if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+        for node in ast.walk(module):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in ("_offsets", "_index"):
+                own = (isinstance(node.value, ast.Name)
+                       and node.value.id == "self")
+                if not own or (path.name == "cobar.py"
+                               and owner.get(id(node)) != "CobarComplex"):
+                    readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+    # CobarOperad and induce_cinf do no position arithmetic and scan no
+    # basis for a position: each position comes from position(), and the
+    # operad's differentials from differential()
+    cobar_operad_cls = next(node for node in tree.body
+                            if isinstance(node, ast.ClassDef)
+                            and node.name == "CobarOperad")
+    filtration = ast.parse((package / "filtration.py").read_text())
+    induce = next(node for node in filtration.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "induce_cinf")
+    layout = ("offsets", "index", "_offsets", "_index")
+    for scope in (cobar_operad_cls, filtration):
+        assert [node.lineno for node in ast.walk(scope)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr in layout] == []
+
+    def calls(scope, name):
+        return [node for node in ast.walk(scope)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == name]
+
+    methods = {node.name: node for node in cobar_operad_cls.body
+               if isinstance(node, ast.FunctionDef)}
+    assert calls(methods["compose_basis"], "position")
+    assert calls(methods["act_basis"], "position")
+    assert calls(methods["__init__"], "differential")
+    assert calls(induce, "position")
+    assert [node.lineno for node in ast.walk(induce)
+            if isinstance(node, ast.Attribute) and node.attr == "basis"] == []
 
 
 def test_structure_constants_are_not_wrapped_in_fraction():
