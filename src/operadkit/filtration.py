@@ -28,8 +28,8 @@ from collections import namedtuple
 from functools import cache, partial
 
 from . import InputError
-from .qlinalg import (SparseMatrix, add_scaled, as_exact, nullspace, rref,
-                      span_rank)
+from .qlinalg import (SparseMatrix, add_scaled, as_exact, in_span, nullspace,
+                      span_basis, span_rank)
 from .operads import (GradedOperad, GradedSpace, adjacent_transpositions,
                       check_differential, end_compose, perm_inverse,
                       read_document)
@@ -187,47 +187,22 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
     return ErTerm(r, F, pieces)
 
 
-def _echelon(vectors: list, dim: int) -> dict:
-    """The span of sparse vectors in reduced row echelon form, as
-    {pivot column: row}."""
-    rows, pivots = rref(SparseMatrix(len(vectors), dim,
-                                     [(r, c, v) for r, vec in enumerate(vectors)
-                                      for c, v in vec.items()]))
-    return dict(zip(pivots, rows))
-
-
-def _in_span(echelon: dict, vec: dict) -> bool:
-    """Whether vec lies in the row space of a reduced echelon form.
-
-    Each pivot row has 1 at its pivot and 0 at every other pivot, so
-    subtracting a pivot row leaves the other pivot entries alone: taking
-    off vec's own pivot entries times their rows clears every pivot
-    column, and what is left is zero iff vec is in the span.
-    """
-    rest = dict(vec)
-    for c, a in vec.items():
-        row = echelon.get(c)
-        if row is not None:
-            add_scaled(rest, row, -a)
-    return not rest
-
-
 def er_closure_certificate(term: ErTerm, max_arity: int) -> tuple[bool, list]:
     """Verify the numerators compose into numerators and a denominator
     on either side of a composite absorbs it into the denominators, the
     exactness content of the page being an operad.  Each target span is
-    put in echelon form once.  Returns (ok, witnesses)."""
+    given an echelon basis once (``span_basis``), and a composite lies
+    in it when ``in_span`` reduces it to zero.  Returns (ok, witnesses)."""
     F = term.filtered
     witnesses = []
-    spans = {}  # (arity, p, q) -> echelon forms of (z + b, b)
+    spans = {}  # (arity, p, q) -> echelon bases of (z + b, b)
 
     def target_spans(arity, p, q):
         key = (arity, p, q)
         if key not in spans:
             tgt = term.pieces[arity].get((p, q))
             z, b = (tgt.z_basis, tgt.b_basis) if tgt else ([], [])
-            dim = F.base.dim(arity)
-            spans[key] = (_echelon(z + b, dim), _echelon(b, dim))
+            spans[key] = (span_basis(z + b), span_basis(b))
         return spans[key]
 
     def tagged(piece):  # (vector, is a numerator), numerators first
@@ -245,7 +220,7 @@ def er_closure_certificate(term: ErTerm, max_arity: int) -> tuple[bool, list]:
                         for y, y_num in ys:
                             both = x_num and y_num
                             out = F.base.compose(n, i, m, x, y)
-                            if not _in_span(tgt_zb if both else tgt_b, out):
+                            if not in_span(tgt_zb if both else tgt_b, out):
                                 witnesses.append(
                                     ("numerator" if both else "denominator",
                                      n, m, i, (p, q), (pp, qq)))

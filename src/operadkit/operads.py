@@ -385,27 +385,28 @@ class LieOperad(_WordOperad):
                 if sigma[w[0] - 1] == 1}
 
     def action_trace(self, n, sigma):
-        # The diagonal entry at w is the coefficient of u = w.sigma^-1 in
-        # rho(w).  It is nonzero iff w's letters, read from the last, can
-        # each be peeled off an end of what is left of u; then it is -1
-        # to the number peeled from the left.  Letters are distinct, so
-        # at most one end matches, and u[p] equals a letter x exactly
-        # when w[p] = sigma(x).
-        total = 0
-        for w in self._words[n]:
-            lo, hi, sign = 0, n - 1, 1
-            for p in range(n - 1, 0, -1):
-                x = sigma[w[p] - 1]
-                if w[hi] == x:
-                    hi -= 1
-                elif w[lo] == x:
-                    lo += 1
-                    sign = -sign
-                else:
-                    break
-            else:
-                total += sign
-        return Fraction(total)
+        # Lie(n) is induced from a faithful character of the cyclic
+        # group C_n (Klyachko 1974), so the trace vanishes unless every
+        # cycle of sigma has one length d; for its k = n / d cycles it
+        # is then mu(d) d^(k-1) (k-1)! (Brandt 1944).
+        lengths = set()
+        for x in range(1, n + 1):
+            y, length = sigma[x - 1], 1
+            while y != x:
+                y, length = sigma[y - 1], length + 1
+            lengths.add(length)
+        if len(lengths) != 1:
+            return Fraction(0)
+        d = lengths.pop()
+        k = n // d
+        mu, rest = 1, d  # mu(d), the Moebius function, by trial division
+        for p in range(2, d + 1):
+            if rest % p == 0:
+                rest //= p
+                if rest % p == 0:
+                    return Fraction(0)
+                mu = -mu
+        return Fraction(mu * d ** (k - 1) * factorial(k - 1))
 
 
 def comm_operad(max_arity: int) -> CommOperad:

@@ -8,17 +8,22 @@ reduced at machine-integer speed by the same code that handles
 fractions.  A true division goes through ``Fraction``, never ``/`` on
 two ints, which would give a float.
 
-``rank`` is the one rank engine: the standard reduction, fraction free.
-It clears denominators row by row and reads the rows in turn.  While a
-row is nonzero and a kept row already has the row's largest column pc
-as its pivot, the row r becomes pv * r - a * p (p that kept row, pv its
-entry at pc, a = r's); with a unit pivot that is r - a * pv * p, one
-pass over p, and only a non-unit pivot divides the new row by the gcd
-of its entries.  A row still nonzero is kept, with pc as its pivot.
-The kept rows, ordered by pivot, are triangular on their pivot columns,
-so their number is the rank.  Every step is exact integer arithmetic on
-rows scaled by nonzero integers, which keeps the row space over the
-rationals: the rank is exact for any input.
+All elimination is one step, ``_reduced``, on rows cleared of
+denominators.  While a row r is nonzero and a kept row p has r's
+``pick`` column pc as its pivot, r becomes pv * r - a * p (pv and a
+the entries of p and r at pc): with a unit pivot, r - a * pv * p, one
+pass over p; only a non-unit pivot divides the new row by its gcd.
+``_reduce`` reads rows in turn and keeps each nonzero residual with pc
+as its pivot.  Every step scales by nonzero integers, so the kept rows
+are an echelon basis of the rows' span over the rationals.  ``rank``
+counts them with pc the largest column, the rule whose fill-in under
+clearing (below) was measured; ``span_basis`` keeps the same rows, and
+``in_span`` reduces a vector against them to nothing or not.  ``rref``
+takes the least column, the echelon convention ``nullspace`` and
+``solve_in_span`` read, then from the last pivot back clears later
+pivot columns and divides each row by its pivot through ``Fraction``,
+``as_exact`` keeping integral values ``int``; reduced echelon form is
+unique, so how the rows were reduced does not show.
 
 ``ChainComplex`` ranks its boundaries in order by clearing (Chen and
 Kerber, "Persistent homology computation with a twist", EuroCG 2011).
@@ -42,7 +47,7 @@ persistent (co)homology", Inverse Problems 2011; Bauer, "Ripser",
 J. Appl. Comput. Topol. 2021).
 
 A ``SparseMatrix`` stores each entry once, row-major, and ``row`` hands
-out the stored row; ``rank`` copies the rows it eliminates, the only
+out the stored row; elimination copies the rows it reduces, the only
 other copy of the entries.  ``rank`` and ``rref`` walk only the stored
 rows, ascending, so empty rows cost nothing: ``span_rank`` and
 ``solve_in_span`` index their matrices by the vectors' own basis indices.
@@ -231,93 +236,92 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def _int_rows(m: SparseMatrix,
-              skip: Iterable[int] = ()) -> list[dict[int, int]]:
-    """The stored rows of m whose indices are not in ``skip``, ascending,
-    as {col: int} dicts, each row with a Fraction scaled by the lcm of
-    its denominators (rank is invariant under row scaling)."""
-    out = []
-    for r in sorted(m._rows.keys() - skip):
-        row = m._rows[r]
-        denom = 1
-        for v in row.values():
-            if type(v) is not int:
-                denom = lcm(denom, v.denominator)
-        out.append({c: int(v * denom) for c, v in row.items()}
-                   if denom > 1 else dict(row))
-    return out
+def _int_row(row: Mapping) -> dict[int, int]:
+    """A new {col: int} copy of a sparse vector, scaled by the lcm of its
+    denominators (a span is invariant under row scaling)."""
+    row = dict(row)
+    for v in row.values():
+        if type(v) is not int:
+            denom = lcm(*(v.denominator for v in row.values()))
+            return {c: int(v * denom) for c, v in row.items()}
+    return row
+
+
+def _int_rows(m: SparseMatrix, skip: Iterable[int] = ()) -> list[dict]:
+    """The stored rows of m not in ``skip``, ascending, as int rows."""
+    return [_int_row(m._rows[r]) for r in sorted(m._rows.keys() - skip)]
+
+
+def _reduced(row: dict[int, int], kept: dict, pick) -> tuple[dict, int]:
+    """The elimination step: ``row`` reduced against the kept rows
+    {pivot: row} until it is zero or its ``pick`` column is no pivot;
+    returns what is left and that column (None for a zero row)."""
+    while row:
+        pc = pick(row)
+        p = kept.get(pc)
+        if p is None:
+            return row, pc
+        pv, a = p[pc], row[pc]
+        if pv == 1 or pv == -1:
+            add_scaled(row, p, -a * pv)
+        else:
+            g = gcd(pv, a)
+            row = {c: v * (pv // g) for c, v in row.items()}
+            add_scaled(row, p, -(a // g))
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
+    return row, None
+
+
+def _reduce(rows: Iterable[dict[int, int]], pick,
+            pivots: list[int] | None = None) -> dict[int, dict[int, int]]:
+    """Each nonzero residual kept under its ``pick`` column, which is
+    appended to ``pivots`` if given: an echelon basis {pivot: row}."""
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row, pc = _reduced(row, kept, pick)
+        if row:
+            kept[pc] = row
+            if pivots is not None:
+                pivots.append(pc)
+    return kept
 
 
 def rank(m: SparseMatrix, skip: Iterable[int] = (),
          pivots: list[int] | None = None) -> int:
-    """Exact rank over the rationals by the standard reduction, fraction
-    free over the integers (see the module docstring).  Deterministic.
+    """Exact rank over the rationals by the standard reduction (see the
+    module docstring).  Deterministic.
 
     The rows whose indices are in ``skip`` are left out, so this is the
     rank of m with those rows deleted.  Given a list ``pivots``, the
     pivot column of each kept row is appended to it, in row order; m
     restricted to them has full column rank.
     """
-    kept: dict[int, dict[int, int]] = {}  # pivot column -> kept row
-    for row in _int_rows(m, skip):
-        while row:
-            pc = max(row)
-            p = kept.get(pc)
-            if p is None:
-                kept[pc] = row
-                if pivots is not None:
-                    pivots.append(pc)
-                break
-            pv, a = p[pc], row[pc]
-            if pv == 1 or pv == -1:
-                add_scaled(row, p, -a * pv)
-            else:
-                g = gcd(pv, a)
-                row = {c: v * (pv // g) for c, v in row.items()}
-                add_scaled(row, p, -(a // g))
-                g = gcd(*row.values())
-                if g > 1:
-                    row = {c: v // g for c, v in row.items()}
-    return len(kept)
+    return len(_reduce(_int_rows(m, skip), max, pivots))
 
 
-def rref(m: SparseMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
-
-    Returns (rows, pivot_cols); rows are sparse dicts with leading 1 in
-    the pivot column.  Only the stored rows are reduced, in ascending
-    order, so empty rows cost nothing.  Each row is divided by its pivot
-    through ``Fraction`` and its values kept as ``as_exact`` gives them,
-    so the row operations after an integral division run on ``int``.
-    Used where explicit bases are needed.
+def rref(m: SparseMatrix) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form over the rationals: (rows, pivot_cols),
+    pivots ascending, each row a sparse dict with 1 at its pivot and 0
+    at every other pivot (see the module docstring).  Used where
+    explicit bases are needed.
     """
-    reduced: list[dict[int, Fraction]] = []
-    pivots: list[int] = []
-    for r in sorted(m._rows):
-        row = dict(m._rows[r])
-        for prow, pc in zip(reduced, pivots):
-            a = row.get(pc)
-            if a:
-                add_scaled(row, prow, -a)
-        if not row:
-            continue
-        pc = min(row)
+    kept = _reduce(_int_rows(m), min)
+    done: dict[int, dict] = {}
+    for pc in sorted(kept, reverse=True):
+        row = kept[pc]
+        # a done row is 0 at the other done pivots, so each clearing
+        # leaves the row's entries there alone
+        for c, a in [(c, a) for c, a in row.items() if c in done]:
+            add_scaled(row, done[c], -a)
         inv = 1 / Fraction(row[pc])  # exact: never int / int
-        row = {c: as_exact(v * inv) for c, v in row.items()}
-        # back-substitute into existing rows
-        for i, prow in enumerate(reduced):
-            a = prow.get(pc)
-            if a:
-                new = dict(prow)
-                add_scaled(new, row, -a)
-                reduced[i] = new
-        reduced.append(row)
-        pivots.append(pc)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [reduced[i] for i in order], [pivots[i] for i in order]
+        done[pc] = {c: as_exact(v * inv) for c, v in row.items()}
+    pivots = sorted(done)
+    return [done[pc] for pc in pivots], pivots
 
 
-def nullspace(m: SparseMatrix) -> list[dict[int, Fraction]]:
+def nullspace(m: SparseMatrix) -> list[dict[int, int | Fraction]]:
     """A basis of the right kernel, one sparse dict per basis vector."""
     rows, pivots = rref(m)
     pivot_set = set(pivots)
@@ -373,6 +377,18 @@ def span_rank(vectors: list[dict[int, Fraction]]) -> int:
     entries = [(r, i, x) for r, v in enumerate(vectors) for i, x in v.items()]
     cols = 1 + max((i for _, i, _ in entries), default=-1)
     return rank(SparseMatrix(len(vectors), cols, entries))
+
+
+def span_basis(vectors: Iterable[Mapping]) -> dict[int, dict[int, int]]:
+    """An echelon basis of the span of sparse vectors, {pivot: row}: the
+    rows ``rank`` keeps, for ``in_span`` to reduce against."""
+    return _reduce(map(_int_row, vectors), max)
+
+
+def in_span(basis: dict[int, dict[int, int]], vector: Mapping) -> bool:
+    """Whether a sparse vector lies in the span ``span_basis`` gave:
+    whether reducing it against the basis rows leaves nothing."""
+    return not _reduced(_int_row(vector), basis, max)[0]
 
 
 class ChainComplex:

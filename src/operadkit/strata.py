@@ -301,9 +301,6 @@ def verify_vanishing(g: int, n: int, table: E1Table) -> bool:
                 lhs = sum(nv - 3 for nv in punctures)
                 if lhs != 2 * e + n - 3 * v:
                     return False
-                # top cohomological degree bound: p - q <= lhs = p
-                if lhs != (top - e):
-                    return False
     return True
 
 

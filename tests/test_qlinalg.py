@@ -18,10 +18,12 @@ from operadkit.qlinalg import (
     addmul,
     as_exact,
     format_vector,
+    in_span,
     nullspace,
     rank,
     rref,
     solve_in_span,
+    span_basis,
     span_rank,
 )
 from reference import dense_rank, to_dense
@@ -414,6 +416,32 @@ class TestRrefAndNullspace:
         assert {type(v) for v in values} == {int}
         (half,), _ = rref(SparseMatrix.from_rows([[2, 1]]))
         assert half == {0: 1, 1: Fraction(1, 2)} and type(half[0]) is int
+        # back-substitution: clearing row 0's column 1 gives
+        # 0 - 2 * (-3/2) = 3, an int, not Fraction(3, 1)
+        m = SparseMatrix.from_rows([[1, 2, 0], [1, 0, 3]])
+        rows, _ = rref(m)
+        (vec,) = nullspace(m)
+        assert rows == [{0: 1, 2: 3}, {1: 1, 2: Fraction(-3, 2)}]
+        assert vec == {2: 1, 0: -3, 1: Fraction(3, 2)}
+        assert type(rows[0][2]) is int and type(vec[0]) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(rank_test_matrix())
+    def test_rref_is_reduced_and_integral_values_are_int(self, m):
+        rows, pivots = rref(m)
+        assert pivots == sorted(pivots) and len(pivots) == rank(m)
+        for row, pc in zip(rows, pivots):
+            assert min(row) == pc and row[pc] == 1
+            assert all(c not in row for c in pivots if c != pc)
+        # the rows span m's row space
+        both = SparseMatrix(m.rows + len(rows), m.cols, [
+            *m.entries(), *((m.rows + i, c, v) for i, row in enumerate(rows)
+                            for c, v in row.items())])
+        assert rank(both) == len(pivots)
+        for vec in rows + nullspace(m):
+            for v in vec.values():
+                assert v and type(v) is (int if v.denominator == 1
+                                         else Fraction)
 
     def test_nullspace_vectors_are_killed(self):
         m = SparseMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
@@ -463,6 +491,32 @@ class TestSolveInSpan:
     def test_empty_span(self):
         assert solve_in_span([], {}) == []
         assert solve_in_span([], {0: Fraction(1)}) is None
+
+
+class TestSpanMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(sparse_vectors, max_size=5), st.data())
+    def test_in_span_agrees_with_solve_in_span(self, vectors, data):
+        inside = bool(vectors) and data.draw(st.booleans())
+        if inside:
+            v: dict = {}
+            for u in vectors:
+                add_scaled(v, u, data.draw(st.sampled_from(
+                    [0, 1, -1, 3, Fraction(-1, 2)])))
+        else:
+            v = data.draw(sparse_vectors)
+        basis = span_basis(vectors)
+        assert len(basis) == span_rank(vectors)
+        solvable = solve_in_span(vectors, v) is not None
+        assert in_span(basis, v) == solvable
+        assert solvable or not inside
+
+    def test_basis_rows_are_left_unchanged(self):
+        basis = span_basis([{0: 2, 1: 4}, {0: 1}])
+        before = {pc: dict(row) for pc, row in basis.items()}
+        assert in_span(basis, {0: 3, 1: 1})
+        assert not in_span(basis, {2: Fraction(1, 3)})
+        assert in_span(basis, {}) and basis == before
 
 
 class TestStoredRowsOnly:

@@ -26,7 +26,11 @@ within endpoint groups.
 
 ``qlinalg.rank`` is the one rank engine: every other rank or kernel
 dimension in ``qlinalg`` is computed by calling it.  It is the standard
-reduction, so no package module imports ``heapq``.
+reduction, so no package module imports ``heapq``.  All row reduction
+is one elimination step: ``qlinalg._reduced`` is the only function that
+calls ``gcd``, ``rank``, ``rref`` and ``span_basis`` reach it through
+``_reduce``, and ``in_span`` calls it; ``filtration`` imports no
+``rref`` and defines no echelon, pivot or reduction helper of its own.
 
 ``cobar.Cooperad`` owns its cocomposition and action: only its own
 methods read the operad it is the dual of, so the cobar complex cannot
@@ -239,15 +243,37 @@ def test_one_rank_engine():
              if isinstance(node, ast.FunctionDef)}
     assert sorted(name for name in funcs if "rank" in name) == [
         "rank", "ranks", "span_rank"]
+
+    def calls(name):
+        return {node.func.id for node in ast.walk(funcs[name])
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)}
+
     for name in ("span_rank", "ranks"):
-        called = {node.func.id for node in ast.walk(funcs[name])
-                  if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name)}
-        assert "rank" in called, name
+        assert "rank" in calls(name), name
     # homology reads the cleared ranks and eliminates nothing itself
     called = {ast.unparse(node.func) for node in ast.walk(funcs["homology"])
               if isinstance(node, ast.Call)}
     assert "self.ranks" in called and "rank" not in called
+    # one elimination step, which every reduction goes through
+    assert [name for name in funcs if "gcd" in calls(name)] == ["_reduced"]
+    for name in ("rank", "rref", "span_basis"):
+        assert "_reduce" in calls(name), name
+    for name in ("_reduce", "in_span"):
+        assert "_reduced" in calls(name), name
+    # the closure certificate reduces through qlinalg, not by itself
+    tree = ast.parse(
+        (Path(operadkit.__file__).parent / "filtration.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "rref" not in imported
+    assert {"span_basis", "in_span"} <= imported
+    helpers = [node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(word in node.name
+                       for word in ("echelon", "pivot", "reduc", "in_span"))]
+    assert helpers == []
     # rank is the standard reduction: no module keeps a pivot heap
     heap_importers = []
     for path in sorted(Path(operadkit.__file__).parent.glob("*.py")):
