@@ -5,8 +5,8 @@ Runs the Lie-dual cobar complex at arity 7 and the associative-dual at
 arity 6, and the full stable-graph censuses of (g, n) = (1, 5) and
 (2, 2), each cold in a fresh process, and prints what each took.
 ``--large`` adds the Lie-dual complex at arity 8 and the associative
-dual at arity 7, which take minutes each and peak at about 2.6 and
-3.4 GB.
+dual at arity 7, which take about a minute and half a minute and peak
+at about 2.2 and 2.4 GB.
 Given ``--label``, it also appends one entry to ``BENCH_frontier.json``
 at the repository root; without one it writes nothing, so checking the
 pinned values leaves the checkout clean.  A cobar job records

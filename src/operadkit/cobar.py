@@ -9,6 +9,11 @@ degree (arity - 2 - edges) by one.
 
 ``Cooperad.cocompose`` is the one cocomposition; ``boundary_from`` reads
 it, and its entries go straight into one ``SparseMatrix`` per boundary.
+The basis is indexed per tree, not per decorated tree: a tree's
+decorations follow one another in mixed-radix order, so a place is the
+tree's first place plus arithmetic.  Expanding a vertex compares no
+leaf label, so the boundary is computed once per tree skeleton and
+each tree only looks up where its targets start.
 
 The decorated trees also assemble into a graded operad under grafting,
 with Koszul signs from reordering the vertex generators (a vertex of
@@ -21,14 +26,14 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import InputError
 from .qlinalg import SparseMatrix, ChainComplex, addmul, as_exact
 from .operads import (GradedOperad, GradedSpace, Vector, koszul_sign,
                       perm_inverse)
 from .treegraph import (encode_tree, enumerate_trees, graft, relabel_tree,
-                        vertex_expansions)
+                        skeleton, skeleton_expansions)
 
 
 class CobarError(InputError):
@@ -140,10 +145,16 @@ def commc_cooperad(max_arity: int) -> Cooperad:
 class CobarComplex:
     """The arity-n cobar complex of a cooperad, graded by edge count.
 
-    ``basis`` lists the pairs (tree, decoration) by edge count; its
-    layout is private, read through ``position`` and ``differential()``:
-    count e starts at ``_offsets[e]``, and ``_index`` maps (shape,
-    decoration) to its place within its count, its boundary row or column."""
+    ``basis`` lists the pairs (tree, decoration) by edge count, each
+    tree's decorations in ``itertools.product`` order.  Its layout is
+    private, read through ``position`` and ``differential()``: count e
+    starts at ``_offsets[e]``, and ``_index[e]`` maps each tree's flat
+    key (skeleton id, *labels) (see ``treegraph.skeleton``) to the place
+    of its first decoration within its count, its first boundary row or
+    column.  The product order is mixed radix, so a decoration's place
+    is that plus its digits times its skeleton's strides.  Trees with
+    one skeleton share its ``_layout[id]``: the skeleton, its vertex
+    arities, its strides and its decorations."""
 
     def __init__(self, cooperad: Cooperad, n: int, sign_mode: str = "standard"):
         cooperad.check_arity(n)
@@ -153,60 +164,109 @@ class CobarComplex:
         self.n = n
         self.sign_mode = sign_mode
         self.basis: list = []
+        self._ids: dict = {}  # skeleton -> id
+        # id -> (skeleton, vertex arities, strides, decorations)
+        layout = self._layout = []
+        self._index: list[dict] = []
+        self._places: dict = {}  # shape -> {decoration: place}, by position
         o = self._offsets = [0]
         for e in range(n - 1):
+            index = {}
             for t in enumerate_trees(n, e):
-                ranges = [range(cooperad.dim(m)) for m in t.vertex_arities()]
-                self.basis.extend((t, d) for d in itertools.product(*ranges))
+                skel, labels = skeleton(t.shape)
+                sid = self._ids.setdefault(skel, len(layout))
+                if sid == len(layout):
+                    arities = t.vertex_arities()
+                    dims = [cooperad.dim(m) for m in arities]
+                    # product order is mixed radix, the last vertex fastest
+                    strides = [math.prod(dims[j + 1:])
+                               for j in range(len(dims))]
+                    layout.append((skel, arities, strides, list(
+                        itertools.product(*map(range, dims)))))
+                index[(sid, *labels)] = len(self.basis) - o[e]
+                self.basis.extend(zip(itertools.repeat(t), layout[sid][3]))
+            self._index.append(index)
             o.append(len(self.basis))
-        self._index = {(t.shape, d): k - o[t.internal_edges]
-                       for k, (t, d) in enumerate(self.basis)}
 
     def position(self, tree, decor: tuple[int, ...]) -> int:
-        """The place of (tree, decor) in ``basis``."""
-        return (self._offsets[tree.internal_edges]
-                + self._index[(tree.shape, decor)])
+        """The place of (tree, decor) in ``basis``; KeyError if it is
+        not a basis element.  The first call for a tree maps each of
+        its decorations to its place, so later calls are dict hits."""
+        places = self._places.get(tree.shape)
+        if places is None:
+            skel, labels = skeleton(tree.shape)
+            sid = self._ids[skel]
+            e = tree.internal_edges
+            start = self._offsets[e] + self._index[e][(sid, *labels)]
+            decorations = self._layout[sid][3]
+            places = self._places[tree.shape] = dict(
+                zip(decorations, range(start, start + len(decorations))))
+        return places[decor]
 
     def dims(self) -> dict[int, int]:
         o = self._offsets
         return {e: o[e + 1] - o[e] for e in range(self.n - 1)}
 
+    def _skeleton_boundary(self, sid: int) -> tuple[list, list]:
+        """The boundary shared by every tree with skeleton ``sid``: per
+        expansion (target skeleton id, getter of the target's labels
+        from a source's flat key), and per decoration in basis order its
+        entries (expansion, column less the target tree's first column,
+        value)."""
+        skel, arities, _, decorations = self._layout[sid]
+        nv = len(arities)  # the source's vertices; the new one is number nv
+        targets = []
+        rows = [[] for _ in decorations]
+        for x, (vi, subset, target, places, order) in enumerate(
+                skeleton_expansions(skel)):
+            tsid = self._ids[target]
+            tstrides = self._layout[tsid][2]
+            # a flat key (id, *labels) holds the label at preorder
+            # place p at index p
+            targets.append((tsid, itemgetter(*places)))
+            sign = 1
+            if self.sign_mode == "standard":
+                # orientation transport: sign of the shuffle taking
+                # (source edges, new edge) to the target's canonical
+                # edge order.  A non-root vertex stands for the edge
+                # above it and the root heads both preorders, so
+                # order[1:] is that shuffle or its inverse, which has
+                # the same sign
+                sign = koszul_sign(tuple(order[1:]), (1,) * nv)
+            # the stride in the target of each source vertex, of a (the
+            # decoration split off at vi) and of b (at the new vertex)
+            at = {j: tstrides[k] for k, j in enumerate(order)}
+            strides = [0 if j == vi else at[j] for j in range(nv)]
+            sa, sb = at[vi], at[nv]
+            table = self.cooperad.cocompose(arities[vi], subset)
+            for row, decor in zip(rows, decorations):
+                split = table.get(decor[vi])
+                if split:
+                    rest = sum(map(mul, decor, strides))
+                    for (a, b), c in split.items():
+                        row.append((x, rest + a * sa + b * sb, sign * c))
+        return targets, rows
+
     def boundary_from(self, e: int) -> list[tuple[int, int, int]]:
         """Sparse entries (row, col, value) of d on edge degree e: one row
         per basis element x of edge degree e, holding d(x), whose columns
-        live in degree e + 1."""
+        live in degree e + 1.  Each tree reads its skeleton's boundary
+        and places it through one index lookup per expansion."""
         entries = []
-        index = self._index
-        start, stop = self._offsets[e:e + 2]
-        row = 0
-        for t, group in itertools.groupby(self.basis[start:stop],
-                                          key=itemgetter(0)):
-            # every expansion of t, shared by all decorations of t
-            arities = t.vertex_arities()
-            nv = len(arities)  # t's vertices; the new one is number nv
-            expansions = []
-            for vi, subset, shape, order in vertex_expansions(t):
-                sign = 1
-                if self.sign_mode == "standard":
-                    # orientation transport: sign of the shuffle taking
-                    # (source edges, new edge) to the target's canonical
-                    # edge order.  A non-root vertex stands for the edge
-                    # above it and the root heads both preorders, so
-                    # order[1:] is that shuffle or its inverse, which
-                    # has the same sign
-                    sign = koszul_sign(tuple(order[1:]), (1,) * nv)
-                # target decoration = (source decoration, a, b) read off
-                # in the target's preorder: a at vertex vi, b at the new
-                gather = itemgetter(*(nv if j == vi else nv + 1 if j == nv
-                                      else j for j in order))
-                table = self.cooperad.cocompose(arities[vi], subset)
-                expansions.append((vi, table, shape, gather, sign))
-            for _, decor in group:
-                for vi, table, shape, gather, sign in expansions:
-                    for (a, b), c in table.get(decor[vi], {}).items():
-                        col = index[(shape, gather(decor + (a, b)))]
-                        entries.append((row, col, sign * c))
-                row += 1
+        append = entries.append
+        sources, index = self._index[e:e + 2]
+        # one int per column, shared by every entry that names it
+        cols = list(range(self._offsets[e + 2] - self._offsets[e + 1]))
+        skeletons = {}
+        for key, first in sources.items():
+            sk = skeletons.get(key[0])
+            if sk is None:
+                sk = skeletons[key[0]] = self._skeleton_boundary(key[0])
+            targets, rows = sk
+            bases = [index[(tsid, *labels(key))] for tsid, labels in targets]
+            for row, out in enumerate(rows, first):
+                for x, d, c in out:
+                    append((row, cols[bases[x] + d], c))
         return entries
 
     def boundary_matrix(self, e: int) -> SparseMatrix:

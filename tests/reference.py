@@ -14,16 +14,21 @@ object the library also produces, by a different road:
   contraction and vertex expansion on those names, each rebuilt through
   the validating ``Tree(shape)`` constructor, against the library's
   preorder indices and its spliced expansions;
+- cobar boundaries: every expansion of each tree itself, its target
+  found by its (shape, decoration) in a dict of the whole degree,
+  against the library's expansions of skeletons placed by arithmetic;
 - stable graphs: edge contraction and the genus b_1(G) + sum of vertex
   genera, through the validating ``StableGraph`` constructor.
 """
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
 from operadkit.operads import koszul_sign, shuffles
 from operadkit.qlinalg import ChainComplex, SparseMatrix, addmul, span_rank
-from operadkit.treegraph import GraphError, StableGraph, Tree, TreeError
+from operadkit.treegraph import (GraphError, StableGraph, Tree, TreeError,
+                                 _expand, _frame)
 
 # ---------------------------------------------------------------------------
 # Dense linear algebra
@@ -235,6 +240,74 @@ def expand_vertex(t: Tree, vertex: frozenset[int],
 
     return (Tree(walk(t.shape)),
             frozenset().union(*(kids[p - 1] for p in positions)))
+
+
+def vertex_expansions(t: Tree):
+    """Every tree that contracts to t along one edge, expanded from t
+    itself rather than from its skeleton.
+
+    Yields (vertex, positions, shape, order) for each internal vertex
+    (its preorder index in t) and each ascending tuple of at least two,
+    not all, of its 1-based child positions.  ``shape`` is the expanded
+    tree's canonical shape, and ``order`` lists its vertices in preorder
+    by their preorder index in t; the new vertex is t.internal_edges + 1.
+    """
+    frame = _frame(t.shape)
+    for j, (shape, _, _, _) in enumerate(frame):
+        m = len(shape)
+        for k in range(2, m):
+            for positions in itertools.combinations(range(1, m + 1), k):
+                yield (j, positions, *_expand(frame, j, positions))
+
+
+def substitute(skel, labels: tuple[int, ...]):
+    """The skeleton with leaf p replaced by labels[p - 1]."""
+    if isinstance(skel, int):
+        return labels[skel - 1]
+    return tuple(substitute(c, labels) for c in skel)
+
+
+def expansion_sign(order) -> int:
+    """The cobar differential's orientation sign for an expansion whose
+    vertices, in the target's preorder, are ``order`` by source index."""
+    return koszul_sign(tuple(order[1:]), (1,) * (len(order) - 1))
+
+
+# ---------------------------------------------------------------------------
+# Cobar boundaries, one tree at a time
+
+
+def boundary_entries(cx, e: int) -> list[tuple[int, int, int]]:
+    """The (row, col, value) entries of cx's differential on edge
+    degree e: each tree's own expansions, each target decoration
+    gathered in the target's preorder and placed by a (shape,
+    decoration) dict of degree e + 1."""
+    dims = cx.dims()
+    start = sum(dims[k] for k in range(e))
+    sources = cx.basis[start:start + dims[e]]
+    targets = cx.basis[start + dims[e]:start + dims[e] + dims[e + 1]]
+    index = {(t.shape, d): k for k, (t, d) in enumerate(targets)}
+    entries = []
+    row = 0
+    for t, group in itertools.groupby(sources, key=itemgetter(0)):
+        arities = t.vertex_arities()
+        nv = len(arities)
+        expansions = []
+        for vi, subset, shape, order in vertex_expansions(t):
+            sign = expansion_sign(order) if cx.sign_mode == "standard" else 1
+            # target decoration = (source decoration, a, b) read off in
+            # the target's preorder: a at vertex vi, b at the new one
+            gather = itemgetter(*(nv if j == vi else nv + 1 if j == nv
+                                  else j for j in order))
+            table = cx.cooperad.cocompose(arities[vi], subset)
+            expansions.append((vi, table, shape, gather, sign))
+        for _, decor in group:
+            for vi, table, shape, gather, sign in expansions:
+                for (a, b), c in table.get(decor[vi], {}).items():
+                    col = index[(shape, gather(decor + (a, b)))]
+                    entries.append((row, col, sign * c))
+            row += 1
+    return entries
 
 
 # ---------------------------------------------------------------------------

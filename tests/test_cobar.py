@@ -34,7 +34,7 @@ from operadkit.operads import (
 )
 from operadkit.qlinalg import ChainComplex, ComplexError, SparseMatrix, rank
 from operadkit.treegraph import enumerate_trees_all
-from reference import (dense_rank, liec_component_dim,
+from reference import (boundary_entries, dense_rank, liec_component_dim,
                        multilinear_shuffle_relations, shuffle_sum, to_dense)
 
 
@@ -250,6 +250,19 @@ class TestCobarComplex:
             for e in range(n - 2):
                 assert cx.boundary_matrix(e).nnz() == len(cx.boundary_from(e))
 
+    @pytest.mark.parametrize("sign_mode", ["standard", "unsigned"])
+    @pytest.mark.parametrize("cofactory, top", [
+        (liec_cooperad, 6), (asc_cooperad, 5), (commc_cooperad, 5)])
+    def test_boundary_entries_match_the_per_tree_reference(
+            self, cofactory, top, sign_mode):
+        # skeleton expansions placed by arithmetic, against each tree
+        # expanded itself and placed by a (shape, decoration) dict
+        for n in range(2, top + 1):
+            cx = CobarComplex(cofactory(n), n, sign_mode=sign_mode)
+            for e in range(n - 2):
+                assert sorted(cx.boundary_from(e)) == \
+                    sorted(boundary_entries(cx, e)), (n, e)
+
     def test_differential_squares_to_zero_explicitly(self):
         cc = CobarComplex(liec_cooperad(5), 5).chain_complex()
         for i in range(len(cc.boundaries) - 1):
@@ -277,6 +290,26 @@ class TestCobarComplex:
             cx = CobarComplex(cofactory(n), n)
             assert [cx.position(t, d) for t, d in cx.basis] == \
                 list(range(len(cx.basis))), n
+
+    def test_position_refuses_a_bad_decoration(self):
+        cx = CobarComplex(liec_cooperad(5), 5)
+        # a tree whose two vertices have arity 3, so dims (2, 2)
+        t = next(t for t, _ in cx.basis if t.vertex_arities() == [3, 3])
+        good = {d: cx.position(t, d)
+                for d in itertools.product(range(2), repeat=2)}
+        first = good[(0, 0)]
+        assert list(good.values()) == list(range(first, first + 4))
+        # too short or too long, an entry at its vertex's dim or below
+        # zero: (0, 2) and (1, -1) would land on (1, 0) and (0, 1)
+        for bad in [(), (0,), (0, 0, 0), (0, 2), (2, 0), (1, -1), (-1, 3)]:
+            with pytest.raises(KeyError):
+                cx.position(t, bad)
+        assert {d: cx.position(t, d) for d in good} == good
+        corolla = cx.basis[0][0]
+        assert cx.position(corolla, (23,)) == 23
+        for bad in [(24,), (-1,), (0, 0)]:
+            with pytest.raises(KeyError):
+                cx.position(corolla, bad)
 
     @pytest.mark.parametrize("cofactory, top", [
         (liec_cooperad, 5), (asc_cooperad, 4), (commc_cooperad, 5)])

@@ -43,9 +43,10 @@ their own, no second composition or differential routine is defined
 beside them, and ``endtable.EndOperad`` goes through both.
 
 Each arity's decorated basis has one owner, its ``cobar.CobarComplex``:
-only that class builds a (shape, decoration) index, and
-``CobarOperad`` reads basis elements and positions from the complexes
-it keeps, holding no basis of its own.
+only that class builds its index, one entry per tree keyed by the flat
+(skeleton id, *labels), no (shape, decoration) index is kept beside
+it, and ``CobarOperad`` reads basis elements and positions from the
+complexes it keeps, holding no basis of its own.
 
 Vertex correspondence lives in ``treegraph``: ``graft`` and
 ``relabel_tree`` report where each vertex went by preorder index, so
@@ -314,33 +315,50 @@ def test_cobar_matches_no_leaf_sets():
 
 def test_the_complex_owns_the_decorated_basis():
     from operadkit.cobar import cobar_operad, liec_cooperad
+    from operadkit.treegraph import enumerate_trees_all
     tree = ast.parse((Path(operadkit.__file__).parent / "cobar.py").read_text())
     owner = {id(node): cls.name for cls in tree.body
              if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
-    # a decorated-tree index is keyed by (tree shape, decoration)
+    # the decorated-tree index is keyed by a tree's flat (skeleton id,
+    # *labels), and only the complex stores into one
     indexes = [owner.get(id(node)) for node in ast.walk(tree)
-               if isinstance(node, ast.DictComp)
-               and isinstance(node.key, ast.Tuple)
-               and any(isinstance(k, ast.Attribute) and k.attr == "shape"
-                       for k in node.key.elts)]
+               if isinstance(node, ast.Subscript)
+               and isinstance(node.ctx, ast.Store)
+               and isinstance(node.slice, ast.Tuple)
+               and any(isinstance(k, ast.Starred) for k in node.slice.elts)]
     assert indexes == ["CobarComplex"]
+    # no index keyed by (tree shape, decoration) is kept beside it
+    package = Path(operadkit.__file__).parent
+    def key(node):  # of a dict comprehension or a subscript
+        return node.key if isinstance(node, ast.DictComp) else getattr(
+            node, "slice", None)
+
+    per_element = [f"{path.name}:{node.lineno}"
+                   for path in sorted(package.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(key(node), ast.Tuple)
+                   and any(isinstance(k, ast.Attribute) and k.attr == "shape"
+                           for k in key(node).elts)]
+    assert per_element == []
     # the operad keeps its complexes, and no basis or index beside them
     B = cobar_operad(liec_cooperad(3), 3)
     assert set(vars(B)) == {"cooperad", "complexes", "components",
                             "unit_vector", "differentials"}
-    # the layout is the complex's own: it shows no offsets or index
+    # the layout is the complex's own: it shows no offsets or index, and
+    # its index holds one entry per tree, not per decorated tree
     assert not {"offsets", "index"} & set(vars(B.complexes[3]))
-    # outside its methods, no package code reads a complex's _offsets or
-    # _index (the word operads' self._index is their own)
-    package = Path(operadkit.__file__).parent
+    assert [len(keys) for keys in B.complexes[3]._index] == [
+        len(ts) for ts in enumerate_trees_all(3).values()]
+    # outside its methods, no package code reads a complex's layout (the
+    # word operads' self._index is their own)
+    private = ("_offsets", "_index", "_ids", "_layout", "_places")
     readers = []
     for path in sorted(package.glob("*.py")):
         module = ast.parse(path.read_text())
         owner = {id(node): cls.name for cls in module.body
                  if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
         for node in ast.walk(module):
-            if isinstance(node, ast.Attribute) and \
-                    node.attr in ("_offsets", "_index"):
+            if isinstance(node, ast.Attribute) and node.attr in private:
                 own = (isinstance(node.value, ast.Name)
                        and node.value.id == "self")
                 if not own or (path.name == "cobar.py"
@@ -357,7 +375,7 @@ def test_the_complex_owns_the_decorated_basis():
     induce = next(node for node in filtration.body
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "induce_cinf")
-    layout = ("offsets", "index", "_offsets", "_index")
+    layout = ("offsets", "index", *private)
     for scope in (cobar_operad_cls, filtration):
         assert [node.lineno for node in ast.walk(scope)
                 if isinstance(node, ast.Subscript)

@@ -37,12 +37,14 @@ from operadkit.treegraph import (
     enumerate_trees_all,
     graft,
     relabel_tree,
-    vertex_expansions,
+    skeleton,
+    skeleton_expansions,
 )
 from operadkit.stablegraphs import _is_stable
 from reference import (contract_edge, contract_graph_edge, edges,
-                       expand_vertex, genus_invariant,
-                       strata_euler_characteristic, vertices)
+                       expand_vertex, expansion_sign, genus_invariant,
+                       strata_euler_characteristic, substitute,
+                       vertex_expansions, vertices)
 
 
 # --------------------------------------------------------------------------
@@ -380,16 +382,23 @@ class TestTreeOperations:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 7), st.data())
-    def test_vertex_expansions_are_canonical_and_ordered(self, n, data):
+    def test_skeleton_expansions_are_canonical_and_ordered(self, n, data):
         trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
         t = data.draw(st.sampled_from(trees))
-        verts = vertices(t)
+        skel, labels = skeleton(t.shape)
+        # the skeleton numbers the leaves in preorder and stays canonical
+        assert Tree(skel).shape == skel and skeleton(skel) == (
+            skel, tuple(range(1, n + 1)))
+        assert substitute(skel, labels) == t.shape
+        verts = vertices(Tree(skel))
         seen = []
-        for vi, positions, shape, order in vertex_expansions(t):
+        for vi, positions, target, places, order in skeleton_expansions(skel):
             key, kids, m = verts[vi]
-            s = Tree(shape)
-            assert s.shape == shape
-            assert s == expand_vertex(t, key, positions)[0]
+            assert skeleton(target)[0] == target
+            assert sorted(places) == list(range(1, n + 1))
+            s = Tree(substitute(target, places))
+            assert s.shape == substitute(target, places)
+            assert s == expand_vertex(Tree(skel), key, positions)[0]
             assert (s.arity, s.internal_edges) == (n, t.internal_edges + 1)
             new_key = frozenset().union(*(kids[p - 1] for p in positions))
             keys = [k for k, _, _ in verts] + [new_key]
@@ -398,6 +407,26 @@ class TestTreeOperations:
         assert seen == [(vi, p) for vi, (_, _, m) in enumerate(verts)
                         for k in range(2, m)
                         for p in itertools.combinations(range(1, m + 1), k)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_a_tree_expands_as_its_skeleton(self, n, data):
+        # the skeleton lemma: expanding a tree never compares its labels,
+        # so its expansions are its skeleton's with the labels put back
+        trees = [t for ts in enumerate_trees_all(n).values() for t in ts]
+        t = data.draw(st.sampled_from(trees))
+        skel, labels = skeleton(t.shape)
+        verts = vertices(t)
+        own = list(vertex_expansions(t))
+        via = list(skeleton_expansions(skel))
+        assert len(own) == len(via)
+        for (vi, positions, shape, order), (vj, subset, target, places,
+                                            sorder) in zip(own, via):
+            assert (vi, positions, order) == (vj, subset, sorder)
+            assert expansion_sign(order) == expansion_sign(sorder)
+            assert shape == substitute(
+                target, tuple(labels[p - 1] for p in places))
+            assert Tree(shape) == expand_vertex(t, verts[vi][0], positions)[0]
 
     def test_encode_decode_round_trip(self):
         for e, ts in enumerate_trees_all(5).items():
