@@ -20,20 +20,19 @@ out first before one with more.  The generator is memoised per label
 set and keeps the shapes alone (a group's order tokens live only while
 it is sorted); `enumerate_trees` and `enumerate_trees_all` look into
 it.  A vertex is named by its preorder index, the one vertex naming
-here.  Trees are rebuilt by one walk, `_rebuild`: `graft` and
-`relabel_tree` tag each vertex with its preorder index, and the walk
-sorts children back into canonical order, reporting where each vertex
-and its children came from.  A tree's skeleton is its canonical shape
-with the leaves numbered in preorder (a planar tree, or associahedron
-cell: 197 of them against 2,752 trees at n = 6); ``skeleton`` splits a
-shape into its skeleton and its labels in preorder.  The cobar
-boundary expands skeletons, not trees: ``skeleton_expansions`` splices
-instead of sorting, since the new vertex takes the place of its least
-child and no other vertex's leaf set, so no other order, changes.  It
-compares no label, so every tree with that skeleton expands the same
-way with its labels carried along.  Stable graphs live in
-``stablegraphs``, whose names this module exports too, loaded on first
-use.
+here.  Every rebuilt tree comes from one of two walks over a shape
+whose vertices are tagged with that index.  `_rebuild` sorts children
+back into canonical order for `Tree(...)`, `graft` and `relabel_tree`,
+reporting where each vertex and its children came from.  A tree's
+skeleton is its canonical shape with the leaves numbered in preorder
+(a planar tree, or associahedron cell: 197 of them against 2,752 trees
+at n = 6); ``skeleton`` splits a shape into its skeleton and its labels
+in preorder.  The cobar boundary expands skeletons, not trees, by the
+walk that keeps order: ``skeleton_expansions`` walks the tagged
+skeleton once per expansion, in the target's preorder.  It compares no
+label, so every tree with that skeleton expands the same way with its
+labels carried along.  Stable graphs live in ``stablegraphs``, whose
+names this module exports too, loaded on first use.
 """
 
 from __future__ import annotations
@@ -59,28 +58,20 @@ class Tree:
     __slots__ = ("shape", "arity", "internal_edges")
 
     def __init__(self, shape):
-        """Validate outside input in one walk: sort children by least
-        leaf, reject unary vertices, collect leaves, count vertices."""
-        if isinstance(shape, int):
+        """Validate outside input: ``_tagged`` refuses an item that is
+        neither an int leaf nor a tuple or list of children, ``_rebuild``
+        sorts children by least leaf and refuses unary vertices, and the
+        leaves must be exactly 1..n."""
+        if type(shape) is int:
             raise TreeError("a tree must have at least one internal vertex")
         leaves: list[int] = []
-
-        def walk(s):  # -> (canonical shape, least leaf, internal vertices)
-            if isinstance(s, int):
-                leaves.append(s)
-                return s, s, 0
-            kids = sorted(map(walk, s), key=itemgetter(1))
-            if len(kids) < 2:
-                raise TreeError("internal vertices need at least two inputs")
-            return (tuple(k[0] for k in kids), kids[0][1],
-                    1 + sum(k[2] for k in kids))
-
-        shape, _, vertices = walk(shape)
+        self.shape, verts = _rebuild(_tagged(
+            shape, lambda x: leaves.append(x) or x, itertools.count()))
         n = len(leaves)
         leaves.sort()
         if leaves != list(range(1, n + 1)):
             raise TreeError(f"leaves must be exactly 1..{n}, got {leaves}")
-        self.shape, self.arity, self.internal_edges = shape, n, vertices - 1
+        self.arity, self.internal_edges = n, len(verts) - 1
 
     @classmethod
     def _from_canonical(cls, shape, arity: int, internal_edges: int) -> Tree:
@@ -101,16 +92,15 @@ class Tree:
 
     def vertex_arities(self) -> list[int]:
         """Number of children of each internal vertex, preorder."""
-        out = []
+        return _arities(self.shape, [])
 
-        def walk(shape):
-            out.append(len(shape))
-            for c in shape:
-                if not isinstance(c, int):
-                    walk(c)
 
-        walk(self.shape)
-        return out
+def _arities(shape, out: list) -> list:
+    out.append(len(shape))
+    for c in shape:
+        if type(c) is not int:
+            _arities(c, out)
+    return out
 
 
 # Order tokens: a subtree is _OPEN, its children's tokens, _CLOSE, and
@@ -186,16 +176,19 @@ def enumerate_trees_all(n: int) -> dict[int, list[Tree]]:
             for e, shapes in enumerate(_generated(n))}
 
 
-def _rebuild(tagged, arity: int) -> tuple[Tree, list]:
-    """Canonicalize a tagged shape (leaves are labels, a vertex is (tag,
-    children)) whose leaves the caller vouches are 1..arity.  Returns
-    the tree and per vertex in preorder (tag, positions): the 1-based
-    input positions of its children in canonical order."""
+def _rebuild(tagged) -> tuple[tuple, list]:
+    """The walk that sorts: canonicalize a tagged shape (leaves are
+    labels, a vertex is (tag, children)), refusing a vertex with fewer
+    than two children.  Returns the canonical shape and per vertex in
+    preorder (tag, positions): the 1-based input positions of its
+    children in canonical order."""
 
     def walk(s):  # -> (canonical shape, least leaf, vertices in preorder)
         if type(s) is int:
             return s, s, ()
         tag, children = s
+        if len(children) < 2:
+            raise TreeError("internal vertices need at least two inputs")
         kids = sorted(((p, *walk(c)) for p, c in enumerate(children, 1)),
                       key=itemgetter(2))
         verts = [(tag, tuple(k[0] for k in kids))]
@@ -204,14 +197,18 @@ def _rebuild(tagged, arity: int) -> tuple[Tree, list]:
         return tuple(k[1] for k in kids), kids[0][2], verts
 
     shape, _, verts = walk(tagged)
-    return Tree._from_canonical(shape, arity, len(verts) - 1), verts
+    return shape, verts
 
 
 def _tagged(shape, leaf, tags):
     """shape with each vertex as (next preorder tag, children) and each
-    leaf label x as leaf(x)."""
+    leaf label x as leaf(x).  An item that is neither an int leaf nor a
+    tuple or list of children is a TreeError."""
     if type(shape) is int:
         return leaf(shape)
+    if not isinstance(shape, (tuple, list)):
+        raise TreeError(f"bad tree item {shape!r}: a leaf is an int and a "
+                        "vertex a tuple or list of children")
     return next(tags), tuple(_tagged(c, leaf, tags) for c in shape)
 
 
@@ -225,8 +222,9 @@ def relabel_tree(t: Tree, mapping: dict[int, int]) -> tuple[Tree, list]:
     leaves = set(range(1, t.arity + 1))
     if set(mapping) != leaves or set(mapping.values()) != leaves:
         raise TreeError(f"relabelling must be a bijection of 1..{t.arity}")
-    return _rebuild(_tagged(t.shape, mapping.__getitem__, itertools.count()),
-                    t.arity)
+    shape, verts = _rebuild(_tagged(t.shape, mapping.__getitem__,
+                                    itertools.count()))
+    return Tree._from_canonical(shape, t.arity, t.internal_edges), verts
 
 
 def graft(t: Tree, i: int, s: Tree) -> tuple[Tree, list]:
@@ -246,51 +244,8 @@ def graft(t: Tree, i: int, s: Tree) -> tuple[Tree, list]:
                     itertools.count(t.internal_edges + 1))
     outer = _tagged(t.shape, lambda j: inner if j == i
                     else j if j < i else j + m - 1, itertools.count())
-    return _rebuild(outer, n + m - 1)
-
-
-def _frame(shape) -> list[tuple]:
-    """Per internal vertex in preorder: (shape, parent's index or -1,
-    position among the parent's children, and per child the preorder
-    index range of its subtree's vertices)."""
-    frame: list = []
-
-    def walk(shape, parent, slot):
-        j = len(frame)
-        frame.append(None)
-        spans = []
-        for p, c in enumerate(shape):
-            start = len(frame)
-            if type(c) is not int:
-                walk(c, j, p)
-            spans.append((start, len(frame)))
-        frame[j] = (shape, parent, slot, spans)
-
-    walk(shape, -1, 0)
-    return frame
-
-
-def _expand(frame, j: int, positions: tuple[int, ...]):
-    """The canonical shape with the children of vertex j at the
-    ascending 1-based positions grouped under a new vertex, and its
-    vertices in preorder as indices into frame (the new one is
-    len(frame)).  No leaf label is compared."""
-    shape, parent, slot, spans = frame[j]
-    chosen = [p - 1 for p in positions]
-    later = [p for p in range(chosen[0] + 1, len(shape)) if p not in chosen]
-    # the new child's least leaf is its first child's, so it takes that
-    # child's place; no vertex's leaf set changes, so no other order does
-    new = (shape[:chosen[0]] + (tuple(shape[p] for p in chosen),)
-           + tuple(shape[p] for p in later))
-    while parent >= 0:
-        up, parent, slot_up, _ = frame[parent]
-        new = up[:slot] + (new,) + up[slot + 1:]
-        slot = slot_up
-    order = [*range(spans[chosen[0]][0]), len(frame)]
-    for p in chosen + later:
-        order.extend(range(*spans[p]))
-    order.extend(range(spans[-1][1], len(frame)))
-    return new, order
+    shape, verts = _rebuild(outer)
+    return Tree._from_canonical(shape, n + m - 1, len(verts) - 1), verts
 
 
 def _skeleton(shape, labels: list):
@@ -325,17 +280,40 @@ def skeleton_expansions(skel):
     ``places`` the source preorder place of each of its leaves in
     preorder, and ``order`` lists its vertices in preorder by their
     index in the source (the new vertex is one past the last).  The
-    expansion compares no label, so a tree with this skeleton and labels
-    L expands, at the same vertex and positions, to ``target`` with
-    labels L[p - 1] for p in ``places``, with the same ``order``.
+    new vertex takes the place of its first child, whose least leaf it
+    shares, so no vertex's leaf set and no order changes: each expansion
+    is one walk over the tagged skeleton, sorting nothing and comparing
+    no label.  So a tree with this skeleton and labels L expands, at the
+    same vertex and positions, to ``target`` with labels L[p - 1] for p
+    in ``places``, with the same ``order``.
     """
-    frame = _frame(skel)
-    for j, (shape, _, _, _) in enumerate(frame):
-        m = len(shape)
+    arities = _arities(skel, [])
+    tagged = _tagged(skel, int, itertools.count())  # leaves: their places
+    new = len(arities)
+
+    def walk(s):  # -> s's part of the target, for j and positions
+        if type(s) is int:
+            places.append(s)
+            return len(places)
+        tag, children = s
+        order.append(tag)
+        if tag != j:
+            return tuple(map(walk, children))
+        out = []
+        for p, c in enumerate(children, 1):
+            if p == positions[0]:
+                order.append(new)
+                out.append(tuple(walk(children[q - 1]) for q in positions))
+            elif p not in positions:
+                out.append(walk(c))
+        return tuple(out)
+
+    for j, m in enumerate(arities):
         for k in range(2, m):
             for positions in itertools.combinations(range(1, m + 1), k):
-                expanded, order = _expand(frame, j, positions)
-                yield (j, positions, *skeleton(expanded), order)
+                places, order = [], []
+                target = walk(tagged)
+                yield j, positions, target, tuple(places), order
 
 
 def encode_tree(t: Tree) -> str:

@@ -13,7 +13,7 @@ object the library also produces, by a different road:
 - trees: vertices named by the set of leaves below them, and edge
   contraction and vertex expansion on those names, each rebuilt through
   the validating ``Tree(shape)`` constructor, against the library's
-  preorder indices and its spliced expansions;
+  preorder indices and its order-keeping walk over tagged skeletons;
 - cobar boundaries: every expansion of each tree itself, its target
   found by its (shape, decoration) in a dict of the whole degree,
   against the library's expansions of skeletons placed by arithmetic;
@@ -27,8 +27,7 @@ from operator import itemgetter
 
 from operadkit.operads import koszul_sign, shuffles
 from operadkit.qlinalg import ChainComplex, SparseMatrix, addmul, span_rank
-from operadkit.treegraph import (GraphError, StableGraph, Tree, TreeError,
-                                 _expand, _frame)
+from operadkit.treegraph import GraphError, StableGraph, Tree, TreeError
 
 # ---------------------------------------------------------------------------
 # Dense linear algebra
@@ -244,20 +243,24 @@ def expand_vertex(t: Tree, vertex: frozenset[int],
 
 def vertex_expansions(t: Tree):
     """Every tree that contracts to t along one edge, expanded from t
-    itself rather than from its skeleton.
+    itself rather than from its skeleton, by ``expand_vertex``.
 
     Yields (vertex, positions, shape, order) for each internal vertex
     (its preorder index in t) and each ascending tuple of at least two,
     not all, of its 1-based child positions.  ``shape`` is the expanded
     tree's canonical shape, and ``order`` lists its vertices in preorder
-    by their preorder index in t; the new vertex is t.internal_edges + 1.
+    by their preorder index in t, matched by leaf set; the new vertex,
+    named by the new edge's leaf set, is t.internal_edges + 1.
     """
-    frame = _frame(t.shape)
-    for j, (shape, _, _, _) in enumerate(frame):
-        m = len(shape)
+    verts = vertices(t)
+    index = {key: j for j, (key, _, _) in enumerate(verts)}
+    for j, (key, _, m) in enumerate(verts):
         for k in range(2, m):
             for positions in itertools.combinations(range(1, m + 1), k):
-                yield (j, positions, *_expand(frame, j, positions))
+                s, edge = expand_vertex(t, key, positions)
+                names = {**index, edge: t.internal_edges + 1}
+                yield (j, positions, s.shape,
+                       [names[v] for v, _, _ in vertices(s)])
 
 
 def substitute(skel, labels: tuple[int, ...]):

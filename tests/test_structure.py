@@ -161,8 +161,11 @@ def test_every_public_name_has_a_caller():
 
 
 def test_no_module_imports_a_private_name_from_another():
+    # the tests' reference computations count too: a reference that
+    # shares the library's private machinery checks nothing
     offenders = []
-    for path in sorted(Path(operadkit.__file__).parent.glob("*.py")):
+    for path in [*sorted(Path(operadkit.__file__).parent.glob("*.py")),
+                 Path(__file__).parent / "reference.py"]:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.ImportFrom):
                 continue

@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -126,6 +127,15 @@ class TestTreeBasics:
     def test_unary_vertices_rejected(self):
         with pytest.raises(TreeError):
             Tree(((1,), 2))
+
+    @pytest.mark.parametrize("shape, item", [
+        ("12", "'12'"), ((1, 2.0), "2.0"), ((1, True), "True"),
+        ((1, (2, None)), "None")])
+    def test_a_bad_item_is_a_tree_error_naming_it(self, shape, item):
+        # neither an int leaf nor a tuple or list of children
+        with pytest.raises(TreeError,
+                           match=f"^bad tree item {re.escape(item)}:"):
+            Tree(shape)
 
     def test_vertex_arities_preorder(self):
         t = decode_tree("((1,2),(3,(4,5)))")
@@ -427,6 +437,19 @@ class TestTreeOperations:
             assert shape == substitute(
                 target, tuple(labels[p - 1] for p in places))
             assert Tree(shape) == expand_vertex(t, verts[vi][0], positions)[0]
+
+    def test_expansions_at_arity_7_are_pinned(self):
+        # every skeleton's expansions in yield order, as the boundary
+        # reads them, so a rewrite of the walk cannot reorder them
+        skels = dict.fromkeys(skeleton(t.shape)[0]
+                              for ts in enumerate_trees_all(7).values()
+                              for t in ts)
+        out = [(j, positions, target, places, tuple(order))
+               for skel in skels for j, positions, target, places, order
+               in skeleton_expansions(skel)]
+        assert (len(skels), len(out)) == (903, 6085)
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "39af099a36d0fbb465e426aec8bccbd8ec03851ad296a4f69814449f6bb4dd3d")
 
     def test_encode_decode_round_trip(self):
         for e, ts in enumerate_trees_all(5).items():
