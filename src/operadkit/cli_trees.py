@@ -23,7 +23,7 @@ def trees(n, edges, count, fmt):
 
 
 def graphs(g, n, max_edges, count, fmt):
-    from .stablegraphs import (enumerate_stable_graphs, automorphism_group,
+    from .stablegraphs import (enumerate_stable_graphs, automorphism_order,
                                encode_graph)
     if max_edges is None:
         max_edges = 3 * g - 3 + n
@@ -31,7 +31,7 @@ def graphs(g, n, max_edges, count, fmt):
     if count:
         print(len(items))
         return
-    rows = [(encode_graph(G), len(G.edges), len(automorphism_group(G)))
+    rows = [(encode_graph(G), len(G.edges), automorphism_order(G))
             for G in items]
     if fmt == "json":
         import json

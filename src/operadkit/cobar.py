@@ -152,9 +152,10 @@ class CobarComplex:
     key (skeleton id, *labels) (see ``treegraph.skeleton``) to the place
     of its first decoration within its count, its first boundary row or
     column.  The product order is mixed radix, so a decoration's place
-    is that plus its digits times its skeleton's strides.  Trees with
-    one skeleton share its ``_layout[id]``: the skeleton, its vertex
-    arities, its strides and its decorations."""
+    is that plus its digits times its skeleton's strides, for
+    ``position`` and the boundary alike.  Trees with one skeleton share
+    its ``_layout[id]``: the skeleton, its vertex arities, its strides
+    and its decorations."""
 
     def __init__(self, cooperad: Cooperad, n: int, sign_mode: str = "standard"):
         cooperad.check_arity(n)
@@ -168,7 +169,6 @@ class CobarComplex:
         # id -> (skeleton, vertex arities, strides, decorations)
         layout = self._layout = []
         self._index: list[dict] = []
-        self._places: dict = {}  # shape -> {decoration: place}, by position
         o = self._offsets = [0]
         for e in range(n - 1):
             index = {}
@@ -190,18 +190,16 @@ class CobarComplex:
 
     def position(self, tree, decor: tuple[int, ...]) -> int:
         """The place of (tree, decor) in ``basis``; KeyError if it is
-        not a basis element.  The first call for a tree maps each of
-        its decorations to its place, so later calls are dict hits."""
-        places = self._places.get(tree.shape)
-        if places is None:
-            skel, labels = skeleton(tree.shape)
-            sid = self._ids[skel]
-            e = tree.internal_edges
-            start = self._offsets[e] + self._index[e][(sid, *labels)]
-            decorations = self._layout[sid][3]
-            places = self._places[tree.shape] = dict(
-                zip(decorations, range(start, start + len(decorations))))
-        return places[decor]
+        not a basis element (a digit out of range may reach another
+        decoration, so the one at the computed place must be decor)."""
+        skel, labels = skeleton(tree.shape)
+        sid = self._ids[skel]
+        _, _, strides, decorations = self._layout[sid]
+        rel = sum(map(mul, decor, strides))
+        if not 0 <= rel < len(decorations) or decorations[rel] != decor:
+            raise KeyError(decor)
+        e = tree.internal_edges
+        return self._offsets[e] + self._index[e][(sid, *labels)] + rel
 
     def dims(self) -> dict[int, int]:
         o = self._offsets

@@ -116,7 +116,19 @@ class TableOperad(GradedOperad):
         return self._comp.get((n, i, m), {}).get((a, b), {})
 
     def act_basis(self, n, sigma, a):
-        return self._act[(n, sigma)].get(a, {})
+        """a.sigma from its record; a permutation with none acts through
+        the records there are.  At a descent t of sigma, a acts by s_t
+        and then by sigma with entries t and t + 1 swapped, which has one
+        inversion fewer; the identity acts trivially."""
+        table = self._act.get((n, sigma))
+        if table is not None:
+            return table.get(a, {})
+        t = next((t for t in range(1, n) if sigma[t - 1] > sigma[t]), 0)
+        if not t:
+            return {a: 1}
+        first = self._act[(n, adjacent_transpositions(n)[t - 1])].get(a, {})
+        return self.act(n, sigma[:t - 1] + (sigma[t], sigma[t - 1])
+                        + sigma[t + 1:], first)
 
     def with_corrupted_composition(self, n, i, m, a, b,
                                    scale=-1) -> "TableOperad":

@@ -19,6 +19,17 @@ word (a_1, ..., a_n) is weighted by the decalage sign
 graded-commutative algebra, such as H*(S^1) = Lambda(x) with x odd, the
 suspended product kills the (1, 1)-shuffles exactly because
 m2(a, b) = (-1)^(|a||b|) m2(b, a).
+
+In bar terms, the family is A-infinity iff the coderivation b of the
+tensor coalgebra on sV with b_1 = s Q s^-1 and
+
+  b_n = eps_n s m_n (s^-1)^(tensor n),  eps_n = (-1)^(n(n-1)/2),
+
+squares to zero.  With this eps_n, s^-1 (b o b) s^(tensor n) on words
+of length n is the arity-n defect above, value for value, and b_n on a
+shuffle product is the suspended m_n on the shuffle sum; a transferred
+structure must meet the same convention.  The tests build b from the
+m_n alone and check both against it through arity 5.
 """
 
 from __future__ import annotations

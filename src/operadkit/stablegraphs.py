@@ -5,7 +5,8 @@ legs.  An isomorphism class is stored as its lex-least (genera, edges,
 legs) over vertex relabellings; that triple lists the genera sorted, so
 only relabellings within each genus class are searched (desk scale).
 The same search yields the vertex permutations that keep the minimum,
-so `automorphism_group` only adds edge bijections and loop flips.
+so `automorphism_group` only adds edge bijections and loop flips, and
+`automorphism_order` counts them without listing any.
 Graphs are grown by edge count from the smooth graph by uncontraction
 (a loop at a vertex that gives up one genus, or a vertex split in two
 along a new edge), which reaches all of them: contracting any edge of a
@@ -19,7 +20,8 @@ and higher-genus pages load it.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+import math
+from collections import Counter, namedtuple
 
 from . import InputError
 
@@ -259,6 +261,15 @@ def automorphism_group(G: StableGraph) -> list[GraphAutomorphism]:
                                   (("e", j, 1), ("e", k, 1 - f)))]
                 autos.append(GraphAutomorphism(p, legs + tuple(half)))
     return autos
+
+
+def automorphism_order(G: StableGraph) -> int:
+    """The order of ``automorphism_group(G)`` without listing it: each
+    vertex permutation the canonical search kept, times every bijection
+    of each endpoint group of edges, times a flip of each loop."""
+    loops = sum(a == b for a, b in G.edges)
+    return len(G._vertex_perms) * math.prod(
+        map(math.factorial, Counter(G.edges).values())) * 2 ** loops
 
 
 def encode_graph(G: StableGraph) -> str:

@@ -263,7 +263,7 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
     else:
         if 2 * g - 2 + n <= 0:
             raise StrataError("unstable (g, n)")
-        from .stablegraphs import enumerate_stable_graphs, automorphism_group
+        from .stablegraphs import enumerate_stable_graphs, automorphism_order
         census = {}
         for G in enumerate_stable_graphs(g, n, top):
             vertices = [(gv, G.valence(v)) for v, gv in enumerate(G.genera)]
@@ -272,7 +272,7 @@ def e1_table(g: int, n: int, betti: BettiTable | None = None,
             # class above degree 0 iff no row is zero and one has such a class
             if (aut_mode == "degree0" and all(map(any, rows))
                     and any(any(r[1:]) for r in rows)
-                    and len(automorphism_group(G)) > 1):
+                    and automorphism_order(G) > 1):
                 raise StrataError(
                     "graph with nontrivial automorphisms carries classes "
                     f"above degree 0 at (g, n) = ({g}, {n}); the invariant "

@@ -51,6 +51,8 @@ class TreeError(InputError):
 
 # A tree shape is a leaf label (int) or a tuple of >= 2 child shapes.
 
+_TOO_DEEP = "tree nested too deep: its walks pass the recursion limit"
+
 
 class Tree:
     """A rooted tree with numbered leaves, canonical under input reordering."""
@@ -61,12 +63,17 @@ class Tree:
         """Validate outside input: ``_tagged`` refuses an item that is
         neither an int leaf nor a tuple or list of children, ``_rebuild``
         sorts children by least leaf and refuses unary vertices, and the
-        leaves must be exactly 1..n."""
+        leaves must be exactly 1..n.  Both walks recurse once per
+        level, so a tree nested past the recursion limit is a
+        TreeError."""
         if type(shape) is int:
             raise TreeError("a tree must have at least one internal vertex")
         leaves: list[int] = []
-        self.shape, verts = _rebuild(_tagged(
-            shape, lambda x: leaves.append(x) or x, itertools.count()))
+        try:
+            self.shape, verts = _rebuild(_tagged(
+                shape, lambda x: leaves.append(x) or x, itertools.count()))
+        except RecursionError:
+            raise TreeError(_TOO_DEEP) from None
         n = len(leaves)
         leaves.sort()
         if leaves != list(range(1, n + 1)):
@@ -350,6 +357,8 @@ def decode_tree(text: str) -> Tree:
         shape = parse()
     except IndexError:
         raise TreeError("unexpected end of input") from None
+    except RecursionError:
+        raise TreeError(_TOO_DEEP) from None
     if pos != len(text):
         raise TreeError(f"trailing characters at position {pos}")
     return Tree(shape)
@@ -357,5 +366,5 @@ def decode_tree(text: str) -> Tree:
 
 __getattr__ = load_on_first_use(globals(), {"stablegraphs": (
     "GraphError", "GraphAutomorphism", "StableGraph",
-    "enumerate_stable_graphs", "automorphism_group", "encode_graph",
-    "decode_graph")})
+    "enumerate_stable_graphs", "automorphism_group", "automorphism_order",
+    "encode_graph", "decode_graph")})

@@ -18,7 +18,10 @@ object the library also produces, by a different road:
   found by its (shape, decoration) in a dict of the whole degree,
   against the library's expansions of skeletons placed by arithmetic;
 - stable graphs: edge contraction and the genus b_1(G) + sum of vertex
-  genera, through the validating ``StableGraph`` constructor.
+  genera, through the validating ``StableGraph`` constructor;
+- homotopy algebras: the coderivation b of the bar construction, built
+  from Q and the m_n with its own sign counting, its b o b and its b_n
+  on shuffle products, against ``check_ainf`` and ``check_cinf``.
 """
 
 import itertools
@@ -345,3 +348,115 @@ def contract_graph_edge(G: StableGraph, edge_index: int) -> StableGraph:
     genera[a] += genera.pop(b)
     return StableGraph(genera, [(remap(x), remap(y)) for x, y in rest],
                        [remap(v) for v in G.legs])
+
+
+# ---------------------------------------------------------------------------
+# The bar construction: an A-infinity and C-infinity oracle
+#
+# A family (V, Q, m_n) is read on the suspension sV, a letter s a of
+# degree |a| + 1 for each basis vector a, with the same index.  Every
+# sign below is counted here, pass by pass: an odd map moving past odd
+# letters, or two odd letters moving past each other.
+
+
+def _odd_passes(degrees) -> int:
+    """The sign of an odd map moving past letters of these degrees: -1
+    to the number of odd ones."""
+    return -1 if sum(d % 2 for d in degrees) % 2 else 1
+
+
+class BarCoderivation:
+    """The coderivation b of T^c(sV) built from Q and the m_n alone:
+    b_1 = s Q s^-1 and b_n = eps_n s m_n (s^-1)^n, eps_n = (-1)^(n(n-1)/2).
+    Q and the m_n hold the A-infinity relations iff b o b = 0, and b o b
+    is a coderivation, so its word-length-1 part decides."""
+
+    def __init__(self, degrees, q_entries, maps):
+        self.degrees = degrees
+        self.shifted = [d + 1 for d in degrees]  # |s a| = |a| + 1
+        self.b = {1: {}}  # n -> {word: {out: coeff}}
+        for r, c, v in q_entries:  # Q e_c = v e_r, so b_1(s c) = v s r
+            self.b[1].setdefault((c,), {})[r] = v
+        for n, tensor in maps.items():
+            eps = -1 if n * (n - 1) // 2 % 2 else 1
+            part = self.b[n] = {}
+            for (out, word), c in tensor.items():
+                # the j-th s^-1 moves past the letters before it
+                sign = eps
+                for j in range(n):
+                    sign *= _odd_passes([self.shifted[x] for x in word[:j]])
+                part.setdefault(word, {})[out] = sign * c
+
+    def apply(self, word: tuple[int, ...]) -> dict:
+        """b on a word of sV: each b_n in turn on each run of n letters,
+        after moving past the letters before the run."""
+        out: dict = {}
+        for n, part in self.b.items():
+            for j in range(len(word) - n + 1):
+                sign = _odd_passes([self.shifted[x] for x in word[:j]])
+                for x, c in part.get(word[j:j + n], {}).items():
+                    addmul(out, word[:j] + (x,) + word[j + n:], sign * c)
+        return out
+
+    def corestricted(self, vector: dict) -> dict:
+        """The word-length-1 part of b on a sum of words."""
+        out: dict = {}
+        for word, c in vector.items():
+            for x, v in self.b.get(len(word), {}).get(word, {}).items():
+                addmul(out, x, c * v)
+        return out
+
+    def suspend(self, ins: tuple[int, ...]) -> int:
+        """s^n on a_1..a_n: the sign of the j-th s moving past a_1..a_(j-1)."""
+        sign = 1
+        for j in range(len(ins)):
+            sign *= _odd_passes([self.degrees[x] for x in ins[:j]])
+        return sign
+
+    def relations(self, N: int) -> dict:
+        """{(n, inputs): {out: value}} for 2 <= n <= N and each basis
+        tuple where s^-1 (b o b)_1 s^n is nonzero: the arity-n relation
+        read back on V."""
+        dim = len(self.shifted)
+        out = {}
+        for n in range(2, N + 1):
+            for ins in itertools.product(range(dim), repeat=n):
+                value = self.corestricted(self.apply(ins))
+                if value:
+                    sign = self.suspend(ins)
+                    out[(n, ins)] = {x: sign * c for x, c in value.items()}
+        return out
+
+    def shuffle_values(self, N: int) -> dict:
+        """{(n, p, inputs): {out: value}} for each 2 <= n <= N, 1 <= p < n
+        and basis tuple (u, v), u of length p, where b_n on the shuffle
+        product su * sv is nonzero."""
+        dim = len(self.shifted)
+        out = {}
+        for n in range(2, N + 1):
+            part = self.b.get(n, {})
+            for p in range(1, n):
+                for ins in itertools.product(range(dim), repeat=n):
+                    value: dict = {}
+                    for slots in itertools.combinations(range(n), p):
+                        word, sign = self._interleave(ins, p, slots)
+                        for x, c in part.get(word, {}).items():
+                            addmul(value, x, sign * c)
+                    if value:
+                        out[(n, p, ins)] = value
+        return out
+
+    def _interleave(self, ins, p, slots):
+        """The word with u = ins[:p] at ``slots`` and v = ins[p:] in the
+        other places, and its Koszul sign: -1 for each odd letter of v
+        moved before an odd letter of u."""
+        rest = [q for q in range(len(ins)) if q not in slots]
+        word = [0] * len(ins)
+        for q, x in zip([*slots, *rest], ins):
+            word[q] = x
+        sign = 1
+        for q, x in zip(slots, ins[:p]):
+            for r, y in zip(rest, ins[p:]):
+                if r < q and self.shifted[x] % 2 and self.shifted[y] % 2:
+                    sign = -sign
+        return tuple(word), sign

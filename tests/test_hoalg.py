@@ -26,6 +26,7 @@ from operadkit.hoalg import (
 )
 from operadkit.operads import GradedSpace, end_compose, end_differential
 from operadkit.qlinalg import SparseMatrix
+from reference import BarCoderivation
 
 
 def m2_on(f: MapFamily, ins: tuple[int, int]) -> dict:
@@ -435,3 +436,57 @@ class TestTensorRoutinesAgreeWithReference:
         for n, ins, defect in got[:5]:
             assert {r.inputs: r.defect for r in check_ainf(f, n)
                     if r.n == n}[ins] == defect
+
+
+# ---------------------------------------------------------------------------
+# The checkers against the bar construction
+
+
+@st.composite
+def bar_families(draw):
+    """dim V <= 3 in degrees 0 to -3, m2, m3 and m4 with small integer
+    coefficients, and optionally a Q whose entries all leave one degree,
+    so that Q^2 = 0."""
+    dim = draw(st.integers(1, 3))
+    degs = tuple(draw(st.lists(st.integers(-3, 0), min_size=dim,
+                               max_size=dim)))
+    space = GradedSpace(tuple(f"v{k}" for k in range(dim)), degs)
+    small = st.integers(-2, 2).filter(bool)
+
+    def entries(keys, max_size):
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True,
+                               max_size=max_size)) if keys else []
+        return {key: draw(small) for key in chosen}
+
+    q = {}
+    sources = sorted({d for d in degs if d - 1 in degs})
+    if sources and draw(st.booleans()):
+        d = draw(st.sampled_from(sources))
+        q = entries([(r, c) for r in range(dim) for c in range(dim)
+                     if degs[c] == d and degs[r] == d - 1], 3)
+    maps = {n: entries([(out, ins) for ins in itertools.product(
+        range(dim), repeat=n) for out in range(dim)
+        if degs[out] - sum(degs[x] for x in ins) == n - 2], 5)
+        for n in (2, 3, 4)}
+    return MapFamily(space, SparseMatrix.from_dict(dim, dim, q), maps)
+
+
+class TestCheckersAgainstTheBarConstruction:
+    """``check_ainf`` and ``check_cinf`` through arity 5 against the
+    word-length-1 part of b o b and b_n on shuffle products."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(bar_families())
+    def test_failing_sets_and_values_agree(self, f):
+        bar = BarCoderivation(f.space.degrees, f.q.entries(), f.maps)
+        report = check_cinf(f, 5)
+        relations = bar.relations(5)
+        assert set(relations) == {(r.n, r.inputs)
+                                  for r in report.ainf_residuals}
+        assert relations == {(r.n, r.inputs): r.defect
+                             for r in report.ainf_residuals}
+        shuffled = bar.shuffle_values(5)
+        assert set(shuffled) == {(n, p, ins) for n, p, _, ins, _
+                                 in report.shuffle_violations}
+        assert shuffled == {(n, p, ins): defect for n, p, _, ins, defect
+                            in report.shuffle_violations}

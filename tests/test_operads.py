@@ -635,6 +635,43 @@ class TestJsonRoundTrip:
                     assert back.compose_basis(n, i, m, a, b) == \
                         dict(O.compose_basis(n, i, m, a, b))
 
+    @staticmethod
+    def documents(factory, top):
+        """The full document of factory(top) and the one that keeps only
+        each arity's adjacent-transposition records."""
+        doc = json.loads(operad_to_json(factory(top), top))
+        gens = {(n, s) for n in range(1, top + 1)
+                for s in adjacent_transpositions(n)}
+        reduced = dict(doc, actions=[r for r in doc["actions"]
+                                     if (r["n"], tuple(r["sigma"])) in gens])
+        assert len(reduced["actions"]) < len(doc["actions"])
+        return (operad_from_json(json.dumps(d)) for d in (doc, reduced))
+
+    @pytest.mark.parametrize("factory", [assoc_operad, lie_operad,
+                                         comm_operad])
+    @pytest.mark.parametrize("top", [3, 4])
+    def test_generator_records_give_the_whole_action(self, factory, top):
+        full, reduced = self.documents(factory, top)
+        for n in range(1, top + 1):
+            for sigma in itertools.permutations(range(1, n + 1)):
+                for a in range(full.dim(n)):
+                    assert reduced.act_basis(n, sigma, a) == \
+                        full.act_basis(n, sigma, a), (n, sigma, a)
+
+    @pytest.mark.parametrize("factory", [assoc_operad, lie_operad,
+                                         comm_operad])
+    @pytest.mark.parametrize("top", [3, 4])
+    def test_a_minimal_document_passes_the_same_checks(self, factory, top):
+        full, reduced = self.documents(factory, top)
+        for corrupt in (False, True):
+            if corrupt:
+                full, reduced = (T.with_corrupted_composition(2, 1, 2, 0, 0)
+                                 for T in (full, reduced))
+            want, got = check_axioms(full, top), check_axioms(reduced, top)
+            assert got.checked == want.checked
+            assert got.violations == want.violations
+            assert bool(got.violations) == corrupt
+
     def test_round_trip_preserves_differentials(self):
         V = GradedSpace(("x", "y"), (0, 1))
         q = SparseMatrix.from_dict(2, 2, {(0, 1): Fraction(1)})

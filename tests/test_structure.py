@@ -44,9 +44,9 @@ beside them, and ``endtable.EndOperad`` goes through both.
 
 Each arity's decorated basis has one owner, its ``cobar.CobarComplex``:
 only that class builds its index, one entry per tree keyed by the flat
-(skeleton id, *labels), no (shape, decoration) index is kept beside
-it, and ``CobarOperad`` reads basis elements and positions from the
-complexes it keeps, holding no basis of its own.
+(skeleton id, *labels), no index by (shape, decoration) or by bare
+shape is kept beside it, and ``CobarOperad`` reads basis elements and
+positions from the complexes it keeps, holding no basis of its own.
 
 Vertex correspondence lives in ``treegraph``: ``graft`` and
 ``relabel_tree`` report where each vertex went by preorder index, so
@@ -343,6 +343,22 @@ def test_the_complex_owns_the_decorated_basis():
                    and any(isinstance(k, ast.Attribute) and k.attr == "shape"
                            for k in key(node).elts)]
     assert per_element == []
+    # nor one keyed by a tree's bare shape: a place is computed from the
+    # tree's flat key and the decoration's digits, not looked up
+    def shape_key(node):
+        if isinstance(node, ast.Subscript):
+            return node.slice
+        if (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"):
+            return node.args[0]
+
+    by_shape = [f"{path.name}:{node.lineno}"
+                for path in sorted(package.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(shape_key(node), ast.Attribute)
+                and shape_key(node).attr == "shape"]
+    assert by_shape == []
     # the operad keeps its complexes, and no basis or index beside them
     B = cobar_operad(liec_cooperad(3), 3)
     assert set(vars(B)) == {"cooperad", "complexes", "components",
@@ -354,7 +370,7 @@ def test_the_complex_owns_the_decorated_basis():
         len(ts) for ts in enumerate_trees_all(3).values()]
     # outside its methods, no package code reads a complex's layout (the
     # word operads' self._index is their own)
-    private = ("_offsets", "_index", "_ids", "_layout", "_places")
+    private = ("_offsets", "_index", "_ids", "_layout")
     readers = []
     for path in sorted(package.glob("*.py")):
         module = ast.parse(path.read_text())

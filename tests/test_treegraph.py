@@ -29,6 +29,7 @@ from operadkit.treegraph import (
     Tree,
     TreeError,
     automorphism_group,
+    automorphism_order,
     decode_graph,
     decode_tree,
     encode_graph,
@@ -136,6 +137,22 @@ class TestTreeBasics:
         with pytest.raises(TreeError,
                            match=f"^bad tree item {re.escape(item)}:"):
             Tree(shape)
+
+    def test_a_deep_tree_is_a_tree_error(self):
+        # a valid caterpillar: leaf k beside the rest at depth k
+        depth = 1200
+        shape = (depth + 1, depth + 2)
+        for leaf in range(depth, 0, -1):
+            shape = (leaf, shape)
+        with pytest.raises(TreeError, match="nested too deep"):
+            Tree(shape)
+
+    def test_a_deep_encoding_is_a_tree_error(self):
+        depth = 1200
+        text = ("".join(f"({leaf}," for leaf in range(1, depth + 1))
+                + f"{depth + 1},{depth + 2}" + ")" * depth)
+        with pytest.raises(TreeError, match="nested too deep"):
+            decode_tree(text)
 
     def test_vertex_arities_preorder(self):
         t = decode_tree("((1,2),(3,(4,5)))")
@@ -724,6 +741,15 @@ class TestStableGraphs:
             k = len(automorphism_group(G))
             hist[k] = hist.get(k, 0) + 1
         assert (by_edges, hist) == orders
+
+    def test_automorphism_order_counts_the_group(self):
+        # 595 graphs in all, every census whole
+        census = [G for g, n in [(0, 5), (0, 6), (1, 1), (1, 2), (1, 3),
+                                 (1, 4), (2, 0), (2, 1), (2, 2), (3, 0)]
+                  for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n)]
+        assert len(census) == 595
+        assert [automorphism_order(G) for G in census] == \
+            [len(automorphism_group(G)) for G in census]
 
     @pytest.mark.parametrize("g, n", DESK_PAIRS)
     def test_contractions_land_one_level_down(self, g, n):
