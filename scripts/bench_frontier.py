@@ -5,19 +5,24 @@ Runs the Lie-dual cobar complex at arity 7 and the associative-dual at
 arity 6, and the full stable-graph censuses of (g, n) = (1, 5) and
 (2, 2), each cold in a fresh process, and prints what each took.
 ``--large`` adds the Lie-dual complex at arity 8 and the associative
-dual at arity 7, which take about a minute and half a minute and peak
-at about 2.2 and 2.4 GB.
+dual at arity 7, which take about half a minute each and peak at about
+1.6 and 1.7 GB.
 Given ``--label``, it also appends one entry to ``BENCH_frontier.json``
 at the repository root; without one it writes nothing, so checking the
-pinned values leaves the checkout clean.  A cobar job records
-per-stage seconds (basis, boundary assembly, the d.d = 0 check, rank
-by ``ChainComplex.ranks``), the shape and nnz of each boundary matrix,
-its rank, and the Betti numbers, all of the complex ``cobar_homology``
-ranks: the dual, graded by edge count.  A census job records its
-seconds (enumeration, automorphism groups), the graph count per edge
-count and the number of graphs per automorphism-group order.  Ranks,
-Betti numbers and census counts are checked against pinned values, so
-a wrong answer exits 1 instead of being recorded as fast.
+pinned values leaves the checkout clean.  A cobar job runs
+``CobarComplex.homology()``, the path ``cobar_homology`` takes, and
+records the seconds of each stage it runs: the basis, boundary assembly
+(``boundary_matrix``), the d.d = 0 check (the skeleton rows and their
+products by ``SparseMatrix.matmul``) and rank (``rank``, under
+clearing); homology builds, checks and ranks one boundary after
+another, so the stages interleave and each is a sum.  It also records
+the shape, nnz and rank of each boundary matrix as it is ranked and the
+Betti numbers homology returns, all of the complex it ranks: the dual,
+graded by edge count.  A census job records its seconds (enumeration,
+automorphism groups), the graph count per edge count and the number of
+graphs per automorphism-group order.  Ranks, Betti numbers and census
+counts are checked against pinned values, so a wrong answer exits 1
+instead of being recorded as fast.
 
     python3 scripts/bench_frontier.py            # check and print only
     python3 scripts/bench_frontier.py --large    # with liec 8 and asc 7
@@ -26,7 +31,9 @@ a wrong answer exits 1 instead of being recorded as fast.
 
 ``--src`` points at the ``src`` directory of the tree to measure
 (default: this checkout's), so a before/after pair uses one copy of
-this script.  Times are raw ``time.perf_counter`` seconds on whatever
+this script; on a tree whose homology does not stream, the same timers
+see every boundary built, then every adjacent pair multiplied in full,
+then every rank.  Times are raw ``time.perf_counter`` seconds on whatever
 machine runs it; the entry records Python version and CPU count.
 """
 
@@ -73,35 +80,52 @@ PINNED_GRAPHS = {
 
 
 def run_job(src: str, name: str, n: int) -> dict:
-    """One cold cobar homology computation, timed by stage."""
+    """One cold cobar homology computation, ``CobarComplex.homology()``
+    timed by stage as it runs them: each stage's functions are wrapped
+    with a timer, so the path measured is the one ``cobar_homology``
+    takes on the tree ``src`` holds."""
     sys.path.insert(0, src)
-    from operadkit import cobar
-    from operadkit.qlinalg import ChainComplex
+    from operadkit import cobar, qlinalg
+
+    stages = dict.fromkeys(("boundaries_s", "dd_s", "rank_s"), 0.0)
+    matrices = []
+
+    def timed(owner, attr, stage, after=None):
+        fn = getattr(owner, attr)
+
+        def run(*args):
+            t = time.perf_counter()
+            out = fn(*args)
+            stages[stage] += time.perf_counter() - t
+            if after is not None:
+                after(args[0], out)
+            return out
+        setattr(owner, attr, run)
+
+    def ranked(m, r):  # recorded outside the timer
+        matrices.append({"edges": f"{len(matrices)}->{len(matrices) + 1}",
+                         "rows": m.rows, "cols": m.cols, "nnz": m.nnz(),
+                         "rank": r})
+
+    timed(cobar.CobarComplex, "boundary_matrix", "boundaries_s")
+    # the d.d = 0 check: the products, and the skeleton rows multiplied
+    # (a tree from before streaming multiplies whole boundaries)
+    timed(qlinalg.SparseMatrix, "matmul", "dd_s")
+    if hasattr(cobar.CobarComplex, "_skeleton_rows"):
+        timed(cobar.CobarComplex, "_skeleton_rows", "dd_s")
+    timed(qlinalg, "rank", "rank_s", ranked)
 
     t0 = time.perf_counter()
     coop = {"liec": cobar.liec_cooperad, "asc": cobar.asc_cooperad}[name](n)
     cx = cobar.CobarComplex(coop, n)
     t1 = time.perf_counter()
-    mats = [cx.boundary_matrix(e) for e in range(n - 2)]
+    betti = cx.homology()  # raises ComplexError unless d.d = 0
     t2 = time.perf_counter()
-    # the dual in edge order, as chain_complex() builds it; raises
-    # ComplexError unless d.d = 0
-    cc = ChainComplex(list(cx.dims().values()), mats)
-    t3 = time.perf_counter()
-    ranks = cc.ranks()
-    t4 = time.perf_counter()
-    stages = {"basis_s": t1 - t0, "boundaries_s": t2 - t1, "dd_s": t3 - t2,
-              "rank_s": t4 - t3, "total_s": t4 - t0}
-    # ChainComplex.homology from the ranks above, not a second elimination
-    padded = [0, *ranks, 0]
-    betti = {e: dim - padded[e] - padded[e + 1]
-             for e, dim in enumerate(cc.spaces)}
+    stages = {"basis_s": t1 - t0, **stages, "total_s": t2 - t0}
     return {
         "cooperad": name, "arity": n,
         "stages": {k: round(v, 3) for k, v in stages.items()},
-        "matrices": [{"edges": f"{e}->{e + 1}", "rows": m.rows,
-                      "cols": m.cols, "nnz": m.nnz(), "rank": r}
-                     for e, (m, r) in enumerate(zip(mats, ranks))],
+        "matrices": matrices,
         "betti": betti,
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

@@ -15,6 +15,16 @@ tree's first place plus arithmetic.  Expanding a vertex compares no
 leaf label, so the boundary is computed once per tree skeleton and
 each tree only looks up where its targets start.
 
+The same fact lets d.d = 0 be checked on one tree per skeleton: a
+tree's row is the row of its skeleton's tree with labels 1..n, its
+targets relabelled, and relabelling is injective, so d.d vanishes on
+every row iff it vanishes on those (``CobarComplex.homology`` gives the
+argument).  ``homology`` therefore streams: it builds each boundary,
+checks it against the skeleton rows of the one before, ranks it by
+clearing and keeps only its own skeleton rows, so one boundary is live
+at a time.  ``chain_complex`` builds every boundary and multiplies each
+adjacent pair in full; the two paths agree, which the tests check.
+
 The decorated trees also assemble into a graded operad under grafting,
 with Koszul signs from reordering the vertex generators (a vertex of
 arity m is a generator of degree m - 2); ``graft`` and ``relabel_tree``
@@ -29,7 +39,8 @@ from functools import lru_cache
 from operator import itemgetter, mul
 
 from . import InputError
-from .qlinalg import SparseMatrix, ChainComplex, addmul, as_exact
+from .qlinalg import (ChainComplex, ComplexError, SparseMatrix, addmul,
+                      as_exact, cleared_ranks)
 from .operads import (GradedOperad, GradedSpace, Vector, koszul_sign,
                       perm_inverse)
 from .treegraph import (encode_tree, enumerate_trees, graft, relabel_tree,
@@ -281,7 +292,8 @@ class CobarComplex:
         ``boundary_matrix(e)``, mapping degree e + 1 to e, so the small
         corolla end is ranked first and every larger boundary is cleared
         (see ``qlinalg``).  Over the rationals it has the Betti numbers
-        of d; construction validates d . d = 0, transposed."""
+        of d; construction validates d . d = 0, transposed, on every
+        row.  ``homology`` ranks the same boundaries without it."""
         return ChainComplex(list(self.dims().values()),
                             [self.boundary_matrix(e)
                              for e in range(self.n - 2)])
@@ -294,9 +306,68 @@ class CobarComplex:
             (o[e + 1] + c, o[e] + r, v)
             for e in range(self.n - 2) for r, c, v in self.boundary_from(e)])
 
+    def _skeleton_rows(self, e: int, b: SparseMatrix) -> SparseMatrix:
+        """The rows of ``b`` = ``boundary_matrix(e)`` at the trees with
+        flat key (id, 1, ..., n), one per skeleton of edge degree e, in
+        place; every other row is left out.  Each skeleton is itself a
+        basis tree, so a missing key is a KeyError, never skipped."""
+        index, labels = self._index[e], tuple(range(1, self.n + 1))
+        entries = []
+        for sid in {key[0] for key in index}:
+            first = index[(sid, *labels)]
+            for r in range(first, first + len(self._layout[sid][3])):
+                entries.extend((r, c, v) for c, v in b.row(r).items())
+        return SparseMatrix(b.rows, b.cols, entries)
+
+    def _check_square(self, e: int, kept: SparseMatrix,
+                      b: SparseMatrix) -> None:
+        """Raise ComplexError unless ``kept``, the skeleton rows of
+        ``boundary_matrix(e)``, times ``b`` = ``boundary_matrix(e + 1)``
+        vanishes; the error names the first skeleton tree and
+        decoration whose d.d is not zero."""
+        prod = kept.matmul(b)
+        if not prod.is_zero():
+            r, c, v = next(prod.entries())
+            tree, decor = self.basis[self._offsets[e] + r]
+            raise ComplexError(
+                f"d.d != 0 from edge degree {e} to {e + 2}: skeleton tree "
+                f"{encode_tree(tree)} with decoration {decor} has entry "
+                f"({r},{c}) = {v}")
+
+    def _checked_boundaries(self):
+        """``boundary_matrix(e)`` for e = 0, 1, ..., each handed over
+        once d.d = 0 is checked on the skeleton rows of the one before;
+        of a boundary only those rows are kept once it is ranked."""
+        kept = None
+        for e in range(self.n - 2):
+            b = self.boundary_matrix(e)
+            if kept is not None:
+                self._check_square(e - 1, kept, b)
+            yield b
+            kept = self._skeleton_rows(e, b)
+            del b  # not live while the next boundary is built
+
     def homology(self) -> dict[int, int]:
-        """Betti numbers keyed by edge count."""
-        return dict(enumerate(self.chain_complex().homology()))
+        """Betti numbers keyed by edge count, of the complex
+        ``chain_complex()`` builds, streamed: each boundary is built,
+        checked, ranked by ``cleared_ranks`` and dropped, so one is live
+        at a time.  Raises ComplexError if d.d != 0.
+
+        d.d = 0 is checked on the rows of one tree per skeleton, the
+        tree with flat key (id, 1, ..., n), and that is exact.
+        ``boundary_from`` writes the row of a tree (id, lambda) as the
+        row of (id, 1, ..., n) with each target key (t, mu) replaced by
+        (t, lambda o mu) at the same offset within the target tree: that
+        is the ``itemgetter(*places)`` lookup.  The row of (t, lambda o
+        mu) is in turn the row of (t, mu) so relabelled, so d.d of
+        (id, lambda) with decoration a is d.d of (id, 1, ..., n) with
+        decoration a, every key (t', nu) replaced by (t', lambda o nu).
+        That relabelling is injective, so no terms cancel in one and not
+        in the other: d.d = 0 on the whole complex iff it holds on the
+        skeleton trees' rows."""
+        ranks = [0, *cleared_ranks(self._checked_boundaries()), 0]
+        return {e: dim - ranks[e] - ranks[e + 1]
+                for e, dim in self.dims().items()}
 
 
 def cobar_dims(cooperad: Cooperad, n: int) -> dict[int, int]:

@@ -25,26 +25,32 @@ pivot columns and divides each row by its pivot through ``Fraction``,
 ``as_exact`` keeping integral values ``int``; reduced echelon form is
 unique, so how the rows were reduced does not show.
 
-``ChainComplex`` ranks its boundaries in order by clearing (Chen and
-Kerber, "Persistent homology computation with a twist", EuroCG 2011).
-Take B' = ``boundaries[i-1]`` and B = ``boundaries[i]``; construction
-checked B'.B = 0, so each row of B' is a linear relation among the rows
-of B.  If the reduction of B' keeps rows with pivots P (row indices of
-B), then B'[:, P] has full column rank, since the kept rows are
-triangular on P.  So each row of B in P is a combination of B's other
-rows, and rank(B) is the rank of B without the rows in P; ``rank``
-skips them and reports B's own pivots for the next boundary.  The
-argument holds for B' with rows of its own left out, since those rows
-of B' are still relations.  Where the complex is acyclic the rows that
-remain are independent, so no row is reduced down to zero, which is
-where elimination makes most of its fill-in, and the choice of pivot,
-which only decides how much fill-in there is, has little left to
-decide.  Clearing helps only from the second boundary on, so a complex
-should be ranked with its small end first: the cobar complex is ranked
-as its dual, graded by edge count, whose first boundary leaves the
-corolla (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
-persistent (co)homology", Inverse Problems 2011; Bauer, "Ripser",
-J. Appl. Comput. Topol. 2021).
+``cleared_ranks`` ranks boundaries in order by clearing (Chen and
+Kerber, "Persistent homology computation with a twist", EuroCG 2011);
+``ChainComplex.ranks`` is it on the complex's boundaries.  Take B' and
+B, consecutive boundaries; B'.B = 0, so each row of B' is a linear
+relation among the rows of B.  If the reduction of B' keeps rows with
+pivots P (row indices of B), then B'[:, P] has full column rank, since
+the kept rows are triangular on P.  So each row of B in P is a
+combination of B's other rows, and rank(B) is the rank of B without the
+rows in P; ``rank`` skips them and reports B's own pivots for the next
+boundary.  The argument holds for B' with rows of its own left out,
+since those rows of B' are still relations.  Clearing is therefore
+exact once each product B'.B was checked to vanish before B is ranked,
+and then B needs only the pivots of B', not B' itself: ``ChainComplex``
+checks every product at construction, and a caller that streams its
+boundaries through ``cleared_ranks`` certifies each product by a check
+of its own (the cobar complex checks the rows of one tree per skeleton,
+by the argument ``cobar.CobarComplex.homology`` states).  Where the
+complex is acyclic the rows that remain are independent, so no row is
+reduced down to zero, which is where elimination makes most of its
+fill-in, and the choice of pivot, which only decides how much fill-in
+there is, has little left to decide.  Clearing helps only from the
+second boundary on, so a complex should be ranked with its small end
+first: the cobar complex is ranked as its dual, graded by edge count,
+whose first boundary leaves the corolla (de Silva, Morozov and
+Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
+Problems 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 2021).
 
 A ``SparseMatrix`` stores each entry once, row-major, and ``row`` hands
 out the stored row; elimination copies the rows it reduces, the only
@@ -208,12 +214,16 @@ class SparseMatrix:
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
+        # one dict.get per product term; entries that cancelled to zero
+        # are left out, so a vanishing product costs no construction
         entries = []
         for r in sorted(self._rows):
             acc: dict[int, Fraction] = {}
+            get = acc.get
             for k, v in self._rows[r].items():
-                add_scaled(acc, other.row(k), v)
-            entries.extend((r, c, w) for c, w in acc.items())
+                for c, w in other.row(k).items():
+                    acc[c] = get(c, 0) + v * w
+            entries.extend((r, c, w) for c, w in acc.items() if w)
         return SparseMatrix(self.rows, other.cols, entries)
 
     def apply(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
@@ -391,6 +401,24 @@ def in_span(basis: dict[int, dict[int, int]], vector: Mapping) -> bool:
     return not _reduced(_int_row(vector), basis, max)[0]
 
 
+def cleared_ranks(boundaries: Iterable[SparseMatrix]) -> list[int]:
+    """The rank of each boundary in turn, by clearing: each is ranked
+    without the rows at the pivot columns of the previous one's
+    elimination (see the module docstring).  Exact only if the product
+    of each boundary with the next is known to vanish before the next
+    is ranked: ``ChainComplex`` checks every product at construction,
+    and a caller that builds its boundaries one at a time checks each
+    product before it hands the later boundary over.  Only the pivots
+    are kept, so a boundary can be dropped once it is ranked."""
+    out, cleared = [], ()
+    for b in boundaries:
+        pivots: list[int] = []
+        out.append(rank(b, cleared, pivots))
+        cleared = pivots
+        del b  # not live while the next boundary is built
+    return out
+
+
 class ChainComplex:
     """A finite chain complex of rational vector spaces.
 
@@ -419,16 +447,9 @@ class ChainComplex:
         self.boundaries = tuple(boundaries)
 
     def ranks(self) -> list[int]:
-        """Rank of each boundary, by clearing: ``boundaries[i]`` is
-        ranked without the rows at the pivot columns of
-        ``boundaries[i - 1]``'s elimination (see the module docstring).
-        Exact only because construction checked d.d = 0."""
-        out, cleared = [], ()
-        for b in self.boundaries:
-            pivots: list[int] = []
-            out.append(rank(b, cleared, pivots))
-            cleared = pivots
-        return out
+        """Rank of each boundary by ``cleared_ranks``, exact because
+        construction checked every product before any rank."""
+        return cleared_ranks(self.boundaries)
 
     def homology(self) -> list[int]:
         """Betti number per degree; zero maps off both ends.  The ranks

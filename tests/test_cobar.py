@@ -269,9 +269,18 @@ class TestCobarComplex:
             assert cc.boundaries[i].matmul(cc.boundaries[i + 1]).is_zero()
 
     def test_unsigned_differential_is_rejected(self):
+        cx = CobarComplex(liec_cooperad(4), 4, sign_mode="unsigned")
         with pytest.raises(ComplexError) as exc:
-            CobarComplex(liec_cooperad(4), 4, sign_mode="unsigned").homology()
-        assert "d.d != 0" in str(exc.value)
+            cx.homology()
+        message = str(exc.value)
+        assert "d.d != 0" in message
+        # the witness: the corolla's only skeleton tree, with its only
+        # decoration
+        assert "from edge degree 0 to 2" in message
+        assert "skeleton tree (1,2,3,4) with decoration (0,)" in message
+        # the full check of chain_complex() fails too
+        with pytest.raises(ComplexError, match=r"d\.d != 0"):
+            cx.chain_complex()
 
     def test_bad_sign_mode(self):
         with pytest.raises(CobarError):
@@ -337,6 +346,67 @@ class TestCobarComplex:
             chi_c = sum((-1) ** e * d for e, d in dims.items())
             chi_h = sum((-1) ** e * b for e, b in hom.items())
             assert chi_c == chi_h
+
+
+class TestSkeletonCheck:
+    """``homology`` checks d.d = 0 on the rows of one tree per skeleton
+    and ranks each boundary as it is built; ``chain_complex`` multiplies
+    every pair of boundaries in full.  The two must agree."""
+
+    CASES = [(liec_cooperad, 6), (asc_cooperad, 5), (commc_cooperad, 6)]
+
+    @pytest.mark.parametrize("sign_mode", ["standard", "unsigned"])
+    @pytest.mark.parametrize("cofactory, top", CASES)
+    def test_the_skeleton_rows_decide_as_the_full_product(
+            self, cofactory, top, sign_mode):
+        for n in range(2, top + 1):
+            cx = CobarComplex(cofactory(n), n, sign_mode=sign_mode)
+            for e in range(n - 3):
+                d0, d1 = cx.boundary_matrix(e), cx.boundary_matrix(e + 1)
+                full = d0.matmul(d1).is_zero()
+                try:
+                    cx._check_square(e, cx._skeleton_rows(e, d0), d1)
+                    skeletons = True
+                except ComplexError:
+                    skeletons = False
+                assert skeletons == full, (n, e)
+                # the unsigned differential fails on every pair
+                assert full == (sign_mode == "standard"), (n, e)
+
+    @pytest.mark.parametrize("sign_mode", ["standard", "unsigned"])
+    @pytest.mark.parametrize("cofactory, top", CASES)
+    def test_streamed_homology_is_the_chain_complex_homology(
+            self, cofactory, top, sign_mode):
+        for n in range(2, top + 1):
+            cx = CobarComplex(cofactory(n), n, sign_mode=sign_mode)
+            try:
+                full = dict(enumerate(cx.chain_complex().homology()))
+            except ComplexError:
+                full = ComplexError
+            try:
+                streamed = cx.homology()
+            except ComplexError:
+                streamed = ComplexError
+            assert streamed == full, n
+
+    @pytest.mark.parametrize("cofactory, top", CASES)
+    def test_every_skeleton_is_a_basis_tree(self, cofactory, top):
+        for n in range(2, top + 1):
+            cx = CobarComplex(cofactory(n), n)
+            labels = tuple(range(1, n + 1))
+            for e, index in enumerate(cx._index):
+                sids = {key[0] for key in index}
+                assert all((sid, *labels) in index for sid in sids), (n, e)
+                if e == n - 2:
+                    continue
+                # the kept rows are the boundary's at those trees
+                b = cx.boundary_matrix(e)
+                places = [index[(sid, *labels)] + rel for sid in sids
+                          for rel in range(len(cx._layout[sid][3]))]
+                kept = cx._skeleton_rows(e, b)
+                assert kept.rows == b.rows and kept.cols == b.cols
+                assert kept._rows == {r: b.row(r) for r in places
+                                      if b.row(r)}, (n, e)
 
 
 class TestCobarOperad:

@@ -25,12 +25,15 @@ permutations from the canonical search and permutes only the edges
 within endpoint groups.
 
 ``qlinalg.rank`` is the one rank engine: every other rank or kernel
-dimension in ``qlinalg`` is computed by calling it.  It is the standard
-reduction, so no package module imports ``heapq``.  All row reduction
-is one elimination step: ``qlinalg._reduced`` is the only function that
-calls ``gcd``, ``rank``, ``rref`` and ``span_basis`` reach it through
-``_reduce``, and ``in_span`` calls it; ``filtration`` imports no
-``rref`` and defines no echelon, pivot or reduction helper of its own.
+dimension in ``qlinalg`` is computed by calling it.  There is one
+clearing loop, ``qlinalg.cleared_ranks``: ``ChainComplex.ranks`` and the
+streamed ``cobar.CobarComplex.homology`` both call it, and ``cobar``
+calls no ``rank`` itself.  ``rank`` is the standard reduction, so no
+package module imports ``heapq``.  All row reduction is one elimination
+step: ``qlinalg._reduced`` is the only function that calls ``gcd``,
+``rank``, ``rref`` and ``span_basis`` reach it through ``_reduce``, and
+``in_span`` calls it; ``filtration`` imports no ``rref`` and defines no
+echelon, pivot or reduction helper of its own.
 
 ``cobar.Cooperad`` owns its cocomposition and action: only its own
 methods read the operad it is the dual of, so the cobar complex cannot
@@ -246,15 +249,24 @@ def test_one_rank_engine():
     funcs = {node.name: node for node in ast.walk(ast.parse(source))
              if isinstance(node, ast.FunctionDef)}
     assert sorted(name for name in funcs if "rank" in name) == [
-        "rank", "ranks", "span_rank"]
+        "cleared_ranks", "rank", "ranks", "span_rank"]
 
     def calls(name):
         return {node.func.id for node in ast.walk(funcs[name])
                 if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)}
 
-    for name in ("span_rank", "ranks"):
+    for name in ("span_rank", "cleared_ranks"):
         assert "rank" in calls(name), name
+    # one clearing loop: the complex's ranks are cleared_ranks', and so
+    # are the streamed cobar homology's
+    assert "cleared_ranks" in calls("ranks")
+    cobar = ast.parse(
+        (Path(operadkit.__file__).parent / "cobar.py").read_text())
+    cobar_calls = {node.func.id for node in ast.walk(cobar)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)}
+    assert "cleared_ranks" in cobar_calls and "rank" not in cobar_calls
     # homology reads the cleared ranks and eliminates nothing itself
     called = {ast.unparse(node.func) for node in ast.walk(funcs["homology"])
               if isinstance(node, ast.Call)}
