@@ -306,7 +306,8 @@ TABLE_FORMAT = _choice("--format", ("json", "csv", "text"), dest="fmt",
 FAMILY_FILE = ("family_json", {"metavar": "FAMILY_FILE", "type": _input_text})
 FIXTURE_FILE = ("--file", {"dest": "fixture_json", "type": _input_text,
                            "help": "filtered operad JSON"})
-# arities with no operation walk nothing, so there is no cap above
+# relations are checked through 2 top - 1 at most (top the highest
+# arity of an operation), the last that can fail, so there is no cap
 RELATION_ARITY = _int("--max-arity", bounds=(2, None))
 COOPERAD = _choice("--cooperad", ("liec", "asc", "commc"), dest="name",
                    required=True)

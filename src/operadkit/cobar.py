@@ -60,11 +60,8 @@ def _block_insertion_perm(m: int, positions: tuple[int, ...]) -> tuple[int, ...]
     subset.  Slots 1..i*-1 stay put (i* = min position), the inner block
     goes to the chosen positions, remaining slots fill the complement."""
     i_star = positions[0]
-    rest = [p for p in range(1, m + 1) if p not in positions and p > i_star]
-    sigma = list(range(1, i_star))
-    sigma.extend(positions)
-    sigma.extend(rest)
-    return tuple(sigma)
+    rest = [p for p in range(i_star + 1, m + 1) if p not in positions]
+    return (*range(1, i_star), *positions, *rest)
 
 
 class Cooperad:
@@ -471,5 +468,4 @@ def _reorder_sign(verts, arities) -> int:
                        tuple(m - 2 for m in arities))
 
 
-def cobar_operad(cooperad: Cooperad, max_arity: int) -> CobarOperad:
-    return CobarOperad(cooperad, max_arity)
+cobar_operad = CobarOperad

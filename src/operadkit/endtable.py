@@ -8,8 +8,9 @@ import itertools
 
 from .operads import (GradedOperad, GradedSpace, OperadError,
                       adjacent_transpositions, check_differential,
-                      end_compose, end_differential, koszul_sign,
-                      parse_coefficient, read_document)
+                      end_compose, end_differential, int_keyed, koszul_sign,
+                      parse_coefficient, perm_inverse, put_once,
+                      read_document)
 from .qlinalg import SparseMatrix
 
 
@@ -69,10 +70,7 @@ class EndOperad(GradedOperad):
     def act_basis(self, n, sigma, a):
         j, ins = self._basis[n][a]
         # (f.sigma) is supported on the tuple c with c_{sigma(t)} = ins_t
-        c = [0] * n
-        for t in range(1, n + 1):
-            c[sigma[t - 1] - 1] = ins[t - 1]
-        c = tuple(c)
+        c = tuple(ins[t - 1] for t in perm_inverse(sigma))
         degs = tuple(self.V.degrees[x] for x in c)
         sign = koszul_sign(sigma, degs)
         return {self._bindex[n][(j, c)]: sign}
@@ -186,11 +184,12 @@ def operad_from_doc(doc: dict) -> TableOperad:
     must lie in its component, every arity needs the action of each
     adjacent transposition, and a missing table entry is zero.  A
     composition record must name components and a slot in 1..n, and no
-    composition or action record may repeat one read before it.  An
-    action or differential record must name a component."""
+    composition or action record, table cell or arity key may repeat
+    one read before it.  An action or differential record must name a
+    component."""
     components = {
-        int(n): GradedSpace(tuple(sp["names"]), tuple(sp["degrees"]))
-        for n, sp in doc["components"].items()}
+        n: GradedSpace(tuple(sp["names"]), tuple(sp["degrees"]))
+        for n, sp in int_keyed(doc["components"], "components: arity").items()}
     dims = {n: sp.dim for n, sp in components.items()}
 
     def index(n, x):
@@ -198,8 +197,8 @@ def operad_from_doc(doc: dict) -> TableOperad:
             raise OperadError(f"index {x!r} outside the arity-{n} component")
         return x
 
-    unit = {index(1, int(k)): parse_coefficient(v)
-            for k, v in doc["unit"].items()}
+    unit = {index(1, k): parse_coefficient(v)
+            for k, v in int_keyed(doc["unit"], "unit: index").items()}
     comp = {}
     for rec in doc["compositions"]:
         key = n, i, m = rec["n"], rec["i"], rec["m"]
@@ -213,8 +212,9 @@ def operad_from_doc(doc: dict) -> TableOperad:
             raise OperadError(f"{name} appears twice")
         tab = {}
         for a, b, out, c in rec["entries"]:
-            tab.setdefault((index(n, a), index(m, b)), {})[
-                index(n + m - 1, out)] = parse_coefficient(c)
+            put_once(tab.setdefault((index(n, a), index(m, b)), {}),
+                     index(n + m - 1, out), parse_coefficient(c),
+                     f"{name}: cell ({a}, {b}) ->")
         comp[key] = tab
     act = {}
     for rec in doc["actions"]:
@@ -231,8 +231,9 @@ def operad_from_doc(doc: dict) -> TableOperad:
                               f"{rec['sigma']}) appears twice")
         tab = {}
         for a, out, c in rec["entries"]:
-            tab.setdefault(index(n, a), {})[index(n, out)] = \
-                parse_coefficient(c)
+            put_once(tab.setdefault(index(n, a), {}), index(n, out),
+                     parse_coefficient(c), f"action record (n, sigma) = "
+                     f"({n}, {rec['sigma']}): cell {a} ->")
         act[key] = tab
     for n in components:
         for sigma in adjacent_transpositions(n):
@@ -240,12 +241,13 @@ def operad_from_doc(doc: dict) -> TableOperad:
                 raise OperadError(f"no action table for {list(sigma)} "
                                   f"at arity {n}")
     diffs = {}
-    for n, entries in doc.get("differentials", {}).items():
-        if int(n) not in dims:
+    for n, entries in int_keyed(doc.get("differentials", {}),
+                                "differentials: arity").items():
+        if n not in dims:
             raise OperadError(f"differential record n = {n}: no arity-{n} "
                               "component")
-        size = dims[int(n)]
-        diffs[int(n)] = SparseMatrix(
+        size = dims[n]
+        diffs[n] = SparseMatrix(
             size, size, [(r, c, parse_coefficient(v)) for r, c, v in entries])
     return TableOperad(components, unit, comp, act, diffs)
 

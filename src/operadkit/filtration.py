@@ -31,8 +31,8 @@ from . import InputError
 from .qlinalg import (SparseMatrix, add_scaled, as_exact, in_span, nullspace,
                       span_basis, span_rank)
 from .operads import (GradedOperad, GradedSpace, adjacent_transpositions,
-                      check_differential, end_compose, perm_inverse,
-                      read_document)
+                      check_differential, end_compose, int_keyed,
+                      perm_inverse, read_document)
 from .hoalg import MapFamily, check_cinf
 
 
@@ -136,27 +136,29 @@ class ErTerm(namedtuple("ErTerm", "r filtered pieces")):
         return sum(self.dims(n).values())
 
 
-def _z_space(F: FilteredOperad, n: int, r: int, p: int, q: int) -> list:
+def _z_space(F: FilteredOperad, n: int, dt: SparseMatrix | None,
+             r: int, p: int, q: int) -> list:
     """Basis of Z^r_{p,q}(n) as sparse coordinate vectors: the kernel of
     d on the flag basis of F_p in degree p + q, taken in d's own row
-    indices, where only the rows of level > p - r hold entries."""
+    indices, where only the rows of level > p - r hold entries; row a
+    of ``dt``, d's transpose (None for no d), is d's column a."""
     cols = F.flag_basis(n, p, p + q)
     if not cols:
         return []
-    d = F.base.differentials.get(n)
-    if d is None:
+    if dt is None:
         return [{a: 1} for a in cols]
     lv = F.levels[n]
-    m = SparseMatrix(d.rows, len(cols),
+    m = SparseMatrix(dt.cols, len(cols),
                      [(rr, j, v) for j, a in enumerate(cols)
-                      for rr, v in d.col(a).items() if lv[rr] > p - r])
+                      for rr, v in dt.row(a).items() if lv[rr] > p - r])
     return [{cols[j]: v for j, v in vec.items()} for vec in nullspace(m)]
 
 
 def er_term(F: FilteredOperad, r: int) -> ErTerm:
     """The r-th page with numerator/denominator spans per bigrade.  Each
     kernel Z^{r'}_{p,q} of an arity is computed once, whether it is a
-    numerator or part of a denominator."""
+    numerator or part of a denominator.  Pages read d by columns, from
+    its transpose, made once per arity and kept only while it is paged."""
     if r < 0:
         raise FiltrationError("page index must be >= 0")
     pieces = {}
@@ -166,7 +168,8 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
         if sp.dim == 0:
             continue
         d = F.base.differentials.get(n)
-        z_space = cache(partial(_z_space, F, n))
+        dt = None if d is None else d.transpose()
+        z_space = cache(partial(_z_space, F, n, dt))
         degrees = sorted(set(sp.degrees))
         for p in range(min(F.levels[n]), max(F.levels[n]) + 1):
             for degree in degrees:
@@ -175,9 +178,11 @@ def er_term(F: FilteredOperad, r: int) -> ErTerm:
                 if not z:
                     continue
                 b = []
-                if d is not None:
+                if dt is not None:
                     for vec in z_space(r - 1, p + r - 1, q - r + 2):
-                        dv = d.apply(vec)
+                        dv: dict = {}
+                        for a, x in vec.items():
+                            add_scaled(dv, dt.row(a), x)
                         if dv:
                             b.append(dv)
                 b.extend(z_space(r - 1, p - 1, q + 1))
@@ -271,7 +276,8 @@ def filtered_operad_from_json(text: str) -> FilteredOperad:
         raw = doc.get("filtration_level")
         if raw is None:
             raise FiltrationError("document lacks a filtration_level table")
-        levels = {int(n): tuple(lv) for n, lv in raw.items()}
+        levels = {n: tuple(lv) for n, lv in
+                  int_keyed(raw, "filtration_level: arity").items()}
         if not all(type(x) is int for lv in levels.values() for x in lv):
             raise FiltrationError("filtration levels must be integers")
         return FilteredOperad(operad_from_doc(doc), levels)
@@ -420,7 +426,7 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
     """Check mu (filtration predicate and operad morphism, through
     max_arity), restrict the induced first-page algebra to the q = 0
     slice, read off m_n from identity-word corollas, and verify the
-    relations through max_arity and every arity where one can fail.
+    relations through every arity where one can fail.
 
     A filtration violation raises FiltrationError; a failed morphism
     check or relation makes the result not ok."""
@@ -444,5 +450,4 @@ def induce_cinf(F: FilteredOperad, A: FilteredAlgebraData,
         if tensor:
             maps[n] = tensor
     family = MapFamily(A.space, A.q, maps)
-    return PipelineResult(report, family, check_cinf(
-        family, max(max_arity, family.last_relation)))
+    return PipelineResult(report, family, check_cinf(family))

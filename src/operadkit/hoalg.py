@@ -40,9 +40,9 @@ from . import InputError
 from .qlinalg import (SparseMatrix, add_scaled, addmul, as_exact,
                       format_vector)
 from .operads import (GradedSpace, check_differential, decalage_sign,
-                      end_compose, end_differential, koszul_sign,
-                      parse_coefficient, perm_inverse, read_document,
-                      shuffles)
+                      end_compose, end_differential, int_keyed,
+                      koszul_sign, parse_coefficient, perm_inverse,
+                      put_once, read_document, shuffles)
 
 
 class HoalgError(InputError):
@@ -107,14 +107,16 @@ class CinfReport(namedtuple("CinfReport", "ainf_residuals shuffle_violations")):
 
 
 def _defect_tensor(f: MapFamily, n: int) -> Tensor:
-    """Left side minus right side of the arity-n relation, as a tensor."""
+    """Left side minus right side of the arity-n relation, as a tensor;
+    only the pairs (r, s) with both m_r and m_s are walked."""
     degs, m = f.space.degrees, f.maps
     defect = end_differential(m.get(n, {}), f.q, degs)
     for r in range(2, n):
         s = n + 1 - r
-        for k in range(1, r + 1):
-            add_scaled(defect, end_compose(m.get(r, {}), k, m.get(s, {}), degs),
-                       -(-1) ** (k * (s - 1) + s * n))
+        if m.get(r) and m.get(s):
+            for k in range(1, r + 1):
+                add_scaled(defect, end_compose(m[r], k, m[s], degs),
+                           -(-1) ** (k * (s - 1) + s * n))
     return defect
 
 
@@ -129,9 +131,9 @@ def _group_by_input(tensor: Tensor) -> dict[tuple[int, ...], dict]:
 def check_ainf(f: MapFamily, N: int | None = None) -> list[AinfResidual]:
     """All failing relation instances for 2 <= n <= N, by arity and then
     by input tuple; empty iff the family is homotopy associative through
-    arity N, by default ``f.last_relation``, the last that can fail."""
-    if N is None:
-        N = f.last_relation
+    arity N.  Only arities through ``f.last_relation``, the last that
+    can fail, are walked, which is also the default N."""
+    N = f.last_relation if N is None else min(N, f.last_relation)
     return [AinfResidual(n, ins, defect) for n in range(2, N + 1)
             for ins, defect in _group_by_input(_defect_tensor(f, n)).items()]
 
@@ -165,9 +167,9 @@ def shuffle_defects(f: MapFamily, n: int) -> list:
 
 def check_cinf(f: MapFamily, N: int | None = None) -> CinfReport:
     """Homotopy associativity plus vanishing on all shuffle sums, through
-    arity N, by default ``f.last_relation``."""
-    if N is None:
-        N = f.last_relation
+    arity N; as in ``check_ainf``, no arity past ``f.last_relation`` is
+    walked."""
+    N = f.last_relation if N is None else min(N, f.last_relation)
     return CinfReport(check_ainf(f, N), [v for n in range(2, N + 1)
                                          for v in shuffle_defects(f, n)])
 
@@ -195,9 +197,12 @@ def map_family_from_json(text: str) -> MapFamily:
         space = GradedSpace(tuple(doc["names"]), tuple(doc["degrees"]))
         q = SparseMatrix(space.dim, space.dim,
                          [(r, c, parse_coefficient(v)) for r, c, v in doc["q"]])
-        maps = {int(n): {(out, tuple(ins)): parse_coefficient(c)
-                         for out, ins, c in entries}
-                for n, entries in doc["maps"].items()}
+        maps: dict = {}
+        for n, entries in int_keyed(doc["maps"], "maps: arity").items():
+            tensor = maps[n] = {}
+            for out, ins, c in entries:
+                put_once(tensor, (out, tuple(ins)), parse_coefficient(c),
+                         f"m_{n} entry")
         return MapFamily(space, q, maps)
     return read_document(text, "operadkit-mapfamily", HoalgError, parse)
 
@@ -208,9 +213,5 @@ def truncated_polynomial_family(dim: int = 3) -> MapFamily:
     names = tuple(f"x{k}" for k in range(dim))
     space = GradedSpace(names, (0,) * dim)
     q = SparseMatrix.zero(dim, dim)
-    m2 = {}
-    for a in range(dim):
-        for b in range(dim):
-            if a + b < dim:
-                m2[(a + b, (a, b))] = 1
+    m2 = {(a + b, (a, b)): 1 for a in range(dim) for b in range(dim - a)}
     return MapFamily(space, q, {2: m2})

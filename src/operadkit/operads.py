@@ -24,6 +24,7 @@ with the Koszul sign of the rearrangement; on words it relabels letters.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -81,40 +82,25 @@ def expand_perm(sigma: tuple[int, ...], k: int, s: int) -> tuple[int, ...]:
     (f.sigma) o_i g = (f o_k g).expand_perm(sigma, k, s) with k the slot
     sigma sends to i.
     """
-    n = len(sigma)
     i = sigma[k - 1]
-
-    def adj(v):
-        return v if v < i else v + s - 1
-
-    out = []
-    for t in range(1, k):
-        out.append(adj(sigma[t - 1]))
-    out.extend(range(i, i + s))
-    for t in range(k + 1, n + 1):
-        out.append(adj(sigma[t - 1]))
-    return tuple(out)
+    shifted = [v if v < i else v + s - 1 for v in sigma]
+    return (*shifted[:k - 1], *range(i, i + s), *shifted[k:])
 
 
 def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
     """The Coxeter generators s_1..s_{n-1} of S_n; s_t swaps t and t+1."""
-    out = []
-    for t in range(1, n):
-        p = list(range(1, n + 1))
-        p[t - 1], p[t] = p[t], p[t - 1]
-        out.append(tuple(p))
-    return out
+    return [(*range(1, t), t + 1, t, *range(t + 2, n + 1))
+            for t in range(1, n)]
 
 
 def shuffles(p: int, q: int):
-    """(p, q)-shuffles as permutations of 1..p+q in one-line notation."""
+    """(p, q)-shuffles as permutations of 1..p+q in one-line notation:
+    1..p at the chosen positions, p+1..p+q at the rest, both in order."""
     for positions in itertools.combinations(range(p + q), p):
-        out = [0] * (p + q)
         rest = [k for k in range(p + q) if k not in positions]
-        for j, pos in enumerate(positions):
-            out[pos] = j + 1
-        for j, pos in enumerate(rest):
-            out[pos] = p + 1 + j
+        out = [0] * (p + q)
+        for j, pos in enumerate((*positions, *rest), 1):
+            out[pos] = j
         yield tuple(out)
 
 
@@ -166,12 +152,10 @@ def class_size(lam: tuple[int, ...]) -> int:
 
 def class_representative(lam: tuple[int, ...]) -> tuple[int, ...]:
     """A permutation with the given cycle type."""
-    out = []
-    start = 1
+    out: list[int] = []
     for p in lam:
-        cycle = list(range(start + 1, start + p)) + [start]
-        out.extend(cycle)
-        start += p
+        start = len(out) + 1
+        out += [*range(start + 1, start + p), start]
     return tuple(out)
 
 
@@ -409,16 +393,7 @@ class LieOperad(_WordOperad):
         return Fraction(mu * d ** (k - 1) * factorial(k - 1))
 
 
-def comm_operad(max_arity: int) -> CommOperad:
-    return CommOperad(max_arity)
-
-
-def assoc_operad(max_arity: int) -> AssocOperad:
-    return AssocOperad(max_arity)
-
-
-def lie_operad(max_arity: int) -> LieOperad:
-    return LieOperad(max_arity)
+comm_operad, assoc_operad, lie_operad = CommOperad, AssocOperad, LieOperad
 
 
 # ---------------------------------------------------------------------------
@@ -478,23 +453,54 @@ def end_differential(f: dict, q: SparseMatrix,
 
 
 def parse_coefficient(c) -> int | Fraction:
-    """A coefficient read from JSON: an int, or a string such as "-3/2"."""
-    if type(c) is int or isinstance(c, str):
-        return as_exact(Fraction(c))
-    raise ValueError(f"coefficient {c!r} is neither an int nor a string")
+    """A coefficient read from JSON: an int, or a string of an optional
+    sign, digits and optionally "/" and a nonzero denominator ("-3/2")."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, str):
+        raise ValueError(f"coefficient {c!r} is neither an int nor a string")
+    if not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", c):
+        raise ValueError(f"coefficient {c!r} is not of the form -3 or -3/2 "
+                         "(a nonzero denominator)")
+    return as_exact(Fraction(c))
+
+
+def put_once(table: dict, key, value, what: str) -> None:
+    """table[key] = value for a table read from a document, which names
+    each key once: a repeat raises ValueError naming it."""
+    if key in table:
+        raise ValueError(f"{what} {key!r} appears twice")
+    table[key] = value
+
+
+def int_keyed(obj: dict, what: str) -> dict:
+    """A JSON object whose keys are integers, as {int: value}; two keys
+    naming one integer ("2" and "02") are refused."""
+    out: dict = {}
+    for key, value in obj.items():
+        put_once(out, int(key), value, what)
+    return out
 
 
 def read_document(text: str, fmt: str, error: type[ValueError], parse):
     """parse(doc) for the JSON object in text whose "format" is fmt.
 
-    Text that is not JSON, a document of another format, and one that
-    parse cannot read (a missing key, a value of the wrong type or out
-    of range) all raise ``error``.
+    Text that is not JSON (an object that repeats a key, an integer
+    past the digit limit or nesting past the recursion limit included),
+    a document of another format, and one that parse cannot read (a
+    missing key, a value of the wrong type or out of range, a repeated
+    key or table cell) all raise ``error``.
     """
     import json
+
+    def unique_keys(pairs):
+        obj: dict = {}
+        for key, value in pairs:
+            put_once(obj, key, value, "JSON object key")
+        return obj
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as ex:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as ex:
         raise error(str(ex)) from None
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise error(f"not an {fmt} document")
@@ -504,7 +510,7 @@ def read_document(text: str, fmt: str, error: type[ValueError], parse):
         raise
     except KeyError as ex:
         raise error(f"{fmt} document lacks the key {ex}") from None
-    except (TypeError, ValueError, AttributeError) as ex:
+    except (TypeError, ValueError, AttributeError, RecursionError) as ex:
         raise error(f"malformed {fmt} document: {ex}") from None
 
 

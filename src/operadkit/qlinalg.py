@@ -54,9 +54,11 @@ Problems 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 2021).
 
 A ``SparseMatrix`` stores each entry once, row-major, and ``row`` hands
 out the stored row; elimination copies the rows it reduces, the only
-other copy of the entries.  ``rank`` and ``rref`` walk only the stored
-rows, ascending, so empty rows cost nothing: ``span_rank`` and
-``solve_in_span`` index their matrices by the vectors' own basis indices.
+other copy of the entries the module makes.  A caller that reads
+columns transposes the matrix and owns that copy while it needs it.
+``rank`` and ``rref`` walk only the stored rows, ascending, so empty
+rows cost nothing: ``span_rank`` and ``solve_in_span`` index their
+matrices by the vectors' own basis indices.
 
 Matrices are immutable after construction, so they are safe to share
 between threads; rank and homology are pure functions.
@@ -123,12 +125,10 @@ class SparseMatrix:
     and values normalised by ``as_exact``; ``row`` returns a stored row,
     and everything else reads them.  ``entries`` lists each row's
     columns ascending.  Out-of-range and duplicate (row, col) entries
-    are rejected.  Column views, the rows of the transpose, ascending,
-    are built on first use; the matrix never changes, so they never go
-    stale.
+    are rejected.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_col_views")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int,
                  entries: Iterable[tuple[int, int, object]] = ()):
@@ -151,30 +151,11 @@ class SparseMatrix:
         self.cols = cols
         self._rows = {r: MappingProxyType(line)
                       for r, line in data.items() if line}
-        self._col_views = None
-
-    @classmethod
-    def from_rows(cls, rowdata: Iterable[Iterable[object]],
-                  cols: int | None = None) -> "SparseMatrix":
-        rowlist = [list(row) for row in rowdata]
-        if cols is None:
-            cols = len(rowlist[0]) if rowlist else 0
-        entries = []
-        for r, row in enumerate(rowlist):
-            if len(row) != cols:
-                raise ValueError("ragged row data")
-            for c, v in enumerate(row):
-                entries.append((r, c, v))
-        return cls(len(rowlist), cols, entries)
 
     @classmethod
     def from_dict(cls, rows: int, cols: int,
                   data: Mapping[tuple[int, int], object]) -> "SparseMatrix":
         return cls(rows, cols, [(r, c, v) for (r, c), v in data.items()])
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, [(i, i, 1) for i in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
@@ -198,18 +179,14 @@ class SparseMatrix:
         return not self._rows
 
     def transpose(self) -> "SparseMatrix":
+        """The transpose, a new matrix: its row c is column c of this
+        one, rows ascending."""
         return SparseMatrix(self.cols, self.rows,
                             ((c, r, v) for r, c, v in self.entries()))
 
     def row(self, r: int) -> Mapping[int, Fraction]:
         """Row r as a read-only sparse vector {col: value}."""
         return self._rows.get(r, _EMPTY)
-
-    def col(self, c: int) -> Mapping[int, Fraction]:
-        """Column c as a read-only sparse vector {row: value}, ascending."""
-        if self._col_views is None:
-            self._col_views = self.transpose()._rows
-        return self._col_views.get(c, _EMPTY)
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -225,14 +202,6 @@ class SparseMatrix:
                     acc[c] = get(c, 0) + v * w
             entries.extend((r, c, w) for c, w in acc.items() if w)
         return SparseMatrix(self.rows, other.cols, entries)
-
-    def apply(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Matrix times sparse column vector (dict col -> value)."""
-        out: dict[int, Fraction] = {}
-        for c, x in vec.items():
-            if x:
-                add_scaled(out, self.col(c), x)
-        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseMatrix)

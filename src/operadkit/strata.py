@@ -50,8 +50,7 @@ def open_betti(n: int) -> tuple[int, ...]:
         raise StrataError("need at least 3 punctures")
     poly = [1]
     for k in range(2, n - 1):
-        poly = [a + k * b for a, b in
-                zip(poly + [0], [0] + poly)]
+        poly = _poly_mul(poly, [1, k])
     return tuple(poly)
 
 
@@ -114,11 +113,8 @@ class BettiTable:
             if k in by_k:
                 raise StrataError(f"repeated (g, n, k) in row: {ln!r}")
             by_k[k] = dim
-        entries = {}
-        for (g, n), by_k in rows.items():
-            top = max(by_k)
-            entries[(g, n)] = tuple(by_k.get(k, 0) for k in range(top + 1))
-        return cls(entries)
+        return cls({gn: tuple(by_k.get(k, 0) for k in range(max(by_k) + 1))
+                    for gn, by_k in rows.items()})
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -354,10 +350,7 @@ def dual_e1_table(g: int, n: int) -> E1Table:
             "is supported internally")
 
     def cbetti(nv: int) -> list[int]:
-        even = predict_compactified_betti(nv)
-        out = []
-        for h in even:
-            out.extend([h, 0])
+        out = [x for h in predict_compactified_betti(nv) for x in (h, 0)]
         return out[:-1] if out else [1]
 
     # edge count e sits at p = -e, and degree k at q = k - 2p

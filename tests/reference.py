@@ -4,7 +4,9 @@ Nothing in the package calls these; each one reaches a number or an
 object the library also produces, by a different road:
 
 - linear algebra: the rank of a dense matrix by plain Gaussian
-  elimination over Fraction, against the sparse integer reduction;
+  elimination over Fraction, against the sparse integer reduction; and
+  the tests' own matrix builders (dense rows, identity) and matrix
+  times vector, by the rows of the transpose;
 - shuffles: the Lie cooperad's component dimension as multilinear
   words modulo shuffle products, against the dual-operad model;
 - strata: the genus-0 Euler characteristic summed over enumerated
@@ -29,7 +31,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from operadkit.operads import koszul_sign, shuffles
-from operadkit.qlinalg import ChainComplex, SparseMatrix, addmul, span_rank
+from operadkit.qlinalg import (ChainComplex, SparseMatrix, add_scaled, addmul,
+                               span_rank)
 from operadkit.treegraph import GraphError, StableGraph, Tree, TreeError
 
 # ---------------------------------------------------------------------------
@@ -66,6 +69,31 @@ def to_dense(m: SparseMatrix) -> list[list[Fraction]]:
     out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
     for r, c, v in m.entries():
         out[r][c] = v
+    return out
+
+
+def from_rows(rowdata, cols: int | None = None) -> SparseMatrix:
+    """A SparseMatrix from dense rows, each of ``cols`` entries (by
+    default the first row's length)."""
+    rows = [list(row) for row in rowdata]
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged row data")
+    return SparseMatrix(len(rows), cols, [
+        (r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row)])
+
+
+def identity(n: int) -> SparseMatrix:
+    return SparseMatrix(n, n, [(i, i, 1) for i in range(n)])
+
+
+def mat_vec(m: SparseMatrix, vec: dict) -> dict:
+    """m times a sparse column vector {col: value}: the columns it names,
+    read as rows of m's transpose, summed by ``add_scaled``."""
+    mt, out = m.transpose(), {}
+    for c, x in vec.items():
+        add_scaled(out, mt.row(c), x)
     return out
 
 
@@ -152,13 +180,14 @@ def component_homology(O, n: int) -> dict[int, int]:
     lo, hi = min(sp.degrees), max(sp.degrees)
     by_deg = {g: [a for a in range(sp.dim) if sp.degrees[a] == g]
               for g in range(lo, hi + 1)}
+    dt = None if d is None else d.transpose()  # row c is d's column c
     boundaries = []
     for g in range(lo, hi):
         rows = {a: k for k, a in enumerate(by_deg[g])}
         entries = []
-        if d is not None:
+        if dt is not None:
             for k, c in enumerate(by_deg[g + 1]):
-                for r, v in d.col(c).items():
+                for r, v in dt.row(c).items():
                     if r in rows:
                         entries.append((rows[r], k, v))
         boundaries.append(

@@ -11,7 +11,7 @@ from math import comb, factorial
 import pytest
 
 import test_treegraph as tg_oracles
-from reference import component_homology
+from reference import component_homology, mat_vec
 
 
 def report(number: int, label: str, ok: bool) -> None:
@@ -186,7 +186,7 @@ def test_criterion_8_homotopy_checkers():
                         elif kk in leib:
                             del leib[kk]
 
-                add(fam.q.apply(apply((a, b))), Fraction(1))
+                add(mat_vec(fam.q, apply((a, b))), Fraction(1))
                 for qa, v in [(r, val) for r, c, val in Q.entries() if c == a]:
                     add(apply((qa, b)), -v)
                 sgn = Fraction(-1 if V.degrees[a] % 2 else 1)

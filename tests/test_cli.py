@@ -506,6 +506,136 @@ class TestMalformedInput:
                 in res.output)
 
 
+def _assert_refused(res, message):
+    """Exit 2 with ``message`` on stderr, and no traceback (the runner
+    lets any exception but SystemExit through)."""
+    assert res.exit_code == 2
+    assert message in res.stderr, res.stderr
+
+
+def _write(tmp_path, text) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestUnreadableDocuments:
+    """JSON that the parser cannot hold and coefficients of any other
+    form than an optional sign, digits and an optional nonzero
+    denominator exit 2 with a message, in map families and operads."""
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits")
+                        or not sys.get_int_max_str_digits(),
+                        reason="no limit on integer digits")
+    def test_integer_past_the_digit_limit(self, runner, tmp_path):
+        text = json.dumps(_family_doc()).replace(
+            '"q": []', '"q": [[0, 1, 1%s]]'
+            % ("0" * sys.get_int_max_str_digits()))
+        res = run(runner, "check-ainf", _write(tmp_path, text))
+        _assert_refused(res, "Exceeds the limit")
+
+    def test_nesting_past_the_recursion_limit(self, runner, tmp_path):
+        depth = 200_000
+        text = json.dumps(_family_doc()).replace(
+            '"q": []', '"q": ' + "[" * depth + "]" * depth)
+        res = run(runner, "check-ainf", _write(tmp_path, text))
+        _assert_refused(res, "recursion")
+
+    def test_zero_denominator_in_a_map_family(self, runner, tmp_path):
+        doc = _family_doc()
+        doc["q"] = [[0, 1, "1/0"]]
+        res = run(runner, "check-ainf", _write(tmp_path, json.dumps(doc)))
+        _assert_refused(res, "coefficient '1/0' is not of the form")
+
+    def test_zero_denominator_in_an_operad_unit(self, runner, tmp_path):
+        doc = _end_doc()
+        doc["unit"][next(iter(doc["unit"]))] = "-2/000"
+        res = run(runner, "er", "--r", "1", "--file",
+                  _write(tmp_path, json.dumps(doc)))
+        _assert_refused(res, "coefficient '-2/000' is not of the form")
+
+    @pytest.mark.parametrize("coeff", ["1e3", " 1", "1.0", "1/-2", "1/", "١"])
+    def test_other_coefficient_forms(self, runner, tmp_path, coeff):
+        doc = _family_doc()
+        doc["maps"]["2"][0][2] = coeff
+        res = run(runner, "check-ainf", _write(tmp_path, json.dumps(doc)))
+        _assert_refused(res, f"coefficient {coeff!r} is not of the form")
+
+    def test_huge_exponent_is_refused_at_once(self, tmp_path):
+        # Fraction("1e99999999") would build 10**99999999 first
+        doc = _family_doc()
+        doc["maps"]["2"][0][2] = "1e99999999"
+        res = subprocess.run(
+            [sys.executable, "-m", "operadkit.cli", "check-ainf",
+             _write(tmp_path, json.dumps(doc))],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(
+                Path(operadkit.__file__).parents[1])})
+        assert res.returncode == 2
+        assert "is not of the form" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+class TestRepeatsAreRefused:
+    """A key, an arity or a table cell named twice exits 2 naming it,
+    where the last value read used to win."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("arity spelt twice", "maps: arity 2 appears twice"),
+        ("entry twice", "m_2 entry (0, (0, 0)) appears twice"),
+        ("key twice", "JSON object key 'names' appears twice"),
+    ])
+    def test_family(self, runner, tmp_path, fault, message):
+        doc = _family_doc()
+        if fault == "arity spelt twice":
+            doc["maps"]["02"] = doc["maps"]["2"]
+        elif fault == "entry twice":
+            doc["maps"]["2"].append(doc["maps"]["2"][0])
+        text = json.dumps(doc)
+        if fault == "key twice":
+            text = text.replace('"names":', '"names": ["y"], "names":', 1)
+        res = run(runner, "check-ainf", _write(tmp_path, text))
+        _assert_refused(res, message)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("component spelt twice", "components: arity 2 appears twice"),
+        ("unit index spelt twice", "unit: index 0 appears twice"),
+        ("differential spelt twice", "differentials: arity 2 appears twice"),
+        ("levels spelt twice", "filtration_level: arity 2 appears twice"),
+        ("composition cell twice", "composition record (n, i, m) = "
+                                   "(2, 1, 2): cell (0, 0) -> "),
+        ("action cell twice", "action record (n, sigma) = (2, [2, 1]): "
+                              "cell 0 -> "),
+        ("key twice", "JSON object key 'unit' appears twice"),
+    ])
+    def test_filtered_operad(self, runner, tmp_path, fault, message):
+        doc = _end_doc()
+        if fault == "component spelt twice":
+            doc["components"]["02"] = doc["components"]["2"]
+        elif fault == "levels spelt twice":
+            doc["filtration_level"]["02"] = doc["filtration_level"]["2"]
+        elif fault == "differential spelt twice":
+            doc["differentials"]["02"] = doc["differentials"]["2"]
+        elif fault == "unit index spelt twice":
+            assert "0" in doc["unit"]
+            doc["unit"]["00"] = doc["unit"]["0"]
+        elif fault == "composition cell twice":
+            rec = next(r for r in doc["compositions"]
+                       if (r["n"], r["i"], r["m"]) == (2, 1, 2))
+            rec["entries"].append(rec["entries"][0])
+            assert rec["entries"][0][:2] == [0, 0]
+        elif fault == "action cell twice":
+            rec = next(r for r in doc["actions"]
+                       if (r["n"], r["sigma"]) == (2, [2, 1]))
+            rec["entries"].append(rec["entries"][0])
+            assert rec["entries"][0][0] == 0
+        text = json.dumps(doc)
+        if fault == "key twice":
+            text = text.replace('"unit":', '"unit": {}, "unit":', 1)
+        res = run(runner, "er", "--r", "1", "--file", _write(tmp_path, text))
+        _assert_refused(res, message)
+
+
 class TestDkCertificate:
     def test_fault_injected_composition_fails_with_witness(self, runner,
                                                            tmp_path):

@@ -5,8 +5,9 @@ name is private to the module that defines it, and a module that needs
 another module's helper should get it made public there.
 
 The package keeps only what runs: every public module-level function,
-class and namedtuple record is named by the package, the benchmark or
-the scripts outside its own definition.  Oracles the tests alone use
+class and namedtuple record, and every public method that overrides
+nothing, is named by the package, the benchmark or the scripts outside
+its own definition.  Oracles the tests alone use
 live in ``tests/reference.py``.  The exceptions are the API the
 README's "File formats" section offers, the decoders of what ``trees``
 and ``graphs`` print, and ``qlinalg.solve_in_span``, which the
@@ -160,6 +161,44 @@ def test_every_public_name_has_a_caller():
                     named.add(name)
     uncalled = sorted(f"{path.stem}.{name}" for name, path in defined.items()
                       if name not in named | UNCALLED_BY_DESIGN)
+    assert uncalled == []
+
+
+def test_every_public_method_has_a_caller():
+    # a public method of a package class is named by the package, the
+    # benchmark or the scripts outside its own body; a dunder answers to
+    # Python, and an override to the base-class or library method it
+    # replaces, which is checked in its place
+    package = Path(operadkit.__file__).parent
+    root = package.parents[1]
+    methods = {}  # "module.Class.name" -> (name, path, its body's lines)
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"operadkit.{path.stem}")
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            bases = getattr(module, top.name).__mro__[1:]
+            for node in top.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")
+                        and not any(node.name in vars(b) for b in bases)):
+                    methods[f"{path.stem}.{top.name}.{node.name}"] = (
+                        node.name, path,
+                        range(node.lineno, node.end_lineno + 1))
+    assert "qlinalg.SparseMatrix.from_dict" in methods
+    assert "endtable.TableOperad.compose_basis" not in methods  # override
+    uses = set()  # (name, path, line) of every name and attribute
+    for folder in ("src", "perfbench", "scripts"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    uses.add((node.id, path, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    uses.add((node.attr, path, node.lineno))
+    uncalled = sorted(key for key, (name, home, body) in methods.items()
+                      if not any(used == name and not (path == home
+                                                       and line in body)
+                                 for used, path, line in uses))
     assert uncalled == []
 
 
