@@ -35,6 +35,38 @@ class AxiomReport(namedtuple("AxiomReport", "max_arity checked violations")):
         return not self.violations
 
 
+class _Slots(dict):
+    """A table whose slot is filled by ``fill(slot)`` on its first read."""
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, slot):
+        v = self[slot] = self.fill(slot)
+        return v
+
+
+def _stored(v: Vector, shared: dict) -> tuple:
+    """A sparse vector as its (index, coeff) pairs, sorted, zeros
+    dropped: the tuple in ``shared`` equal to it, put there if none is."""
+    t = tuple(sorted((k, c) for k, c in v.items() if c))
+    return shared.setdefault(t, t)
+
+
+def _spread(xs, table, stride, off, sign=1):
+    """The sum of sign * cx * table[x * stride + off] over the terms
+    (x, cx) of xs, as sorted (index, coeff) pairs.  One term that scales
+    by 1 is the table's tuple itself: nothing is copied."""
+    if len(xs) == 1 and xs[0][1] * sign == 1:
+        return table[xs[0][0] * stride + off]
+    acc: Vector = {}
+    for x, cx in xs:
+        for out, c in table[x * stride + off]:
+            addmul(acc, out, sign * cx * c)
+    return tuple(sorted(acc.items()))
+
+
 def check_axioms(O: GradedOperad, max_arity: int,
                  max_violations: int = 100) -> AxiomReport:
     """Exhaustively verify the operad axioms on basis elements.
@@ -52,95 +84,55 @@ def check_axioms(O: GradedOperad, max_arity: int,
     came from slot j = k-n'+1 > i of f (axiom "1", disjoint):
     (f o_i f') o_k f'' = (-1)^{|f'||f''|} (f o_j f'') o_i f'.
 
-    Each basis composite is computed once per call.  The walk at n = 1
-    already reads every composite, so a table kept for less than the
-    call would only compute them again.  The table holds one slot per
-    (a, b) for each (n, i, m), and a composite as its (index, coeff)
-    pairs.  Basis actions are kept the same way, one table for the
-    call, read by the group relations and by both sides of both
-    equivariance checks: each generator action is asked of the operad
-    once, and the outer check's relabelling is the same for most slots
-    i.  In the inner check, s_t of S_s acting on the block at slot i is
-    the generator s_{i-1+t} of the composite's arity.
+    Each basis composite is asked of the operad once per call: the
+    first read of (n, i, m) fills its slab, slot a*dim O(m)+b, all of
+    which the walk reads.  Each basis action is asked once, on first
+    read, into one table per permutation, which the Coxeter relations
+    and both equivariance checks share.  A slot holds its vector as
+    sorted (index, coeff) pairs without zeros, one tuple for all equal
+    slots.  A basis element times a basis element with coefficient 1 is
+    that very tuple; only a sum of several terms, or a scaled one, is
+    added up and sorted anew.  Loops fetch their slabs and tables once,
+    compare the two sides as tuples and build a witness and its
+    violation, sides as dicts, only when the sides differ.
     """
     arities = [n for n in O.arities() if n <= max_arity]
     dims = {n: O.dim(n) for n in arities}
-    checked = 0
-    # e[a] is the basis element a as (index, coeff) pairs
-    e = [((x, 1),) for x in range(max(dims.values(), default=0))]
-    slabs: dict = {}    # (n, i, m) -> (dim O(m), slots), slot a*dim+b
-    actions: dict = {}  # sigma -> slots over the basis of O(len(sigma))
+    checked, shared = 0, {}  # shared: each distinct slot vector once
+    slabs = _Slots(lambda key: [_stored(O.compose_basis(*key, a, b), shared)
+                                for a in range(O.dim(key[0]))
+                                for b in range(O.dim(key[2]))])
+    actions = _Slots(lambda sigma: _Slots(
+        lambda a: _stored(O.act_basis(len(sigma), sigma, a), shared)))
 
-    def composite(n, i, m, a, b):
-        """O.compose_basis(n, i, m, a, b) as (index, coeff) pairs."""
-        slab = slabs.get((n, i, m))
-        if slab is None:
-            slab = slabs[n, i, m] = (O.dim(m), [None] * (O.dim(n) * O.dim(m)))
-        dm, slots = slab
-        v = slots[a * dm + b]
-        if v is None:
-            v = O.compose_basis(n, i, m, a, b)
-            v = slots[a * dm + b] = tuple(v.items())
-        return v
-
-    def compose(n, i, m, xs, ys):
-        """x o_i y for x, y given as (basis index, coeff) pairs."""
-        acc: Vector = {}
-        for a, ca in xs:
-            for b, cb in ys:
-                for out, c in composite(n, i, m, a, b):
-                    addmul(acc, out, ca * cb * c)
-        return acc
-
-    def action(sigma, a):
-        """O.act_basis(len(sigma), sigma, a) as (index, coeff) pairs."""
-        slots = actions.get(sigma)
-        if slots is None:
-            slots = actions[sigma] = [None] * O.dim(len(sigma))
-        v = slots[a]
-        if v is None:
-            v = slots[a] = tuple(O.act_basis(len(sigma), sigma, a).items())
-        return v
-
-    def act(sigma, xs):
-        """x.sigma for x given as (basis index, coeff) pairs."""
-        acc: Vector = {}
-        for a, ca in xs:
-            for out, c in action(sigma, a):
-                addmul(acc, out, ca * c)
-        return acc
-
-    def check(found, axiom, ar, witness, lhs, rhs):
-        nonlocal checked
-        checked += 1
-        if lhs != rhs and len(found) < max_violations:
-            found.append(AxiomViolation(axiom, ar, witness, lhs, rhs))
+    def fail(found, *violation):
+        if len(found) < max_violations:
+            found.append(AxiomViolation(*violation))
 
     # (3) group action: adjacent transpositions satisfy the Coxeter
     # relations on each component, so checking both equivariance
     # identities on those generators certifies them for all of S_n.
-    # Checked first, one arity per call.  A relation is compared on one
+    # Checked first, one arity at a time.  A relation is compared on one
     # basis vector at a time; its matrices are built only for a report.
     group: list[AxiomViolation] = []
-
-    def check_group(n):
-        dim = dims[n]
-        gens = adjacent_transpositions(n)
+    for n in arities:
+        dim, gens = dims[n], [actions[g] for g in adjacent_transpositions(n)]
 
         def image(word, a):
             """e_a times the product of the generators in word."""
-            xs = e[a]
+            xs = ((a, 1),)
             for t in reversed(word):
-                xs = act(gens[t], xs).items()
-            return dict(xs)
+                xs = _spread(xs, gens[t], 1, 0)
+            return xs
 
         def relation(witness, word, word2=()):
-            lhs = rhs = None
+            nonlocal checked
+            checked += 1
             if any(image(word, a) != image(word2, a) for a in range(dim)):
-                lhs, rhs = (SparseMatrix(dim, dim, [
-                    (out, a, c) for a in range(dim)
-                    for out, c in image(w, a).items()]) for w in (word, word2))
-            check(group, "3-group", (n,), witness, lhs, rhs)
+                fail(group, "3-group", (n,), witness, *(SparseMatrix(
+                    dim, dim, [(out, a, c) for a in range(dim)
+                               for out, c in image(w, a)])
+                    for w in (word, word2)))
 
         for t in range(1, len(gens) + 1):
             relation(("s%d^2" % t,), (t - 1, t - 1))
@@ -149,69 +141,89 @@ def check_axioms(O: GradedOperad, max_arity: int,
             for u in range(t + 1, len(gens)):
                 relation(("commute", t, u + 1), (t - 1, u), (u, t - 1))
 
-    for n in arities:
-        check_group(n)
-
-    # (1) disjoint and (2) nested slots, one walk per f o_i f'
+    # (1) disjoint and (2) nested slots, one walk per f o_i f'.  A right
+    # side spreads f' o_j f'' over row a of slab (n, i, n'+n''-1), or
+    # f o_j f'' over column b of slab (n+n''-1, i, n'), signed.
     walk: list[AxiomViolation] = []
+    signs = {m: [-1 if O.degree(m, c) % 2 else 1 for c in range(dims[m])]
+             for m in arities}
     for n, np in itertools.product(arities, arities):
         npps = [p for p in arities if n + np + p - 2 <= max_arity]
         if not npps:
             continue
-        for i, a, b in itertools.product(range(1, n + 1), range(dims[n]),
-                                         range(dims[np])):
-            fb = composite(n, i, np, a, b)
-            for npp, k in itertools.product(npps, range(i, n + np)):
-                for c in range(dims[npp]):
-                    lhs = compose(n + np - 1, k, npp, fb, e[c])
+        dnp = dims[np]
+        for i in range(1, n + 1):
+            first = slabs[n, i, np]
+            for a, b in itertools.product(range(dims[n]), range(dnp)):
+                fb, odd = first[a * dnp + b], O.degree(np, b) % 2
+                for npp, k in itertools.product(npps, range(i, n + np)):
+                    dpp, left = dims[npp], slabs[n + np - 1, k, npp]
                     if k < i + np:
-                        axiom, j = "2", k - i + 1
-                        rhs = compose(n, i, np + npp - 1, e[a],
-                                      composite(np, j, npp, b, c))
+                        axiom, j, sg, stride = "2", k - i + 1, [1] * dpp, 1
+                        src, dst = slabs[np, j, npp], slabs[n, i, np + npp - 1]
+                        base, off = b * dpp, a * dims[np + npp - 1]
                     else:
-                        axiom, j = "1", k - np + 1
-                        odd = O.degree(np, b) * O.degree(npp, c) % 2
-                        rhs = compose(n + npp - 1, i, np,
-                                      composite(n, j, npp, a, c),
-                                      ((b, -1 if odd else 1),))
-                    check(walk, axiom, (n, np, npp), (i, j, a, b, c),
-                          lhs, rhs)
+                        axiom, j, stride = "1", k - np + 1, dnp
+                        sg = signs[npp] if odd else [1] * dpp
+                        src, dst = slabs[n, j, npp], slabs[n + npp - 1, i, np]
+                        base, off = a * dpp, b
+                    for c in range(dpp):
+                        lhs = _spread(fb, left, dpp, c)
+                        rhs = _spread(src[base + c], dst, stride, off, sg[c])
+                        if lhs != rhs:
+                            fail(walk, axiom, (n, np, npp), (i, j, a, b, c),
+                                 dict(lhs), dict(rhs))
+                    checked += dpp
 
     # (3a) outer: (f.sigma) o_i g = (f o_k g).sigma' with k = sigma^-1(i);
-    # (3b) inner: f o_i (g.tau) = (f o_i g).tau', tau' = s_{i-1+t} for
-    # tau = s_t
+    # (3b) inner: f o_i (g.tau) = (f o_i g).tau', where s_t of S_s acting
+    # on the block at slot i is the generator tau' = s_{i-1+t}
     equivariance: list[AxiomViolation] = []
     for n, s in itertools.product(arities, arities):
         if n + s - 1 > max_arity:
             continue
-        pairs = list(itertools.product(range(dims[n]), range(dims[s])))
+        ds = dims[s]
+        pairs = list(itertools.product(range(dims[n]), range(ds)))
         for sig in adjacent_transpositions(n):
             for i in range(1, n + 1):
                 k = perm_inverse(sig)[i - 1]
-                big = expand_perm(sig, k, s)
+                act, big = actions[sig], actions[expand_perm(sig, k, s)]
+                at_i, at_k = slabs[n, i, s], slabs[n, k, s]
                 for a, b in pairs:
-                    rhs = act(big, composite(n, k, s, a, b))
-                    check(equivariance, "3a", (n, s), (sig, i, a, b),
-                          compose(n, i, s, action(sig, a), e[b]), rhs)
+                    lhs = _spread(act[a], at_i, ds, b)
+                    rhs = _spread(at_k[a * ds + b], big, 1, 0)
+                    if lhs != rhs:
+                        fail(equivariance, "3a", (n, s), (sig, i, a, b),
+                             dict(lhs), dict(rhs))
+                checked += len(pairs)
         gens = adjacent_transpositions(n + s - 1)
         for t, tau in enumerate(adjacent_transpositions(s), 1):
             for i in range(1, n + 1):
+                act, block = actions[tau], actions[gens[i + t - 2]]
+                at_i = slabs[n, i, s]
                 for a, b in pairs:
-                    rhs = act(gens[i + t - 2], composite(n, i, s, a, b))
-                    check(equivariance, "3b", (n, s), (tau, i, a, b),
-                          compose(n, i, s, e[a], action(tau, b)), rhs)
+                    lhs = _spread(act[b], at_i, 1, a * ds)
+                    rhs = _spread(at_i[a * ds + b], block, 1, 0)
+                    if lhs != rhs:
+                        fail(equivariance, "3b", (n, s), (tau, i, a, b),
+                             dict(lhs), dict(rhs))
+                checked += len(pairs)
 
     # (4) unit laws
     units: list[AxiomViolation] = []
-    if 1 in dims:
-        unit = O.unit_vector.items()
-        for n in arities:
-            for a in range(dims[n]):
-                ea = {a: 1}
-                check(units, "4", (n,), ("I o f", a),
-                      compose(1, 1, n, unit, e[a]), ea)
-                for i in range(1, n + 1):
-                    check(units, "4", (n,), ("f o_i I", a, i),
-                          compose(n, i, 1, e[a], unit), ea)
+    unit = _stored(O.unit_vector, shared)
+    for n in arities if 1 in dims else ():
+        dn = dims[n]
+        for a in range(dn):
+            ea = ((a, 1),)
+            lhs = _spread(unit, slabs[1, 1, n], dn, a)
+            if lhs != ea:
+                fail(units, "4", (n,), ("I o f", a), dict(lhs), {a: 1})
+            for i in range(1, n + 1):
+                lhs = _spread(unit, slabs[n, i, 1], 1, a * dims[1])
+                if lhs != ea:
+                    fail(units, "4", (n,), ("f o_i I", a, i), dict(lhs),
+                         {a: 1})
+        checked += dn * (n + 1)
     violations = (walk + group + equivariance + units)[:max_violations]
     return AxiomReport(max_arity, checked, violations)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -260,7 +261,8 @@ def lie_expand(w: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Expansion of the left-normed bracket of w into associative words.
 
     rho(w_1..w_n) = [..[[x_{w_1}, x_{w_2}], x_{w_3}]..], expanded via
-    [a, b] = ab - ba; returns ((word, coeff), ...).
+    [a, b] = ab - ba; returns ((word, coeff), ...) sorted by word, which
+    ``LieOperad.act_basis`` relies on.
     """
     if len(w) == 1:
         return ((w, 1),)
@@ -363,10 +365,13 @@ class LieOperad(_WordOperad):
                 for w, c in lie_expand(wb)}
 
     def act_basis(self, n, sigma, a):
-        index = self._index[n]
+        # The words read off start with x = sigma^-1(1), which relabels to
+        # 1.  The expansion is sorted by word, so they are one run of it.
+        index, terms = self._index[n], lie_expand(self._words[n][a])
+        x = sigma.index(1) + 1
+        lo = bisect_left(terms, ((x,),))
         return {index[relabel_word(w, sigma)]: c
-                for w, c in lie_expand(self._words[n][a])
-                if sigma[w[0] - 1] == 1}
+                for w, c in terms[lo:bisect_left(terms, ((x + 1,),), lo)]}
 
     def action_trace(self, n, sigma):
         # Lie(n) is induced from a faithful character of the cyclic
@@ -474,10 +479,15 @@ def put_once(table: dict, key, value, what: str) -> None:
 
 
 def int_keyed(obj: dict, what: str) -> dict:
-    """A JSON object whose keys are integers, as {int: value}; two keys
-    naming one integer ("2" and "02") are refused."""
+    """A JSON object whose keys are runs of the ASCII digits 0-9, as
+    {int: value}.  A key of any other form (a sign, a space, another
+    script's digits) and two keys naming one integer ("2" and "02") are
+    refused."""
     out: dict = {}
     for key, value in obj.items():
+        if not re.fullmatch(r"[0-9]+", key):
+            raise ValueError(f"{what} {key!r} is not written in the digits "
+                             "0-9")
         put_once(out, int(key), value, what)
     return out
 

@@ -561,6 +561,28 @@ class TestUnreadableDocuments:
         res = run(runner, "check-ainf", _write(tmp_path, json.dumps(doc)))
         _assert_refused(res, f"coefficient {coeff!r} is not of the form")
 
+    @pytest.mark.parametrize("key", ["\u0662", " 2", "+2"])
+    def test_map_arity_in_other_digits(self, runner, tmp_path, key):
+        # int() reads each of these as 2; only the digits 0-9 are arities
+        doc = _family_doc()
+        doc["maps"][key] = doc["maps"].pop("2")
+        res = run(runner, "check-cinf", _write(tmp_path, json.dumps(doc)))
+        _assert_refused(res, f"maps: arity {key!r} is not written in the "
+                             "digits 0-9")
+
+    @pytest.mark.parametrize("command", ["er", "dk"])
+    @pytest.mark.parametrize("key", ["\u0662", " 2", "+2"])
+    def test_component_arity_in_other_digits(self, runner, tmp_path,
+                                             command, key):
+        doc = _end_doc()
+        doc["components"][key] = doc["components"].pop("2")
+        args = ["--r", "1", "--file", _write(tmp_path, json.dumps(doc))]
+        if command == "dk":
+            args += ["--k", "0"]
+        _assert_refused(run(runner, command, *args),
+                        f"components: arity {key!r} is not written in the "
+                        "digits 0-9")
+
     def test_huge_exponent_is_refused_at_once(self, tmp_path):
         # Fraction("1e99999999") would build 10**99999999 first
         doc = _family_doc()

@@ -5,6 +5,7 @@ Free-algebra dimensions are checked against independent closed forms
 for the other two) and against an explicit symmetrization projector.
 """
 
+import hashlib
 import itertools
 import json
 import re
@@ -270,12 +271,40 @@ FAULT_OPERADS = {"assoc": assoc_operad, "lie": lie_operad,
                  "cobar-liec": lambda k: cobar_operad(liec_cooperad(k), k)}
 
 
+def action_fault_operad():
+    """Assoc to arity 3, read from its document with the action of
+    (2, 1) on arity 2 doubled, as in
+    ``TestAxioms::test_action_fault_breaks_group_relations``."""
+    doc = json.loads(operad_to_json(assoc_operad(3), 3))
+    for rec in doc["actions"]:
+        if rec["n"] == 2 and rec["sigma"] == [2, 1]:
+            for entry in rec["entries"]:
+                entry[2] = str(2 * Fraction(entry[2]))
+    return operad_from_json(json.dumps(doc))
+
+
+def report_digest(reports) -> str:
+    """SHA-256 of each report's count and violations in order, as
+    (axiom, arities, witness, lhs, rhs), each side written out exactly
+    with its entries sorted."""
+    def exact(x):
+        if isinstance(x, SparseMatrix):
+            return x.rows, x.cols, sorted((r, c, str(v))
+                                          for r, c, v in x.entries())
+        return sorted((k, str(v)) for k, v in x.items())
+    body = [(r.checked, [(v.axiom, v.arities, v.witness, exact(v.lhs),
+                          exact(v.rhs)) for v in r.violations])
+            for r in reports]
+    return hashlib.sha256(repr(body).encode()).hexdigest()
+
+
 class TestAxioms:
     @pytest.mark.parametrize("factory, max_arity, checked", [
         (comm_operad, 3, 55), (comm_operad, 4, 146), (comm_operad, 5, 327),
         (comm_operad, 6, 650), (assoc_operad, 3, 219), (assoc_operad, 4, 1645),
-        (assoc_operad, 5, 12635), (lie_operad, 3, 77), (lie_operad, 4, 388),
-        (lie_operad, 5, 2192),
+        (assoc_operad, 5, 12635), (assoc_operad, 6, 102698),
+        (lie_operad, 3, 77), (lie_operad, 4, 388), (lie_operad, 5, 2192),
+        (lie_operad, 6, 14163), (FAULT_OPERADS["cobar-liec"], 4, 1814),
     ])
     def test_checked_counts_pinned(self, factory, max_arity, checked):
         report = check_axioms(factory(max_arity), max_arity)
@@ -317,6 +346,46 @@ class TestAxioms:
         monkeypatch.setattr(type(O), "act_basis", counted)
         assert check_axioms(O, max_arity).ok
         assert asked and len(asked) == len(set(asked))
+
+    @pytest.mark.parametrize("name, max_arity", [
+        ("comm", 5), ("assoc", 5), ("lie", 5), ("cobar-liec", 4)])
+    def test_each_basis_composite_is_asked_once(self, name, max_arity,
+                                                monkeypatch):
+        O = dict(FAULT_OPERADS, comm=comm_operad)[name](max_arity)
+        asked = []
+        compose_basis = type(O).compose_basis
+
+        def counted(self, n, i, m, a, b):
+            asked.append((n, i, m, a, b))
+            return compose_basis(self, n, i, m, a, b)
+
+        monkeypatch.setattr(type(O), "compose_basis", counted)
+        assert check_axioms(O, max_arity).ok
+        assert asked and len(asked) == len(set(asked))
+
+    @pytest.mark.parametrize("name, count, digest", [
+        ("assoc", 219, "8ed3a82f373a476a84fff94b494cdd3bf5"
+                       "67aa5eea8c5ad564f210adc9431077"),
+        ("lie", 54, "6b45d59a8aee012953de1ef14d2feb3984"
+                    "970efbc8dab7b0a93ba4c250238525"),
+        ("action", 1, "01b20b29aa353388e3fe9fa737715cc510"
+                      "c29291a09d833c6678183c9b84eab7"),
+    ])
+    def test_whole_fault_reports_are_pinned(self, name, count, digest):
+        # assoc and lie: each composition entry of the arity-4 table
+        # negated in turn; action: the document of the test below
+        if name == "action":
+            reports = [check_axioms(action_fault_operad(), 3,
+                                    max_violations=10 ** 6)]
+        else:
+            table = TableOperad.from_operad(FAULT_OPERADS[name](4), 4)
+            reports = [check_axioms(
+                table.with_corrupted_composition(*key, a, b), 4,
+                max_violations=10 ** 6)
+                for key in sorted(table._comp)
+                for a, b in sorted(table._comp[key])]
+        assert len(reports) == count
+        assert report_digest(reports) == digest
 
     def test_action_fault_breaks_group_relations(self):
         doc = json.loads(operad_to_json(assoc_operad(3), 3))
@@ -494,6 +563,20 @@ class TestLieReadOff:
                         terms[w] = terms.get(w, 0) + ca * cb
                 assert L.compose_basis(n, i, m, a, b) == \
                     self.read_off(n + m - 1, terms)
+
+    def test_act_reads_one_run_of_the_expansion(self):
+        # the run of terms whose first letter sigma sends to 1 gives the
+        # same dict, in the same order, as filtering the whole expansion
+        L = lie_operad(5)
+        for n in range(1, 6):
+            index = {w: k for k, w in enumerate(lie_basis_words(n))}
+            for sigma in itertools.permutations(range(1, n + 1)):
+                for a, word in enumerate(lie_basis_words(n)):
+                    old = {index[relabel_word(w, sigma)]: c
+                           for w, c in lie_expand(word)
+                           if sigma[w[0] - 1] == 1}
+                    new = L.act_basis(n, sigma, a)
+                    assert list(new.items()) == list(old.items())
 
     def test_act_matches_full_expansion(self):
         L = lie_operad(5)
