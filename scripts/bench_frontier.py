@@ -12,9 +12,11 @@ at the repository root; without one it writes nothing, so checking the
 pinned values leaves the checkout clean.  A cobar job runs
 ``CobarComplex.homology()``, the path ``cobar_homology`` takes, and
 records the seconds of each stage it runs: the basis, boundary assembly
-(``boundary_matrix``), the d.d = 0 check (the skeleton rows and their
-products by ``SparseMatrix.matmul``) and rank (``rank``, under
-clearing); homology builds, checks and ranks one boundary after
+(``CobarComplex._boundary``, which builds only the rows homology reads;
+of it, the cocomposition tables, ``Cooperad.cocompose``, are also
+reported on their own), the d.d = 0 check (the skeleton rows
+and their products by ``SparseMatrix.matmul``) and rank (``rank``,
+under clearing); homology builds, checks and ranks one boundary after
 another, so the stages interleave and each is a sum.  It also records
 the shape, nnz and rank of each boundary matrix as it is ranked and the
 Betti numbers homology returns, all of the complex it ranks: the dual,
@@ -31,9 +33,10 @@ instead of being recorded as fast.
 
 ``--src`` points at the ``src`` directory of the tree to measure
 (default: this checkout's), so a before/after pair uses one copy of
-this script; on a tree whose homology does not stream, the same timers
-see every boundary built, then every adjacent pair multiplied in full,
-then every rank.  Times are raw ``time.perf_counter`` seconds on whatever
+this script; on a tree without ``_boundary`` the boundaries stage times
+``boundary_matrix``, and on one whose homology does not stream, the
+same timers see every boundary built, then every adjacent pair
+multiplied in full, then every rank.  Times are raw ``time.perf_counter`` seconds on whatever
 machine runs it; the entry records Python version and CPU count.
 """
 
@@ -87,7 +90,8 @@ def run_job(src: str, name: str, n: int) -> dict:
     sys.path.insert(0, src)
     from operadkit import cobar, qlinalg
 
-    stages = dict.fromkeys(("boundaries_s", "dd_s", "rank_s"), 0.0)
+    stages = dict.fromkeys(("boundaries_s", "tables_s", "dd_s", "rank_s"),
+                           0.0)
     matrices = []
 
     def timed(owner, attr, stage, after=None):
@@ -107,7 +111,12 @@ def run_job(src: str, name: str, n: int) -> dict:
                          "rows": m.rows, "cols": m.cols, "nnz": m.nnz(),
                          "rank": r})
 
-    timed(cobar.CobarComplex, "boundary_matrix", "boundaries_s")
+    # the builder homology calls: every row whole before this tree's
+    # _boundary, which builds only the rows read
+    builder = ("_boundary" if hasattr(cobar.CobarComplex, "_boundary")
+               else "boundary_matrix")
+    timed(cobar.CobarComplex, builder, "boundaries_s")
+    timed(cobar.Cooperad, "cocompose", "tables_s")  # within boundaries
     # the d.d = 0 check: the products, and the skeleton rows multiplied
     # (a tree from before streaming multiplies whole boundaries)
     timed(qlinalg.SparseMatrix, "matmul", "dd_s")
@@ -210,7 +219,8 @@ def main() -> int:
         jobs.append(job)
         s = job["stages"]
         print(f"{name} {n}: basis {s['basis_s']} s, boundaries "
-              f"{s['boundaries_s']} s, d.d {s['dd_s']} s, rank "
+              f"{s['boundaries_s']} s (tables {s['tables_s']} s), d.d "
+              f"{s['dd_s']} s, rank "
               f"{s['rank_s']} s, total {s['total_s']} s, "
               f"peak RSS {job['peak_rss_mb']} MB, "
               f"ranks {got} {'ok' if job['oracle_ok'] else 'WRONG'}")

@@ -86,7 +86,8 @@ def check_axioms(O: GradedOperad, max_arity: int,
 
     Each basis composite is asked of the operad once per call: the
     first read of (n, i, m) fills its slab, slot a*dim O(m)+b, all of
-    which the walk reads.  Each basis action is asked once, on first
+    which the walk reads, from one ``compose_along`` table along
+    (i, ..., i+m-1).  Each basis action is asked once, on first
     read, into one table per permutation, which the Coxeter relations
     and both equivariance checks share.  A slot holds its vector as
     sorted (index, coeff) pairs without zeros, one tuple for all equal
@@ -99,9 +100,8 @@ def check_axioms(O: GradedOperad, max_arity: int,
     arities = [n for n in O.arities() if n <= max_arity]
     dims = {n: O.dim(n) for n in arities}
     checked, shared = 0, {}  # shared: each distinct slot vector once
-    slabs = _Slots(lambda key: [_stored(O.compose_basis(*key, a, b), shared)
-                                for a in range(O.dim(key[0]))
-                                for b in range(O.dim(key[2]))])
+    slabs = _Slots(lambda key: [_stored(v, shared) for v in O.compose_along(
+        key[0] + key[2] - 1, tuple(range(key[1], key[1] + key[2])))])
     actions = _Slots(lambda sigma: _Slots(
         lambda a: _stored(O.act_basis(len(sigma), sigma, a), shared)))
 

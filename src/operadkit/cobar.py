@@ -7,23 +7,18 @@ differential expands one vertex at a time and is graded by internal
 edge count, which it raises by one; equivalently it lowers the operadic
 degree (arity - 2 - edges) by one.
 
-``Cooperad.cocompose`` is the one cocomposition; ``boundary_from`` reads
-it, and its entries go straight into one ``SparseMatrix`` per boundary.
-The basis is indexed per tree, not per decorated tree: a tree's
+``Cooperad.cocompose``, the transpose of composition along a subset, is
+the one cocomposition.  The basis is indexed per tree: a tree's
 decorations follow one another in mixed-radix order, so a place is the
 tree's first place plus arithmetic.  Expanding a vertex compares no
-leaf label, so the boundary is computed once per tree skeleton and
-each tree only looks up where its targets start.
-
-The same fact lets d.d = 0 be checked on one tree per skeleton: a
-tree's row is the row of its skeleton's tree with labels 1..n, its
-targets relabelled, and relabelling is injective, so d.d vanishes on
-every row iff it vanishes on those (``CobarComplex.homology`` gives the
-argument).  ``homology`` therefore streams: it builds each boundary,
-checks it against the skeleton rows of the one before, ranks it by
-clearing and keeps only its own skeleton rows, so one boundary is live
-at a time.  ``chain_complex`` builds every boundary and multiplies each
-adjacent pair in full; the two paths agree, which the tests check.
+leaf label, so the boundary is computed once per tree skeleton, each
+tree looks up where its targets start, and its rows go as dicts
+straight into one ``SparseMatrix``.  The same fact lets d.d = 0 be
+checked on one tree per skeleton, so ``homology`` streams, building of
+each boundary only the rows that its rank and its checks read (it gives
+the argument); ``chain_complex`` builds every boundary whole and
+multiplies each adjacent pair in full, and the tests check that the two
+agree.
 
 The decorated trees also assemble into a graded operad under grafting,
 with Koszul signs from reordering the vertex generators (a vertex of
@@ -53,15 +48,6 @@ class CobarError(InputError):
 
 # ---------------------------------------------------------------------------
 # Cooperads as duals of operads
-
-
-def _block_insertion_perm(m: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation aligning standard composition slots with a child
-    subset.  Slots 1..i*-1 stay put (i* = min position), the inner block
-    goes to the chosen positions, remaining slots fill the complement."""
-    i_star = positions[0]
-    rest = [p for p in range(i_star + 1, m + 1) if p not in positions]
-    return (*range(1, i_star), *positions, *rest)
 
 
 class Cooperad:
@@ -96,21 +82,17 @@ class Cooperad:
     def cocompose(self, m: int, positions: tuple[int, ...]) -> dict:
         """{a0: {(a, b): coeff}} splitting the children at ``positions``
         (k ascending slots) off a vertex of arity m: the transpose of
-        composing b (arity k) into a at slot min(positions), then moving
-        the block's inputs to ``positions``.  Integral coefficients are
+        composing b (arity k) into a along ``positions``
+        (``GradedOperad.compose_along``).  Integral coefficients are
         ints."""
         key = (m, positions)
         table = self._cotables.get(key)
         if table is None:
-            k = len(positions)
-            sigma = _block_insertion_perm(m, positions)
-            O = self.operad
-            table = {}
-            for a in range(O.dim(m - k + 1)):
-                for b in range(O.dim(k)):
-                    composed = O.compose_basis(m - k + 1, positions[0], k, a, b)
-                    for out, c in O.act(m, sigma, composed).items():
-                        table.setdefault(out, {})[(a, b)] = as_exact(c)
+            composites = self.operad.compose_along(m, positions)
+            table, db = {}, self.operad.dim(len(positions))
+            for ab, v in enumerate(composites):
+                for out, c in v.items():
+                    table.setdefault(out, {})[divmod(ab, db)] = as_exact(c)
             self._cotables[key] = table
         return table
 
@@ -253,15 +235,16 @@ class CobarComplex:
                         row.append((x, rest + a * sa + b * sb, sign * c))
         return targets, rows
 
-    def boundary_from(self, e: int) -> list[tuple[int, int, int]]:
-        """Sparse entries (row, col, value) of d on edge degree e: one row
-        per basis element x of edge degree e, holding d(x), whose columns
-        live in degree e + 1.  Each tree reads its skeleton's boundary
-        and places it through one index lookup per expansion."""
-        entries = []
-        append = entries.append
+    def _rows(self, e: int, skip=()):
+        """(row, {col: value}) for the rows of d on edge degree e, one per
+        basis element x of degree e, holding d(x) in degree e + 1, rows
+        ascending; the rows in ``skip`` are left out but at the skeleton
+        trees (id, 1, ..., n).  Each tree places its skeleton's boundary
+        through one index lookup per expansion.  Two entries of a row at
+        one column raise ValueError."""
         sources, index = self._index[e:e + 2]
-        # one int per column, shared by every entry that names it
+        labels = tuple(range(1, self.n + 1))
+        # one int per column, shared by every row that names it
         cols = list(range(self._offsets[e + 2] - self._offsets[e + 1]))
         skeletons = {}
         for key, first in sources.items():
@@ -269,20 +252,33 @@ class CobarComplex:
             if sk is None:
                 sk = skeletons[key[0]] = self._skeleton_boundary(key[0])
             targets, rows = sk
-            bases = [index[(tsid, *labels(key))] for tsid, labels in targets]
+            bases = [index[(tsid, *get(key))] for tsid, get in targets]
+            left_out = skip if key[1:] != labels else ()
             for row, out in enumerate(rows, first):
-                for x, d, c in out:
-                    append((row, cols[bases[x] + d], c))
-        return entries
+                if row in left_out:
+                    continue
+                line = {cols[bases[x] + d]: c for x, d, c in out}
+                if len(line) < len(out):
+                    raise ValueError(f"row {row} of d on edge degree {e} "
+                                     "names a column twice")
+                yield row, line
+
+    def _boundary(self, e: int, skip=()) -> SparseMatrix:
+        """``boundary_matrix(e)`` without the rows in ``skip`` but the
+        skeleton rows, its rows put straight into the store."""
+        dims = self.dims()
+        return SparseMatrix.from_rows(dims[e], dims[e + 1], self._rows(e, skip))
+
+    def boundary_from(self, e: int) -> list[tuple[int, int, int]]:
+        """Sparse entries (row, col, value) of ``boundary_matrix(e)``."""
+        return list(self._boundary(e).entries())
 
     def boundary_matrix(self, e: int) -> SparseMatrix:
         """Transposed matrix of d from edge degree e to e + 1, one row
         per source.  Each (row, col) arises once: distinct expansions of
         a tree give distinct target trees, and the (a, b) keys of a
-        cocomposition are distinct; the constructor rejects a duplicate,
-        so this is checked."""
-        dims = self.dims()
-        return SparseMatrix(dims[e], dims[e + 1], self.boundary_from(e))
+        cocomposition are distinct; ``_rows`` checks it row by row."""
+        return self._boundary(e)
 
     def chain_complex(self) -> ChainComplex:
         """The dual complex, graded by edge count: ``boundaries[e]`` is
@@ -331,38 +327,40 @@ class CobarComplex:
                 f"{encode_tree(tree)} with decoration {decor} has entry "
                 f"({r},{c}) = {v}")
 
-    def _checked_boundaries(self):
-        """``boundary_matrix(e)`` for e = 0, 1, ..., each handed over
-        once d.d = 0 is checked on the skeleton rows of the one before;
-        of a boundary only those rows are kept once it is ranked."""
-        kept = None
-        for e in range(self.n - 2):
-            b = self.boundary_matrix(e)
-            if kept is not None:
-                self._check_square(e - 1, kept, b)
-            yield b
-            kept = self._skeleton_rows(e, b)
-            del b  # not live while the next boundary is built
-
     def homology(self) -> dict[int, int]:
         """Betti numbers keyed by edge count, of the complex
-        ``chain_complex()`` builds, streamed: each boundary is built,
-        checked, ranked by ``cleared_ranks`` and dropped, so one is live
-        at a time.  Raises ComplexError if d.d != 0.
+        ``chain_complex()`` builds, streamed: ``qlinalg.cleared_ranks``
+        hands each boundary the previous one's pivots, and it is built,
+        checked, ranked and dropped.  Raises ComplexError if d.d != 0.
 
-        d.d = 0 is checked on the rows of one tree per skeleton, the
-        tree with flat key (id, 1, ..., n), and that is exact.
-        ``boundary_from`` writes the row of a tree (id, lambda) as the
-        row of (id, 1, ..., n) with each target key (t, mu) replaced by
-        (t, lambda o mu) at the same offset within the target tree: that
-        is the ``itemgetter(*places)`` lookup.  The row of (t, lambda o
-        mu) is in turn the row of (t, mu) so relabelled, so d.d of
-        (id, lambda) with decoration a is d.d of (id, 1, ..., n) with
-        decoration a, every key (t', nu) replaced by (t', lambda o nu).
-        That relabelling is injective, so no terms cancel in one and not
-        in the other: d.d = 0 on the whole complex iff it holds on the
-        skeleton trees' rows."""
-        ranks = [0, *cleared_ranks(self._checked_boundaries()), 0]
+        A boundary builds three kinds of row: those off the previous
+        pivots, which ``rank`` reads (the rows at them are combinations of
+        the others: clearing, see ``qlinalg``); the skeleton rows, of the
+        trees (id, 1, ..., n), kept for the next check; and those at the
+        columns of the previous skeleton rows, which this check reads.
+
+        The check is exact.  ``_rows`` writes the row of a tree
+        (id, lambda) as the row of (id, 1, ..., n) with each target key
+        (t, mu) replaced by (t, lambda o mu) at the same offset (the
+        ``itemgetter(*places)`` lookup).  The row of (t, lambda o mu) is
+        in turn the row of (t, mu) so relabelled, so d.d of (id, lambda)
+        with decoration a is d.d of (id, 1, ..., n) with decoration a, each
+        key (t', nu) replaced by (t', lambda o nu).  That relabelling is
+        injective, so no terms cancel in one and not in the other: d.d = 0
+        on the whole complex iff on the skeleton rows.  So too a row names
+        a column twice or out of range iff its skeleton tree's row does;
+        ``_rows`` and ``SparseMatrix.from_rows`` check each row whole."""
+        kept = SparseMatrix(0, self.dims()[0])  # nothing before the first
+
+        def boundary(e, cleared):
+            nonlocal kept
+            read = {c for _, c, _ in kept.entries()}
+            b = self._boundary(e, set(cleared) - read)
+            self._check_square(e - 1, kept, b)
+            kept = self._skeleton_rows(e, b)
+            return b
+
+        ranks = [0, *cleared_ranks(self.n - 2, boundary), 0]
         return {e: dim - ranks[e] - ranks[e + 1]
                 for e, dim in self.dims().items()}
 

@@ -1,12 +1,14 @@
 """Graded rational operads: composition, symmetric actions, axiom checks.
 
 Ships the word operads Comm, Assoc and Lie (the latter in the
-left-normed Lyndon-word basis), the End_V composition and differential,
-free-algebra dimension counts and the one JSON document reader,
-``read_document``.  The axiom verifier lives in ``axioms``;
-endomorphism operads of small graded spaces, table-backed operads and
-the operad JSON document live in ``endtable``.  Both are exported from
-here too, loaded on first use.
+left-normed Lyndon-word basis), the End_V composition and differential
+and the one JSON document reader, ``read_document``.  Composition along
+a subset, ``compose_along``, is the primitive the cooperads transpose:
+the word operads substitute once, any other operad composes and acts.
+The axiom verifier lives in ``axioms``; endomorphism operads of small
+graded spaces, table-backed operads and the operad JSON document live
+in ``endtable``; free-algebra dimensions live in ``freealg``.  All are
+exported from here too, loaded on first use.
 
 Structure constants are exact rationals stored as in ``qlinalg``: an
 ``int`` when integral, a ``Fraction`` otherwise (``as_exact`` is the
@@ -128,36 +130,16 @@ def decalage_sign(degrees: tuple[int, ...]) -> int:
     return -1 if sum((n - i) * d for i, d in enumerate(degrees, 1)) % 2 else 1
 
 
-def cycle_types(n: int):
-    """Partitions of n as sorted tuples (cycle types of S_n)."""
-
-    def gen(remaining, maxpart):
-        if remaining == 0:
-            yield ()
-            return
-        for p in range(min(remaining, maxpart), 0, -1):
-            for rest in gen(remaining - p, p):
-                yield (p,) + rest
-
-    return list(gen(n, n))
-
-
-def class_size(lam: tuple[int, ...]) -> int:
-    n = sum(lam)
-    z = 1
-    for k in set(lam):
-        m = lam.count(k)
-        z *= k ** m * factorial(m)
-    return factorial(n) // z
-
-
-def class_representative(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """A permutation with the given cycle type."""
-    out: list[int] = []
-    for p in lam:
-        start = len(out) + 1
-        out += [*range(start + 1, start + p), start]
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _along(m: int, S: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(outer, inner) for composition along S in arity m: input x of the
+    outer element goes to outer[x] (x = min S unused), input y of the
+    inner to inner[y].  OperadError unless S ascends strictly in 1..m."""
+    if not (S and all(x < y for x, y in zip((0, *S), (*S, m + 1)))):
+        raise OperadError(f"cannot compose along {S} in arity {m}: the "
+                          f"places must ascend strictly within 1..{m}")
+    rest, i = [x for x in range(1, m + 1) if x not in S], S[0]
+    return (0, *rest[:i - 1], 0, *rest[i - 1:]), (0, *S)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +150,9 @@ class GradedOperad:
     """Base class: finite-type graded operad with partial compositions.
 
     Subclasses implement ``compose_basis`` and ``act_basis`` on basis
-    elements; linear extensions, the unit and axiom-facing helpers live
-    here.  Instances are immutable after construction and safe to share.
+    elements, and may answer ``compose_along`` faster than its default;
+    linear extensions, the unit and axiom-facing helpers live here.
+    Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, components: dict[int, GradedSpace],
@@ -221,6 +204,22 @@ class GradedOperad:
                 add_scaled(acc, self.compose_basis(n, i, m, a, b), ca * cb)
         return acc
 
+    def compose_along(self, m: int, S: tuple[int, ...]) -> list[Vector]:
+        """e_a o_S e_b for every basis a of arity m - |S| + 1 and b of
+        arity |S|, a-major (entry a * dim O(|S|) + b): b fills a's slot
+        min S, its inputs go to the places S and a's others to the rest
+        of 1..m, each in order; o_i is S = (i, ..., i + |S| - 1).  Here
+        each o_{min S} composite is moved into place by the action; the
+        word operads substitute once."""
+        outer, inner = _along(m, S)
+        k, i = len(S), S[0]
+        out = [self.compose_basis(m - k + 1, i, k, a, b)
+               for a in range(self.dim(m - k + 1)) for b in range(self.dim(k))]
+        if S[-1] - i == k - 1:  # o_i itself
+            return out
+        sigma = (*outer[1:i], *inner[1:], *outer[i + 1:])
+        return [self.act(m, sigma, v) for v in out]
+
     def act(self, n: int, sigma: tuple[int, ...], x: Vector) -> Vector:
         acc: Vector = {}
         for a, ca in x.items():
@@ -236,20 +235,6 @@ class GradedOperad:
 
 # ---------------------------------------------------------------------------
 # Word helpers (Assoc / Lie)
-
-
-def substitute_word(w: tuple[int, ...], i: int, u: tuple[int, ...]) -> tuple[int, ...]:
-    """Operadic substitution of the word u into letter i of w."""
-    s = len(u)
-    out = []
-    for letter in w:
-        if letter == i:
-            out.extend(x + i - 1 for x in u)
-        elif letter > i:
-            out.append(letter + s - 1)
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 def relabel_word(w: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -304,7 +289,8 @@ class CommOperad(GradedOperad):
 class _WordOperad(GradedOperad):
     """Degree-zero components spanned by the words ``basis_words(n)``,
     each named by its letters; ``_words[n]`` lists them and ``_index[n]``
-    maps a word to its basis index."""
+    maps a word to its basis index.  Composition along S, o_i included,
+    is one substitution of words."""
 
     def __init__(self, max_arity: int):
         if max_arity < 1:
@@ -318,15 +304,40 @@ class _WordOperad(GradedOperad):
             for n, ws in self._words.items()}
         super().__init__(components, {0: 1})
 
+    def compose_basis(self, n, i, m, a, b):
+        return self._substituted(n + m - 1, tuple(range(i, i + m)),
+                                 (self._words[n][a],), (self._words[m][b],))[0]
+
+    def compose_along(self, m, S):
+        _along(m, S)  # refuse a malformed S before any word is read
+        return self._substituted(m, S, self._words[m - len(S) + 1],
+                                 self._words[len(S)])
+
+    def _substituted(self, m, S, was, wbs) -> list[Vector]:
+        """e_a o_S e_b for the words wa in was and wb in wbs, a-major, by
+        one substitution: each word of ``_block(wb, min S)`` goes to the
+        places S and wa's other letters to the rest of 1..m."""
+        (outer, inner), index, i = _along(m, S), self._index[m], S[0]
+        blocks = [[(tuple([inner[y] for y in w]), c)
+                   for w, c in self._block(wb, i)] for wb in wbs]
+        out = []
+        for wa in was:
+            p = wa.index(i)
+            head, tail = (tuple([outer[x] for x in part])
+                          for part in (wa[:p], wa[p + 1:]))
+            out += [{index[head + w + tail]: c for w, c in block}
+                    for block in blocks]
+        return out
+
+    @staticmethod
+    def _block(wb, i):
+        return ((wb, 1),)
+
 
 class AssocOperad(_WordOperad):
     """Components k[S_n] in degree 0; composition substitutes words."""
 
     basis_words = staticmethod(multilinear_words)
-
-    def compose_basis(self, n, i, m, a, b):
-        w = substitute_word(self._words[n][a], i, self._words[m][b])
-        return {self._index[n + m - 1][w]: 1}
 
     def act_basis(self, n, sigma, a):
         w = relabel_word(self._words[n][a], sigma)
@@ -351,18 +362,14 @@ class LieOperad(_WordOperad):
 
     basis_words = staticmethod(lie_basis_words)
 
-    def compose_basis(self, n, i, m, a, b):
-        # Only words starting with 1 are read off.  In the expansion of
-        # rho(w), w itself (coefficient 1) is the one word starting with
-        # 1.  Substitution keeps letters below i and is injective, so the
-        # words read off are wa o_i (each word of rho(wb)) for i > 1, and
-        # wa o_1 wb alone for i = 1.
-        wa, wb = self._words[n][a], self._words[m][b]
-        index = self._index[n + m - 1]
-        if i == 1:
-            return {index[substitute_word(wa, 1, wb)]: 1}
-        return {index[substitute_word(wa, i, w)]: c
-                for w, c in lie_expand(wb)}
+    @staticmethod
+    def _block(wb, i):
+        # Only words starting with 1 are read off, and in the expansion of
+        # rho(w) only w starts with w's first letter.  The composite's 1
+        # is the outer word's unless i = min S = 1, and substitution is
+        # injective, so the words read off hold all of rho(wb) for i > 1
+        # and wb alone for i = 1.
+        return lie_expand(wb) if i > 1 else ((wb, 1),)
 
     def act_basis(self, n, sigma, a):
         # The words read off start with x = sigma^-1(1), which relabels to
@@ -525,39 +532,13 @@ def read_document(text: str, fmt: str, error: type[ValueError], parse):
 
 
 # ---------------------------------------------------------------------------
-# Loaded on first use: most commands check no axioms and build no End_V
+# Loaded on first use: most commands check no axioms, build no End_V and
+# count no free algebra
 
 __getattr__ = load_on_first_use(globals(), {
     "axioms": ("AxiomReport", "AxiomViolation", "check_axioms"),
+    "freealg": ("class_representative", "class_size", "cycle_types",
+                "free_algebra_dims"),
     "endtable": ("EndOperad", "TableOperad", "operad_document",
                  "operad_to_json", "operad_from_doc", "operad_from_json")})
 
-
-# ---------------------------------------------------------------------------
-# Free algebra dimensions
-
-
-def free_algebra_dims(O: GradedOperad, d: int, max_arity: int) -> list[int]:
-    """dim (O(n) (x) V^n)_{S_n} for dim V = d, n = 1..max_arity.
-
-    The coinvariants have the same dimension as the image of the
-    symmetrization projector (1/n!) sum_sigma sigma; since the projector
-    is idempotent its rank equals its trace, which is evaluated exactly
-    per conjugacy class: tr(sigma on O(n)) . d^{cycles(sigma)}.
-    """
-    if d < 0:
-        raise OperadError("generator dimension must be nonnegative")
-    out = []
-    for n in range(1, max_arity + 1):
-        total = Fraction(0)
-        for lam in cycle_types(n):
-            rep = class_representative(lam)
-            chi = O.action_trace(n, rep)
-            total += class_size(lam) * chi * Fraction(d) ** len(lam)
-        total /= factorial(n)
-        if total.denominator != 1 or total < 0:
-            raise OperadError(
-                f"projector trace is not a nonnegative integer at arity {n}: "
-                f"{total}")
-        out.append(int(total))
-    return out

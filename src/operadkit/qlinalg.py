@@ -26,34 +26,31 @@ pivot columns and divides each row by its pivot through ``Fraction``,
 unique, so how the rows were reduced does not show.
 
 ``cleared_ranks`` ranks boundaries in order by clearing (Chen and
-Kerber, "Persistent homology computation with a twist", EuroCG 2011);
-``ChainComplex.ranks`` is it on the complex's boundaries.  Take B' and
-B, consecutive boundaries; B'.B = 0, so each row of B' is a linear
+Kerber, "Persistent homology computation with a twist", EuroCG 2011).
+Take B' and B, consecutive boundaries; B'.B = 0, so each row of B' is a
 relation among the rows of B.  If the reduction of B' keeps rows with
-pivots P (row indices of B), then B'[:, P] has full column rank, since
-the kept rows are triangular on P.  So each row of B in P is a
-combination of B's other rows, and rank(B) is the rank of B without the
-rows in P; ``rank`` skips them and reports B's own pivots for the next
-boundary.  The argument holds for B' with rows of its own left out,
-since those rows of B' are still relations.  Clearing is therefore
+pivots P (row indices of B), B'[:, P] has full column rank, as the kept
+rows are triangular on P; so each row of B in P is a combination of B's
+other rows, and rank(B) is the rank of B without them.  Those rows need
+never be built: ``cleared_ranks`` hands P to the builder of B, which may
+leave them out, and ``rank`` skips any it holds.  Rows of B' left out
+are still relations, so the argument holds for a cleared B'.  It is
 exact once each product B'.B was checked to vanish before B is ranked,
-and then B needs only the pivots of B', not B' itself: ``ChainComplex``
-checks every product at construction, and a caller that streams its
-boundaries through ``cleared_ranks`` certifies each product by a check
-of its own (the cobar complex checks the rows of one tree per skeleton,
-by the argument ``cobar.CobarComplex.homology`` states).  Where the
-complex is acyclic the rows that remain are independent, so no row is
-reduced down to zero, which is where elimination makes most of its
-fill-in, and the choice of pivot, which only decides how much fill-in
-there is, has little left to decide.  Clearing helps only from the
-second boundary on, so a complex should be ranked with its small end
-first: the cobar complex is ranked as its dual, graded by edge count,
-whose first boundary leaves the corolla (de Silva, Morozov and
-Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
-Problems 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 2021).
+and then B needs only P, not B': ``ChainComplex`` checks every product
+at construction, and the cobar complex the rows of one tree per
+skeleton (``cobar.CobarComplex.homology`` gives the argument).  Where
+the complex is acyclic no remaining row is reduced to zero, which is
+where elimination makes most of its fill-in, so the pivot choice has
+little left to decide.  Clearing helps only from the second boundary
+on, so a complex is ranked small end first: the cobar complex as its
+dual, graded by edge count, whose first boundary leaves the corolla (de
+Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+(co)homology", Inverse Problems 2011; Bauer, "Ripser", J. Appl. Comput.
+Topol. 2021).
 
 A ``SparseMatrix`` stores each entry once, row-major, and ``row`` hands
-out the stored row; elimination copies the rows it reduces, the only
+out the stored row; ``from_rows`` stores row dicts a caller built, each
+checked whole, and elimination copies the rows it reduces, the only
 other copy of the entries the module makes.  A caller that reads
 columns transposes the matrix and owns that copy while it needs it.
 ``rank`` and ``rref`` walk only the stored rows, ascending, so empty
@@ -151,6 +148,22 @@ class SparseMatrix:
         self.cols = cols
         self._rows = {r: MappingProxyType(line)
                       for r, line in data.items() if line}
+
+    @classmethod
+    def from_rows(cls, rows: int, cols: int,
+                  lines: Iterable[tuple[int, dict]]) -> "SparseMatrix":
+        """A matrix from (row, {col: value}) pairs whose dicts are stored
+        as they are: each row named once, its values exact and nonzero.
+        Each row is checked whole: its index, and its least and greatest
+        columns, in range."""
+        m = cls(rows, cols)
+        for r, line in lines:
+            if r in m._rows or not 0 <= r < rows or line and not (
+                    0 <= min(line) and max(line) < cols):
+                raise ValueError(f"row {r} repeats or leaves {rows}x{cols}")
+            if line:
+                m._rows[r] = MappingProxyType(line)
+        return m
 
     @classmethod
     def from_dict(cls, rows: int, cols: int,
@@ -370,21 +383,18 @@ def in_span(basis: dict[int, dict[int, int]], vector: Mapping) -> bool:
     return not _reduced(_int_row(vector), basis, max)[0]
 
 
-def cleared_ranks(boundaries: Iterable[SparseMatrix]) -> list[int]:
-    """The rank of each boundary in turn, by clearing: each is ranked
-    without the rows at the pivot columns of the previous one's
-    elimination (see the module docstring).  Exact only if the product
-    of each boundary with the next is known to vanish before the next
-    is ranked: ``ChainComplex`` checks every product at construction,
-    and a caller that builds its boundaries one at a time checks each
-    product before it hands the later boundary over.  Only the pivots
-    are kept, so a boundary can be dropped once it is ranked."""
-    out, cleared = [], ()
-    for b in boundaries:
+def cleared_ranks(count: int, boundary) -> list[int]:
+    """The rank of ``boundary(k, cleared)`` for k = 0, ..., count - 1 by
+    clearing: ``cleared`` lists the previous one's pivot columns, rows
+    it need not hold and that are left out of its rank (see the module
+    docstring).  Exact only if each boundary's product with the next is
+    known to vanish before the next is ranked.  Only the pivots are
+    kept, so a boundary is dropped once it is ranked."""
+    out, cleared = [], []
+    for k in range(count):
         pivots: list[int] = []
-        out.append(rank(b, cleared, pivots))
+        out.append(rank(boundary(k, cleared), cleared, pivots))
         cleared = pivots
-        del b  # not live while the next boundary is built
     return out
 
 
@@ -418,7 +428,8 @@ class ChainComplex:
     def ranks(self) -> list[int]:
         """Rank of each boundary by ``cleared_ranks``, exact because
         construction checked every product before any rank."""
-        return cleared_ranks(self.boundaries)
+        return cleared_ranks(len(self.boundaries),
+                             lambda k, _: self.boundaries[k])
 
     def homology(self) -> list[int]:
         """Betti number per degree; zero maps off both ends.  The ranks

@@ -3,6 +3,10 @@
 Nothing in the package calls these; each one reaches a number or an
 object the library also produces, by a different road:
 
+- operads: composition along a subset S the long way, each o_{min S}
+  composite moved into place by the symmetric action, against
+  ``compose_along``; and substitution of one word into one letter,
+  against the word operads' substitution along S;
 - linear algebra: the rank of a dense matrix by plain Gaussian
   elimination over Fraction, against the sparse integer reduction; and
   the tests' own matrix builders (dense rows, identity) and matrix
@@ -34,6 +38,36 @@ from operadkit.operads import koszul_sign, shuffles
 from operadkit.qlinalg import (ChainComplex, SparseMatrix, add_scaled, addmul,
                                span_rank)
 from operadkit.treegraph import GraphError, StableGraph, Tree, TreeError
+
+# ---------------------------------------------------------------------------
+# Operads
+
+
+def compose_then_act(O, m: int, S: tuple[int, ...]) -> list[dict]:
+    """e_a o_S e_b for every a and b, a-major, as o_i at i = min S and
+    then the action of the permutation that keeps the slots before i,
+    sends the block's inputs to S and the later slots to the rest."""
+    k, i = len(S), S[0]
+    rest = [p for p in range(i + 1, m + 1) if p not in S]
+    sigma = (*range(1, i), *S, *rest)
+    return [O.act(m, sigma, O.compose_basis(m - k + 1, i, k, a, b))
+            for a in range(O.dim(m - k + 1)) for b in range(O.dim(k))]
+
+
+def substitute_word(w: tuple[int, ...], i: int,
+                    u: tuple[int, ...]) -> tuple[int, ...]:
+    """Operadic substitution of the word u into letter i of w."""
+    s = len(u)
+    out = []
+    for letter in w:
+        if letter == i:
+            out.extend(x + i - 1 for x in u)
+        elif letter > i:
+            out.append(letter + s - 1)
+        else:
+            out.append(letter)
+    return tuple(out)
+
 
 # ---------------------------------------------------------------------------
 # Dense linear algebra

@@ -7,7 +7,9 @@ independent runs.  A deliberately unsigned differential must be caught
 by the d.d = 0 check.
 """
 
+import hashlib
 import itertools
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -25,6 +27,7 @@ from operadkit.cobar import (
     liec_cooperad,
 )
 from operadkit.operads import (
+    OperadError,
     assoc_operad,
     check_axioms,
     comm_operad,
@@ -111,6 +114,39 @@ class TestCooperad:
                     a = outer[tuple(rename[x] for x in collapsed)]
                     b = inner[tuple(S.index(x) + 1 for x in w[start:start + k])]
                     assert table[a0] == {(a, b): 1}, (S, w)
+
+    @pytest.mark.parametrize("S", [(3, 1), (2, 2), (1, 5), ()])
+    def test_a_malformed_subset_is_refused(self, S):
+        # the places must ascend strictly within 1..m, at least one
+        message = re.escape(f"along {S} in arity 4")
+        with pytest.raises(OperadError, match=message):
+            asc_cooperad(4).cocompose(4, S)
+        with pytest.raises(OperadError, match=message):
+            assoc_operad(4).compose_along(4, S)
+
+    # SHA-256 of every cocomposition table (m, S), 1 <= |S| <= m <= 7,
+    # each as its sorted rows and entries, written down before the
+    # tables were read off composition along S
+    TABLE_DIGESTS = [
+        (liec_cooperad, "15f9b01c000ed6abd07637a6de7cb8dd"
+                        "a5b6b5f469a89183830edca86b0e604d"),
+        (asc_cooperad, "e119c9f081e8f5941e66b87cdd22c1fa"
+                       "18baf42720d3da79b349bd6307fdf0d3"),
+        (commc_cooperad, "54176e18f1c21079d5127138cf814c3d"
+                         "59e002d702b958f937c19cd9e4394fc6"),
+    ]
+
+    @pytest.mark.parametrize("cofactory, digest", TABLE_DIGESTS)
+    def test_cocomposition_tables_are_pinned(self, cofactory, digest):
+        C, h = cofactory(7), hashlib.sha256()
+        for m in range(2, 8):
+            for k in range(1, m + 1):
+                for S in itertools.combinations(range(1, m + 1), k):
+                    table = C.cocompose(m, S)
+                    h.update(repr((m, S, sorted(
+                        (a0, sorted(co.items()))
+                        for a0, co in table.items()))).encode())
+        assert h.hexdigest() == digest
 
     def test_dual_action_preserves_pairing(self):
         O, C = lie_operad(4), liec_cooperad(4)
@@ -407,6 +443,72 @@ class TestSkeletonCheck:
                 assert kept.rows == b.rows and kept.cols == b.cols
                 assert kept._rows == {r: b.row(r) for r in places
                                       if b.row(r)}, (n, e)
+
+
+class TestStreamedRows:
+    """``homology`` builds of each boundary only the rows off the previous
+    boundary's pivots, the skeleton rows and the rows its d.d check
+    reads, each equal to that row of ``boundary_matrix``."""
+
+    @pytest.mark.parametrize("cofactory, top", [
+        (liec_cooperad, 6), (asc_cooperad, 5), (commc_cooperad, 5)])
+    def test_only_the_rows_read_are_built(self, cofactory, top,
+                                          monkeypatch):
+        left_out = 0
+        for n in range(2, top + 1):
+            cx = CobarComplex(cofactory(n), n)
+            built = []
+            boundary = CobarComplex._boundary
+
+            def recorded(self, e, skip=()):
+                b = boundary(self, e, skip)
+                built.append(b)
+                return b
+
+            with monkeypatch.context() as patch:
+                patch.setattr(CobarComplex, "_boundary", recorded)
+                cx.homology()
+            assert len(built) == n - 2, n
+            labels = tuple(range(1, n + 1))
+            cleared, read = [], set()
+            for e, b in enumerate(built):
+                full = cx.boundary_matrix(e)
+                index = cx._index[e]
+                skeleton = {index[(sid, *labels)] + rel
+                            for sid in {key[0] for key in index}
+                            for rel in range(len(cx._layout[sid][3]))}
+                wanted = {r for r, _, _ in full.entries()
+                          if r not in cleared or r in skeleton or r in read}
+                rows = {r for r, _, _ in b.entries()}
+                assert rows == wanted, (n, e)
+                assert all(b.row(r) == full.row(r) for r in rows), (n, e)
+                left_out += len({r for r, _, _ in full.entries()} - rows)
+                read = {c for r, c, _ in full.entries() if r in skeleton}
+                pivots = []
+                rank(full, cleared, pivots)
+                cleared = pivots
+        assert left_out > 0
+
+    @pytest.mark.parametrize("cofactory, n", [
+        (liec_cooperad, 5), (asc_cooperad, 5), (commc_cooperad, 5)])
+    def test_the_skeleton_rows_are_never_left_out(self, cofactory, n):
+        cx = CobarComplex(cofactory(n), n)
+        for e in range(n - 2):
+            full = cx.boundary_matrix(e)
+            assert cx._boundary(e, set(range(full.rows))) == \
+                cx._skeleton_rows(e, full), e
+
+    def test_a_repeated_column_is_refused(self, monkeypatch):
+        # an expansion listed twice puts two entries of a skeleton row at
+        # one column, which the builder refuses
+        from operadkit import cobar
+        expansions = cobar.skeleton_expansions
+        monkeypatch.setattr(cobar, "skeleton_expansions",
+                            lambda skel: [*expansions(skel)][:1]
+                            + [*expansions(skel)])
+        cx = CobarComplex(liec_cooperad(4), 4)
+        with pytest.raises(ValueError, match="names a column twice"):
+            cx.homology()
 
 
 class TestCobarOperad:

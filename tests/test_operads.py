@@ -46,10 +46,9 @@ from operadkit.operads import (
     parse_coefficient,
     perm_inverse,
     relabel_word,
-    substitute_word,
 )
 from operadkit.qlinalg import SparseMatrix, addmul, rank
-from reference import identity
+from reference import compose_then_act, identity, substitute_word
 
 
 def perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -351,17 +350,27 @@ class TestAxioms:
         ("comm", 5), ("assoc", 5), ("lie", 5), ("cobar-liec", 4)])
     def test_each_basis_composite_is_asked_once(self, name, max_arity,
                                                 monkeypatch):
+        # the slabs come from compose_along, which the word operads
+        # answer themselves and the others from compose_basis
         O = dict(FAULT_OPERADS, comm=comm_operad)[name](max_arity)
-        asked = []
+        tables, asked = [], []
+        compose_along = type(O).compose_along
         compose_basis = type(O).compose_basis
+
+        def along(self, m, S):
+            tables.append((m, S))
+            return compose_along(self, m, S)
 
         def counted(self, n, i, m, a, b):
             asked.append((n, i, m, a, b))
             return compose_basis(self, n, i, m, a, b)
 
+        monkeypatch.setattr(type(O), "compose_along", along)
         monkeypatch.setattr(type(O), "compose_basis", counted)
         assert check_axioms(O, max_arity).ok
-        assert asked and len(asked) == len(set(asked))
+        assert tables and len(tables) == len(set(tables))
+        assert len(asked) == len(set(asked))
+        assert bool(asked) == (name in ("comm", "cobar-liec"))
 
     @pytest.mark.parametrize("name, count, digest", [
         ("assoc", 219, "8ed3a82f373a476a84fff94b494cdd3bf5"
@@ -537,6 +546,40 @@ class TestComponentSizes:
             # rho_coeff(u, w) is the coefficient of u in the left-normed
             # expansion of [[w1,w2],w3]
             assert total == 0
+
+
+class TestComposeAlong:
+    """Composition along a subset is the word operads' one substitution
+    and every other operad's o_i followed by the action; both must be
+    composing and then acting, done the long way in the reference."""
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def operad(name, table):
+        O = {"comm": comm_operad, "assoc": assoc_operad,
+             "lie": lie_operad}[name](6)
+        return TableOperad.from_operad(O, 6) if table else O
+
+    @pytest.mark.parametrize("table", [False, True], ids=["own", "table"])
+    @pytest.mark.parametrize("name", ["comm", "assoc", "lie"])
+    def test_equals_compose_then_act(self, name, table):
+        O = self.operad(name, table)
+        for m in range(1, 7):
+            for k in range(1, m + 1):
+                for S in itertools.combinations(range(1, m + 1), k):
+                    assert O.compose_along(m, S) == \
+                        compose_then_act(O, m, S), (m, S)
+
+    @pytest.mark.parametrize("name", ["comm", "assoc", "lie"])
+    def test_consecutive_places_are_partial_composition(self, name):
+        O = self.operad(name, False)
+        for n, m in itertools.product(range(1, 6), repeat=2):
+            if n + m - 1 > 6:
+                continue
+            for i in range(1, n + 1):
+                assert O.compose_along(n + m - 1, tuple(range(i, i + m))) \
+                    == [O.compose_basis(n, i, m, a, b)
+                        for a in range(O.dim(n)) for b in range(O.dim(m))]
 
 
 class TestLieReadOff:
