@@ -94,13 +94,10 @@ class TableOperad(GradedOperad):
                 if n + m - 1 not in components:
                     continue
                 for i in range(1, n + 1):
-                    table = {}
-                    for a in range(O.dim(n)):
-                        for b in range(O.dim(m)):
-                            v = O.compose_basis(n, i, m, a, b)
-                            if v:
-                                table[(a, b)] = dict(v)
-                    comp[(n, i, m)] = table
+                    # o_i is composition along i..i + m - 1, a-major
+                    out = O.compose_along(n + m - 1, tuple(range(i, i + m)))
+                    comp[(n, i, m)] = {divmod(k, O.dim(m)): dict(v)
+                                       for k, v in enumerate(out) if v}
         act = {}
         for n in components:
             for sigma in itertools.permutations(range(1, n + 1)):

@@ -10,8 +10,14 @@ so `automorphism_group` only adds edge bijections and loop flips, and
 Graphs are grown by edge count from the smooth graph by uncontraction
 (a loop at a vertex that gives up one genus, or a vertex split in two
 along a new edge), which reaches all of them: contracting any edge of a
-stable graph keeps it stable.  Uncontraction keeps a graph connected,
-so its candidates are checked by the valence rule alone and
+stable graph keeps it stable.  A candidate is canonicalized only if its
+new edge has the largest key among its edges, a value no relabelling
+changes, so each graph is reached through an edge of largest key
+(McKay's canonical augmentation, J. Algorithms 26, 1998, without its
+canonical-parent test; the set drops the copies left).  In genus 0
+through n = 7 that is one search per graph.  Uncontraction keeps a
+graph connected and changes only the two vertices of a split, so
+stability is checked at those two alone, and candidates are
 canonicalized without the constructor's other checks.  Kept out of
 ``treegraph``, which exports these names, so that only graph censuses
 and higher-genus pages load it.
@@ -180,13 +186,19 @@ def _canonical_graph(genera, edges, legs):
 def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> list[StableGraph]:
     """All isomorphism classes with total genus g, n legs, <= max_edges edges.
 
-    The graphs with e + 1 edges are the `_uncontractions` of those with
-    e, starting from the smooth graph; none is missed, since each
-    contracts along any edge to a stable graph with e edges.  They are
-    connected and stable by construction, so `StableGraph._canonical`
-    canonicalizes them without the constructor's checks.  Sorted by
-    vertex count, edge count, genera, edges, then legs.  Raises GraphError
-    for unstable (g, n), i.e. 2g - 2 + n <= 0, and for negative g.
+    The graphs with e + 1 edges come from those with e, starting from
+    the smooth graph: a candidate of `_uncontractions` is canonicalized
+    by `StableGraph._canonical` only if its new edge, the last, has the
+    largest key among its edges (`_last_is_largest`), and the set keeps
+    one copy of each graph.  None is missed: take a graph H with e + 1
+    edges and an edge x of largest key.  Contracting x leaves a stable
+    graph with e edges, whose canonical form G is in the level below,
+    and `_uncontractions(G)` rebuilds a copy of H with x as its last
+    edge.  An isomorphism fixes the legs, so it keeps every key, and
+    that copy passes.  A candidate with one edge passes without keys.
+    Sorted by vertex count, edge count, genera, edges, then legs.  Raises
+    GraphError for unstable (g, n), i.e. 2g - 2 + n <= 0, and for
+    negative g.
     """
     if 2 * g - 2 + n <= 0:
         raise GraphError(f"(g, n) = ({g}, {n}) violates 2g-2+n > 0")
@@ -194,41 +206,69 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> list[StableGraph]
     while len(levels) <= max_edges and levels[-1]:
         level = set()
         for G in levels[-1]:
-            for data in _uncontractions(G):
-                level.add(StableGraph._canonical(*data))
+            for genera, edges, legs in _uncontractions(G):
+                if len(edges) == 1 or _last_is_largest(genera, edges, legs):
+                    level.add(StableGraph._canonical(genera, edges, legs))
         levels.append(level)
     return sorted(set().union(*levels[:max_edges + 1]),
                   key=lambda G: (len(G.genera), len(G.edges),
                                  G.genera, G.edges, G.legs))
 
 
+def _last_is_largest(genera, edges, legs):
+    """Whether no edge has a larger key than the last: whether it is a
+    loop, its multiplicity, then its endpoints' (genus, valence, leg
+    labels), sorted.  No vertex relabelling changes a key."""
+    at = [[] for _ in genera]
+    for i, v in enumerate(legs):
+        at[v].append(i)
+    val = list(map(len, at))
+    pairs = []
+    for a, b in edges:
+        val[a] += 1
+        val[b] += 1
+        pairs.append((a, b) if a <= b else (b, a))
+    ends = [(g, d, tuple(x)) for g, d, x in zip(genera, val, at)]
+    mult = Counter(pairs)
+    keys = [(a == b, mult[a, b], *sorted((ends[a], ends[b])))
+            for a, b in pairs]
+    return max(keys) == keys[-1]
+
+
 def _uncontractions(G: StableGraph):
     """The stable graphs (genera, edges, legs), not yet canonical, with
-    one more edge that contract back to G: a loop at a vertex of
-    positive genus, which loses one, or a vertex v split into v and a
-    new w along a new edge, v's genus shared out and each half-edge at v
-    kept or moved.  Both keep the graph connected.  Each split is
-    yielded once, not once per side."""
+    one more edge, appended last, that contract back to G along it: a
+    loop at a vertex of positive genus, which loses one, or a vertex v
+    split into v and a new w along a new edge, v's genus shared out and
+    each half-edge at v kept or moved.  Both keep the graph connected.
+    Each split is yielded once, not once per side.  Only v and w change,
+    so stability is checked there alone: a side with genus g1 and k of
+    v's half-edges has valence k + 1, stable iff 2 g1 + k >= 2; every
+    other vertex keeps its genus and valence from G.  The loop is stable
+    as G is: 2(gv - 1) plus the loop's 2 is 2gv."""
     n, w = G.num_legs, G.num_vertices
     ends = G.legs + sum(G.edges, ())  # legs' vertices, then edge ends
     for v, gv in enumerate(G.genera):
         head, tail = G.genera[:v], G.genera[v + 1:]
         if gv:
-            # stable as G is: 2(gv - 1) plus the loop's 2 is 2gv
             yield head + (gv - 1,) + tail, G.edges + ((v, v),), G.legs
         at_v = [i for i, u in enumerate(ends) if u == v]
         # a split and its complement with the genera swapped are one
         # graph: keep the first half-edge at v, or with none, g1 <= gv - g1
+        top = gv if at_v else gv // 2
         for moved in itertools.product((v, w), repeat=max(len(at_v) - 1, 0)):
+            k = moved.count(w)  # half-edges at w; the rest stay at v
+            # a side needs genus >= 1 unless it has two of them
+            g1s = range(len(at_v) - k < 2, min(top, gv - (k < 2)) + 1)
+            if not g1s:
+                continue
             new = list(ends)
             for i, u in zip(at_v[1:], moved):
                 new[i] = u
             edges = list(zip(new[n::2], new[n + 1::2])) + [(v, w)]
             legs = new[:n]
-            for g1 in range(gv + 1 if at_v else gv // 2 + 1):
-                genera = head + (g1,) + tail + (gv - g1,)
-                if _is_stable(genera, edges, legs):
-                    yield genera, edges, legs
+            for g1 in g1s:
+                yield head + (g1,) + tail + (gv - g1,), edges, legs
 
 
 def automorphism_group(G: StableGraph) -> list[GraphAutomorphism]:
@@ -281,17 +321,27 @@ def encode_graph(G: StableGraph) -> str:
 
 
 def decode_graph(text: str) -> StableGraph:
-    """Parse the canonical graph encoding."""
+    """Parse the canonical graph encoding.  A token that is no number in
+    ASCII digits, or an edge not of the form a-b, raises GraphError
+    naming it."""
     import re
 
     m = re.fullmatch(r"V\[([^]]*)\] E\[([^]]*)\] L\[([^]]*)\]", text.strip())
     if not m:
         raise GraphError(f"bad graph encoding: {text!r}")
-    genera = [int(x) for x in m.group(1).split(",") if x != ""]
+
+    def numbers(group, what):
+        tokens = group.split(",") if group else []
+        for tok in tokens:
+            if not re.fullmatch(r"[0-9]+", tok):
+                raise GraphError(f"bad {what} {tok!r} in graph encoding")
+        return [int(tok) for tok in tokens]
+
     edges = []
-    if m.group(2).strip():
-        for tok in m.group(2).split():
-            a, b = tok.split("-")
-            edges.append((int(a), int(b)))
-    legs = [int(x) for x in m.group(3).split(",") if x != ""]
-    return StableGraph(genera, edges, legs)
+    for tok in m.group(2).split():
+        ends = re.fullmatch(r"([0-9]+)-([0-9]+)", tok)
+        if not ends:
+            raise GraphError(f"bad edge {tok!r} in graph encoding")
+        edges.append((int(ends[1]), int(ends[2])))
+    return StableGraph(numbers(m.group(1), "genus"), edges,
+                       numbers(m.group(3), "leg vertex"))

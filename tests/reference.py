@@ -24,7 +24,10 @@ object the library also produces, by a different road:
   found by its (shape, decoration) in a dict of the whole degree,
   against the library's expansions of skeletons placed by arithmetic;
 - stable graphs: edge contraction and the genus b_1(G) + sum of vertex
-  genera, through the validating ``StableGraph`` constructor;
+  genera, through the validating ``StableGraph`` constructor; and the
+  census grown by every stable uncontraction, each checked whole and
+  canonicalized, against the generator that canonicalizes only the
+  candidates whose new edge has the largest key;
 - homotopy algebras: the coderivation b of the bar construction, built
   from Q and the m_n with its own sign counting, its b o b and its b_n
   on shuffle products, against ``check_ainf`` and ``check_cinf``.
@@ -411,6 +414,52 @@ def contract_graph_edge(G: StableGraph, edge_index: int) -> StableGraph:
     genera[a] += genera.pop(b)
     return StableGraph(genera, [(remap(x), remap(y)) for x, y in rest],
                        [remap(v) for v in G.legs])
+
+
+def stable_graph_levels(g: int, n: int) -> list[set[StableGraph]]:
+    """Every stable graph of (g, n), by edge count, grown the long way:
+    each vertex split and loop of each graph one level down, checked
+    whole and built by the validating constructor, with no key filter;
+    the set drops the copies."""
+    levels = [{StableGraph([g], [], [0] * n)}]
+    while levels[-1]:
+        level = set()
+        for G in levels[-1]:
+            for data in unfiltered_uncontractions(G):
+                level.add(StableGraph(*data))
+        levels.append(level)
+    return levels[:-1]
+
+
+def _stable(genera, edges, legs) -> bool:
+    """2g + valence >= 3 at every vertex, a loop counting twice."""
+    valence = [legs.count(v) + sum((a == v) + (b == v) for a, b in edges)
+               for v in range(len(genera))]
+    return all(2 * g + d >= 3 for g, d in zip(genera, valence))
+
+
+def unfiltered_uncontractions(G: StableGraph):
+    """Every split of a vertex of G along a new edge, appended last, and
+    every loop at a vertex of positive genus, that passes ``_stable``."""
+    n, w = G.num_legs, G.num_vertices
+    ends = G.legs + sum(G.edges, ())  # legs' vertices, then edge ends
+    for v, gv in enumerate(G.genera):
+        head, tail = G.genera[:v], G.genera[v + 1:]
+        if gv:
+            yield head + (gv - 1,) + tail, G.edges + ((v, v),), G.legs
+        at_v = [i for i, u in enumerate(ends) if u == v]
+        # a split and its complement with the genera swapped are one
+        # graph: keep the first half-edge at v, or with none, g1 <= gv - g1
+        for moved in itertools.product((v, w), repeat=max(len(at_v) - 1, 0)):
+            new = list(ends)
+            for i, u in zip(at_v[1:], moved):
+                new[i] = u
+            edges = list(zip(new[n::2], new[n + 1::2])) + [(v, w)]
+            legs = new[:n]
+            for g1 in range(gv + 1 if at_v else gv // 2 + 1):
+                genera = head + (g1,) + tail + (gv - g1,)
+                if _stable(genera, edges, legs):
+                    yield genera, edges, legs
 
 
 # ---------------------------------------------------------------------------

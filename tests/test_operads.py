@@ -421,6 +421,17 @@ class TestAxioms:
         assert report.ok, report.violations[:3]
         assert report.checked == 6916
 
+    @pytest.mark.parametrize("factory", [comm_operad, assoc_operad,
+                                         lie_operad])
+    def test_tables_equal_the_pair_by_pair_composites(self, factory):
+        O = factory(4)
+        want = {(n, i, m): {(a, b): v for a in range(O.dim(n))
+                            for b in range(O.dim(m))
+                            if (v := O.compose_basis(n, i, m, a, b))}
+                for n in O.arities() for m in O.arities()
+                if n + m - 1 <= 4 for i in range(1, n + 1)}
+        assert TableOperad.from_operad(O, 4)._comp == want
+
     def test_corrupted_composition_is_detected(self):
         table = TableOperad.from_operad(assoc_operad(3), 3)
         assert check_axioms(table, 3).ok

@@ -42,10 +42,12 @@ from operadkit.treegraph import (
     skeleton,
     skeleton_expansions,
 )
-from operadkit.stablegraphs import _is_stable
+from operadkit import stablegraphs
+from operadkit.stablegraphs import _is_stable, _uncontractions
 from reference import (contract_edge, contract_graph_edge, edges,
                        expand_vertex, expansion_sign, genus_invariant,
-                       strata_euler_characteristic, substitute,
+                       stable_graph_levels, strata_euler_characteristic,
+                       substitute, unfiltered_uncontractions,
                        vertex_expansions, vertices)
 
 
@@ -796,6 +798,17 @@ class TestStableGraphs:
         with pytest.raises(GraphError):
             decode_graph("not a graph")
 
+    @pytest.mark.parametrize("text, token", [
+        ("V[0] E[0-1-2] L[0,0,0]", "'0-1-2'"),
+        ("V[0,x] E[0-1] L[0,0,1,1]", "'x'"),
+        ("V[0] E[0-] L[0,0,0]", "'0-'"),
+        ("V[0,,0] E[0-1] L[0,0,1,1]", "''"),
+        ("V[0] E[] L[0,0,\u0662]", "'\u0662'"),  # an Arabic-Indic two
+    ])
+    def test_decode_names_the_bad_token(self, text, token):
+        with pytest.raises(GraphError, match=re.escape(token)):
+            decode_graph(text)
+
     def test_canonical_form_identifies_isomorphic_presentations(self):
         a = StableGraph([0, 1], [(0, 1), (0, 1)], [0])
         b = StableGraph([1, 0], [(1, 0), (0, 1)], [1])
@@ -844,3 +857,44 @@ class TestStableGraphOracles:
             accepted = False
         assert _is_stable(genera, edges, legs) == accepted \
             == oracle_is_stable(genera, edges, legs)
+
+
+def _graph_data(graphs):
+    return [(G.genera, G.edges, G.legs, G._vertex_perms) for G in graphs]
+
+
+class TestCensusFilter:
+    """The generator canonicalizes only the candidates whose new edge has
+    the largest key, and checks stability only at the split vertices;
+    the reference grows every census without either shortcut."""
+
+    @pytest.mark.parametrize("g, n", ORACLE_PAIRS)
+    def test_census_equals_the_unfiltered_generator(self, g, n):
+        levels = stable_graph_levels(g, n)
+        for max_edges in range(-1, 3 * g - 3 + n + 1):
+            want = sorted(set().union(*levels[:max_edges + 1]),
+                          key=lambda G: (len(G.genera), len(G.edges),
+                                         G.genera, G.edges, G.legs))
+            assert _graph_data(enumerate_stable_graphs(g, n, max_edges)) \
+                == _graph_data(want)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_genus_zero_canonicalizes_each_graph_once(self, n, monkeypatch):
+        calls = []
+
+        def counted(*data):
+            calls.append(data)
+            return canonical(*data)
+
+        canonical = stablegraphs._canonical_graph
+        monkeypatch.setattr(stablegraphs, "_canonical_graph", counted)
+        census = enumerate_stable_graphs(0, n, n - 3)
+        # the smooth graph is canonicalized by the validating constructor
+        assert len(calls) == 1 + sum(1 for G in census if G.edges)
+
+    @pytest.mark.parametrize("g, n", ORACLE_PAIRS)
+    def test_local_stability_keeps_exactly_the_stable_splits(self, g, n):
+        for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
+            candidates = list(_uncontractions(G))
+            assert all(_is_stable(*data) for data in candidates)
+            assert candidates == list(unfiltered_uncontractions(G))
