@@ -77,6 +77,13 @@ def check_axioms(O: GradedOperad, max_arity: int,
     exceptions, listed axiom by axiom: associativity, group relations,
     equivariance, units.
 
+    The action is checked on the adjacent transpositions: they satisfy
+    the Coxeter relations on each component and both equivariance
+    identities, which certifies the action and its equivariance for all
+    of S_n.  A table operad (``endtable.TableOperad``) keeps only those
+    generators' records and derives every other permutation from them,
+    so for a table operad the check covers every action it serves.
+
     The associativity axioms are one walk.  For each f o_i f' (arities
     n, n') the element f'' goes into every slot k = i..n+n'-1 of the
     composite.  A slot k < i+n' lies in f' (axiom "2", nested):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections import namedtuple
 from functools import lru_cache
@@ -292,8 +293,17 @@ class Main:
             command.callback(**command.parse(f"{prog} {name}", rest))
 
 
+def _ascii_int(text: str) -> int:
+    """The ``type`` of every integer option: an optional '-' and the
+    ASCII digits 0-9, so no other script's digits, '_' or '+'."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer in the digits 0-9")
+    return int(text)
+
+
 def _int(flag, default=None, **kwargs):
-    return flag, {"type": int, "default": default, **kwargs}
+    return flag, {"type": _ascii_int, "default": default, **kwargs}
 
 
 def _choice(flag, choices, **kwargs):

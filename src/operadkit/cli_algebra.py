@@ -21,6 +21,12 @@ def check_cinf_cmd(family_json, max_arity):
     if report.ok:
         print("all relations and shuffle vanishing hold")
         return
+    from .qlinalg import format_vector
+    for r in report.ainf_residuals[:10]:
+        print(r, file=sys.stderr)
+    for n, p, q, ins, defect in report.shuffle_violations[:10]:
+        print(f"arity {n} ({p}, {q})-shuffle sum fails on {ins}: defect "
+              f"{format_vector(defect)}", file=sys.stderr)
     print(f"{len(report.ainf_residuals)} relation failures, "
           f"{len(report.shuffle_violations)} shuffle violations")
     sys.exit(1)

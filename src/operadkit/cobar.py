@@ -444,9 +444,10 @@ class CobarOperad(GradedOperad):
         new_tree, verts = relabel_tree(
             t, {j: sigma[j - 1] for j in range(1, n + 1)})
         sign = _reorder_sign(verts, t.vertex_arities())
-        # each vertex's decoration is acted on by tau, which maps its
-        # new child slots to its old ones
-        slots = [self.cooperad.act(len(tau), tau, dt[src])
+        # each vertex's decoration is acted on by the inverse of tau,
+        # which maps its new child slots to its old ones, so that the
+        # action is one of S_n: x.(g h) = (x.h).g
+        slots = [self.cooperad.act(len(tau), perm_inverse(tau), dt[src])
                  for src, tau in verts]
         out: Vector = {}
         for combo in itertools.product(*(f.items() for f in slots)):

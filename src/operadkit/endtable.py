@@ -1,6 +1,12 @@
 """End_V operads, table operads and the operad JSON document, kept out
 of ``operads`` (which exports their names) so that only the commands
-that use them compile them."""
+that use them compile them.
+
+A table operad and its document hold the S_n action of each arity as
+n - 1 records, one per adjacent transposition; every other permutation
+acts through them.  The reader still takes a record for any other
+permutation, as older documents hold one for each, but refuses one that
+disagrees with its generators and does not keep one that agrees."""
 
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ from .operads import (GradedOperad, GradedSpace, OperadError,
                       end_compose, end_differential, int_keyed, koszul_sign,
                       parse_coefficient, perm_inverse, put_once,
                       read_document)
-from .qlinalg import SparseMatrix
+from .qlinalg import SparseMatrix, add_scaled, format_vector
 
 
 class EndOperad(GradedOperad):
@@ -77,7 +83,11 @@ class EndOperad(GradedOperad):
 
 
 class TableOperad(GradedOperad):
-    """An operad given by explicit sparse composition/action tables."""
+    """An operad given by explicit sparse tables: a composition table for
+    every (n, i, m) and an action record for each adjacent transposition
+    s_1..s_{n-1} of each arity, from which ``act`` derives the rest of
+    S_n.  ``check_axioms`` certifies those records through the Coxeter
+    relations, so every action served follows from checked data."""
 
     def __init__(self, components, unit_vector, compositions, actions,
                  differentials=None):
@@ -98,11 +108,9 @@ class TableOperad(GradedOperad):
                     out = O.compose_along(n + m - 1, tuple(range(i, i + m)))
                     comp[(n, i, m)] = {divmod(k, O.dim(m)): dict(v)
                                        for k, v in enumerate(out) if v}
-        act = {}
-        for n in components:
-            for sigma in itertools.permutations(range(1, n + 1)):
-                act[(n, sigma)] = {a: dict(O.act_basis(n, sigma, a))
-                                   for a in range(O.dim(n))}
+        act = {(n, sigma): {a: dict(O.act_basis(n, sigma, a))
+                            for a in range(O.dim(n))}
+               for n in components for sigma in adjacent_transpositions(n)}
         diffs = {n: O.differentials[n] for n in O.differentials
                  if n <= max_arity}
         return cls(components, dict(O.unit_vector), comp, act, diffs)
@@ -111,19 +119,28 @@ class TableOperad(GradedOperad):
         return self._comp.get((n, i, m), {}).get((a, b), {})
 
     def act_basis(self, n, sigma, a):
-        """a.sigma from its record; a permutation with none acts through
-        the records there are.  At a descent t of sigma, a acts by s_t
-        and then by sigma with entries t and t + 1 swapped, which has one
-        inversion fewer; the identity acts trivially."""
+        """a.sigma, which is ``act`` on the basis vector of a."""
+        return self.act(n, sigma, {a: 1})
+
+    def act(self, n, sigma, x):
+        """x.sigma from the action records, which for a table operad are
+        those of the adjacent transpositions alone.  A permutation with no
+        record peels: at a descent t of sigma, x acts by s_t and then by
+        sigma with entries t and t + 1 swapped, which has one inversion
+        fewer; the identity acts trivially.  So x.sigma takes at most one
+        record per inversion of sigma."""
         table = self._act.get((n, sigma))
         if table is not None:
-            return table.get(a, {})
+            acc = {}
+            for b, cb in x.items():
+                add_scaled(acc, table.get(b, {}), cb)
+            return acc
         t = next((t for t in range(1, n) if sigma[t - 1] > sigma[t]), 0)
         if not t:
-            return {a: 1}
-        first = self._act[(n, adjacent_transpositions(n)[t - 1])].get(a, {})
-        return self.act(n, sigma[:t - 1] + (sigma[t], sigma[t - 1])
-                        + sigma[t + 1:], first)
+            return dict(x)
+        s_t = (*range(1, t), t + 1, t, *range(t + 2, n + 1))
+        rest = sigma[:t - 1] + (sigma[t], sigma[t - 1]) + sigma[t + 1:]
+        return self.act(n, rest, self.act(n, s_t, x))
 
     def with_corrupted_composition(self, n, i, m, a, b,
                                    scale=-1) -> "TableOperad":
@@ -183,7 +200,9 @@ def operad_from_doc(doc: dict) -> TableOperad:
     composition record must name components and a slot in 1..n, and no
     composition or action record, table cell or arity key may repeat
     one read before it.  An action or differential record must name a
-    component."""
+    component.  Only the adjacent transpositions' action records are
+    kept; a record for any other permutation must equal, zeros dropped,
+    the action its generators give, and is then dropped."""
     components = {
         n: GradedSpace(tuple(sp["names"]), tuple(sp["degrees"]))
         for n, sp in int_keyed(doc["components"], "components: arity").items()}
@@ -232,11 +251,13 @@ def operad_from_doc(doc: dict) -> TableOperad:
                      parse_coefficient(c), f"action record (n, sigma) = "
                      f"({n}, {rec['sigma']}): cell {a} ->")
         act[key] = tab
+    gens = {}
     for n in components:
         for sigma in adjacent_transpositions(n):
             if (n, sigma) not in act:
                 raise OperadError(f"no action table for {list(sigma)} "
                                   f"at arity {n}")
+            gens[(n, sigma)] = act.pop((n, sigma))
     diffs = {}
     for n, entries in int_keyed(doc.get("differentials", {}),
                                 "differentials: arity").items():
@@ -246,7 +267,22 @@ def operad_from_doc(doc: dict) -> TableOperad:
         size = dims[n]
         diffs[n] = SparseMatrix(
             size, size, [(r, c, parse_coefficient(v)) for r, c, v in entries])
-    return TableOperad(components, unit, comp, act, diffs)
+    # Any other record is checked, then dropped.  Undoing sigma's first
+    # descent gives a permutation that sorts before sigma, so each record
+    # is compared with one generator followed by a record checked before.
+    checked = TableOperad(components, unit, comp, dict(gens))
+    for (n, sigma), tab in sorted(act.items()):
+        for a in range(dims[n]):
+            got = {k: v for k, v in tab.get(a, {}).items() if v}
+            want = checked.act_basis(n, sigma, a)
+            if got != want:
+                raise OperadError(
+                    f"action record (n, sigma) = ({n}, {list(sigma)}) "
+                    f"disagrees with its adjacent transpositions at basis "
+                    f"element {a}: {format_vector(got)} against "
+                    f"{format_vector(want)}")
+        checked._act[(n, sigma)] = tab
+    return TableOperad(components, unit, comp, gens, diffs)
 
 
 def operad_from_json(text: str) -> TableOperad:

@@ -33,6 +33,7 @@ count}}, keyed by valence in genus 0 and by (genus, valence) above.
 from __future__ import annotations
 
 import functools
+import re
 from collections import namedtuple
 from math import comb
 
@@ -103,10 +104,12 @@ class BettiTable:
             parts = ln.split(",")
             if len(parts) != 4:
                 raise StrataError(f"malformed row: {ln!r}")
-            try:
-                g, n, k, dim = (int(x) for x in parts)
-            except ValueError:
-                raise StrataError(f"non-integer field in row: {ln!r}") from None
+            bad = next((x for x in parts
+                        if not re.fullmatch(r"-?[0-9]+", x.strip())), None)
+            if bad is not None:
+                raise StrataError(f"field {bad.strip()!r} in row {ln!r} is "
+                                  "not an integer in the digits 0-9")
+            g, n, k, dim = map(int, parts)
             if dim < 0 or k < 0:
                 raise StrataError(f"negative value in row: {ln!r}")
             by_k = rows.setdefault((g, n), {})

@@ -331,7 +331,8 @@ def encode_tree(t: Tree) -> str:
 
 
 def decode_tree(text: str) -> Tree:
-    """Parse the nested parenthesized encoding back into a Tree."""
+    """Parse the nested parenthesized encoding back into a Tree; a leaf
+    label is a run of the ASCII digits 0-9."""
     pos = 0
 
     def parse():
@@ -347,10 +348,11 @@ def decode_tree(text: str) -> Tree:
             pos += 1
             return tuple(children)
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if start == pos:
-            raise TreeError(f"expected a leaf label at position {pos}")
+            raise TreeError(f"expected a leaf label (digits 0-9) at "
+                            f"position {pos}, found {text[pos]!r}")
         return int(text[start:pos])
 
     try:

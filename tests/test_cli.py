@@ -291,7 +291,27 @@ class TestHomotopyCommands:
         res = run(runner, "check-cinf", path)
         assert (res.exit_code, res.stdout) == (
             1, "2 relation failures, 0 shuffle violations\n")
+        assert res.stderr.splitlines() == [
+            "arity 3 relation fails on (0, 0, 1): defect {1: -1}",
+            "arity 3 relation fails on (1, 0, 0): defect {1: 1}"]
         assert run(runner, "check-ainf", path).exit_code == 1
+
+    def test_check_cinf_failure_names_shuffle_witnesses(self, runner,
+                                                        tmp_path):
+        # H*(S^1) with m2(x, 1) = -x: not graded-commutative
+        path = tmp_path / "twin.json"
+        path.write_text(json.dumps({
+            "format": "operadkit-mapfamily", "version": 1,
+            "names": ["1", "x"], "degrees": [0, -1], "q": [],
+            "maps": {"2": [[0, [0, 0], 1], [1, [0, 1], 1],
+                           [1, [1, 0], -1]]}}))
+        res = run(runner, "check-cinf", str(path), "--max-arity", "4")
+        assert (res.exit_code, res.stdout) == (
+            1, "1 relation failures, 2 shuffle violations\n")
+        assert res.stderr.splitlines() == [
+            "arity 3 relation fails on (1, 0, 0): defect {1: 2}",
+            "arity 2 (1, 1)-shuffle sum fails on (0, 1): defect {1: 2}",
+            "arity 2 (1, 1)-shuffle sum fails on (1, 0): defect {1: 2}"]
 
     def test_malformed_family_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
@@ -424,6 +444,9 @@ class TestMalformedInput:
                                "appears twice"),
         ("second action", "action record (n, sigma) = (2, [2, 1]) appears "
                           "twice"),
+        # a record beside the generators' that disagrees with them
+        ("3-cycle", "action record (n, sigma) = (3, [2, 3, 1]) disagrees "
+                    "with its adjacent transpositions at basis element 1"),
         ("action arity 9", "action record (n, sigma) = (9, [1, 2, 3, 4, 5, "
                            "6, 7, 8, 9]): no arity-9 component"),
         ("differential arity 9", "differential record n = 9: no arity-9 "
@@ -464,6 +487,10 @@ class TestMalformedInput:
             rec = next(r for r in doc["actions"]
                        if (r["n"], r["sigma"]) == (2, [2, 1]))
             doc["actions"].append(dict(rec, entries=[]))
+        elif fault == "3-cycle":
+            rec = next(r for r in doc["actions"]
+                       if (r["n"], r["sigma"]) == (3, [2, 1, 3]))
+            doc["actions"].append(dict(rec, sigma=[2, 3, 1]))
         elif fault == "action arity 9":
             doc["actions"].append({"n": 9, "sigma": list(range(1, 10)),
                                    "entries": []})
@@ -864,6 +891,13 @@ class TestContract:
         ("frobnicate", "frobnicate"),
         ("trees --count", "--n"),
         ("trees --n x", "--n"),
+        # int() also reads other scripts' digits, '_' and '+'
+        ("trees --n \u0664 --count",
+         "argument --n: '\u0664' is not an integer in the digits 0-9"),
+        ("trees --n 1_0 --count",
+         "argument --n: '1_0' is not an integer in the digits 0-9"),
+        ("betti-predict --n +5",
+         "argument --n: '+5' is not an integer in the digits 0-9"),
         ("trees --n 3 --format xml", "--format"),
         ("check-ainf .", "argument FAMILY_FILE: cannot read '.'"),
         ("check-cinf .", "argument FAMILY_FILE: cannot read '.'"),

@@ -524,6 +524,22 @@ class TestCobarOperad:
         report = check_axioms(B, max_arity)
         assert report.ok and report.checked == checked
 
+    @pytest.mark.parametrize("cofactory, n", [
+        (liec_cooperad, 3), (liec_cooperad, 4), (asc_cooperad, 3),
+        (commc_cooperad, 4)])
+    def test_action_is_a_group_action(self, cofactory, n):
+        # x.(g h) = (x.h).g, as for the word operads; a vertex decoration
+        # acted on by its slot map rather than that map's inverse broke
+        # this on every corolla with three or more inputs
+        B = cobar_operad(cofactory(n), n)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for g, h in itertools.product(perms, perms):
+            gh = tuple(g[j - 1] for j in h)
+            for a in range(B.dim(n)):
+                want = B.act(n, g, B.act_basis(n, h, a))
+                assert B.act_basis(n, gh, a) == \
+                    {k: v for k, v in want.items() if v}, (g, h, a)
+
     def test_component_dims_match_complex(self):
         B = cobar_operad(liec_cooperad(4), 4)
         for n in range(2, 5):

@@ -774,16 +774,30 @@ class TestJsonRoundTrip:
                         dict(O.compose_basis(n, i, m, a, b))
 
     @staticmethod
-    def documents(factory, top):
-        """The full document of factory(top) and the one that keeps only
-        each arity's adjacent-transposition records."""
-        doc = json.loads(operad_to_json(factory(top), top))
-        gens = {(n, s) for n in range(1, top + 1)
-                for s in adjacent_transpositions(n)}
-        reduced = dict(doc, actions=[r for r in doc["actions"]
-                                     if (r["n"], tuple(r["sigma"])) in gens])
-        assert len(reduced["actions"]) < len(doc["actions"])
-        return (operad_from_json(json.dumps(d)) for d in (doc, reduced))
+    def full_document(O, top):
+        """O's document through arity top with a record appended for each
+        permutation that is no adjacent transposition, from O's own
+        ``act_basis``: a document as earlier versions wrote it."""
+        doc = json.loads(operad_to_json(O, top))
+        for n in (n for n in O.arities() if n <= top):
+            gens = adjacent_transpositions(n)
+            doc["actions"] += [
+                {"n": n, "sigma": list(sigma), "entries": [
+                    [a, out, str(c)] for a in range(O.dim(n))
+                    for out, c in sorted(O.act_basis(n, sigma, a).items())]}
+                for sigma in itertools.permutations(range(1, n + 1))
+                if sigma not in gens]
+        return doc
+
+    @classmethod
+    def documents(cls, factory, top):
+        """factory(top) read back from its full document and from the one
+        written, which keeps only each arity's adjacent-transposition
+        records."""
+        O = factory(top)
+        doc, full = json.loads(operad_to_json(O, top)), cls.full_document(O, top)
+        assert len(doc["actions"]) < len(full["actions"])
+        return (operad_from_json(json.dumps(d)) for d in (full, doc))
 
     @pytest.mark.parametrize("factory", [assoc_operad, lie_operad,
                                          comm_operad])
@@ -809,6 +823,79 @@ class TestJsonRoundTrip:
             assert got.checked == want.checked
             assert got.violations == want.violations
             assert bool(got.violations) == corrupt
+
+    def test_the_document_holds_one_record_per_generator(self):
+        doc = json.loads(operad_to_json(lie_operad(6), 6))
+        assert sorted((r["n"], tuple(r["sigma"])) for r in doc["actions"]) \
+            == sorted((n, s) for n in range(1, 7)
+                      for s in adjacent_transpositions(n))
+        assert len(doc["actions"]) == 15
+
+    def test_a_disagreeing_record_is_refused_and_named(self):
+        # before, this document passed check_axioms, which reads only
+        # the generators' records, and the bad record served (2,4,1,3)
+        doc = self.full_document(assoc_operad(4), 4)
+        rec = next(r for r in doc["actions"]
+                   if (r["n"], r["sigma"]) == (4, [2, 4, 1, 3]))
+        rec["entries"][0][2] = "-1"
+        with pytest.raises(OperadError, match=re.escape(
+                "action record (n, sigma) = (4, [2, 4, 1, 3]) disagrees with "
+                "its adjacent transpositions at basis element 0: {")):
+            operad_from_json(json.dumps(doc))
+
+    def test_a_consistent_record_is_read_and_not_stored(self):
+        O = assoc_operad(4)
+        doc = json.loads(operad_to_json(O, 4))
+        rec = next(r for r in self.full_document(O, 4)["actions"]
+                   if r["sigma"] == [2, 4, 1, 3])
+        # an explicit zero is no disagreement
+        rec["entries"].append([0, rec["entries"][0][1] + 1, "0"])
+        doc["actions"].append(rec)
+        back = operad_from_json(json.dumps(doc))
+        assert sorted(back._act) == sorted(
+            (n, s) for n in range(1, 5) for s in adjacent_transpositions(n))
+        for a in range(O.dim(4)):
+            assert back.act_basis(4, (2, 4, 1, 3), a) == \
+                dict(O.act_basis(4, (2, 4, 1, 3), a))
+
+    @pytest.mark.parametrize("factory, top", [
+        (comm_operad, 5), (assoc_operad, 5), (lie_operad, 5),
+        (lambda top: cobar_operad(liec_cooperad(top), top), 4),
+        (lambda top: EndOperad(GradedSpace(("e0", "e1"), (0, 1)), top,
+                               q=SparseMatrix.from_dict(2, 2, {(0, 1): 1})),
+         3)], ids=["comm", "assoc", "lie", "cobar-liec", "end"])
+    def test_round_trip_serves_the_source_operad(self, factory, top):
+        O = factory(top)
+        back = operad_from_json(operad_to_json(O, top))
+        arities = [n for n in O.arities() if n <= top]
+        assert back.arities() == arities
+        for n in arities:
+            for sigma in itertools.permutations(range(1, n + 1)):
+                for a in range(O.dim(n)):
+                    assert back.act_basis(n, sigma, a) == \
+                        {k: v for k, v in O.act_basis(n, sigma, a).items()
+                         if v}, (n, sigma, a)
+        for n, m in itertools.product(arities, arities):
+            if n + m - 1 <= top:
+                for i, a, b in itertools.product(range(1, n + 1),
+                                                 range(O.dim(n)),
+                                                 range(O.dim(m))):
+                    assert back.compose_basis(n, i, m, a, b) == \
+                        {k: v for k, v in O.compose_basis(n, i, m, a, b)
+                         .items() if v}
+        # the same reports as a table holding every permutation's record
+        every = TableOperad(back.components, back.unit_vector, back._comp, {
+            (n, sigma): {a: dict(O.act_basis(n, sigma, a))
+                         for a in range(O.dim(n))}
+            for n in arities
+            for sigma in itertools.permutations(range(1, n + 1))},
+            back.differentials)
+        for T, U in ((back, every), (
+                back.with_corrupted_composition(2, 1, 2, 0, 0),
+                every.with_corrupted_composition(2, 1, 2, 0, 0))):
+            got, want = check_axioms(T, top), check_axioms(U, top)
+            assert (got.checked, got.violations) == \
+                (want.checked, want.violations)
 
     def test_round_trip_preserves_differentials(self):
         V = GradedSpace(("x", "y"), (0, 1))

@@ -6,6 +6,7 @@ and against a stratum-by-stratum Euler characteristic; table ingestion
 is exercised including conflicting and malformed input.
 """
 
+import re
 from math import comb
 
 import pytest
@@ -82,7 +83,19 @@ class TestBettiTable:
         with pytest.raises(StrataError):
             BettiTable.from_csv("g,n,k,dim\n1,1,zero,1\n")
 
+    @pytest.mark.parametrize("field", ["1_0", "+3", "\u0662", "1.0", ""])
+    def test_csv_fields_are_ascii_digits(self, field):
+        # int() reads "1_0" as 10 and "\u0662" (Arabic-Indic two) as 2
+        with pytest.raises(StrataError, match=re.escape(f"field {field!r} in row")):
+            BettiTable.from_csv(f"g,n,k,dim\n1,2,0,{field}\n")
+
+    def test_csv_fields_may_carry_spaces(self):
+        back = BettiTable.from_csv("g,n,k,dim\n 1, 2 ,2,1\n1,2,0 , 1\n")
+        assert back.get(1, 2) == (1, 0, 1)
+
     def test_negative_dimension_rejected(self):
+        with pytest.raises(StrataError, match="negative value"):
+            BettiTable.from_csv("g,n,k,dim\n1,2,0, -1\n")
         with pytest.raises(StrataError):
             BettiTable.from_csv("g,n,k,dim\n1,2,0,-1\n")
 

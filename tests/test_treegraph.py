@@ -156,6 +156,14 @@ class TestTreeBasics:
         with pytest.raises(TreeError, match="nested too deep"):
             decode_tree(text)
 
+    @pytest.mark.parametrize("text, token", [
+        ("(1,\u00b2)", "'\u00b2'"),   # superscript two: isdigit(), not int()
+        ("(1,\u0662)", "'\u0662'"),   # Arabic-Indic two: read as 2 once
+        ("(1,+2)", "'+'"), ("(1,-2)", "'-'")])
+    def test_a_label_is_ascii_digits(self, text, token):
+        with pytest.raises(TreeError, match=f"digits 0-9.*found {re.escape(token)}$"):
+            decode_tree(text)
+
     def test_vertex_arities_preorder(self):
         t = decode_tree("((1,2),(3,(4,5)))")
         assert t.vertex_arities() == [2, 2, 2, 2]
