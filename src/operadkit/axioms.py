@@ -82,7 +82,9 @@ def check_axioms(O: GradedOperad, max_arity: int,
     identities, which certifies the action and its equivariance for all
     of S_n.  A table operad (``endtable.TableOperad``) keeps only those
     generators' records and derives every other permutation from them,
-    so for a table operad the check covers every action it serves.
+    so for a table operad the check covers every action it serves.  The
+    word operads, ``EndOperad`` and ``CobarOperad`` act by every
+    permutation directly: their tests, not this check, cover the rest.
 
     The associativity axioms are one walk.  For each f o_i f' (arities
     n, n') the element f'' goes into every slot k = i..n+n'-1 of the

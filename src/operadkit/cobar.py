@@ -8,10 +8,10 @@ edge count, which it raises by one; equivalently it lowers the operadic
 degree (arity - 2 - edges) by one.
 
 ``Cooperad.cocompose``, the transpose of composition along a subset, is
-the one cocomposition.  The basis is indexed per tree: a tree's
-decorations follow one another in mixed-radix order, so a place is the
-tree's first place plus arithmetic.  Expanding a vertex compares no
-leaf label, so the boundary is computed once per tree skeleton, each
+the one cocomposition.  The basis is indexed per tree shape, with no
+``Tree`` built: a tree's decorations follow one another in mixed-radix
+order, so a place is the tree's first place plus arithmetic.  Expanding
+a vertex compares no leaf label, so the boundary is computed once per tree skeleton, each
 tree looks up where its targets start, and its rows go as dicts
 straight into one ``SparseMatrix``.  The same fact lets d.d = 0 be
 checked on one tree per skeleton, so ``homology`` streams, building of
@@ -38,8 +38,9 @@ from .qlinalg import (ChainComplex, ComplexError, SparseMatrix, addmul,
                       as_exact, cleared_ranks)
 from .operads import (GradedOperad, GradedSpace, Vector, koszul_sign,
                       perm_inverse)
-from .treegraph import (encode_tree, enumerate_trees, graft, relabel_tree,
-                        skeleton, skeleton_expansions)
+from .treegraph import (Tree, encode_tree, enumerate_trees, graft,
+                        relabel_tree, skeleton, skeleton_expansions,
+                        tree_shapes, vertex_arities)
 
 
 class CobarError(InputError):
@@ -136,16 +137,18 @@ class CobarComplex:
     """The arity-n cobar complex of a cooperad, graded by edge count.
 
     ``basis`` lists the pairs (tree, decoration) by edge count, each
-    tree's decorations in ``itertools.product`` order.  Its layout is
-    private, read through ``position`` and ``differential()``: count e
-    starts at ``_offsets[e]``, and ``_index[e]`` maps each tree's flat
-    key (skeleton id, *labels) (see ``treegraph.skeleton``) to the place
-    of its first decoration within its count, its first boundary row or
-    column.  The product order is mixed radix, so a decoration's place
-    is that plus its digits times its skeleton's strides, for
-    ``position`` and the boundary alike.  Trees with one skeleton share
-    its ``_layout[id]``: the skeleton, its vertex arities, its strides
-    and its decorations."""
+    tree's decorations in ``itertools.product`` order; it is built on
+    first read, and ``homology`` reads only the layout, indexed from
+    ``treegraph.tree_shapes``.  The layout is private, read through
+    ``position`` and ``differential()``: count e starts at
+    ``_offsets[e]``, and ``_index[e]`` maps each tree's flat key
+    (skeleton id, *labels) (see ``treegraph.skeleton``), in enumeration
+    order, to the place of its first decoration within its count, its
+    first boundary row or column.  The product order is mixed radix, so
+    a decoration's place is that plus its digits times its skeleton's
+    strides, for ``position`` and the boundary alike.  Trees with one
+    skeleton share its ``_layout[id]``: the skeleton, its vertex
+    arities, its strides and its decorations."""
 
     def __init__(self, cooperad: Cooperad, n: int, sign_mode: str = "standard"):
         cooperad.check_arity(n)
@@ -154,29 +157,39 @@ class CobarComplex:
         self.cooperad = cooperad
         self.n = n
         self.sign_mode = sign_mode
-        self.basis: list = []
+        self._basis = None  # built by ``basis`` on first read
         self._ids: dict = {}  # skeleton -> id
         # id -> (skeleton, vertex arities, strides, decorations)
         layout = self._layout = []
         self._index: list[dict] = []
         o = self._offsets = [0]
         for e in range(n - 1):
-            index = {}
-            for t in enumerate_trees(n, e):
-                skel, labels = skeleton(t.shape)
+            index, size = {}, 0
+            for shape in tree_shapes(n, e):
+                skel, labels = skeleton(shape)
                 sid = self._ids.setdefault(skel, len(layout))
                 if sid == len(layout):
-                    arities = t.vertex_arities()
+                    arities = vertex_arities(skel)
                     dims = [cooperad.dim(m) for m in arities]
                     # product order is mixed radix, the last vertex fastest
                     strides = [math.prod(dims[j + 1:])
                                for j in range(len(dims))]
                     layout.append((skel, arities, strides, list(
                         itertools.product(*map(range, dims)))))
-                index[(sid, *labels)] = len(self.basis) - o[e]
-                self.basis.extend(zip(itertools.repeat(t), layout[sid][3]))
+                index[(sid, *labels)] = size
+                size += len(layout[sid][3])
             self._index.append(index)
-            o.append(len(self.basis))
+            o.append(o[-1] + size)
+
+    @property
+    def basis(self) -> list:
+        """``enumerate_trees`` lists each count's trees in the order of
+        ``_index``'s keys."""
+        if self._basis is None:
+            self._basis = [(t, decor) for e, index in enumerate(self._index)
+                           for t, key in zip(enumerate_trees(self.n, e), index)
+                           for decor in self._layout[key[0]][3]]
+        return self._basis
 
     def position(self, tree, decor: tuple[int, ...]) -> int:
         """The place of (tree, decor) in ``basis``; KeyError if it is
@@ -299,33 +312,40 @@ class CobarComplex:
             (o[e + 1] + c, o[e] + r, v)
             for e in range(self.n - 2) for r, c, v in self.boundary_from(e)])
 
-    def _skeleton_rows(self, e: int, b: SparseMatrix) -> SparseMatrix:
-        """The rows of ``b`` = ``boundary_matrix(e)`` at the trees with
-        flat key (id, 1, ..., n), one per skeleton of edge degree e, in
-        place; every other row is left out.  Each skeleton is itself a
-        basis tree, so a missing key is a KeyError, never skipped."""
+    def _skeleton_places(self, e: int):
+        """The rows of edge degree e at the trees (id, 1, ..., n), the
+        skeletons; each is a basis tree, so no KeyError is skipped."""
         index, labels = self._index[e], tuple(range(1, self.n + 1))
-        entries = []
-        for sid in {key[0] for key in index}:
-            first = index[(sid, *labels)]
-            for r in range(first, first + len(self._layout[sid][3])):
-                entries.extend((r, c, v) for c, v in b.row(r).items())
-        return SparseMatrix(b.rows, b.cols, entries)
+        for sid, (_, arities, _, decorations) in enumerate(self._layout):
+            if len(arities) == e + 1:
+                first = index[(sid, *labels)]
+                yield from range(first, first + len(decorations))
+
+    def _skeleton_rows(self, e: int, b: SparseMatrix) -> SparseMatrix:
+        """The rows of ``b`` = ``boundary_matrix(e)`` at the skeleton
+        trees (``_skeleton_places``), in place, its stored rows shared;
+        every other row is left out."""
+        return SparseMatrix.from_rows(b.rows, b.cols, (
+            (r, b.row(r)) for r in self._skeleton_places(e)))
 
     def _check_square(self, e: int, kept: SparseMatrix,
                       b: SparseMatrix) -> None:
         """Raise ComplexError unless ``kept``, the skeleton rows of
         ``boundary_matrix(e)``, times ``b`` = ``boundary_matrix(e + 1)``
         vanishes; the error names the first skeleton tree and
-        decoration whose d.d is not zero."""
+        decoration whose d.d is not zero, found from its row alone."""
         prod = kept.matmul(b)
         if not prod.is_zero():
             r, c, v = next(prod.entries())
-            tree, decor = self.basis[self._offsets[e] + r]
+            index, labels = self._index[e], tuple(range(1, self.n + 1))
+            for sid, (skel, _, _, decorations) in enumerate(self._layout):
+                rel = r - index.get((sid, *labels), r + 1)
+                if 0 <= rel < len(decorations):
+                    break
             raise ComplexError(
                 f"d.d != 0 from edge degree {e} to {e + 2}: skeleton tree "
-                f"{encode_tree(tree)} with decoration {decor} has entry "
-                f"({r},{c}) = {v}")
+                f"{encode_tree(Tree(skel))} with decoration "
+                f"{decorations[rel]} has entry ({r},{c}) = {v}")
 
     def homology(self) -> dict[int, int]:
         """Betti numbers keyed by edge count, of the complex
@@ -351,13 +371,14 @@ class CobarComplex:
         a column twice or out of range iff its skeleton tree's row does;
         ``_rows`` and ``SparseMatrix.from_rows`` check each row whole."""
         kept = SparseMatrix(0, self.dims()[0])  # nothing before the first
+        read = set()
 
         def boundary(e, cleared):
-            nonlocal kept
-            read = {c for _, c, _ in kept.entries()}
+            nonlocal kept, read
             b = self._boundary(e, set(cleared) - read)
             self._check_square(e - 1, kept, b)
             kept = self._skeleton_rows(e, b)
+            read = set().union(*map(kept.row, self._skeleton_places(e)))
             return b
 
         ranks = [0, *cleared_ranks(self.n - 2, boundary), 0]
@@ -369,12 +390,12 @@ def cobar_dims(cooperad: Cooperad, n: int) -> dict[int, int]:
     """Dimension of each edge-graded piece of the arity-n cobar complex,
     counted without its basis: a tree whose vertices have arities m_1,
     m_2, ... carries prod dim C(m_i) decorations.  The trees are still
-    enumerated, so `strata.middle_row`, which compares these numbers
-    with the counted genus-0 census, checks a count against an
+    enumerated, as shapes, so `strata.middle_row`, which compares these
+    numbers with the counted genus-0 census, checks a count against an
     enumeration."""
     cooperad.check_arity(n)
-    return {e: sum(math.prod(map(cooperad.dim, t.vertex_arities()))
-                   for t in enumerate_trees(n, e))
+    return {e: sum(math.prod(map(cooperad.dim, vertex_arities(s)))
+                   for s in tree_shapes(n, e))
             for e in range(n - 1)}
 
 

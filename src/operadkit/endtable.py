@@ -94,6 +94,7 @@ class TableOperad(GradedOperad):
         super().__init__(components, unit_vector, differentials)
         self._comp = compositions  # (n, i, m) -> {(a, b): {out: coeff}}
         self._act = actions        # (n, sigma) -> {a: {out: coeff}}
+        self._words = {}           # (n, sigma) -> the records it acts by
 
     @classmethod
     def from_operad(cls, O: GradedOperad, max_arity: int) -> "TableOperad":
@@ -127,20 +128,27 @@ class TableOperad(GradedOperad):
         those of the adjacent transpositions alone.  A permutation with no
         record peels: at a descent t of sigma, x acts by s_t and then by
         sigma with entries t and t + 1 swapped, which has one inversion
-        fewer; the identity acts trivially.  So x.sigma takes at most one
-        record per inversion of sigma."""
-        table = self._act.get((n, sigma))
-        if table is not None:
-            acc = {}
+        fewer; the identity acts trivially.  Each (n, sigma) is peeled
+        once, into the word of records it acts by, at most one per
+        inversion of sigma."""
+        word = self._words.get((n, sigma))
+        if word is None:
+            word = self._words[(n, sigma)] = []
+            while (n, sigma) not in self._act:
+                t = next((t for t in range(1, n)
+                          if sigma[t - 1] > sigma[t]), 0)
+                if not t:
+                    break
+                word.append((n, adjacent_transpositions(n)[t - 1]))
+                sigma = sigma[:t - 1] + (sigma[t], sigma[t - 1]) + sigma[t + 1:]
+            else:
+                word.append((n, sigma))
+        for key in word:
+            table, acc = self._act[key], {}
             for b, cb in x.items():
                 add_scaled(acc, table.get(b, {}), cb)
-            return acc
-        t = next((t for t in range(1, n) if sigma[t - 1] > sigma[t]), 0)
-        if not t:
-            return dict(x)
-        s_t = (*range(1, t), t + 1, t, *range(t + 2, n + 1))
-        rest = sigma[:t - 1] + (sigma[t], sigma[t - 1]) + sigma[t + 1:]
-        return self.act(n, rest, self.act(n, s_t, x))
+            x = acc
+        return x if word else dict(x)
 
     def with_corrupted_composition(self, n, i, m, a, b,
                                    scale=-1) -> "TableOperad":

@@ -50,12 +50,13 @@ Topol. 2021).
 
 A ``SparseMatrix`` stores each entry once, row-major, and ``row`` hands
 out the stored row; ``from_rows`` stores row dicts a caller built, each
-checked whole, and elimination copies the rows it reduces, the only
-other copy of the entries the module makes.  A caller that reads
-columns transposes the matrix and owns that copy while it needs it.
-``rank`` and ``rref`` walk only the stored rows, ascending, so empty
-rows cost nothing: ``span_rank`` and ``solve_in_span`` index their
-matrices by the vectors' own basis indices.
+checked whole, and shares another matrix's stored rows.  Elimination
+copies the rows it reduces, the only other copy of the entries the
+module makes.  A caller that reads columns transposes the matrix and
+owns that copy while it needs it.  ``rank`` and ``rref`` walk only the
+stored rows, ascending, so empty rows cost nothing: ``span_rank`` and
+``solve_in_span`` index their matrices by the vectors' own basis
+indices.
 
 Matrices are immutable after construction, so they are safe to share
 between threads; rank and homology are pure functions.
@@ -154,6 +155,7 @@ class SparseMatrix:
                   lines: Iterable[tuple[int, dict]]) -> "SparseMatrix":
         """A matrix from (row, {col: value}) pairs whose dicts are stored
         as they are: each row named once, its values exact and nonzero.
+        A read-only row, such as another matrix's ``row``, is shared.
         Each row is checked whole: its index, and its least and greatest
         columns, in range."""
         m = cls(rows, cols)
@@ -162,7 +164,8 @@ class SparseMatrix:
                     0 <= min(line) and max(line) < cols):
                 raise ValueError(f"row {r} repeats or leaves {rows}x{cols}")
             if line:
-                m._rows[r] = MappingProxyType(line)
+                m._rows[r] = (line if type(line) is MappingProxyType
+                              else MappingProxyType(line))
         return m
 
     @classmethod

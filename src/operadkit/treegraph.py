@@ -19,9 +19,10 @@ subtrees recursively by their children, and a vertex whose children run
 out first before one with more.  The generator is memoised per label
 set and keeps the shapes alone (a group's order tokens live only while
 it is sorted); `enumerate_trees` and `enumerate_trees_all` look into
-it.  A vertex is named by its preorder index, the one vertex naming
-here.  Every rebuilt tree comes from one of two walks over a shape
-whose vertices are tagged with that index.  `_rebuild` sorts children
+it, and `tree_shapes` hands out its shapes with no `Tree` built.  A
+vertex is named by its preorder index, the one vertex naming here.
+Every rebuilt tree comes from one of two walks over a shape whose
+vertices are tagged with that index.  `_rebuild` sorts children
 back into canonical order for `Tree(...)`, `graft` and `relabel_tree`,
 reporting where each vertex and its children came from.  A tree's
 skeleton is its canonical shape with the leaves numbered in preorder
@@ -99,7 +100,12 @@ class Tree:
 
     def vertex_arities(self) -> list[int]:
         """Number of children of each internal vertex, preorder."""
-        return _arities(self.shape, [])
+        return vertex_arities(self.shape)
+
+
+def vertex_arities(shape) -> list[int]:
+    """Number of children of each internal vertex of a shape, preorder."""
+    return _arities(shape, [])
 
 
 def _arities(shape, out: list) -> list:
@@ -164,6 +170,13 @@ def _generated(n: int) -> tuple[tuple, ...]:
     return _shapes(tuple(range(1, n + 1)))
 
 
+def tree_shapes(n: int, e: int) -> tuple:
+    """The memoised shapes of ``enumerate_trees(n, e)``, in its order;
+    out-of-range e gives an empty tuple."""
+    groups = _generated(n)
+    return groups[e] if 0 <= e < len(groups) else ()
+
+
 def enumerate_trees(n: int, e: int) -> list[Tree]:
     """All isomorphism classes of n-trees with exactly e internal edges.
 
@@ -171,10 +184,7 @@ def enumerate_trees(n: int, e: int) -> list[Tree]:
     module docstring for how, and for the order).  Out-of-range e gives
     an empty list.
     """
-    groups = _generated(n)
-    if not 0 <= e < len(groups):
-        return []
-    return [Tree._from_canonical(s, n, e) for s in groups[e]]
+    return [Tree._from_canonical(s, n, e) for s in tree_shapes(n, e)]
 
 
 def enumerate_trees_all(n: int) -> dict[int, list[Tree]]:
@@ -294,7 +304,7 @@ def skeleton_expansions(skel):
     same vertex and positions, to ``target`` with labels L[p - 1] for p
     in ``places``, with the same ``order``.
     """
-    arities = _arities(skel, [])
+    arities = vertex_arities(skel)
     tagged = _tagged(skel, int, itertools.count())  # leaves: their places
     new = len(arities)
 

@@ -36,7 +36,7 @@ from operadkit.operads import (
     shuffles,
 )
 from operadkit.qlinalg import ChainComplex, ComplexError, SparseMatrix, rank
-from operadkit.treegraph import enumerate_trees_all
+from operadkit.treegraph import Tree, decode_tree, enumerate_trees_all
 from reference import (boundary_entries, dense_rank, liec_component_dim,
                        multilinear_shuffle_relations, shuffle_sum, to_dense)
 
@@ -424,6 +424,44 @@ class TestSkeletonCheck:
             except ComplexError:
                 streamed = ComplexError
             assert streamed == full, n
+
+    def test_the_witness_is_the_basis_element_at_its_row(self, monkeypatch):
+        # the boundary of the last decoration of each two-edge skeleton
+        # with vertex arities (2, 2, 3) flips its sign, so d.d vanishes
+        # from edge degree 0 and fails first from degree 1, past the
+        # first tree; the error unranks its row, and the basis built
+        # afterwards holds the element it names at that row
+        boundary = CobarComplex._skeleton_boundary
+
+        def faulty(self, sid):
+            targets, rows = boundary(self, sid)
+            if self._layout[sid][1] == [2, 2, 3]:
+                rows = rows[:-1] + [[(x, col, -c) for x, col, c in rows[-1]]]
+            return targets, rows
+
+        monkeypatch.setattr(CobarComplex, "_skeleton_boundary", faulty)
+        cx = CobarComplex(liec_cooperad(5), 5)
+        with pytest.raises(ComplexError) as err:
+            cx.homology()
+        found = re.fullmatch(
+            r"d\.d != 0 from edge degree 1 to 3: skeleton tree (\S+) with "
+            r"decoration (\(.*\)) has entry \((\d+),\d+\) = -?\d+",
+            str(err.value))
+        assert found, str(err.value)
+        tree, decor, row = found.groups()
+        assert int(row) > 0 and cx._basis is None
+        assert cx.basis[cx.dims()[0] + int(row)] == \
+            (decode_tree(tree), tuple(map(int, re.findall(r"\d+", decor))))
+        assert decode_tree(tree).internal_edges == 1
+
+    def test_homology_lists_no_basis_and_builds_no_tree(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("homology read a basis element")
+
+        monkeypatch.setattr(CobarComplex, "basis", property(refuse))
+        monkeypatch.setattr(Tree, "__init__", refuse)
+        monkeypatch.setattr(Tree, "_from_canonical", classmethod(refuse))
+        assert cobar_homology(liec_cooperad(5), 5) == {0: 0, 1: 0, 2: 0, 3: 1}
 
     @pytest.mark.parametrize("cofactory, top", CASES)
     def test_every_skeleton_is_a_basis_tree(self, cofactory, top):

@@ -415,6 +415,25 @@ class TestAxioms:
         assert report.ok, report.violations[:3]
         assert report.checked > 0
 
+    @pytest.mark.parametrize("make, n", [
+        (comm_operad, 4), (assoc_operad, 4), (lie_operad, 4),
+        (lambda k: EndOperad(GradedSpace(("e0", "e1"), (0, 1)), k,
+                             q=SparseMatrix.from_dict(2, 2, {(0, 1): 1})), 3),
+    ], ids=["comm", "assoc", "lie", "end"])
+    def test_action_is_a_group_action(self, make, n):
+        # check_axioms certifies the adjacent transpositions; these
+        # operads act by every other permutation directly, so
+        # x.(g h) = (x.h).g is checked on all of S_n here
+        O = make(n)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for g, h in itertools.product(perms, perms):
+            gh = perm_compose(g, h)
+            for a in range(O.dim(n)):
+                want = O.act(n, g, O.act_basis(n, h, a))
+                got = O.act_basis(n, gh, a)
+                assert {k: v for k, v in got.items() if v} == \
+                    {k: v for k, v in want.items() if v}, (g, h, a)
+
     def test_end_operad_axioms_graded(self):
         V = GradedSpace(("x", "y"), (0, 1))
         report = check_axioms(EndOperad(V, 3), 3)
